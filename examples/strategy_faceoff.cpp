@@ -4,21 +4,11 @@
 // by side. A compact way to explore how the knobs in EngineOptions
 // shape behaviour on your own workload.
 //
-// Run:  ./examples/strategy_faceoff [--strategy=NAME]
-//
-// --strategy picks the pluggable selection strategy (the knapsack
-// resolver; see DESIGN.md, "Selection strategies") every selecting
-// engine runs with: greedy (default), local_search, cluster (alias
-// cluster_greedy), or cluster_local_search. The partitioning
-// strategies above are orthogonal — any selection strategy can resolve
-// any of them. bench_strategy_tournament runs the full head-to-head.
+// Run:  ./examples/strategy_faceoff
 
 #include <cstdio>
-#include <cstring>
-#include <string>
 #include <vector>
 
-#include "core/selection_strategy.h"
 #include "exp/experiment.h"
 #include "workload/range_generator.h"
 
@@ -64,35 +54,18 @@ std::vector<WorkloadQuery> RoamingWorkload() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  SelectionStrategyKind selection = SelectionStrategyKind::kGreedy;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--strategy=", 11) == 0) {
-      if (!ParseSelectionStrategy(argv[i] + 11, &selection)) {
-        std::fprintf(stderr,
-                     "unknown --strategy=%s (expected greedy, local_search, "
-                     "cluster, or cluster_local_search)\n",
-                     argv[i] + 11);
-        return 1;
-      }
-    } else {
-      std::fprintf(stderr, "usage: %s [--strategy=NAME]\n", argv[0]);
-      return 1;
-    }
-  }
-
+int main() {
   BigBenchDataset::Options data;
   data.total_bytes = 100e9;
   data.sample_rows_per_fact = 256;
   data.sample_rows_per_dim = 64;
   ExperimentRunner runner(data);
 
-  auto strategy = [selection](const char* label, StrategyKind kind,
-                              ValueModel model = ValueModel::kDeepSea) {
+  auto strategy = [](const char* label, StrategyKind kind,
+                     ValueModel model = ValueModel::kDeepSea) {
     StrategySpec s;
     s.label = label;
     s.options.strategy = kind;
-    s.options.selection.kind = selection;
     s.options.value_model = model;
     s.options.use_mle_smoothing = model == ValueModel::kDeepSea;
     s.options.benefit_cost_threshold = 0.05;
@@ -119,7 +92,6 @@ int main(int argc, char** argv) {
       {"focused session (one hot region, heavy skew)", FocusedWorkload()},
       {"roaming session (three regions)", RoamingWorkload()},
   };
-  std::printf("selection strategy: %s\n", SelectionStrategyName(selection));
   for (const Scenario& scenario : scenarios) {
     std::printf("\n== %s ==\n", scenario.title);
     std::printf("%-14s %12s %10s %8s %8s %8s %10s\n", "strategy", "total (s)",

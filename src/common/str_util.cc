@@ -2,6 +2,7 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 namespace deepsea {
 
@@ -61,6 +62,16 @@ std::string HumanSeconds(double seconds) {
   const int hours = static_cast<int>(seconds / 3600.0);
   const int minutes = static_cast<int>((seconds - hours * 3600.0) / 60.0);
   return StrFormat("%dh %02dm", hours, minutes);
+}
+
+Result<double> ParseDouble(const std::string& s) {
+  if (s.empty()) return Status::InvalidArgument("empty number");
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  if (end != s.c_str() + s.size()) {
+    return Status::InvalidArgument("bad number: " + s);
+  }
+  return v;
 }
 
 }  // namespace deepsea

@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "common/result.h"
+
 namespace deepsea {
 
 /// Joins `parts` with `sep` ("a", "b" -> "a,b").
@@ -21,6 +23,12 @@ std::string HumanBytes(double bytes);
 /// Formats a duration given in (simulated) seconds as "1234.5 s" or
 /// "2h 05m" style for larger magnitudes.
 std::string HumanSeconds(double seconds);
+
+/// Strict decimal parse: the whole of `s` must be one number (strtod
+/// syntax). Empty or trailing text is an InvalidArgument error, never a
+/// silent 0 and never an exception, so parsers of saved state can
+/// reject corrupt input cleanly.
+Result<double> ParseDouble(const std::string& s);
 
 }  // namespace deepsea
 

@@ -1,24 +1,11 @@
 #include "core/engine.h"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
-
-#include "common/backoff.h"
-#include "core/materialization_service.h"
 
 namespace deepsea {
 
 namespace {
-
-/// Seed of the retry-backoff jitter stream: a pure function of the
-/// commit clock and the tenant ordinal, so replays (and the background
-/// worker retrying the same decision) draw identical jitter regardless
-/// of thread interleaving.
-uint64_t BackoffSeed(int64_t t_now, int32_t tenant_ord) {
-  return static_cast<uint64_t>(t_now) * 0x9e3779b97f4a7c15ull +
-         static_cast<uint64_t>(tenant_ord);
-}
 
 /// Brackets one pipeline stage with observer notifications.
 ///
@@ -111,33 +98,16 @@ double AdmittedDecisionBytes(const SelectionDecision& decision) {
   return bytes;
 }
 
-/// Upper bound on the decision's *net* pool-occupancy delta, claimed by
-/// background jobs at commit entry. A job's revalidation footprint is
-/// partition-structure only — unlike the inline exclusive path it does
-/// NOT carry the plan's promoted pool-sweep reads, so a foreign commit
-/// growing the occupancy between planning and execution is invisible to
-/// it; the byte claim is what keeps two such jobs from jointly
-/// materializing past pool_limit_bytes. Apply executes evictions before
-/// materializations, so materialize-minus-evict bounds the commit's
-/// occupancy delta; a net-negative (turnover) decision claims 0 and
-/// always fits.
-double NetDecisionBytes(const SelectionDecision& decision) {
-  double materialized = 0.0;
-  double evicted = 0.0;
+/// True when the decision evicts: evictions change the pool occupancy
+/// every tenant's knapsack budgets against, so they commit exclusively.
+bool DecisionEvicts(const SelectionDecision& decision) {
   for (const SelectionAction& a : decision.actions) {
-    switch (a.kind) {
-      case SelectionAction::Kind::kEvictWholeView:
-      case SelectionAction::Kind::kEvictFragment:
-        evicted += a.size_bytes;
-        break;
-      case SelectionAction::Kind::kMaterializeView:
-      case SelectionAction::Kind::kMaterializeViewFragment:
-      case SelectionAction::Kind::kMaterializeRefinement:
-        materialized += a.size_bytes;
-        break;
+    if (a.kind == SelectionAction::Kind::kEvictWholeView ||
+        a.kind == SelectionAction::Kind::kEvictFragment) {
+      return true;
     }
   }
-  return std::max(0.0, materialized - evicted);
+  return false;
 }
 
 }  // namespace
@@ -169,14 +139,6 @@ DeepSeaEngine::DeepSeaEngine(Catalog* catalog, SharedPool* pool,
       tenant_(std::move(tenant)),
       tenant_ord_(pool_->InternTenant(tenant_)) {
   InitStages();
-}
-
-DeepSeaEngine::~DeepSeaEngine() {
-  // Background jobs hold this engine's observer and QueryContext;
-  // drain them while both are still alive. With a shared pool this
-  // also drains other tenants' queued intents (their engines are still
-  // alive — they quiesce again on their own destruction).
-  if (pool_ != nullptr) pool_->QuiesceMaterialization();
 }
 
 void DeepSeaEngine::InitStages() {
@@ -225,18 +187,12 @@ Status DeepSeaEngine::RunPlanningStages(QueryContext* ctx, QueryReport* report,
   }
   {
     StageScope stage(observer_, EngineStage::kSelection, *ctx);
-    // Label the context before the stage closes so stage observers can
-    // attribute the selection latency to the strategy that ran.
-    ctx->selection_strategy =
-        SelectionStrategyName(options_.selection.kind);
     SelectionResolution res =
         selection_planner_->PlanSelection(*ctx, report->base_seconds);
     *decision = std::move(res.decision);
-    report->selection_strategy = ctx->selection_strategy;
+    report->selection_ran = true;
     report->selection_benefit = res.objective_value;
     report->selection_candidates = res.items_considered;
-    report->selection_swaps = res.swaps_applied;
-    report->selection_merged_candidates = res.candidates_merged;
     stage.Finish(0.0);
   }
   return Status::OK();
@@ -251,19 +207,6 @@ Result<QueryReport> DeepSeaEngine::ProcessQuery(const PlanPtr& query) {
   int64_t t_spec = 0;
   CommitFootprint write_fp;
   double admitted_bytes = 0.0;
-
-  // Async eligibility: the merge pass and physical execution are
-  // commit-coupled to the query (the merge mutates partition structure
-  // the deferred decision was planned against; physical execution
-  // reads the materialized views the decision creates), and Hive never
-  // has a decision — those configurations execute inline regardless of
-  // the configured mode.
-  MaterializationService* mat_service = pool_->materialization_service();
-  const bool async_mode =
-      mat_service != nullptr &&
-      options_.materialization.mode == MaterializationConfig::Mode::kAsync &&
-      options_.strategy != StrategyKind::kHive && !options_.merge.enabled &&
-      !options_.physical_execution;
 
   // Phase 1 — speculative planning under the shared lock. The stages
   // buffer every statistics/catalog write into the context's
@@ -287,14 +230,10 @@ Result<QueryReport> DeepSeaEngine::ProcessQuery(const PlanPtr& query) {
     // CollectWriteFootprint make this belt-and-braces, but the
     // footprint should describe the plan the lock certified).
     write_fp = ctx->delta()->CollectWriteFootprint();
-    if (!async_mode) {
-      // Inline/drain: the commit both folds the statistics and executes
-      // the decision, so its footprint and budget claim cover both. In
-      // async mode the commit is stats-only — the decision's writes and
-      // byte claim travel with the background job instead.
-      MergeDecisionWrites(decision, &write_fp);
-      admitted_bytes = AdmittedDecisionBytes(decision);
-    }
+    // The commit both folds the statistics and executes the decision,
+    // so its footprint and budget claim cover both.
+    MergeDecisionWrites(decision, &write_fp);
+    admitted_bytes = AdmittedDecisionBytes(decision);
     write_fp.Normalize();
   }
 
@@ -312,19 +251,9 @@ Result<QueryReport> DeepSeaEngine::ProcessQuery(const PlanPtr& query) {
   // disjoint-footprint tenants; a conflicting plan replans under the
   // exclusive lock (stage observers see the stages a second time,
   // OnQueryStart is not re-fired).
-  bool needs_exclusive = options_.merge.enabled || options_.physical_execution;
-  bool decision_evicts = false;
-  for (const SelectionAction& a : decision.actions) {
-    if (a.kind == SelectionAction::Kind::kEvictWholeView ||
-        a.kind == SelectionAction::Kind::kEvictFragment) {
-      // Evictions change the pool occupancy every tenant's knapsack
-      // budgets against; route them through the exclusive lock. In
-      // async mode the eviction is deferred with the decision, so the
-      // exclusivity requirement travels with the job, not this commit.
-      decision_evicts = true;
-    }
-  }
-  if (!async_mode && decision_evicts) needs_exclusive = true;
+  bool decision_evicts = DecisionEvicts(decision);
+  const bool needs_exclusive = options_.merge.enabled ||
+                               options_.physical_execution || decision_evicts;
 
   CommitGuard commit;
   bool conflict_genuine = false;
@@ -358,20 +287,10 @@ Result<QueryReport> DeepSeaEngine::ProcessQuery(const PlanPtr& query) {
     report.replan_conflict = conflict_genuine;
     report.replan_spurious = !conflict_genuine;
     decision = SelectionDecision();
-    // The replan reads current state under the exclusive lock; a
-    // deferred decision built from it revalidates against publishes
-    // after this point (nothing can publish while we hold X).
-    read_epoch = pool_->read_epoch();
     ctx = std::make_unique<QueryContext>(query, t, tenant_, tenant_ord_);
     ctx->InitPlanning(*catalog_, stat_, reservation_.get());
     DEEPSEA_RETURN_IF_ERROR(RunPlanningStages(ctx.get(), &report, &decision));
-    decision_evicts = false;
-    for (const SelectionAction& a : decision.actions) {
-      if (a.kind == SelectionAction::Kind::kEvictWholeView ||
-          a.kind == SelectionAction::Kind::kEvictFragment) {
-        decision_evicts = true;
-      }
-    }
+    decision_evicts = DecisionEvicts(decision);
   }
   // Under the sharded path a concurrent commit may have won a smaller
   // clock value; events planned at t_spec keep their timestamp (commit-
@@ -385,15 +304,15 @@ Result<QueryReport> DeepSeaEngine::ProcessQuery(const PlanPtr& query) {
     // buffers the has_* probes read.
     const PlanningDelta& d = *ctx->delta();
     report.exclusive_reason =
-        options_.merge.enabled                 ? "merge"
-        : (!async_mode && decision_evicts)     ? "eviction"
-        : options_.physical_execution          ? "physical"
-        : d.has_new_views()                    ? "new_view"
-        : d.has_deferred_puts()                ? "catalog_put"
-        : d.has_deferred_index()               ? "index_insert"
-        : d.has_attach_ops()                   ? "attach"
-        : report.replanned                     ? "replan"
-                                               : "other";
+        options_.merge.enabled        ? "merge"
+        : decision_evicts             ? "eviction"
+        : options_.physical_execution ? "physical"
+        : d.has_new_views()           ? "new_view"
+        : d.has_deferred_puts()       ? "catalog_put"
+        : d.has_deferred_index()      ? "index_insert"
+        : d.has_attach_ops()          ? "attach"
+        : report.replanned            ? "replan"
+                                      : "other";
   }
 
   if (!sharded && !options_.merge.enabled) {
@@ -401,69 +320,17 @@ Result<QueryReport> DeepSeaEngine::ProcessQuery(const PlanPtr& query) {
     // replanned) plan knows its precise writes — publish those instead
     // so disjoint in-flight plans of other tenants survive this commit.
     // (With the merge pass enabled the commit may touch any view, so
-    // `all` stands. Collect before Apply folds the delta. In async mode
-    // only the statistics fold happens in this commit — the decision's
-    // writes publish with the background job's own commit.)
+    // `all` stands. Collect before Apply folds the delta.)
     CommitFootprint write_fp = ctx->delta()->CollectWriteFootprint();
-    if (!async_mode) MergeDecisionWrites(decision, &write_fp);
+    MergeDecisionWrites(decision, &write_fp);
     write_fp.Normalize();
     pool_->SetCommitFootprint(commit, std::move(write_fp));
   }
 
-  if (options_.strategy != StrategyKind::kHive && async_mode) {
-    // Asynchronous handoff: this commit folds the statistics, publishes
-    // its footprint early (so the job can carry the publish's seq as
-    // its own-write exemption), and hands the decision to the
-    // background service as a declarative intent. The query answers
-    // now, from the current pool; the materialization work leaves the
-    // query's critical path entirely.
-    pool_->FoldPlanningDelta(commit, *ctx);
-    const uint64_t own_seq = pool_->PublishCommitEarly(commit);
-    if (!decision.empty()) {
-      MaterializationJob job;
-      CommitFootprint job_fp;
-      MergeDecisionWrites(decision, &job_fp);
-      job_fp.Normalize();
-      job.write_fp = std::move(job_fp);
-      job.reval_fp = MaterializationService::RevalidationFootprint(decision);
-      job.read_epoch = read_epoch;
-      job.skip_seq = own_seq;
-      job.admitted_bytes = NetDecisionBytes(decision);
-      job.benefit_score = decision.benefit_score;
-      job.needs_exclusive = decision_evicts;
-      job.observer = observer_;
-      job.tenant = tenant_;
-      job.tenant_ord = tenant_ord_;
-      job.t_now = t;
-      job.coalesce_key = MaterializationService::CoalesceKey(decision);
-      job.decision = std::move(decision);
-      job.ctx = std::move(ctx);
-      mat_service->Submit(std::move(job));
-    }
-  } else if (options_.strategy != StrategyKind::kHive) {
-    bool execute_decision = true;
-    if (mat_service != nullptr &&
-        options_.materialization.mode == MaterializationConfig::Mode::kDrain &&
-        !decision.empty()) {
-      // Drain mode: the decision routes through the service's admission
-      // accounting but executes synchronously inside this same commit.
-      // At the default bounds admission is unconditional, which keeps
-      // drain-mode traces bit-identical to inline execution.
-      execute_decision = mat_service->AdmitInline(
-          AdmittedDecisionBytes(decision), decision.benefit_score);
-    }
+  if (options_.strategy != StrategyKind::kHive) {
     {
       StageScope stage(observer_, EngineStage::kApply, *ctx);
-      if (execute_decision) {
-        ExecuteDecision(decision, *ctx, &report, t);
-      } else {
-        // Shed under a forced-tight drain bound: the statistics still
-        // land (they back the plan the query answered with); only the
-        // decision is dropped. The commit's registered footprint
-        // over-covers the never-executed decision — conservative and
-        // sound.
-        pool_->FoldPlanningDelta(commit, *ctx);
-      }
+      ExecuteDecision(decision, *ctx, &report, t);
       stage.Finish(report.materialize_seconds);
     }
 
@@ -532,8 +399,6 @@ Result<QueryReport> DeepSeaEngine::ProcessQuery(const PlanPtr& query) {
   totals_.fragments_evicted += report.evicted_fragments;
   totals_.fragments_merged += report.merged_fragments;
   totals_.selection_benefit += report.selection_benefit;
-  totals_.selection_swaps += report.selection_swaps;
-  totals_.selection_merged_candidates += report.selection_merged_candidates;
   if (!report.used_view.empty()) totals_.queries_answered_from_views += 1;
   if (observer_ != nullptr) observer_->OnQueryEnd(report);
   return report;
@@ -543,8 +408,6 @@ void DeepSeaEngine::ExecuteDecision(const SelectionDecision& decision,
                                     const QueryContext& ctx,
                                     QueryReport* report, int64_t t_now) {
   const FaultHandlingConfig& fault = options_.fault;
-  const DeterministicBackoff backoff(fault.Backoff(),
-                                     BackoffSeed(t_now, tenant_ord_));
   // Apply restores *report to its pre-attempt image on failure, so the
   // running fault/retry tallies and the backoff charge live outside the
   // report until the loop resolves.
@@ -566,7 +429,7 @@ void DeepSeaEngine::ExecuteDecision(const SelectionDecision& decision,
     }
     if (st.IsTransient() && attempt < fault.max_retries) {
       ++retries;
-      backoff_seconds += backoff.DelaySeconds(attempt);
+      backoff_seconds += fault.retry_backoff_seconds;
       if (observer_ != nullptr) {
         observer_->OnRetry(EngineStage::kApply, attempt + 1, tenant_);
       }
@@ -593,8 +456,6 @@ void DeepSeaEngine::ExecuteDecision(const SelectionDecision& decision,
 double DeepSeaEngine::ExecuteMergePass(const QueryContext& ctx,
                                        QueryReport* report) {
   const FaultHandlingConfig& fault = options_.fault;
-  const DeterministicBackoff backoff(
-      fault.Backoff(), BackoffSeed(ctx.clock(), tenant_ord_));
   int faults = report->fault_count;
   int retries = report->retry_count;
   double backoff_seconds = 0.0;
@@ -612,7 +473,7 @@ double DeepSeaEngine::ExecuteMergePass(const QueryContext& ctx,
     }
     if (seconds.status().IsTransient() && attempt < fault.max_retries) {
       ++retries;
-      backoff_seconds += backoff.DelaySeconds(attempt);
+      backoff_seconds += fault.retry_backoff_seconds;
       if (observer_ != nullptr) {
         observer_->OnRetry(EngineStage::kMerge, attempt + 1, tenant_);
       }

@@ -96,12 +96,6 @@ class DeepSeaEngine {
   /// engine.
   DeepSeaEngine(Catalog* catalog, SharedPool* pool, std::string tenant);
 
-  /// Quiesces the pool's materialization service before any member is
-  /// torn down: background jobs carry this engine's observer and
-  /// QueryContext, so an engine must not die while its intents are
-  /// queued or executing. No-op in inline mode.
-  ~DeepSeaEngine();
-
   DeepSeaEngine(const DeepSeaEngine&) = delete;
   DeepSeaEngine& operator=(const DeepSeaEngine&) = delete;
 

@@ -36,20 +36,25 @@ const char* EngineStageName(EngineStage stage);
 /// either explicitly (`tenant` parameter, "" for a single-tenant
 /// engine) or via the QueryContext / QueryReport argument.
 ///
-/// Locking: pool-mutation hooks (OnMaterialize*/OnEvict/OnMerge/
-/// OnFault/OnRetry/OnDegrade) and the kApply/kMerge/kPhysical stage
-/// hooks fire inside the pool's exclusive commit section — serialized
-/// by the commit lock across engines. OnQueryStart and the *planning*
-/// stage hooks (kRewrite/kCandidates/kSelection), however, fire while
-/// planning runs under the commit lock in shared mode, so two engines
-/// sharing one observer may invoke them concurrently from different
-/// threads; such an observer must synchronize those hooks itself (the
-/// per-engine-observer pattern, or an external turnstile as in
-/// tests/multitenant_harness.h, needs nothing). When epoch validation
-/// fails and the engine replans under the exclusive lock, the planning
-/// stage hooks fire a second time for the same query (OnQueryStart
-/// does not repeat); per-stage aggregates then count the replanned
-/// stages twice, mirroring the work actually done.
+/// Threading and locking:
+///  * Every hook fires on the thread that runs ProcessQuery, during
+///    that call.
+///  * OnQueryStart and the planning stage hooks (kRewrite/kCandidates/
+///    kSelection) fire while planning holds the pool lock in shared
+///    mode. The pool-mutation hooks (OnMaterialize*/OnEvict/OnMerge/
+///    OnFault/OnRetry/OnDegrade), the kApply/kMerge/kPhysical stage
+///    hooks and OnQueryEnd fire inside that query's commit — which may
+///    be a sharded commit, running concurrently with other tenants'
+///    commits on disjoint shards. No hook is serialized across engines.
+///  * So an observer shared across engines must make every hook
+///    thread-safe, as MetricsObserver does (per-tenant shards of
+///    relaxed atomics). One observer per engine, or an external
+///    turnstile as in tests/multitenant_harness.h, needs nothing.
+///  * When read-set validation fails and the engine replans under the
+///    exclusive lock, the planning stage hooks fire a second time for
+///    the same query (OnQueryStart does not repeat); per-stage
+///    aggregates then count the replanned stages twice, mirroring the
+///    work actually done.
 ///
 /// Timing semantics of OnStageEnd:
 ///  * `sim_seconds` is the simulated time the stage charged to the

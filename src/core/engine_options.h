@@ -6,12 +6,10 @@
 #include <string>
 #include <vector>
 
-#include "common/backoff.h"
 #include "core/decay.h"
 #include "core/merge.h"
 #include "core/mle_model.h"
 #include "core/policy.h"
-#include "core/selection_strategy.h"
 #include "exec/executor.h"
 #include "sim/cluster.h"
 #include "sim/cost_model.h"
@@ -30,72 +28,13 @@ struct FaultHandlingConfig {
   int max_retries = 2;
   /// Simulated seconds charged per retry (models backoff + job
   /// re-queue). 0 keeps retried queries' charged time unchanged.
-  /// Base delay of the shared capped-exponential-backoff helper
-  /// (common/backoff.h); the defaults below make every retry charge
-  /// exactly this value, bit-identical to the historical fixed backoff.
   double retry_backoff_seconds = 0.0;
-  /// Growth factor per retry: retry k charges base * multiplier^k
-  /// (before cap and jitter). 1 = fixed backoff (historical behavior).
-  double retry_backoff_multiplier = 1.0;
-  /// Upper bound on a single retry's charged delay. Infinite = no cap.
-  double retry_backoff_cap_seconds =
-      std::numeric_limits<double>::infinity();
-  /// Deterministic jitter half-width in [0, 1): each delay is spread
-  /// over +/- this fraction by a pure function of (seed, retry), so
-  /// jittered runs still replay bit-identically. 0 = no jitter.
-  double retry_jitter_fraction = 0.0;
   /// Permanent decision failures attributed to one view before the view
   /// is quarantined (SelectionPlanner stops proposing it). <= 0
   /// disables quarantine.
   int quarantine_threshold = 3;
   /// Commits after which a quarantined view becomes proposable again.
   int64_t quarantine_cooldown_commits = 50;
-
-  /// This policy's retry-delay parameters as the shared backoff
-  /// helper's config (both the inline retry loop and the background
-  /// materialization workers construct their DeterministicBackoff from
-  /// it).
-  BackoffConfig Backoff() const {
-    BackoffConfig b;
-    b.base_seconds = retry_backoff_seconds;
-    b.multiplier = retry_backoff_multiplier;
-    b.cap_seconds = retry_backoff_cap_seconds;
-    b.jitter_fraction = retry_jitter_fraction;
-    return b;
-  }
-};
-
-/// Background materialization service (see DESIGN.md, "Asynchronous
-/// materialization"). Decouples a query's *decision intent* from its
-/// execution: the query commits its statistics and answers from the
-/// current pool, while the decision is folded in later by the service —
-/// through the same staged transaction, retry/quarantine, and sharded
-/// commit machinery the inline path uses.
-struct MaterializationConfig {
-  enum class Mode {
-    /// Decisions execute inside the query's commit (historical
-    /// behavior; the service is never constructed).
-    kInline = 0,
-    /// Decisions route through the service's admission control but
-    /// still execute synchronously inside the query's commit, so every
-    /// golden trace stays bit-identical to kInline while the queue
-    /// accounting (and shed policy, under a tight bound) is live.
-    kDrain,
-    /// Decisions are enqueued as background jobs; `workers` threads
-    /// drain the queue through sharded commits with staleness
-    /// revalidation. workers == 0 queues without draining (tests call
-    /// DrainAll() / Quiesce() explicitly at deterministic points).
-    kAsync,
-  };
-  Mode mode = Mode::kInline;
-  /// Background worker threads (kAsync only).
-  int workers = 1;
-  /// Hard queue depth bound: admission sheds the lowest-benefit jobs
-  /// (possibly the incoming one) once the queue is full. Never blocks.
-  int max_queue_jobs = 64;
-  /// Hard bound on the summed admitted (estimated materialization)
-  /// bytes of queued jobs. Infinite = depth bound only.
-  double max_queue_bytes = std::numeric_limits<double>::infinity();
 };
 
 /// All knobs of a DeepSea engine instance. Defaults are the paper's
@@ -166,15 +105,6 @@ struct EngineOptions {
 
   /// Storage-fault retry / degradation / quarantine policy.
   FaultHandlingConfig fault;
-
-  /// Background materialization service (off — inline — by default).
-  MaterializationConfig materialization;
-
-  /// Which SelectionStrategy resolves the knapsack over ALLCAND, plus
-  /// its tuning knobs (greedy by default — bit-identical to the
-  /// historical inline scan). See core/selection_strategy.h and
-  /// DESIGN.md, "Selection strategies".
-  SelectionConfig selection;
 
   /// Fragment boundaries are snapped outward to a grid of this fraction
   /// of the attribute domain before candidate generation, so queries
@@ -255,23 +185,16 @@ struct QueryReport {
   bool physically_executed = false;
   ExecResult physical;               ///< result rows (physical mode only)
 
-  // --- selection-strategy telemetry (zero when selection never ran,
-  //     e.g. Hive baseline; see core/selection_strategy.h) ---
+  // --- selection telemetry (see core/selection_strategy.h) ---
 
-  /// SelectionStrategyName of the strategy that resolved this query's
-  /// knapsack ("" when the selection stage did not run).
-  std::string selection_strategy;
+  /// True when the selection stage ran (every strategy but Hive); the
+  /// fields below stay zero otherwise.
+  bool selection_ran = false;
   /// The resolved knapsack's objective value: summed Φ of every
-  /// admitted item, kept pool content included (the quantity the
-  /// never-worse local-search guarantee covers — not the decision's
-  /// benefit_score, which counts admitted new content only).
+  /// admitted item, kept pool content included.
   double selection_benefit = 0.0;
-  /// Knapsack items the resolver ranked (post-clustering).
+  /// Knapsack items the greedy scan ranked.
   int selection_candidates = 0;
-  /// Local search: improving swaps applied.
-  int selection_swaps = 0;
-  /// Clustering: candidates merged away by the pre-pass.
-  int selection_merged_candidates = 0;
 };
 
 /// Aggregate counters across a workload run.
@@ -295,8 +218,6 @@ struct EngineTotals {
   int64_t commits_sharded = 0;    ///< commits on the sharded (IX) path
   int64_t commits_exclusive = 0;  ///< commits on the exclusive (X) path
   double selection_benefit = 0.0; ///< summed knapsack objective values
-  int64_t selection_swaps = 0;    ///< local-search swaps applied
-  int64_t selection_merged_candidates = 0;  ///< clustering merges
 };
 
 }  // namespace deepsea

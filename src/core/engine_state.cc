@@ -41,19 +41,10 @@ std::string FmtInterval(const Interval& iv) {
                    iv.hi_inclusive ? 1 : 0);
 }
 
-// --- strict field parsers. atof/atoi silently map garbage to 0, which
-//     turns a corrupted blob into a quietly wrong pool; every field of a
-//     state line must parse completely or the whole load is rejected.
-
-Result<double> ParseDouble(const std::string& s) {
-  if (s.empty()) return Status::InvalidArgument("empty number in state");
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size()) {
-    return Status::InvalidArgument("bad number in state: " + s);
-  }
-  return v;
-}
+// --- strict field parsers (plus ParseDouble, common/str_util.h).
+//     atof/atoi silently map garbage to 0, which turns a corrupted blob
+//     into a quietly wrong pool; every field of a state line must parse
+//     completely or the whole load is rejected.
 
 Result<int64_t> ParseInt(const std::string& s) {
   if (s.empty()) return Status::InvalidArgument("empty integer in state");
@@ -135,12 +126,6 @@ struct ParsedState {
 }  // namespace
 
 Result<std::string> DeepSeaEngine::SaveState() const {
-  // Quiesce the materialization service first: queued intents execute
-  // (or drop as stale) before the snapshot, so the saved blob reflects
-  // a drained pool — a queue is never silently forgotten by a
-  // save/restore cycle. Must happen before the lock below (draining
-  // takes commits of its own).
-  pool_->QuiesceMaterialization();
   // Shared-mode lock: a consistent snapshot that doesn't block other
   // readers (and waits for any in-flight commit to finish).
   auto lock = pool_->SharedLock();
@@ -191,11 +176,6 @@ Result<std::string> DeepSeaEngine::SaveState() const {
 }
 
 Status DeepSeaEngine::LoadState(const std::string& state) {
-  // Quiesce before restoring: a queued intent was planned against the
-  // pre-load pool and must not fold into the restored one. (Its
-  // revalidation would catch the structural `all` publish of the load
-  // commit anyway — draining first keeps the ordering deterministic.)
-  pool_->QuiesceMaterialization();
   // --- phase 1: parse and validate the whole blob into ParsedState.
   // Mutates nothing, so a truncated, version-skewed, or field-mangled
   // blob returns an error with the engine exactly as it was — no

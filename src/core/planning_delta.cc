@@ -465,8 +465,8 @@ void PlanningDelta::Fold(ViewCatalog* views, Catalog* catalog,
       }
       // Re-key the planning catalog (it shares the Table objects with
       // deferred_puts_, so they are already renamed — only the map key
-      // is stale). Post-fold consumers (the async materialization path,
-      // staged estimators) resolve view tables by final id.
+      // is stale). Post-fold consumers (staged estimators) resolve view
+      // tables by final id.
       for (const auto& [from, to] : id_remap_) {
         (void)to;
         auto table = planning_catalog_.Get(from);

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/str_util.h"
-#include "core/materialization_service.h"
 #include "core/merge.h"
 #include "core/view_sizing.h"
 
@@ -107,26 +106,7 @@ PoolManager::PoolManager(Catalog* catalog, const EngineOptions* options,
       cluster_(cluster),
       estimator_(estimator),
       fs_(options->cluster.block_bytes),
-      decay_(options->decay) {
-  if (options->materialization.mode != MaterializationConfig::Mode::kInline) {
-    service_ =
-        std::make_unique<MaterializationService>(this, options->materialization);
-  }
-}
-
-PoolManager::~PoolManager() {
-  // Join the workers and drain leftover jobs while the pool is still
-  // fully alive — jobs take commits on this pool.
-  if (service_ != nullptr) service_->Shutdown();
-}
-
-MaterializationService* PoolManager::materialization_service() const {
-  return service_.get();
-}
-
-void PoolManager::QuiesceMaterialization() const {
-  if (service_ != nullptr) service_->Quiesce();
-}
+      decay_(options->decay) {}
 
 // --- commit context ---
 
@@ -189,8 +169,7 @@ CommitGuard PoolManager::BeginCommit(EngineObserver* observer,
 CommitGuard PoolManager::TryBeginShardedCommit(
     EngineObserver* observer, std::string tenant, int32_t tenant_ord,
     CommitFootprint write_fp, const CommitFootprint& read_fp,
-    uint64_t read_epoch, bool* conflict_genuine, double admitted_bytes,
-    uint64_t ignore_seq) {
+    uint64_t read_epoch, bool* conflict_genuine, double admitted_bytes) {
   assert(!CommitHeldByThisThread() && "commit section is not re-entrant");
   if (write_fp.all) {
     // A structural (`all`) footprint has no shard set: entering under
@@ -210,8 +189,7 @@ CommitGuard PoolManager::TryBeginShardedCommit(
   uint64_t inflight_id = 0;
   {
     std::lock_guard<std::mutex> epoch_lock(epoch_mu_);
-    bool ok =
-        ValidateReadSetLocked(read_fp, read_epoch, conflict_genuine, ignore_seq);
+    bool ok = ValidateReadSetLocked(read_fp, read_epoch, conflict_genuine);
     if (ok && !AdmittedBytesFitLocked(admitted_bytes)) {
       ok = false;
       // Lost headroom is a genuine conflict: the pool really did grow
@@ -285,10 +263,10 @@ void PoolManager::ReleaseCommit() {
 
 bool PoolManager::ValidateReadSetLocked(const CommitFootprint& read_fp,
                                         uint64_t read_epoch,
-                                        bool* conflict_genuine,
-                                        uint64_t ignore_seq) const {
+                                        bool* conflict_genuine) const {
   const uint64_t seq_now = commit_seq_.load(std::memory_order_relaxed);
-  if (seq_now > read_epoch) {
+  // An empty read set conflicts with nothing, so ring coverage is moot.
+  if (seq_now > read_epoch && !read_fp.Empty()) {
     // Can the bounded ring still cover everything published after the
     // plan's read epoch? If the oldest retained publish is newer than
     // read_epoch + 1, publishes have been dropped and we must assume
@@ -301,9 +279,6 @@ bool PoolManager::ValidateReadSetLocked(const CommitFootprint& read_fp,
     }
     for (const PublishedWrite& p : published_) {
       if (p.seq <= read_epoch) continue;
-      // A background job skips its own query's statistics publish: the
-      // job's plan already accounts for those writes.
-      if (ignore_seq != 0 && p.seq == ignore_seq) continue;
       if (FootprintsConflict(read_fp, p.fp)) {
         if (conflict_genuine != nullptr) *conflict_genuine = true;
         return false;
@@ -343,13 +318,11 @@ bool PoolManager::AdmittedBytesFitLocked(double admitted_bytes) const {
 bool PoolManager::ValidateReadSet(const CommitGuard& commit,
                                   const CommitFootprint& read_fp,
                                   uint64_t read_epoch, bool* conflict_genuine,
-                                  double admitted_bytes,
-                                  uint64_t ignore_seq) const {
+                                  double admitted_bytes) const {
   assert(commit.held() && CommitHeldByThisThread());
   (void)commit;
   std::lock_guard<std::mutex> epoch_lock(epoch_mu_);
-  if (!ValidateReadSetLocked(read_fp, read_epoch, conflict_genuine,
-                             ignore_seq)) {
+  if (!ValidateReadSetLocked(read_fp, read_epoch, conflict_genuine)) {
     return false;
   }
   if (!AdmittedBytesFitLocked(admitted_bytes)) {
@@ -369,36 +342,6 @@ void PoolManager::SetCommitFootprint(const CommitGuard& commit,
   // table; only the exclusive path may narrow what it publishes.
   assert(ctx.exclusive && "SetCommitFootprint is for exclusive commits");
   ctx.publish_fp = std::move(fp);
-}
-
-uint64_t PoolManager::PublishCommitEarly(const CommitGuard& commit) {
-  assert(commit.held() && CommitHeldByThisThread());
-  (void)commit;
-  CommitCtx& ctx = Ctx();
-  assert(ctx.pool == this);
-  // Sound only because the commit's pool writes are complete by the
-  // time the engine calls this (the async stats commit folds the delta
-  // first, then publishes): a plan validating against the published
-  // entry sees state that already reflects it. Sharded commits keep
-  // their shard locks until release — a later same-shard commit simply
-  // waits there.
-  std::lock_guard<std::mutex> epoch_lock(epoch_mu_);
-  if (ctx.inflight_id != 0) {
-    for (auto it = inflight_.begin(); it != inflight_.end(); ++it) {
-      if (it->id == ctx.inflight_id) {
-        inflight_.erase(it);
-        break;
-      }
-    }
-    ctx.inflight_id = 0;
-  }
-  if (ctx.publish_fp.Empty()) return 0;
-  const uint64_t seq = commit_seq_.load(std::memory_order_relaxed) + 1;
-  published_.push_back(PublishedWrite{seq, std::move(ctx.publish_fp)});
-  if (published_.size() > kEpochRingCapacity) published_.pop_front();
-  commit_seq_.store(seq, std::memory_order_release);
-  ctx.publish_fp = CommitFootprint();
-  return seq;
 }
 
 bool PoolManager::CommitHeldByThisThread() const {
@@ -1114,15 +1057,6 @@ void PoolManager::FoldDeltaAndRemap(PlanningDelta* delta, double t_now) {
   // not exist in the catalog before this fold.
   delta->RemapFoldedIds(&Ctx().publish_fp);
   AdvanceWindowsAfterFold(t_now);
-}
-
-void PoolManager::FoldPlanningDelta(const CommitGuard& commit,
-                                    const QueryContext& ctx) {
-  assert(commit.held() && CommitHeldByThisThread());
-  (void)commit;
-  PlanningDelta* delta = ctx.delta();
-  if (delta == nullptr || delta->folded()) return;
-  FoldDeltaAndRemap(delta, ctx.t_now());
 }
 
 Status PoolManager::Apply(const SelectionDecision& decision,

@@ -29,7 +29,6 @@
 
 namespace deepsea {
 
-class MaterializationService;
 class PoolManager;
 
 /// Three-mode pool lock (see DESIGN.md, "Statistics hot path and
@@ -187,14 +186,8 @@ class CommitGuard {
 /// commit is race-free even while foreign commits mutate their views.)
 class PoolManager {
  public:
-  /// Out-of-line: constructs the materialization service when
-  /// options->materialization.mode != kInline (the default inline mode
-  /// allocates nothing and pays nothing). The destructor shuts the
-  /// service down (join workers, drain leftovers) before any pool state
-  /// is torn down.
   PoolManager(Catalog* catalog, const EngineOptions* options,
               const ClusterModel* cluster, const PlanCostEstimator* estimator);
-  ~PoolManager();
 
   PoolManager(const PoolManager&) = delete;
   PoolManager& operator=(const PoolManager&) = delete;
@@ -238,55 +231,28 @@ class PoolManager {
   /// A structural (`all`) write footprint has no shard set and is
   /// rejected outright (empty guard, genuine): such commits must take
   /// the BeginCommit path.
-  ///
-  /// `ignore_seq`, when non-zero, exempts the published footprint with
-  /// exactly that sequence number from validation. A background
-  /// materialization job validates at its plan's read epoch but must
-  /// not be invalidated by its own query's statistics publish — the
-  /// job passes that publish's seq (from PublishCommitEarly) here.
   CommitGuard TryBeginShardedCommit(EngineObserver* observer,
                                     std::string tenant, int32_t tenant_ord,
                                     CommitFootprint write_fp,
                                     const CommitFootprint& read_fp,
                                     uint64_t read_epoch,
                                     bool* conflict_genuine,
-                                    double admitted_bytes = 0.0,
-                                    uint64_t ignore_seq = 0);
+                                    double admitted_bytes = 0.0);
 
   /// Re-validates a read set from inside an exclusive commit (no
-  /// in-flight sharded commits can exist there). Same conflict,
-  /// budget-headroom, and `ignore_seq` semantics as
-  /// TryBeginShardedCommit; used by the engine's X path, the
-  /// materialization service's exclusive jobs, and the conflict tests.
+  /// in-flight sharded commits can exist there). Same conflict and
+  /// budget-headroom semantics as TryBeginShardedCommit; used by the
+  /// engine's X path and the conflict tests.
   bool ValidateReadSet(const CommitGuard& commit,
                        const CommitFootprint& read_fp, uint64_t read_epoch,
                        bool* conflict_genuine,
-                       double admitted_bytes = 0.0,
-                       uint64_t ignore_seq = 0) const;
+                       double admitted_bytes = 0.0) const;
 
   /// Overrides the write footprint this commit publishes on release
   /// (BeginCommit's default is `all`; a validated engine commit knows
   /// its precise writes). An empty footprint publishes nothing — the
   /// epoch does not advance.
   void SetCommitFootprint(const CommitGuard& commit, CommitFootprint fp);
-
-  /// Publishes this commit's write footprint *now* instead of at
-  /// release, and returns the sequence number the publish received (0
-  /// when the footprint was empty and nothing was published). The
-  /// async-materialization stats commit uses this so the query can
-  /// enqueue its decision intent carrying the seq of its own publish —
-  /// the job's revalidation then skips exactly that entry. After this
-  /// call the commit releases without publishing again (a subsequent
-  /// SetCommitFootprint re-arms a release-time publish).
-  uint64_t PublishCommitEarly(const CommitGuard& commit);
-
-  /// Folds the query's PlanningDelta into the pool (statistics,
-  /// tracked fragments, deferred catalog puts) and advances the decay
-  /// windows — exactly the fold Apply performs first, without executing
-  /// any decision. The async stats-only commit uses it; Apply later
-  /// sees the delta folded and skips the fold. No-op when already
-  /// folded.
-  void FoldPlanningDelta(const CommitGuard& commit, const QueryContext& ctx);
 
   /// The epoch to sample (under SharedLock) before planning: the
   /// sequence number of the latest published commit. Passed to
@@ -417,19 +383,6 @@ class PoolManager {
   /// Takes the commit lock itself; call from outside the commit section.
   void SetFaultPolicy(FaultPolicy* policy);
 
-  // --- background materialization (see materialization_service.h) ---
-
-  /// The pool's materialization service; nullptr in kInline mode.
-  MaterializationService* materialization_service() const;
-
-  /// Drains the materialization queue and waits for in-flight jobs
-  /// (no-op in kInline mode). Must be called from outside any commit
-  /// section — draining takes commits of its own. SaveState/LoadState
-  /// and engine destruction quiesce before touching pool state, so no
-  /// queued intent is silently lost and no background commit races a
-  /// snapshot.
-  void QuiesceMaterialization() const;
-
   // --- mutation API (requires a commit section; asserts in debug) ---
 
   /// Ensures `view` is registered as a relational catalog table with
@@ -523,12 +476,10 @@ class PoolManager {
                                 std::string tenant, int32_t tenant_ord,
                                 CommitFootprint publish_fp);
   /// Read-set validation against the published ring and the in-flight
-  /// registry. Caller holds epoch_mu_. `ignore_seq` != 0 exempts the
-  /// published entry with that sequence number (a job's own stats
-  /// publish).
+  /// registry. Caller holds epoch_mu_.
   bool ValidateReadSetLocked(const CommitFootprint& read_fp,
-                             uint64_t read_epoch, bool* conflict_genuine,
-                             uint64_t ignore_seq = 0) const;
+                             uint64_t read_epoch,
+                             bool* conflict_genuine) const;
   /// True when `admitted_bytes` of new materializations still fit the
   /// pool budget next to current occupancy plus every in-flight
   /// commit's claim. Caller holds epoch_mu_ (the in-flight registry);
@@ -539,8 +490,8 @@ class PoolManager {
 
   /// Folds `delta` into the pool under the catalog-structure lock
   /// (exclusive), remaps the pending publish footprint from placeholder
-  /// to final view ids, and advances the decay windows. The shared fold
-  /// path of FoldPlanningDelta and Apply.
+  /// to final view ids, and advances the decay windows. Apply runs it
+  /// before the decision transaction.
   void FoldDeltaAndRemap(PlanningDelta* delta, double t_now);
 
   /// Advances timed-out-prefix cursors after a delta fold so
@@ -693,12 +644,6 @@ class PoolManager {
   /// inside a commit, e.g. during LoadState).
   mutable std::mutex tenant_mu_;
   std::vector<std::string> tenants_{std::string()};
-
-  /// Background materialization queue + workers (null in kInline mode).
-  /// Declared last so its destruction — which drains jobs that take
-  /// commits on this pool — cannot outlive any state it folds into;
-  /// the destructor additionally shuts it down first, explicitly.
-  std::unique_ptr<MaterializationService> service_;
 };
 
 }  // namespace deepsea

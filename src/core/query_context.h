@@ -122,12 +122,6 @@ class QueryContext {
   std::vector<ViewCandidate> view_candidates;       ///< V_cand
   std::vector<FragmentCandidate> fragment_candidates;  ///< P_cand
 
-  /// SelectionStrategyName of the strategy resolving this query's
-  /// knapsack (stamped by the engine as the selection stage runs, so
-  /// stage observers can label selection latency; nullptr before the
-  /// stage / for strategies that never reach it, e.g. Hive).
-  const char* selection_strategy = nullptr;
-
  private:
   /// Total order on intervals (all four fields) so equal intervals — and
   /// only equal intervals — are neighbours under lower_bound.

@@ -26,19 +26,6 @@ SelectionResolution SelectionPlanner::PlanSelection(const QueryContext& ctx,
   using Item = SelectionCandidate;
   std::vector<Item> items;
 
-  // Dense partition ordinal in first-appearance order. Strategies that
-  // group items (the clustering pre-pass) key on this ordinal, never on
-  // the address-nondeterministic pointer; the map below is a lookup
-  // aid only — ordinal values follow item-construction order.
-  std::map<const PartitionState*, int> part_ords;
-  auto ord_of = [&part_ords](const PartitionState* p) {
-    auto it = part_ords.find(p);
-    if (it == part_ords.end()) {
-      it = part_ords.emplace(p, static_cast<int>(part_ords.size())).first;
-    }
-    return it->second;
-  };
-
   // --- V_sel: filter view candidates by benefit >= cost (Section 7.2).
   //     Partially materialized views stay eligible: their still-
   //     uncovered planned fragments are offered every query (top-up).
@@ -131,12 +118,6 @@ SelectionResolution SelectionPlanner::PlanSelection(const QueryContext& ctx,
         it.part = part;
         it.interval = iv;
         it.size = fstat->size_bytes;
-        it.part_ord = ord_of(part);
-        // Top-up fragments of an in-pool view apply per fragment, so
-        // the clustering pre-pass may merge near-duplicates; a not-yet-
-        // created view's planned set is admitted as a unit and must
-        // keep its exact planned intervals.
-        it.mergeable = v->InPool();
         it.value = delta->FragmentValue(options_->value_model, part, fstat,
                                         v->stats.size_bytes,
                                         v->stats.creation_cost, *decay_, hits);
@@ -189,8 +170,6 @@ SelectionResolution SelectionPlanner::PlanSelection(const QueryContext& ctx,
     it.part = part;
     it.interval = fc.interval;
     it.size = fc.est_bytes;
-    it.part_ord = ord_of(part);
-    it.mergeable = true;
     // `hits` already folds the MLE adjustment (or the plain decayed
     // count when MLE is off); passing it as the override avoids a
     // second DecayedHits replay inside FragmentValue.
@@ -250,55 +229,15 @@ SelectionResolution SelectionPlanner::PlanSelection(const QueryContext& ctx,
   }
   delta->EndSoftReads();
 
-  // --- Knapsack by value (Section 7.3), delegated to the configured
-  //     SelectionStrategy. The default greedy strategy reproduces the
-  //     historical inline scan bit-identically (stable sort by value,
-  //     admit while it fits, evictions then materializations).
+  // --- Knapsack by value (Section 7.3).
   SelectionInput input;
   input.items = std::move(items);
   input.budget_bytes = options_->pool_limit_bytes;
-  input.config = options_->selection;
-  const SelectionStrategy* strategy =
-      SelectionStrategy::ForKind(options_->selection.kind);
-  SelectionResolution res = strategy->Resolve(input);
+  SelectionResolution res = ResolveGreedy(input);
 
   // Contended knapsack: the pool sweep's values shaped the outcome, so
   // its reads become part of the plan's validated footprint.
   if (res.contended) delta->PromoteSoftReads();
-
-  // Post-pass guards for strategies that synthesize actions the item
-  // construction above did not vet (the clustering pre-pass emits hull
-  // refinements): drop refinements whose exact interval the partition
-  // already holds materialized (Apply's MaterializeFragment would
-  // double-write the same path), and duplicate materializations of the
-  // same (view, partition, interval). Both conditions are pre-filtered
-  // at construction for planner-built items, so the greedy and
-  // local-search decisions pass through untouched.
-  if (options_->selection.kind != SelectionStrategyKind::kGreedy) {
-    std::vector<SelectionAction> kept;
-    kept.reserve(res.decision.actions.size());
-    for (const SelectionAction& a : res.decision.actions) {
-      if (a.kind == SelectionAction::Kind::kMaterializeRefinement &&
-          a.part != nullptr) {
-        const FragmentStats* f = a.part->Find(a.interval);
-        if (f != nullptr && f->materialized) continue;
-      }
-      if (a.kind == SelectionAction::Kind::kMaterializeRefinement ||
-          a.kind == SelectionAction::Kind::kMaterializeViewFragment) {
-        bool dup = false;
-        for (const SelectionAction& k : kept) {
-          if (k.kind == a.kind && k.view == a.view && k.part == a.part &&
-              k.interval == a.interval) {
-            dup = true;
-            break;
-          }
-        }
-        if (dup) continue;
-      }
-      kept.push_back(a);
-    }
-    res.decision.actions = std::move(kept);
-  }
   return res;
 }
 

@@ -18,9 +18,8 @@ namespace deepsea {
 /// Stage 3 of the pipeline: benefit/cost filtering of the candidates
 /// (Section 7.2) followed by the knapsack over
 /// ALLCAND = V_sel ∪ P_sel ∪ pool content under S_max (Section 7.3).
-/// The planner builds the candidate items and delegates the knapsack
-/// itself to the configured SelectionStrategy (options->selection.kind
-/// — greedy by default, bit-identical to the historical inline code).
+/// The planner builds the candidate items and hands them to the pure
+/// greedy knapsack (ResolveGreedy, core/selection_strategy.h).
 /// Planning updates candidate *statistics* tracking (fragments entering
 /// STAT, inherited hit histories) — that is the paper's bookkeeping —
 /// but all of it lands in the query's PlanningDelta: this stage runs
@@ -41,7 +40,7 @@ class SelectionPlanner {
         views_(views) {}
 
   /// Produces this query's reconfiguration decision plus the
-  /// strategy's telemetry (swaps, merges, items considered).
+  /// knapsack's telemetry (objective, items considered).
   /// `base_seconds` is the query's conventional-plan cost (drives the
   /// fragment top-up filter).
   SelectionResolution PlanSelection(const QueryContext& ctx,

@@ -1,87 +1,16 @@
 #include "core/selection_strategy.h"
 
 #include <algorithm>
-#include <cassert>
-#include <map>
 
 namespace deepsea {
-
-const char* SelectionStrategyName(SelectionStrategyKind kind) {
-  switch (kind) {
-    case SelectionStrategyKind::kGreedy:
-      return "greedy";
-    case SelectionStrategyKind::kLocalSearch:
-      return "local_search";
-    case SelectionStrategyKind::kClusterGreedy:
-      return "cluster_greedy";
-    case SelectionStrategyKind::kClusterLocalSearch:
-      return "cluster_local_search";
-  }
-  return "greedy";
-}
-
-bool ParseSelectionStrategy(const std::string& name,
-                            SelectionStrategyKind* out) {
-  if (name == "greedy") {
-    *out = SelectionStrategyKind::kGreedy;
-  } else if (name == "local_search") {
-    *out = SelectionStrategyKind::kLocalSearch;
-  } else if (name == "cluster" || name == "cluster_greedy") {
-    *out = SelectionStrategyKind::kClusterGreedy;
-  } else if (name == "cluster_local_search") {
-    *out = SelectionStrategyKind::kClusterLocalSearch;
-  } else {
-    return false;
-  }
-  return true;
-}
 
 namespace {
 
 using CandKind = SelectionCandidate::Kind;
 
-/// Value-descending stable order — ties keep the planner's construction
-/// order, which is what pins greedy bit-identical to the goldens.
-std::vector<SelectionCandidate> SortedByValue(
-    std::vector<SelectionCandidate> items) {
-  std::stable_sort(items.begin(), items.end(),
-                   [](const SelectionCandidate& a, const SelectionCandidate& b) {
-                     return a.value > b.value;
-                   });
-  return items;
-}
-
-/// Summed Φ of the admitted items — the knapsack objective, pool
-/// content included — accumulated in sorted order (the float addition
-/// order is input-derived, so the result is deterministic).
-double ObjectiveOf(const std::vector<SelectionCandidate>& sorted,
-                   const std::vector<char>& admitted) {
-  double objective = 0.0;
-  for (size_t i = 0; i < sorted.size(); ++i) {
-    if (admitted[i]) objective += sorted[i].value;
-  }
-  return objective;
-}
-
-/// The §7.3 greedy scan: admit in value order while the item fits.
-/// Returns the residual budget; `admitted` gets one flag per item.
-double GreedyScan(const std::vector<SelectionCandidate>& sorted, double budget,
-                  std::vector<char>* admitted) {
-  admitted->assign(sorted.size(), 0);
-  for (size_t i = 0; i < sorted.size(); ++i) {
-    if (sorted[i].size <= budget) {
-      (*admitted)[i] = 1;
-      budget -= sorted[i].size;
-    }
-  }
-  return budget;
-}
-
 /// Emits the declarative decision from the admitted flags: rejected
 /// pool content becomes evictions first, then admitted new content
-/// becomes materializations, both in sorted order. With the greedy
-/// flags this reproduces the historical reject/admit loops exactly —
-/// those lists were themselves filtered views of the sorted scan.
+/// becomes materializations, both in sorted order.
 SelectionDecision BuildDecision(const std::vector<SelectionCandidate>& sorted,
                                 const std::vector<char>& admitted) {
   SelectionDecision decision;
@@ -125,332 +54,36 @@ SelectionDecision BuildDecision(const std::vector<SelectionCandidate>& sorted,
       default:
         continue;  // pool content that stays: nothing to do
     }
-    decision.benefit_score += it.value;
     decision.actions.push_back(a);
   }
   return decision;
 }
 
-SelectionResolution ResolveGreedy(std::vector<SelectionCandidate> items,
-                                  double budget_bytes) {
-  SelectionResolution res;
-  res.items_considered = static_cast<int>(items.size());
-  const std::vector<SelectionCandidate> sorted = SortedByValue(std::move(items));
-  std::vector<char> admitted;
-  GreedyScan(sorted, budget_bytes, &admitted);
-  res.contended =
-      std::find(admitted.begin(), admitted.end(), 0) != admitted.end();
-  res.objective_value = ObjectiveOf(sorted, admitted);
-  res.decision = BuildDecision(sorted, admitted);
-  return res;
-}
-
-SelectionResolution ResolveLocalSearch(std::vector<SelectionCandidate> items,
-                                       double budget_bytes,
-                                       const SelectionConfig& config) {
-  SelectionResolution res;
-  res.items_considered = static_cast<int>(items.size());
-  const std::vector<SelectionCandidate> sorted = SortedByValue(std::move(items));
-  std::vector<char> admitted;
-  double residual = GreedyScan(sorted, budget_bytes, &admitted);
-  const size_t n = sorted.size();
-  // Contention is judged on the greedy seed: the pool sweep's values
-  // shaped the starting point even when later swaps/fills re-admit
-  // everything, so the promotion decision must match what the swept
-  // reads influenced.
-  res.contended =
-      std::find(admitted.begin(), admitted.end(), 0) != admitted.end();
-
-  // Improvement loop: eviction-and-refill moves. A swap that admits a
-  // rejected item by evicting victims whose summed value is below that
-  // single item's can never fire from a greedy-by-value seed — every
-  // victim cheaper than the rejected item was admitted *after* it in
-  // the scan, so the victims' total size plus the residual is strictly
-  // less than the rejected size (that is why it was rejected). The
-  // profitable direction is the reverse: evict the k *lowest-value*
-  // admitted items (a size-hungry high-value item greedy admitted
-  // early, or zero-value pool content holding space) and greedily
-  // refill the freed budget from the rejected set; keep the move iff
-  // the refill's summed value strictly exceeds the victims'. Each kept
-  // move strictly raises the admitted knapsack value, so the loop
-  // terminates and the result is never worse than the greedy seed.
-  //
-  // All orders are input-derived and deterministic: victims ascend by
-  // value (ties toward the larger size — more budget freed per value
-  // given up — then toward the later sorted position); refills follow
-  // the value-descending sorted scan, positive-value items only.
-  std::vector<size_t> victim_order;
-  std::vector<size_t> fills;
-  for (int round = 0; round < config.local_search_max_rounds; ++round) {
-    bool changed = false;
-    bool improving = true;
-    while (improving && res.swaps_applied < config.local_search_max_swaps) {
-      improving = false;
-      victim_order.clear();
-      for (size_t a = 0; a < n; ++a) {
-        if (admitted[a]) victim_order.push_back(a);
-      }
-      std::sort(victim_order.begin(), victim_order.end(),
-                [&sorted](size_t x, size_t y) {
-                  if (sorted[x].value != sorted[y].value)
-                    return sorted[x].value < sorted[y].value;
-                  if (sorted[x].size != sorted[y].size)
-                    return sorted[x].size > sorted[y].size;
-                  return x > y;
-                });
-      // Try evicting the k cheapest victims, k = 1..all, and take the
-      // first strictly improving refill (first-improvement restarts
-      // the sweep with fresh victim ranks).
-      double freed = residual, victim_value = 0.0;
-      for (size_t k = 0; k < victim_order.size() && !improving; ++k) {
-        freed += sorted[victim_order[k]].size;
-        victim_value += sorted[victim_order[k]].value;
-        fills.clear();
-        double fill_budget = freed, gain = 0.0;
-        for (size_t r = 0; r < n; ++r) {
-          if (admitted[r] || sorted[r].value <= 0.0) continue;
-          if (sorted[r].size <= fill_budget) {
-            fills.push_back(r);
-            fill_budget -= sorted[r].size;
-            gain += sorted[r].value;
-          }
-        }
-        if (gain <= victim_value) continue;  // no strict improvement
-        for (size_t v = 0; v <= k; ++v) admitted[victim_order[v]] = 0;
-        for (size_t r : fills) admitted[r] = 1;
-        residual = fill_budget;
-        ++res.swaps_applied;
-        improving = true;
-        changed = true;
-      }
-    }
-    // Fill pass: admit rejected positive-value items the residual now
-    // fits (freed budget a move left over, or seed-time gaps).
-    for (size_t r = 0; r < n; ++r) {
-      if (admitted[r] || sorted[r].value <= 0.0) continue;
-      if (sorted[r].size <= residual) {
-        admitted[r] = 1;
-        residual -= sorted[r].size;
-        changed = true;
-      }
-    }
-    if (!changed) break;
-  }
-  res.objective_value = ObjectiveOf(sorted, admitted);
-  res.decision = BuildDecision(sorted, admitted);
-  return res;
-}
-
-/// Union hull of two intervals, keeping the more inclusive endpoint
-/// when the bounds coincide.
-Interval HullOf(const Interval& a, const Interval& b) {
-  Interval h;
-  if (a.lo < b.lo) {
-    h.lo = a.lo;
-    h.lo_inclusive = a.lo_inclusive;
-  } else if (b.lo < a.lo) {
-    h.lo = b.lo;
-    h.lo_inclusive = b.lo_inclusive;
-  } else {
-    h.lo = a.lo;
-    h.lo_inclusive = a.lo_inclusive || b.lo_inclusive;
-  }
-  if (a.hi > b.hi) {
-    h.hi = a.hi;
-    h.hi_inclusive = a.hi_inclusive;
-  } else if (b.hi > a.hi) {
-    h.hi = b.hi;
-    h.hi_inclusive = b.hi_inclusive;
-  } else {
-    h.hi = a.hi;
-    h.hi_inclusive = a.hi_inclusive || b.hi_inclusive;
-  }
-  return h;
-}
-
 }  // namespace
 
-std::vector<SelectionCandidate> ClusterCandidates(
-    const std::vector<SelectionCandidate>& items, const SelectionConfig& config,
-    int* merged_away) {
-  if (merged_away != nullptr) *merged_away = 0;
-  // Only overlapping ranges may merge, even when the knob is zeroed.
-  const double min_overlap = std::max(config.cluster_min_overlap, 1e-9);
-
-  // Member indices per partition ordinal (never per pointer — part_ord
-  // is the planner's deterministic construction ordinal).
-  int max_ord = -1;
-  for (const SelectionCandidate& it : items) {
-    max_ord = std::max(max_ord, it.part_ord);
-  }
-  std::vector<std::vector<size_t>> groups(static_cast<size_t>(max_ord + 1));
-  for (size_t i = 0; i < items.size(); ++i) {
-    const SelectionCandidate& it = items[i];
-    if (!it.mergeable || it.part_ord < 0) continue;
-    if (it.kind != CandKind::kNewFragment &&
-        it.kind != CandKind::kNewViewFragment) {
-      continue;
-    }
-    groups[static_cast<size_t>(it.part_ord)].push_back(i);
-  }
-
-  std::vector<char> consumed(items.size(), 0);
-  std::map<size_t, SelectionCandidate> merged_at;  // rep index -> cluster
-
-  for (std::vector<size_t>& group : groups) {
-    if (group.size() < 2) continue;
-    // Sweep in range order; equal ranges fall back to item order.
-    std::sort(group.begin(), group.end(), [&](size_t a, size_t b) {
-      const Interval& ia = items[a].interval;
-      const Interval& ib = items[b].interval;
-      if (ia.lo != ib.lo) return ia.lo < ib.lo;
-      if (ia.hi != ib.hi) return ia.hi < ib.hi;
-      return a < b;
-    });
-
-    std::vector<size_t> members;
-    Interval hull;
-    double size = 0.0, value = 0.0;
-    auto flush = [&]() {
-      if (members.size() >= 2) {
-        const size_t rep = *std::min_element(members.begin(), members.end());
-        SelectionCandidate merged = items[members.front()];
-        // A merged cluster is applied as one refinement of the shared
-        // partition: MaterializeFragment tracks the hull itself, so the
-        // hull needs no pre-tracked FragmentStats entry.
-        merged.kind = CandKind::kNewFragment;
-        merged.interval = hull;
-        merged.size = size;
-        merged.value = value;
-        merged_at.emplace(rep, merged);
-        for (size_t m : members) consumed[m] = 1;
-        if (merged_away != nullptr) {
-          *merged_away += static_cast<int>(members.size()) - 1;
-        }
-      }
-      members.clear();
-    };
-    for (size_t idx : group) {
-      const SelectionCandidate& it = items[idx];
-      if (members.empty()) {
-        members.push_back(idx);
-        hull = it.interval;
-        size = it.size;
-        value = it.value;
-        continue;
-      }
-      const double ov = hull.OverlapWidth(it.interval);
-      const double shorter = std::min(hull.Width(), it.interval.Width());
-      const double frac = shorter > 0.0
-                              ? ov / shorter
-                              : (hull.Overlaps(it.interval) ? 1.0 : 0.0);
-      if (frac >= min_overlap) {
-        // Shared bytes are counted once at the sparser member's
-        // density; the clamp keeps the estimate physical when the
-        // densities disagree wildly.
-        const double hull_density =
-            hull.Width() > 0.0 ? size / hull.Width() : size;
-        const double item_density = it.interval.Width() > 0.0
-                                        ? it.size / it.interval.Width()
-                                        : it.size;
-        const double shared = ov * std::min(hull_density, item_density);
-        size = std::max(std::max(size, it.size), size + it.size - shared);
-        // Near-duplicates share most of their hit evidence: keep the
-        // stronger member's value plus the non-overlapping remainder of
-        // the weaker one's.
-        const double vmax = std::max(value, it.value);
-        const double vmin = std::min(value, it.value);
-        value = vmax + (1.0 - std::min(frac, 1.0)) * vmin;
-        hull = HullOf(hull, it.interval);
-        members.push_back(idx);
-      } else {
-        flush();
-        members.push_back(idx);
-        hull = it.interval;
-        size = it.size;
-        value = it.value;
-      }
-    }
-    flush();
-  }
-
-  std::vector<SelectionCandidate> out;
-  out.reserve(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    auto rep = merged_at.find(i);
-    if (rep != merged_at.end()) {
-      out.push_back(rep->second);
-    } else if (!consumed[i]) {
-      out.push_back(items[i]);
+SelectionResolution ResolveGreedy(const SelectionInput& input) {
+  SelectionResolution res;
+  res.items_considered = static_cast<int>(input.items.size());
+  // Value-descending stable order — ties keep the planner's
+  // construction order, which is what pins the goldens.
+  std::vector<SelectionCandidate> sorted = input.items;
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const SelectionCandidate& a, const SelectionCandidate& b) {
+                     return a.value > b.value;
+                   });
+  std::vector<char> admitted(sorted.size(), 0);
+  double budget = input.budget_bytes;
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    if (sorted[i].size <= budget) {
+      admitted[i] = 1;
+      budget -= sorted[i].size;
+      res.objective_value += sorted[i].value;
+    } else {
+      res.contended = true;
     }
   }
-  return out;
-}
-
-namespace {
-
-class GreedyStrategy : public SelectionStrategy {
- public:
-  const char* name() const override { return "greedy"; }
-  SelectionResolution Resolve(const SelectionInput& input) const override {
-    return ResolveGreedy(input.items, input.budget_bytes);
-  }
-};
-
-class LocalSearchStrategy : public SelectionStrategy {
- public:
-  const char* name() const override { return "local_search"; }
-  SelectionResolution Resolve(const SelectionInput& input) const override {
-    return ResolveLocalSearch(input.items, input.budget_bytes, input.config);
-  }
-};
-
-class ClusterGreedyStrategy : public SelectionStrategy {
- public:
-  const char* name() const override { return "cluster_greedy"; }
-  SelectionResolution Resolve(const SelectionInput& input) const override {
-    int merged = 0;
-    std::vector<SelectionCandidate> reduced =
-        ClusterCandidates(input.items, input.config, &merged);
-    SelectionResolution res =
-        ResolveGreedy(std::move(reduced), input.budget_bytes);
-    res.candidates_merged = merged;
-    return res;
-  }
-};
-
-class ClusterLocalSearchStrategy : public SelectionStrategy {
- public:
-  const char* name() const override { return "cluster_local_search"; }
-  SelectionResolution Resolve(const SelectionInput& input) const override {
-    int merged = 0;
-    std::vector<SelectionCandidate> reduced =
-        ClusterCandidates(input.items, input.config, &merged);
-    SelectionResolution res =
-        ResolveLocalSearch(std::move(reduced), input.budget_bytes, input.config);
-    res.candidates_merged = merged;
-    return res;
-  }
-};
-
-}  // namespace
-
-const SelectionStrategy* SelectionStrategy::ForKind(SelectionStrategyKind kind) {
-  static const GreedyStrategy greedy;
-  static const LocalSearchStrategy local_search;
-  static const ClusterGreedyStrategy cluster_greedy;
-  static const ClusterLocalSearchStrategy cluster_local_search;
-  switch (kind) {
-    case SelectionStrategyKind::kGreedy:
-      return &greedy;
-    case SelectionStrategyKind::kLocalSearch:
-      return &local_search;
-    case SelectionStrategyKind::kClusterGreedy:
-      return &cluster_greedy;
-    case SelectionStrategyKind::kClusterLocalSearch:
-      return &cluster_local_search;
-  }
-  return &greedy;
+  res.decision = BuildDecision(sorted, admitted);
+  return res;
 }
 
 }  // namespace deepsea

@@ -1,7 +1,6 @@
 #ifndef DEEPSEA_CORE_SELECTION_STRATEGY_H_
 #define DEEPSEA_CORE_SELECTION_STRATEGY_H_
 
-#include <string>
 #include <vector>
 
 #include "core/interval.h"
@@ -43,76 +42,14 @@ struct SelectionAction {
 struct SelectionDecision {
   std::vector<SelectionAction> actions;
 
-  /// Summed knapsack value (the Φ benefit estimate) of the admitted
-  /// materialization actions. The materialization service's admission
-  /// control sheds the lowest-score intents first under overload.
-  double benefit_score = 0.0;
-
   bool empty() const { return actions.empty(); }
 };
 
-/// Which SelectionStrategy resolves the knapsack over ALLCAND.
-/// Orthogonal to StrategyKind (which shapes *partitioning* and
-/// candidate generation): every StrategyKind except kHive runs a
-/// selection round, and any SelectionStrategyKind can resolve it.
-enum class SelectionStrategyKind {
-  /// The paper's §7.3 greedy knapsack, bit-identical to the historical
-  /// inline implementation (the golden traces pin it).
-  kGreedy,
-  /// Greedy seed + bounded swap-based local search (arXiv 2606.03772
-  /// seed): eviction-and-refill moves that drop the k lowest-value
-  /// admitted items and greedily refill the freed budget from the
-  /// rejected set, kept iff the refill's summed Φ strictly exceeds the
-  /// victims', followed by residual-budget fill passes. Never worse
-  /// than greedy in knapsack value (every applied move strictly raises
-  /// the admitted total).
-  kLocalSearch,
-  /// Clustering-based pre-selection (cs/0703114 seed): near-duplicate
-  /// new-fragment candidates of the same partition (range overlap >=
-  /// cluster_min_overlap) are merged into one covering candidate
-  /// before the greedy knapsack runs on the reduced set.
-  kClusterGreedy,
-  /// Clustering pre-selection feeding the local-search resolver.
-  kClusterLocalSearch,
-};
-
-/// Stable lowercase identifier ("greedy", "local_search",
-/// "cluster_greedy", "cluster_local_search") used by CLI flags, the
-/// QueryReport, and the strategy metrics labels.
-const char* SelectionStrategyName(SelectionStrategyKind kind);
-
-/// Parses a SelectionStrategyName (plus the "cluster" alias for
-/// kClusterGreedy). Returns false on an unknown name.
-bool ParseSelectionStrategy(const std::string& name,
-                            SelectionStrategyKind* out);
-
-/// Knobs of the selection-strategy seam (EngineOptions::selection).
-struct SelectionConfig {
-  SelectionStrategyKind kind = SelectionStrategyKind::kGreedy;
-
-  /// Local search: hard bound on applied eviction-and-refill moves per
-  /// selection round. Each kept move strictly increases the admitted
-  /// knapsack value; a move costs O(items^2) refill attempts, so this
-  /// also bounds the work to O(swaps * items^2).
-  int local_search_max_swaps = 64;
-  /// Local search: improvement rounds (swap sweep + fill pass) before
-  /// giving up even when still improving.
-  int local_search_max_rounds = 4;
-
-  /// Clustering: minimum overlap fraction — overlap length over the
-  /// shorter candidate's length — for two new-fragment candidates of
-  /// the same partition to be merged. 1.0 merges only exact
-  /// duplicates; values <= 0 would merge disjoint ranges and are
-  /// clamped to a minimal positive overlap requirement.
-  double cluster_min_overlap = 0.5;
-};
-
-/// One knapsack item handed to a SelectionStrategy: a candidate pool
-/// mutation (new view / fragment) or a piece of existing pool content
-/// re-bidding for its spot (Section 7.3's ALLCAND). Built by
-/// SelectionPlanner; everything a strategy may consult is in the plain
-/// fields — strategies must not dereference `view`/`part` (they are
-/// opaque handles the resulting actions carry through to Apply).
+/// One knapsack item: a candidate pool mutation (new view / fragment)
+/// or a piece of existing pool content re-bidding for its spot
+/// (Section 7.3's ALLCAND). Built by SelectionPlanner. The knapsack
+/// reads only the plain fields; `view`/`part` are opaque handles the
+/// resulting actions carry through to Apply.
 struct SelectionCandidate {
   enum class Kind {
     kPoolFragment,     ///< materialized fragment already in the pool
@@ -127,27 +64,17 @@ struct SelectionCandidate {
   ViewInfo* view = nullptr;
   PartitionState* part = nullptr;
   Interval interval;
-  /// Dense ordinal of (view, attr) in item-construction order; -1 for
-  /// whole-view items. Strategies group by this — never by pointer
-  /// value, which is address-nondeterministic across runs.
-  int part_ord = -1;
-  /// True for new-fragment content the clustering pre-pass may merge
-  /// with an overlapping sibling (stamped by the planner: refinement
-  /// candidates, and planned top-up fragments of in-pool views).
-  bool mergeable = false;
 };
 
-/// Everything a strategy sees: the candidate item list in the
-/// planner's deterministic construction order, the byte budget
-/// (S_max), and the seam's tuning knobs.
+/// The knapsack's input: the candidate items in the planner's
+/// deterministic construction order and the byte budget (S_max).
 struct SelectionInput {
   std::vector<SelectionCandidate> items;
   double budget_bytes = 0.0;
-  SelectionConfig config;
 };
 
-/// A strategy's result: the declarative decision plus telemetry the
-/// engine surfaces through QueryReport and the strategy metrics.
+/// The knapsack's result: the declarative decision plus the telemetry
+/// the engine surfaces through QueryReport.
 struct SelectionResolution {
   SelectionDecision decision;
   /// True when the knapsack was contended — at least one item was
@@ -155,62 +82,20 @@ struct SelectionResolution {
   /// the validated read footprint exactly in this case (an uncontended
   /// knapsack admits everything regardless of the swept values).
   bool contended = false;
-  /// The full knapsack objective: summed Φ of every admitted item,
-  /// pool content included (the quantity local search provably never
-  /// lowers vs its greedy seed). decision.benefit_score covers the
-  /// admitted *new* content only — a strictly improving move can trade
-  /// a new item for kept pool content, so only the objective carries
-  /// the never-worse guarantee.
+  /// Summed Φ of every admitted item, pool content included.
   double objective_value = 0.0;
-  /// Items the resolver ranked (post-clustering when a pre-pass ran).
+  /// Items the scan ranked.
   int items_considered = 0;
-  /// Local search: improving swaps applied this round.
-  int swaps_applied = 0;
-  /// Clustering: candidates removed by merges (members - clusters).
-  int candidates_merged = 0;
 };
 
-/// The strategy seam: a pure, deterministic function from candidate
-/// set + budget to a SelectionDecision. The contract for
-/// implementations (see DESIGN.md, "Selection strategies"):
-///
-///  * Purity — no pool, STAT, or catalog access; no delta writes. The
-///    only inputs are the SelectionInput fields; `view`/`part` are
-///    opaque handles to copy into actions, never to dereference.
-///  * Determinism — output is a pure function of the input. No wall
-///    clock, no RNG that is not seeded from the input, and no ordering
-///    keyed on pointer values (use item order / part_ord).
-///  * Action ordering — evictions (rejected pool content) first, then
-///    materializations; benefit_score sums the admitted new items'
-///    values in emission order (float addition order is part of the
-///    bit-identity contract).
-///
-/// Implementations are stateless singletons; ForKind returns the
-/// shared instance.
-class SelectionStrategy {
- public:
-  virtual ~SelectionStrategy() = default;
-  /// The SelectionStrategyName of this strategy.
-  virtual const char* name() const = 0;
-  virtual SelectionResolution Resolve(const SelectionInput& input) const = 0;
-
-  static const SelectionStrategy* ForKind(SelectionStrategyKind kind);
-};
-
-/// The clustering pre-pass on its own (exposed for tests and for
-/// composing resolvers): merges runs of mergeable same-partition
-/// new-fragment candidates whose ranges overlap by at least
-/// `config.cluster_min_overlap` of the shorter range. Each merged
-/// candidate covers its members' intervals (interval = hull), carries
-/// kind kNewFragment (applied as a refinement, which self-tracks its
-/// interval), a density-scaled size estimate, and a value of
-/// max(member values) + (1 - overlap) * min (near-duplicates share
-/// most of their hit evidence; the non-overlapping remainder of the
-/// weaker member still contributes). `merged_away` receives the number
-/// of candidates removed (members minus surviving clusters).
-std::vector<SelectionCandidate> ClusterCandidates(
-    const std::vector<SelectionCandidate>& items,
-    const SelectionConfig& config, int* merged_away);
+/// The paper's §7.3 greedy knapsack as a pure, deterministic function:
+/// items are ranked by value (stable — ties keep construction order)
+/// and admitted while they fit the budget. Rejected pool content
+/// becomes evictions, emitted first; admitted new content becomes
+/// materializations, in rank order. No pool, STAT or catalog access,
+/// no clock, no RNG, and nothing ordered by pointer value, so equal
+/// inputs always give equal decisions (the golden traces pin it).
+SelectionResolution ResolveGreedy(const SelectionInput& input);
 
 }  // namespace deepsea
 

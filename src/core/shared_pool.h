@@ -1,6 +1,7 @@
 #ifndef DEEPSEA_CORE_SHARED_POOL_H_
 #define DEEPSEA_CORE_SHARED_POOL_H_
 
+#include <memory>
 #include <utility>
 
 #include "catalog/table.h"
@@ -30,20 +31,26 @@ class SharedPool {
       : options_(std::move(options)),
         cluster_(options_.cluster),
         estimator_(&cluster_, catalog, options_.estimator),
-        pool_(catalog, &options_, &cluster_, &estimator_) {}
+        pool_(std::make_unique<PoolManager>(catalog, &options_, &cluster_,
+                                            &estimator_)) {}
 
   SharedPool(const SharedPool&) = delete;
   SharedPool& operator=(const SharedPool&) = delete;
 
   const EngineOptions& options() const { return options_; }
-  PoolManager* pool() { return &pool_; }
-  const PoolManager& pool() const { return pool_; }
+  PoolManager* pool() { return pool_.get(); }
+  const PoolManager& pool() const { return *pool_; }
 
  private:
   EngineOptions options_;
   ClusterModel cluster_;
   PlanCostEstimator estimator_;
-  PoolManager pool_;
+  /// On the heap, like a single-tenant engine's pool: std::mutex has a
+  /// trivial destructor, so ThreadSanitizer never sees a pool's commit
+  /// mutexes die. A SharedPool rebuilt at a reused stack address would
+  /// then merge the lock histories of two pools into false lock-order
+  /// cycles; freed heap memory resets them.
+  std::unique_ptr<PoolManager> pool_;
 };
 
 }  // namespace deepsea

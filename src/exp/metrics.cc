@@ -4,14 +4,12 @@
 #include <cctype>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <set>
 
 #include "common/str_util.h"
 #include "core/engine_options.h"
-#include "core/materialization_service.h"
 
 namespace deepsea {
 
@@ -23,26 +21,7 @@ const char* const
     MetricsObserver::kExclusiveReasonNames[kExclusiveReasonCount] = {
         "merge",        "eviction", "physical", "new_view", "catalog_put",
         "index_insert", "attach",   "replan",   "other"};
-// Must track SelectionStrategyName / SelectionStrategyKind order
-// (selection_strategy_test pins the correspondence).
-const char* const
-    MetricsObserver::kSelectionStrategyNames[kSelectionStrategyCount] = {
-        "greedy", "local_search", "cluster_greedy", "cluster_local_search"};
-
 namespace {
-
-/// Index into kSelectionStrategyNames, or kSelectionStrategyCount when
-/// the name is unknown/empty (the sample is then dropped rather than
-/// mislabeled).
-size_t SelectionStrategyIndex(const char* name) {
-  if (name == nullptr) return MetricsObserver::kSelectionStrategyCount;
-  for (size_t i = 0; i < MetricsObserver::kSelectionStrategyCount; ++i) {
-    if (std::strcmp(MetricsObserver::kSelectionStrategyNames[i], name) == 0) {
-      return i;
-    }
-  }
-  return MetricsObserver::kSelectionStrategyCount;
-}
 
 int64_t SteadyNowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -132,18 +111,6 @@ void MetricsObserver::OnStageEnd(EngineStage stage, const QueryContext& ctx,
                                                     std::memory_order_relaxed);
   s.wall_buckets[BucketIndex(wall_seconds)].fetch_add(
       1, std::memory_order_relaxed);
-  // Selection latency additionally lands in the per-strategy histogram
-  // (the engine stamps the context before the stage closes).
-  if (stage == EngineStage::kSelection) {
-    const size_t idx = SelectionStrategyIndex(ctx.selection_strategy);
-    if (idx < kSelectionStrategyCount) {
-      QuerySeries& w = t->selection_wall[idx];
-      w.count.fetch_add(1, std::memory_order_relaxed);
-      AtomicAddDouble(&w.sum, wall_seconds);
-      w.buckets[BucketIndex(wall_seconds)].fetch_add(
-          1, std::memory_order_relaxed);
-    }
-  }
 }
 
 void MetricsObserver::OnMaterializeView(const ViewInfo& view,
@@ -256,16 +223,9 @@ void MetricsObserver::OnQueryEnd(const QueryReport& report) {
   }
   t->fragments_read.fetch_add(report.fragments_read,
                               std::memory_order_relaxed);
-  const size_t strat = SelectionStrategyIndex(
-      report.selection_strategy.empty() ? nullptr
-                                        : report.selection_strategy.c_str());
-  if (strat < kSelectionStrategyCount) {
-    t->selection_decisions[strat].fetch_add(1, std::memory_order_relaxed);
-    AtomicAddDouble(&t->selection_benefit[strat], report.selection_benefit);
-    t->selection_swaps[strat].fetch_add(report.selection_swaps,
-                                        std::memory_order_relaxed);
-    t->selection_merged[strat].fetch_add(report.selection_merged_candidates,
-                                         std::memory_order_relaxed);
+  if (report.selection_ran) {
+    t->selection_decisions.fetch_add(1, std::memory_order_relaxed);
+    AtomicAddDouble(&t->selection_benefit, report.selection_benefit);
   }
   t->query_sim.count.fetch_add(1, std::memory_order_relaxed);
   AtomicAddDouble(&t->query_sim.sum, report.total_seconds);
@@ -324,13 +284,8 @@ MetricsObserver::MetricsSnapshot::Totals() const {
     total.degrades += t.degrades;
     total.materialized_bytes += t.materialized_bytes;
     total.evicted_bytes += t.evicted_bytes;
-    for (size_t i = 0; i < kSelectionStrategyCount; ++i) {
-      total.selection_decisions[i] += t.selection_decisions[i];
-      total.selection_benefit[i] += t.selection_benefit[i];
-      total.selection_swaps[i] += t.selection_swaps[i];
-      total.selection_merged[i] += t.selection_merged[i];
-      AddHistogram(t.selection_wall[i], &total.selection_wall[i]);
-    }
+    total.selection_decisions += t.selection_decisions;
+    total.selection_benefit += t.selection_benefit;
     for (size_t s = 0; s < kStageCount; ++s) {
       AddHistogram(t.stage_sim[s], &total.stage_sim[s]);
       AddHistogram(t.stage_wall[s], &total.stage_wall[s]);
@@ -375,18 +330,10 @@ MetricsObserver::MetricsSnapshot MetricsObserver::TakeSnapshot() const {
       out.materialized_bytes =
           t->materialized_bytes.load(std::memory_order_relaxed);
       out.evicted_bytes = t->evicted_bytes.load(std::memory_order_relaxed);
-      for (size_t i = 0; i < kSelectionStrategyCount; ++i) {
-        out.selection_decisions[i] =
-            t->selection_decisions[i].load(std::memory_order_relaxed);
-        out.selection_benefit[i] =
-            t->selection_benefit[i].load(std::memory_order_relaxed);
-        out.selection_swaps[i] =
-            t->selection_swaps[i].load(std::memory_order_relaxed);
-        out.selection_merged[i] =
-            t->selection_merged[i].load(std::memory_order_relaxed);
-        CopyHistogram(t->selection_wall[i].count, t->selection_wall[i].sum,
-                      t->selection_wall[i].buckets, &out.selection_wall[i]);
-      }
+      out.selection_decisions =
+          t->selection_decisions.load(std::memory_order_relaxed);
+      out.selection_benefit =
+          t->selection_benefit.load(std::memory_order_relaxed);
       for (size_t s = 0; s < kStageCount; ++s) {
         const StageSeries& series = t->stages[s];
         CopyHistogram(series.calls, series.sim_sum, series.sim_buckets,
@@ -430,34 +377,6 @@ MetricsObserver::MetricsSnapshot MetricsObserver::TakeSnapshot() const {
         wall > 0.0
             ? (lock_stats.held_seconds - attach_held_seconds_) / wall
             : 0.0;
-    if (const MaterializationService* mat =
-            pool_->materialization_service()) {
-      // Queue gauges take the service's internal lock; the commit
-      // shared lock held here and the queue lock nest in the same
-      // order everywhere (commit -> queue), so this cannot deadlock
-      // against Submit (which enqueues from inside a commit).
-      MetricsSnapshot::PoolGauges::Materialization& m = g.materialization;
-      m.configured = true;
-      m.queue_depth = static_cast<int64_t>(mat->QueueDepth());
-      m.queue_bytes = mat->QueueBytes();
-      m.oldest_age_seconds = mat->OldestAgeSeconds();
-      const MaterializationService::StatsSnapshot s = mat->stats();
-      m.submitted = s.submitted;
-      m.executed = s.executed;
-      m.failed = s.failed;
-      m.shed = s.shed;
-      m.coalesced = s.coalesced;
-      m.stale_dropped = s.stale_dropped;
-      m.background_sim_seconds = s.background_sim_seconds;
-      m.enqueue_to_fold.count = s.latency_count;
-      m.enqueue_to_fold.sum = s.latency_sum_seconds;
-      static_assert(MaterializationService::kLatencyBuckets ==
-                        MetricsObserver::kFiniteBuckets,
-                    "service and exporter histograms must share bounds");
-      for (size_t b = 0; b < kBucketCount; ++b) {
-        m.enqueue_to_fold.buckets[b] = s.latency_buckets[b];
-      }
-    }
   }
   return snap;
 }
@@ -547,37 +466,16 @@ const std::vector<MetricInfo>& MetricsObserver::Registry() {
        "Bytes evicted from the pool (the reconfiguration cost side of "
        "Def. 4).",
        "tenant", false, false},
-      {"deepsea_selection_strategy_info", "gauge",
-       "1 for every selection strategy that has resolved at least one "
-       "decision for the tenant (greedy, local_search, cluster_greedy, "
-       "cluster_local_search). Join target for the per-strategy "
-       "counters; a healthy single-strategy deployment exports exactly "
-       "one cell per tenant.",
-       "strategy,tenant", false, false},
       {"deepsea_selection_decisions_total", "counter",
-       "Selection rounds resolved, by strategy. Only strategies with at "
-       "least one decision are exported.",
-       "strategy,tenant", false, false},
+       "Queries whose selection stage resolved a knapsack (every query "
+       "except under the Hive baseline).",
+       "tenant", false, false},
       {"deepsea_selection_objective_total", "counter",
        "Summed knapsack objective value (admitted benefit, kept pool "
-       "content included) of the decisions each strategy produced — "
-       "the decision-quality numerator: divide by "
-       "deepsea_selection_decisions_total for mean objective. This is "
-       "the quantity local search never lowers vs its greedy seed.",
-       "strategy,tenant", false, false},
-      {"deepsea_selection_swaps_total", "counter",
-       "Local-search improving swaps applied (0 for greedy and "
-       "cluster_greedy).",
-       "strategy,tenant", false, false},
-      {"deepsea_selection_merged_candidates_total", "counter",
-       "Candidates merged away by the clustering pre-pass (0 for "
-       "greedy and local_search).",
-       "strategy,tenant", false, false},
-      {"deepsea_selection_wall_seconds", "histogram",
-       "Host wall-clock seconds spent in the selection stage, by "
-       "strategy (the strategy-overhead side of the decision-quality "
-       "trade).",
-       "strategy,tenant", true, false},
+       "content included) of the committed decisions — the "
+       "decision-quality numerator: divide by "
+       "deepsea_selection_decisions_total for mean objective.",
+       "tenant", false, false},
       {"deepsea_stage_sim_seconds", "histogram",
        "Simulated seconds charged per pipeline stage invocation.",
        "stage,tenant", false, false},
@@ -629,49 +527,6 @@ const std::vector<MetricInfo>& MetricsObserver::Registry() {
       {"deepsea_commit_lock_hold_fraction", "gauge",
        "Commit-lock hold time over wall time since the pool was "
        "attached to this observer.",
-       "", true, true},
-      {"deepsea_mat_queue_depth", "gauge",
-       "Decision intents queued in the background materialization "
-       "service (0 in inline/drain modes).",
-       "", false, true},
-      {"deepsea_mat_queue_bytes", "gauge",
-       "Summed admitted (estimated materialization) bytes of queued "
-       "intents, the byte side of the admission bound.",
-       "", false, true},
-      {"deepsea_mat_queue_oldest_age_seconds", "gauge",
-       "Host age of the oldest queued intent; a growing value means the "
-       "workers cannot keep up with submission.",
-       "", true, true},
-      {"deepsea_mat_enqueued_total", "counter",
-       "Decision intents submitted to the materialization service "
-       "(async enqueues and drain-mode admissions).",
-       "", false, true},
-      {"deepsea_mat_executed_total", "counter",
-       "Intents whose decision was folded into the pool.", "", false,
-       true},
-      {"deepsea_mat_shed_total", "counter",
-       "Intents dropped by admission control (queue depth or byte "
-       "bound exceeded; lowest knapsack benefit shed first).",
-       "", false, true},
-      {"deepsea_mat_coalesced_total", "counter",
-       "Queued intents superseded in place by a newer intent targeting "
-       "the same view/range set.",
-       "", false, true},
-      {"deepsea_mat_stale_dropped_total", "counter",
-       "Intents dropped by staleness revalidation: a foreign commit "
-       "changed a target partition after the intent was planned.",
-       "", false, true},
-      {"deepsea_mat_failed_total", "counter",
-       "Intents abandoned after a permanent background fault or "
-       "exhausted retries (the target view takes the quarantine hit).",
-       "", false, true},
-      {"deepsea_mat_background_seconds_total", "counter",
-       "Simulated materialization seconds folded by background workers "
-       "(time the issuing queries were NOT charged).",
-       "", false, true},
-      {"deepsea_mat_enqueue_to_fold_seconds", "histogram",
-       "Host wall-clock latency from intent enqueue to completed "
-       "background fold (executed intents only).",
        "", true, true},
   };
   return kRegistry;
@@ -775,55 +630,10 @@ std::string MetricsObserver::RenderPrometheusText(
   tenant_counter("deepsea_evicted_bytes_total",
                  [](const auto& t) { return t.evicted_bytes; });
 
-  // Per-strategy selection series: like the exclusive-reason counter,
-  // the headers always render but only strategies that resolved at
-  // least one decision export cells (the schema is label-sparse by
-  // design — a deployment normally runs one strategy).
-  auto strategy_counter = [&](const char* name, auto value_of) {
-    if (header(name) == nullptr) return;
-    for (const auto& [tenant, t] : snap.tenants) {
-      for (size_t i = 0; i < kSelectionStrategyCount; ++i) {
-        if (t.selection_decisions[i] == 0) continue;
-        out += StrFormat("%s{strategy=\"%s\",tenant=\"%s\"} %s\n", name,
-                         kSelectionStrategyNames[i],
-                         EscapeLabelValue(tenant).c_str(),
-                         FormatValue(value_of(t, i)).c_str());
-      }
-    }
-  };
-  strategy_counter("deepsea_selection_strategy_info",
-                   [](const auto& t, size_t i) {
-                     (void)t;
-                     (void)i;
-                     return 1.0;
-                   });
-  strategy_counter("deepsea_selection_decisions_total",
-                   [](const auto& t, size_t i) {
-                     return double(t.selection_decisions[i]);
-                   });
-  strategy_counter("deepsea_selection_objective_total",
-                   [](const auto& t, size_t i) {
-                     return t.selection_benefit[i];
-                   });
-  strategy_counter("deepsea_selection_swaps_total",
-                   [](const auto& t, size_t i) {
-                     return double(t.selection_swaps[i]);
-                   });
-  strategy_counter("deepsea_selection_merged_candidates_total",
-                   [](const auto& t, size_t i) {
-                     return double(t.selection_merged[i]);
-                   });
-  if (header("deepsea_selection_wall_seconds") != nullptr) {
-    for (const auto& [tenant, t] : snap.tenants) {
-      for (size_t i = 0; i < kSelectionStrategyCount; ++i) {
-        if (t.selection_wall[i].count == 0) continue;
-        histogram_series(
-            "deepsea_selection_wall_seconds",
-            StrFormat("strategy=\"%s\"", kSelectionStrategyNames[i]), tenant,
-            t.selection_wall[i]);
-      }
-    }
-  }
+  tenant_counter("deepsea_selection_decisions_total",
+                 [](const auto& t) { return double(t.selection_decisions); });
+  tenant_counter("deepsea_selection_objective_total",
+                 [](const auto& t) { return t.selection_benefit; });
 
   // Stage histograms: unobserved (zero-call) stage/tenant series are
   // omitted, the standard client behaviour for unused series.
@@ -890,47 +700,6 @@ std::string MetricsObserver::RenderPrometheusText(
     gauge("deepsea_commit_lock_hold_fraction",
           FormatValue(g.commit_lock_hold_fraction));
 
-    // Materialization-service series render whenever a pool is
-    // attached — zeros in inline mode — so the scrape schema is
-    // independent of MaterializationConfig::Mode.
-    const MetricsSnapshot::PoolGauges::Materialization& m =
-        g.materialization;
-    gauge("deepsea_mat_queue_depth",
-          StrFormat("%lld", static_cast<long long>(m.queue_depth)));
-    gauge("deepsea_mat_queue_bytes", FormatValue(m.queue_bytes));
-    gauge("deepsea_mat_queue_oldest_age_seconds",
-          FormatValue(m.oldest_age_seconds));
-    gauge("deepsea_mat_enqueued_total",
-          StrFormat("%lld", static_cast<long long>(m.submitted)));
-    gauge("deepsea_mat_executed_total",
-          StrFormat("%lld", static_cast<long long>(m.executed)));
-    gauge("deepsea_mat_shed_total",
-          StrFormat("%lld", static_cast<long long>(m.shed)));
-    gauge("deepsea_mat_coalesced_total",
-          StrFormat("%lld", static_cast<long long>(m.coalesced)));
-    gauge("deepsea_mat_stale_dropped_total",
-          StrFormat("%lld", static_cast<long long>(m.stale_dropped)));
-    gauge("deepsea_mat_failed_total",
-          StrFormat("%lld", static_cast<long long>(m.failed)));
-    gauge("deepsea_mat_background_seconds_total",
-          FormatValue(m.background_sim_seconds));
-    if (header("deepsea_mat_enqueue_to_fold_seconds") != nullptr) {
-      uint64_t cumulative = 0;
-      for (size_t b = 0; b < kFiniteBuckets; ++b) {
-        cumulative += m.enqueue_to_fold.buckets[b];
-        out += StrFormat(
-            "deepsea_mat_enqueue_to_fold_seconds_bucket{le=\"%s\"} %llu\n",
-            kBucketLabels[b], static_cast<unsigned long long>(cumulative));
-      }
-      cumulative += m.enqueue_to_fold.buckets[kFiniteBuckets];
-      out += StrFormat(
-          "deepsea_mat_enqueue_to_fold_seconds_bucket{le=\"+Inf\"} %llu\n",
-          static_cast<unsigned long long>(cumulative));
-      out += StrFormat("deepsea_mat_enqueue_to_fold_seconds_sum %s\n",
-                       FormatValue(m.enqueue_to_fold.sum).c_str());
-      out += StrFormat("deepsea_mat_enqueue_to_fold_seconds_count %lld\n",
-                       static_cast<long long>(m.enqueue_to_fold.count));
-    }
   }
   return out;
 }
@@ -981,10 +750,10 @@ bool ParseSampleValue(const std::string& s, double* out) {
     *out = std::numeric_limits<double>::quiet_NaN();
     return true;
   }
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return end != nullptr && *end == '\0';
+  Result<double> v = ParseDouble(s);
+  if (!v.ok()) return false;
+  *out = *v;
+  return true;
 }
 
 struct ParsedSample {

@@ -84,13 +84,6 @@ class MetricsObserver : public EngineObserver {
   static constexpr size_t kExclusiveReasonCount = 9;
   static const char* const kExclusiveReasonNames[kExclusiveReasonCount];
 
-  /// Fixed label set of the per-strategy selection series, in render
-  /// order; indices follow SelectionStrategyKind, names match
-  /// SelectionStrategyName. Only strategies that resolved at least one
-  /// decision are exported.
-  static constexpr size_t kSelectionStrategyCount = 4;
-  static const char* const kSelectionStrategyNames[kSelectionStrategyCount];
-
   MetricsObserver() = default;
   MetricsObserver(const MetricsObserver&) = delete;
   MetricsObserver& operator=(const MetricsObserver&) = delete;
@@ -167,14 +160,10 @@ class MetricsObserver : public EngineObserver {
       int64_t degrades = 0;
       double materialized_bytes = 0.0;
       double evicted_bytes = 0.0;
-      /// Per selection strategy (index into kSelectionStrategyNames):
-      /// decisions resolved, summed benefit scores, local-search swaps,
-      /// clustering merges, and the selection stage's wall latency.
-      std::array<int64_t, kSelectionStrategyCount> selection_decisions{};
-      std::array<double, kSelectionStrategyCount> selection_benefit{};
-      std::array<int64_t, kSelectionStrategyCount> selection_swaps{};
-      std::array<int64_t, kSelectionStrategyCount> selection_merged{};
-      std::array<Histogram, kSelectionStrategyCount> selection_wall{};
+      /// Queries whose selection stage ran, and their summed knapsack
+      /// objective values.
+      int64_t selection_decisions = 0;
+      double selection_benefit = 0.0;
       std::array<Histogram, kStageCount> stage_sim{};
       std::array<Histogram, kStageCount> stage_wall{};
       Histogram query_sim;
@@ -195,29 +184,6 @@ class MetricsObserver : public EngineObserver {
       /// Per commit shard: acquisitions and cumulative hold seconds
       /// (index = shard id; see PoolManager::commit_shard_stats()).
       std::vector<PoolManager::CommitShardStats> commit_shards;
-
-      /// Background materialization service gauges/counters, read from
-      /// the pool's MaterializationService at scrape time. All zero
-      /// (with `configured` false) when the pool runs inline — the
-      /// series are still rendered so the scrape schema does not change
-      /// with the mode.
-      struct Materialization {
-        bool configured = false;  ///< pool has a service (kDrain/kAsync)
-        int64_t queue_depth = 0;
-        double queue_bytes = 0.0;
-        /// Host age of the oldest queued intent (0 when empty).
-        double oldest_age_seconds = 0.0;
-        int64_t submitted = 0;
-        int64_t executed = 0;
-        int64_t failed = 0;
-        int64_t shed = 0;
-        int64_t coalesced = 0;
-        int64_t stale_dropped = 0;
-        double background_sim_seconds = 0.0;
-        /// Host-clock enqueue-to-fold latency of executed jobs.
-        Histogram enqueue_to_fold;
-      };
-      Materialization materialization;
     };
 
     std::map<std::string, Tenant> tenants;  ///< keyed by tenant id
@@ -291,15 +257,8 @@ class MetricsObserver : public EngineObserver {
     std::atomic<int64_t> degrades{0};
     std::atomic<double> materialized_bytes{0.0};
     std::atomic<double> evicted_bytes{0.0};
-    std::array<std::atomic<int64_t>, kSelectionStrategyCount>
-        selection_decisions{};
-    std::array<std::atomic<double>, kSelectionStrategyCount>
-        selection_benefit{};
-    std::array<std::atomic<int64_t>, kSelectionStrategyCount>
-        selection_swaps{};
-    std::array<std::atomic<int64_t>, kSelectionStrategyCount>
-        selection_merged{};
-    std::array<QuerySeries, kSelectionStrategyCount> selection_wall{};
+    std::atomic<int64_t> selection_decisions{0};
+    std::atomic<double> selection_benefit{0.0};
     std::array<StageSeries, kStageCount> stages{};
     QuerySeries query_sim{};
   };

@@ -157,8 +157,9 @@ Result<PlanPtr> BuildNode(const std::vector<Line>& lines, size_t* index,
           if (nums.size() != 4) {
             return Status::InvalidArgument("malformed fragment: " + f);
           }
-          frags.push_back(Interval(std::stod(nums[0]), std::stod(nums[1]),
-                                   nums[2] == "1", nums[3] == "1"));
+          DEEPSEA_ASSIGN_OR_RETURN(double lo, ParseDouble(nums[0]));
+          DEEPSEA_ASSIGN_OR_RETURN(double hi, ParseDouble(nums[1]));
+          frags.push_back(Interval(lo, hi, nums[2] == "1", nums[3] == "1"));
         }
       }
     }

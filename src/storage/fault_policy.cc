@@ -6,22 +6,6 @@
 
 namespace deepsea {
 
-namespace {
-
-/// Thread-local execution scope; kForeground unless a FaultScopeGuard
-/// is active on this thread.
-thread_local FaultScope t_fault_scope = FaultScope::kForeground;
-
-}  // namespace
-
-FaultScope CurrentFaultScope() { return t_fault_scope; }
-
-FaultScopeGuard::FaultScopeGuard(FaultScope scope) : prev_(t_fault_scope) {
-  t_fault_scope = scope;
-}
-
-FaultScopeGuard::~FaultScopeGuard() { t_fault_scope = prev_; }
-
 const char* FsOpName(FsOp op) {
   switch (op) {
     case FsOp::kCreate:
@@ -38,10 +22,8 @@ const char* FsOpName(FsOp op) {
 
 Status ScheduledFaultPolicy::Inject(FsOp op, const std::string& path) {
   ++ops_seen_;
-  const FaultScope scope = CurrentFaultScope();
   for (RuleState& rs : rules_) {
     const FaultRule& r = rs.rule;
-    if (r.scope != FaultScope::kAny && r.scope != scope) continue;
     if (!r.ops.empty() &&
         std::find(r.ops.begin(), r.ops.end(), op) == r.ops.end()) {
       continue;

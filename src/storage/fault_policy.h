@@ -24,36 +24,6 @@ constexpr size_t kFsOpCount = 4;
 
 const char* FsOpName(FsOp op);
 
-/// Execution context of a guarded storage operation: foreground ops run
-/// on a query's critical path (inline decision execution, merge passes,
-/// state restore); background ops run inside a materialization-service
-/// job (worker threads, drains, quiesce). The scope is thread-local,
-/// set by FaultScopeGuard around job execution, so fault rules can
-/// target background storage traffic distinctly from foreground.
-enum class FaultScope {
-  kAny = 0,        ///< rule matcher only: match either scope
-  kForeground,
-  kBackground,
-};
-
-/// The calling thread's current scope (kForeground unless inside a
-/// FaultScopeGuard).
-FaultScope CurrentFaultScope();
-
-/// RAII scope setter (nests; restores the previous scope on exit). The
-/// materialization service brackets job execution with
-/// FaultScopeGuard(FaultScope::kBackground).
-class FaultScopeGuard {
- public:
-  explicit FaultScopeGuard(FaultScope scope);
-  ~FaultScopeGuard();
-  FaultScopeGuard(const FaultScopeGuard&) = delete;
-  FaultScopeGuard& operator=(const FaultScopeGuard&) = delete;
-
- private:
-  FaultScope prev_;
-};
-
 /// Fault-injection seam of SimFs: consulted before every guarded
 /// operation. Returning OK lets the operation proceed; a non-OK status
 /// fails it before any state changes, and the status is what the caller
@@ -63,8 +33,7 @@ class FaultScopeGuard {
 ///
 /// Thread-safety: every SimFs operation holds the file system's
 /// internal mutex while consulting the policy, so Inject calls are
-/// serialized even when sharded commits (or background materialization
-/// workers) run concurrently — implementations need no locking of
+/// serialized even when sharded commits run concurrently — implementations need no locking of
 /// their own, and the injected schedule is a function of the global
 /// guarded-operation order.
 class FaultPolicy {
@@ -89,11 +58,6 @@ class FaultPolicy {
 struct FaultRule {
   std::vector<FsOp> ops;       ///< empty = match every operation kind
   std::string path_substring;  ///< empty = match every path
-  /// Execution scope the rule applies to: kAny matches every guarded
-  /// op; kForeground only ops on a query's critical path; kBackground
-  /// only ops inside materialization-service jobs. Ops in a non-
-  /// matching scope do not advance the rule's match ordinal.
-  FaultScope scope = FaultScope::kAny;
   int64_t every_nth = 0;       ///< fire every Nth matching op (0 = off)
   double probability = 0.0;    ///< fire with this seeded probability
   int64_t after_count = 0;     ///< skip the first `after_count` matches

@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/backoff.h"
 #include "common/math_util.h"
 #include "common/result.h"
 #include "common/rng.h"
@@ -223,78 +222,6 @@ TEST(StrUtilTest, HumanBytes) {
 TEST(StrUtilTest, HumanSeconds) {
   EXPECT_EQ(HumanSeconds(12.34), "12.3 s");
   EXPECT_EQ(HumanSeconds(7200), "2h 00m");
-}
-
-TEST(BackoffTest, DefaultsReturnBaseExactly) {
-  // multiplier 1, no cap, no jitter: the historical fixed backoff.
-  BackoffConfig config;
-  config.base_seconds = 2.5;
-  DeterministicBackoff backoff(config, /*seed=*/42);
-  for (int retry = 0; retry < 10; ++retry) {
-    EXPECT_EQ(backoff.DelaySeconds(retry), 2.5) << retry;
-  }
-}
-
-TEST(BackoffTest, GrowsMonotonicallyUpToCap) {
-  BackoffConfig config;
-  config.base_seconds = 1.0;
-  config.multiplier = 2.0;
-  config.cap_seconds = 10.0;
-  DeterministicBackoff backoff(config, /*seed=*/7);
-  EXPECT_DOUBLE_EQ(backoff.DelaySeconds(0), 1.0);
-  EXPECT_DOUBLE_EQ(backoff.DelaySeconds(1), 2.0);
-  EXPECT_DOUBLE_EQ(backoff.DelaySeconds(2), 4.0);
-  EXPECT_DOUBLE_EQ(backoff.DelaySeconds(3), 8.0);
-  // Capped from retry 4 on, and never decreasing past the cap.
-  EXPECT_DOUBLE_EQ(backoff.DelaySeconds(4), 10.0);
-  double prev = 0.0;
-  for (int retry = 0; retry < 60; ++retry) {
-    const double d = backoff.DelaySeconds(retry);
-    EXPECT_GE(d, prev) << retry;
-    EXPECT_LE(d, 10.0) << retry;
-    prev = d;
-  }
-}
-
-TEST(BackoffTest, JitterStaysWithinFractionAndUnderCapTimesBand) {
-  BackoffConfig config;
-  config.base_seconds = 1.0;
-  config.multiplier = 2.0;
-  config.cap_seconds = 64.0;
-  config.jitter_fraction = 0.2;
-  DeterministicBackoff backoff(config, /*seed=*/99);
-  bool any_jitter = false;
-  for (int retry = 0; retry < 12; ++retry) {
-    const double nominal = std::min(64.0, std::pow(2.0, retry));
-    const double d = backoff.DelaySeconds(retry);
-    EXPECT_GE(d, nominal * 0.8) << retry;
-    EXPECT_LE(d, nominal * 1.2) << retry;
-    if (d != nominal) any_jitter = true;
-  }
-  EXPECT_TRUE(any_jitter);
-}
-
-TEST(BackoffTest, PureAndReplayable) {
-  BackoffConfig config;
-  config.base_seconds = 0.5;
-  config.multiplier = 1.7;
-  config.cap_seconds = 30.0;
-  config.jitter_fraction = 0.3;
-  const DeterministicBackoff a(config, /*seed=*/1234);
-  const DeterministicBackoff b(config, /*seed=*/1234);
-  const DeterministicBackoff c(config, /*seed=*/1235);
-  bool any_seed_difference = false;
-  for (int retry = 0; retry < 16; ++retry) {
-    // Pure in (config, seed, retry): repeated and out-of-order calls
-    // reproduce the schedule bit for bit.
-    EXPECT_EQ(a.DelaySeconds(retry), b.DelaySeconds(retry)) << retry;
-    EXPECT_EQ(a.DelaySeconds(retry), a.DelaySeconds(retry)) << retry;
-    if (a.DelaySeconds(retry) != c.DelaySeconds(retry)) {
-      any_seed_difference = true;
-    }
-  }
-  // Different seeds give different jitter schedules.
-  EXPECT_TRUE(any_seed_difference);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/engine.h"
 #include "plan/signature.h"
 #include "workload/bigbench.h"
@@ -81,6 +82,10 @@ TEST_F(PlanSerdeTest, MalformedInputsRejected) {
   EXPECT_FALSE(DeserializePlan("BOGUS x\n").ok());
   EXPECT_FALSE(DeserializePlan("SELECT (t.a >= 1)\n").ok());  // missing child
   EXPECT_FALSE(DeserializePlan("SCAN a\nSCAN b\n").ok());     // trailing root
+  // Non-numeric fragment bounds: rejected, not thrown.
+  EXPECT_FALSE(
+      DeserializePlan("VIEWREF v1 attr=item_sk frags=x:2:1:1\n").ok());
+  EXPECT_FALSE(DeserializePlan("VIEWREF v1 attr=item_sk frags=:2:1:1\n").ok());
 }
 
 // ---------- engine state persistence ----------
@@ -242,19 +247,60 @@ TEST_F(EngineStateTest, CorruptedStateLeavesEngineUntouched) {
       "DEEPSEA-STATE 2\nCLOCK 99\nVIEW\nPLAN 1\nSCAN no_such_table\n"
       "STATS 1 1 0 0 1\nENDVIEW\n");
 
+  auto expect_untouched = [](const DeepSeaEngine& cold, int64_t clock_before,
+                             const std::string& label) {
+    EXPECT_EQ(cold.PoolBytes(), 0.0) << label;
+    EXPECT_EQ(cold.views().AllViews().size(), 0u) << label;
+    EXPECT_TRUE(cold.fs().List("pool/").empty()) << label;
+    EXPECT_EQ(cold.now(), clock_before) << label;
+  };
   for (const std::string& blob : corrupted) {
     Catalog catalog2;
     ASSERT_TRUE(BigBenchDataset::Generate(DataOptions(), &catalog2).ok());
     DeepSeaEngine cold(&catalog2, opts);
     const int64_t clock_before = cold.now();
     EXPECT_FALSE(cold.LoadState(blob).ok());
-    EXPECT_EQ(cold.PoolBytes(), 0.0);
-    EXPECT_EQ(cold.views().AllViews().size(), 0u);
-    EXPECT_TRUE(cold.fs().List("pool/").empty());
-    EXPECT_EQ(cold.now(), clock_before);
+    expect_untouched(cold, clock_before, blob.substr(0, 40));
     // A good blob still loads afterwards (rejection is stateless).
     EXPECT_TRUE(cold.LoadState(*state).ok());
     EXPECT_NEAR(cold.PoolBytes(), warm.PoolBytes(), warm.PoolBytes() * 1e-9);
+  }
+
+  // Seeded mutation sweep: overwrite a byte, truncate, delete a short
+  // run, or swap a digit. A mutated blob may still be valid and load;
+  // otherwise it must be rejected with the engine untouched — and no
+  // blob may crash the engine.
+  Catalog pristine;
+  ASSERT_TRUE(BigBenchDataset::Generate(DataOptions(), &pristine).ok());
+  Rng rng(12345);
+  for (int m = 0; m < 200; ++m) {
+    std::string blob = *state;
+    const size_t pos = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(blob.size()) - 1));
+    switch (rng.UniformInt(0, 3)) {
+      case 0:
+        blob[pos] = static_cast<char>(rng.UniformInt(0, 255));
+        break;
+      case 1:
+        blob.resize(pos);
+        break;
+      case 2:
+        blob.erase(pos, static_cast<size_t>(rng.UniformInt(1, 16)));
+        break;
+      default: {
+        const size_t d = blob.find_first_of("0123456789", pos);
+        if (d != std::string::npos) {
+          blob[d] = static_cast<char>(
+              '0' + (blob[d] - '0' + rng.UniformInt(1, 9)) % 10);
+        }
+        break;
+      }
+    }
+    Catalog catalog2 = pristine;
+    DeepSeaEngine cold(&catalog2, opts);
+    const int64_t clock_before = cold.now();
+    if (cold.LoadState(blob).ok()) continue;
+    expect_untouched(cold, clock_before, "mutation " + std::to_string(m));
   }
 }
 
