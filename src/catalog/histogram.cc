@@ -20,11 +20,21 @@ int AttributeHistogram::BinIndex(double x) const {
   if (n == 0) return 0;
   const double w = domain_.Width();
   if (w <= 0.0) return 0;
-  const double rel = (x - domain_.lo) / w;
-  int idx = static_cast<int>(rel * n);
-  if (idx < 0) idx = 0;
-  if (idx >= n) idx = n - 1;
-  return idx;
+  // Clamp in double before converting: converting an out-of-range
+  // double to int is undefined (x86 yields INT_MIN, i.e. bin 0).
+  const double pos = (x - domain_.lo) / w * n;
+  if (!(pos > 0.0)) return 0;
+  if (pos >= n - 1) return n - 1;
+  return static_cast<int>(pos);
+}
+
+std::pair<int, int> AttributeHistogram::BinSpan(const Interval& iv) const {
+  // BinIndex and bin_interval round differently, so a point just past
+  // a bin boundary may index the bin before it, or the one after. The
+  // disagreement is a few ulps of one bin width, never a whole bin: a
+  // bin two or more away from an endpoint's bin cannot overlap `iv`.
+  return {std::max(BinIndex(iv.lo) - 1, 0),
+          std::min(BinIndex(iv.hi) + 1, num_bins() - 1)};
 }
 
 void AttributeHistogram::Add(double x, double weight) {
@@ -42,7 +52,8 @@ void AttributeHistogram::AddRange(const Interval& iv, double weight) {
     return;
   }
   const double total_w = inter->Width();
-  for (int i = 0; i < num_bins(); ++i) {
+  const auto [first, last] = BinSpan(*inter);
+  for (int i = first; i <= last; ++i) {
     const double ow = bin_interval(i).OverlapWidth(*inter);
     if (ow > 0.0) counts_[static_cast<size_t>(i)] += weight * ow / total_w;
   }
@@ -62,7 +73,8 @@ double AttributeHistogram::FractionInRange(const Interval& iv) const {
   const auto inter = iv.Intersect(domain_);
   if (!inter.has_value()) return 0.0;
   double mass = 0.0;
-  for (int i = 0; i < num_bins(); ++i) {
+  const auto [first, last] = BinSpan(*inter);
+  for (int i = first; i <= last; ++i) {
     const Interval bi = bin_interval(i);
     const double bw = bi.Width();
     if (bw <= 0.0) continue;

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/interval.h"
@@ -33,6 +34,7 @@ class AttributeHistogram {
   void Add(double x, double weight = 1.0);
 
   /// Adds `weight` observations spread uniformly over `iv ∩ domain`.
+  /// Visits only the bins `iv` can overlap (see BinSpan).
   void AddRange(const Interval& iv, double weight);
 
   /// Count mass in bin i.
@@ -43,7 +45,8 @@ class AttributeHistogram {
 
   /// Fraction of total mass falling inside `iv` (linear interpolation
   /// within partially covered bins). Returns 0 when the histogram is
-  /// empty.
+  /// empty. Visits only the bins `iv` can overlap (see BinSpan), so it
+  /// costs O(bins overlapped), not O(num_bins).
   double FractionInRange(const Interval& iv) const;
 
   /// Estimated absolute mass inside `iv`.
@@ -61,6 +64,11 @@ class AttributeHistogram {
 
  private:
   int BinIndex(double x) const;
+
+  /// The bins [first, last] that `iv` can overlap: the bins of its
+  /// (clamped) endpoints, widened by one on each side to absorb
+  /// rounding.
+  std::pair<int, int> BinSpan(const Interval& iv) const;
 
   Interval domain_{0.0, 1.0};
   std::vector<double> counts_;

@@ -81,7 +81,7 @@ void Table::set_ndv(const std::string& column, double v) {
 }
 
 Status Catalog::Register(TablePtr table) {
-  if (tables_.count(table->name()) > 0) {
+  if (Contains(table->name())) {
     return Status::AlreadyExists("table exists: " + table->name());
   }
   tables_.emplace(table->name(), std::move(table));
@@ -94,8 +94,9 @@ void Catalog::Put(TablePtr table) {
 
 Result<TablePtr> Catalog::Get(const std::string& name) const {
   auto it = tables_.find(name);
-  if (it == tables_.end()) return Status::NotFound("no such table: " + name);
-  return it->second;
+  if (it != tables_.end()) return it->second;
+  if (parent_ != nullptr) return parent_->Get(name);
+  return Status::NotFound("no such table: " + name);
 }
 
 Status Catalog::Drop(const std::string& name) {
@@ -103,16 +104,22 @@ Status Catalog::Drop(const std::string& name) {
   return Status::OK();
 }
 
+std::map<std::string, TablePtr> Catalog::VisibleTables() const {
+  if (parent_ == nullptr) return tables_;
+  std::map<std::string, TablePtr> out = parent_->VisibleTables();
+  for (const auto& [name, t] : tables_) out.insert_or_assign(name, t);
+  return out;
+}
+
 std::vector<std::string> Catalog::TableNames() const {
   std::vector<std::string> out;
-  out.reserve(tables_.size());
-  for (const auto& [name, _] : tables_) out.push_back(name);
+  for (const auto& [name, _] : VisibleTables()) out.push_back(name);
   return out;
 }
 
 double Catalog::TotalLogicalBytes() const {
   double total = 0.0;
-  for (const auto& [_, t] : tables_) total += t->logical_bytes();
+  for (const auto& [_, t] : VisibleTables()) total += t->logical_bytes();
   return total;
 }
 

@@ -89,32 +89,62 @@ class Table {
 using TablePtr = std::shared_ptr<Table>;
 
 /// Name -> table registry shared by the planner, executor and DeepSea
-/// core. Not thread-safe (the simulator is single-threaded by design for
-/// determinism).
+/// core.
+///
+/// No internal locking. A catalog shared by a pool's engines is written
+/// only inside a commit section: under the pool's exclusive (X) commit
+/// lock, or by a sharded commit's delta fold with the pool's catalog
+/// mutex held exclusively (PoolManager::FoldDeltaAndRemap). It is read
+/// under the pool's shared lock (planning), under the catalog mutex in
+/// shared mode (a sharded commit's apply and estimates), or under X. A
+/// catalog private to one thread (tests, examples, a PlanningDelta's
+/// planning overlay) needs no lock of its own.
 class Catalog {
  public:
-  /// Registers a table; fails with AlreadyExists on name collision.
+  Catalog() = default;
+
+  /// A read-through overlay of `parent`: Get and Contains fall back to
+  /// the parent, Put and Drop stay local, so a local Put shadows a
+  /// parent table and the parent never changes through the overlay.
+  /// The overlay holds no lock: reading through it reads the parent,
+  /// which is legal only where the parent's locking rule (above) allows
+  /// a read. For a PlanningDelta's planning catalog that is while the
+  /// planner holds PoolManager::SharedLock(), or inside
+  /// PlanningDelta::Fold.
+  explicit Catalog(const Catalog* parent) : parent_(parent) {}
+
+  /// Registers a table; fails with AlreadyExists on name collision
+  /// (including with a parent's table).
   Status Register(TablePtr table);
 
   /// Replaces or inserts a table unconditionally (used for materialized
   /// view sample tables, which may be refreshed).
   void Put(TablePtr table);
 
-  /// Fails with NotFound when absent.
+  /// Fails with NotFound when absent (locally and in the parent).
   Result<TablePtr> Get(const std::string& name) const;
 
   bool Contains(const std::string& name) const {
-    return tables_.count(name) > 0;
+    return tables_.count(name) > 0 ||
+           (parent_ != nullptr && parent_->Contains(name));
   }
 
+  /// Removes a local table; fails with NotFound when the name is not
+  /// local. A parent's table is never removed (nor hidden).
   Status Drop(const std::string& name);
 
+  /// Every visible name, sorted: local tables plus the parent's.
   std::vector<std::string> TableNames() const;
 
-  /// Total logical bytes across all registered tables.
+  /// Total logical bytes across all visible tables (a local table
+  /// counts instead of the parent table it shadows).
   double TotalLogicalBytes() const;
 
  private:
+  /// Every visible table by name, local entries shadowing the parent's.
+  std::map<std::string, TablePtr> VisibleTables() const;
+
+  const Catalog* parent_ = nullptr;
   std::map<std::string, TablePtr> tables_;
 };
 

@@ -16,9 +16,13 @@ int MleFragmentModel::ChoosePartCount(const std::vector<FragmentStats>& fragment
     const double w = f.interval.Width();
     if (w > 0.0) min_frag_width = std::min(min_frag_width, w);
   }
-  int parts = cfg_.target_parts;
-  const int needed = static_cast<int>(std::ceil(domain_width / min_frag_width));
-  parts = std::max(parts, needed);
+  // Cap in double before converting: a sliver fragment makes the ratio
+  // exceed INT_MAX, and an out-of-range double -> int conversion is
+  // undefined (x86 yields INT_MIN, silently dropping the cap).
+  const double needed =
+      std::min(std::ceil(domain_width / min_frag_width),
+               static_cast<double>(cfg_.max_parts));
+  int parts = std::max(cfg_.target_parts, static_cast<int>(needed));
   parts = std::min(parts, cfg_.max_parts);
   return std::max(parts, 1);
 }
@@ -97,13 +101,20 @@ MleFragmentModel::AdjustedHits MleFragmentModel::Adjust(
       }
     }
   };
+  // Only the in-window suffix of each hit list is replayed: hits in the
+  // certified timed-out prefix weigh exactly 0.0, which spread_hit
+  // skips anyway.
+  auto spread_live_hits = [&](const Interval& iv, const FragmentStats& f) {
+    const std::vector<FragmentHit>& hits = f.hits();
+    for (size_t h = f.LiveHitsBegin(t_now, dec); h < hits.size(); ++h) {
+      spread_hit(iv, hits[h]);
+    }
+  };
   for (size_t i = 0; i < fragments.size(); ++i) {
     if (frag_hits[i] <= 0.0) continue;
     const Interval& iv = fragments[i].interval;
-    if (const FragmentStats* base = base_of(i)) {
-      for (const FragmentHit& hit : base->hits()) spread_hit(iv, hit);
-    }
-    for (const FragmentHit& hit : fragments[i].hits()) spread_hit(iv, hit);
+    if (const FragmentStats* base = base_of(i)) spread_live_hits(iv, *base);
+    spread_live_hits(iv, fragments[i]);
   }
 
   // MLE Normal fit over part midpoints weighted by part hits.

@@ -64,6 +64,9 @@ class MleFragmentModel {
   /// base holds the history. Hits are then evaluated base-first, local
   /// second — the order a folded in-place fragment stores them — so the
   /// fit is bit-identical to running Adjust after the fold.
+  ///
+  /// Each hit list is replayed from FragmentStats::LiveHitsBegin, so a
+  /// fit costs O(in-window hits), not O(every hit ever recorded).
   AdjustedHits Adjust(const std::vector<FragmentStats>& fragments,
                       const Interval& domain, double t_now,
                       const DecayFunction& dec,

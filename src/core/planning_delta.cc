@@ -22,7 +22,7 @@ PlanningDelta::PlanningDelta(const Catalog& shared_catalog,
     : t_now_(t_now),
       shared_views_(shared_views),
       reservation_(reservation),
-      planning_catalog_(shared_catalog) {}
+      planning_catalog_(&shared_catalog) {}
 
 // --- view overlay ---------------------------------------------------
 

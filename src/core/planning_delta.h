@@ -105,18 +105,25 @@ class ViewIdReservation {
 ///    additions, in the exact order, the folded evaluation performs.
 ///    (Never base_sum + local_sum: FP addition is not associative.)
 ///
-///  * A planning catalog. A (shallow, shared_ptr-map) copy of the real
-///    Catalog at construction. New view tables are Put here immediately
-///    and deferred for the real catalog; histogram attachments to
-///    *shared* tables clone the table first so concurrent planners
-///    never observe a mutation.
+///  * A planning catalog: a read-through overlay of the real Catalog
+///    (O(1) to build, whatever the catalog's size). New view tables are
+///    Put into the overlay immediately and deferred for the real
+///    catalog; histogram attachments to *shared* tables clone the table
+///    into the overlay first, so concurrent planners never observe a
+///    mutation. The overlay reads the real catalog live, so it may be
+///    read only where nothing can write the real catalog: while the
+///    planner holds PoolManager::SharedLock() (which excludes every
+///    IX/X commit, so no fold can run), or inside Fold (the pool's
+///    catalog mutex held exclusively, or X held).
 ///
 /// Fold is idempotent (a retried Apply after a rolled-back commit must
 /// not double-append) and runs before the commit's transaction begins,
 /// so a rollback never undoes it.
 class PlanningDelta {
  public:
-  /// Snapshots the planning catalog. `shared_views` is only read during
+  /// Layers the planning catalog over `shared_catalog`, which must
+  /// outlive the delta and may be read through the overlay only as the
+  /// class comment says. `shared_views` is only read during
   /// planning; Fold mutates it. With a `reservation`, TrackView names
   /// new candidates with placeholder ids (no counter read) and Fold
   /// assigns the final catalog ids in commit order; without one it

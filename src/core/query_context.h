@@ -62,7 +62,7 @@ class QueryContext {
   int64_t clock() const { return clock_; }
   double t_now() const { return static_cast<double>(clock_); }
 
-  /// Creates this query's PlanningDelta over a snapshot of the shared
+  /// Creates this query's PlanningDelta over an overlay of the shared
   /// catalog and the shared view registry. Must be called (under the
   /// pool's shared or exclusive commit lock) before the pipeline stages
   /// run: the stages buffer every statistics/catalog write here instead

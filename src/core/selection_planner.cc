@@ -83,13 +83,13 @@ SelectionResolution SelectionPlanner::PlanSelection(const QueryContext& ctx,
             }
           }
         }
-        FragmentStats* fstat = delta->TrackFragment(
-            part, iv, FragmentBytes(*pcat, *v, attr, iv, part));
+        const double bytes = FragmentBytes(*pcat, *v, attr, iv, part);
+        FragmentStats* fstat = delta->TrackFragment(part, iv, bytes);
         if (fstat->hits().empty() && !inherited.empty()) {
           fstat->AdoptHits(std::move(inherited));
         }
         if (fstat->materialized) continue;
-        fstat->size_bytes = FragmentBytes(*pcat, *v, attr, iv, part);
+        fstat->size_bytes = bytes;
         // H(I) is computed once here and reused both by the top-up
         // filter and (through the adjusted-hits override) by the value
         // ranking below — FragmentValue would otherwise replay the same

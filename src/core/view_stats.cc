@@ -97,13 +97,16 @@ double FragmentStats::DecayedHits(double t_now, const DecayFunction& dec) const 
   // Decay off: every hit weighs exactly 1.0 and the naive accumulator
   // counts up by exact integers, so the cardinality is bit-identical.
   if (!dec.config().enabled) return static_cast<double>(hits_.size());
-  const size_t begin =
-      CursorValid(dec, t_now, win_t_, win_tmax_) ? win_begin_ : 0;
   double acc = 0.0;
-  for (size_t i = begin; i < hits_.size(); ++i) {
+  for (size_t i = LiveHitsBegin(t_now, dec); i < hits_.size(); ++i) {
     acc += dec(t_now, hits_[i].time);
   }
   return acc;
+}
+
+size_t FragmentStats::LiveHitsBegin(double t_now,
+                                    const DecayFunction& dec) const {
+  return CursorValid(dec, t_now, win_t_, win_tmax_) ? win_begin_ : 0;
 }
 
 double FragmentStats::DecayedHitsNaive(double t_now,

@@ -191,6 +191,13 @@ struct FragmentStats {
   /// Decayed hit count H(I) = sum over hits of DEC(t_now, t).
   double DecayedHits(double t_now, const DecayFunction& dec) const;
 
+  /// Index of the first hit an evaluation at (t_now, dec) must visit:
+  /// the end of the certified timed-out prefix when the cursor is valid
+  /// for that evaluation, else 0. Every hit before it weighs exactly
+  /// DEC(t_now, t) == 0.0, so replays (DecayedHits, the MLE spread)
+  /// may start here and stay bit-identical to a full replay.
+  size_t LiveHitsBegin(double t_now, const DecayFunction& dec) const;
+
   /// H(I) restricted to one tenant's hits.
   double DecayedHitsForTenant(double t_now, const DecayFunction& dec,
                               int32_t tenant) const;
