@@ -303,16 +303,18 @@ Result<QueryReport> DeepSeaEngine::ProcessQuery(const PlanPtr& query) {
     // while the delta is still unfolded — Fold clears the structural
     // buffers the has_* probes read.
     const PlanningDelta& d = *ctx->delta();
+    const ExclusiveReason reason =
+        options_.merge.enabled        ? ExclusiveReason::kMerge
+        : decision_evicts             ? ExclusiveReason::kEviction
+        : options_.physical_execution ? ExclusiveReason::kPhysical
+        : d.has_new_views()           ? ExclusiveReason::kNewView
+        : d.has_deferred_puts()       ? ExclusiveReason::kCatalogPut
+        : d.has_deferred_index()      ? ExclusiveReason::kIndexInsert
+        : d.has_attach_ops()          ? ExclusiveReason::kAttach
+        : report.replanned            ? ExclusiveReason::kReplan
+                                      : ExclusiveReason::kOther;
     report.exclusive_reason =
-        options_.merge.enabled        ? "merge"
-        : decision_evicts             ? "eviction"
-        : options_.physical_execution ? "physical"
-        : d.has_new_views()           ? "new_view"
-        : d.has_deferred_puts()       ? "catalog_put"
-        : d.has_deferred_index()      ? "index_insert"
-        : d.has_attach_ops()          ? "attach"
-        : report.replanned            ? "replan"
-                                      : "other";
+        kExclusiveReasonNames[static_cast<size_t>(reason)];
   }
 
   if (!sharded && !options_.merge.enabled) {
@@ -378,28 +380,7 @@ Result<QueryReport> DeepSeaEngine::ProcessQuery(const PlanPtr& query) {
     stage.Finish(0.0);
   }
 
-  totals_.faults += report.fault_count;
-  totals_.retries += report.retry_count;
-  if (report.degraded) totals_.queries_degraded += 1;
-  if (report.replanned) totals_.replans += 1;
-  if (report.replan_conflict) totals_.replans_conflict += 1;
-  if (report.replan_spurious) totals_.replans_spurious += 1;
-  if (sharded) {
-    totals_.commits_sharded += 1;
-  } else {
-    totals_.commits_exclusive += 1;
-  }
-  totals_.total_seconds += report.total_seconds;
-  totals_.base_seconds += report.base_seconds;
-  totals_.materialize_seconds += report.materialize_seconds;
-  totals_.map_tasks += report.map_tasks;
-  totals_.queries += 1;
-  totals_.views_created += static_cast<int64_t>(report.created_views.size());
-  totals_.fragments_created += report.created_fragments;
-  totals_.fragments_evicted += report.evicted_fragments;
-  totals_.fragments_merged += report.merged_fragments;
-  totals_.selection_benefit += report.selection_benefit;
-  if (!report.used_view.empty()) totals_.queries_answered_from_views += 1;
+  totals_.Add(report);
   if (observer_ != nullptr) observer_->OnQueryEnd(report);
   return report;
 }
@@ -442,6 +423,7 @@ void DeepSeaEngine::ExecuteDecision(const SelectionDecision& decision,
     report->retry_count = retries;
     report->materialize_seconds += backoff_seconds;
     report->degraded = true;
+    ++report->degrade_count;
     if (!report->fault_view.empty()) {
       pool_->RecordViewFault(report->fault_view, t_now);
     }
@@ -482,6 +464,7 @@ double DeepSeaEngine::ExecuteMergePass(const QueryContext& ctx,
     report->fault_count = faults;
     report->retry_count = retries;
     report->degraded = true;
+    ++report->degrade_count;
     if (observer_ != nullptr) {
       observer_->OnDegrade(EngineStage::kMerge, "", seconds.status(), tenant_);
     }

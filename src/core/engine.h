@@ -78,9 +78,11 @@ namespace deepsea {
 /// during a query are stamped with the tenant's interned ordinal for
 /// per-tenant benefit attribution.
 ///
-/// An EngineObserver can be attached to watch stage boundaries and pool
-/// mutations (see core/engine_observer.h); with no observer attached
-/// the pipeline pays no timing overhead.
+/// An EngineObserver can be attached to watch stage boundaries, each
+/// query's report and the pieces evicted from the pool (see
+/// core/engine_observer.h); with no observer attached the pipeline pays
+/// no timing overhead. totals() is the fold of every report returned
+/// (EngineTotals::Add).
 class DeepSeaEngine {
  public:
   /// Single-tenant engine owning a private pool. `catalog` must outlive
@@ -123,9 +125,9 @@ class DeepSeaEngine {
 
   /// Attaches an observer to the pipeline (nullptr detaches). The
   /// observer must outlive the engine or be detached before it dies.
-  /// Pool-mutation events reach the observer only for commits made by
-  /// THIS engine (each commit carries its tenant's observer), so two
-  /// tenants with separate observers do not see each other's events.
+  /// OnEvict events reach the observer only for commits made by THIS
+  /// engine (each commit carries its tenant's observer), so two tenants
+  /// with separate observers do not see each other's events.
   void set_observer(EngineObserver* observer) { observer_ = observer; }
   EngineObserver* observer() const { return observer_; }
 

@@ -37,37 +37,11 @@ void MulticastObserver::OnStageEnd(EngineStage stage, const QueryContext& ctx,
   }
 }
 
-void MulticastObserver::OnMaterializeView(const ViewInfo& view,
-                                          double sim_seconds,
-                                          const std::string& tenant) {
-  for (EngineObserver* s : sinks_) {
-    s->OnMaterializeView(view, sim_seconds, tenant);
-  }
-}
-
-void MulticastObserver::OnMaterializeFragment(const ViewInfo& view,
-                                              const std::string& attr,
-                                              const Interval& interval,
-                                              double bytes,
-                                              const std::string& tenant) {
-  for (EngineObserver* s : sinks_) {
-    s->OnMaterializeFragment(view, attr, interval, bytes, tenant);
-  }
-}
-
 void MulticastObserver::OnEvict(const ViewInfo& view, const std::string& attr,
                                 const Interval& interval, double bytes,
                                 const std::string& tenant) {
   for (EngineObserver* s : sinks_) {
     s->OnEvict(view, attr, interval, bytes, tenant);
-  }
-}
-
-void MulticastObserver::OnMerge(const ViewInfo& view, const std::string& attr,
-                                const Interval& merged, double bytes,
-                                const std::string& tenant) {
-  for (EngineObserver* s : sinks_) {
-    s->OnMerge(view, attr, merged, bytes, tenant);
   }
 }
 

@@ -27,10 +27,26 @@ enum class EngineStage {
 
 const char* EngineStageName(EngineStage stage);
 
-/// Observation seam of the query pipeline. The engine (and its
-/// PoolManager) invoke these hooks at stage boundaries and on every
-/// pool mutation. Implementations must not mutate engine state; all
-/// arguments are only valid for the duration of the call.
+/// Observation seam of the query pipeline: eight hooks. The engine
+/// invokes them at query and stage boundaries (OnQueryStart,
+/// OnStageStart, OnStageEnd, OnQueryEnd) and on fault handling
+/// (OnFault, OnRetry, OnDegrade); its PoolManager invokes OnEvict for
+/// every piece that leaves the pool. Implementations must not mutate
+/// engine state; all arguments are only valid for the duration of the
+/// call.
+///
+/// Counters come from OnQueryEnd's report: the QueryReport is the only
+/// record of what a query did (pieces and bytes materialized and
+/// evicted, merges, faults, retries, degrades, commit path), and
+/// EngineTotals::Add is the one fold that turns it into counters. The
+/// other hooks carry what a report does not: stage timings, the
+/// evicted paths, and the fault-event sequence. A query whose
+/// ProcessQuery returns an error has no report: OnQueryEnd does not
+/// fire and nothing is folded. The one such error raised after the
+/// commit has changed the pool is a failed physical execution
+/// (EngineOptions::physical_execution): the pieces Apply and the merge
+/// pass committed stay in or out of the pool and their OnEvict calls
+/// have fired, but no counter sees them.
 ///
 /// Tenancy: every hook identifies the tenant whose query triggered it —
 /// either explicitly (`tenant` parameter, "" for a single-tenant
@@ -41,15 +57,15 @@ const char* EngineStageName(EngineStage stage);
 ///    that call.
 ///  * OnQueryStart and the planning stage hooks (kRewrite/kCandidates/
 ///    kSelection) fire while planning holds the pool lock in shared
-///    mode. The pool-mutation hooks (OnMaterialize*/OnEvict/OnMerge/
-///    OnFault/OnRetry/OnDegrade), the kApply/kMerge/kPhysical stage
-///    hooks and OnQueryEnd fire inside that query's commit — which may
-///    be a sharded commit, running concurrently with other tenants'
-///    commits on disjoint shards. No hook is serialized across engines.
+///    mode. OnEvict, the fault hooks (OnFault/OnRetry/OnDegrade), the
+///    kApply/kMerge/kPhysical stage hooks and OnQueryEnd fire inside
+///    that query's commit — which may be a sharded commit, running
+///    concurrently with other tenants' commits on disjoint shards. No
+///    hook is serialized across engines.
 ///  * So an observer shared across engines must make every hook
-///    thread-safe, as MetricsObserver does (per-tenant shards of
-///    relaxed atomics). One observer per engine, or an external
-///    turnstile as in tests/multitenant_harness.h, needs nothing.
+///    thread-safe, as MetricsObserver does (one mutex per tenant slot).
+///    One observer per engine, or an external turnstile as in
+///    tests/multitenant_harness.h, needs nothing.
 ///  * When read-set validation fails and the engine replans under the
 ///    exclusive lock, the planning stage hooks fire a second time for
 ///    the same query (OnQueryStart does not repeat); per-stage
@@ -88,48 +104,21 @@ class EngineObserver {
     (void)wall_seconds;
   }
 
-  /// A whole view (NP-style) or initial partitioned creation entered the
-  /// pool; `sim_seconds` is the charged materialization time. `tenant`
-  /// is the tenant whose commit performed the mutation.
-  virtual void OnMaterializeView(const ViewInfo& view, double sim_seconds,
-                                 const std::string& tenant) {
-    (void)view;
-    (void)sim_seconds;
-    (void)tenant;
-  }
-  /// One fragment entered the pool (initial fragment or refinement).
-  virtual void OnMaterializeFragment(const ViewInfo& view,
-                                     const std::string& attr,
-                                     const Interval& interval, double bytes,
-                                     const std::string& tenant) {
-    (void)view;
-    (void)attr;
-    (void)interval;
-    (void)bytes;
-    (void)tenant;
-  }
   /// A fragment left the pool. `attr` is empty for whole-view eviction.
   /// Fired for policy evictions and also for parents removed by
-  /// horizontal splits and merge passes. `tenant` is the committing
-  /// tenant (whose reconfiguration displaced the content), not
-  /// necessarily the tenant that earned the evicted fragment its hits —
-  /// use FragmentStats::DecayedHitsByTenant to see who loses coverage.
+  /// horizontal splits and merge passes — once per piece the query's
+  /// report counts in evicted_fragments. Fired at the commit of the
+  /// decision transaction, so a rolled-back attempt fires none. `tenant`
+  /// is the committing tenant (whose reconfiguration displaced the
+  /// content), not necessarily the tenant that earned the evicted
+  /// fragment its hits — use FragmentStats::DecayedHitsByTenant to see
+  /// who loses coverage.
   virtual void OnEvict(const ViewInfo& view, const std::string& attr,
                        const Interval& interval, double bytes,
                        const std::string& tenant) {
     (void)view;
     (void)attr;
     (void)interval;
-    (void)bytes;
-    (void)tenant;
-  }
-  /// Two adjacent fragments were merged into `merged` (Section 11).
-  virtual void OnMerge(const ViewInfo& view, const std::string& attr,
-                       const Interval& merged, double bytes,
-                       const std::string& tenant) {
-    (void)view;
-    (void)attr;
-    (void)merged;
     (void)bytes;
     (void)tenant;
   }
@@ -198,16 +187,8 @@ class MulticastObserver : public EngineObserver {
   void OnStageStart(EngineStage stage, const QueryContext& ctx) override;
   void OnStageEnd(EngineStage stage, const QueryContext& ctx,
                   double sim_seconds, double wall_seconds) override;
-  void OnMaterializeView(const ViewInfo& view, double sim_seconds,
-                         const std::string& tenant) override;
-  void OnMaterializeFragment(const ViewInfo& view, const std::string& attr,
-                             const Interval& interval, double bytes,
-                             const std::string& tenant) override;
   void OnEvict(const ViewInfo& view, const std::string& attr,
                const Interval& interval, double bytes,
-               const std::string& tenant) override;
-  void OnMerge(const ViewInfo& view, const std::string& attr,
-               const Interval& merged, double bytes,
                const std::string& tenant) override;
   void OnFault(EngineStage stage, const std::string& view_id,
                const Status& status, int attempt,

@@ -1,6 +1,8 @@
 #ifndef DEEPSEA_CORE_ENGINE_OPTIONS_H_
 #define DEEPSEA_CORE_ENGINE_OPTIONS_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -114,7 +116,33 @@ struct EngineOptions {
   double candidate_snap_fraction = 0.005;
 };
 
-/// Per-query outcome of ProcessQuery.
+/// Why a commit took the exclusive (X) path, in the engine's order of
+/// precedence: merge (merge pass enabled), eviction (decision evicts
+/// inline), physical (physical execution mutates the relational
+/// catalog), new_view / catalog_put / index_insert / attach (a replanned
+/// commit carrying that structural content), replan (replanned, no
+/// structural content), other. kExclusiveReasonNames spells each one
+/// as QueryReport::exclusive_reason and the metrics labels carry it.
+enum class ExclusiveReason {
+  kMerge,
+  kEviction,
+  kPhysical,
+  kNewView,
+  kCatalogPut,
+  kIndexInsert,
+  kAttach,
+  kReplan,
+  kOther,
+};
+inline constexpr size_t kExclusiveReasonCount =
+    static_cast<size_t>(ExclusiveReason::kOther) + 1;
+inline constexpr const char* kExclusiveReasonNames[kExclusiveReasonCount] = {
+    "merge",        "eviction", "physical", "new_view", "catalog_put",
+    "index_insert", "attach",   "replan",   "other"};
+
+/// Per-query outcome of ProcessQuery: the only record of what a query
+/// did. Every counter in EngineTotals, MetricsObserver and
+/// TraceObserver is folded from these reports (EngineTotals::Add).
 struct QueryReport {
   /// Position of this query in the pool's total commit order (equals
   /// the engine-local query count for a single-tenant engine).
@@ -145,15 +173,10 @@ struct QueryReport {
   /// Exactly one of the two is set when `replanned` is.
   bool replan_spurious = false;
   /// Why this commit took the exclusive (X) path ("" = it committed
-  /// sharded). One of: "merge" (merge pass enabled), "eviction"
-  /// (decision evicts inline), "physical" (physical execution mutates
-  /// the relational catalog), "new_view" / "catalog_put" /
-  /// "index_insert" / "attach" (a replanned commit carrying that
-  /// structural content — precedence in that order), "replan"
-  /// (replanned, no structural content), "other". Since structural
-  /// planning writes commit sharded by default, the structural reasons
-  /// identify replan-forced exclusive commits that also create views —
-  /// they should stay near zero on a healthy workload.
+  /// sharded): one of kExclusiveReasonNames. Since structural planning
+  /// writes commit sharded by default, the structural reasons identify
+  /// replan-forced exclusive commits that also create views — they
+  /// should stay near zero on a healthy workload.
   std::string exclusive_reason;
 
   std::string used_view;             ///< view answering the query ("" = none)
@@ -161,8 +184,15 @@ struct QueryReport {
   int64_t map_tasks = 0;             ///< map tasks of the executed plan
   std::vector<std::string> created_views;
   int created_fragments = 0;
+  /// Pieces (fragments or whole views) that left the pool: policy
+  /// evictions, parents split by horizontal refinement, and parents
+  /// replaced by a merge.
   int evicted_fragments = 0;
   int merged_fragments = 0;          ///< merge-pass merges this query
+  /// Bytes written into the pool (views, fragments, merged fragments)
+  /// and bytes of the pieces that left it.
+  double materialized_bytes = 0.0;
+  double evicted_bytes = 0.0;
   double pool_bytes_after = 0.0;
 
   // --- fault handling (all zero on a fault-free query) ---
@@ -172,6 +202,9 @@ struct QueryReport {
   int fault_count = 0;
   /// Rolled-back attempts that were retried (transient faults only).
   int retry_count = 0;
+  /// Decisions abandoned after their faults: 1 for a degraded Apply,
+  /// 1 more for a degraded merge pass.
+  int degrade_count = 0;
   /// True when a decision was abandoned: the query was still answered,
   /// from the best rewriting over already-materialized state (or base
   /// tables), but the planned pool reconfiguration did not happen.
@@ -197,7 +230,10 @@ struct QueryReport {
   int selection_candidates = 0;
 };
 
-/// Aggregate counters across a workload run.
+/// Aggregate counters across a workload run: the fold of QueryReports.
+/// Add is the only code that turns a report into counters; the engine,
+/// MetricsObserver (per tenant) and TraceObserver (per tenant) all apply
+/// it, so their totals over the same reports compare equal.
 struct EngineTotals {
   double total_seconds = 0.0;
   double base_seconds = 0.0;
@@ -206,18 +242,30 @@ struct EngineTotals {
   int64_t queries = 0;
   int64_t views_created = 0;
   int64_t fragments_created = 0;
-  int64_t fragments_evicted = 0;
+  int64_t fragments_evicted = 0;  ///< pieces that left the pool
   int64_t fragments_merged = 0;
+  int64_t fragments_read = 0;     ///< fragments read by chosen rewritings
   int64_t queries_answered_from_views = 0;
+  double materialized_bytes = 0.0;
+  double evicted_bytes = 0.0;
   int64_t faults = 0;             ///< failed decision-execution attempts
   int64_t retries = 0;            ///< transient-fault retries
+  int64_t degrades = 0;           ///< abandoned Apply / merge passes
   int64_t queries_degraded = 0;   ///< queries whose decision was abandoned
   int64_t replans = 0;            ///< queries replanned under the X lock
   int64_t replans_conflict = 0;   ///< ... due to a genuine read-set conflict
   int64_t replans_spurious = 0;   ///< ... due to epoch-table coverage loss
   int64_t commits_sharded = 0;    ///< commits on the sharded (IX) path
   int64_t commits_exclusive = 0;  ///< commits on the exclusive (X) path
-  double selection_benefit = 0.0; ///< summed knapsack objective values
+  /// Exclusive commits by reason (index into kExclusiveReasonNames).
+  std::array<int64_t, kExclusiveReasonCount> commits_exclusive_by_reason{};
+  int64_t selection_decisions = 0;  ///< queries whose selection stage ran
+  double selection_benefit = 0.0;   ///< summed knapsack objective values
+
+  /// Folds one processed query into the counters.
+  void Add(const QueryReport& report);
+  EngineTotals& operator+=(const EngineTotals& other);
+  bool operator==(const EngineTotals& other) const = default;
 };
 
 }  // namespace deepsea

@@ -535,23 +535,7 @@ void PoolManager::TxnCommit() {
   ctx.txn_active = false;
   if (ctx.observer != nullptr) {
     for (const TxnEvent& e : ctx.txn_events) {
-      switch (e.kind) {
-        case TxnEvent::Kind::kMaterializeView:
-          ctx.observer->OnMaterializeView(*e.view, e.value, ctx.tenant);
-          break;
-        case TxnEvent::Kind::kMaterializeFragment:
-          ctx.observer->OnMaterializeFragment(*e.view, e.attr, e.interval,
-                                              e.value, ctx.tenant);
-          break;
-        case TxnEvent::Kind::kEvict:
-          ctx.observer->OnEvict(*e.view, e.attr, e.interval, e.value,
-                                ctx.tenant);
-          break;
-        case TxnEvent::Kind::kMerge:
-          ctx.observer->OnMerge(*e.view, e.attr, e.interval, e.value,
-                                ctx.tenant);
-          break;
-      }
+      ctx.observer->OnEvict(*e.view, e.attr, e.interval, e.bytes, ctx.tenant);
     }
   }
   ctx.txn_events.clear();
@@ -611,9 +595,14 @@ void PoolManager::TxnSnapshotView(ViewInfo* view) {
   ctx.txn_views.push_back(std::move(img));
 }
 
-Status PoolManager::TxnPut(const std::string& path, double bytes) {
+Status PoolManager::TxnPut(const std::string& path, double bytes,
+                           QueryReport* report) {
   CommitCtx& ctx = Ctx();
-  if (!ctx.txn_active) return fs_.Put(path, bytes);
+  if (!ctx.txn_active) {
+    DEEPSEA_RETURN_IF_ERROR(fs_.Put(path, bytes));
+    report->materialized_bytes += bytes;
+    return Status::OK();
+  }
   bool have = false;
   for (const TxnFileImage& img : ctx.txn_files) {
     if (img.path == path) {
@@ -630,6 +619,7 @@ Status PoolManager::TxnPut(const std::string& path, double bytes) {
   }
   DEEPSEA_RETURN_IF_ERROR(fs_.Put(path, bytes));
   if (!have) ctx.txn_files.push_back(std::move(img));
+  report->materialized_bytes += bytes;
   return Status::OK();
 }
 
@@ -655,72 +645,18 @@ Status PoolManager::TxnDelete(const std::string& path) {
   return Status::OK();
 }
 
-void PoolManager::NotifyMaterializeView(const ViewInfo* view,
-                                        double sim_seconds) {
+void PoolManager::RecordEviction(const ViewInfo* view, const std::string& attr,
+                                 const Interval& interval, double bytes,
+                                 QueryReport* report) {
+  ++report->evicted_fragments;
+  report->evicted_bytes += bytes;
   CommitCtx& ctx = Ctx();
   if (ctx.observer == nullptr) return;
   if (ctx.txn_active) {
-    TxnEvent e;
-    e.kind = TxnEvent::Kind::kMaterializeView;
-    e.view = view;
-    e.value = sim_seconds;
-    ctx.txn_events.push_back(std::move(e));
-    return;
-  }
-  ctx.observer->OnMaterializeView(*view, sim_seconds, ctx.tenant);
-}
-
-void PoolManager::NotifyMaterializeFragment(const ViewInfo* view,
-                                            const std::string& attr,
-                                            const Interval& interval,
-                                            double bytes) {
-  CommitCtx& ctx = Ctx();
-  if (ctx.observer == nullptr) return;
-  if (ctx.txn_active) {
-    TxnEvent e;
-    e.kind = TxnEvent::Kind::kMaterializeFragment;
-    e.view = view;
-    e.attr = attr;
-    e.interval = interval;
-    e.value = bytes;
-    ctx.txn_events.push_back(std::move(e));
-    return;
-  }
-  ctx.observer->OnMaterializeFragment(*view, attr, interval, bytes, ctx.tenant);
-}
-
-void PoolManager::NotifyEvict(const ViewInfo* view, const std::string& attr,
-                              const Interval& interval, double bytes) {
-  CommitCtx& ctx = Ctx();
-  if (ctx.observer == nullptr) return;
-  if (ctx.txn_active) {
-    TxnEvent e;
-    e.kind = TxnEvent::Kind::kEvict;
-    e.view = view;
-    e.attr = attr;
-    e.interval = interval;
-    e.value = bytes;
-    ctx.txn_events.push_back(std::move(e));
+    ctx.txn_events.push_back(TxnEvent{view, attr, interval, bytes});
     return;
   }
   ctx.observer->OnEvict(*view, attr, interval, bytes, ctx.tenant);
-}
-
-void PoolManager::NotifyMerge(const ViewInfo* view, const std::string& attr,
-                              const Interval& merged, double bytes) {
-  CommitCtx& ctx = Ctx();
-  if (ctx.observer == nullptr) return;
-  if (ctx.txn_active) {
-    TxnEvent e;
-    e.kind = TxnEvent::Kind::kMerge;
-    e.view = view;
-    e.attr = attr;
-    e.interval = merged;
-    e.value = bytes;
-    ctx.txn_events.push_back(std::move(e));
-    return;
-  }
-  ctx.observer->OnMerge(*view, attr, merged, bytes, ctx.tenant);
 }
 
 // --- creation / eviction primitives ---
@@ -750,7 +686,7 @@ Result<double> PoolManager::MaterializeView(ViewInfo* view,
     // Whole-view materialization (NP).
     const std::string path = StrFormat("pool/%s/full", view->id.c_str());
     assert(!fs_.Exists(path) && "double materialization of whole view");
-    DEEPSEA_RETURN_IF_ERROR(TxnPut(path, view_bytes));
+    DEEPSEA_RETURN_IF_ERROR(TxnPut(path, view_bytes, report));
     view->whole_materialized = true;
     extra_seconds = cluster_->PartitionedWriteSeconds(view_bytes, 1);
   } else {
@@ -764,10 +700,9 @@ Result<double> PoolManager::MaterializeView(ViewInfo* view,
       fstat->size_bytes = bytes;
       const std::string path = FragmentPath(*view, attr, iv);
       assert(!fs_.Exists(path) && "double materialization of fragment");
-      DEEPSEA_RETURN_IF_ERROR(TxnPut(path, bytes));
+      DEEPSEA_RETURN_IF_ERROR(TxnPut(path, bytes, report));
       fstat->materialized = true;
       ++report->created_fragments;
-      NotifyMaterializeFragment(view, attr, iv, bytes);
     }
     extra_seconds = cluster_->PartitionedWriteSeconds(
         view_bytes, static_cast<int64_t>(frags.size()));
@@ -782,7 +717,6 @@ Result<double> PoolManager::MaterializeView(ViewInfo* view,
   view->quarantined_until = 0;
   view->RefreshCachedBytes();
   report->created_views.push_back(view->id);
-  NotifyMaterializeView(view, extra_seconds);
   return extra_seconds;
 }
 
@@ -821,11 +755,10 @@ Result<double> PoolManager::MaterializeFragment(ViewInfo* view,
   fstat->size_bytes = bytes;
   const std::string frag_path = FragmentPath(*view, attr, iv);
   assert(!fs_.Exists(frag_path) && "double materialization of fragment");
-  DEEPSEA_RETURN_IF_ERROR(TxnPut(frag_path, bytes));
+  DEEPSEA_RETURN_IF_ERROR(TxnPut(frag_path, bytes, report));
   fstat->materialized = true;
   ++report->created_fragments;
   seconds += cluster_->PartitionedWriteSeconds(bytes, 1);
-  NotifyMaterializeFragment(view, attr, iv, bytes);
 
   if (!options_->overlapping_fragments) {
     // Horizontal partitioning: the parents must be split — their whole
@@ -849,18 +782,16 @@ Result<double> PoolManager::MaterializeFragment(ViewInfo* view,
         FragmentStats* pstat = part->Track(piece, piece_bytes);
         pstat->size_bytes = piece_bytes;
         DEEPSEA_RETURN_IF_ERROR(
-            TxnPut(FragmentPath(*view, attr, piece), piece_bytes));
+            TxnPut(FragmentPath(*view, attr, piece), piece_bytes, report));
         pstat->materialized = true;
         ++report->created_fragments;
         seconds += cluster_->PartitionedWriteSeconds(piece_bytes, 1);
-        NotifyMaterializeFragment(view, attr, piece, piece_bytes);
       }
       // Re-resolve the parent after the Track calls above (the fragment
       // vector may have been reallocated).
       FragmentStats* parent_stat = part->Find(p);
       if (parent_stat != nullptr) {
-        DEEPSEA_RETURN_IF_ERROR(EvictFragment(view, part, parent_stat));
-        --report->evicted_fragments;  // split, not a policy eviction
+        DEEPSEA_RETURN_IF_ERROR(EvictFragment(view, part, parent_stat, report));
       }
     }
   }
@@ -872,7 +803,7 @@ Result<double> PoolManager::MaterializeFragment(ViewInfo* view,
 }
 
 Status PoolManager::EvictFragment(ViewInfo* view, PartitionState* part,
-                                  FragmentStats* frag) {
+                                  FragmentStats* frag, QueryReport* report) {
   assert(CommitHeldByThisThread());
   if (!frag->materialized) return Status::OK();
   TxnSnapshotView(view);
@@ -888,21 +819,21 @@ Status PoolManager::EvictFragment(ViewInfo* view, PartitionState* part,
   DEEPSEA_RETURN_IF_ERROR(st);
   frag->materialized = false;
   view->RefreshCachedBytes();
-  NotifyEvict(view, part->attr, frag->interval, frag->size_bytes);
+  RecordEviction(view, part->attr, frag->interval, frag->size_bytes, report);
   return Status::OK();
 }
 
-Result<int> PoolManager::EvictWholeView(ViewInfo* view) {
+Result<int> PoolManager::EvictWholeView(ViewInfo* view, QueryReport* report) {
   assert(CommitHeldByThisThread());
   TxnSnapshotView(view);
   int evicted = 0;
   // Materialized fragments go first, through the same per-fragment path
-  // (and notifications) policy evictions use.
+  // policy evictions use.
   for (auto& [attr, part] : view->partitions) {
     (void)attr;
     for (FragmentStats& f : part.fragments) {
       if (!f.materialized) continue;
-      DEEPSEA_RETURN_IF_ERROR(EvictFragment(view, &part, &f));
+      DEEPSEA_RETURN_IF_ERROR(EvictFragment(view, &part, &f, report));
       ++evicted;
     }
   }
@@ -917,7 +848,7 @@ Result<int> PoolManager::EvictWholeView(ViewInfo* view) {
     view->whole_materialized = false;
     ++evicted;
     view->RefreshCachedBytes();
-    NotifyEvict(view, "", Interval(), view->stats.size_bytes);
+    RecordEviction(view, "", Interval(), view->stats.size_bytes, report);
   }
   return evicted;
 }
@@ -968,18 +899,13 @@ Status PoolManager::ApplyStaged(const SelectionDecision& decision,
   for (const SelectionAction& a : decision.actions) {
     *fault_view = a.view != nullptr ? a.view->id : "";
     switch (a.kind) {
-      case SelectionAction::Kind::kEvictWholeView: {
-        // Count exactly the pieces evicted, so QueryReport agrees with
-        // the per-piece OnEvict notifications no matter the path.
-        DEEPSEA_ASSIGN_OR_RETURN(int evicted, EvictWholeView(a.view));
-        report->evicted_fragments += evicted;
+      case SelectionAction::Kind::kEvictWholeView:
+        DEEPSEA_RETURN_IF_ERROR(EvictWholeView(a.view, report).status());
         break;
-      }
       case SelectionAction::Kind::kEvictFragment: {
         FragmentStats* f = a.part->Find(a.interval);
         if (f != nullptr && f->materialized) {
-          DEEPSEA_RETURN_IF_ERROR(EvictFragment(a.view, a.part, f));
-          ++report->evicted_fragments;
+          DEEPSEA_RETURN_IF_ERROR(EvictFragment(a.view, a.part, f, report));
         }
         break;
       }
@@ -1004,12 +930,10 @@ Status PoolManager::ApplyStaged(const SelectionDecision& decision,
         const std::string path =
             FragmentPath(*a.view, a.part->attr, a.interval);
         assert(!fs_.Exists(path) && "double materialization of fragment");
-        DEEPSEA_RETURN_IF_ERROR(TxnPut(path, a.size_bytes));
+        DEEPSEA_RETURN_IF_ERROR(TxnPut(path, a.size_bytes, report));
         f->materialized = true;
         ++report->created_fragments;
         a.view->RefreshCachedBytes();
-        NotifyMaterializeFragment(a.view, a.part->attr, a.interval,
-                                  a.size_bytes);
         NewViewWork& work = work_for(a.view);
         work.bytes += a.size_bytes;
         work.count += 1;
@@ -1035,7 +959,6 @@ Status PoolManager::ApplyStaged(const SelectionDecision& decision,
     view->quarantined_until = 0;
     view->RefreshCachedBytes();
     report->created_views.push_back(view->id);
-    NotifyMaterializeView(view, extra);
   }
   return Status::OK();
 }
@@ -1120,18 +1043,18 @@ Result<double> PoolManager::MergeStaged(double t_now,
     // Union the hit histories so the merged fragment keeps its record.
     std::vector<FragmentHit> hits = a.hits();
     hits.insert(hits.end(), b.hits().begin(), b.hits().end());
-    DEEPSEA_RETURN_IF_ERROR(EvictFragment(cand.view, cand.part, &a));
-    DEEPSEA_RETURN_IF_ERROR(EvictFragment(cand.view, cand.part, &b));
+    DEEPSEA_RETURN_IF_ERROR(EvictFragment(cand.view, cand.part, &a, report));
+    DEEPSEA_RETURN_IF_ERROR(EvictFragment(cand.view, cand.part, &b, report));
     FragmentStats* merged = cand.part->Track(cand.merged, merged_bytes);
     merged->size_bytes = merged_bytes;
-    DEEPSEA_RETURN_IF_ERROR(TxnPut(
-        FragmentPath(*cand.view, cand.part->attr, cand.merged), merged_bytes));
+    DEEPSEA_RETURN_IF_ERROR(
+        TxnPut(FragmentPath(*cand.view, cand.part->attr, cand.merged),
+               merged_bytes, report));
     merged->materialized = true;
     if (merged->hits().empty()) merged->AdoptHits(std::move(hits));
     cand.view->RefreshCachedBytes();
     ++merges;
     ++report->merged_fragments;
-    NotifyMerge(cand.view, cand.part->attr, cand.merged, merged_bytes);
   }
   return seconds;
 }

@@ -173,7 +173,7 @@ class CommitGuard {
 ///    engines narrow it via SetCommitFootprint.
 ///
 /// The commit section carries the committing tenant's observer in
-/// thread-local commit context: pool mutation events are routed to it,
+/// thread-local commit context: OnEvict events are routed to it,
 /// stamped with the tenant id.
 ///
 /// Read access: the `*Snapshot()` methods take the pool lock in S mode
@@ -196,8 +196,8 @@ class PoolManager {
 
   /// Enters the exclusive (X) commit section, blocking until every
   /// other commit, sharded commit, and shared-mode reader has drained.
-  /// `observer` receives the pool-mutation events of this commit
-  /// (nullptr = silent); `tenant` / `tenant_ord` stamp those events and
+  /// `observer` receives the OnEvict events of this commit (nullptr =
+  /// silent); `tenant` / `tenant_ord` stamp those events and
   /// the recorded statistics. Unless narrowed via SetCommitFootprint,
   /// the commit publishes an `all` write footprint (conservatively
   /// invalidating every in-flight plan — correct for arbitrary direct
@@ -397,18 +397,18 @@ class PoolManager {
 
   /// Executes a SelectionDecision transactionally: evictions first, then
   /// materializations, all staged through a rollback journal. Charges
-  /// report->materialize_seconds and updates the created/evicted
-  /// counters. `ctx` supplies the current query's fragment cover
-  /// (parents already read by the query are free to re-scan during
-  /// repartitioning).
+  /// report->materialize_seconds and records in `report` every piece
+  /// and byte that entered or left the pool. `ctx` supplies the current
+  /// query's fragment cover (parents already read by the query are free
+  /// to re-scan during repartitioning).
   ///
   /// On a storage fault the pool — view metadata, FS files, statistics —
   /// and `report` are rolled back to their pre-Apply images; then
   /// report->fault_view / fault_message identify the failed action and
   /// the fault's status is returned, so the caller can retry the whole
-  /// decision (transient) or abandon it (permanent). Observer
+  /// decision (transient) or abandon it (permanent). OnEvict
   /// notifications are deferred to the transaction commit: a rolled-back
-  /// attempt emits no pool-mutation events.
+  /// attempt emits none, and its counts vanish with the report image.
   Status Apply(const SelectionDecision& decision, const QueryContext& ctx,
                QueryReport* report);
 
@@ -425,11 +425,14 @@ class PoolManager {
   // Each primitive orders its work "FS operation first, metadata
   // second", so a fault leaves per-piece accounting consistent (a
   // materialized flag is only set once its file exists, and only
-  // cleared once its file is gone). Multi-piece atomicity — undoing the
-  // pieces staged before the fault — comes from the surrounding
-  // transaction: inside Apply / RunMergePass a failed primitive rolls
-  // the whole decision back; called directly, a failed primitive may
-  // leave earlier pieces in place (still invariant-clean).
+  // cleared once its file is gone). Each records what it did in
+  // `report` where it happens: bytes in at the file write, an evicted
+  // piece and its bytes where the piece leaves the pool. Multi-piece
+  // atomicity — undoing the pieces staged before the fault — comes from
+  // the surrounding transaction: inside Apply / RunMergePass a failed
+  // primitive rolls the whole decision (and `report`) back; called
+  // directly, a failed primitive may leave earlier pieces in place
+  // (still invariant-clean).
 
   /// Materializes `view` (initial partitioned creation). Returns the
   /// extra simulated seconds charged.
@@ -439,17 +442,17 @@ class PoolManager {
                                      const Interval& iv,
                                      const QueryContext& ctx,
                                      QueryReport* report);
-  /// Evicts a fragment from the pool (one OnEvict per call). An
-  /// eviction whose backing file is missing is a pool-accounting bug:
-  /// it asserts in debug builds and returns Internal in release.
+  /// Evicts a fragment from the pool: one OnEvict and one
+  /// report->evicted_fragments per call. An eviction whose backing file
+  /// is missing is a pool-accounting bug: it asserts in debug builds and
+  /// returns Internal in release.
   Status EvictFragment(ViewInfo* view, PartitionState* part,
-                       FragmentStats* frag);
+                       FragmentStats* frag, QueryReport* report);
   /// Evicts a whole view: its full materialization AND every
-  /// materialized fragment, firing one OnEvict per piece (the same
-  /// notifications the per-fragment path emits, so observer eviction
-  /// counters agree with QueryReport). Returns the number of pieces
-  /// evicted — 0 when the view held nothing.
-  Result<int> EvictWholeView(ViewInfo* view);
+  /// materialized fragment, recording each piece exactly as the
+  /// per-fragment path does. Returns the number of pieces evicted — 0
+  /// when the view held nothing.
+  Result<int> EvictWholeView(ViewInfo* view, QueryReport* report);
 
   // --- fault quarantine (see DESIGN.md, "Failure model and recovery") ---
 
@@ -509,7 +512,7 @@ class PoolManager {
   // every fs mutation goes through TxnPut / TxnDelete (which record
   // first-touch file preimages), every metadata mutation is covered by
   // TxnSnapshotView (full pre-image of the view's mutable state), and
-  // observer notifications queue in the context. TxnCommit flushes the
+  // OnEvict notifications queue in the context. TxnCommit flushes the
   // events and drops the journal; TxnRollback restores every
   // snapshot/preimage and discards the events. With no transaction
   // armed the helpers degrade to the plain operations (direct primitive
@@ -518,15 +521,15 @@ class PoolManager {
   void TxnCommit();
   void TxnRollback();
   void TxnSnapshotView(ViewInfo* view);
-  Status TxnPut(const std::string& path, double bytes);
+  /// Writes `bytes` at `path` and adds them to
+  /// report->materialized_bytes.
+  Status TxnPut(const std::string& path, double bytes, QueryReport* report);
   Status TxnDelete(const std::string& path);
-  void NotifyMaterializeView(const ViewInfo* view, double sim_seconds);
-  void NotifyMaterializeFragment(const ViewInfo* view, const std::string& attr,
-                                 const Interval& interval, double bytes);
-  void NotifyEvict(const ViewInfo* view, const std::string& attr,
-                   const Interval& interval, double bytes);
-  void NotifyMerge(const ViewInfo* view, const std::string& attr,
-                   const Interval& merged, double bytes);
+  /// Records one piece that left the pool: counts it (and its bytes)
+  /// in `report`, and fires or queues OnEvict.
+  void RecordEviction(const ViewInfo* view, const std::string& attr,
+                      const Interval& interval, double bytes,
+                      QueryReport* report);
 
   /// Apply's action loop, run inside an armed transaction. On failure
   /// sets `fault_view` to the failing action's view id and returns the
@@ -556,15 +559,13 @@ class PoolManager {
     bool existed = false;
     double bytes = 0.0;
   };
-  /// One deferred observer notification; arguments are captured at queue
-  /// time so deferred firing is argument-identical to inline firing.
+  /// One deferred OnEvict; arguments are captured at queue time so
+  /// deferred firing is argument-identical to inline firing.
   struct TxnEvent {
-    enum class Kind { kMaterializeView, kMaterializeFragment, kEvict, kMerge };
-    Kind kind = Kind::kMaterializeView;
     const ViewInfo* view = nullptr;
     std::string attr;
     Interval interval;
-    double value = 0.0;  ///< sim_seconds (view) or bytes (fragment events)
+    double bytes = 0.0;
   };
 
   Catalog* catalog_;

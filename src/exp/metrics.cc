@@ -17,11 +17,10 @@ constexpr double MetricsObserver::kBucketBounds[];
 const char* const MetricsObserver::kBucketLabels[kFiniteBuckets] = {
     "1e-06", "1e-05", "0.0001", "0.001", "0.01", "0.1",
     "1",     "10",    "100",    "1000",  "10000", "100000"};
-const char* const
-    MetricsObserver::kExclusiveReasonNames[kExclusiveReasonCount] = {
-        "merge",        "eviction", "physical", "new_view", "catalog_put",
-        "index_insert", "attach",   "replan",   "other"};
+
 namespace {
+
+using Snapshot = MetricsObserver::MetricsSnapshot;
 
 int64_t SteadyNowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -29,14 +28,17 @@ int64_t SteadyNowNs() {
       .count();
 }
 
-/// fetch_add for atomic<double> without relying on C++20 atomic-float
-/// support in the toolchain: a relaxed CAS loop (the hot path adds are
-/// per-tenant shards, so contention is a same-tenant race only).
-void AtomicAddDouble(std::atomic<double>* a, double delta) {
-  double cur = a->load(std::memory_order_relaxed);
-  while (!a->compare_exchange_weak(cur, cur + delta,
-                                   std::memory_order_relaxed,
-                                   std::memory_order_relaxed)) {
+void Observe(double value, Snapshot::Histogram* h) {
+  h->count += 1;
+  h->sum += value;
+  h->buckets[MetricsObserver::BucketIndex(value)] += 1;
+}
+
+void AddHistogram(const Snapshot::Histogram& in, Snapshot::Histogram* out) {
+  out->count += in.count;
+  out->sum += in.sum;
+  for (size_t b = 0; b < MetricsObserver::kBucketCount; ++b) {
+    out->buckets[b] += in.buckets[b];
   }
 }
 
@@ -87,8 +89,7 @@ void MetricsObserver::set_pool(const PoolManager* pool) {
   attach_wall_ns_ = SteadyNowNs();
 }
 
-MetricsObserver::TenantMetrics* MetricsObserver::Tenant(
-    const std::string& tenant) {
+MetricsObserver::TenantSlot* MetricsObserver::Slot(const std::string& tenant) {
   {
     std::shared_lock<std::shared_mutex> lock(tenants_mu_);
     auto it = tenants_.find(tenant);
@@ -96,196 +97,32 @@ MetricsObserver::TenantMetrics* MetricsObserver::Tenant(
   }
   std::unique_lock<std::shared_mutex> lock(tenants_mu_);
   auto& slot = tenants_[tenant];
-  if (slot == nullptr) slot = std::make_unique<TenantMetrics>();
+  if (slot == nullptr) slot = std::make_unique<TenantSlot>();
   return slot.get();
 }
 
 void MetricsObserver::OnStageEnd(EngineStage stage, const QueryContext& ctx,
                                  double sim_seconds, double wall_seconds) {
-  TenantMetrics* t = Tenant(ctx.tenant());
-  StageSeries& s = t->stages[static_cast<size_t>(stage)];
-  s.calls.fetch_add(1, std::memory_order_relaxed);
-  AtomicAddDouble(&s.sim_sum, sim_seconds);
-  AtomicAddDouble(&s.wall_sum, wall_seconds);
-  s.sim_buckets[BucketIndex(sim_seconds)].fetch_add(1,
-                                                    std::memory_order_relaxed);
-  s.wall_buckets[BucketIndex(wall_seconds)].fetch_add(
-      1, std::memory_order_relaxed);
-}
-
-void MetricsObserver::OnMaterializeView(const ViewInfo& view,
-                                        double sim_seconds,
-                                        const std::string& tenant) {
-  (void)sim_seconds;
-  TenantMetrics* t = Tenant(tenant);
-  t->views_materialized.fetch_add(1, std::memory_order_relaxed);
-  // Whole-view (NP-style) materialization carries no per-fragment
-  // events; its bytes enter the pool here. A partitioned creation's
-  // bytes arrive through its OnMaterializeFragment events instead.
-  if (view.whole_materialized) {
-    AtomicAddDouble(&t->materialized_bytes, view.stats.size_bytes);
-  }
-}
-
-void MetricsObserver::OnMaterializeFragment(const ViewInfo& view,
-                                            const std::string& attr,
-                                            const Interval& interval,
-                                            double bytes,
-                                            const std::string& tenant) {
-  (void)view;
-  (void)attr;
-  (void)interval;
-  TenantMetrics* t = Tenant(tenant);
-  t->fragments_materialized.fetch_add(1, std::memory_order_relaxed);
-  AtomicAddDouble(&t->materialized_bytes, bytes);
-}
-
-void MetricsObserver::OnEvict(const ViewInfo& view, const std::string& attr,
-                              const Interval& interval, double bytes,
-                              const std::string& tenant) {
-  (void)view;
-  (void)attr;
-  (void)interval;
-  TenantMetrics* t = Tenant(tenant);
-  t->evictions.fetch_add(1, std::memory_order_relaxed);
-  AtomicAddDouble(&t->evicted_bytes, bytes);
-}
-
-void MetricsObserver::OnMerge(const ViewInfo& view, const std::string& attr,
-                              const Interval& merged, double bytes,
-                              const std::string& tenant) {
-  (void)view;
-  (void)attr;
-  (void)merged;
-  TenantMetrics* t = Tenant(tenant);
-  t->merges.fetch_add(1, std::memory_order_relaxed);
-  // The merged fragment is a fresh pool write; the two parents it
-  // replaces leave through their own OnEvict events.
-  AtomicAddDouble(&t->materialized_bytes, bytes);
-}
-
-void MetricsObserver::OnFault(EngineStage stage, const std::string& view_id,
-                              const Status& status, int attempt,
-                              const std::string& tenant) {
-  (void)stage;
-  (void)view_id;
-  (void)status;
-  (void)attempt;
-  Tenant(tenant)->faults.fetch_add(1, std::memory_order_relaxed);
-}
-
-void MetricsObserver::OnRetry(EngineStage stage, int next_attempt,
-                              const std::string& tenant) {
-  (void)stage;
-  (void)next_attempt;
-  Tenant(tenant)->retries.fetch_add(1, std::memory_order_relaxed);
-}
-
-void MetricsObserver::OnDegrade(EngineStage stage, const std::string& view_id,
-                                const Status& status,
-                                const std::string& tenant) {
-  (void)stage;
-  (void)view_id;
-  (void)status;
-  Tenant(tenant)->degrades.fetch_add(1, std::memory_order_relaxed);
+  TenantSlot* slot = Slot(ctx.tenant());
+  const size_t s = static_cast<size_t>(stage);
+  std::lock_guard<std::mutex> lock(slot->mu);
+  Observe(sim_seconds, &slot->data.stage_sim[s]);
+  Observe(wall_seconds, &slot->data.stage_wall[s]);
 }
 
 void MetricsObserver::OnQueryEnd(const QueryReport& report) {
-  TenantMetrics* t = Tenant(report.tenant_id);
-  t->queries.fetch_add(1, std::memory_order_relaxed);
-  if (report.replanned) {
-    t->replanned_queries.fetch_add(1, std::memory_order_relaxed);
-    if (report.replan_conflict) {
-      t->replans_conflict.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (report.replan_spurious) {
-      t->replans_spurious.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  if (report.exclusive_reason.empty()) {
-    t->commits_sharded.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    size_t reason = kExclusiveReasonCount - 1;  // "other"
-    for (size_t r = 0; r < kExclusiveReasonCount; ++r) {
-      if (report.exclusive_reason == kExclusiveReasonNames[r]) {
-        reason = r;
-        break;
-      }
-    }
-    t->commits_exclusive_reason[reason].fetch_add(1,
-                                                  std::memory_order_relaxed);
-  }
-  if (!report.used_view.empty()) {
-    t->queries_from_views.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (report.degraded) {
-    t->degraded_queries.fetch_add(1, std::memory_order_relaxed);
-  }
-  t->fragments_read.fetch_add(report.fragments_read,
-                              std::memory_order_relaxed);
-  if (report.selection_ran) {
-    t->selection_decisions.fetch_add(1, std::memory_order_relaxed);
-    AtomicAddDouble(&t->selection_benefit, report.selection_benefit);
-  }
-  t->query_sim.count.fetch_add(1, std::memory_order_relaxed);
-  AtomicAddDouble(&t->query_sim.sum, report.total_seconds);
-  t->query_sim.buckets[BucketIndex(report.total_seconds)].fetch_add(
-      1, std::memory_order_relaxed);
+  TenantSlot* slot = Slot(report.tenant_id);
+  std::lock_guard<std::mutex> lock(slot->mu);
+  slot->data.counts.Add(report);
+  Observe(report.total_seconds, &slot->data.query_sim);
 }
-
-namespace {
-
-using Snapshot = MetricsObserver::MetricsSnapshot;
-
-void CopyHistogram(const std::atomic<int64_t>& count,
-                   const std::atomic<double>& sum,
-                   const std::array<std::atomic<uint64_t>,
-                                    MetricsObserver::kBucketCount>& buckets,
-                   Snapshot::Histogram* out) {
-  out->count = count.load(std::memory_order_relaxed);
-  out->sum = sum.load(std::memory_order_relaxed);
-  for (size_t b = 0; b < MetricsObserver::kBucketCount; ++b) {
-    out->buckets[b] = buckets[b].load(std::memory_order_relaxed);
-  }
-}
-
-void AddHistogram(const Snapshot::Histogram& in, Snapshot::Histogram* out) {
-  out->count += in.count;
-  out->sum += in.sum;
-  for (size_t b = 0; b < MetricsObserver::kBucketCount; ++b) {
-    out->buckets[b] += in.buckets[b];
-  }
-}
-
-}  // namespace
 
 MetricsObserver::MetricsSnapshot::Tenant
 MetricsObserver::MetricsSnapshot::Totals() const {
   Tenant total;
   for (const auto& [name, t] : tenants) {
     (void)name;
-    total.queries += t.queries;
-    total.replanned_queries += t.replanned_queries;
-    total.replans_conflict += t.replans_conflict;
-    total.replans_spurious += t.replans_spurious;
-    total.commits_sharded += t.commits_sharded;
-    for (size_t r = 0; r < kExclusiveReasonCount; ++r) {
-      total.commits_exclusive_reason[r] += t.commits_exclusive_reason[r];
-    }
-    total.queries_from_views += t.queries_from_views;
-    total.degraded_queries += t.degraded_queries;
-    total.fragments_read += t.fragments_read;
-    total.views_materialized += t.views_materialized;
-    total.fragments_materialized += t.fragments_materialized;
-    total.evictions += t.evictions;
-    total.merges += t.merges;
-    total.faults += t.faults;
-    total.retries += t.retries;
-    total.degrades += t.degrades;
-    total.materialized_bytes += t.materialized_bytes;
-    total.evicted_bytes += t.evicted_bytes;
-    total.selection_decisions += t.selection_decisions;
-    total.selection_benefit += t.selection_benefit;
+    total.counts += t.counts;
     for (size_t s = 0; s < kStageCount; ++s) {
       AddHistogram(t.stage_sim[s], &total.stage_sim[s]);
       AddHistogram(t.stage_wall[s], &total.stage_wall[s]);
@@ -299,50 +136,9 @@ MetricsObserver::MetricsSnapshot MetricsObserver::TakeSnapshot() const {
   MetricsSnapshot snap;
   {
     std::shared_lock<std::shared_mutex> lock(tenants_mu_);
-    for (const auto& [name, t] : tenants_) {
-      MetricsSnapshot::Tenant& out = snap.tenants[name];
-      out.queries = t->queries.load(std::memory_order_relaxed);
-      out.replanned_queries =
-          t->replanned_queries.load(std::memory_order_relaxed);
-      out.replans_conflict =
-          t->replans_conflict.load(std::memory_order_relaxed);
-      out.replans_spurious =
-          t->replans_spurious.load(std::memory_order_relaxed);
-      out.commits_sharded = t->commits_sharded.load(std::memory_order_relaxed);
-      for (size_t r = 0; r < kExclusiveReasonCount; ++r) {
-        out.commits_exclusive_reason[r] =
-            t->commits_exclusive_reason[r].load(std::memory_order_relaxed);
-      }
-      out.queries_from_views =
-          t->queries_from_views.load(std::memory_order_relaxed);
-      out.degraded_queries =
-          t->degraded_queries.load(std::memory_order_relaxed);
-      out.fragments_read = t->fragments_read.load(std::memory_order_relaxed);
-      out.views_materialized =
-          t->views_materialized.load(std::memory_order_relaxed);
-      out.fragments_materialized =
-          t->fragments_materialized.load(std::memory_order_relaxed);
-      out.evictions = t->evictions.load(std::memory_order_relaxed);
-      out.merges = t->merges.load(std::memory_order_relaxed);
-      out.faults = t->faults.load(std::memory_order_relaxed);
-      out.retries = t->retries.load(std::memory_order_relaxed);
-      out.degrades = t->degrades.load(std::memory_order_relaxed);
-      out.materialized_bytes =
-          t->materialized_bytes.load(std::memory_order_relaxed);
-      out.evicted_bytes = t->evicted_bytes.load(std::memory_order_relaxed);
-      out.selection_decisions =
-          t->selection_decisions.load(std::memory_order_relaxed);
-      out.selection_benefit =
-          t->selection_benefit.load(std::memory_order_relaxed);
-      for (size_t s = 0; s < kStageCount; ++s) {
-        const StageSeries& series = t->stages[s];
-        CopyHistogram(series.calls, series.sim_sum, series.sim_buckets,
-                      &out.stage_sim[s]);
-        CopyHistogram(series.calls, series.wall_sum, series.wall_buckets,
-                      &out.stage_wall[s]);
-      }
-      CopyHistogram(t->query_sim.count, t->query_sim.sum,
-                    t->query_sim.buckets, &out.query_sim);
+    for (const auto& [name, slot] : tenants_) {
+      std::lock_guard<std::mutex> slot_lock(slot->mu);
+      snap.tenants[name] = slot->data;
     }
   }
   if (pool_ != nullptr) {
@@ -547,12 +343,15 @@ std::string MetricsObserver::RenderPrometheusText(
     out += StrFormat("# TYPE %s %s\n", info->name, info->type);
     return info;
   };
-  auto tenant_counter = [&](const char* name, auto value_of) {
+  // One series per EngineTotals field, one sample per tenant.
+  auto tenant_counter = [&]<typename T>(const char* name,
+                                        T EngineTotals::*field) {
     if (header(name) == nullptr) return;
     for (const auto& [tenant, t] : snap.tenants) {
+      const double value = static_cast<double>(t.counts.*field);
       out += StrFormat("%s{tenant=\"%s\"} %s\n", name,
                        EscapeLabelValue(tenant).c_str(),
-                       FormatValue(value_of(t)).c_str());
+                       FormatValue(value).c_str());
     }
   };
   // Histogram series with an optional extra fixed label ("stage=...").
@@ -582,58 +381,49 @@ std::string MetricsObserver::RenderPrometheusText(
     out += StrFormat("%s %s\n", name, value.c_str());
   };
 
-  tenant_counter("deepsea_queries_total",
-                 [](const auto& t) { return double(t.queries); });
-  tenant_counter("deepsea_replanned_queries_total",
-                 [](const auto& t) { return double(t.replanned_queries); });
+  tenant_counter("deepsea_queries_total", &EngineTotals::queries);
+  tenant_counter("deepsea_replanned_queries_total", &EngineTotals::replans);
   tenant_counter("deepsea_replans_conflict_total",
-                 [](const auto& t) { return double(t.replans_conflict); });
+                 &EngineTotals::replans_conflict);
   tenant_counter("deepsea_replans_spurious_total",
-                 [](const auto& t) { return double(t.replans_spurious); });
+                 &EngineTotals::replans_spurious);
   tenant_counter("deepsea_commits_sharded_total",
-                 [](const auto& t) { return double(t.commits_sharded); });
+                 &EngineTotals::commits_sharded);
   if (header("deepsea_commits_exclusive_reason_total") != nullptr) {
     for (const auto& [tenant, t] : snap.tenants) {
       for (size_t r = 0; r < kExclusiveReasonCount; ++r) {
-        if (t.commits_exclusive_reason[r] == 0) continue;
+        const int64_t n = t.counts.commits_exclusive_by_reason[r];
+        if (n == 0) continue;
         out += StrFormat(
             "deepsea_commits_exclusive_reason_total{reason=\"%s\","
             "tenant=\"%s\"} %lld\n",
             kExclusiveReasonNames[r], EscapeLabelValue(tenant).c_str(),
-            static_cast<long long>(t.commits_exclusive_reason[r]));
+            static_cast<long long>(n));
       }
     }
   }
   tenant_counter("deepsea_queries_from_views_total",
-                 [](const auto& t) { return double(t.queries_from_views); });
+                 &EngineTotals::queries_answered_from_views);
   tenant_counter("deepsea_degraded_queries_total",
-                 [](const auto& t) { return double(t.degraded_queries); });
-  tenant_counter("deepsea_fragments_read_total",
-                 [](const auto& t) { return double(t.fragments_read); });
+                 &EngineTotals::queries_degraded);
+  tenant_counter("deepsea_fragments_read_total", &EngineTotals::fragments_read);
   tenant_counter("deepsea_views_materialized_total",
-                 [](const auto& t) { return double(t.views_materialized); });
-  tenant_counter("deepsea_fragments_materialized_total", [](const auto& t) {
-    return double(t.fragments_materialized);
-  });
-  tenant_counter("deepsea_evictions_total",
-                 [](const auto& t) { return double(t.evictions); });
-  tenant_counter("deepsea_merges_total",
-                 [](const auto& t) { return double(t.merges); });
-  tenant_counter("deepsea_faults_total",
-                 [](const auto& t) { return double(t.faults); });
-  tenant_counter("deepsea_retries_total",
-                 [](const auto& t) { return double(t.retries); });
-  tenant_counter("deepsea_degrades_total",
-                 [](const auto& t) { return double(t.degrades); });
+                 &EngineTotals::views_created);
+  tenant_counter("deepsea_fragments_materialized_total",
+                 &EngineTotals::fragments_created);
+  tenant_counter("deepsea_evictions_total", &EngineTotals::fragments_evicted);
+  tenant_counter("deepsea_merges_total", &EngineTotals::fragments_merged);
+  tenant_counter("deepsea_faults_total", &EngineTotals::faults);
+  tenant_counter("deepsea_retries_total", &EngineTotals::retries);
+  tenant_counter("deepsea_degrades_total", &EngineTotals::degrades);
   tenant_counter("deepsea_materialized_bytes_total",
-                 [](const auto& t) { return t.materialized_bytes; });
-  tenant_counter("deepsea_evicted_bytes_total",
-                 [](const auto& t) { return t.evicted_bytes; });
+                 &EngineTotals::materialized_bytes);
+  tenant_counter("deepsea_evicted_bytes_total", &EngineTotals::evicted_bytes);
 
   tenant_counter("deepsea_selection_decisions_total",
-                 [](const auto& t) { return double(t.selection_decisions); });
+                 &EngineTotals::selection_decisions);
   tenant_counter("deepsea_selection_objective_total",
-                 [](const auto& t) { return t.selection_benefit; });
+                 &EngineTotals::selection_benefit);
 
   // Stage histograms: unobserved (zero-call) stage/tenant series are
   // omitted, the standard client behaviour for unused series.

@@ -2,16 +2,17 @@
 #define DEEPSEA_EXP_METRICS_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "core/engine_observer.h"
+#include "core/engine_options.h"
 #include "core/pool_manager.h"
 
 namespace deepsea {
@@ -21,8 +22,8 @@ namespace deepsea {
 /// from host clocks (wall-clock histograms, lock hold times) — they are
 /// the only nondeterministic output and can be excluded from a render
 /// for byte-stable goldens. `pool_sourced` marks series read from an
-/// attached PoolManager at scrape time rather than accumulated from
-/// observer hooks.
+/// attached PoolManager at scrape time rather than folded from query
+/// reports and stage hooks.
 struct MetricInfo {
   const char* name;    ///< full series name, e.g. "deepsea_evictions_total"
   const char* type;    ///< "counter" | "gauge" | "histogram"
@@ -43,7 +44,10 @@ struct MetricInfo {
 ///    per-query simulated-cost histogram;
 ///  * monotonic counters for queries, replans, degradations, pool
 ///    mutations (views/fragments materialized, evictions, merges),
-///    faults/retries, and bytes into / out of the pool;
+///    faults/retries, and bytes into / out of the pool — each one field
+///    of the tenant's EngineTotals, the fold of the QueryReports that
+///    OnQueryEnd delivers (EngineTotals::Add, the same fold the engine
+///    keeps);
 ///  * gauges for pool occupancy vs S_max, view/fragment counts,
 ///    quarantine, and commit-lock hold time, sourced from an attached
 ///    PoolManager at scrape time (`set_pool`).
@@ -51,11 +55,12 @@ struct MetricInfo {
 /// Concurrency: unlike TraceObserver, one MetricsObserver may be shared
 /// by free-running engines. The hot path honors the locking contract in
 /// engine_observer.h — planning-stage hooks fire concurrently from
-/// multiple engine threads under the pool's shared lock — by sharding
-/// state per tenant: each tenant's slot is all relaxed atomics, and the
-/// slot map itself is behind a shared_mutex that is write-locked only
-/// the first time a tenant is seen (steady state is a read-locked map
-/// find, no allocation, no shared counter contention across tenants).
+/// multiple engine threads under the pool's shared lock — by keeping
+/// one slot per tenant, each guarded by its own mutex (only hooks of
+/// that tenant take it, so tenants never contend). The slot map itself
+/// is behind a shared_mutex that is write-locked only the first time a
+/// tenant is seen (steady state is a read-locked map find, no
+/// allocation).
 ///
 /// Scrape path: RenderPrometheusText / TakeSnapshot read the attached
 /// pool's gauges under the pool's *shared* commit lock, so they are safe
@@ -77,12 +82,6 @@ class MetricsObserver : public EngineObserver {
 
   static constexpr size_t kStageCount =
       static_cast<size_t>(EngineStage::kPhysical) + 1;
-
-  /// Fixed label set of deepsea_commits_exclusive_reason_total, in
-  /// render order. Matches the QueryReport::exclusive_reason values;
-  /// an unrecognized non-empty reason lands in "other".
-  static constexpr size_t kExclusiveReasonCount = 9;
-  static const char* const kExclusiveReasonNames[kExclusiveReasonCount];
 
   MetricsObserver() = default;
   MetricsObserver(const MetricsObserver&) = delete;
@@ -106,31 +105,14 @@ class MetricsObserver : public EngineObserver {
 
   void OnStageEnd(EngineStage stage, const QueryContext& ctx,
                   double sim_seconds, double wall_seconds) override;
-  void OnMaterializeView(const ViewInfo& view, double sim_seconds,
-                         const std::string& tenant) override;
-  void OnMaterializeFragment(const ViewInfo& view, const std::string& attr,
-                             const Interval& interval, double bytes,
-                             const std::string& tenant) override;
-  void OnEvict(const ViewInfo& view, const std::string& attr,
-               const Interval& interval, double bytes,
-               const std::string& tenant) override;
-  void OnMerge(const ViewInfo& view, const std::string& attr,
-               const Interval& merged, double bytes,
-               const std::string& tenant) override;
-  void OnFault(EngineStage stage, const std::string& view_id,
-               const Status& status, int attempt,
-               const std::string& tenant) override;
-  void OnRetry(EngineStage stage, int next_attempt,
-               const std::string& tenant) override;
-  void OnDegrade(EngineStage stage, const std::string& view_id,
-                 const Status& status, const std::string& tenant) override;
   void OnQueryEnd(const QueryReport& report) override;
 
   // --- programmatic snapshot ---
 
   /// Point-in-time copy of everything the observer exports, for
   /// assertions without parsing exposition text. Integer counters are
-  /// exact; double sums reflect the accumulation order of the run.
+  /// exact; double sums reflect the accumulation order of the run (per
+  /// tenant, the order of that tenant's queries).
   struct MetricsSnapshot {
     struct Histogram {
       int64_t count = 0;
@@ -140,30 +122,7 @@ class MetricsObserver : public EngineObserver {
       std::array<uint64_t, kBucketCount> buckets{};
     };
     struct Tenant {
-      int64_t queries = 0;
-      int64_t replanned_queries = 0;
-      int64_t replans_conflict = 0;  ///< genuine read-set conflicts
-      int64_t replans_spurious = 0;  ///< epoch-table coverage loss
-      int64_t commits_sharded = 0;   ///< queries committed on the IX path
-      /// Exclusive (X-path) commits by reason; index into
-      /// kExclusiveReasonNames. Sums to the tenant's exclusive commits.
-      std::array<int64_t, kExclusiveReasonCount> commits_exclusive_reason{};
-      int64_t queries_from_views = 0;
-      int64_t degraded_queries = 0;
-      int64_t fragments_read = 0;
-      int64_t views_materialized = 0;
-      int64_t fragments_materialized = 0;
-      int64_t evictions = 0;
-      int64_t merges = 0;
-      int64_t faults = 0;
-      int64_t retries = 0;
-      int64_t degrades = 0;
-      double materialized_bytes = 0.0;
-      double evicted_bytes = 0.0;
-      /// Queries whose selection stage ran, and their summed knapsack
-      /// objective values.
-      int64_t selection_decisions = 0;
-      double selection_benefit = 0.0;
+      EngineTotals counts;  ///< fold of the tenant's QueryReports
       std::array<Histogram, kStageCount> stage_sim{};
       std::array<Histogram, kStageCount> stage_wall{};
       Histogram query_sim;
@@ -223,52 +182,19 @@ class MetricsObserver : public EngineObserver {
   static const std::vector<MetricInfo>& Registry();
 
  private:
-  struct StageSeries {
-    std::atomic<int64_t> calls{0};
-    std::atomic<double> sim_sum{0.0};
-    std::atomic<double> wall_sum{0.0};
-    std::array<std::atomic<uint64_t>, kBucketCount> sim_buckets{};
-    std::array<std::atomic<uint64_t>, kBucketCount> wall_buckets{};
-  };
-  struct QuerySeries {
-    std::atomic<int64_t> count{0};
-    std::atomic<double> sum{0.0};
-    std::array<std::atomic<uint64_t>, kBucketCount> buckets{};
-  };
-  /// One tenant's shard: all relaxed atomics, touched only by hooks
-  /// carrying this tenant's id, so cross-tenant hooks never contend.
-  struct TenantMetrics {
-    std::atomic<int64_t> queries{0};
-    std::atomic<int64_t> replanned_queries{0};
-    std::atomic<int64_t> replans_conflict{0};
-    std::atomic<int64_t> replans_spurious{0};
-    std::atomic<int64_t> commits_sharded{0};
-    std::array<std::atomic<int64_t>, kExclusiveReasonCount>
-        commits_exclusive_reason{};
-    std::atomic<int64_t> queries_from_views{0};
-    std::atomic<int64_t> degraded_queries{0};
-    std::atomic<int64_t> fragments_read{0};
-    std::atomic<int64_t> views_materialized{0};
-    std::atomic<int64_t> fragments_materialized{0};
-    std::atomic<int64_t> evictions{0};
-    std::atomic<int64_t> merges{0};
-    std::atomic<int64_t> faults{0};
-    std::atomic<int64_t> retries{0};
-    std::atomic<int64_t> degrades{0};
-    std::atomic<double> materialized_bytes{0.0};
-    std::atomic<double> evicted_bytes{0.0};
-    std::atomic<int64_t> selection_decisions{0};
-    std::atomic<double> selection_benefit{0.0};
-    std::array<StageSeries, kStageCount> stages{};
-    QuerySeries query_sim{};
+  /// One tenant's slot, touched only by hooks carrying this tenant's
+  /// id, so cross-tenant hooks never contend.
+  struct TenantSlot {
+    std::mutex mu;
+    MetricsSnapshot::Tenant data;  ///< guarded by mu
   };
 
   /// Read-mostly tenant lookup: shared-locked find in steady state; the
   /// unique lock is taken only the first time a tenant id appears.
-  TenantMetrics* Tenant(const std::string& tenant);
+  TenantSlot* Slot(const std::string& tenant);
 
   mutable std::shared_mutex tenants_mu_;
-  std::map<std::string, std::unique_ptr<TenantMetrics>> tenants_;
+  std::map<std::string, std::unique_ptr<TenantSlot>> tenants_;
 
   const PoolManager* pool_ = nullptr;
   // Commit-lock baselines captured by set_pool, so the hold fraction

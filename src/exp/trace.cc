@@ -74,78 +74,37 @@ void TraceObserver::OnStageEnd(EngineStage stage, const QueryContext& ctx,
   s.wall_seconds += wall_seconds;
 }
 
-void TraceObserver::OnMaterializeView(const ViewInfo& view, double sim_seconds,
-                                      const std::string& tenant) {
-  (void)view;
-  (void)sim_seconds;
-  ++views_materialized_;
-  ++tenants_[tenant].views_materialized;
-}
-
-void TraceObserver::OnMaterializeFragment(const ViewInfo& view,
-                                          const std::string& attr,
-                                          const Interval& interval,
-                                          double bytes,
-                                          const std::string& tenant) {
-  (void)view;
-  (void)attr;
-  (void)interval;
-  (void)bytes;
-  ++fragments_materialized_;
-  ++tenants_[tenant].fragments_materialized;
-}
-
-void TraceObserver::OnEvict(const ViewInfo& view, const std::string& attr,
-                            const Interval& interval, double bytes,
-                            const std::string& tenant) {
-  (void)view;
-  (void)attr;
-  (void)interval;
-  (void)bytes;
-  ++evictions_;
-  ++tenants_[tenant].evictions;
-}
-
-void TraceObserver::OnMerge(const ViewInfo& view, const std::string& attr,
-                            const Interval& merged, double bytes,
-                            const std::string& tenant) {
-  (void)view;
-  (void)attr;
-  (void)merged;
-  (void)bytes;
-  ++merges_;
-  ++tenants_[tenant].merges;
-}
-
 void TraceObserver::OnFault(EngineStage stage, const std::string& view_id,
                             const Status& status, int attempt,
                             const std::string& tenant) {
-  ++faults_;
-  ++tenants_[tenant].faults;
   fault_events_.push_back({"fault", stage, view_id,
                            StatusCodeName(status.code()), attempt, tenant});
 }
 
 void TraceObserver::OnRetry(EngineStage stage, int next_attempt,
                             const std::string& tenant) {
-  ++retries_;
-  ++tenants_[tenant].retries;
   fault_events_.push_back({"retry", stage, "", "", next_attempt, tenant});
 }
 
 void TraceObserver::OnDegrade(EngineStage stage, const std::string& view_id,
                               const Status& status,
                               const std::string& tenant) {
-  ++degrades_;
-  ++tenants_[tenant].degrades;
   fault_events_.push_back(
       {"degrade", stage, view_id, StatusCodeName(status.code()), 0, tenant});
 }
 
 void TraceObserver::OnQueryEnd(const QueryReport& report) {
-  ++queries_;
-  ++tenants_[report.tenant_id].queries;
+  tenants_[report.tenant_id].Add(report);
   if (trace_ != nullptr) trace_->Record(label_, report);
+}
+
+EngineTotals TraceObserver::totals() const {
+  EngineTotals sum;
+  for (const auto& [tenant, t] : tenants_) {
+    (void)tenant;
+    sum += t;
+  }
+  return sum;
 }
 
 std::string TraceObserver::FaultEventsCsv() const {

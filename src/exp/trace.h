@@ -60,34 +60,23 @@ class QueryTrace {
 /// `engine.set_observer(&obs)` and every processed query lands in the
 /// trace automatically — no per-query Record calls in the driver. On
 /// top of the per-query CSV rows it aggregates per-stage simulated and
-/// wall-clock time plus pool-mutation counts across the run —
-/// aggregate and broken down by the tenant that committed each
-/// mutation. One TraceObserver may serve several engines sharing a
-/// pool only if their queries are externally serialized (e.g. the
-/// turnstile in tests/multitenant_harness.h): planning-stage hooks now
+/// wall-clock time, folds every QueryReport into per-tenant
+/// EngineTotals (EngineTotals::Add, the engine's own fold), and logs
+/// fault-handling events. One TraceObserver may serve several engines
+/// sharing a pool only if their queries are externally serialized (e.g.
+/// the turnstile in tests/multitenant_harness.h): planning-stage hooks
 /// fire under the pool's *shared* lock and may run concurrently across
-/// engines, and the counters carry no locking of their own. With
+/// engines, and the aggregates carry no locking of their own. With
 /// free-running engines, give each its own TraceObserver.
 class TraceObserver : public EngineObserver {
  public:
-  /// `trace` may be null: the observer then only aggregates stage
-  /// timings (useful for profiling without telemetry rows).
+  /// `trace` may be null: the observer then only aggregates (useful for
+  /// profiling without telemetry rows).
   TraceObserver(std::string label, QueryTrace* trace)
       : label_(std::move(label)), trace_(trace) {}
 
   void OnStageEnd(EngineStage stage, const QueryContext& ctx,
                   double sim_seconds, double wall_seconds) override;
-  void OnMaterializeView(const ViewInfo& view, double sim_seconds,
-                         const std::string& tenant) override;
-  void OnMaterializeFragment(const ViewInfo& view, const std::string& attr,
-                             const Interval& interval, double bytes,
-                             const std::string& tenant) override;
-  void OnEvict(const ViewInfo& view, const std::string& attr,
-               const Interval& interval, double bytes,
-               const std::string& tenant) override;
-  void OnMerge(const ViewInfo& view, const std::string& attr,
-               const Interval& merged, double bytes,
-               const std::string& tenant) override;
   void OnFault(EngineStage stage, const std::string& view_id,
                const Status& status, int attempt,
                const std::string& tenant) override;
@@ -107,28 +96,13 @@ class TraceObserver : public EngineObserver {
     return stages_[static_cast<size_t>(s)];
   }
 
-  int64_t queries() const { return queries_; }
-  int64_t views_materialized() const { return views_materialized_; }
-  int64_t fragments_materialized() const { return fragments_materialized_; }
-  int64_t evictions() const { return evictions_; }
-  int64_t merges() const { return merges_; }
-  int64_t faults() const { return faults_; }
-  int64_t retries() const { return retries_; }
-  int64_t degrades() const { return degrades_; }
-
-  /// Per-tenant slice of the mutation counters (keyed by tenant id; ""
-  /// is the single-tenant default). Values sum to the aggregates above.
-  struct TenantStats {
-    int64_t queries = 0;
-    int64_t views_materialized = 0;
-    int64_t fragments_materialized = 0;
-    int64_t evictions = 0;
-    int64_t merges = 0;
-    int64_t faults = 0;
-    int64_t retries = 0;
-    int64_t degrades = 0;
-  };
-  const std::map<std::string, TenantStats>& tenants() const { return tenants_; }
+  /// Fold of the QueryReports seen, per tenant (keyed by tenant id; ""
+  /// is the single-tenant default) ...
+  const std::map<std::string, EngineTotals>& tenants() const {
+    return tenants_;
+  }
+  /// ... and summed over tenants.
+  EngineTotals totals() const;
 
   /// CSV of the stage aggregates:
   /// label,stage,calls,sim_s,wall_s
@@ -147,14 +121,7 @@ class TraceObserver : public EngineObserver {
   std::string label_;
   QueryTrace* trace_;
   std::array<StageStats, kStageCount> stages_{};
-  int64_t queries_ = 0;
-  int64_t views_materialized_ = 0;
-  int64_t fragments_materialized_ = 0;
-  int64_t evictions_ = 0;
-  int64_t merges_ = 0;
-  int64_t faults_ = 0;
-  int64_t retries_ = 0;
-  int64_t degrades_ = 0;
+  std::map<std::string, EngineTotals> tenants_;
   struct FaultEvent {
     std::string event;  ///< "fault" | "retry" | "degrade"
     EngineStage stage;
@@ -164,7 +131,6 @@ class TraceObserver : public EngineObserver {
     std::string tenant;
   };
   std::vector<FaultEvent> fault_events_;
-  std::map<std::string, TenantStats> tenants_;
 };
 
 }  // namespace deepsea

@@ -9,6 +9,7 @@
 // machinery is installed but never fires.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -116,6 +117,17 @@ std::vector<PlanPtr> RandomWorkload(int n, uint64_t seed) {
   return out;
 }
 
+/// Number of `event` rows (fault|retry|degrade) in a FaultEventsCsv():
+/// the observer appends one per OnFault / OnRetry / OnDegrade call.
+int64_t CountFaultEvents(const std::string& csv, const std::string& event) {
+  int64_t n = 0;
+  for (const std::string& row : Split(csv, '\n')) {
+    const std::vector<std::string> cells = Split(row, ',');
+    if (cells.size() > 1 && cells[1] == event) ++n;
+  }
+  return n;
+}
+
 // ---------------------------------------------------------------------
 // Seeded soak: 500 queries against storage injecting a mix of transient
 // and permanent faults at >= 5% of guarded operations. Every query must
@@ -165,14 +177,19 @@ TEST(FaultSoakTest, SeededSoakSurvivesWithInvariantsIntact) {
   // Despite the fault rate the pool still adapted.
   EXPECT_GT(engine.PoolBytes(), 0.0);
   EXPECT_GT(engine.totals().queries_answered_from_views, 0);
-  EXPECT_EQ(probe.faults(), engine.totals().faults);
+  // The fault hooks fired exactly once per fault, retry and degrade
+  // the reports counted.
+  const std::string csv = probe.FaultEventsCsv();
+  EXPECT_EQ(CountFaultEvents(csv, "fault"), engine.totals().faults);
+  EXPECT_EQ(CountFaultEvents(csv, "retry"), engine.totals().retries);
+  EXPECT_EQ(CountFaultEvents(csv, "degrade"), engine.totals().degrades);
+  EXPECT_EQ(probe.totals(), engine.totals());
 
   // CI's fault-soak step sets DEEPSEA_FAULT_CSV to archive the
   // injected-fault schedule as a build artifact.
   if (const char* csv_path = std::getenv("DEEPSEA_FAULT_CSV")) {
     std::FILE* f = std::fopen(csv_path, "w");
     ASSERT_NE(f, nullptr) << csv_path;
-    const std::string csv = probe.FaultEventsCsv();
     std::fwrite(csv.data(), 1, csv.size(), f);
     std::fclose(f);
   }
@@ -243,12 +260,13 @@ TEST(FaultRecoveryTest, TransientFaultRetriesAndSucceeds) {
   EXPECT_FALSE(report->created_views.empty());
   EXPECT_GE(report->materialize_seconds, 7.5);  // includes the backoff
   EXPECT_GT(engine.PoolBytes(), 0.0);
-  EXPECT_EQ(obs.faults(), 1);
-  EXPECT_EQ(obs.retries(), 1);
-  EXPECT_EQ(obs.degrades(), 0);
+  const std::string csv = obs.FaultEventsCsv();
+  EXPECT_EQ(CountFaultEvents(csv, "fault"), 1);
+  EXPECT_EQ(CountFaultEvents(csv, "retry"), 1);
+  EXPECT_EQ(CountFaultEvents(csv, "degrade"), 0);
+  EXPECT_EQ(obs.totals(), engine.totals());
 
   // The fault-event CSV names the failing stage and the injected code.
-  const std::string csv = obs.FaultEventsCsv();
   EXPECT_NE(csv.find("fault,apply"), std::string::npos) << csv;
   EXPECT_NE(csv.find("Unavailable"), std::string::npos) << csv;
   EXPECT_NE(csv.find("retry,apply"), std::string::npos) << csv;
@@ -295,7 +313,8 @@ TEST(FaultRecoveryTest, PermanentFaultRollsBackAndDegrades) {
   EXPECT_TRUE(engine.fs().List("pool/").empty());
   EXPECT_GE(engine.fs().ledger().rollback_restores, 2);
   EXPECT_GE(engine.fs().ledger().failed_puts, 1);
-  EXPECT_EQ(obs.degrades(), 1);
+  EXPECT_EQ(CountFaultEvents(obs.FaultEventsCsv(), "degrade"), 1);
+  EXPECT_EQ(obs.totals(), engine.totals());
   EXPECT_EQ(engine.totals().queries_degraded, 1);
 }
 
@@ -364,8 +383,9 @@ TEST(FaultRecoveryTest, QuarantineThenCooldownReadmission) {
   // re-offered and re-admission would be unobservable.
   {
     CommitGuard commit = engine.mutable_pool()->BeginCommit();
+    QueryReport report;  // direct evictions outside any query
     for (ViewInfo* v : engine.mutable_pool()->stat(commit)->AllViews()) {
-      auto evicted = engine.mutable_pool()->EvictWholeView(v);
+      auto evicted = engine.mutable_pool()->EvictWholeView(v, &report);
       ASSERT_TRUE(evicted.ok()) << evicted.status().ToString();
     }
   }

@@ -23,6 +23,7 @@
 
 #include "core/engine.h"
 #include "core/shared_pool.h"
+#include "evict_counter.h"
 #include "exp/metrics.h"
 #include "multitenant_harness.h"
 #include "workload/bigbench.h"
@@ -119,20 +120,14 @@ TEST(MetricsObserverTest, CountersAndGaugesAgreeWithEngineTotals) {
   const auto& t = snap.tenants.at("");
   const EngineTotals& totals = engine.totals();
 
-  EXPECT_EQ(t.queries, totals.queries);
-  EXPECT_EQ(t.queries, kQueries);
-  EXPECT_EQ(t.replanned_queries, replanned);
-  EXPECT_EQ(t.queries_from_views, totals.queries_answered_from_views);
-  EXPECT_EQ(t.queries_from_views, from_views);
-  EXPECT_EQ(t.fragments_read, fragments_read);
-  EXPECT_EQ(t.views_materialized, totals.views_created);
-  EXPECT_EQ(t.fragments_materialized, totals.fragments_created);
-  EXPECT_EQ(t.evictions, totals.fragments_evicted);
-  EXPECT_GT(t.evictions, 0);
-  EXPECT_EQ(t.merges, totals.fragments_merged);
-  EXPECT_EQ(t.faults, totals.faults);
-  EXPECT_EQ(t.retries, totals.retries);
-  EXPECT_EQ(t.degraded_queries, totals.queries_degraded);
+  // The observer folds the same reports the engine does: every counter
+  // agrees, double sums included.
+  EXPECT_EQ(t.counts, totals);
+  EXPECT_EQ(t.counts.queries, kQueries);
+  EXPECT_EQ(t.counts.replans, replanned);
+  EXPECT_EQ(t.counts.queries_answered_from_views, from_views);
+  EXPECT_EQ(t.counts.fragments_read, fragments_read);
+  EXPECT_GT(t.counts.fragments_evicted, 0);
 
   // The per-query simulated-cost histogram aggregates exactly what the
   // engine charged (same accumulation order as EngineTotals).
@@ -143,8 +138,8 @@ TEST(MetricsObserverTest, CountersAndGaugesAgreeWithEngineTotals) {
   EXPECT_EQ(histogram_total, static_cast<uint64_t>(kQueries));
 
   // Pool byte flux: what entered minus what left is what is resident.
-  EXPECT_NEAR(t.materialized_bytes - t.evicted_bytes, engine.PoolBytes(),
-              1e-6 * std::max(1.0, engine.PoolBytes()));
+  EXPECT_NEAR(t.counts.materialized_bytes - t.counts.evicted_bytes,
+              engine.PoolBytes(), 1e-6 * std::max(1.0, engine.PoolBytes()));
 
   // Gauges agree with a direct scan of the quiesced pool.
   ASSERT_TRUE(snap.pool.present);
@@ -172,9 +167,7 @@ TEST(MetricsObserverTest, CountersAndGaugesAgreeWithEngineTotals) {
 
   // Totals() over one tenant is that tenant.
   const auto sum = snap.Totals();
-  EXPECT_EQ(sum.queries, t.queries);
-  EXPECT_EQ(sum.evictions, t.evictions);
-  EXPECT_DOUBLE_EQ(sum.materialized_bytes, t.materialized_bytes);
+  EXPECT_EQ(sum.counts, t.counts);
 
   // The per-stage sim histogram mirrors the stage call counts: every
   // query ran rewrite/candidates/selection/apply exactly once.
@@ -376,14 +369,19 @@ TEST(MulticastObserverTest, ForwardsEveryHookToAllSinksInOrder) {
   DeepSeaEngine engine(&catalog, options);
 
   // Two identical metrics sinks behind one multicast: both must end up
-  // with identical snapshots (every hook reached both).
+  // with identical snapshots (every hook reached both). Two eviction
+  // counters beside them check the OnEvict forward the same way.
   MetricsObserver a, b;
+  EvictCounter ea("a", nullptr), eb("b", nullptr);
   MulticastObserver multicast;
   EXPECT_EQ(multicast.size(), 0u);
   multicast.Add(&a);
   multicast.Add(&b);
   multicast.Add(nullptr);  // ignored
   EXPECT_EQ(multicast.size(), 2u);
+  multicast.Add(&ea);
+  multicast.Add(&eb);
+  EXPECT_EQ(multicast.size(), 4u);
   engine.set_observer(&multicast);
 
   const auto names = BigBenchTemplates::Names();
@@ -403,15 +401,18 @@ TEST(MulticastObserverTest, ForwardsEveryHookToAllSinksInOrder) {
   ASSERT_EQ(sb.tenants.size(), 1u);
   const auto& ta = sa.tenants.at("");
   const auto& tb = sb.tenants.at("");
-  EXPECT_EQ(ta.queries, 20);
-  EXPECT_EQ(tb.queries, ta.queries);
-  EXPECT_EQ(tb.views_materialized, ta.views_materialized);
-  EXPECT_EQ(tb.fragments_materialized, ta.fragments_materialized);
-  EXPECT_EQ(tb.evictions, ta.evictions);
-  EXPECT_EQ(tb.fragments_read, ta.fragments_read);
-  EXPECT_DOUBLE_EQ(tb.materialized_bytes, ta.materialized_bytes);
+  EXPECT_EQ(ta.counts.queries, 20);
+  EXPECT_EQ(tb.counts.queries, ta.counts.queries);
+  EXPECT_EQ(tb.counts.views_created, ta.counts.views_created);
+  EXPECT_EQ(tb.counts.fragments_created, ta.counts.fragments_created);
+  EXPECT_EQ(tb.counts.fragments_evicted, ta.counts.fragments_evicted);
+  EXPECT_EQ(tb.counts.fragments_read, ta.counts.fragments_read);
+  EXPECT_DOUBLE_EQ(tb.counts.materialized_bytes, ta.counts.materialized_bytes);
   EXPECT_DOUBLE_EQ(tb.query_sim.sum, ta.query_sim.sum);
-  EXPECT_GT(ta.views_materialized + ta.fragments_materialized, 0);
+  EXPECT_GT(ta.counts.views_created + ta.counts.fragments_created, 0);
+  EXPECT_GT(ea.evictions(), 0);
+  EXPECT_EQ(eb.evictions(), ea.evictions());
+  EXPECT_EQ(ea.evictions(), ta.counts.fragments_evicted);
 }
 
 // ---------------------------------------------------------------------------
@@ -436,7 +437,7 @@ std::vector<std::string> TenantNames() {
 /// Pinned-schedule contract: a threaded run through one shared
 /// MetricsObserver must produce, per tenant, exactly the metrics of a
 /// sequential replay of the same commit order observed per-tenant —
-/// integer counters AND sim-time double sums (each tenant's shard sees
+/// integer counters AND sim-time double sums (each tenant's slot sees
 /// its additions in the same order either way). TSan runs this test
 /// with real threads hammering the shared observer.
 TEST(MetricsMultiTenantTest, SharedObserverEqualsPerTenantSequentialRuns) {
@@ -485,19 +486,21 @@ TEST(MetricsMultiTenantTest, SharedObserverEqualsPerTenantSequentialRuns) {
     ASSERT_TRUE(merged.tenants.count(tenants[static_cast<size_t>(t)]));
     const auto& got = merged.tenants.at(tenants[static_cast<size_t>(t)]);
 
-    EXPECT_EQ(got.queries, want.queries) << tenants[static_cast<size_t>(t)];
-    EXPECT_EQ(got.queries_from_views, want.queries_from_views);
-    EXPECT_EQ(got.degraded_queries, want.degraded_queries);
-    EXPECT_EQ(got.fragments_read, want.fragments_read);
-    EXPECT_EQ(got.views_materialized, want.views_materialized);
-    EXPECT_EQ(got.fragments_materialized, want.fragments_materialized);
-    EXPECT_EQ(got.evictions, want.evictions);
-    EXPECT_EQ(got.merges, want.merges);
-    EXPECT_EQ(got.faults, want.faults);
-    EXPECT_EQ(got.retries, want.retries);
-    EXPECT_EQ(got.degrades, want.degrades);
-    EXPECT_DOUBLE_EQ(got.materialized_bytes, want.materialized_bytes);
-    EXPECT_DOUBLE_EQ(got.evicted_bytes, want.evicted_bytes);
+    const EngineTotals& g = got.counts;
+    const EngineTotals& w = want.counts;
+    EXPECT_EQ(g.queries, w.queries) << tenants[static_cast<size_t>(t)];
+    EXPECT_EQ(g.queries_answered_from_views, w.queries_answered_from_views);
+    EXPECT_EQ(g.queries_degraded, w.queries_degraded);
+    EXPECT_EQ(g.fragments_read, w.fragments_read);
+    EXPECT_EQ(g.views_created, w.views_created);
+    EXPECT_EQ(g.fragments_created, w.fragments_created);
+    EXPECT_EQ(g.fragments_evicted, w.fragments_evicted);
+    EXPECT_EQ(g.fragments_merged, w.fragments_merged);
+    EXPECT_EQ(g.faults, w.faults);
+    EXPECT_EQ(g.retries, w.retries);
+    EXPECT_EQ(g.degrades, w.degrades);
+    EXPECT_DOUBLE_EQ(g.materialized_bytes, w.materialized_bytes);
+    EXPECT_DOUBLE_EQ(g.evicted_bytes, w.evicted_bytes);
     EXPECT_EQ(got.query_sim.count, want.query_sim.count);
     EXPECT_DOUBLE_EQ(got.query_sim.sum, want.query_sim.sum);
     for (size_t b = 0; b < MetricsObserver::kBucketCount; ++b) {
@@ -511,23 +514,25 @@ TEST(MetricsMultiTenantTest, SharedObserverEqualsPerTenantSequentialRuns) {
       EXPECT_DOUBLE_EQ(got.stage_sim[s].sum, want.stage_sim[s].sum);
     }
 
-    sum_of_sequential.queries += want.queries;
-    sum_of_sequential.evictions += want.evictions;
-    sum_of_sequential.fragments_materialized += want.fragments_materialized;
+    sum_of_sequential.counts.queries += w.queries;
+    sum_of_sequential.counts.fragments_evicted += w.fragments_evicted;
+    sum_of_sequential.counts.fragments_created += w.fragments_created;
   }
   // And the acceptance phrasing: merged totals == sum of per-tenant
   // sequential runs for the monotonic counters.
-  const auto merged_totals = merged.Totals();
-  EXPECT_EQ(merged_totals.queries, sum_of_sequential.queries);
+  const auto merged_totals = merged.Totals().counts;
+  EXPECT_EQ(merged_totals.queries, sum_of_sequential.counts.queries);
   EXPECT_EQ(merged_totals.queries, kTenants * kQueriesPerTenant);
-  EXPECT_EQ(merged_totals.evictions, sum_of_sequential.evictions);
-  EXPECT_EQ(merged_totals.fragments_materialized,
-            sum_of_sequential.fragments_materialized);
+  EXPECT_EQ(merged_totals.fragments_evicted,
+            sum_of_sequential.counts.fragments_evicted);
+  EXPECT_EQ(merged_totals.fragments_created,
+            sum_of_sequential.counts.fragments_created);
 }
 
 /// Free-running engines (no turnstile) hammering one shared observer:
 /// the run is not schedule-deterministic, but every counter must still
-/// add up — this is the TSan data-race probe for the sharded hot path.
+/// add up — this is the TSan data-race probe for the per-tenant slot
+/// locks.
 TEST(MetricsMultiTenantTest, FreeRunningEnginesKeepCountersConsistent) {
   const auto tenants = TenantNames();
   const auto plans = TenantPlans();
@@ -565,14 +570,11 @@ TEST(MetricsMultiTenantTest, FreeRunningEnginesKeepCountersConsistent) {
     const auto& name = tenants[static_cast<size_t>(t)];
     ASSERT_TRUE(snap.tenants.count(name)) << name;
     const auto& m = snap.tenants.at(name);
-    EXPECT_EQ(m.queries, processed[static_cast<size_t>(t)]) << name;
-    EXPECT_EQ(m.query_sim.count, m.queries) << name;
-    // Each engine totals its own tenant; the observer must agree.
-    const EngineTotals& totals = engines[static_cast<size_t>(t)]->totals();
-    EXPECT_EQ(m.views_materialized, totals.views_created) << name;
-    EXPECT_EQ(m.fragments_materialized, totals.fragments_created) << name;
-    EXPECT_EQ(m.evictions, totals.fragments_evicted) << name;
-    EXPECT_EQ(m.queries_from_views, totals.queries_answered_from_views);
+    EXPECT_EQ(m.counts.queries, processed[static_cast<size_t>(t)]) << name;
+    EXPECT_EQ(m.query_sim.count, m.counts.queries) << name;
+    // Each engine folds its own tenant's reports, in the order the
+    // observer's slot sees them: the two agree exactly.
+    EXPECT_EQ(m.counts, engines[static_cast<size_t>(t)]->totals()) << name;
   }
   // Scrape after the run is well-formed (gauges read the shared pool).
   const Status valid = ValidatePrometheusText(shared.RenderPrometheusText());

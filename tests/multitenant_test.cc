@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "evict_counter.h"
 #include "multitenant_harness.h"
 
 #include "core/engine.h"
@@ -181,12 +182,12 @@ void RunFreeRunningStress(int num_tenants, int queries_each) {
 
   SharedPool shared(&catalog, options);
   std::vector<std::unique_ptr<DeepSeaEngine>> engines;
-  std::vector<std::unique_ptr<TraceObserver>> observers;
+  std::vector<std::unique_ptr<EvictCounter>> observers;
   for (int t = 0; t < num_tenants; ++t) {
     engines.push_back(
         std::make_unique<DeepSeaEngine>(&catalog, &shared, tenants[t]));
     observers.push_back(
-        std::make_unique<TraceObserver>(tenants[t], /*trace=*/nullptr));
+        std::make_unique<EvictCounter>(tenants[t], /*trace=*/nullptr));
     engines[t]->set_observer(observers[t].get());
   }
 
@@ -218,19 +219,28 @@ void RunFreeRunningStress(int num_tenants, int queries_each) {
               1.0 + shared.pool()->PoolBytes() * 1e-9);
 
   // Observer isolation: each engine's observer saw exactly its own
-  // tenant's queries and mutations, nothing from the neighbours.
+  // tenant's queries and evictions, nothing from the neighbours.
+  int64_t evictions = 0;
   for (int t = 0; t < num_tenants; ++t) {
-    EXPECT_EQ(observers[t]->queries(), queries_each) << tenants[t];
+    EXPECT_EQ(observers[t]->totals().queries, queries_each) << tenants[t];
     for (const auto& [tenant, stats] : observers[t]->tenants()) {
       (void)stats;
       EXPECT_EQ(tenant, tenants[t]);
     }
-    // Every replan has exactly one recorded cause.
+    for (const auto& [tenant, n] : observers[t]->evictions_by_tenant()) {
+      (void)n;
+      EXPECT_EQ(tenant, tenants[t]);
+    }
     const EngineTotals& totals = engines[t]->totals();
+    EXPECT_EQ(observers[t]->evictions(), totals.fragments_evicted)
+        << tenants[t];
+    evictions += observers[t]->evictions();
+    // Every replan has exactly one recorded cause.
     EXPECT_EQ(totals.replans,
               totals.replans_conflict + totals.replans_spurious)
         << tenants[t];
   }
+  EXPECT_GT(evictions, 0);
 }
 
 TEST(MultiTenantStressTest, FreeRunningTenantsKeepPoolConsistent) {
@@ -356,8 +366,8 @@ TEST(MultiTenantObserverTest, ObserversAreScopedToTheirEngine) {
   SharedPool shared(&catalog, options);
   DeepSeaEngine alice(&catalog, &shared, "alice");
   DeepSeaEngine bob(&catalog, &shared, "bob");
-  TraceObserver obs_a("alice", nullptr);
-  TraceObserver obs_b("bob", nullptr);
+  EvictCounter obs_a("alice", nullptr);
+  EvictCounter obs_b("bob", nullptr);
   alice.set_observer(&obs_a);
   bob.set_observer(&obs_b);
 
@@ -373,8 +383,8 @@ TEST(MultiTenantObserverTest, ObserversAreScopedToTheirEngine) {
   }
 
   // Each observer saw only its own engine's commits...
-  EXPECT_EQ(obs_a.queries(), 40);
-  EXPECT_EQ(obs_b.queries(), 40);
+  EXPECT_EQ(obs_a.totals().queries, 40);
+  EXPECT_EQ(obs_b.totals().queries, 40);
   for (const auto& [tenant, stats] : obs_a.tenants()) {
     (void)stats;
     EXPECT_EQ(tenant, "alice");
@@ -383,8 +393,20 @@ TEST(MultiTenantObserverTest, ObserversAreScopedToTheirEngine) {
     (void)stats;
     EXPECT_EQ(tenant, "bob");
   }
+  // ...and only the evictions its own engine's commits made.
+  for (const auto& [tenant, n] : obs_a.evictions_by_tenant()) {
+    (void)n;
+    EXPECT_EQ(tenant, "alice");
+  }
+  for (const auto& [tenant, n] : obs_b.evictions_by_tenant()) {
+    (void)n;
+    EXPECT_EQ(tenant, "bob");
+  }
+  EXPECT_EQ(obs_a.evictions(), alice.totals().fragments_evicted);
+  EXPECT_EQ(obs_b.evictions(), bob.totals().fragments_evicted);
+  EXPECT_GT(obs_a.evictions() + obs_b.evictions(), 0);
   // ...and together they account for every materialized view.
-  EXPECT_EQ(obs_a.views_materialized() + obs_b.views_materialized(),
+  EXPECT_EQ(obs_a.totals().views_created + obs_b.totals().views_created,
             created_views);
 }
 
@@ -415,7 +437,9 @@ TEST(EvictWholeViewTest, NotifiesEveryEvictedPiece) {
   ASSERT_FALSE(whole_id.empty()) << "NP never materialized a whole view";
 
   PoolManager* pool = engine.mutable_pool();
-  TraceObserver obs("np", nullptr);
+  // EvictWholeView runs outside any query here, so no OnQueryEnd (and
+  // no report fold) follows: the hook count is checked on its own.
+  EvictCounter obs("np", nullptr);
   CommitGuard commit = pool->BeginCommit(&obs, "np", engine.tenant_ord());
   ViewInfo* view = pool->stat(commit)->Get(whole_id);
   ASSERT_NE(view, nullptr);
@@ -431,14 +455,19 @@ TEST(EvictWholeViewTest, NotifiesEveryEvictedPiece) {
   const std::string frag_path = FragmentPath(*view, "item_sk", iv);
   pool->fs(commit)->Put(frag_path, 5e6);
 
-  Result<int> evicted = pool->EvictWholeView(view);
+  const double whole_bytes = view->stats.size_bytes;
+  QueryReport report;
+  Result<int> evicted = pool->EvictWholeView(view, &report);
   commit.Release();
 
   ASSERT_TRUE(evicted.ok()) << evicted.status().ToString();
   EXPECT_EQ(*evicted, 2);  // the fragment + the whole materialization
   EXPECT_EQ(obs.evictions(), 2);
-  ASSERT_EQ(obs.tenants().count("np"), 1u);
-  EXPECT_EQ(obs.tenants().at("np").evictions, 2);
+  // Each piece is counted where it leaves the pool, as it is notified.
+  EXPECT_EQ(report.evicted_fragments, 2);
+  EXPECT_DOUBLE_EQ(report.evicted_bytes, 5e6 + whole_bytes);
+  ASSERT_EQ(obs.evictions_by_tenant().count("np"), 1u);
+  EXPECT_EQ(obs.evictions_by_tenant().at("np"), 2);
   EXPECT_FALSE(view->whole_materialized);
   EXPECT_FALSE(pool->fs().Exists(frag_path));
   EXPECT_FALSE(pool->fs().Exists("pool/" + whole_id + "/full"));

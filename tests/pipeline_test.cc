@@ -18,6 +18,7 @@
 #include "core/query_context.h"
 #include "core/rewrite_planner.h"
 #include "core/selection_planner.h"
+#include "evict_counter.h"
 #include "exp/metrics.h"
 #include "exp/trace.h"
 #include "workload/bigbench.h"
@@ -312,7 +313,7 @@ TEST(EngineObserverTest, StagesAndPoolEventsReachTheObserver) {
   DeepSeaEngine engine(&catalog, options);
 
   QueryTrace trace;
-  TraceObserver observer("DS", &trace);
+  EvictCounter observer("DS", &trace);
   engine.set_observer(&observer);
 
   const auto names = BigBenchTemplates::Names();
@@ -328,7 +329,7 @@ TEST(EngineObserverTest, StagesAndPoolEventsReachTheObserver) {
   }
 
   // Every query passed through every always-on stage exactly once.
-  EXPECT_EQ(observer.queries(), kQueries);
+  EXPECT_EQ(observer.totals().queries, kQueries);
   EXPECT_EQ(trace.size(), static_cast<size_t>(kQueries));
   for (EngineStage s : {EngineStage::kRewrite, EngineStage::kCandidates,
                         EngineStage::kSelection, EngineStage::kApply}) {
@@ -350,14 +351,14 @@ TEST(EngineObserverTest, StagesAndPoolEventsReachTheObserver) {
               engine.totals().materialize_seconds,
               1e-9 * std::max(1.0, engine.totals().materialize_seconds));
 
-  // Pool mutation events mirror the engine's counters (overlapping
-  // fragments: no splits; merge off: every OnEvict is a policy evict).
-  EXPECT_EQ(observer.fragments_materialized(),
-            engine.totals().fragments_created);
-  EXPECT_EQ(observer.views_materialized(), engine.totals().views_created);
+  // The observer folds the same reports the engine does, so every
+  // counter agrees (overlapping fragments: no splits; merge off: every
+  // eviction is a policy evict).
+  EXPECT_EQ(observer.totals(), engine.totals());
+  EXPECT_GT(observer.totals().fragments_evicted, 0);
+  EXPECT_EQ(observer.totals().fragments_merged, 0);
+  // The pool's OnEvict reached the observer once per counted piece.
   EXPECT_EQ(observer.evictions(), engine.totals().fragments_evicted);
-  EXPECT_GT(observer.evictions(), 0);
-  EXPECT_EQ(observer.merges(), 0);
 
   const std::string csv = observer.StageSummaryCsv();
   EXPECT_NE(csv.find("DS,rewrite,"), std::string::npos);
@@ -374,10 +375,10 @@ TEST(EngineObserverTest, DetachingTheObserverSilencesIt) {
                                        100000.0);
   ASSERT_TRUE(plan.ok());
   ASSERT_TRUE(engine.ProcessQuery(*plan).ok());
-  EXPECT_EQ(observer.queries(), 1);
+  EXPECT_EQ(observer.totals().queries, 1);
   engine.set_observer(nullptr);
   ASSERT_TRUE(engine.ProcessQuery(*plan).ok());
-  EXPECT_EQ(observer.queries(), 1);  // unchanged after detach
+  EXPECT_EQ(observer.totals().queries, 1);  // unchanged after detach
 }
 
 // StageScope's contract (engine.cc): wall-clock is measured only while
