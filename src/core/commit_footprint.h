@@ -27,11 +27,11 @@ namespace deepsea {
 ///  * `all` — the commit rewrote arbitrary pool state (state loads,
 ///    merge passes, the legacy token-only BeginCommit). Conflicts with
 ///    every read.
-///  * `catalog_counter` — the view-id counter / rewrite-index
-///    structure. Read by any plan that *predicts* a new view id
-///    (PlanningDelta::TrackView), written by any commit that creates
-///    views. Two concurrent creators always conflict, which is what
-///    makes "v<N>" id prediction safe.
+///  * `catalog_counter` — the pool-membership token. Written by every
+///    commit that creates views or materializes content (either may
+///    change which views hold pool content). Read only by a contended
+///    knapsack, whose pool sweep visited just the views holding
+///    content at its read epoch (PlanningDelta::NotePoolMembershipRead).
 ///  * `catalog_sigs` — view-signature catalog entries probed
 ///    (FindView) or created (TrackView). A foreign commit creating a
 ///    signature this plan probed invalidates the plan; creations with

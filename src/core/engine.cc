@@ -49,7 +49,13 @@ class StageScope {
 /// Complements PlanningDelta::CollectWriteFootprint (the statistics
 /// fold) with the materialize/evict mutations of Apply. `a.part` may
 /// point at a shadow partition — only its attr is read, which is the
-/// same string the folded real partition carries.
+/// same string the folded real partition carries — or, for a swept
+/// pool piece, at the shared partition itself.
+///
+/// A decision that materializes anything also writes the pool-
+/// membership token (`catalog_counter`): it may put content into a
+/// view that held none, which a contended knapsack's sweep never read
+/// (PlanningDelta::NotePoolMembershipRead).
 void MergeDecisionWrites(const SelectionDecision& decision,
                          CommitFootprint* fp) {
   for (const SelectionAction& a : decision.actions) {
@@ -60,11 +66,14 @@ void MergeDecisionWrites(const SelectionDecision& decision,
         fp->AddPartition(a.view->id, "");
         break;
       case SelectionAction::Kind::kMaterializeView:
+        fp->catalog_counter = true;
         fp->AddPartition(a.view->id, "");
         break;
-      case SelectionAction::Kind::kEvictFragment:
       case SelectionAction::Kind::kMaterializeRefinement:
       case SelectionAction::Kind::kMaterializeViewFragment:
+        fp->catalog_counter = true;
+        [[fallthrough]];
+      case SelectionAction::Kind::kEvictFragment:
         if (a.part != nullptr) {
           fp->AddPartition(a.view->id, a.part->attr);
           fp->AddFragment(a.view->id, a.part->attr, a.interval);

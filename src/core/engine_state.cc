@@ -430,8 +430,8 @@ Status DeepSeaEngine::LoadState(const std::string& state) {
     }
   }
   // The loop above wrote materialized flags and sizes directly; bring
-  // every view's cached pool-byte counter back in sync.
-  for (ViewInfo* v : views->AllViews()) v->RefreshCachedBytes();
+  // the pool-content index and its cached bytes back in sync.
+  for (ViewInfo* v : views->AllViews()) views->RefreshPoolContent(v);
   fs->set_fault_policy(saved_policy);
   return Status::OK();
 }

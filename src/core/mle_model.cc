@@ -35,29 +35,6 @@ MleFragmentModel::AdjustedHits MleFragmentModel::Adjust(
   out.hits.assign(fragments.size(), 0.0);
   if (fragments.empty() || domain.Width() <= 0.0) return out;
 
-  auto base_of = [bases](size_t i) -> const FragmentStats* {
-    return bases != nullptr && i < bases->size() ? (*bases)[i] : nullptr;
-  };
-
-  // H(I) per fragment and H_total. With a base, accumulate base-then-
-  // local exactly as the folded fragment's own DecayedHits would.
-  std::vector<double> frag_hits(fragments.size(), 0.0);
-  for (size_t i = 0; i < fragments.size(); ++i) {
-    const FragmentStats* base = base_of(i);
-    if (base == nullptr) {
-      frag_hits[i] = fragments[i].DecayedHits(t_now, dec);
-    } else if (!dec.config().enabled) {
-      frag_hits[i] = static_cast<double>(base->hits().size() +
-                                         fragments[i].hits().size());
-    } else {
-      double acc = base->DecayedHits(t_now, dec);
-      for (const FragmentHit& h : fragments[i].hits()) acc += dec(t_now, h.time);
-      frag_hits[i] = acc;
-    }
-    out.total += frag_hits[i];
-  }
-  if (out.total <= 0.0) return out;
-
   // Split the domain into equi-size parts and spread each fragment's
   // hits over the parts it covers (the paper splits hits evenly over
   // contained parts; we use overlap-proportional spreading, which
@@ -65,56 +42,80 @@ MleFragmentModel::AdjustedHits MleFragmentModel::Adjust(
   const int num_parts = ChoosePartCount(fragments, domain);
   const double part_width = domain.Width() / num_parts;
   std::vector<double> part_hits(static_cast<size_t>(num_parts), 0.0);
-  std::vector<double> part_mids(static_cast<size_t>(num_parts), 0.0);
-  for (int p = 0; p < num_parts; ++p) {
-    part_mids[static_cast<size_t>(p)] = domain.lo + part_width * (p + 0.5);
-  }
-  auto spread_hit = [&](const Interval& iv, const FragmentHit& hit) {
-    const double w = dec(t_now, hit.time);
-    if (w <= 0.0) return;
-    // Spread the hit over the region the query actually touched
-    // (hit.range, clamped to the fragment) when recorded; otherwise
-    // over the whole fragment (the paper's even split).
-    Interval region = iv;
-    if (hit.has_range) {
-      const auto clamped = hit.range.Intersect(iv);
-      if (clamped.has_value()) region = *clamped;
-    }
-    const double region_width = region.Width();
-    if (region_width <= 0.0) {
-      int p = static_cast<int>((region.lo - domain.lo) / part_width);
-      p = std::clamp(p, 0, num_parts - 1);
-      part_hits[static_cast<size_t>(p)] += w;
-      return;
-    }
-    // Only parts overlapping the region can receive mass.
-    int first = static_cast<int>((region.lo - domain.lo) / part_width);
-    int last = static_cast<int>((region.hi - domain.lo) / part_width);
-    first = std::clamp(first, 0, num_parts - 1);
-    last = std::clamp(last, 0, num_parts - 1);
-    for (int p = first; p <= last; ++p) {
-      const Interval part(domain.lo + part_width * p,
-                          domain.lo + part_width * (p + 1));
-      const double ow = part.OverlapWidth(region);
-      if (ow > 0.0) {
-        part_hits[static_cast<size_t>(p)] += w * ow / region_width;
+
+  // One visit per live hit: add its weight to the fragment's H(I), then
+  // spread it. Hits before LiveHitsBegin weigh exactly 0.0, so skipping
+  // them adds nothing to H(I) and spreads nothing — bit-identical to a
+  // full replay.
+  auto visit_live_hits = [&](const Interval& iv, const FragmentStats& f,
+                             double* h) {
+    const std::vector<FragmentHit>& hits = f.hits();
+    for (size_t k = f.LiveHitsBegin(t_now, dec); k < hits.size(); ++k) {
+      const FragmentHit& hit = hits[k];
+      const double w = dec(t_now, hit.time);
+      *h += w;
+      if (w <= 0.0) continue;
+      // Spread the hit over the region the query actually touched
+      // (hit.range, clamped to the fragment) when recorded; otherwise
+      // over the whole fragment (the paper's even split). A clamp of
+      // positive width is computed inline; the rare degenerate clamp
+      // (a point, or no overlap) takes Interval::Intersect's rules.
+      double lo = iv.lo;
+      double hi = iv.hi;
+      double width = iv.Width();
+      if (hit.has_range) {
+        const double clamped_lo = std::max(hit.range.lo, iv.lo);
+        const double clamped_hi = std::min(hit.range.hi, iv.hi);
+        if (clamped_hi - clamped_lo > 0.0) {
+          lo = clamped_lo;
+          hi = clamped_hi;
+          width = clamped_hi - clamped_lo;
+        } else if (const auto clamped = hit.range.Intersect(iv)) {
+          lo = clamped->lo;
+          hi = clamped->hi;
+          width = clamped->Width();
+        }
+      }
+      if (width <= 0.0) {
+        int p = static_cast<int>((lo - domain.lo) / part_width);
+        p = std::clamp(p, 0, num_parts - 1);
+        part_hits[static_cast<size_t>(p)] += w;
+        continue;
+      }
+      // Only parts overlapping the region can receive mass.
+      int first = static_cast<int>((lo - domain.lo) / part_width);
+      int last = static_cast<int>((hi - domain.lo) / part_width);
+      first = std::clamp(first, 0, num_parts - 1);
+      last = std::clamp(last, 0, num_parts - 1);
+      for (int p = first; p <= last; ++p) {
+        const double part_lo = domain.lo + part_width * p;
+        const double part_hi = domain.lo + part_width * (p + 1);
+        const double overlap = std::min(part_hi, hi) - std::max(part_lo, lo);
+        if (overlap > 0.0) {
+          part_hits[static_cast<size_t>(p)] += w * overlap / width;
+        }
       }
     }
   };
-  // Only the in-window suffix of each hit list is replayed: hits in the
-  // certified timed-out prefix weigh exactly 0.0, which spread_hit
-  // skips anyway.
-  auto spread_live_hits = [&](const Interval& iv, const FragmentStats& f) {
-    const std::vector<FragmentHit>& hits = f.hits();
-    for (size_t h = f.LiveHitsBegin(t_now, dec); h < hits.size(); ++h) {
-      spread_hit(iv, hits[h]);
-    }
-  };
+
+  // H(I) per fragment and H_total. With a base, visit base-then-local
+  // exactly as the folded fragment's own hit list is ordered.
+  std::vector<double> frag_hits(fragments.size(), 0.0);
   for (size_t i = 0; i < fragments.size(); ++i) {
-    if (frag_hits[i] <= 0.0) continue;
     const Interval& iv = fragments[i].interval;
-    if (const FragmentStats* base = base_of(i)) spread_live_hits(iv, *base);
-    spread_live_hits(iv, fragments[i]);
+    double h = 0.0;
+    if (bases != nullptr && i < bases->size() && (*bases)[i] != nullptr) {
+      visit_live_hits(iv, *(*bases)[i], &h);
+    }
+    visit_live_hits(iv, fragments[i], &h);
+    frag_hits[i] = h;
+    out.total += h;
+  }
+  if (out.total <= 0.0) return out;
+
+  std::vector<double> part_mids(static_cast<size_t>(num_parts), 0.0);
+  for (int p = 0; p < num_parts; ++p) {
+    part_mids[static_cast<size_t>(p)] = domain.lo + part_width * (p + 0.5);
   }
 
   // MLE Normal fit over part midpoints weighted by part hits.

@@ -65,8 +65,9 @@ class MleFragmentModel {
   /// second — the order a folded in-place fragment stores them — so the
   /// fit is bit-identical to running Adjust after the fold.
   ///
-  /// Each hit list is replayed from FragmentStats::LiveHitsBegin, so a
-  /// fit costs O(in-window hits), not O(every hit ever recorded).
+  /// Each hit list is replayed once, from FragmentStats::LiveHitsBegin:
+  /// a fit visits each in-window hit one time, adding it to H(I) and
+  /// spreading it over the parts, not every hit ever recorded.
   AdjustedHits Adjust(const std::vector<FragmentStats>& fragments,
                       const Interval& domain, double t_now,
                       const DecayFunction& dec,

@@ -22,7 +22,9 @@ PlanningDelta::PlanningDelta(const Catalog& shared_catalog,
     : t_now_(t_now),
       shared_views_(shared_views),
       reservation_(reservation),
-      planning_catalog_(&shared_catalog) {}
+      planning_catalog_(&shared_catalog) {
+  assert(reservation_ != nullptr && "TrackView needs a ViewIdReservation");
+}
 
 // --- view overlay ---------------------------------------------------
 
@@ -42,24 +44,11 @@ ViewInfo* PlanningDelta::TrackView(const PlanPtr& plan,
   const std::string canonical = signature.ToString();
   if (ViewInfo* existing = FindView(canonical)) return existing;
   auto view = std::make_unique<ViewInfo>();
-  if (reservation_ != nullptr) {
-    // Reserved placeholder: no shared-counter read, so two concurrent
-    // creators conflict only through the signature catalog (FindView
-    // recorded the probe above) and the rewrite index — creations with
-    // disjoint signatures commute and commit sharded. Fold assigns the
-    // final "v<N>" id in commit order.
-    view->id = reservation_->NextPlaceholder();
-  } else {
-    // Legacy prediction (no reservation): reads the shared view-id
-    // counter, so any foreign commit that creates views moves it and
-    // the two creators always conflict (one replans and re-predicts).
-    // Adopt() asserts the prediction still holds at fold time
-    // (guaranteed by epoch validation).
-    read_target().catalog_counter = true;
-    view->id = StrFormat(
-        "v%d",
-        shared_views_->peek_next_id() + static_cast<int>(new_views_.size()));
-  }
+  // Placeholder id: two concurrent creators conflict only through the
+  // signature catalog (FindView recorded the probe above) and the
+  // rewrite index, so creations with disjoint signatures commute and
+  // commit sharded. Fold assigns the final "v<N>" id in commit order.
+  view->id = reservation_->NextPlaceholder();
   view->plan = plan;
   view->signature = signature;
   ViewInfo* raw = view.get();
@@ -73,13 +62,6 @@ bool PlanningDelta::OwnsView(const ViewInfo* v) const {
     if (owned.get() == v) return true;
   }
   return false;
-}
-
-std::vector<ViewInfo*> PlanningDelta::AllViews() {
-  std::vector<ViewInfo*> out = shared_views_->AllViews();
-  out.reserve(out.size() + new_views_.size());
-  for (const auto& owned : new_views_) out.push_back(owned.get());
-  return out;
 }
 
 // --- deferred catalog / index writes --------------------------------
@@ -235,6 +217,16 @@ PartitionState* PlanningDelta::Partition(ViewInfo* v, const std::string& attr) {
     return nullptr;
   }
   return &MakeShadow(v, attr, base, base->domain).state;
+}
+
+PartitionState* PlanningDelta::ReadPartition(ViewInfo* v,
+                                             PartitionState* shared) {
+  auto it = shadow_by_key_.find({v, shared->attr});
+  if (it != shadow_by_key_.end()) return &it->second->state;
+  // The reads MakeShadow would record, without the copy.
+  NotePartitionRead(v, shared->attr);
+  read_target().AddFragment(v->id, shared->attr, shared->domain);
+  return shared;
 }
 
 PartitionState* PlanningDelta::EnsurePartition(ViewInfo* v,
@@ -433,47 +425,42 @@ void PlanningDelta::Fold(ViewCatalog* views, Catalog* catalog,
   // 1. Adopt delta-owned views. ViewInfo addresses are preserved, so
   //    pointers captured in candidate lists and the decision stay valid.
   //
-  //    Reservation-tracked views enter with placeholder ids ("c<M>");
-  //    assign each the final catalog id here, in track order — which is
-  //    fold/commit order, so a deterministic run produces the same
-  //    "v1, v2, ..." sequence the legacy counter prediction did — and
+  //    They enter with placeholder ids ("c<M>"); assign each the final
+  //    catalog id here, in track order — which is fold/commit order, so
+  //    a deterministic run produces the "v1, v2, ..." sequence — and
   //    rename the deferred view tables and index inserts to match.
-  //    Legacy counter-predicted ids pass through; Adopt() asserts they
-  //    still hold (guaranteed by epoch validation).
-  if (reservation_ != nullptr && !new_views_.empty()) {
+  if (!new_views_.empty()) {
     int next_id = views->peek_next_id();
     for (auto& owned : new_views_) {
-      if (!ViewIdReservation::IsPlaceholder(owned->id)) continue;
+      assert(ViewIdReservation::IsPlaceholder(owned->id));
       std::string final_id = StrFormat("v%d", next_id++);
       id_remap_.emplace_back(owned->id, final_id);
       owned->id = std::move(final_id);
     }
-    if (!id_remap_.empty()) {
-      auto final_of = [this](const std::string& id) -> const std::string* {
-        for (const auto& [from, to] : id_remap_) {
-          if (id == from) return &to;
-        }
-        return nullptr;
-      };
-      for (TablePtr& table : deferred_puts_) {
-        if (const std::string* to = final_of(table->name())) {
-          table->Rename(*to);
-        }
-      }
-      for (auto& [sig, id] : deferred_index_) {
-        if (const std::string* to = final_of(id)) id = *to;
-      }
-      // Re-key the planning catalog (it shares the Table objects with
-      // deferred_puts_, so they are already renamed — only the map key
-      // is stale). Post-fold consumers (staged estimators) resolve view
-      // tables by final id.
+    auto final_of = [this](const std::string& id) -> const std::string* {
       for (const auto& [from, to] : id_remap_) {
-        (void)to;
-        auto table = planning_catalog_.Get(from);
-        if (table.ok()) {
-          (void)planning_catalog_.Drop(from);
-          planning_catalog_.Put(*table);
-        }
+        if (id == from) return &to;
+      }
+      return nullptr;
+    };
+    for (TablePtr& table : deferred_puts_) {
+      if (const std::string* to = final_of(table->name())) {
+        table->Rename(*to);
+      }
+    }
+    for (auto& [sig, id] : deferred_index_) {
+      if (const std::string* to = final_of(id)) id = *to;
+    }
+    // Re-key the planning catalog (it shares the Table objects with
+    // deferred_puts_, so they are already renamed — only the map key
+    // is stale). Post-fold consumers (staged estimators) resolve view
+    // tables by final id.
+    for (const auto& [from, to] : id_remap_) {
+      (void)to;
+      auto table = planning_catalog_.Get(from);
+      if (table.ok()) {
+        (void)planning_catalog_.Drop(from);
+        planning_catalog_.Put(*table);
       }
     }
   }
@@ -503,13 +490,10 @@ void PlanningDelta::Fold(ViewCatalog* views, Catalog* catalog,
   //    in-place append order.
   for (ShadowPartition& sp : shadows_) {
     if (sp.base_exists && !ShadowDirty(sp)) {
-      // Read-only shadow (created to evaluate a pool view, never
-      // written). Skipping it keeps the index-based fold below from
-      // folding into a base a foreign commit legitimately changed
-      // after this plan's soft reads were dropped. The remap entry is
-      // still needed: decision actions may have captured the shadow
-      // pointer (they only do when the reads were promoted, so the
-      // base is epoch-protected and still present). Remap to the
+      // Read-only shadow (created for reads, never written): nothing
+      // to fold. The remap entry is still needed: decision actions may
+      // have captured the shadow pointer (the shadow's reads are hard,
+      // so the base is epoch-protected and still present). Remap to the
       // recorded base pointer — walking sp.view->partitions here would
       // race with a foreign sharded commit inserting partitions into a
       // view whose shard this commit does not hold.
@@ -602,17 +586,17 @@ CommitFootprint PlanningDelta::CollectWriteFootprint() const {
   CommitFootprint fp;
   if (RequiresStructuralCommit()) {
     // Structural writes, decomposed precisely (never `all`): the view-id
-    // counter advances (invalidating legacy id predictions and
-    // budget-bound knapsacks), the signature catalog gains the new
-    // canonicals (FindView records every probe, so a plan that looked
-    // one of them up conflicts), the rewrite index gains entries at
+    // counter advances (contended knapsacks read it as the pool-
+    // membership token), the signature catalog gains the new canonicals
+    // (FindView records every probe, so a plan that looked one of them
+    // up conflicts), the rewrite index gains entries at
     // subsumption granularity, and the new views' own state appears.
     // A plan that never probed these signatures, never probed a
     // subsumed subplan, and did not depend on pool membership commutes
     // — which is what lets cold-range candidate registration commit
-    // sharded. Reserved views are listed under their placeholder ids
-    // here; RemapFoldedIds rewrites the published footprint to the
-    // final ids after the fold.
+    // sharded. New views are listed under their placeholder ids here;
+    // RemapFoldedIds rewrites the published footprint to the final ids
+    // after the fold.
     fp.catalog_counter = true;
     for (const auto& owned : new_views_) {
       fp.AddCatalogSig(owned->signature.ToString());

@@ -25,16 +25,11 @@ class FilterTree;
 /// A per-engine lease of placeholder view ids, drawn in blocks from the
 /// pool's shared atomic counter (PoolManager::placeholder_counter()).
 ///
-/// Historically TrackView *predicted* the final "v<N>" id from the
-/// shared counter, which made every candidate-tracking plan read — and
-/// every creating commit write — the global `catalog_counter`, so two
-/// concurrent creators always conflicted and structural commits had to
-/// serialize. A reservation removes the counter from the planning read
-/// set: TrackView names the candidate with a process-unique placeholder
-/// ("c<M>") instead, and Fold assigns the real catalog id in commit
-/// order — so the golden "v1, v2, ..." sequence of a deterministic run
-/// is untouched, while concurrent creators with disjoint signatures
-/// commute.
+/// TrackView names a new candidate view with a process-unique
+/// placeholder ("c<M>"), and Fold assigns the real catalog id in commit
+/// order. So a deterministic run keeps its "v1, v2, ..." sequence,
+/// planning never reads the catalog's id counter, and concurrent
+/// creators with disjoint signatures commute.
 ///
 /// Not thread-safe: one reservation belongs to one engine, and engines
 /// process one query at a time. The block lease (kBlockSize ids per
@@ -51,8 +46,7 @@ class ViewIdReservation {
   /// from the catalog's "v<N>" ids by construction).
   std::string NextPlaceholder();
 
-  /// True for ids produced by any ViewIdReservation (fold uses this to
-  /// tell reserved candidates from legacy predicted ids).
+  /// True for ids produced by any ViewIdReservation.
   static bool IsPlaceholder(const std::string& id) {
     return !id.empty() && id[0] == 'c';
   }
@@ -83,9 +77,9 @@ class ViewIdReservation {
 /// bit-identical to the historical mutate-in-place run. The mechanisms:
 ///
 ///  * Delta-owned views. ViewCatalog::Track calls become TrackView,
-///    which allocates the ViewInfo here with the id ViewCatalog *will*
-///    assign ("v<peek_next_id + k>"). Fold adopts the owned ViewInfo
-///    into the catalog (ViewCatalog::Adopt), preserving its address, so
+///    which allocates the ViewInfo here under a placeholder id from the
+///    engine's ViewIdReservation. Fold gives it the next catalog id and
+///    adopts it (ViewCatalog::Adopt), preserving its address, so
 ///    candidate lists and decisions that captured the pointer stay
 ///    valid. Stats/partitions of delta-owned views are mutated directly
 ///    (nothing else can see them).
@@ -124,13 +118,11 @@ class PlanningDelta {
   /// Layers the planning catalog over `shared_catalog`, which must
   /// outlive the delta and may be read through the overlay only as the
   /// class comment says. `shared_views` is only read during
-  /// planning; Fold mutates it. With a `reservation`, TrackView names
-  /// new candidates with placeholder ids (no counter read) and Fold
-  /// assigns the final catalog ids in commit order; without one it
-  /// falls back to the legacy counter-predicted ids (direct-use tests
-  /// and single-threaded callers).
+  /// planning; Fold mutates it. TrackView names new candidates with
+  /// placeholder ids leased from `reservation` (required), and Fold
+  /// assigns the final catalog ids in commit order.
   PlanningDelta(const Catalog& shared_catalog, ViewCatalog* shared_views,
-                double t_now, ViewIdReservation* reservation = nullptr);
+                double t_now, ViewIdReservation* reservation);
 
   PlanningDelta(const PlanningDelta&) = delete;
   PlanningDelta& operator=(const PlanningDelta&) = delete;
@@ -149,17 +141,13 @@ class PlanningDelta {
   ViewInfo* FindView(const std::string& canonical);
 
   /// ViewCatalog::Track, buffered: returns the existing (shared or
-  /// delta) view for the signature, or allocates a delta-owned one with
-  /// the id the shared catalog will assign at fold time.
+  /// delta) view for the signature, or allocates a delta-owned one
+  /// under a placeholder id (Fold assigns the catalog id).
   ViewInfo* TrackView(const PlanPtr& plan, const PlanSignature& signature);
 
   /// True when `v` was created by this delta (not yet in the shared
   /// catalog).
   bool OwnsView(const ViewInfo* v) const;
-
-  /// Shared views in track order, then delta-owned views in track
-  /// order — the order ViewCatalog::AllViews() returns after the fold.
-  std::vector<ViewInfo*> AllViews();
 
   // --- deferred catalog / index writes ------------------------------
 
@@ -203,6 +191,15 @@ class PlanningDelta {
   /// the in-place semantics).
   PartitionState* EnsurePartition(ViewInfo* v, const std::string& attr,
                                   const Interval& domain);
+
+  /// The pool sweep's read of `shared`, one of shared view `v`'s
+  /// partitions: this plan's shadow of it when one exists, else
+  /// `shared` itself, read in place rather than copied. Records the
+  /// reads a shadow's creation would: the partition structure and the
+  /// whole-domain fragment range. Callers must not write through the
+  /// result. A decision action may carry it: RealPartition maps
+  /// `shared` to itself.
+  PartitionState* ReadPartition(ViewInfo* v, PartitionState* shared);
 
   /// PartitionState::Track on a delta partition. For shadows this also
   /// records that the fragment has no base. Callers may mutate the
@@ -251,8 +248,8 @@ class PlanningDelta {
   // While planning runs under SharedLock(), the delta records which
   // shared state it depended on: view stats read by the value/filter
   // overlays, partition structure read when a shadow is created,
-  // signature catalog entries probed by FindView, and the view-id
-  // counter when TrackView predicts an id. BeginCommit validates this
+  // signature catalog entries probed by FindView, and pool membership
+  // when the knapsack sweeps the pool. BeginCommit validates this
   // read footprint against the write footprints of commits that
   // published after the plan's read epoch (see commit_footprint.h).
 
@@ -268,14 +265,16 @@ class PlanningDelta {
 
   /// Records a dependency on the pool's view membership (the
   /// `catalog_counter` token): the knapsack's admit/reject outcome
-  /// depends on which views occupy the pool, so when the budget binds,
-  /// a foreign commit creating views must invalidate the plan. Creating
-  /// commits write the counter; see CollectWriteFootprint. Honors the
-  /// soft-read window.
+  /// depends on which views occupy the pool, and the sweep reads only
+  /// the views that did at the read epoch. When the budget binds, a
+  /// foreign commit that puts content into any view must invalidate
+  /// the plan. Commits that create views or materialize content write
+  /// the token (CollectWriteFootprint, and the engine's decision
+  /// writes). Honors the soft-read window.
   void NotePoolMembershipRead() { read_target().catalog_counter = true; }
 
   /// Brackets a read window whose reads only matter when the pool
-  /// budget is binding: SelectionPlanner evaluates *every* pool view in
+  /// budget is binding: SelectionPlanner evaluates every pooled view in
   /// its knapsack, but when nothing is rejected the foreign values it
   /// read had no influence on the decision. Reads recorded inside the
   /// window land in a side set; PromoteSoftReads() merges them into the
@@ -317,8 +316,8 @@ class PlanningDelta {
   /// structure lock held exclusively when the commit is sharded
   /// (PoolManager::FoldPlanningDelta handles this).
   ///
-  /// Reservation-tracked views enter with placeholder ids; Fold assigns
-  /// each its final "v<N>" id (in track order, which equals fold/commit
+  /// Delta-owned views enter with placeholder ids; Fold assigns each
+  /// its final "v<N>" id (in track order, which equals fold/commit
   /// order) immediately before adopting it, and renames the deferred
   /// view tables and index inserts to match. The placeholder -> final
   /// map is exposed through RemapFoldedIds for the commit's published
@@ -326,7 +325,7 @@ class PlanningDelta {
   void Fold(ViewCatalog* views, Catalog* catalog, FilterTree* index);
 
   /// Rewrites placeholder view ids in `fp` to the final ids Fold
-  /// assigned. No-op before Fold or when nothing was reserved. The
+  /// assigned. No-op before Fold or when no view was created. The
   /// commit's publish footprint must be remapped before it reaches the
   /// epoch table: later plans read views under their final ids.
   void RemapFoldedIds(CommitFootprint* fp) const {
@@ -386,9 +385,9 @@ class PlanningDelta {
   /// True when the shadow buffered any write (local hits, added or
   /// resized fragments, changed pending list), judged against the
   /// creation-time base snapshot — never the live base, which a
-  /// foreign commit may be mutating. Read-only shadows are skipped by
-  /// Fold, so a plan whose soft reads were dropped never folds into
-  /// (or asserts against) a base a foreign commit legitimately changed.
+  /// foreign commit may be mutating. Fold skips read-only shadows: they
+  /// have nothing to fold, and the fold never touches (or asserts
+  /// against) their base.
   static bool ShadowDirty(const ShadowPartition& sp);
 
   // Read-footprint recording (const readers record through these;

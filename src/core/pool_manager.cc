@@ -298,15 +298,7 @@ bool PoolManager::AdmittedBytesFitLocked(double admitted_bytes) const {
   if (admitted_bytes <= 0.0) return true;
   double claimed = 0.0;
   for (const InflightCommit& c : inflight_) claimed += c.admitted_bytes;
-  // Occupancy under the shared catalog-structure lock: a foreign
-  // sharded commit's fold may be adopting views into the catalog's
-  // list concurrently. (epoch_mu_ -> catalog_mu_ is the sanctioned
-  // order; folds never touch epoch_mu_.)
-  double occupancy;
-  {
-    std::shared_lock<std::shared_mutex> catalog_lock(catalog_mu_);
-    occupancy = views_.PoolBytes();
-  }
+  const double occupancy = views_.PoolBytes();
   // The tolerance absorbs float-summation-order differences between the
   // knapsack's sequential budget subtraction and the per-view occupancy
   // cache sum, so a solo tenant whose plan exactly fills the budget is
@@ -569,7 +561,7 @@ void PoolManager::TxnRollback() {
     for (const auto& [attr, part] : it->partitions) {
       if (v->partitions.count(attr) == 0) v->partitions.emplace(attr, part);
     }
-    v->RefreshCachedBytes();
+    views_.RefreshPoolContent(v);
   }
   for (auto it = ctx.txn_files.rbegin(); it != ctx.txn_files.rend(); ++it) {
     fs_.RestoreForRollback(it->path, it->existed, it->bytes);
@@ -715,7 +707,7 @@ Result<double> PoolManager::MaterializeView(ViewInfo* view,
   // A successful materialization proves the storage path works again.
   view->fault_count = 0;
   view->quarantined_until = 0;
-  view->RefreshCachedBytes();
+  views_.RefreshPoolContent(view);
   report->created_views.push_back(view->id);
   return extra_seconds;
 }
@@ -798,7 +790,7 @@ Result<double> PoolManager::MaterializeFragment(ViewInfo* view,
   // A successful refinement proves the storage path works again.
   view->fault_count = 0;
   view->quarantined_until = 0;
-  view->RefreshCachedBytes();
+  views_.RefreshPoolContent(view);
   return seconds;
 }
 
@@ -818,7 +810,7 @@ Status PoolManager::EvictFragment(ViewInfo* view, PartitionState* part,
   }
   DEEPSEA_RETURN_IF_ERROR(st);
   frag->materialized = false;
-  view->RefreshCachedBytes();
+  views_.RefreshPoolContent(view);
   RecordEviction(view, part->attr, frag->interval, frag->size_bytes, report);
   return Status::OK();
 }
@@ -847,7 +839,7 @@ Result<int> PoolManager::EvictWholeView(ViewInfo* view, QueryReport* report) {
     DEEPSEA_RETURN_IF_ERROR(st);
     view->whole_materialized = false;
     ++evicted;
-    view->RefreshCachedBytes();
+    views_.RefreshPoolContent(view);
     RecordEviction(view, "", Interval(), view->stats.size_bytes, report);
   }
   return evicted;
@@ -933,7 +925,7 @@ Status PoolManager::ApplyStaged(const SelectionDecision& decision,
         DEEPSEA_RETURN_IF_ERROR(TxnPut(path, a.size_bytes, report));
         f->materialized = true;
         ++report->created_fragments;
-        a.view->RefreshCachedBytes();
+        views_.RefreshPoolContent(a.view);
         NewViewWork& work = work_for(a.view);
         work.bytes += a.size_bytes;
         work.count += 1;
@@ -957,7 +949,7 @@ Status PoolManager::ApplyStaged(const SelectionDecision& decision,
     }
     view->fault_count = 0;
     view->quarantined_until = 0;
-    view->RefreshCachedBytes();
+    views_.RefreshPoolContent(view);
     report->created_views.push_back(view->id);
   }
   return Status::OK();
@@ -1052,7 +1044,7 @@ Result<double> PoolManager::MergeStaged(double t_now,
                merged_bytes, report));
     merged->materialized = true;
     if (merged->hits().empty()) merged->AdoptHits(std::move(hits));
-    cand.view->RefreshCachedBytes();
+    views_.RefreshPoolContent(cand.view);
     ++merges;
     ++report->merged_fragments;
   }

@@ -182,8 +182,9 @@ class CommitGuard {
 /// caller to either hold a commit guard or know the pool is externally
 /// quiesced — taking even a shared lock there would self-deadlock the
 /// engine pipeline, which reads them mid-commit. (PoolBytes itself sums
-/// per-view atomic byte caches, so sampling it from inside a sharded
-/// commit is race-free even while foreign commits mutate their views.)
+/// the pool-content index under its own leaf mutex, so sampling it from
+/// inside a sharded commit is race-free even while foreign commits
+/// mutate their views.)
 class PoolManager {
  public:
   PoolManager(Catalog* catalog, const EngineOptions* options,
@@ -279,14 +280,9 @@ class PoolManager {
   const SimFs& fs() const { return fs_; }
   const EngineOptions& options() const { return *options_; }
 
-  /// Current pool occupancy in bytes (S(C)). Sums the per-view atomic
-  /// byte caches under the shared catalog-structure lock (a foreign
-  /// sharded commit's fold may be growing the view list concurrently);
-  /// the per-view values themselves are race-free atomics.
-  double PoolBytes() const {
-    std::shared_lock<std::shared_mutex> catalog_lock(catalog_mu_);
-    return views_.PoolBytes();
-  }
+  /// Current pool occupancy in bytes (S(C)): ViewCatalog::PoolBytes(),
+  /// which sums the pooled views only, under its own leaf mutex.
+  double PoolBytes() const { return views_.PoolBytes(); }
 
   // --- shared-mode snapshots (safe from any thread) ---
 
@@ -486,9 +482,7 @@ class PoolManager {
   /// True when `admitted_bytes` of new materializations still fit the
   /// pool budget next to current occupancy plus every in-flight
   /// commit's claim. Caller holds epoch_mu_ (the in-flight registry);
-  /// occupancy itself is a race-free atomic-cache sum (read under the
-  /// shared catalog-structure lock — the epoch_mu_ -> catalog_mu_
-  /// acquisition here fixes the one-way order between the two).
+  /// occupancy is PoolBytes(), whose leaf mutex nests inside it.
   bool AdmittedBytesFitLocked(double admitted_bytes) const;
 
   /// Folds `delta` into the pool under the catalog-structure lock
@@ -589,8 +583,8 @@ class PoolManager {
   /// Catalog-*structure* lock. Sharded commits now fold structural
   /// deltas (ViewCatalog::Adopt, Catalog::Put, FilterTree::Insert) —
   /// and IX admits IX, so two folds, or a fold and a foreign commit
-  /// reading catalog structure (estimators resolving tables, occupancy
-  /// sums, AdvanceWindowsAfterFold id lookups), can overlap. Folds hold
+  /// reading catalog structure (estimators resolving tables,
+  /// AdvanceWindowsAfterFold id lookups), can overlap. Folds hold
   /// this exclusively (short: metadata only); mid-commit readers hold
   /// it shared. Per-view statistics and fragment state are NOT under
   /// it — the commit shards own those. Leaf-ish: may be acquired while

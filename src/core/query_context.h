@@ -67,12 +67,12 @@ class QueryContext {
   /// pool's shared or exclusive commit lock) before the pipeline stages
   /// run: the stages buffer every statistics/catalog write here instead
   /// of mutating shared state, and PoolManager::Apply folds the buffer
-  /// into the pool inside the commit section. With a `reservation`
-  /// (the engine's lease on the pool's placeholder-id counter),
-  /// TrackView names new candidate views without reading the shared
-  /// view-id counter, so creating plans can commit sharded.
+  /// into the pool inside the commit section. `reservation` (the
+  /// engine's lease on the pool's placeholder-id counter) names new
+  /// candidate views without reading the shared view-id counter, so
+  /// creating plans can commit sharded.
   void InitPlanning(const Catalog& catalog, ViewCatalog* views,
-                    ViewIdReservation* reservation = nullptr) {
+                    ViewIdReservation* reservation) {
     delta_ = std::make_unique<PlanningDelta>(catalog, views, t_now(),
                                              reservation);
   }

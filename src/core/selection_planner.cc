@@ -141,11 +141,11 @@ SelectionResolution SelectionPlanner::PlanSelection(const QueryContext& ctx,
                                            delta->BasesOf(part)))
                .first;
     }
-    const auto& adj = it->second;
-    for (size_t i = 0; i < part->fragments.size(); ++i) {
-      if (&part->fragments[i] == frag) return adj.hits[i];
-    }
-    return -1.0;
+    // Nothing tracks fragments after V_sel, so the fit is aligned with
+    // the fragment vector `frag` points into.
+    const size_t i = static_cast<size_t>(frag - part->fragments.data());
+    assert(i < it->second.hits.size());
+    return it->second.hits[i];
   };
 
   // --- P_sel: filter refinement candidates by benefit >= cost.
@@ -183,23 +183,29 @@ SelectionResolution SelectionPlanner::PlanSelection(const QueryContext& ctx,
   // --- Existing pool content: every materialized fragment / whole view
   //     partakes individually (Section 7.3).
   //
-  // Soft-read window: a pool sweep touches EVERY view, which would give
-  // every plan a read footprint conflicting with every commit. The
-  // sweep's values only matter when the knapsack is contended — when
-  // something gets rejected (evicted, or a new candidate squeezed out).
-  // So the reads are buffered softly and promoted into the real read
-  // footprint only in that case; an uncontended knapsack (pool fits)
-  // admits everything regardless of the swept values, and the plan's
-  // decision is insensitive to them.
+  // The sweep visits only the views holding pool content (the catalog's
+  // pool-content index, in track order). Planning never materializes,
+  // so no other view, and no partition this plan created, holds any.
+  // Partitions are read in place (this plan's shadow when it has one),
+  // never copied.
+  //
+  // Soft-read window: the sweep's reads would make every plan conflict
+  // with every commit that touches pooled views. The sweep's values
+  // only matter when the knapsack is contended — when something gets
+  // rejected (evicted, or a new candidate squeezed out). So the reads
+  // are buffered softly and promoted into the real read footprint only
+  // in that case; an uncontended knapsack (pool fits) admits everything
+  // regardless of the swept values, and the plan's decision is
+  // insensitive to them.
   delta->BeginSoftReads();
   // The sweep's extent — which views occupy the pool at all — is itself
-  // a (soft) read: when the budget binds, a foreign commit creating
-  // views changes what this knapsack should have weighed. Creating
-  // commits write the membership token (see
-  // PlanningDelta::CollectWriteFootprint), so promoted plans conflict
-  // with them; uncontended plans drop the read with the window.
+  // a (soft) read: when the budget binds, a foreign commit that puts
+  // content into a view outside the sweep changes what this knapsack
+  // should have weighed. Such commits write the membership token, so
+  // promoted plans conflict with them; uncontended plans drop the read
+  // with the window.
   delta->NotePoolMembershipRead();
-  for (ViewInfo* v : delta->AllViews()) {
+  for (ViewInfo* v : views_->PoolViews()) {
     if (v->whole_materialized) {
       Item it;
       it.kind = Item::Kind::kPoolWhole;
@@ -208,9 +214,9 @@ SelectionResolution SelectionPlanner::PlanSelection(const QueryContext& ctx,
       it.value = delta->ViewValue(options_->value_model, v, *decay_);
       items.push_back(it);
     }
-    for (const std::string& attr : delta->PartitionAttrs(v)) {
-      PartitionState* part = delta->Partition(v, attr);
-      if (part == nullptr) continue;
+    for (auto& [attr, shared] : v->partitions) {
+      (void)attr;
+      PartitionState* part = delta->ReadPartition(v, &shared);
       for (const FragmentStats& f : part->fragments) {
         if (!f.materialized) continue;
         Item it;

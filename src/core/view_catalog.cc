@@ -1,5 +1,6 @@
 #include "core/view_catalog.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/str_util.h"
@@ -103,6 +104,7 @@ ViewInfo* ViewCatalog::Track(const PlanPtr& plan, const PlanSignature& signature
   view->id = StrFormat("v%d", next_id_++);
   view->plan = plan;
   view->signature = signature;
+  view->track_index = views_.size();
   ViewInfo* raw = view.get();
   views_.push_back(std::move(view));
   by_signature_.emplace(canonical, raw);
@@ -114,6 +116,7 @@ ViewInfo* ViewCatalog::Adopt(std::unique_ptr<ViewInfo> view) {
   assert(view->id == StrFormat("v%d", next_id_) &&
          "adopted view id must match the id Track() would assign");
   ++next_id_;
+  view->track_index = views_.size();
   ViewInfo* raw = view.get();
   views_.push_back(std::move(view));
   by_signature_.emplace(raw->signature.ToString(), raw);
@@ -150,11 +153,40 @@ std::vector<const ViewInfo*> ViewCatalog::AllViews() const {
   return out;
 }
 
-double ViewCatalog::PoolBytes() const {
-  double total = 0.0;
-  for (const auto& v : views_) {
-    total += v->cached_pool_bytes.load(std::memory_order_relaxed);
+void ViewCatalog::RefreshPoolContent(ViewInfo* view) {
+  const bool in_pool = view->InPool();
+  const double bytes = view->MaterializedBytes();
+  assert((in_pool || bytes == 0.0) && "a view outside the pool holds bytes");
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  auto it = std::lower_bound(
+      pool_.begin(), pool_.end(), view->track_index,
+      [](const PoolEntry& e, size_t index) {
+        return e.view->track_index < index;
+      });
+  const bool indexed = it != pool_.end() && it->view == view;
+  if (in_pool) {
+    if (indexed) {
+      it->bytes = bytes;
+    } else {
+      pool_.insert(it, PoolEntry{view, bytes});
+    }
+  } else if (indexed) {
+    pool_.erase(it);
   }
+}
+
+std::vector<ViewInfo*> ViewCatalog::PoolViews() const {
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  std::vector<ViewInfo*> out;
+  out.reserve(pool_.size());
+  for (const PoolEntry& e : pool_) out.push_back(e.view);
+  return out;
+}
+
+double ViewCatalog::PoolBytes() const {
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  double total = 0.0;
+  for (const PoolEntry& e : pool_) total += e.bytes;
   return total;
 }
 

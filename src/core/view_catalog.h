@@ -1,9 +1,9 @@
 #ifndef DEEPSEA_CORE_VIEW_CATALOG_H_
 #define DEEPSEA_CORE_VIEW_CATALOG_H_
 
-#include <atomic>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -78,18 +78,12 @@ struct ViewInfo {
 
   /// Bytes currently occupied in the pool by this view (fresh walk of
   /// the fragment lists — requires the view to be stable, i.e. the
-  /// caller's commit owns it).
+  /// caller's commit owns it). Exactly +0.0 when !InPool().
   double MaterializedBytes() const;
 
-  /// Cached copy of MaterializedBytes(), refreshed by every pool
-  /// primitive that changes it (materialize / evict / merge / rollback
-  /// / state load). Atomic so ViewCatalog::PoolBytes() can be sampled
-  /// from inside a sharded commit while foreign commits mutate their
-  /// own views concurrently.
-  std::atomic<double> cached_pool_bytes{0.0};
-  void RefreshCachedBytes() {
-    cached_pool_bytes.store(MaterializedBytes(), std::memory_order_relaxed);
-  }
+  /// Position in the owning ViewCatalog's track order, set when the
+  /// catalog tracks or adopts the view and never changed afterwards.
+  size_t track_index = 0;
 
   PartitionState* GetPartition(const std::string& attr);
   const PartitionState* GetPartition(const std::string& attr) const;
@@ -99,6 +93,12 @@ struct ViewInfo {
 /// Registry of all tracked views keyed by the canonical string of their
 /// defining signature. This is the paper's STAT = (VSTAT, PSTAT, Sigma)
 /// of Definition 5; pool membership is carried on the entries.
+///
+/// Alongside STAT the catalog keeps the pool-content index: the views
+/// whose InPool() is true, in track order, each with its cached
+/// MaterializedBytes(). The §7.3 knapsack sweeps the pool's content,
+/// which S_max bounds, while STAT keeps every view ever tracked; the
+/// index makes the sweep and PoolBytes() cost O(pooled views).
 class ViewCatalog {
  public:
   /// Returns the tracked view for `signature`, creating it (with a fresh
@@ -107,10 +107,9 @@ class ViewCatalog {
 
   /// Adopts a view allocated outside the catalog (a PlanningDelta's
   /// speculative Track). The view's id must equal the id Track() would
-  /// assign next — callers predict it via peek_next_id(), and commit-
-  /// epoch validation guarantees the prediction still holds. The
-  /// ViewInfo's address is preserved, so pointers captured during
-  /// planning remain valid after adoption.
+  /// assign next: PlanningDelta::Fold names it from peek_next_id()
+  /// just before adopting. The ViewInfo's address is preserved, so
+  /// pointers captured during planning remain valid after adoption.
   ViewInfo* Adopt(std::unique_ptr<ViewInfo> view);
 
   /// Lookup by signature canonical string; nullptr when untracked.
@@ -128,20 +127,45 @@ class ViewCatalog {
   /// Lets state loading predict ids while validating, before applying.
   int peek_next_id() const { return next_id_; }
 
-  /// Total pool bytes S(C) across all views. Sums the per-view cached
-  /// byte counters (race-free from inside any commit); bit-identical to
-  /// PoolBytesExact() whenever the caches are current.
+  /// Re-reads `view`'s pool content after a pool primitive changed it
+  /// (materialize, evict, merge, rollback, state load): caches its
+  /// MaterializedBytes() and adds it to, or drops it from, the
+  /// pool-content index as InPool() says. One call updates both, so the
+  /// index and the cached bytes cannot diverge. Concurrent sharded
+  /// commits may refresh the views they own at the same time.
+  void RefreshPoolContent(ViewInfo* view);
+
+  /// The views holding pool content (InPool()), in track order: the
+  /// order AllViews() returns them in. Planners call it under the
+  /// pool's shared lock, where no commit changes the membership.
+  std::vector<ViewInfo*> PoolViews() const;
+
+  /// Total pool bytes S(C): the cached bytes of the indexed views,
+  /// summed in track order. A view outside the index holds exactly
+  /// +0.0 bytes, so this is bit-identical to PoolBytesExact() whenever
+  /// the caches are current. Safe from inside any commit.
   double PoolBytes() const;
 
   /// Total pool bytes by a fresh walk of every fragment list. Requires
-  /// a quiescent pool (debug cross-check for the caches).
+  /// a quiescent pool (cross-check for the cached index).
   double PoolBytesExact() const;
 
  private:
+  struct PoolEntry {
+    ViewInfo* view;
+    double bytes;  ///< view->MaterializedBytes() at the last refresh
+  };
+
   std::vector<std::unique_ptr<ViewInfo>> views_;
   std::map<std::string, ViewInfo*> by_signature_;
   std::map<std::string, ViewInfo*> by_id_;
   int next_id_ = 1;
+
+  /// Guards pool_ alone. A leaf: nothing else is acquired while it is
+  /// held, so any lock holder may take it.
+  mutable std::mutex pool_mu_;
+  /// The pool-content index, sorted by ViewInfo::track_index.
+  std::vector<PoolEntry> pool_;
 };
 
 }  // namespace deepsea

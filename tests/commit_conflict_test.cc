@@ -8,12 +8,17 @@
 //    PR 4 false-positive regression, ring overflow), plus the
 //    ordered-multi-lock deadlock test for the commit shards;
 //  * DeepSeaEngine — single-tenant and sequentially interleaved
-//    multi-tenant runs never replan (determinism contract).
+//    multi-tenant runs never replan (determinism contract), and the
+//    pool-membership token: a contended plan replans when a foreign
+//    commit first puts content into a view, not when it only tracks
+//    candidates.
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -88,12 +93,55 @@ TEST(FootprintsConflictTest, CatalogEntryOverlap) {
   EXPECT_TRUE(FootprintsConflict(probe, create_a));
   EXPECT_FALSE(FootprintsConflict(probe, create_b));
 
-  // Two concurrent view creators always collide on the id counter —
-  // that is what makes "v<N>" id prediction safe.
+  // The counter token conflicts only with itself: a plan that read it
+  // (a contended knapsack) is invalidated by any commit that wrote it.
   CommitFootprint counter;
   counter.catalog_counter = true;
   EXPECT_TRUE(FootprintsConflict(counter, counter));
   EXPECT_FALSE(FootprintsConflict(counter, create_b));
+}
+
+TEST(FootprintsConflictTest, MembershipTokenGuardsContendedSweeps) {
+  // A contended knapsack promotes its pool sweep's reads: the
+  // membership token, plus the structure and the whole-domain range of
+  // every partition of every view that held pool content.
+  CommitFootprint sweep;
+  sweep.catalog_counter = true;
+  sweep.AddPartition("v1", "item_sk");
+  sweep.AddFragment("v1", "item_sk", Interval(0, 400000));
+
+  // A commit materializing the first fragment of v2, which held no
+  // content, touches nothing the sweep read except the token its
+  // decision writes.
+  CommitFootprint first_fragment;
+  first_fragment.catalog_counter = true;
+  first_fragment.AddView("v2");
+  first_fragment.AddPartition("v2", "item_sk");
+  first_fragment.AddFragment("v2", "item_sk", Interval(0, 100));
+  EXPECT_TRUE(FootprintsConflict(sweep, first_fragment));
+  first_fragment.catalog_counter = false;
+  EXPECT_FALSE(FootprintsConflict(sweep, first_fragment))
+      << "without the token the sweep could not see the new member";
+
+  // Tracking candidate fragments on v2 (new pieces, hits, benefit
+  // events) writes no token and commutes with the sweep. A read of v2's
+  // (v, "") wildcard would conflict with it; the sweep reads nothing of
+  // a view outside the pool.
+  CommitFootprint tracking;
+  tracking.AddView("v2");
+  tracking.AddPartition("v2", "item_sk");
+  tracking.AddFragment("v2", "item_sk", Interval(100, 200));
+  EXPECT_FALSE(FootprintsConflict(sweep, tracking));
+  CommitFootprint wildcard_sweep = sweep;
+  wildcard_sweep.AddPartition("v2", "");
+  EXPECT_TRUE(FootprintsConflict(wildcard_sweep, tracking));
+
+  // Evicting a member's piece conflicts through the structure read.
+  CommitFootprint evict;
+  evict.AddView("v1");
+  evict.AddPartition("v1", "item_sk");
+  evict.AddFragment("v1", "item_sk", Interval(0, 100));
+  EXPECT_TRUE(FootprintsConflict(sweep, evict));
 }
 
 PlanSignature RangeSig(const std::string& relation, double lo, double hi) {
@@ -173,11 +221,11 @@ TEST(FootprintsConflictTest, ReservedCreatorsCommuteOnTheCounter) {
   other_creator_read.AddCatalogSig("sig-b");
   EXPECT_FALSE(FootprintsConflict(other_creator_read, creator_write));
 
-  // ...while a legacy id-predicting plan (or a knapsack that read pool
-  // membership) DID read the counter and conflicts with any creator.
-  CommitFootprint legacy_read;
-  legacy_read.catalog_counter = true;
-  EXPECT_TRUE(FootprintsConflict(legacy_read, creator_write));
+  // ...while a contended knapsack, which read pool membership, DID
+  // read the counter and conflicts with any creator.
+  CommitFootprint knapsack_read;
+  knapsack_read.catalog_counter = true;
+  EXPECT_TRUE(FootprintsConflict(knapsack_read, creator_write));
 }
 
 TEST(FootprintsConflictTest, StructuralAllConflictsWithEveryRead) {
@@ -444,14 +492,15 @@ TEST_F(CommitValidationTest, ConcurrentReservedCreatorsBothEnterSharded) {
   EXPECT_TRUE(second.held());
   second.Release();
 
-  // A legacy plan that READ the counter is rejected while creator A's
-  // counter write is in flight — a genuine conflict, not coverage loss.
-  CommitFootprint legacy_read;
-  legacy_read.catalog_counter = true;
-  CommitGuard legacy = pool()->TryBeginShardedCommit(
-      nullptr, "c", 0, ViewRead("vc"), std::move(legacy_read),
+  // A contended knapsack that READ the counter is rejected while
+  // creator A's counter write is in flight — a genuine conflict, not
+  // coverage loss.
+  CommitFootprint knapsack_read;
+  knapsack_read.catalog_counter = true;
+  CommitGuard knapsack = pool()->TryBeginShardedCommit(
+      nullptr, "c", 0, ViewRead("vc"), std::move(knapsack_read),
       pool()->read_epoch(), &genuine);
-  EXPECT_FALSE(legacy.held());
+  EXPECT_FALSE(knapsack.held());
   EXPECT_TRUE(genuine);
 
   {
@@ -611,7 +660,9 @@ TEST(PlanningDeltaFoldTest, ReadOnlyShadowSurvivesForeignBaseGrowth) {
   part->Track(Interval(0, 50), 10.0);
   part->Track(Interval(50, 100), 20.0);
 
-  PlanningDelta delta(catalog, &views, /*t_now=*/1.0);
+  std::atomic<int64_t> placeholders{0};
+  ViewIdReservation reservation(&placeholders);
+  PlanningDelta delta(catalog, &views, /*t_now=*/1.0, &reservation);
   PartitionState* shadow = delta.Partition(v, "a.x");
   ASSERT_NE(shadow, nullptr);
   ASSERT_NE(shadow, part);  // shared view: reads go through a shadow
@@ -765,6 +816,204 @@ TEST(EngineReplanTest, SequentialInterleavingNeverReplans) {
   }
   EXPECT_EQ(alice.totals().replans, 0);
   EXPECT_EQ(bob.totals().replans, 0);
+}
+
+// --- the pool-membership token, end to end ---------------------------
+//
+// A contended knapsack sweeps only the views that held pool content at
+// the plan's read epoch. Each test below plans a Q30 query (store_sales)
+// by hand, as tenant "a" would, over a pool holding only tenant a's
+// views. The plan's planner weighs that pool against a zero budget, so
+// every piece is rejected and the sweep's reads are promoted. View W,
+// the selected input of tenant b's queries (web_clickstreams), is
+// tracked but holds no content. Tenant b's engine then commits, and
+// the plan is validated as the engine validates it before committing.
+
+class MembershipTokenTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(BigBenchDataset::Generate(SmallData(), &catalog_).ok());
+    shared_ = std::make_unique<SharedPool>(&catalog_, TestOptions());
+    a_ = std::make_unique<DeepSeaEngine>(&catalog_, shared_.get(), "a");
+    b_ = std::make_unique<DeepSeaEngine>(&catalog_, shared_.get(), "b");
+    // Tenant b tracks its views; whatever its first query materialized
+    // is evicted again.
+    ASSERT_TRUE(b_->ProcessQuery(ClickSelect(150000, 160000)).ok());
+    {
+      CommitGuard commit = pool()->BeginCommit();
+      QueryReport scratch;
+      for (ViewInfo* v : pool()->stat(commit)->AllViews()) {
+        ASSERT_TRUE(pool()->EvictWholeView(v, &scratch).ok());
+        b_views_.push_back(v);
+      }
+    }
+    ASSERT_FALSE(b_views_.empty());
+    ASSERT_EQ(pool()->PoolBytes(), 0.0);
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(a_->ProcessQuery(StoreQ30(100000, 180000)).ok());
+    }
+    ASSERT_GT(pool()->PoolBytes(), 0.0);
+    for (const ViewInfo* v : b_views_) ASSERT_FALSE(v->InPool()) << v->id;
+  }
+
+  PoolManager* pool() { return shared_->pool(); }
+
+  /// Q5's selection over the web_clickstreams-item join, without the
+  /// aggregate on top: every view candidate of it is range-free, so
+  /// repeating it with another range creates no view.
+  static PlanPtr ClickSelect(double lo, double hi) {
+    auto q5 = BigBenchTemplates::Build("Q5", lo, hi);
+    EXPECT_TRUE(q5.ok());
+    return (*q5)->child(0);
+  }
+  static PlanPtr StoreQ30(double lo, double hi) {
+    auto q30 = BigBenchTemplates::Build("Q30", lo, hi);
+    EXPECT_TRUE(q30.ok());
+    return *q30;
+  }
+
+  struct ContendedPlan {
+    uint64_t read_epoch = 0;
+    CommitFootprint reads;
+    bool contended = false;
+  };
+
+  /// Plans `query` under the shared lock, as DeepSeaEngine::ProcessQuery
+  /// does, with a zero budget. The plan is never committed.
+  ContendedPlan PlanWithZeroBudget(const PlanPtr& query) {
+    EngineOptions options = shared_->options();
+    options.pool_limit_bytes = 0.0;
+    ClusterModel cluster(options.cluster);
+    PlanCostEstimator estimator(&cluster, &catalog_, options.estimator);
+    DecayFunction decay(options.decay);
+    MleFragmentModel mle(options.mle);
+    ViewCatalog* stat = nullptr;
+    FilterTree* index = nullptr;
+    {
+      CommitGuard commit = pool()->BeginCommit();
+      stat = pool()->stat(commit);
+      index = pool()->rewrite_index(commit);
+      pool()->SetCommitFootprint(commit, CommitFootprint{});
+    }
+    RewritePlanner rewriter(&catalog_, &estimator, stat, index);
+    CandidateGenerator generator(&catalog_, &options, &cluster, stat, index,
+                                 pool());
+    SelectionPlanner selector(&catalog_, &options, &cluster, &decay, &mle,
+                              stat);
+    ViewIdReservation reservation(pool()->placeholder_counter());
+
+    auto shared_lock = pool()->SharedLock();
+    ContendedPlan plan;
+    plan.read_epoch = pool()->read_epoch();
+    QueryContext ctx(query, pool()->clock() + 1);
+    ctx.InitPlanning(catalog_, stat, &reservation);
+    QueryReport report;
+    EXPECT_TRUE(rewriter.PlanBase(&ctx, &report).ok());
+    EXPECT_TRUE(rewriter.PlanBest(&ctx, &report).ok());
+    const PlanPtr candidate_plan =
+        report.used_view.empty() ? ctx.query : ctx.executed_plan;
+    generator.RegisterViewCandidates(candidate_plan, report.base_seconds,
+                                     &ctx);
+    generator.RegisterPartitionCandidates(&ctx);
+    plan.contended =
+        selector.PlanSelection(ctx, report.base_seconds).contended;
+    plan.reads = ctx.delta()->read_footprint();
+    return plan;
+  }
+
+  /// True when `fp` names view `id` at any granularity.
+  static bool Mentions(const CommitFootprint& fp, const std::string& id) {
+    for (const std::string& v : fp.views) {
+      if (v == id) return true;
+    }
+    for (const auto& [v, attr] : fp.partitions) {
+      if (v == id) return true;
+    }
+    for (const CommitFootprint::FragRange& f : fp.fragments) {
+      if (f.view == id) return true;
+    }
+    return false;
+  }
+
+  /// Validates `plan` as the engine's exclusive path does.
+  bool Validates(const ContendedPlan& plan, bool* genuine) {
+    CommitGuard commit = pool()->BeginCommit();
+    const bool ok = pool()->ValidateReadSet(commit, plan.reads,
+                                            plan.read_epoch, genuine);
+    pool()->SetCommitFootprint(commit, CommitFootprint{});
+    return ok;
+  }
+
+  Catalog catalog_;
+  std::unique_ptr<SharedPool> shared_;
+  std::unique_ptr<DeepSeaEngine> a_;
+  std::unique_ptr<DeepSeaEngine> b_;
+  std::vector<ViewInfo*> b_views_;  ///< tracked, holding no content
+};
+
+TEST_F(MembershipTokenTest, FirstMaterializationInvalidatesContendedPlan) {
+  const ContendedPlan plan = PlanWithZeroBudget(StoreQ30(120000, 170000));
+  ASSERT_TRUE(plan.contended);
+  EXPECT_TRUE(plan.reads.catalog_counter);
+  // The sweep read only tenant a's pooled views: nothing in the plan's
+  // read set names a view of tenant b.
+  for (const ViewInfo* v : b_views_) {
+    ASSERT_FALSE(Mentions(plan.reads, v->id)) << v->id;
+  }
+
+  // Tenant b's commit puts content into a view that held none, and
+  // creates no view.
+  const size_t tracked = pool()->views().size();
+  auto report = b_->ProcessQuery(ClickSelect(150000, 160000));
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(pool()->views().size(), tracked);
+  EXPECT_EQ(report->evicted_fragments, 0);
+  bool any_new_member = false;
+  for (const ViewInfo* v : b_views_) any_new_member |= v->InPool();
+  ASSERT_TRUE(any_new_member);
+
+  // The knapsack never weighed that content, so the plan must replan,
+  // and the conflict is genuine.
+  bool genuine = false;
+  EXPECT_FALSE(Validates(plan, &genuine));
+  EXPECT_TRUE(genuine);
+}
+
+TEST_F(MembershipTokenTest, CandidateTrackingLeavesContendedPlanValid) {
+  // Quarantine tenant b's views: its next query tracks candidate
+  // fragments on them but materializes nothing.
+  {
+    CommitGuard commit = pool()->BeginCommit();
+    for (ViewInfo* v : b_views_) {
+      v->quarantined_until = std::numeric_limits<int64_t>::max();
+    }
+  }
+  const ContendedPlan plan = PlanWithZeroBudget(StoreQ30(120000, 170000));
+  ASSERT_TRUE(plan.contended);
+
+  size_t fragments_before = 0;
+  for (const ViewInfo* v : b_views_) {
+    for (const auto& [attr, part] : v->partitions) {
+      fragments_before += part.fragments.size();
+    }
+  }
+  const size_t tracked = pool()->views().size();
+  auto report = b_->ProcessQuery(ClickSelect(60000, 75000));
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(pool()->views().size(), tracked);
+  EXPECT_EQ(report->created_fragments, 0);
+  size_t fragments_after = 0;
+  for (const ViewInfo* v : b_views_) {
+    EXPECT_FALSE(v->InPool()) << v->id;
+    for (const auto& [attr, part] : v->partitions) {
+      fragments_after += part.fragments.size();
+    }
+  }
+  ASSERT_GT(fragments_after, fragments_before)
+      << "the commit must have tracked candidate fragments";
+
+  bool genuine = true;
+  EXPECT_TRUE(Validates(plan, &genuine));
 }
 
 // --- schedule fuzz: every query a creator ----------------------------

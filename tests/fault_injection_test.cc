@@ -24,6 +24,7 @@
 #include "exp/trace.h"
 #include "storage/fault_policy.h"
 #include "multitenant_harness.h"
+#include "pool_index.h"
 #include "workload/bigbench.h"
 
 namespace deepsea {
@@ -52,6 +53,10 @@ class FaultInvariantProbe : public TraceObserver {
     // that restored metadata but not files (or the reverse) breaks this.
     ASSERT_NEAR(engine_->PoolBytes(), engine_->fs().TotalBytes("pool/"),
                 1.0 + engine_->PoolBytes() * 1e-9)
+        << "at stage " << EngineStageName(stage);
+    // A rollback must restore the pool-content index with the fragment
+    // state it indexes.
+    ASSERT_TRUE(PoolIndexMatchesDefinition(engine_->views()))
         << "at stage " << EngineStageName(stage);
     // Every materialized piece must be backed by its FS file.
     for (const ViewInfo* v : engine_->views().AllViews()) {

@@ -13,6 +13,7 @@
 #include "core/view_sizing.h"
 #include "exec/executor.h"
 #include "plan/pushdown.h"
+#include "pool_index.h"
 #include "workload/bigbench.h"
 #include "workload/range_generator.h"
 
@@ -56,6 +57,10 @@ class InvariantProbe : public EngineObserver {
     // INVARIANT 2: pool accounting matches the simulated FS exactly.
     EXPECT_NEAR(engine_->PoolBytes(), engine_->fs().TotalBytes("pool/"),
                 1.0 + engine_->PoolBytes() * 1e-9)
+        << "at stage " << EngineStageName(stage);
+    // The pool-content index the knapsack sweeps equals its definition,
+    // and its byte sum is bit-identical to a fresh walk.
+    EXPECT_TRUE(PoolIndexMatchesDefinition(engine_->views()))
         << "at stage " << EngineStageName(stage);
     // Evicted pieces must actually have left the FS (bytes released).
     for (const std::string& path : evicted_paths_) {

@@ -21,6 +21,7 @@
 
 #include "evict_counter.h"
 #include "multitenant_harness.h"
+#include "pool_index.h"
 
 #include "core/engine.h"
 #include "core/shared_pool.h"
@@ -217,6 +218,9 @@ void RunFreeRunningStress(int num_tenants, int queries_each) {
   EXPECT_NEAR(shared.pool()->PoolBytes(),
               shared.pool()->fs().TotalBytes("pool/"),
               1.0 + shared.pool()->PoolBytes() * 1e-9);
+  // Concurrent sharded commits kept the pool-content index equal to its
+  // definition.
+  EXPECT_TRUE(PoolIndexMatchesDefinition(shared.pool()->views()));
 
   // Observer isolation: each engine's observer saw exactly its own
   // tenant's queries and evictions, nothing from the neighbours.

@@ -123,6 +123,8 @@ class PipelineStageTest : public ::testing::Test {
     selector_ = std::make_unique<SelectionPlanner>(
         &catalog_, &options_, cluster_.get(), decay_.get(), mle_.get(),
         pool_->stat(commit_));
+    reservation_ =
+        std::make_unique<ViewIdReservation>(pool_->placeholder_counter());
   }
 
   // Drives one query through all four stages (the orchestration
@@ -132,7 +134,7 @@ class PipelineStageTest : public ::testing::Test {
     QueryReport report;
     report.query_index = clock;
     QueryContext ctx(query, clock);
-    ctx.InitPlanning(catalog_, pool_->stat(commit_));
+    ctx.InitPlanning(catalog_, pool_->stat(commit_), reservation_.get());
     EXPECT_TRUE(rewriter_->PlanBase(&ctx, &report).ok());
     EXPECT_TRUE(rewriter_->PlanBest(&ctx, &report).ok());
     const PlanPtr candidate_plan =
@@ -160,6 +162,7 @@ class PipelineStageTest : public ::testing::Test {
   std::unique_ptr<RewritePlanner> rewriter_;
   std::unique_ptr<CandidateGenerator> generator_;
   std::unique_ptr<SelectionPlanner> selector_;
+  std::unique_ptr<ViewIdReservation> reservation_;
 };
 
 TEST_F(PipelineStageTest, RewritePlannerComputesBaseThenPicksViewRewriting) {
@@ -168,7 +171,7 @@ TEST_F(PipelineStageTest, RewritePlannerComputesBaseThenPicksViewRewriting) {
 
   // First query: no views exist, so the base plan is the best plan.
   QueryContext ctx(query, 1);
-  ctx.InitPlanning(catalog_, pool_->stat(commit_));
+  ctx.InitPlanning(catalog_, pool_->stat(commit_), reservation_.get());
   QueryReport report;
   ASSERT_TRUE(rewriter_->PlanBase(&ctx, &report).ok());
   EXPECT_NE(ctx.base_plan, nullptr);
@@ -198,7 +201,7 @@ TEST_F(PipelineStageTest, CandidateGeneratorRegistersViewsAndPartitions) {
   const PlanPtr query = MakeQuery(name, 1000.0, 150000.0);
 
   QueryContext ctx(query, 1);
-  ctx.InitPlanning(catalog_, pool_->stat(commit_));
+  ctx.InitPlanning(catalog_, pool_->stat(commit_), reservation_.get());
   QueryReport report;
   ASSERT_TRUE(rewriter_->PlanBase(&ctx, &report).ok());
   generator_->RegisterViewCandidates(ctx.query, report.base_seconds, &ctx);
@@ -225,7 +228,8 @@ TEST_F(PipelineStageTest, CandidateGeneratorRegistersViewsAndPartitions) {
   // The selection endpoint refined some view's pending fragmentation
   // (visible through the delta's partition overlay).
   bool any_pending_refined = false;
-  for (ViewInfo* v : ctx.delta()->AllViews()) {
+  for (const ViewCandidate& c : ctx.view_candidates) {
+    ViewInfo* v = c.view;
     for (const std::string& attr : ctx.delta()->PartitionAttrs(v)) {
       PartitionState* part = ctx.delta()->Partition(v, attr);
       any_pending_refined =
@@ -251,7 +255,7 @@ TEST_F(PipelineStageTest, SelectionPlannerIsSideEffectFreeUntilApply) {
 
   const int64_t clock = pool_->Tick(commit_);
   QueryContext ctx(query, clock);
-  ctx.InitPlanning(catalog_, pool_->stat(commit_));
+  ctx.InitPlanning(catalog_, pool_->stat(commit_), reservation_.get());
   QueryReport report;
   report.query_index = clock;
   ASSERT_TRUE(rewriter_->PlanBase(&ctx, &report).ok());

@@ -1,10 +1,14 @@
 #include "plan/plan_serde.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "core/engine.h"
 #include "plan/signature.h"
+#include "pool_index.h"
 #include "workload/bigbench.h"
 
 namespace deepsea {
@@ -125,6 +129,16 @@ TEST_F(EngineStateTest, SaveLoadRoundTripPreservesPool) {
   EXPECT_NEAR(cold.PoolBytes(), warm.PoolBytes(), warm.PoolBytes() * 1e-9);
   EXPECT_EQ(cold.fs().List("pool/").size(), warm.fs().List("pool/").size());
   EXPECT_GE(cold.now(), warm.now());
+  // The load rebuilt the pool-content index: it equals its definition
+  // and indexes the same views, in the same order, as the saved pool.
+  EXPECT_TRUE(PoolIndexMatchesDefinition(warm.views()));
+  EXPECT_TRUE(PoolIndexMatchesDefinition(cold.views()));
+  std::vector<std::string> warm_ids;
+  std::vector<std::string> cold_ids;
+  for (const ViewInfo* v : warm.views().PoolViews()) warm_ids.push_back(v->id);
+  for (const ViewInfo* v : cold.views().PoolViews()) cold_ids.push_back(v->id);
+  EXPECT_FALSE(warm_ids.empty());
+  EXPECT_EQ(cold_ids, warm_ids);
 }
 
 TEST_F(EngineStateTest, WarmStartAnswersFromViewsImmediately) {

@@ -47,13 +47,45 @@ TEST(ViewCatalogTest, PoolBytesSumsAcrossViews) {
   FragmentStats* f1 = part->Track(Interval(0, 5), 40.0);
   f1->materialized = true;
   part->Track(Interval(5, 10), 60.0);  // tracked but not materialized
-  // PoolBytes sums the per-view cached counters (the pool primitives
-  // refresh them after every mutation; direct mutation must too).
+  // PoolBytes sums the pool-content index (the pool primitives refresh
+  // it after every mutation; direct mutation must too).
   EXPECT_DOUBLE_EQ(views.PoolBytes(), 0.0);
-  a->RefreshCachedBytes();
-  b->RefreshCachedBytes();
+  EXPECT_TRUE(views.PoolViews().empty());
+  views.RefreshPoolContent(b);
+  views.RefreshPoolContent(a);
   EXPECT_DOUBLE_EQ(views.PoolBytes(), 140.0);
   EXPECT_DOUBLE_EQ(views.PoolBytesExact(), 140.0);
+}
+
+TEST(ViewCatalogTest, PoolViewsFollowMembershipInTrackOrder) {
+  ViewCatalog views;
+  ViewInfo* a = views.Track(Scan("a"), SigNamed("a"));
+  ViewInfo* b = views.Track(Scan("b"), SigNamed("b"));
+  ViewInfo* c = views.Track(Scan("c"), SigNamed("c"));
+  PartitionState* part = b->EnsurePartition("b.x", Interval(0, 10));
+  FragmentStats* f = part->Track(Interval(0, 5), 40.0);
+
+  // Refreshing a view without content leaves it out of the index.
+  views.RefreshPoolContent(b);
+  EXPECT_TRUE(views.PoolViews().empty());
+
+  // Members enter in track order whatever the refresh order.
+  c->whole_materialized = true;
+  c->stats.size_bytes = 7.0;
+  views.RefreshPoolContent(c);
+  f->materialized = true;
+  views.RefreshPoolContent(b);
+  a->whole_materialized = true;
+  views.RefreshPoolContent(a);
+  EXPECT_EQ(views.PoolViews(), (std::vector<ViewInfo*>{a, b, c}));
+  EXPECT_EQ(views.PoolBytes(), views.PoolBytesExact());
+
+  // Losing the last piece drops the view; its bytes leave the sum.
+  f->materialized = false;
+  views.RefreshPoolContent(b);
+  EXPECT_EQ(views.PoolViews(), (std::vector<ViewInfo*>{a, c}));
+  EXPECT_EQ(views.PoolBytes(), views.PoolBytesExact());
+  EXPECT_DOUBLE_EQ(views.PoolBytes(), 7.0);
 }
 
 TEST(PartitionStateTest, TrackIsIdempotent) {
