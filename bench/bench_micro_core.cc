@@ -63,24 +63,38 @@ void BM_PartitionMatchGreedy(benchmark::State& state) {
 }
 BENCHMARK(BM_PartitionMatchGreedy)->Range(8, 512)->Complexity();
 
+// The Section 7.1 fit over 32 pooled fragments as the live hits grow:
+// spreading every live hit again (kept=0) against reading the kept part
+// mass (kept=1). Both replay H(I); only the first spreads.
 void BM_MleAdjust(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  std::vector<FragmentStats> frags;
-  for (const Interval& iv : Interval(0, 400000).SplitEqual(n)) {
+  const int live_hits = static_cast<int>(state.range(0));
+  const bool kept = state.range(1) != 0;
+  const int n = 32;
+  PartitionState part;
+  part.domain = Interval(0, 400000);
+  for (const Interval& iv : part.domain.SplitEqual(n)) {
     FragmentStats f;
     f.interval = iv;
     f.size_bytes = 1e9;
-    for (int h = 0; h < 5; ++h) f.RecordHit(100 + h);
-    frags.push_back(std::move(f));
+    f.materialized = true;
+    const Interval touched(iv.lo + 0.25 * iv.Width(), iv.hi);
+    const int per_fragment = live_hits / n;
+    for (int h = 0; h < per_fragment; ++h) {
+      f.RecordHit(100.0 + 100.0 * h / per_fragment, touched);
+    }
+    part.fragments.push_back(std::move(f));
   }
-  MleFragmentModel model;
-  DecayFunction dec;
+  const MleFragmentModel model;
+  const DecayFunction dec;
+  if (kept) model.RefreshPartMass(&part, 200, dec);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.Adjust(frags, Interval(0, 400000), 200, dec));
+    benchmark::DoNotOptimize(kept ? model.Adjust(part, 201, dec)
+                                  : model.AdjustFromScratch(part, 201, dec));
   }
-  state.SetComplexityN(n);
 }
-BENCHMARK(BM_MleAdjust)->Range(4, 128)->Complexity();
+BENCHMARK(BM_MleAdjust)
+    ->ArgsProduct({{512, 4096, 32768}, {0, 1}})
+    ->ArgNames({"live_hits", "kept"});
 
 class WorkloadFixture : public benchmark::Fixture {
  public:

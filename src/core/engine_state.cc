@@ -429,9 +429,10 @@ Status DeepSeaEngine::LoadState(const std::string& state) {
       }
     }
   }
-  // The loop above wrote materialized flags and sizes directly; bring
-  // the pool-content index and its cached bytes back in sync.
-  for (ViewInfo* v : views->AllViews()) views->RefreshPoolContent(v);
+  // The loop above wrote materialized flags, sizes and hit lists
+  // directly; bring the pool-content index, its cached bytes and the
+  // part masses back in sync.
+  for (ViewInfo* v : views->AllViews()) pool_->RefreshView(v);
   fs->set_fault_policy(saved_policy);
   return Status::OK();
 }

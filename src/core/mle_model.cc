@@ -1,6 +1,7 @@
 #include "core/mle_model.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 namespace deepsea {
@@ -27,98 +28,126 @@ int MleFragmentModel::ChoosePartCount(const std::vector<FragmentStats>& fragment
   return std::max(parts, 1);
 }
 
+PartGrid MleFragmentModel::GridOf(const PartitionState& part) const {
+  return PartGrid(part.domain, ChoosePartCount(part.fragments, part.domain));
+}
+
+void MleFragmentModel::RefreshPartMass(PartitionState* part, double t,
+                                       const DecayFunction& dec) const {
+  // Fits read the masses of pooled partitions. A partition that leaves
+  // the pool keeps its mass dormant: exact at its time over the hits it
+  // covers, no longer advanced. Partitions leave and re-enter a bounded
+  // pool often, and re-entry then costs an update, not a rebuild.
+  if (!part->AnyMaterialized()) return;
+  // A time-weighted sum needs t > 0 (DEC is 1 at t <= 0).
+  if (part->domain.Width() <= 0.0 || (dec.config().enabled && t <= 0.0)) {
+    part->mass.Clear();
+    return;
+  }
+  const PartGrid grid = GridOf(*part);
+  if (part->mass.grid() == grid && part->mass.Update(part->fragments, dec, t)) {
+    return;
+  }
+  part->mass.Rebuild(part->fragments, grid, dec, t);
+}
+
 MleFragmentModel::AdjustedHits MleFragmentModel::Adjust(
-    const std::vector<FragmentStats>& fragments, const Interval& domain,
-    double t_now, const DecayFunction& dec,
-    const std::vector<const FragmentStats*>* bases) const {
+    const PartitionState& part, double t_now, const DecayFunction& dec,
+    const ShadowBases& bases) const {
+  return Fit(part, t_now, dec, bases, /*use_kept_mass=*/true);
+}
+
+MleFragmentModel::AdjustedHits MleFragmentModel::AdjustFromScratch(
+    const PartitionState& part, double t_now, const DecayFunction& dec,
+    const ShadowBases& bases) const {
+  return Fit(part, t_now, dec, bases, /*use_kept_mass=*/false);
+}
+
+MleFragmentModel::AdjustedHits MleFragmentModel::Fit(
+    const PartitionState& part, double t_now, const DecayFunction& dec,
+    const ShadowBases& bases, bool use_kept_mass) const {
+  const std::vector<FragmentStats>& fragments = part.fragments;
+  const Interval& domain = part.domain;
   AdjustedHits out;
   out.hits.assign(fragments.size(), 0.0);
   if (fragments.empty() || domain.Width() <= 0.0) return out;
 
-  // Split the domain into equi-size parts and spread each fragment's
-  // hits over the parts it covers (the paper splits hits evenly over
-  // contained parts; we use overlap-proportional spreading, which
-  // coincides when boundaries align with the part grid).
-  const int num_parts = ChoosePartCount(fragments, domain);
-  const double part_width = domain.Width() / num_parts;
-  std::vector<double> part_hits(static_cast<size_t>(num_parts), 0.0);
-
-  // One visit per live hit: add its weight to the fragment's H(I), then
-  // spread it. Hits before LiveHitsBegin weigh exactly 0.0, so skipping
-  // them adds nothing to H(I) and spreads nothing — bit-identical to a
-  // full replay.
-  auto visit_live_hits = [&](const Interval& iv, const FragmentStats& f,
-                             double* h) {
-    const std::vector<FragmentHit>& hits = f.hits();
-    for (size_t k = f.LiveHitsBegin(t_now, dec); k < hits.size(); ++k) {
-      const FragmentHit& hit = hits[k];
-      const double w = dec(t_now, hit.time);
-      *h += w;
-      if (w <= 0.0) continue;
-      // Spread the hit over the region the query actually touched
-      // (hit.range, clamped to the fragment) when recorded; otherwise
-      // over the whole fragment (the paper's even split). A clamp of
-      // positive width is computed inline; the rare degenerate clamp
-      // (a point, or no overlap) takes Interval::Intersect's rules.
-      double lo = iv.lo;
-      double hi = iv.hi;
-      double width = iv.Width();
-      if (hit.has_range) {
-        const double clamped_lo = std::max(hit.range.lo, iv.lo);
-        const double clamped_hi = std::min(hit.range.hi, iv.hi);
-        if (clamped_hi - clamped_lo > 0.0) {
-          lo = clamped_lo;
-          hi = clamped_hi;
-          width = clamped_hi - clamped_lo;
-        } else if (const auto clamped = hit.range.Intersect(iv)) {
-          lo = clamped->lo;
-          hi = clamped->hi;
-          width = clamped->Width();
-        }
-      }
-      if (width <= 0.0) {
-        int p = static_cast<int>((lo - domain.lo) / part_width);
-        p = std::clamp(p, 0, num_parts - 1);
-        part_hits[static_cast<size_t>(p)] += w;
-        continue;
-      }
-      // Only parts overlapping the region can receive mass.
-      int first = static_cast<int>((lo - domain.lo) / part_width);
-      int last = static_cast<int>((hi - domain.lo) / part_width);
-      first = std::clamp(first, 0, num_parts - 1);
-      last = std::clamp(last, 0, num_parts - 1);
-      for (int p = first; p <= last; ++p) {
-        const double part_lo = domain.lo + part_width * p;
-        const double part_hi = domain.lo + part_width * (p + 1);
-        const double overlap = std::min(part_hi, hi) - std::max(part_lo, lo);
-        if (overlap > 0.0) {
-          part_hits[static_cast<size_t>(p)] += w * overlap / width;
-        }
-      }
-    }
+  auto base_of = [&bases](size_t i) -> const FragmentStats* {
+    return bases.fragments != nullptr && i < bases.fragments->size()
+               ? (*bases.fragments)[i]
+               : nullptr;
   };
 
-  // H(I) per fragment and H_total. With a base, visit base-then-local
-  // exactly as the folded fragment's own hit list is ordered.
+  // H(I) per fragment and H_total: the replay DecayedHits performs, base
+  // first, then the local hits, as the folded fragment stores them.
   std::vector<double> frag_hits(fragments.size(), 0.0);
   for (size_t i = 0; i < fragments.size(); ++i) {
-    const Interval& iv = fragments[i].interval;
-    double h = 0.0;
-    if (bases != nullptr && i < bases->size() && (*bases)[i] != nullptr) {
-      visit_live_hits(iv, *(*bases)[i], &h);
+    const FragmentStats* base = base_of(i);
+    if (base == nullptr) {
+      frag_hits[i] = fragments[i].DecayedHits(t_now, dec);
+    } else if (!dec.config().enabled) {
+      frag_hits[i] = static_cast<double>(base->hits().size() +
+                                         fragments[i].hits().size());
+    } else {
+      double acc = base->DecayedHits(t_now, dec);
+      for (const FragmentHit& h : fragments[i].hits()) {
+        acc += dec(t_now, h.time);
+      }
+      frag_hits[i] = acc;
     }
-    visit_live_hits(iv, fragments[i], &h);
-    frag_hits[i] = h;
-    out.total += h;
+    out.total += frag_hits[i];
   }
   if (out.total <= 0.0) return out;
 
-  std::vector<double> part_mids(static_cast<size_t>(num_parts), 0.0);
-  for (int p = 0; p < num_parts; ++p) {
-    part_mids[static_cast<size_t>(p)] = domain.lo + part_width * (p + 0.5);
+  // The part mass: Σ over hits with DEC(t_now, t_k) > 0 of t_k · spread
+  // (spread alone when DEC is 1), in exact fixed point. A shadow reads
+  // its base partition's kept mass and adds its local hits; a partition
+  // read in place reads its own.
+  const PartGrid grid = GridOf(part);
+  const bool time_weighted = dec.config().enabled && t_now > 0.0;
+  std::vector<PartMass::Sum> sums;
+  auto add_hits = [&](const Interval& iv, const FragmentStats& f) {
+    const std::vector<FragmentHit>& hits = f.hits();
+    for (size_t k = f.LiveHitsBegin(t_now, dec); k < hits.size(); ++k) {
+      const FragmentHit& h = hits[k];
+      if (!(dec(t_now, h.time) > 0.0)) continue;
+      PartMass::Spread(grid, iv, h, time_weighted ? h.time : 1.0, +1,
+                       sums.data());
+    }
+  };
+  const PartitionState* owner =
+      bases.fragments == nullptr ? &part : bases.partition;
+  if (use_kept_mass && owner != nullptr && owner->mass.t() <= t_now &&
+      owner->mass.Covers(owner->fragments, grid, dec)) {
+    owner->mass.SumsAt(owner->fragments, dec, t_now, &sums);
+    if (owner != &part) {
+      // The shadow's fragments start with one copy of each base fragment
+      // (PlanningDelta::MakeShadow), so the base's mass holds exactly
+      // their histories; every shadow hit is local.
+      assert(owner->fragments.empty() ||
+             (bases.fragments->size() >= owner->fragments.size() &&
+              (*bases.fragments)[0] == owner->fragments.data()));
+      for (const FragmentStats& f : fragments) add_hits(f.interval, f);
+    }
+  } else {
+    sums.assign(static_cast<size_t>(grid.num_parts), 0);
+    for (size_t i = 0; i < fragments.size(); ++i) {
+      if (const FragmentStats* base = base_of(i)) {
+        add_hits(fragments[i].interval, *base);
+      }
+      add_hits(fragments[i].interval, fragments[i]);
+    }
   }
 
-  // MLE Normal fit over part midpoints weighted by part hits.
+  // MLE Normal fit over part midpoints weighted by the true part masses
+  // (the 1/t_now scale matters: the variance divides by W - 1).
+  std::vector<double> part_mids(static_cast<size_t>(grid.num_parts), 0.0);
+  std::vector<double> part_hits(static_cast<size_t>(grid.num_parts), 0.0);
+  for (int p = 0; p < grid.num_parts; ++p) {
+    const size_t pi = static_cast<size_t>(p);
+    part_mids[pi] = domain.lo + grid.part_width * (p + 0.5);
+    part_hits[pi] = PartMass::Weight(sums[pi], time_weighted, t_now);
+  }
   out.fit = FitNormalMle(part_mids, part_hits);
   if (!out.fit.valid ||
       out.fit.stddev > cfg_.max_stddev_fraction * domain.Width()) {

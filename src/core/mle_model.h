@@ -6,6 +6,8 @@
 #include "common/math_util.h"
 #include "core/decay.h"
 #include "core/interval.h"
+#include "core/part_mass.h"
+#include "core/view_catalog.h"
 #include "core/view_stats.h"
 
 namespace deepsea {
@@ -26,6 +28,15 @@ struct MleConfig {
   /// Adjust falls back to the raw decayed hit counts, making the model
   /// degrade to Nectar-style counting instead of mispredicting.
   double max_stddev_fraction = 0.15;
+};
+
+/// Where a planning shadow partition's history lives (PlanningDelta):
+/// the shared partition it shadows, and parallel to the shadow's
+/// fragments each one's base fragment in it (nullptr for planner-added
+/// fragments). Both are null for a partition read in place.
+struct ShadowBases {
+  const PartitionState* partition = nullptr;
+  const std::vector<const FragmentStats*>* fragments = nullptr;
 };
 
 /// Implements the paper's fragment-correlation smoothing: treat decayed
@@ -54,25 +65,43 @@ class MleFragmentModel {
     NormalFit fit;
   };
 
-  /// Computes H_A for every fragment of a partition over `domain`.
-  /// `t_now` and `dec` define the decayed hit counts H(I).
+  /// Computes H_A for every fragment of `part` over its domain. `t_now`
+  /// and `dec` define the decayed hit counts H(I).
   ///
-  /// `bases`, when non-null, is parallel to `fragments` and supplies
-  /// each fragment's shared-pool base (nullptr entries for fragments
-  /// without one). This is the PlanningDelta shadow-partition shape:
-  /// a shadow fragment holds only the query-local hit suffix, and its
-  /// base holds the history. Hits are then evaluated base-first, local
-  /// second — the order a folded in-place fragment stores them — so the
-  /// fit is bit-identical to running Adjust after the fold.
+  /// `bases` describes the PlanningDelta shadow-partition shape: a
+  /// shadow fragment holds only the query-local hit suffix, and its base
+  /// fragment in `bases.partition` holds the history. The fit equals the
+  /// one run after the fold: H(I) replays base first, local second, the
+  /// order a folded fragment stores them, and the part mass is an exact
+  /// integer sum, so its order does not matter.
   ///
-  /// Each hit list is replayed once, from FragmentStats::LiveHitsBegin:
-  /// a fit visits each in-window hit one time, adding it to H(I) and
-  /// spreading it over the parts, not every hit ever recorded.
-  AdjustedHits Adjust(const std::vector<FragmentStats>& fragments,
-                      const Interval& domain, double t_now,
+  /// The part mass comes from the partition's kept PartMass (the base
+  /// partition's, for a shadow) when that mass covers the hit lists, the
+  /// grid and `dec`, and t_now >= its time: it costs O(parts + fragments
+  /// + hits expired since the mass's time + local hits). Otherwise every
+  /// live hit is spread again (AdjustFromScratch). Both give the same
+  /// bits. H(I) is always replayed from FragmentStats::LiveHitsBegin.
+  AdjustedHits Adjust(const PartitionState& part, double t_now,
                       const DecayFunction& dec,
-                      const std::vector<const FragmentStats*>* bases =
-                          nullptr) const;
+                      const ShadowBases& bases = ShadowBases()) const;
+
+  /// Adjust with the part mass built from every live hit, ignoring any
+  /// kept mass: the fallback's arithmetic, and the oracle Adjust must
+  /// equal bit for bit.
+  AdjustedHits AdjustFromScratch(
+      const PartitionState& part, double t_now, const DecayFunction& dec,
+      const ShadowBases& bases = ShadowBases()) const;
+
+  /// Brings the mass of `part`, when it holds pool content, up to time
+  /// `t` under `dec`: in place when only appends and expiries happened,
+  /// else by a rebuild (first pool entry, new grid, replaced hit list,
+  /// changed decay). A partition out of the pool keeps its mass dormant
+  /// (not advanced) until it re-enters. Commit sections only.
+  void RefreshPartMass(PartitionState* part, double t,
+                       const DecayFunction& dec) const;
+
+  /// The part grid of `part`: ChoosePartCount parts over its domain.
+  PartGrid GridOf(const PartitionState& part) const;
 
   /// Chooses an equi-size part width such that every fragment boundary
   /// (approximately) aligns with a part boundary: the greatest
@@ -82,6 +111,10 @@ class MleFragmentModel {
                       const Interval& domain) const;
 
  private:
+  AdjustedHits Fit(const PartitionState& part, double t_now,
+                   const DecayFunction& dec, const ShadowBases& bases,
+                   bool use_kept_mass) const;
+
   MleConfig cfg_;
 };
 

@@ -141,6 +141,9 @@ PlanningDelta::ShadowPartition& PlanningDelta::MakeShadow(
   sp.view = v;
   sp.state.attr = attr;
   sp.base = base;
+  // The shadow's part mass stays unkept: the MLE fit reads the base's
+  // through BasesOf and adds the shadow's local hits to it.
+  //
   // Creating the shadow reads the shared partition wholesale: the
   // fragment list (fold maps base-backed fragments by index), the
   // materialized flags, and — through the effective-hit readers — any
@@ -248,10 +251,10 @@ FragmentStats* PlanningDelta::TrackFragment(PartitionState* part,
   return added;
 }
 
-const std::vector<const FragmentStats*>* PlanningDelta::BasesOf(
-    const PartitionState* part) const {
+ShadowBases PlanningDelta::BasesOf(const PartitionState* part) const {
   const ShadowPartition* sp = ShadowFor(part);
-  return sp == nullptr ? nullptr : &sp->bases;
+  if (sp == nullptr) return ShadowBases();
+  return ShadowBases{sp->base, &sp->bases};
 }
 
 const FragmentStats* PlanningDelta::BaseOf(const PartitionState* part,

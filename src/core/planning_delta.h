@@ -13,6 +13,7 @@
 #include "catalog/table.h"
 #include "core/commit_footprint.h"
 #include "core/decay.h"
+#include "core/mle_model.h"
 #include "core/policy.h"
 #include "core/view_catalog.h"
 #include "plan/plan.h"
@@ -208,12 +209,13 @@ class PlanningDelta {
   FragmentStats* TrackFragment(PartitionState* part, const Interval& iv,
                                double est_size_bytes);
 
-  /// For a shadow partition: per-fragment base pointers (nullptr
-  /// entries for planner-added fragments), parallel to
-  /// part->fragments. nullptr when `part` is not a shadow (fragments
-  /// then carry their full history themselves). Used by the MLE model.
-  const std::vector<const FragmentStats*>* BasesOf(
-      const PartitionState* part) const;
+  /// For a shadow partition: the shared partition it shadows (nullptr
+  /// when EnsurePartition created it here) and per-fragment base
+  /// pointers (nullptr entries for planner-added fragments), parallel
+  /// to part->fragments. Both null when `part` is not a shadow
+  /// (fragments then carry their full history themselves). Used by the
+  /// MLE model, under the shared lock.
+  ShadowBases BasesOf(const PartitionState* part) const;
 
   // --- effective stats readers (value after fold, bit-identically) ---
 

@@ -106,7 +106,8 @@ PoolManager::PoolManager(Catalog* catalog, const EngineOptions* options,
       cluster_(cluster),
       estimator_(estimator),
       fs_(options->cluster.block_bytes),
-      decay_(options->decay) {}
+      decay_(options->decay),
+      mle_(options->mle) {}
 
 // --- commit context ---
 
@@ -484,6 +485,7 @@ void PoolManager::AdvanceWindowsAfterFold(double t_now) {
       (void)attr;
       for (FragmentStats& f : part.fragments) f.AdvanceWindow(t_now, decay_);
     }
+    RefreshPartMasses(v, t_now);
   };
   if (ctx.exclusive) {
     for (ViewInfo* v : views_.AllViews()) advance(v);
@@ -510,6 +512,19 @@ void PoolManager::AdvanceWindowsAfterFold(double t_now) {
     ViewInfo* v = views_.Get(id);
     if (v != nullptr) advance(v);
   }
+}
+
+void PoolManager::RefreshPartMasses(ViewInfo* view, double t) {
+  for (auto& [attr, part] : view->partitions) {
+    (void)attr;
+    mle_.RefreshPartMass(&part, t, decay_);
+  }
+}
+
+void PoolManager::RefreshView(ViewInfo* view) {
+  assert(CommitHeldByThisThread());
+  views_.RefreshPoolContent(view);
+  RefreshPartMasses(view, static_cast<double>(clock()));
 }
 
 // --- decision transaction ---
@@ -554,7 +569,7 @@ void PoolManager::TxnRollback() {
         // Partition added after the snapshot: remove it again.
         pit = v->partitions.erase(pit);
       } else {
-        pit->second = img->second;
+        pit->second = img->second;  // part mass included
         ++pit;
       }
     }
@@ -707,7 +722,7 @@ Result<double> PoolManager::MaterializeView(ViewInfo* view,
   // A successful materialization proves the storage path works again.
   view->fault_count = 0;
   view->quarantined_until = 0;
-  views_.RefreshPoolContent(view);
+  RefreshView(view);
   report->created_views.push_back(view->id);
   return extra_seconds;
 }
@@ -790,7 +805,7 @@ Result<double> PoolManager::MaterializeFragment(ViewInfo* view,
   // A successful refinement proves the storage path works again.
   view->fault_count = 0;
   view->quarantined_until = 0;
-  views_.RefreshPoolContent(view);
+  RefreshView(view);
   return seconds;
 }
 
@@ -810,7 +825,7 @@ Status PoolManager::EvictFragment(ViewInfo* view, PartitionState* part,
   }
   DEEPSEA_RETURN_IF_ERROR(st);
   frag->materialized = false;
-  views_.RefreshPoolContent(view);
+  RefreshView(view);
   RecordEviction(view, part->attr, frag->interval, frag->size_bytes, report);
   return Status::OK();
 }
@@ -839,7 +854,7 @@ Result<int> PoolManager::EvictWholeView(ViewInfo* view, QueryReport* report) {
     DEEPSEA_RETURN_IF_ERROR(st);
     view->whole_materialized = false;
     ++evicted;
-    views_.RefreshPoolContent(view);
+    RefreshView(view);
     RecordEviction(view, "", Interval(), view->stats.size_bytes, report);
   }
   return evicted;
@@ -925,7 +940,7 @@ Status PoolManager::ApplyStaged(const SelectionDecision& decision,
         DEEPSEA_RETURN_IF_ERROR(TxnPut(path, a.size_bytes, report));
         f->materialized = true;
         ++report->created_fragments;
-        views_.RefreshPoolContent(a.view);
+        RefreshView(a.view);
         NewViewWork& work = work_for(a.view);
         work.bytes += a.size_bytes;
         work.count += 1;
@@ -949,7 +964,7 @@ Status PoolManager::ApplyStaged(const SelectionDecision& decision,
     }
     view->fault_count = 0;
     view->quarantined_until = 0;
-    views_.RefreshPoolContent(view);
+    RefreshView(view);
     report->created_views.push_back(view->id);
   }
   return Status::OK();
@@ -1044,7 +1059,7 @@ Result<double> PoolManager::MergeStaged(double t_now,
                merged_bytes, report));
     merged->materialized = true;
     if (merged->hits().empty()) merged->AdoptHits(std::move(hits));
-    views_.RefreshPoolContent(cand.view);
+    RefreshView(cand.view);
     ++merges;
     ++report->merged_fragments;
   }

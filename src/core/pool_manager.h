@@ -450,6 +450,13 @@ class PoolManager {
   /// when the view held nothing.
   Result<int> EvictWholeView(ViewInfo* view, QueryReport* report);
 
+  /// Re-reads `view`'s pool content after a primitive changed it: the
+  /// catalog's pool-content index (ViewCatalog::RefreshPoolContent) and
+  /// each partition's part mass, brought to the pool clock. The
+  /// primitives above call it; so does state restore. Requires the
+  /// commit section.
+  void RefreshView(ViewInfo* view);
+
   // --- fault quarantine (see DESIGN.md, "Failure model and recovery") ---
 
   /// Records one permanent decision failure against `view_id`; once
@@ -493,11 +500,17 @@ class PoolManager {
 
   /// Advances timed-out-prefix cursors after a delta fold so
   /// evaluations under the shared lock stay O(in-window suffix) even
-  /// for cold entries. The exclusive path advances every view; a
-  /// sharded commit only advances the views of its write footprint (the
-  /// ones its shards own). The cursor is an evaluation cache, never
-  /// part of the pool fingerprint, so partial advancement is sound.
+  /// for cold entries, and brings the part masses to `t_now`: the fold's
+  /// hit appends enter the sums, expired hits leave them. The exclusive
+  /// path advances every view; a sharded commit only advances the views
+  /// of its write footprint (the ones its shards own, and the only ones
+  /// its fold appended to). Cursors and masses are evaluation caches,
+  /// never part of the pool fingerprint, and a mass is exact at its own
+  /// time, so partial advancement is sound.
   void AdvanceWindowsAfterFold(double t_now);
+
+  /// Refreshes the part mass of each of `view`'s partitions at `t`.
+  void RefreshPartMasses(ViewInfo* view, double t);
 
   // --- decision transaction (stage-then-commit rollback journal) ---
   //
@@ -570,6 +583,7 @@ class PoolManager {
   ViewCatalog views_;
   FilterTree rewrite_index_;
   DecayFunction decay_;  ///< pool-side decay (cursor advancement)
+  MleFragmentModel mle_;  ///< part grids of the kept part masses
   std::atomic<int64_t> clock_{0};  ///< advanced only inside commit sections
 
   /// Commit-section accounting (see commit_lock_stats()).

@@ -136,8 +136,7 @@ SelectionResolution SelectionPlanner::PlanSelection(const QueryContext& ctx,
     auto it = adjusted.find(part);
     if (it == adjusted.end()) {
       it = adjusted
-               .emplace(part, mle_->Adjust(part->fragments, part->domain,
-                                           t_now, *decay_,
+               .emplace(part, mle_->Adjust(*part, t_now, *decay_,
                                            delta->BasesOf(part)))
                .first;
     }

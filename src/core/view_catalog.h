@@ -9,6 +9,7 @@
 
 #include "common/result.h"
 #include "core/interval.h"
+#include "core/part_mass.h"
 #include "core/view_stats.h"
 #include "plan/plan.h"
 #include "plan/signature.h"
@@ -30,6 +31,13 @@ struct PartitionState {
   /// fragments of PSTAT). Becomes the initial fragmentation at creation.
   /// Initialized to {domain} on first use.
   std::vector<Interval> pending;
+
+  /// The time-weighted part mass the MLE fit reads: built when the
+  /// partition first holds pool content and refreshed by PoolManager
+  /// inside commit sections while it does (dormant while it does not;
+  /// see MleFragmentModel::RefreshPartMass). Copies of the partition
+  /// (transaction images) carry it; planning shadows do not.
+  PartMass mass;
 
   /// Pointer to the tracked fragment with exactly this interval, or
   /// nullptr. Pointers are invalidated by adding fragments.

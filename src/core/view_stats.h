@@ -177,6 +177,7 @@ struct FragmentStats {
   /// and rebuilds the caches. The replacement need not be time-ordered.
   void AdoptHits(std::vector<FragmentHit> hits) {
     hits_ = std::move(hits);
+    ++hits_generation_;
     last_hit_ = 0.0;
     for (const FragmentHit& h : hits_) {
       if (h.time > last_hit_) last_hit_ = h.time;
@@ -214,6 +215,10 @@ struct FragmentStats {
   /// maintained as a running max by the mutators.
   double LastHit() const { return last_hit_; }
 
+  /// Counts AdoptHits calls: a cache over the hit list (PartMass) tells
+  /// appends from a wholesale replacement by comparing it.
+  uint32_t hits_generation() const { return hits_generation_; }
+
   /// Fragment benefit per the paper:
   ///   B(I, t_now) = sum_hits (S(I)/S(V)) * COST(V) * DEC(t_now, t)
   /// where `hits` may be replaced by MLE-adjusted hits by the caller
@@ -236,6 +241,7 @@ struct FragmentStats {
  private:
   std::vector<FragmentHit> hits_;
   double last_hit_ = 0.0;
+  uint32_t hits_generation_ = 0;
   size_t win_begin_ = 0;
   double win_t_ = 0.0;
   double win_tmax_ = -1.0;

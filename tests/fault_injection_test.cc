@@ -24,6 +24,7 @@
 #include "exp/trace.h"
 #include "storage/fault_policy.h"
 #include "multitenant_harness.h"
+#include "part_mass.h"
 #include "pool_index.h"
 #include "workload/bigbench.h"
 
@@ -57,6 +58,9 @@ class FaultInvariantProbe : public TraceObserver {
     // A rollback must restore the pool-content index with the fragment
     // state it indexes.
     ASSERT_TRUE(PoolIndexMatchesDefinition(engine_->views()))
+        << "at stage " << EngineStageName(stage);
+    // ...and the part masses with the hit lists and fragments they sum.
+    ASSERT_TRUE(PartMassMatchesRebuild(engine_->pool()))
         << "at stage " << EngineStageName(stage);
     // Every materialized piece must be backed by its FS file.
     for (const ViewInfo* v : engine_->views().AllViews()) {
@@ -321,6 +325,84 @@ TEST(FaultRecoveryTest, PermanentFaultRollsBackAndDegrades) {
   EXPECT_EQ(CountFaultEvents(obs.FaultEventsCsv(), "degrade"), 1);
   EXPECT_EQ(obs.totals(), engine.totals());
   EXPECT_EQ(engine.totals().queries_degraded, 1);
+}
+
+// ---------------------------------------------------------------------
+// A decision whose first action refines a pooled partition with a
+// fragment narrower than any it tracks (a finer part grid, so the part
+// mass is rebuilt inside the transaction) and whose second action
+// faults. The rollback must restore the mass with the fragment list it
+// sums over.
+
+TEST(FaultRecoveryTest, RollbackRestoresThePartMass) {
+  Catalog catalog = MakeCatalog();
+  EngineOptions opts;
+  opts.benefit_cost_threshold = 0.0;
+  DeepSeaEngine engine(&catalog, opts);
+  PlanPtr last;
+  for (int i = 0; i < 6; ++i) {
+    auto plan = BigBenchTemplates::Build("Q30", 100000 + 5000 * i,
+                                         180000 + 5000 * i);
+    ASSERT_TRUE(plan.ok());
+    ASSERT_TRUE(engine.ProcessQuery(*plan).ok());
+    last = *plan;
+  }
+  PoolManager* pool = engine.mutable_pool();
+  ViewInfo* view = nullptr;
+  PartitionState* part = nullptr;
+  {
+    CommitGuard commit = pool->BeginCommit();
+    for (ViewInfo* v : pool->stat(commit)->PoolViews()) {
+      for (auto& [attr, p] : v->partitions) {
+        if (part == nullptr && p.AnyMaterialized()) {
+          view = v;
+          part = &p;
+        }
+      }
+    }
+  }
+  ASSERT_NE(part, nullptr);
+  ASSERT_TRUE(part->mass.kept());
+  Interval host;
+  for (const FragmentStats& f : part->fragments) {
+    if (f.materialized) host = f.interval;
+  }
+  const double w = host.Width();
+  const Interval narrow(host.lo + 0.400 * w, host.lo + 0.401 * w);
+  const Interval doomed(host.lo + 0.6 * w, host.lo + 0.7 * w);
+  PartitionState refined = *part;
+  refined.Track(narrow, 0.0);
+  const MleFragmentModel model(opts.mle);
+  ASSERT_NE(model.GridOf(refined).num_parts, part->mass.grid().num_parts);
+
+  ScheduledFaultPolicy policy(/*seed=*/9);
+  FaultRule rule;
+  rule.ops = {FsOp::kPut};
+  rule.path_substring = FragmentPath(*view, part->attr, doomed);
+  rule.every_nth = 1;
+  policy.AddRule(rule);
+  pool->SetFaultPolicy(&policy);
+
+  SelectionDecision decision;
+  SelectionAction action;
+  action.kind = SelectionAction::Kind::kMaterializeRefinement;
+  action.view = view;
+  action.part = part;
+  action.interval = narrow;
+  decision.actions.push_back(action);
+  action.interval = doomed;
+  decision.actions.push_back(action);
+  const PartMass before = part->mass;
+  {
+    CommitGuard commit = pool->BeginCommit();
+    QueryContext ctx(last, pool->clock());
+    QueryReport report;
+    EXPECT_FALSE(pool->Apply(decision, ctx, &report).ok());
+    EXPECT_EQ(policy.faults_injected(), 1);
+    EXPECT_TRUE(part->mass == before);
+    EXPECT_TRUE(PartMassMatchesRebuild(*pool));
+  }
+  pool->SetFaultPolicy(nullptr);
 }
 
 // ---------------------------------------------------------------------

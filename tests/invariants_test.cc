@@ -13,6 +13,7 @@
 #include "core/view_sizing.h"
 #include "exec/executor.h"
 #include "plan/pushdown.h"
+#include "part_mass.h"
 #include "pool_index.h"
 #include "workload/bigbench.h"
 #include "workload/range_generator.h"
@@ -61,6 +62,9 @@ class InvariantProbe : public EngineObserver {
     // The pool-content index the knapsack sweeps equals its definition,
     // and its byte sum is bit-identical to a fresh walk.
     EXPECT_TRUE(PoolIndexMatchesDefinition(engine_->views()))
+        << "at stage " << EngineStageName(stage);
+    // Every kept part mass equals its rebuild from the hit lists.
+    EXPECT_TRUE(PartMassMatchesRebuild(engine_->pool()))
         << "at stage " << EngineStageName(stage);
     // Evicted pieces must actually have left the FS (bytes released).
     for (const std::string& path : evicted_paths_) {

@@ -3,12 +3,25 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 
 namespace deepsea {
 namespace {
+
+/// A partition over `domain` holding `fragments`.
+PartitionState Part(std::vector<FragmentStats> fragments,
+                    const Interval& domain) {
+  PartitionState part;
+  part.attr = "x";
+  part.domain = domain;
+  part.fragments = std::move(fragments);
+  return part;
+}
 
 FragmentStats Frag(double lo, double hi, int hits, double hit_time = 100) {
   FragmentStats f;
@@ -22,7 +35,7 @@ TEST(MleModelTest, NoHitsYieldsZeroAdjusted) {
   MleFragmentModel model;
   DecayFunction dec;
   std::vector<FragmentStats> frags = {Frag(0, 50, 0), Frag(50, 100, 0)};
-  const auto adj = model.Adjust(frags, Interval(0, 100), 100, dec);
+  const auto adj = model.Adjust(Part(frags, Interval(0, 100)), 100, dec);
   EXPECT_EQ(adj.total, 0.0);
   EXPECT_EQ(adj.hits[0], 0.0);
   EXPECT_EQ(adj.hits[1], 0.0);
@@ -33,7 +46,7 @@ TEST(MleModelTest, TotalMassPreservedApproximately) {
   DecayFunction dec(DecayConfig{1e9, true});
   std::vector<FragmentStats> frags = {Frag(0, 25, 10), Frag(25, 50, 20),
                                       Frag(50, 75, 10), Frag(75, 100, 2)};
-  const auto adj = model.Adjust(frags, Interval(0, 100), 100, dec);
+  const auto adj = model.Adjust(Part(frags, Interval(0, 100)), 100, dec);
   double sum = 0.0;
   for (double h : adj.hits) sum += h;
   // The Normal has tails outside the domain; most mass stays inside.
@@ -49,7 +62,7 @@ TEST(MleModelTest, NeighborOfHotSpotBeatsDistantFragment) {
   DecayFunction dec(DecayConfig{1e9, true});
   std::vector<FragmentStats> frags = {Frag(0, 5, 20), Frag(5, 10, 0),
                                       Frag(10, 15, 0)};
-  const auto adj = model.Adjust(frags, Interval(0, 15), 100, dec);
+  const auto adj = model.Adjust(Part(frags, Interval(0, 15)), 100, dec);
   EXPECT_GT(adj.hits[0], adj.hits[1]);
   EXPECT_GT(adj.hits[1], adj.hits[2]);
   EXPECT_GT(adj.hits[1], 0.0);
@@ -65,7 +78,7 @@ TEST(MleModelTest, FitRecoversHotSpotCenter) {
     const int hits = (lo >= 30 && hi <= 70) ? 20 : 1;
     frags.push_back(Frag(lo, hi, hits));
   }
-  const auto adj = model.Adjust(frags, Interval(0, 100), 100, dec);
+  const auto adj = model.Adjust(Part(frags, Interval(0, 100)), 100, dec);
   ASSERT_TRUE(adj.fit.valid);
   EXPECT_NEAR(adj.fit.mean, 50.0, 5.0);
   EXPECT_GT(adj.fit.stddev, 0.0);
@@ -77,7 +90,7 @@ TEST(MleModelTest, DecayReducesOldHitInfluence) {
   // Old hits on the left, recent hits on the right.
   std::vector<FragmentStats> frags = {Frag(0, 50, 10, /*hit_time=*/10),
                                       Frag(50, 100, 10, /*hit_time=*/1000)};
-  const auto adj = model.Adjust(frags, Interval(0, 100), 1000, dec);
+  const auto adj = model.Adjust(Part(frags, Interval(0, 100)), 1000, dec);
   ASSERT_TRUE(adj.fit.valid);
   // Mean pulled toward the recent (right) side.
   EXPECT_GT(adj.fit.mean, 50.0);
@@ -160,8 +173,9 @@ TEST(MleModelTest, AdvancedWindowsGiveBitIdenticalAdjust) {
       skipped += f.LiveHitsBegin(t_now, dec);
     }
     ASSERT_GT(skipped, 0u) << "the windows must actually skip hits";
-    const auto full = model.Adjust(plain, Interval(0, 100), t_now, dec);
-    const auto windowed = model.Adjust(advanced, Interval(0, 100), t_now, dec);
+    const auto full = model.Adjust(Part(plain, Interval(0, 100)), t_now, dec);
+    const auto windowed =
+        model.Adjust(Part(advanced, Interval(0, 100)), t_now, dec);
     ASSERT_TRUE(full.fit.valid);
     ExpectSameAdjust(windowed, full);
   }
@@ -169,7 +183,8 @@ TEST(MleModelTest, AdvancedWindowsGiveBitIdenticalAdjust) {
 
 TEST(MleModelTest, AdvancedBaseWindowsGiveBitIdenticalShadowAdjust) {
   // The PlanningDelta shape: shadow fragments carry only query-local
-  // hits, their bases the history (see Adjust's `bases` argument).
+  // hits, their bases the history (see Adjust's `bases` argument). No
+  // base partition is given, so the fit spreads every live hit.
   const DecayFunction dec(DecayConfig{/*t_max=*/25.0, true});
   const MleFragmentModel model;
   Rng rng(78);
@@ -204,21 +219,24 @@ TEST(MleModelTest, AdvancedBaseWindowsGiveBitIdenticalShadowAdjust) {
     skipped += f.LiveHitsBegin(t_now, dec);
   }
   ASSERT_GT(skipped, 0u);
+  const PartitionState shadow = Part(shadows, Interval(0, 100));
   const auto full =
-      model.Adjust(shadows, Interval(0, 100), t_now, dec, &plain_ptrs);
+      model.Adjust(shadow, t_now, dec, ShadowBases{nullptr, &plain_ptrs});
   const auto windowed =
-      model.Adjust(shadows, Interval(0, 100), t_now, dec, &advanced_ptrs);
+      model.Adjust(shadow, t_now, dec, ShadowBases{nullptr, &advanced_ptrs});
   ASSERT_TRUE(full.fit.valid);
   ExpectSameAdjust(windowed, full);
 }
 
 // --- one-pass fit vs the two-pass reference ---------------------------
 //
-// Adjust visits each live hit once, adding it to H(I) and spreading it
-// in the same step, with the part overlap computed inline. The
-// reference below is the earlier two-pass Adjust, kept verbatim: one
-// pass for H(I), a second replay for the spread, overlaps through
-// Interval::OverlapWidth. Every output must match it bit for bit.
+// Adjust visits each live hit once for H(I) and spreads it into exact
+// fixed-point part sums, with the part overlap computed inline. The
+// reference below takes two passes, one for H(I) and a second replay for
+// the spread, with overlaps through Interval::Intersect and
+// Interval::OverlapWidth, and rounds each term t_k · overlap / width
+// (overlap / width with decay off) with PartMass::Quantize. Every output
+// must match it bit for bit.
 
 MleFragmentModel::AdjustedHits TwoPassAdjust(
     const MleFragmentModel& model, const MleConfig& cfg,
@@ -252,7 +270,8 @@ MleFragmentModel::AdjustedHits TwoPassAdjust(
 
   const int num_parts = model.ChoosePartCount(fragments, domain);
   const double part_width = domain.Width() / num_parts;
-  std::vector<double> part_hits(static_cast<size_t>(num_parts), 0.0);
+  const bool time_weighted = dec.config().enabled && t_now > 0.0;
+  std::vector<PartMass::Sum> part_sums(static_cast<size_t>(num_parts), 0);
   std::vector<double> part_mids(static_cast<size_t>(num_parts), 0.0);
   for (int p = 0; p < num_parts; ++p) {
     part_mids[static_cast<size_t>(p)] = domain.lo + part_width * (p + 0.5);
@@ -260,6 +279,7 @@ MleFragmentModel::AdjustedHits TwoPassAdjust(
   auto spread_hit = [&](const Interval& iv, const FragmentHit& hit) {
     const double w = dec(t_now, hit.time);
     if (w <= 0.0) return;
+    const double scale = time_weighted ? hit.time : 1.0;
     Interval region = iv;
     if (hit.has_range) {
       const auto clamped = hit.range.Intersect(iv);
@@ -269,7 +289,7 @@ MleFragmentModel::AdjustedHits TwoPassAdjust(
     if (region_width <= 0.0) {
       int p = static_cast<int>((region.lo - domain.lo) / part_width);
       p = std::clamp(p, 0, num_parts - 1);
-      part_hits[static_cast<size_t>(p)] += w;
+      part_sums[static_cast<size_t>(p)] += PartMass::Quantize(scale);
       return;
     }
     int first = static_cast<int>((region.lo - domain.lo) / part_width);
@@ -281,7 +301,8 @@ MleFragmentModel::AdjustedHits TwoPassAdjust(
                           domain.lo + part_width * (p + 1));
       const double ow = part.OverlapWidth(region);
       if (ow > 0.0) {
-        part_hits[static_cast<size_t>(p)] += w * ow / region_width;
+        part_sums[static_cast<size_t>(p)] +=
+            PartMass::Quantize(scale * ow / region_width);
       }
     }
   };
@@ -298,6 +319,12 @@ MleFragmentModel::AdjustedHits TwoPassAdjust(
     spread_live_hits(iv, fragments[i]);
   }
 
+  std::vector<double> part_hits(static_cast<size_t>(num_parts), 0.0);
+  for (size_t p = 0; p < part_sums.size(); ++p) {
+    const double mass = std::ldexp(static_cast<double>(part_sums[p]),
+                                   -PartMass::kFractionBits);
+    part_hits[p] = time_weighted ? mass / t_now : mass;
+  }
   out.fit = FitNormalMle(part_mids, part_hits);
   if (!out.fit.valid ||
       out.fit.stddev > cfg.max_stddev_fraction * domain.Width()) {
@@ -364,6 +391,58 @@ void AddRandomHits(Rng* rng, int n, double t_lo, double t_hi,
   }
 }
 
+/// A random partition in the PlanningDelta shadow shape (shadow
+/// fragments with query-local hits at t_now; 70% of them with a base
+/// holding the history) and in the in-place shape the fold produces.
+/// `bases` points into `bases_store`: move a case, never copy it.
+struct RandomCase {
+  std::vector<FragmentStats> bases_store;
+  std::vector<FragmentStats> frags;
+  std::vector<const FragmentStats*> bases;
+  std::vector<FragmentStats> folded;
+};
+
+RandomCase MakeRandomCase(Rng* rng, const Interval& domain, double t_now,
+                          const DecayFunction& dec) {
+  RandomCase c;
+  const int n = 1 + static_cast<int>(rng->UniformInt(0, 11));
+  c.bases_store.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    FragmentStats f;
+    f.interval = RandomPiece(rng, domain);
+    const double roll = rng->NextDouble();
+    FragmentStats base;
+    base.interval = f.interval;
+    if (roll < 0.15) {
+      // Every hit timed out at t_now.
+      AddRandomHits(rng, 5, 1.0, t_now - 50.0, domain, &base);
+    } else {
+      AddRandomHits(rng, static_cast<int>(rng->UniformInt(0, 30)), 1.0,
+                    t_now, domain, &base);
+    }
+    if (rng->NextDouble() < 0.5) base.AdvanceWindow(t_now - 5.0, dec);
+    // Query-local suffix on the shadow fragment.
+    AddRandomHits(rng, static_cast<int>(rng->UniformInt(0, 3)), t_now, t_now,
+                  domain, &f);
+    c.bases_store.push_back(std::move(base));
+    c.frags.push_back(std::move(f));
+  }
+  // Shadow shape: some fragments have a base, some are planner-added.
+  for (int i = 0; i < n; ++i) {
+    c.bases.push_back(rng->NextDouble() < 0.7
+                          ? &c.bases_store[static_cast<size_t>(i)]
+                          : nullptr);
+  }
+  // In-place shape: each fragment carries its own full history.
+  c.folded = c.bases_store;
+  for (int i = 0; i < n; ++i) {
+    for (const FragmentHit& h : c.frags[static_cast<size_t>(i)].hits()) {
+      c.folded[static_cast<size_t>(i)].AppendHit(h);
+    }
+  }
+  return c;
+}
+
 TEST(MleModelTest, OnePassMatchesTwoPassReferenceOnRandomPartitions) {
   const Interval domain(0.0, 1000.0);
   const MleConfig cfg;
@@ -375,52 +454,16 @@ TEST(MleModelTest, OnePassMatchesTwoPassReferenceOnRandomPartitions) {
     const bool decay_on = trial % 2 == 0;
     const DecayFunction dec(DecayConfig{/*t_max=*/40.0, decay_on});
     const double t_now = 200.0;
-    const int n = 1 + static_cast<int>(rng.UniformInt(0, 11));
-    std::vector<FragmentStats> bases_store;
-    std::vector<FragmentStats> frags;
-    bases_store.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      FragmentStats f;
-      f.interval = RandomPiece(&rng, domain);
-      const double roll = rng.NextDouble();
-      FragmentStats base;
-      base.interval = f.interval;
-      if (roll < 0.15) {
-        // Every hit timed out at t_now.
-        AddRandomHits(&rng, 5, 1.0, t_now - 50.0, domain, &base);
-      } else {
-        AddRandomHits(&rng, static_cast<int>(rng.UniformInt(0, 30)), 1.0,
-                      t_now, domain, &base);
-      }
-      if (rng.NextDouble() < 0.5) base.AdvanceWindow(t_now - 5.0, dec);
-      // Query-local suffix on the shadow fragment.
-      AddRandomHits(&rng, static_cast<int>(rng.UniformInt(0, 3)), t_now,
-                    t_now, domain, &f);
-      bases_store.push_back(std::move(base));
-      frags.push_back(std::move(f));
-    }
-    // Shadow shape: some fragments have a base, some are planner-added.
-    std::vector<const FragmentStats*> bases;
-    for (int i = 0; i < n; ++i) {
-      bases.push_back(rng.NextDouble() < 0.7
-                          ? &bases_store[static_cast<size_t>(i)]
-                          : nullptr);
-    }
-    // In-place shape: each fragment carries its own full history.
-    std::vector<FragmentStats> folded = bases_store;
-    for (int i = 0; i < n; ++i) {
-      for (const FragmentHit& h : frags[static_cast<size_t>(i)].hits()) {
-        folded[static_cast<size_t>(i)].AppendHit(h);
-      }
-    }
+    const RandomCase c = MakeRandomCase(&rng, domain, t_now, dec);
 
-    const auto shadow = model.Adjust(frags, domain, t_now, dec, &bases);
+    const auto shadow = model.Adjust(Part(c.frags, domain), t_now, dec,
+                                     ShadowBases{nullptr, &c.bases});
     const auto shadow_ref =
-        TwoPassAdjust(model, cfg, frags, domain, t_now, dec, &bases);
+        TwoPassAdjust(model, cfg, c.frags, domain, t_now, dec, &c.bases);
     ExpectSameAdjust(shadow, shadow_ref);
-    const auto in_place = model.Adjust(folded, domain, t_now, dec);
+    const auto in_place = model.Adjust(Part(c.folded, domain), t_now, dec);
     const auto in_place_ref =
-        TwoPassAdjust(model, cfg, folded, domain, t_now, dec, nullptr);
+        TwoPassAdjust(model, cfg, c.folded, domain, t_now, dec, nullptr);
     ExpectSameAdjust(in_place, in_place_ref);
     if (::testing::Test::HasFailure()) {
       FAIL() << "trial " << trial;
@@ -433,11 +476,358 @@ TEST(MleModelTest, OnePassMatchesTwoPassReferenceOnRandomPartitions) {
   EXPECT_GT(fitted, 100);
 }
 
+// --- fixed-point part mass vs the double-precision fit -----------------
+//
+// The fit used to accumulate each part's decayed mass in double, adding
+// DEC(t_now, t_k) · overlap / width hit by hit. The reference below is
+// that Adjust, kept verbatim. The fixed-point sums round each term once
+// and sum exactly, so the two fits may differ only by rounding: H_total
+// is the same replay, and mu, sigma and every H_A stay within 1e-8
+// relative of the double fit. Two outputs are exact in either arithmetic
+// only to a floor: a sliver fragment's H_A is a difference of two nearly
+// equal CDF values, good to about 1e-16 of H_total, so its error is taken
+// relative to 1e-6 of H_total; and when all mass sits on one part sigma
+// is the rounding noise of mu (about 1e-15 where the double fit gets a
+// nonzero sigma and the fixed-point one 0), so it is taken relative to
+// 1e-6 of the domain width.
+
+MleFragmentModel::AdjustedHits DoubleAdjust(
+    const MleFragmentModel& model, const MleConfig& cfg,
+    const std::vector<FragmentStats>& fragments, const Interval& domain,
+    double t_now, const DecayFunction& dec,
+    const std::vector<const FragmentStats*>* bases) {
+  MleFragmentModel::AdjustedHits out;
+  out.hits.assign(fragments.size(), 0.0);
+  if (fragments.empty() || domain.Width() <= 0.0) return out;
+
+  // Split the domain into equi-size parts and spread each fragment's
+  // hits over the parts it covers (the paper splits hits evenly over
+  // contained parts; we use overlap-proportional spreading, which
+  // coincides when boundaries align with the part grid).
+  const int num_parts = model.ChoosePartCount(fragments, domain);
+  const double part_width = domain.Width() / num_parts;
+  std::vector<double> part_hits(static_cast<size_t>(num_parts), 0.0);
+
+  // One visit per live hit: add its weight to the fragment's H(I), then
+  // spread it. Hits before LiveHitsBegin weigh exactly 0.0, so skipping
+  // them adds nothing to H(I) and spreads nothing — bit-identical to a
+  // full replay.
+  auto visit_live_hits = [&](const Interval& iv, const FragmentStats& f,
+                             double* h) {
+    const std::vector<FragmentHit>& hits = f.hits();
+    for (size_t k = f.LiveHitsBegin(t_now, dec); k < hits.size(); ++k) {
+      const FragmentHit& hit = hits[k];
+      const double w = dec(t_now, hit.time);
+      *h += w;
+      if (w <= 0.0) continue;
+      // Spread the hit over the region the query actually touched
+      // (hit.range, clamped to the fragment) when recorded; otherwise
+      // over the whole fragment (the paper's even split). A clamp of
+      // positive width is computed inline; the rare degenerate clamp
+      // (a point, or no overlap) takes Interval::Intersect's rules.
+      double lo = iv.lo;
+      double hi = iv.hi;
+      double width = iv.Width();
+      if (hit.has_range) {
+        const double clamped_lo = std::max(hit.range.lo, iv.lo);
+        const double clamped_hi = std::min(hit.range.hi, iv.hi);
+        if (clamped_hi - clamped_lo > 0.0) {
+          lo = clamped_lo;
+          hi = clamped_hi;
+          width = clamped_hi - clamped_lo;
+        } else if (const auto clamped = hit.range.Intersect(iv)) {
+          lo = clamped->lo;
+          hi = clamped->hi;
+          width = clamped->Width();
+        }
+      }
+      if (width <= 0.0) {
+        int p = static_cast<int>((lo - domain.lo) / part_width);
+        p = std::clamp(p, 0, num_parts - 1);
+        part_hits[static_cast<size_t>(p)] += w;
+        continue;
+      }
+      // Only parts overlapping the region can receive mass.
+      int first = static_cast<int>((lo - domain.lo) / part_width);
+      int last = static_cast<int>((hi - domain.lo) / part_width);
+      first = std::clamp(first, 0, num_parts - 1);
+      last = std::clamp(last, 0, num_parts - 1);
+      for (int p = first; p <= last; ++p) {
+        const double part_lo = domain.lo + part_width * p;
+        const double part_hi = domain.lo + part_width * (p + 1);
+        const double overlap = std::min(part_hi, hi) - std::max(part_lo, lo);
+        if (overlap > 0.0) {
+          part_hits[static_cast<size_t>(p)] += w * overlap / width;
+        }
+      }
+    }
+  };
+
+  // H(I) per fragment and H_total. With a base, visit base-then-local
+  // exactly as the folded fragment's own hit list is ordered.
+  std::vector<double> frag_hits(fragments.size(), 0.0);
+  for (size_t i = 0; i < fragments.size(); ++i) {
+    const Interval& iv = fragments[i].interval;
+    double h = 0.0;
+    if (bases != nullptr && i < bases->size() && (*bases)[i] != nullptr) {
+      visit_live_hits(iv, *(*bases)[i], &h);
+    }
+    visit_live_hits(iv, fragments[i], &h);
+    frag_hits[i] = h;
+    out.total += h;
+  }
+  if (out.total <= 0.0) return out;
+
+  std::vector<double> part_mids(static_cast<size_t>(num_parts), 0.0);
+  for (int p = 0; p < num_parts; ++p) {
+    part_mids[static_cast<size_t>(p)] = domain.lo + part_width * (p + 0.5);
+  }
+
+  // MLE Normal fit over part midpoints weighted by part hits.
+  out.fit = FitNormalMle(part_mids, part_hits);
+  if (!out.fit.valid ||
+      out.fit.stddev > cfg.max_stddev_fraction * domain.Width()) {
+    // Nothing to smooth, or the access pattern is too dispersed for a
+    // Normal (see MleConfig::max_stddev_fraction): use raw hits.
+    out.hits = frag_hits;
+    return out;
+  }
+
+  // Adjusted hits per fragment through the fitted CDF.
+  for (size_t i = 0; i < fragments.size(); ++i) {
+    const Interval& iv = fragments[i].interval;
+    const double p_hi = NormalCdf(iv.hi, out.fit.mean, out.fit.stddev);
+    const double p_lo = NormalCdf(iv.lo, out.fit.mean, out.fit.stddev);
+    out.hits[i] = out.total * std::max(0.0, p_hi - p_lo);
+  }
+  return out;
+}
+
+/// Largest relative error of `a` against the reference `b` over mu,
+/// sigma and every H_A. Sigma is taken relative to at least 1e-6 of the
+/// domain width, an H_A relative to at least 1e-6 of H_total.
+double MaxRelativeError(const MleFragmentModel::AdjustedHits& a,
+                        const MleFragmentModel::AdjustedHits& b,
+                        const Interval& domain) {
+  auto rel = [](double x, double y, double floor) {
+    return x == y ? 0.0 : std::fabs(x - y) / std::max(std::fabs(y), floor);
+  };
+  double worst =
+      std::max(rel(a.fit.mean, b.fit.mean, 0.0),
+               rel(a.fit.stddev, b.fit.stddev, 1e-6 * domain.Width()));
+  for (size_t i = 0; i < a.hits.size(); ++i) {
+    worst = std::max(worst, rel(a.hits[i], b.hits[i], 1e-6 * b.total));
+  }
+  return worst;
+}
+
+TEST(MleModelTest, FixedPointFitStaysWithinBoundOfDoublePrecisionFit) {
+  const Interval domain(0.0, 1000.0);
+  const MleConfig cfg;
+  const MleFragmentModel model(cfg);
+  Rng rng(30217);
+  double worst = 0.0;
+  int fitted = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const bool decay_on = trial % 4 != 3;
+    const DecayFunction dec(DecayConfig{/*t_max=*/40.0, decay_on});
+    const double t_now = trial % 2 == 0 ? 200.0 : 187.25;
+    const RandomCase c = MakeRandomCase(&rng, domain, t_now, dec);
+    const auto shadow = model.Adjust(Part(c.frags, domain), t_now, dec,
+                                     ShadowBases{nullptr, &c.bases});
+    const auto shadow_ref =
+        DoubleAdjust(model, cfg, c.frags, domain, t_now, dec, &c.bases);
+    const auto in_place = model.Adjust(Part(c.folded, domain), t_now, dec);
+    const auto in_place_ref =
+        DoubleAdjust(model, cfg, c.folded, domain, t_now, dec, nullptr);
+    for (const auto* pair : {&shadow, &in_place}) {
+      const auto& ref = pair == &shadow ? shadow_ref : in_place_ref;
+      ASSERT_EQ(pair->hits.size(), ref.hits.size());
+      EXPECT_EQ(pair->total, ref.total) << "trial " << trial;
+      EXPECT_EQ(pair->fit.valid, ref.fit.valid) << "trial " << trial;
+      const double err = MaxRelativeError(*pair, ref, domain);
+      EXPECT_LE(err, 1e-8) << "trial " << trial;
+      worst = std::max(worst, err);
+      if (ref.fit.valid) ++fitted;
+    }
+  }
+  EXPECT_GT(fitted, 200);
+  RecordProperty("max_relative_error", std::to_string(worst));
+  std::printf("max relative error vs the double-precision fit: %.3g\n", worst);
+}
+
+// --- kept part mass vs the from-scratch fit --------------------------
+//
+// A pooled partition keeps its part mass through appends in and out of
+// time order (a sharded commit folds hits at its planned time after a
+// later one), window advances, AdoptHits splices, Tracks that change
+// ChoosePartCount, t_max changes and decay off. Adjust reads the kept
+// mass; AdjustFromScratch spreads every live hit again. After every step
+// the two fits must be equal bit for bit, for the partition read in
+// place and for a planning shadow over it (base history + local hits +
+// planner-added fragments), and the kept mass must equal a rebuild.
+
+/// Appends one hit at `time` to `f`, with a range drawn as in
+/// AddRandomHits.
+void AppendHitAt(Rng* rng, double time, const Interval& domain,
+                 FragmentStats* f) {
+  AddRandomHits(rng, 1, time, time, domain, f);
+}
+
+/// A shadow of `base` as PlanningDelta::MakeShadow builds it (fragments
+/// without history, no part mass), with local hits at `t_now` and
+/// planner-added fragments; `bases` receives the base pointers and
+/// `folded` the partition the fold would produce.
+PartitionState MakeShadowOf(Rng* rng, const PartitionState& base,
+                            double t_now,
+                            std::vector<const FragmentStats*>* bases,
+                            PartitionState* folded) {
+  PartitionState shadow = Part({}, base.domain);
+  for (const FragmentStats& f : base.fragments) {
+    FragmentStats copy;
+    copy.interval = f.interval;
+    copy.size_bytes = f.size_bytes;
+    copy.materialized = f.materialized;
+    shadow.fragments.push_back(std::move(copy));
+    bases->push_back(&f);
+  }
+  for (FragmentStats& f : shadow.fragments) {
+    if (rng->NextDouble() < 0.3) AppendHitAt(rng, t_now, base.domain, &f);
+  }
+  *folded = base;
+  for (size_t i = 0; i < base.fragments.size(); ++i) {
+    for (const FragmentHit& h : shadow.fragments[i].hits()) {
+      folded->fragments[i].AppendHit(h);
+    }
+  }
+  const int added = static_cast<int>(rng->UniformInt(0, 2));
+  for (int a = 0; a < added; ++a) {
+    // Usually as wide as a tracked fragment (the grid stays), sometimes
+    // narrower than all of them (the grid changes).
+    const FragmentStats& like = base.fragments[static_cast<size_t>(
+        rng->UniformInt(0, static_cast<int64_t>(base.fragments.size()) - 1))];
+    const double width =
+        rng->NextDouble() < 0.8 ? like.interval.Width() : 0.5;
+    const double lo = rng->Uniform(base.domain.lo, base.domain.hi - width);
+    const Interval iv(lo, lo + width);
+    if (shadow.Find(iv) != nullptr) continue;
+    // Inherited history (as the selection planner gives a planned
+    // fragment) plus a local hit.
+    FragmentStats* f = shadow.Track(iv, 1.0);
+    f->AdoptHits(like.hits());
+    AppendHitAt(rng, t_now, base.domain, f);
+    bases->push_back(nullptr);
+    folded->Track(iv, 1.0)->AdoptHits(f->hits());
+  }
+  return shadow;
+}
+
+TEST(MleModelTest, KeptPartMassFitEqualsFromScratchBitForBit) {
+  const Interval domain(0.0, 1000.0);
+  const MleFragmentModel model;
+  Rng rng(3021);
+  int in_place_kept = 0;
+  int shadow_kept = 0;
+  int fitted = 0;
+  int steps = 0;
+  for (int trial = 0; trial < 48; ++trial) {
+    const bool decay_on = trial % 4 != 3;
+    const bool fractional = trial % 2 == 1;
+    DecayFunction dec(DecayConfig{fractional ? 30.5 : 30.0, decay_on});
+    PartitionState part = Part({}, domain);
+    const int n = 2 + static_cast<int>(rng.UniformInt(0, 6));
+    for (int i = 0; i < n; ++i) {
+      FragmentStats* f = part.Track(RandomPiece(&rng, domain), 1.0);
+      f->materialized = i == 0 || rng.NextDouble() < 0.5;
+    }
+    double t = 1.0;
+    for (int step = 0; step < 40; ++step, ++steps) {
+      t += fractional ? rng.Uniform(0.25, 2.0) : 1.0;
+      const double roll = rng.NextDouble();
+      if (roll < 0.6) {
+        // A fold: hits at t, a third of them planned earlier and folded
+        // late (out of time order).
+        const int hits = 1 + static_cast<int>(rng.UniformInt(0, 4));
+        for (int h = 0; h < hits; ++h) {
+          const double late = fractional ? rng.Uniform(0.0, 8.0)
+                                         : static_cast<double>(
+                                               rng.UniformInt(1, 8));
+          const double time = rng.NextDouble() < 0.33 ? t - late : t;
+          AppendHitAt(&rng, time, domain,
+                      &part.fragments[static_cast<size_t>(rng.UniformInt(
+                          0, static_cast<int64_t>(part.fragments.size()) -
+                                 1))]);
+        }
+      } else if (roll < 0.7) {
+        // A merge-style splice: one fragment adopts two histories.
+        const size_t a = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(part.fragments.size()) - 1));
+        const size_t b = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(part.fragments.size()) - 1));
+        std::vector<FragmentHit> joined = part.fragments[a].hits();
+        const std::vector<FragmentHit>& more = part.fragments[b].hits();
+        joined.insert(joined.end(), more.begin(), more.end());
+        part.fragments[a].AdoptHits(std::move(joined));
+      } else if (roll < 0.8) {
+        // A narrow Track: ChoosePartCount grows.
+        const double width = rng.Uniform(0.5, 20.0);
+        const double lo = rng.Uniform(domain.lo, domain.hi - width);
+        FragmentStats* f = part.Track(Interval(lo, lo + width), 1.0);
+        f->materialized = rng.NextDouble() < 0.5;
+        AppendHitAt(&rng, t, domain, f);
+      } else if (roll < 0.85) {
+        // t_max changes: the kept mass no longer matches, so the fit
+        // falls back until the next refresh rebuilds it.
+        dec = DecayFunction(DecayConfig{dec.config().t_max + 4.0, decay_on});
+        ExpectSameAdjust(model.Adjust(part, t, dec),
+                         model.AdjustFromScratch(part, t, dec));
+      }
+      // The commit's maintenance: cursors, then the part mass.
+      for (FragmentStats& f : part.fragments) f.AdvanceWindow(t, dec);
+      model.RefreshPartMass(&part, t, dec);
+      ASSERT_TRUE(part.mass.kept());
+      PartMass rebuilt;
+      rebuilt.Rebuild(part.fragments, model.GridOf(part), dec, part.mass.t());
+      ASSERT_TRUE(part.mass == rebuilt)
+          << "trial " << trial << " step " << step;
+
+      for (double t_now : {t, t + 1.0, t + 12.5}) {
+        if (part.mass.Covers(part.fragments, model.GridOf(part), dec)) {
+          ++in_place_kept;
+        }
+        const auto kept = model.Adjust(part, t_now, dec);
+        ExpectSameAdjust(kept, model.AdjustFromScratch(part, t_now, dec));
+        if (kept.fit.valid) ++fitted;
+      }
+      std::vector<const FragmentStats*> bases;
+      PartitionState folded;
+      const double t_plan = t + 1.0;
+      const PartitionState shadow =
+          MakeShadowOf(&rng, part, t_plan, &bases, &folded);
+      const ShadowBases sb{&part, &bases};
+      if (part.mass.Covers(part.fragments, model.GridOf(shadow), dec)) {
+        ++shadow_kept;
+      }
+      const auto kept = model.Adjust(shadow, t_plan, dec, sb);
+      ExpectSameAdjust(kept, model.AdjustFromScratch(shadow, t_plan, dec, sb));
+      ExpectSameAdjust(kept, model.AdjustFromScratch(folded, t_plan, dec));
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "trial " << trial << " step " << step;
+      }
+    }
+  }
+  // Most fits read the kept mass; the rest exercised the fallback.
+  EXPECT_GT(in_place_kept, 2 * steps);
+  EXPECT_GT(shadow_kept, steps / 2);
+  EXPECT_LT(shadow_kept, steps);
+  EXPECT_GT(fitted, steps);
+}
+
 TEST(MleModelTest, SingleFragmentAllMass) {
   MleFragmentModel model;
   DecayFunction dec(DecayConfig{1e9, true});
   std::vector<FragmentStats> frags = {Frag(0, 100, 5)};
-  const auto adj = model.Adjust(frags, Interval(0, 100), 100, dec);
+  const auto adj = model.Adjust(Part(frags, Interval(0, 100)), 100, dec);
   EXPECT_NEAR(adj.hits[0], adj.total, 0.25 * adj.total);
 }
 
@@ -445,7 +835,7 @@ TEST(MleModelTest, EmptyDomainSafe) {
   MleFragmentModel model;
   DecayFunction dec;
   std::vector<FragmentStats> frags = {Frag(5, 5, 3)};
-  const auto adj = model.Adjust(frags, Interval(5, 5), 100, dec);
+  const auto adj = model.Adjust(Part(frags, Interval(5, 5)), 100, dec);
   EXPECT_EQ(adj.hits.size(), 1u);
 }
 

@@ -21,6 +21,7 @@
 
 #include "evict_counter.h"
 #include "multitenant_harness.h"
+#include "part_mass.h"
 #include "pool_index.h"
 
 #include "core/engine.h"
@@ -221,6 +222,9 @@ void RunFreeRunningStress(int num_tenants, int queries_each) {
   // Concurrent sharded commits kept the pool-content index equal to its
   // definition.
   EXPECT_TRUE(PoolIndexMatchesDefinition(shared.pool()->views()));
+  // ...and every kept part mass equal to its rebuild, although sharded
+  // commits appended hits out of time order.
+  EXPECT_TRUE(PartMassMatchesRebuild(*shared.pool()));
 
   // Observer isolation: each engine's observer saw exactly its own
   // tenant's queries and evictions, nothing from the neighbours.

@@ -1,0 +1,83 @@
+#ifndef DEEPSEA_TESTS_PART_MASS_H_
+#define DEEPSEA_TESTS_PART_MASS_H_
+
+// PartMassMatchesRebuild: checks every partition's part mass (the MLE
+// fit's time-weighted part sums) against a rebuild from its hit lists.
+// A partition holding pool content must keep a mass equal to a rebuild
+// at the mass's own time (sums, ledger, covered hits, grid), and its sums
+// corrected to the pool's clock (PartMass::SumsAt) must equal a rebuild's
+// at the clock. A partition out of the pool may keep a dormant mass: once
+// brought up to date at its own time, it must equal a rebuild too. Call
+// it only where the pool is quiescent for writes: inside a commit's stage
+// hooks with no other commit running, or with no commit running.
+
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "core/mle_model.h"
+#include "core/pool_manager.h"
+
+namespace deepsea {
+
+inline ::testing::AssertionResult PartMassMatchesRebuild(
+    const PoolManager& pool) {
+  const MleFragmentModel model(pool.options().mle);
+  const DecayFunction dec(pool.options().decay);
+  const double clock = static_cast<double>(pool.clock());
+  for (const ViewInfo* v : pool.views().AllViews()) {
+    for (const auto& [attr, part] : v->partitions) {
+      auto fail = [&]() {
+        return ::testing::AssertionFailure() << v->id << "/" << attr << ": ";
+      };
+      if (!part.AnyMaterialized()) {
+        PartMass caught_up = part.mass;
+        if (!caught_up.kept() ||
+            !caught_up.Update(part.fragments, dec, caught_up.t())) {
+          continue;  // no mass, or a replaced hit list: rebuilt on entry
+        }
+        PartMass rebuilt;
+        rebuilt.Rebuild(part.fragments, caught_up.grid(), dec, caught_up.t());
+        if (!(caught_up == rebuilt)) {
+          return fail() << "dormant part mass at t=" << caught_up.t()
+                        << " differs from its rebuild once updated";
+        }
+        continue;
+      }
+      const bool keepable = part.domain.Width() > 0.0 &&
+                            (!dec.config().enabled || clock > 0.0);
+      if (part.mass.kept() != keepable) {
+        return fail() << "part mass " << (keepable ? "missing" : "kept")
+                      << " on a pooled partition";
+      }
+      if (!keepable) continue;
+      const PartGrid grid = model.GridOf(part);
+      PartMass rebuilt;
+      rebuilt.Rebuild(part.fragments, grid, dec, part.mass.t());
+      if (!(part.mass == rebuilt)) {
+        return fail() << "part mass at t=" << part.mass.t()
+                      << " differs from its rebuild (grid "
+                      << part.mass.grid().num_parts << " vs "
+                      << grid.num_parts << " parts)";
+      }
+      if (part.mass.t() > clock) {
+        return fail() << "part mass time " << part.mass.t()
+                      << " is ahead of the clock " << clock;
+      }
+      PartMass at_clock;
+      at_clock.Rebuild(part.fragments, grid, dec, clock);
+      std::vector<PartMass::Sum> corrected;
+      part.mass.SumsAt(part.fragments, dec, clock, &corrected);
+      if (corrected != at_clock.sums()) {
+        return fail() << "part mass corrected from t=" << part.mass.t()
+                      << " to the clock " << clock
+                      << " differs from a rebuild at the clock";
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+}  // namespace deepsea
+
+#endif  // DEEPSEA_TESTS_PART_MASS_H_

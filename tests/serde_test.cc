@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "core/engine.h"
 #include "plan/signature.h"
+#include "part_mass.h"
 #include "pool_index.h"
 #include "workload/bigbench.h"
 
@@ -133,6 +134,9 @@ TEST_F(EngineStateTest, SaveLoadRoundTripPreservesPool) {
   // and indexes the same views, in the same order, as the saved pool.
   EXPECT_TRUE(PoolIndexMatchesDefinition(warm.views()));
   EXPECT_TRUE(PoolIndexMatchesDefinition(cold.views()));
+  // The load rebuilt the part masses of the restored pool content.
+  EXPECT_TRUE(PartMassMatchesRebuild(warm.pool()));
+  EXPECT_TRUE(PartMassMatchesRebuild(cold.pool()));
   std::vector<std::string> warm_ids;
   std::vector<std::string> cold_ids;
   for (const ViewInfo* v : warm.views().PoolViews()) warm_ids.push_back(v->id);
