@@ -84,12 +84,12 @@ void BM_MleAdjust(benchmark::State& state) {
     }
     part.fragments.push_back(std::move(f));
   }
-  const MleFragmentModel model;
   const DecayFunction dec;
-  if (kept) model.RefreshPartMass(&part, 200, dec);
+  if (kept) MleFragmentModel::RefreshPartMass(&part, 200, dec);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(kept ? model.Adjust(part, 201, dec)
-                                  : model.AdjustFromScratch(part, 201, dec));
+    benchmark::DoNotOptimize(
+        kept ? MleFragmentModel::Adjust(part, 201, dec)
+             : MleFragmentModel::AdjustFromScratch(part, 201, dec));
   }
 }
 BENCHMARK(BM_MleAdjust)

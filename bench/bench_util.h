@@ -23,8 +23,8 @@ inline Interval ItemSkDomain() { return Interval(0.0, 400000.0); }
 
 /// Engine options for a named baseline strategy, mirroring the paper's
 /// experiment setups: eager materialization (the controlled sequences
-/// materialize on the first query) and fragment-size bounding off
-/// unless stated otherwise.
+/// materialize on the first query) and the paper's fragment-size bounds
+/// (phi = 0.1 and the FS block lower bound) unless stated otherwise.
 inline EngineOptions BaseOptions() {
   EngineOptions o;
   o.benefit_cost_threshold = 0.02;
@@ -68,17 +68,16 @@ inline StrategySpec DeepSea() {
 
 /// DeepSea partitioning with the Nectar / Nectar+ selection models
 /// (Section 10.1 compares selection strategies on equal partitioning).
+/// The planner applies MLE smoothing only under the DeepSea model.
 inline StrategySpec Nectar() {
   StrategySpec s{"N", BaseOptions()};
   s.options.value_model = ValueModel::kNectar;
-  s.options.use_mle_smoothing = false;
   return s;
 }
 
 inline StrategySpec NectarPlus() {
   StrategySpec s{"N+", BaseOptions()};
   s.options.value_model = ValueModel::kNectarPlus;
-  s.options.use_mle_smoothing = false;
   return s;
 }
 

@@ -67,9 +67,11 @@ int main() {
     s.label = label;
     s.options.strategy = kind;
     s.options.value_model = model;
-    s.options.use_mle_smoothing = model == ValueModel::kDeepSea;
     s.options.benefit_cost_threshold = 0.05;
     s.options.pool_limit_bytes = 12e9;  // a tight pool makes selection matter
+    // The heavy-skew ranges jitter around each region's center; a
+    // coarser snap grid than the default lets one refinement fragment
+    // serve a region instead of one per jitter cell.
     s.options.candidate_snap_fraction = 0.0125;
     return s;
   };

@@ -29,7 +29,9 @@ void CandidateGenerator::RegisterViewCandidates(const PlanPtr& candidate_plan,
     const bool known = delta->FindView(sig->ToString()) != nullptr;
     ViewInfo* view = delta->TrackView(sp, *sig);
     if (!known) {
-      pool_->RegisterViewTablePlanning(view, delta);
+      if (TablePtr table = pool_->RegisterViewTable(view, pcat)) {
+        delta->DeferCatalogPut(std::move(table));
+      }
       if (!pcat->Contains(view->id)) continue;  // unsupported plan shape
       delta->DeferIndexInsert(view->signature, view->id);
     }
@@ -86,7 +88,7 @@ void CandidateGenerator::RegisterPartitionCandidates(QueryContext* ctx) {
     // so fragment sizes reflect the data distribution.
     auto view_table = pcat->Get(view->id);
     if (view_table.ok() && (*view_table)->GetHistogram(sel.column) == nullptr) {
-      auto hist = DeriveViewHistogram(*pcat, *options_, *view, sel.column);
+      auto hist = DeriveViewHistogram(*pcat, *view, sel.column);
       if (hist.ok()) delta->AttachHistogram(*view, sel.column, *hist);
     }
     const auto clamped = sel.range.Intersect(*domain);

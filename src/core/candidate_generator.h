@@ -19,7 +19,8 @@ namespace deepsea {
 /// fragment_candidates for the SelectionPlanner.
 ///
 /// All registrations are buffered in the query's PlanningDelta (new
-/// views, view tables via PoolManager::RegisterViewTablePlanning,
+/// views, view tables via PoolManager::RegisterViewTable on the
+/// planning catalog,
 /// rewrite-index inserts, partition/fragment tracking, histogram
 /// attachments): this stage runs under the shared lock and publishes
 /// nothing until PoolManager::Apply folds the delta.

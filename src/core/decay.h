@@ -9,8 +9,9 @@ namespace deepsea {
 struct DecayConfig {
   /// Benefits older than t_max queries are timed out entirely.
   double t_max = 500.0;
-  /// When false, DEC is identically 1 (used by the Nectar/Nectar+
-  /// baselines, which do not decay benefits, and by the decay ablation).
+  /// When false, DEC is identically 1 (the decay ablation,
+  /// bench_ablation_decay). The Nectar/Nectar+ baselines leave it on:
+  /// their value models read undecayed quantities anyway.
   bool enabled = true;
 };
 

@@ -107,6 +107,11 @@ double AdmittedDecisionBytes(const SelectionDecision& decision) {
   return bytes;
 }
 
+/// Additional attempts for a decision that failed with a transient
+/// fault (StatusCode::kUnavailable); each re-executes the whole decision
+/// against the rolled-back pool.
+constexpr int kMaxRetries = 2;
+
 /// True when the decision evicts: evictions change the pool occupancy
 /// every tenant's knapsack budgets against, so they commit exclusively.
 bool DecisionEvicts(const SelectionDecision& decision) {
@@ -125,9 +130,8 @@ DeepSeaEngine::DeepSeaEngine(Catalog* catalog, EngineOptions options)
     : catalog_(catalog),
       options_(std::move(options)),
       cluster_(options_.cluster),
-      estimator_(&cluster_, catalog, options_.estimator),
+      estimator_(&cluster_, catalog),
       decay_(options_.decay),
-      mle_(options_.mle),
       executor_(catalog),
       owned_pool_(std::make_unique<PoolManager>(catalog, &options_, &cluster_,
                                                 &estimator_)),
@@ -140,9 +144,8 @@ DeepSeaEngine::DeepSeaEngine(Catalog* catalog, SharedPool* pool,
     : catalog_(catalog),
       options_(pool->options()),
       cluster_(options_.cluster),
-      estimator_(&cluster_, catalog, options_.estimator),
+      estimator_(&cluster_, catalog),
       decay_(options_.decay),
-      mle_(options_.mle),
       executor_(catalog),
       pool_(pool->pool()),
       tenant_(std::move(tenant)),
@@ -162,7 +165,7 @@ void DeepSeaEngine::InitStages() {
   candidate_generator_ = std::make_unique<CandidateGenerator>(
       catalog_, &options_, &cluster_, stat, index, pool_);
   selection_planner_ = std::make_unique<SelectionPlanner>(
-      catalog_, &options_, &cluster_, &decay_, &mle_, stat);
+      catalog_, &options_, &cluster_, &decay_, stat);
   reservation_ =
       std::make_unique<ViewIdReservation>(pool_->placeholder_counter());
 }
@@ -341,7 +344,9 @@ Result<QueryReport> DeepSeaEngine::ProcessQuery(const PlanPtr& query) {
   if (options_.strategy != StrategyKind::kHive) {
     {
       StageScope stage(observer_, EngineStage::kApply, *ctx);
-      ExecuteDecision(decision, *ctx, &report, t);
+      ExecuteWithRetries(
+          EngineStage::kApply,
+          [&] { return pool_->Apply(decision, *ctx, &report); }, &report, t);
       stage.Finish(report.materialize_seconds);
     }
 
@@ -349,7 +354,16 @@ Result<QueryReport> DeepSeaEngine::ProcessQuery(const PlanPtr& query) {
     // extension; disabled by default).
     if (options_.merge.enabled) {
       StageScope stage(observer_, EngineStage::kMerge, *ctx);
-      const double merge_seconds = ExecuteMergePass(*ctx, &report);
+      double merge_seconds = 0.0;
+      ExecuteWithRetries(
+          EngineStage::kMerge,
+          [&]() -> Status {
+            DEEPSEA_ASSIGN_OR_RETURN(
+                merge_seconds,
+                pool_->RunMergePass(ctx->t_now(), decay_, &report));
+            return Status::OK();
+          },
+          &report, t);
       report.materialize_seconds += merge_seconds;
       stage.Finish(merge_seconds);
     }
@@ -394,35 +408,31 @@ Result<QueryReport> DeepSeaEngine::ProcessQuery(const PlanPtr& query) {
   return report;
 }
 
-void DeepSeaEngine::ExecuteDecision(const SelectionDecision& decision,
-                                    const QueryContext& ctx,
-                                    QueryReport* report, int64_t t_now) {
-  const FaultHandlingConfig& fault = options_.fault;
-  // Apply restores *report to its pre-attempt image on failure, so the
-  // running fault/retry tallies and the backoff charge live outside the
-  // report until the loop resolves.
+void DeepSeaEngine::ExecuteWithRetries(
+    EngineStage stage, const std::function<Status()>& attempt,
+    QueryReport* report, int64_t t_now) {
+  // A failed attempt restores *report to its pre-attempt image, so the
+  // running fault/retry tallies live outside the report until the loop
+  // resolves.
   int faults = report->fault_count;
   int retries = report->retry_count;
-  double backoff_seconds = 0.0;
-  for (int attempt = 0;; ++attempt) {
-    Status st = pool_->Apply(decision, ctx, report);
+  for (int n = 0;; ++n) {
+    Status st = attempt();
     if (st.ok()) {
       report->fault_count = faults;
       report->retry_count = retries;
-      report->materialize_seconds += backoff_seconds;
       return;
     }
+    // Merge-pass faults are not attributable to a view.
+    const std::string view =
+        stage == EngineStage::kApply ? report->fault_view : std::string();
     ++faults;
     if (observer_ != nullptr) {
-      observer_->OnFault(EngineStage::kApply, report->fault_view, st, attempt,
-                         tenant_);
+      observer_->OnFault(stage, view, st, n, tenant_);
     }
-    if (st.IsTransient() && attempt < fault.max_retries) {
+    if (st.IsTransient() && n < kMaxRetries) {
       ++retries;
-      backoff_seconds += fault.retry_backoff_seconds;
-      if (observer_ != nullptr) {
-        observer_->OnRetry(EngineStage::kApply, attempt + 1, tenant_);
-      }
+      if (observer_ != nullptr) observer_->OnRetry(stage, n + 1, tenant_);
       continue;
     }
     // Permanent fault, or transient retries exhausted: abandon the
@@ -430,54 +440,11 @@ void DeepSeaEngine::ExecuteDecision(const SelectionDecision& decision,
     // from whatever is materialized.
     report->fault_count = faults;
     report->retry_count = retries;
-    report->materialize_seconds += backoff_seconds;
     report->degraded = true;
     ++report->degrade_count;
-    if (!report->fault_view.empty()) {
-      pool_->RecordViewFault(report->fault_view, t_now);
-    }
-    if (observer_ != nullptr) {
-      observer_->OnDegrade(EngineStage::kApply, report->fault_view, st,
-                           tenant_);
-    }
+    if (!view.empty()) pool_->RecordViewFault(view, t_now);
+    if (observer_ != nullptr) observer_->OnDegrade(stage, view, st, tenant_);
     return;
-  }
-}
-
-double DeepSeaEngine::ExecuteMergePass(const QueryContext& ctx,
-                                       QueryReport* report) {
-  const FaultHandlingConfig& fault = options_.fault;
-  int faults = report->fault_count;
-  int retries = report->retry_count;
-  double backoff_seconds = 0.0;
-  for (int attempt = 0;; ++attempt) {
-    Result<double> seconds = pool_->RunMergePass(ctx.t_now(), decay_, report);
-    if (seconds.ok()) {
-      report->fault_count = faults;
-      report->retry_count = retries;
-      return *seconds + backoff_seconds;
-    }
-    ++faults;
-    if (observer_ != nullptr) {
-      observer_->OnFault(EngineStage::kMerge, "", seconds.status(), attempt,
-                         tenant_);
-    }
-    if (seconds.status().IsTransient() && attempt < fault.max_retries) {
-      ++retries;
-      backoff_seconds += fault.retry_backoff_seconds;
-      if (observer_ != nullptr) {
-        observer_->OnRetry(EngineStage::kMerge, attempt + 1, tenant_);
-      }
-      continue;
-    }
-    report->fault_count = faults;
-    report->retry_count = retries;
-    report->degraded = true;
-    ++report->degrade_count;
-    if (observer_ != nullptr) {
-      observer_->OnDegrade(EngineStage::kMerge, "", seconds.status(), tenant_);
-    }
-    return backoff_seconds;
   }
 }
 

@@ -2,6 +2,7 @@
 #define DEEPSEA_CORE_ENGINE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -11,7 +12,6 @@
 #include "core/decay.h"
 #include "core/engine_observer.h"
 #include "core/engine_options.h"
-#include "core/mle_model.h"
 #include "core/pool_manager.h"
 #include "core/query_context.h"
 #include "core/rewrite_planner.h"
@@ -173,20 +173,20 @@ class DeepSeaEngine {
   /// stage runs for plain Hive.
   Status RunPlanningStages(QueryContext* ctx, QueryReport* report,
                            SelectionDecision* decision);
-  /// Executes `decision` through PoolManager::Apply with the configured
-  /// fault handling: transient faults are retried (up to
-  /// options_.fault.max_retries, each against the rolled-back pool);
-  /// permanent faults — or exhausted retries — abandon the decision,
-  /// mark the query degraded, and record the fault against the failing
-  /// view for quarantine. The query is answered either way. Runs inside
-  /// the commit section; `t_now` is the commit clock.
-  void ExecuteDecision(const SelectionDecision& decision,
-                       const QueryContext& ctx, QueryReport* report,
-                       int64_t t_now);
-  /// RunMergePass with the same retry/degrade treatment (no quarantine:
-  /// merge faults are not attributable to a candidate view). Returns the
-  /// simulated seconds to charge, including retry backoff.
-  double ExecuteMergePass(const QueryContext& ctx, QueryReport* report);
+  /// Runs `attempt`, one transactional pool call of `stage` (kApply:
+  /// PoolManager::Apply; kMerge: RunMergePass) that rolls the pool and
+  /// `report` back when it fails, with the engine's fault handling:
+  /// transient faults are retried (up to kMaxRetries times, each against
+  /// the rolled-back pool); a permanent fault, or exhausted retries,
+  /// abandons the work and marks the query degraded. The query is
+  /// answered either way. An Apply fault is attributed to
+  /// report->fault_view, and abandoning it counts toward that view's
+  /// quarantine; merge faults are unattributed. Fires OnFault, OnRetry
+  /// and OnDegrade. Runs inside the commit section; `t_now` is the
+  /// commit clock.
+  void ExecuteWithRetries(EngineStage stage,
+                          const std::function<Status()>& attempt,
+                          QueryReport* report, int64_t t_now);
   /// Physically executes the plan and materializes selected view sample
   /// tables when physical execution is enabled. Runs inside `commit`.
   Status PhysicalExecute(const CommitGuard& commit, const PlanPtr& plan,
@@ -197,7 +197,6 @@ class DeepSeaEngine {
   ClusterModel cluster_;
   PlanCostEstimator estimator_;
   DecayFunction decay_;
-  MleFragmentModel mle_;
   Executor executor_;
   EngineObserver* observer_ = nullptr;
 

@@ -10,38 +10,17 @@
 
 #include "core/decay.h"
 #include "core/merge.h"
-#include "core/mle_model.h"
 #include "core/policy.h"
 #include "exec/executor.h"
 #include "sim/cluster.h"
-#include "sim/cost_model.h"
 
 namespace deepsea {
 
-/// Retry and degradation policy for storage faults (see DESIGN.md,
-/// "Failure model and recovery"). Materialization is a best-effort
-/// optimization: when a decision cannot be applied, the engine answers
-/// the query from whatever is already materialized — a fault must never
-/// take query answering down with it.
-struct FaultHandlingConfig {
-  /// Additional attempts for a decision that failed with a transient
-  /// fault (StatusCode::kUnavailable). Each attempt re-executes the
-  /// whole decision against the rolled-back pool. 0 disables retry.
-  int max_retries = 2;
-  /// Simulated seconds charged per retry (models backoff + job
-  /// re-queue). 0 keeps retried queries' charged time unchanged.
-  double retry_backoff_seconds = 0.0;
-  /// Permanent decision failures attributed to one view before the view
-  /// is quarantined (SelectionPlanner stops proposing it). <= 0
-  /// disables quarantine.
-  int quarantine_threshold = 3;
-  /// Commits after which a quarantined view becomes proposable again.
-  int64_t quarantine_cooldown_commits = 50;
-};
-
 /// All knobs of a DeepSea engine instance. Defaults are the paper's
 /// DeepSea configuration; baselines are expressed by changing strategy
-/// and/or value_model (see core/policy.h).
+/// and/or value_model (see core/policy.h). Each value is settable for a
+/// reason DESIGN.md §12 records; fixed parameters are constants beside
+/// their use.
 struct EngineOptions {
   StrategyKind strategy = StrategyKind::kDeepSea;
   ValueModel value_model = ValueModel::kDeepSea;
@@ -50,7 +29,6 @@ struct EngineOptions {
   double pool_limit_bytes = std::numeric_limits<double>::infinity();
 
   DecayConfig decay;
-  MleConfig mle;
   /// DeepSea's fragment-correlation smoothing (Section 7.1); the Nectar
   /// value models never use it regardless of this flag.
   bool use_mle_smoothing = true;
@@ -73,7 +51,6 @@ struct EngineOptions {
   /// the cost model runs (fast; used by large experiments).
   bool physical_execution = false;
 
-  EstimatorConfig estimator;
   ClusterConfig cluster;
 
   /// View admission threshold: materialize a view candidate when its
@@ -84,29 +61,10 @@ struct EngineOptions {
   /// controlled sequences where the first query materializes.
   double benefit_cost_threshold = 0.5;
 
-  /// Fragment refinement threshold: create a refinement fragment when
-  /// hits * marginal read saving >= threshold * creation cost (the
-  /// paper's P_sel filter uses 1.0). Kept separate from view admission
-  /// so that benches forcing eager view creation do not also disable
-  /// the repartitioning cost-benefit test.
-  double fragment_benefit_threshold = 1.0;
-
-  /// Histogram resolution for view partition-attribute histograms.
-  int view_histogram_bins = 256;
-
-  /// Materialized views are stored columnar-compressed (ORC-style), so
-  /// their on-disk footprint is a fraction of the raw intermediate
-  /// result's width. Applied to view sizes, fragment sizes, and the
-  /// read/write costs that depend on them.
-  double view_storage_compression = 0.6;
-
   /// Fragment-merging extension (paper Section 11 future work): merge
   /// adjacent fragments that are mostly accessed together. Off by
   /// default; see core/merge.h.
   MergeConfig merge;
-
-  /// Storage-fault retry / degradation / quarantine policy.
-  FaultHandlingConfig fault;
 
   /// Fragment boundaries are snapped outward to a grid of this fraction
   /// of the attribute domain before candidate generation, so queries

@@ -370,7 +370,7 @@ Status DeepSeaEngine::LoadState(const std::string& state) {
         views->FindBySignature(pv.signature.ToString()) != nullptr;
     ViewInfo* view = views->Track(pv.plan, pv.signature);
     if (!known) {
-      pool_->RegisterViewTable(view);
+      pool_->RegisterViewTable(view, catalog_);
       index->Insert(view->signature, view->id);
     }
     view->stats.size_bytes = pv.size_bytes;
@@ -398,7 +398,7 @@ Status DeepSeaEngine::LoadState(const std::string& state) {
       // would) so fragment size estimation works after load.
       auto view_table = catalog_->Get(view->id);
       if (view_table.ok() && (*view_table)->GetHistogram(pp.attr) == nullptr) {
-        auto hist = DeriveViewHistogram(*catalog_, options_, *view, pp.attr);
+        auto hist = DeriveViewHistogram(*catalog_, *view, pp.attr);
         if (hist.ok()) (*view_table)->SetHistogram(pp.attr, *hist);
       }
       for (const ParsedFragment& pf : pp.fragments) {

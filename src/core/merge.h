@@ -26,8 +26,6 @@ struct MergeConfig {
   /// Only merge when the merged fragment stays below this fraction of
   /// the view size (don't rebuild cold giants).
   double max_merged_fraction = 0.2;
-  /// At most this many merges per query (keeps maintenance bounded).
-  int max_merges_per_query = 1;
 };
 
 /// A merge opportunity found by FindMergeCandidates.

@@ -7,7 +7,7 @@
 namespace deepsea {
 
 int MleFragmentModel::ChoosePartCount(const std::vector<FragmentStats>& fragments,
-                                      const Interval& domain) const {
+                                      const Interval& domain) {
   const double domain_width = domain.Width();
   if (domain_width <= 0.0) return 1;
   // Smallest fragment width determines the finest grid we need so that
@@ -22,18 +22,18 @@ int MleFragmentModel::ChoosePartCount(const std::vector<FragmentStats>& fragment
   // undefined (x86 yields INT_MIN, silently dropping the cap).
   const double needed =
       std::min(std::ceil(domain_width / min_frag_width),
-               static_cast<double>(cfg_.max_parts));
-  int parts = std::max(cfg_.target_parts, static_cast<int>(needed));
-  parts = std::min(parts, cfg_.max_parts);
+               static_cast<double>(kMaxParts));
+  int parts = std::max(kTargetParts, static_cast<int>(needed));
+  parts = std::min(parts, kMaxParts);
   return std::max(parts, 1);
 }
 
-PartGrid MleFragmentModel::GridOf(const PartitionState& part) const {
+PartGrid MleFragmentModel::GridOf(const PartitionState& part) {
   return PartGrid(part.domain, ChoosePartCount(part.fragments, part.domain));
 }
 
 void MleFragmentModel::RefreshPartMass(PartitionState* part, double t,
-                                       const DecayFunction& dec) const {
+                                       const DecayFunction& dec) {
   // Fits read the masses of pooled partitions. A partition that leaves
   // the pool keeps its mass dormant: exact at its time over the hits it
   // covers, no longer advanced. Partitions leave and re-enter a bounded
@@ -53,19 +53,19 @@ void MleFragmentModel::RefreshPartMass(PartitionState* part, double t,
 
 MleFragmentModel::AdjustedHits MleFragmentModel::Adjust(
     const PartitionState& part, double t_now, const DecayFunction& dec,
-    const ShadowBases& bases) const {
+    const ShadowBases& bases) {
   return Fit(part, t_now, dec, bases, /*use_kept_mass=*/true);
 }
 
 MleFragmentModel::AdjustedHits MleFragmentModel::AdjustFromScratch(
     const PartitionState& part, double t_now, const DecayFunction& dec,
-    const ShadowBases& bases) const {
+    const ShadowBases& bases) {
   return Fit(part, t_now, dec, bases, /*use_kept_mass=*/false);
 }
 
 MleFragmentModel::AdjustedHits MleFragmentModel::Fit(
     const PartitionState& part, double t_now, const DecayFunction& dec,
-    const ShadowBases& bases, bool use_kept_mass) const {
+    const ShadowBases& bases, bool use_kept_mass) {
   const std::vector<FragmentStats>& fragments = part.fragments;
   const Interval& domain = part.domain;
   AdjustedHits out;
@@ -150,9 +150,9 @@ MleFragmentModel::AdjustedHits MleFragmentModel::Fit(
   }
   out.fit = FitNormalMle(part_mids, part_hits);
   if (!out.fit.valid ||
-      out.fit.stddev > cfg_.max_stddev_fraction * domain.Width()) {
+      out.fit.stddev > kMaxStddevFraction * domain.Width()) {
     // Nothing to smooth, or the access pattern is too dispersed for a
-    // Normal (see MleConfig::max_stddev_fraction): use raw hits.
+    // Normal (see kMaxStddevFraction): use raw hits.
     out.hits = frag_hits;
     return out;
   }

@@ -12,24 +12,6 @@
 
 namespace deepsea {
 
-/// Configuration of the probabilistic fragment benefit model (Section
-/// 7.1, "Probabilistic Fragment Benefit Model").
-struct MleConfig {
-  /// Target number of equi-size "parts" the attribute domain is split
-  /// into. The actual count is adjusted so no part is partially
-  /// contained in a fragment (see ChoosePartCount).
-  int target_parts = 32;
-  /// Hard upper bound on the number of parts (guards degenerate
-  /// boundary layouts).
-  int max_parts = 4096;
-  /// Robustness guard: when the fitted standard deviation exceeds this
-  /// fraction of the domain width, the access pattern is too dispersed
-  /// for a single Normal (e.g. Zipf-scattered hot spots, Fig. 8b) and
-  /// Adjust falls back to the raw decayed hit counts, making the model
-  /// degrade to Nectar-style counting instead of mispredicting.
-  double max_stddev_fraction = 0.15;
-};
-
 /// Where a planning shadow partition's history lives (PlanningDelta):
 /// the shared partition it shadows, and parallel to the shadow's
 /// fragments each one's base fragment in it (nullptr for planner-added
@@ -50,9 +32,27 @@ struct ShadowBases {
 /// Fragments near hot spots thereby receive benefit even when their own
 /// raw hit counts are low, which is what keeps "neighbors of hot
 /// fragments" in the pool (Fig. 8a).
+///
+/// The model has no state: every member is static, and its parameters
+/// are the constants below (Section 7.1, "Probabilistic Fragment
+/// Benefit Model").
 class MleFragmentModel {
  public:
-  explicit MleFragmentModel(MleConfig config = MleConfig()) : cfg_(config) {}
+  MleFragmentModel() = delete;
+
+  /// Target number of equi-size "parts" the attribute domain is split
+  /// into. The actual count is adjusted so no part is partially
+  /// contained in a fragment (see ChoosePartCount).
+  static constexpr int kTargetParts = 32;
+  /// Hard upper bound on the number of parts (guards degenerate
+  /// boundary layouts).
+  static constexpr int kMaxParts = 4096;
+  /// Robustness guard: when the fitted standard deviation exceeds this
+  /// fraction of the domain width, the access pattern is too dispersed
+  /// for a single Normal (e.g. Zipf-scattered hot spots, Fig. 8b) and
+  /// Adjust falls back to the raw decayed hit counts, making the model
+  /// degrade to Nectar-style counting instead of mispredicting.
+  static constexpr double kMaxStddevFraction = 0.15;
 
   /// Result of one smoothing pass over a partition's fragments.
   struct AdjustedHits {
@@ -81,41 +81,39 @@ class MleFragmentModel {
   /// + hits expired since the mass's time + local hits). Otherwise every
   /// live hit is spread again (AdjustFromScratch). Both give the same
   /// bits. H(I) is always replayed from FragmentStats::LiveHitsBegin.
-  AdjustedHits Adjust(const PartitionState& part, double t_now,
-                      const DecayFunction& dec,
-                      const ShadowBases& bases = ShadowBases()) const;
+  static AdjustedHits Adjust(const PartitionState& part, double t_now,
+                             const DecayFunction& dec,
+                             const ShadowBases& bases = ShadowBases());
 
   /// Adjust with the part mass built from every live hit, ignoring any
   /// kept mass: the fallback's arithmetic, and the oracle Adjust must
   /// equal bit for bit.
-  AdjustedHits AdjustFromScratch(
+  static AdjustedHits AdjustFromScratch(
       const PartitionState& part, double t_now, const DecayFunction& dec,
-      const ShadowBases& bases = ShadowBases()) const;
+      const ShadowBases& bases = ShadowBases());
 
   /// Brings the mass of `part`, when it holds pool content, up to time
   /// `t` under `dec`: in place when only appends and expiries happened,
   /// else by a rebuild (first pool entry, new grid, replaced hit list,
   /// changed decay). A partition out of the pool keeps its mass dormant
   /// (not advanced) until it re-enters. Commit sections only.
-  void RefreshPartMass(PartitionState* part, double t,
-                       const DecayFunction& dec) const;
+  static void RefreshPartMass(PartitionState* part, double t,
+                              const DecayFunction& dec);
 
   /// The part grid of `part`: ChoosePartCount parts over its domain.
-  PartGrid GridOf(const PartitionState& part) const;
+  static PartGrid GridOf(const PartitionState& part);
 
   /// Chooses an equi-size part width such that every fragment boundary
   /// (approximately) aligns with a part boundary: the greatest
-  /// divisor-like grid no coarser than cfg.target_parts, capped at
-  /// cfg.max_parts. Exposed for testing.
-  int ChoosePartCount(const std::vector<FragmentStats>& fragments,
-                      const Interval& domain) const;
+  /// divisor-like grid no coarser than kTargetParts, capped at
+  /// kMaxParts. Exposed for testing.
+  static int ChoosePartCount(const std::vector<FragmentStats>& fragments,
+                             const Interval& domain);
 
  private:
-  AdjustedHits Fit(const PartitionState& part, double t_now,
-                   const DecayFunction& dec, const ShadowBases& bases,
-                   bool use_kept_mass) const;
-
-  MleConfig cfg_;
+  static AdjustedHits Fit(const PartitionState& part, double t_now,
+                          const DecayFunction& dec, const ShadowBases& bases,
+                          bool use_kept_mass);
 };
 
 }  // namespace deepsea

@@ -354,9 +354,7 @@ std::vector<FragmentHit> PlanningDelta::EffectiveHits(
   return out;
 }
 
-// --- policy overlays ---------------------------------------------------
-// Expression-for-expression mirrors of policy.cc with the stats reads
-// replaced by the effective readers above.
+// --- the value model -----------------------------------------------------
 
 double PlanningDelta::ViewValue(ValueModel model, const ViewInfo* v,
                                 const DecayFunction& dec) const {

@@ -234,12 +234,23 @@ class PlanningDelta {
   std::vector<FragmentHit> EffectiveHits(const PartitionState* part,
                                          const FragmentStats* f) const;
 
-  // --- policy overlays (mirror policy.cc expression-for-expression) ---
+  // --- the value model (Section 7.1, Section 10.1) -------------------
+  //
+  // The only copy of Φ(V), Φ(I) and the admission filter's benefit,
+  // over the effective readers above: each model reads only the
+  // quantities its formula uses. Evaluated at t_now().
 
+  /// Φ(V) under `model` (see ValueModel). Views with zero size rank
+  /// highest among equal-benefit views (guarded division).
   double ViewValue(ValueModel model, const ViewInfo* v,
                    const DecayFunction& dec) const;
+  /// Benefit used by the admission filter (Section 7.2): decayed for
+  /// DeepSea, undecayed for the Nectar variants.
   double ViewBenefitForFilter(ValueModel model, const ViewInfo* v,
                               const DecayFunction& dec) const;
+  /// Φ(I) of fragment `f` of `part` under `model`. For DeepSea,
+  /// Φ(I) = COST(V) · B(I) / S(I) with B(I) = H(I) · S(I)/S(V) · COST(V);
+  /// `adjusted_hits` >= 0 replaces H(I) (the MLE-adjusted hits).
   double FragmentValue(ValueModel model, const PartitionState* part,
                        const FragmentStats* f, double view_size,
                        double view_cost, const DecayFunction& dec,

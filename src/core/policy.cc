@@ -30,58 +30,4 @@ const char* ValueModelName(ValueModel m) {
   return "?";
 }
 
-double ViewValue(ValueModel model, const ViewStats& stats, double t_now,
-                 const DecayFunction& dec) {
-  const double size = std::max(stats.size_bytes, 1.0);
-  switch (model) {
-    case ValueModel::kDeepSea:
-      return stats.creation_cost * stats.AccumulatedBenefit(t_now, dec) / size;
-    case ValueModel::kNectar: {
-      const double dt = std::max(t_now - stats.LastUse(), 1.0);
-      return stats.creation_cost / (size * dt);
-    }
-    case ValueModel::kNectarPlus: {
-      const double dt = std::max(t_now - stats.LastUse(), 1.0);
-      return stats.creation_cost * stats.UndecayedBenefit() / (size * dt);
-    }
-  }
-  return 0.0;
-}
-
-double FragmentValue(ValueModel model, const FragmentStats& frag,
-                     double view_size, double view_cost, double t_now,
-                     const DecayFunction& dec, double adjusted_hits) {
-  const double size = std::max(frag.size_bytes, 1.0);
-  switch (model) {
-    case ValueModel::kDeepSea:
-      return view_cost *
-             frag.Benefit(t_now, dec, view_size, view_cost, adjusted_hits) / size;
-    case ValueModel::kNectar: {
-      const double dt = std::max(t_now - frag.LastHit(), 1.0);
-      return view_cost / (size * dt);
-    }
-    case ValueModel::kNectarPlus: {
-      // Undecayed fragment benefit: raw hit count in place of decayed.
-      const double benefit = frag.RawHits() *
-                             (frag.size_bytes / std::max(view_size, 1.0)) *
-                             view_cost;
-      const double dt = std::max(t_now - frag.LastHit(), 1.0);
-      return view_cost * benefit / (size * dt);
-    }
-  }
-  return 0.0;
-}
-
-double ViewBenefitForFilter(ValueModel model, const ViewStats& stats,
-                            double t_now, const DecayFunction& dec) {
-  switch (model) {
-    case ValueModel::kDeepSea:
-      return stats.AccumulatedBenefit(t_now, dec);
-    case ValueModel::kNectar:
-    case ValueModel::kNectarPlus:
-      return stats.UndecayedBenefit();
-  }
-  return 0.0;
-}
-
 }  // namespace deepsea

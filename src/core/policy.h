@@ -1,12 +1,6 @@
 #ifndef DEEPSEA_CORE_POLICY_H_
 #define DEEPSEA_CORE_POLICY_H_
 
-#include <algorithm>
-#include <string>
-
-#include "core/decay.h"
-#include "core/view_stats.h"
-
 namespace deepsea {
 
 /// Materialization / partitioning strategies compared in the paper's
@@ -29,7 +23,9 @@ enum class StrategyKind {
 
 const char* StrategyName(StrategyKind s);
 
-/// Cost-benefit value models for view/fragment selection (Section 10.1):
+/// Cost-benefit value models for view/fragment selection (Section 10.1;
+/// computed by PlanningDelta::ViewValue / FragmentValue, and the
+/// admission filter's benefit by ViewBenefitForFilter):
 ///   kDeepSea    - Phi = COST * B_decayed / S (Section 7.1).
 ///   kNectar     - COST / (S * dT); no accumulated benefit (Nectar's
 ///                 original model as characterized by the paper).
@@ -38,22 +34,6 @@ const char* StrategyName(StrategyKind s);
 enum class ValueModel { kDeepSea, kNectar, kNectarPlus };
 
 const char* ValueModelName(ValueModel m);
-
-/// Computes a view's selection value under the given model.
-double ViewValue(ValueModel model, const ViewStats& stats, double t_now,
-                 const DecayFunction& dec);
-
-/// Computes a fragment's selection value under the given model.
-/// `adjusted_hits < 0` means "use the fragment's own (decayed) hits";
-/// the DeepSea model passes MLE-adjusted hits here (Section 7.1).
-double FragmentValue(ValueModel model, const FragmentStats& frag,
-                     double view_size, double view_cost, double t_now,
-                     const DecayFunction& dec, double adjusted_hits = -1.0);
-
-/// Benefit used by the admission filter (Section 7.2): decayed for
-/// DeepSea, undecayed for the Nectar variants.
-double ViewBenefitForFilter(ValueModel model, const ViewStats& stats,
-                            double t_now, const DecayFunction& dec);
 
 }  // namespace deepsea
 

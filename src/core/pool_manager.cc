@@ -10,11 +10,28 @@
 
 #include "common/str_util.h"
 #include "core/merge.h"
+#include "core/mle_model.h"
 #include "core/view_sizing.h"
 
 namespace deepsea {
 
 namespace {
+
+/// Materialized views are stored columnar-compressed (ORC-style), so
+/// their on-disk footprint is this fraction of the raw intermediate
+/// result's width. Applies to view sizes, and through them to fragment
+/// sizes and the read/write costs that depend on them.
+constexpr double kViewStorageCompression = 0.6;
+
+/// Permanent decision failures attributed to one view before it is
+/// quarantined (see RecordViewFault).
+constexpr int kQuarantineThreshold = 3;
+/// Commits after which a quarantined view becomes proposable again.
+constexpr int64_t kQuarantineCooldownCommits = 50;
+
+/// Merges a merge pass makes at most per query (keeps maintenance
+/// bounded).
+constexpr int kMaxMergesPerQuery = 1;
 
 int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -106,8 +123,7 @@ PoolManager::PoolManager(Catalog* catalog, const EngineOptions* options,
       cluster_(cluster),
       estimator_(estimator),
       fs_(options->cluster.block_bytes),
-      decay_(options->decay),
-      mle_(options->mle) {}
+      decay_(options->decay) {}
 
 // --- commit context ---
 
@@ -437,43 +453,25 @@ void PoolManager::SetFaultPolicy(FaultPolicy* policy) {
   fs_.set_fault_policy(policy);
 }
 
-void PoolManager::RegisterViewTable(ViewInfo* view) {
-  assert(CommitHeldByThisThread());
-  if (catalog_->Contains(view->id)) return;
-  auto schema = view->plan->OutputSchema(*catalog_);
-  if (!schema.ok()) return;
+TablePtr PoolManager::RegisterViewTable(ViewInfo* view,
+                                        Catalog* catalog) const {
+  if (catalog->Contains(view->id)) return nullptr;
+  auto schema = view->plan->OutputSchema(*catalog);
+  if (!schema.ok()) return nullptr;
   auto est = estimator_->Estimate(view->plan);
-  if (!est.ok()) return;
-  const double compression = options_->view_storage_compression;
+  if (!est.ok()) return nullptr;
   auto table = std::make_shared<Table>(view->id, *schema);
   table->set_logical_row_count(static_cast<uint64_t>(std::max(est->out_rows, 0.0)));
-  table->set_avg_row_bytes(std::max(est->avg_row_bytes * compression, 1.0));
-  catalog_->Put(table);
+  table->set_avg_row_bytes(
+      std::max(est->avg_row_bytes * kViewStorageCompression, 1.0));
+  catalog->Put(table);
   // Initial (estimated) view statistics: S(V) and COST(V). COST is the
   // cost of computing the defining plan plus writing its (compressed)
   // output.
-  view->stats.size_bytes = est->out_bytes * compression;
+  view->stats.size_bytes = est->out_bytes * kViewStorageCompression;
   view->stats.creation_cost =
       est->seconds + cluster_->WriteSeconds(view->stats.size_bytes);
-}
-
-void PoolManager::RegisterViewTablePlanning(ViewInfo* view,
-                                            PlanningDelta* delta) const {
-  Catalog* planning = delta->planning_catalog();
-  if (planning->Contains(view->id)) return;
-  auto schema = view->plan->OutputSchema(*planning);
-  if (!schema.ok()) return;
-  auto est = estimator_->Estimate(view->plan);
-  if (!est.ok()) return;
-  const double compression = options_->view_storage_compression;
-  auto table = std::make_shared<Table>(view->id, *schema);
-  table->set_logical_row_count(static_cast<uint64_t>(std::max(est->out_rows, 0.0)));
-  table->set_avg_row_bytes(std::max(est->avg_row_bytes * compression, 1.0));
-  planning->Put(table);
-  delta->DeferCatalogPut(std::move(table));
-  view->stats.size_bytes = est->out_bytes * compression;
-  view->stats.creation_cost =
-      est->seconds + cluster_->WriteSeconds(view->stats.size_bytes);
+  return table;
 }
 
 void PoolManager::AdvanceWindowsAfterFold(double t_now) {
@@ -517,7 +515,7 @@ void PoolManager::AdvanceWindowsAfterFold(double t_now) {
 void PoolManager::RefreshPartMasses(ViewInfo* view, double t) {
   for (auto& [attr, part] : view->partitions) {
     (void)attr;
-    mle_.RefreshPartMass(&part, t, decay_);
+    MleFragmentModel::RefreshPartMass(&part, t, decay_);
   }
 }
 
@@ -671,60 +669,44 @@ void PoolManager::RecordEviction(const ViewInfo* view, const std::string& attr,
 Result<double> PoolManager::MaterializeView(ViewInfo* view,
                                             QueryReport* report) {
   assert(CommitHeldByThisThread());
+  // The planner emits kMaterializeView only for views without a
+  // partition or under NoPartition; a view that gained a partition
+  // since it was planned made the plan's wildcard partition read
+  // conflict, so the query replanned. Partitioned views are created
+  // fragment by fragment (kMaterializeViewFragment).
+  assert(view->partitions.empty() ||
+         options_->strategy == StrategyKind::kNoPartition);
   TxnSnapshotView(view);
-  // Determine the partition attribute: the one with pending state.
-  std::string attr;
-  for (const auto& [a, p] : view->partitions) {
-    (void)p;
-    attr = a;
-    break;
-  }
-  double extra_seconds = 0.0;
   auto est = estimator_->Estimate(view->plan);
   const double view_bytes = est.ok()
-                                ? est->out_bytes * options_->view_storage_compression
+                                ? est->out_bytes * kViewStorageCompression
                                 : view->stats.size_bytes;
-  // Set size *before* fragmentation: FragmentBytes / ApplyFragmentBounds
-  // scale fragments by stats.size_bytes. A fault below rolls this back.
-  view->stats.size_bytes = view_bytes;
-  view->stats.size_is_actual = true;
+  const std::string path = StrFormat("pool/%s/full", view->id.c_str());
+  assert(!fs_.Exists(path) && "double materialization of whole view");
+  DEEPSEA_RETURN_IF_ERROR(TxnPut(path, view_bytes, report));
+  view->whole_materialized = true;
+  const double seconds = cluster_->PartitionedWriteSeconds(view_bytes, 1);
+  FinishViewCreation(view, est, seconds, report);
+  return seconds;
+}
 
-  if (attr.empty() || options_->strategy == StrategyKind::kNoPartition) {
-    // Whole-view materialization (NP).
-    const std::string path = StrFormat("pool/%s/full", view->id.c_str());
-    assert(!fs_.Exists(path) && "double materialization of whole view");
-    DEEPSEA_RETURN_IF_ERROR(TxnPut(path, view_bytes, report));
-    view->whole_materialized = true;
-    extra_seconds = cluster_->PartitionedWriteSeconds(view_bytes, 1);
-  } else {
-    PartitionState* part = view->GetPartition(attr);
-    std::vector<Interval> frags = ApplyFragmentBounds(
-        *catalog_, *options_, *view, attr,
-        InitialFragmentation(*catalog_, *options_, view, attr));
-    for (const Interval& iv : frags) {
-      const double bytes = FragmentBytes(*catalog_, *view, attr, iv);
-      FragmentStats* fstat = part->Track(iv, bytes);
-      fstat->size_bytes = bytes;
-      const std::string path = FragmentPath(*view, attr, iv);
-      assert(!fs_.Exists(path) && "double materialization of fragment");
-      DEEPSEA_RETURN_IF_ERROR(TxnPut(path, bytes, report));
-      fstat->materialized = true;
-      ++report->created_fragments;
-    }
-    extra_seconds = cluster_->PartitionedWriteSeconds(
-        view_bytes, static_cast<int64_t>(frags.size()));
+void PoolManager::FinishViewCreation(ViewInfo* view,
+                                     const Result<PlanCost>& est,
+                                     double write_seconds,
+                                     QueryReport* report) {
+  // Actual S(V) and COST(V): computing the defining plan (done as part
+  // of the instrumented query) plus the durable partitioned write.
+  if (est.ok()) {
+    view->stats.size_bytes = est->out_bytes * kViewStorageCompression;
+    view->stats.size_is_actual = true;
+    view->stats.creation_cost = est->seconds + write_seconds;
+    view->stats.cost_is_actual = true;
   }
-  // Actual creation cost: computing the defining plan (done as part of
-  // the instrumented query) plus the durable partitioned write.
-  view->stats.creation_cost =
-      (est.ok() ? est->seconds : view->stats.creation_cost) + extra_seconds;
-  view->stats.cost_is_actual = true;
   // A successful materialization proves the storage path works again.
   view->fault_count = 0;
   view->quarantined_until = 0;
   RefreshView(view);
   report->created_views.push_back(view->id);
-  return extra_seconds;
 }
 
 Result<double> PoolManager::MaterializeFragment(ViewInfo* view,
@@ -757,7 +739,7 @@ Result<double> PoolManager::MaterializeFragment(ViewInfo* view,
   // extract the new fragment's rows.
   seconds += cluster_->MapPhaseSeconds(parent_bytes_to_read);
 
-  const double bytes = FragmentBytes(*catalog_, *view, attr, iv);
+  const double bytes = FragmentBytes(*catalog_, *view, attr, iv, part);
   FragmentStats* fstat = part->Track(iv, bytes);
   fstat->size_bytes = bytes;
   const std::string frag_path = FragmentPath(*view, attr, iv);
@@ -785,7 +767,8 @@ Result<double> PoolManager::MaterializeFragment(ViewInfo* view,
         pieces.push_back(right);
       }
       for (const Interval& piece : pieces) {
-        const double piece_bytes = FragmentBytes(*catalog_, *view, attr, piece);
+        const double piece_bytes =
+            FragmentBytes(*catalog_, *view, attr, piece, part);
         FragmentStats* pstat = part->Track(piece, piece_bytes);
         pstat->size_bytes = piece_bytes;
         DEEPSEA_RETURN_IF_ERROR(
@@ -871,10 +854,8 @@ void PoolManager::RecordViewFault(const std::string& view_id, int64_t now) {
   }
   if (view == nullptr) return;
   ++view->fault_count;
-  const FaultHandlingConfig& fault = options_->fault;
-  if (fault.quarantine_threshold > 0 &&
-      view->fault_count >= fault.quarantine_threshold) {
-    view->quarantined_until = now + fault.quarantine_cooldown_commits;
+  if (view->fault_count >= kQuarantineThreshold) {
+    view->quarantined_until = now + kQuarantineCooldownCommits;
     view->fault_count = 0;
   }
 }
@@ -955,17 +936,7 @@ Status PoolManager::ApplyStaged(const SelectionDecision& decision,
     const double extra =
         cluster_->PartitionedWriteSeconds(work.bytes, work.count);
     report->materialize_seconds += extra;
-    auto est = estimator_->Estimate(view->plan);
-    if (est.ok()) {
-      view->stats.size_bytes = est->out_bytes * options_->view_storage_compression;
-      view->stats.size_is_actual = true;
-      view->stats.creation_cost = est->seconds + extra;
-      view->stats.cost_is_actual = true;
-    }
-    view->fault_count = 0;
-    view->quarantined_until = 0;
-    RefreshView(view);
-    report->created_views.push_back(view->id);
+    FinishViewCreation(view, estimator_->Estimate(view->plan), extra, report);
   }
   return Status::OK();
 }
@@ -1010,24 +981,32 @@ Status PoolManager::Apply(const SelectionDecision& decision,
     }
     to_apply = &remapped;
   }
-  const QueryReport report_backup = *report;
   std::string fault_view;
+  Status st = RunTransaction(
+      [&] {
+        // Shared hold across the staged apply: estimators, fragment
+        // sizing and schema resolution read the relational catalog,
+        // which a foreign sharded commit's fold may be growing
+        // concurrently.
+        std::shared_lock<std::shared_mutex> catalog_lock(catalog_mu_);
+        return ApplyStaged(*to_apply, ctx, report, &fault_view);
+      },
+      report);
+  if (!st.ok()) report->fault_view = fault_view;
+  return st;
+}
+
+Status PoolManager::RunTransaction(const std::function<Status()>& staged,
+                                   QueryReport* report) {
+  const QueryReport report_backup = *report;
   TxnBegin();
-  Status st;
-  {
-    // Shared hold across the staged apply: estimators, fragment sizing
-    // and schema resolution read the relational catalog, which a
-    // foreign sharded commit's fold may be growing concurrently.
-    std::shared_lock<std::shared_mutex> catalog_lock(catalog_mu_);
-    st = ApplyStaged(*to_apply, ctx, report, &fault_view);
-  }
+  Status st = staged();
   if (st.ok()) {
     TxnCommit();
     return st;
   }
   TxnRollback();
   *report = report_backup;
-  report->fault_view = fault_view;
   report->fault_message = st.ToString();
   return st;
 }
@@ -1039,7 +1018,7 @@ Result<double> PoolManager::MergeStaged(double t_now,
   int merges = 0;
   auto candidates = FindMergeCandidates(&views_, options_->merge, t_now, decay);
   for (const MergeCandidate& cand : candidates) {
-    if (merges >= options_->merge.max_merges_per_query) break;
+    if (merges >= kMaxMergesPerQuery) break;
     FragmentStats& a = cand.part->fragments[cand.left_index];
     FragmentStats& b = cand.part->fragments[cand.right_index];
     if (!a.materialized || !b.materialized) continue;  // stale candidate
@@ -1071,16 +1050,13 @@ Result<double> PoolManager::RunMergePass(double t_now,
                                          QueryReport* report) {
   assert(CommitHeldByThisThread());
   assert(Ctx().exclusive && "merge passes require the exclusive commit");
-  const QueryReport report_backup = *report;
-  TxnBegin();
-  Result<double> seconds = MergeStaged(t_now, decay, report);
-  if (seconds.ok()) {
-    TxnCommit();
-    return seconds;
-  }
-  TxnRollback();
-  *report = report_backup;
-  report->fault_message = seconds.status().ToString();
+  double seconds = 0.0;
+  DEEPSEA_RETURN_IF_ERROR(RunTransaction(
+      [&]() -> Status {
+        DEEPSEA_ASSIGN_OR_RETURN(seconds, MergeStaged(t_now, decay, report));
+        return Status::OK();
+      },
+      report));
   return seconds;
 }
 

@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -381,15 +382,15 @@ class PoolManager {
 
   // --- mutation API (requires a commit section; asserts in debug) ---
 
-  /// Ensures `view` is registered as a relational catalog table with
-  /// estimated logical statistics (needed by the cost estimator).
-  void RegisterViewTable(ViewInfo* view);
-
-  /// Planning-phase counterpart of RegisterViewTable: registers the
-  /// table in the delta's planning catalog (deferring the real Put to
-  /// the fold) and sets the delta-owned view's estimated statistics.
-  /// Reads only immutable state, so it is safe under the shared lock.
-  void RegisterViewTablePlanning(ViewInfo* view, PlanningDelta* delta) const;
+  /// Registers `view` as a table of `catalog`, with the estimated
+  /// logical statistics the cost estimator needs, and sets the view's
+  /// estimated S(V) and COST(V). Returns the new table, or nullptr when
+  /// `catalog` already has one or the schema or the estimate cannot be
+  /// derived. Reads no mutable pool state: planning registers into its
+  /// PlanningDelta's catalog under the shared lock (and defers the real
+  /// Put to the fold), state restore into the real catalog inside the
+  /// commit.
+  TablePtr RegisterViewTable(ViewInfo* view, Catalog* catalog) const;
 
   /// Executes a SelectionDecision transactionally: evictions first, then
   /// materializations, all staged through a rollback journal. Charges
@@ -430,8 +431,8 @@ class PoolManager {
   // directly, a failed primitive may leave earlier pieces in place
   // (still invariant-clean).
 
-  /// Materializes `view` (initial partitioned creation). Returns the
-  /// extra simulated seconds charged.
+  /// Materializes `view` whole (a view without a partition, or any view
+  /// under NoPartition). Returns the extra simulated seconds charged.
   Result<double> MaterializeView(ViewInfo* view, QueryReport* report);
   /// Creates one refinement fragment (overlapping or by splitting).
   Result<double> MaterializeFragment(ViewInfo* view, PartitionState* part,
@@ -460,10 +461,11 @@ class PoolManager {
   // --- fault quarantine (see DESIGN.md, "Failure model and recovery") ---
 
   /// Records one permanent decision failure against `view_id`; once
-  /// options().fault.quarantine_threshold failures accumulate, the view
-  /// is quarantined until commit clock `now` + cooldown (the
-  /// SelectionPlanner skips quarantined views' candidates). Successful
-  /// materialization clears the record. Requires the commit section.
+  /// kQuarantineThreshold (3) failures accumulate, the view is
+  /// quarantined until commit clock `now` + kQuarantineCooldownCommits
+  /// (50; the SelectionPlanner skips quarantined views' candidates).
+  /// Successful materialization clears the record. Requires the commit
+  /// section.
   void RecordViewFault(const std::string& view_id, int64_t now);
 
  private:
@@ -538,6 +540,12 @@ class PoolManager {
                       const Interval& interval, double bytes,
                       QueryReport* report);
 
+  /// Runs `staged` inside a decision transaction (Apply, RunMergePass):
+  /// commits what it did when it succeeds; otherwise rolls the pool and
+  /// `report` back to their images before the call, records the fault
+  /// in report->fault_message and returns it.
+  Status RunTransaction(const std::function<Status()>& staged,
+                        QueryReport* report);
   /// Apply's action loop, run inside an armed transaction. On failure
   /// sets `fault_view` to the failing action's view id and returns the
   /// fault without unwinding (Apply rolls back).
@@ -547,6 +555,13 @@ class PoolManager {
   /// RunMergePass's merge loop, run inside an armed transaction.
   Result<double> MergeStaged(double t_now, const DecayFunction& decay,
                              QueryReport* report);
+  /// The end of every view creation (MaterializeView, and Apply's
+  /// fragment-by-fragment creations): S(V) and COST(V) become actual
+  /// from `est` and the write's `write_seconds`, the view's fault
+  /// record clears, the pool content is re-read, and `report` lists the
+  /// view as created.
+  void FinishViewCreation(ViewInfo* view, const Result<PlanCost>& est,
+                          double write_seconds, QueryReport* report);
 
   /// Pre-image of one view's mutable pool state. Rollback restores the
   /// partitions *in place* (per-attr assignment into the existing map
@@ -583,7 +598,6 @@ class PoolManager {
   ViewCatalog views_;
   FilterTree rewrite_index_;
   DecayFunction decay_;  ///< pool-side decay (cursor advancement)
-  MleFragmentModel mle_;  ///< part grids of the kept part masses
   std::atomic<int64_t> clock_{0};  ///< advanced only inside commit sections
 
   /// Commit-section accounting (see commit_lock_stats()).

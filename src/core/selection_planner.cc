@@ -4,11 +4,23 @@
 #include <cassert>
 #include <map>
 
+#include "core/mle_model.h"
 #include "core/partition_match.h"
 #include "core/policy.h"
 #include "core/view_sizing.h"
 
 namespace deepsea {
+
+namespace {
+
+/// Fragment admission threshold: a fragment enters the knapsack when
+/// its hits times its per-hit saving reach this multiple of its
+/// creation cost (the paper's COST <= B filter, Section 7.2). Separate
+/// from EngineOptions::benefit_cost_threshold, so settings that force
+/// eager view creation keep the refinement cost-benefit test.
+constexpr double kFragmentBenefitThreshold = 1.0;
+
+}  // namespace
 
 SelectionResolution SelectionPlanner::PlanSelection(const QueryContext& ctx,
                                                     double base_seconds) {
@@ -108,7 +120,7 @@ SelectionResolution SelectionPlanner::PlanSelection(const QueryContext& ctx,
           const double per_hit_saving =
               std::max(0.0, base_seconds - read_cost);
           if (hits * per_hit_saving <
-              options_->fragment_benefit_threshold * v->stats.creation_cost) {
+              kFragmentBenefitThreshold * v->stats.creation_cost) {
             continue;
           }
         }
@@ -136,8 +148,8 @@ SelectionResolution SelectionPlanner::PlanSelection(const QueryContext& ctx,
     auto it = adjusted.find(part);
     if (it == adjusted.end()) {
       it = adjusted
-               .emplace(part, mle_->Adjust(*part, t_now, *decay_,
-                                           delta->BasesOf(part)))
+               .emplace(part, MleFragmentModel::Adjust(
+                                  *part, t_now, *decay_, delta->BasesOf(part)))
                .first;
     }
     // Nothing tracks fragments after V_sel, so the fit is aligned with
@@ -160,7 +172,7 @@ SelectionResolution SelectionPlanner::PlanSelection(const QueryContext& ctx,
     // Marginal admission: expected read-time saving over the current
     // cover must amortize the creation cost (see FragmentCandidate doc).
     const double benefit = hits * fc.per_hit_saving_seconds;
-    if (benefit < options_->fragment_benefit_threshold * fc.est_cost_seconds) {
+    if (benefit < kFragmentBenefitThreshold * fc.est_cost_seconds) {
       continue;
     }
     Item it;

@@ -7,7 +7,6 @@
 #include "catalog/table.h"
 #include "core/decay.h"
 #include "core/engine_options.h"
-#include "core/mle_model.h"
 #include "core/query_context.h"
 #include "core/selection_strategy.h"
 #include "core/view_catalog.h"
@@ -31,12 +30,11 @@ class SelectionPlanner {
  public:
   SelectionPlanner(const Catalog* catalog, const EngineOptions* options,
                    const ClusterModel* cluster, const DecayFunction* decay,
-                   MleFragmentModel* mle, ViewCatalog* views)
+                   ViewCatalog* views)
       : catalog_(catalog),
         options_(options),
         cluster_(cluster),
         decay_(decay),
-        mle_(mle),
         views_(views) {}
 
   /// Produces this query's reconfiguration decision plus the
@@ -51,7 +49,6 @@ class SelectionPlanner {
   const EngineOptions* options_;
   const ClusterModel* cluster_;
   const DecayFunction* decay_;
-  MleFragmentModel* mle_;
   ViewCatalog* views_;
 };
 

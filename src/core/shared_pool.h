@@ -30,7 +30,7 @@ class SharedPool {
   SharedPool(Catalog* catalog, EngineOptions options)
       : options_(std::move(options)),
         cluster_(options_.cluster),
-        estimator_(&cluster_, catalog, options_.estimator),
+        estimator_(&cluster_, catalog),
         pool_(std::make_unique<PoolManager>(catalog, &options_, &cluster_,
                                             &estimator_)) {}
 

@@ -7,6 +7,13 @@
 
 namespace deepsea {
 
+namespace {
+
+/// Bins of a view histogram derived without a base-table histogram.
+constexpr int kViewHistogramBins = 256;
+
+}  // namespace
+
 Result<Interval> ColumnDomain(const Catalog& catalog,
                               const std::string& column) {
   const size_t pos = column.rfind('.');
@@ -33,7 +40,6 @@ double RangeFractionOfBaseColumn(const Catalog& catalog,
 }
 
 Result<AttributeHistogram> DeriveViewHistogram(const Catalog& catalog,
-                                               const EngineOptions& options,
                                                const ViewInfo& view,
                                                const std::string& attr) {
   const size_t pos = attr.rfind('.');
@@ -54,14 +60,9 @@ Result<AttributeHistogram> DeriveViewHistogram(const Catalog& catalog,
   }
   // Fall back to a uniform distribution over the sample domain.
   DEEPSEA_ASSIGN_OR_RETURN(Interval domain, table->SampleMinMax(attr));
-  AttributeHistogram out(domain, options.view_histogram_bins);
+  AttributeHistogram out(domain, kViewHistogramBins);
   out.AddRange(domain, std::max(view_rows, 1.0));
   return out;
-}
-
-double FragmentBytes(const Catalog& catalog, const ViewInfo& view,
-                     const std::string& attr, const Interval& iv) {
-  return FragmentBytes(catalog, view, attr, iv, view.GetPartition(attr));
 }
 
 double FragmentBytes(const Catalog& catalog, const ViewInfo& view,
@@ -101,15 +102,6 @@ std::string FragmentPath(const ViewInfo& view, const std::string& attr,
 
 std::vector<Interval> InitialFragmentation(const Catalog& catalog,
                                            const EngineOptions& options,
-                                           ViewInfo* view,
-                                           const std::string& attr) {
-  PartitionState* part = view->GetPartition(attr);
-  if (part == nullptr) return {};
-  return InitialFragmentation(catalog, options, *view, attr, *part);
-}
-
-std::vector<Interval> InitialFragmentation(const Catalog& catalog,
-                                           const EngineOptions& options,
                                            const ViewInfo& view,
                                            const std::string& attr,
                                            const PartitionState& part) {
@@ -142,15 +134,6 @@ std::vector<Interval> InitialFragmentation(const Catalog& catalog,
   std::vector<Interval> out = part.pending;
   std::sort(out.begin(), out.end(), IntervalLess);
   return out;
-}
-
-std::vector<Interval> ApplyFragmentBounds(const Catalog& catalog,
-                                          const EngineOptions& options,
-                                          const ViewInfo& view,
-                                          const std::string& attr,
-                                          std::vector<Interval> frags) {
-  return ApplyFragmentBounds(catalog, options, view, attr,
-                             view.GetPartition(attr), std::move(frags));
 }
 
 std::vector<Interval> ApplyFragmentBounds(const Catalog& catalog,

@@ -29,18 +29,13 @@ double RangeFractionOfBaseColumn(const Catalog& catalog,
 /// Histogram for a view's partition attribute, derived from the base
 /// table's distribution scaled to the view's cardinality.
 Result<AttributeHistogram> DeriveViewHistogram(const Catalog& catalog,
-                                               const EngineOptions& options,
                                                const ViewInfo& view,
                                                const std::string& attr);
 
-/// Estimated bytes of fragment `iv` of `view` partitioned on `attr`.
-double FragmentBytes(const Catalog& catalog, const ViewInfo& view,
-                     const std::string& attr, const Interval& iv);
-
-/// Variant that takes the partition state explicitly (the no-histogram
-/// fallback scales by the partition domain). Planning code passes its
-/// PlanningDelta shadow partition here, which may not exist on `view`
-/// itself yet.
+/// Estimated bytes of fragment `iv` of `view` partitioned on `attr`,
+/// from the view table's histogram; without one, by `part`'s domain
+/// (nullable). Planning code passes its PlanningDelta shadow partition
+/// here, which may not exist on `view` itself yet.
 double FragmentBytes(const Catalog& catalog, const ViewInfo& view,
                      const std::string& attr, const Interval& iv,
                      const PartitionState* part);
@@ -53,14 +48,9 @@ double EstimateCandidateBytes(const PartitionState& part, const Interval& iv);
 std::string FragmentPath(const ViewInfo& view, const std::string& attr,
                          const Interval& iv);
 
-/// The initial fragmentation used when first materializing a view
-/// partition under the configured strategy.
-std::vector<Interval> InitialFragmentation(const Catalog& catalog,
-                                           const EngineOptions& options,
-                                           ViewInfo* view,
-                                           const std::string& attr);
-
-/// Variant over an explicit partition state (shadow or real).
+/// The initial fragmentation of a view partition (shadow or real)
+/// under the configured strategy: the fragments the planner offers
+/// when the view is first materialized.
 std::vector<Interval> InitialFragmentation(const Catalog& catalog,
                                            const EngineOptions& options,
                                            const ViewInfo& view,
@@ -69,15 +59,8 @@ std::vector<Interval> InitialFragmentation(const Catalog& catalog,
 
 /// Applies the fragment size bounds (Section 9): splits any interval
 /// whose estimated size exceeds max_fragment_fraction * S(V), then
-/// merges adjacent fragments smaller than one FS block.
-std::vector<Interval> ApplyFragmentBounds(const Catalog& catalog,
-                                          const EngineOptions& options,
-                                          const ViewInfo& view,
-                                          const std::string& attr,
-                                          std::vector<Interval> frags);
-
-/// Variant over an explicit partition state (threads `part` into the
-/// internal FragmentBytes calls).
+/// merges adjacent fragments smaller than one FS block. `part` sizes
+/// the fragments as in FragmentBytes.
 std::vector<Interval> ApplyFragmentBounds(const Catalog& catalog,
                                           const EngineOptions& options,
                                           const ViewInfo& view,

@@ -71,12 +71,6 @@ double ViewStats::LastUseNaive() const {
   return last;
 }
 
-double ViewStats::Value(double t_now, const DecayFunction& dec) const {
-  const double benefit = AccumulatedBenefit(t_now, dec);
-  const double size = std::max(size_bytes, 1.0);
-  return creation_cost * benefit / size;
-}
-
 void ViewStats::AdvanceWindow(double t_now, const DecayFunction& dec) {
   const DecayConfig& cfg = dec.config();
   if (!cfg.enabled) return;
@@ -137,23 +131,6 @@ double FragmentStats::LastHitNaive() const {
   double last = 0.0;
   for (const FragmentHit& h : hits_) last = std::max(last, h.time);
   return last;
-}
-
-double FragmentStats::Benefit(double t_now, const DecayFunction& dec,
-                              double view_size, double view_cost,
-                              double adjusted_hits) const {
-  const double hits =
-      adjusted_hits >= 0.0 ? adjusted_hits : DecayedHits(t_now, dec);
-  const double size_fraction = size_bytes / std::max(view_size, 1.0);
-  return hits * size_fraction * view_cost;
-}
-
-double FragmentStats::Value(double t_now, const DecayFunction& dec,
-                            double view_size, double view_cost,
-                            double adjusted_hits) const {
-  const double benefit =
-      Benefit(t_now, dec, view_size, view_cost, adjusted_hits);
-  return view_cost * benefit / std::max(size_bytes, 1.0);
 }
 
 void FragmentStats::AdvanceWindow(double t_now, const DecayFunction& dec) {

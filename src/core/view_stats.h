@@ -27,7 +27,8 @@ struct BenefitEvent {
 };
 
 /// Statistics kept per view (candidate or materialized): the tuple
-/// (S, COST, T, B) of Definition 5 plus bookkeeping flags.
+/// (S, COST, T, B) of Definition 5 plus bookkeeping flags. The value
+/// model over them is PlanningDelta::ViewValue.
 ///
 /// The event list is append-only through the mutators below, which
 /// maintain three incremental caches so the Φ hot path need not replay
@@ -97,10 +98,6 @@ struct ViewStats {
   /// maintained as a running max by the mutators.
   double LastUse() const { return last_use_; }
 
-  /// The paper's view value Phi(V, t_now) = COST * B / S. Views with
-  /// zero size rank highest among equal-benefit views (guarded division).
-  double Value(double t_now, const DecayFunction& dec) const;
-
   /// Advances the timed-out-prefix cursor to `t_now`. Must only be
   /// called while holding the pool's exclusive commit lock (the cursor
   /// is read concurrently by planners under the shared lock).
@@ -139,7 +136,8 @@ struct FragmentHit {
 
 /// Statistics kept per fragment interval of a tracked partition: the
 /// (S, T) pair of Definition 5. Benefit and cost are derived from the
-/// owning view's stats (Section 7.1, "Fragment Statistics").
+/// owning view's stats (Section 7.1, "Fragment Statistics";
+/// PlanningDelta::FragmentValue).
 ///
 /// Hits carry the same incremental caches as ViewStats events: a
 /// running last-hit max, and a timed-out-prefix cursor so H(I) sums
@@ -218,17 +216,6 @@ struct FragmentStats {
   /// Counts AdoptHits calls: a cache over the hit list (PartMass) tells
   /// appends from a wholesale replacement by comparing it.
   uint32_t hits_generation() const { return hits_generation_; }
-
-  /// Fragment benefit per the paper:
-  ///   B(I, t_now) = sum_hits (S(I)/S(V)) * COST(V) * DEC(t_now, t)
-  /// where `hits` may be replaced by MLE-adjusted hits by the caller
-  /// (pass `adjusted_hits` >= 0 to override the decayed hit count).
-  double Benefit(double t_now, const DecayFunction& dec, double view_size,
-                 double view_cost, double adjusted_hits = -1.0) const;
-
-  /// Fragment value Phi(I, t_now) = COST(V) * B(I, t_now) / S(I).
-  double Value(double t_now, const DecayFunction& dec, double view_size,
-               double view_cost, double adjusted_hits = -1.0) const;
 
   /// Advances the timed-out-prefix cursor to `t_now`. Exclusive commit
   /// section only (see ViewStats::AdvanceWindow).

@@ -9,6 +9,16 @@ namespace deepsea {
 
 namespace {
 
+/// Selectivity assumed for residual (non-range) predicates.
+constexpr double kResidualSelectivity = 0.25;
+/// Join output rows = max(l, r) * kJoinExpansion (PK-FK joins in the
+/// BigBench-style workloads have expansion ~1).
+constexpr double kJoinExpansion = 1.0;
+/// Bytes per output row of an aggregation.
+constexpr double kAggOutputRowBytes = 64.0;
+/// Fallback group count when no NDV statistic exists: rows^exponent.
+constexpr double kDefaultGroupExponent = 0.5;
+
 // "table.column" -> "table"; empty when unqualified.
 std::string TableOfColumn(const std::string& column) {
   const size_t pos = column.rfind('.');
@@ -47,7 +57,7 @@ double PlanCostEstimator::ColumnNdv(const std::string& column,
       if (v > 0.0) return v;
     }
   }
-  return std::pow(std::max(fallback_rows, 1.0), cfg_.default_group_exponent);
+  return std::pow(std::max(fallback_rows, 1.0), kDefaultGroupExponent);
 }
 
 Result<double> PlanCostEstimator::EstimateSelectivity(
@@ -59,10 +69,10 @@ Result<double> PlanCostEstimator::EstimateSelectivity(
     const Interval iv(r.lo, r.hi, r.lo_inclusive, r.hi_inclusive);
     sel *= RangeFraction(r.column, iv);
   }
-  for (size_t i = 0; i < ex.residuals.size(); ++i) sel *= cfg_.residual_selectivity;
+  for (size_t i = 0; i < ex.residuals.size(); ++i) sel *= kResidualSelectivity;
   // Column equalities in a filter context behave like residuals.
   for (size_t i = 0; i < ex.column_equalities.size(); ++i) {
-    sel *= cfg_.residual_selectivity;
+    sel *= kResidualSelectivity;
   }
   return Clamp(sel, 0.0, 1.0);
 }
@@ -150,7 +160,7 @@ Result<PlanCost> PlanCostEstimator::EstimateNode(const PlanPtr& plan) const {
       cost.bytes_shuffled = l.bytes_shuffled + r.bytes_shuffled;
       cost.bytes_written = l.bytes_written + r.bytes_written;
       cost.num_jobs = l.num_jobs + r.num_jobs + 1;
-      cost.out_rows = std::max(l.out_rows, r.out_rows) * cfg_.join_expansion;
+      cost.out_rows = std::max(l.out_rows, r.out_rows) * kJoinExpansion;
       // Range/residual parts of the join condition filter the output.
       const RangeExtraction ex = ExtractRanges(plan->predicate());
       double sel = 1.0;
@@ -159,7 +169,7 @@ Result<PlanCost> PlanCostEstimator::EstimateNode(const PlanPtr& plan) const {
         sel *= RangeFraction(rr.column, iv);
       }
       for (size_t i = 0; i < ex.residuals.size(); ++i) {
-        sel *= cfg_.residual_selectivity;
+        sel *= kResidualSelectivity;
       }
       cost.out_rows *= Clamp(sel, 0.0, 1.0);
       cost.avg_row_bytes = l.avg_row_bytes + r.avg_row_bytes;
@@ -199,7 +209,7 @@ Result<PlanCost> PlanCostEstimator::EstimateNode(const PlanPtr& plan) const {
       }
       groups = std::min(groups, std::max(in.out_rows, 1.0));
       cost.out_rows = plan->group_by().empty() ? 1.0 : groups;
-      cost.avg_row_bytes = cfg_.agg_output_row_bytes;
+      cost.avg_row_bytes = kAggOutputRowBytes;
       cost.out_bytes = cost.out_rows * cost.avg_row_bytes;
       cost.bytes_shuffled += in.out_bytes;
       cost.bytes_written += cost.out_bytes;

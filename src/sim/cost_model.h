@@ -12,19 +12,6 @@
 
 namespace deepsea {
 
-/// Estimation knobs independent of cluster hardware.
-struct EstimatorConfig {
-  /// Selectivity assumed for residual (non-range) predicates.
-  double residual_selectivity = 0.25;
-  /// Join output rows = max(l, r) * join_expansion (PK-FK joins in the
-  /// BigBench-style workloads have expansion ~1).
-  double join_expansion = 1.0;
-  /// Bytes per output row of an aggregation.
-  double agg_output_row_bytes = 64.0;
-  /// Fallback group count when no NDV statistic exists: rows^exponent.
-  double default_group_exponent = 0.5;
-};
-
 /// Estimated execution profile of a (logical-scale) plan.
 struct PlanCost {
   double seconds = 0.0;        ///< simulated elapsed time
@@ -49,11 +36,8 @@ struct PlanCost {
 /// systems and DeepSea consider for materialization).
 class PlanCostEstimator {
  public:
-  PlanCostEstimator(const ClusterModel* cluster, const Catalog* catalog,
-                    EstimatorConfig config = EstimatorConfig())
-      : cluster_(cluster), catalog_(catalog), cfg_(config) {}
-
-  const EstimatorConfig& config() const { return cfg_; }
+  PlanCostEstimator(const ClusterModel* cluster, const Catalog* catalog)
+      : cluster_(cluster), catalog_(catalog) {}
 
   /// Full-plan estimate. `plan` may contain ViewRef nodes; fragment
   /// sizes are derived from the view table's histogram on the partition
@@ -61,8 +45,8 @@ class PlanCostEstimator {
   Result<PlanCost> Estimate(const PlanPtr& plan) const;
 
   /// Estimated selectivity (fraction of child rows retained) of a
-  /// predicate, combining histogram mass for range conjuncts with the
-  /// configured residual selectivity.
+  /// predicate, combining histogram mass for range conjuncts with a
+  /// fixed selectivity per residual conjunct.
   Result<double> EstimateSelectivity(const ExprPtr& predicate) const;
 
  private:
@@ -76,7 +60,6 @@ class PlanCostEstimator {
 
   const ClusterModel* cluster_;
   const Catalog* catalog_;
-  EstimatorConfig cfg_;
 };
 
 }  // namespace deepsea

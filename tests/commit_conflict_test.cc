@@ -884,9 +884,8 @@ class MembershipTokenTest : public ::testing::Test {
     EngineOptions options = shared_->options();
     options.pool_limit_bytes = 0.0;
     ClusterModel cluster(options.cluster);
-    PlanCostEstimator estimator(&cluster, &catalog_, options.estimator);
+    PlanCostEstimator estimator(&cluster, &catalog_);
     DecayFunction decay(options.decay);
-    MleFragmentModel mle(options.mle);
     ViewCatalog* stat = nullptr;
     FilterTree* index = nullptr;
     {
@@ -898,8 +897,7 @@ class MembershipTokenTest : public ::testing::Test {
     RewritePlanner rewriter(&catalog_, &estimator, stat, index);
     CandidateGenerator generator(&catalog_, &options, &cluster, stat, index,
                                  pool());
-    SelectionPlanner selector(&catalog_, &options, &cluster, &decay, &mle,
-                              stat);
+    SelectionPlanner selector(&catalog_, &options, &cluster, &decay, stat);
     ViewIdReservation reservation(pool()->placeholder_counter());
 
     auto shared_lock = pool()->SharedLock();

@@ -32,21 +32,21 @@ FragmentStats Frag(double lo, double hi, int hits, double hit_time = 100) {
 }
 
 TEST(MleModelTest, NoHitsYieldsZeroAdjusted) {
-  MleFragmentModel model;
   DecayFunction dec;
   std::vector<FragmentStats> frags = {Frag(0, 50, 0), Frag(50, 100, 0)};
-  const auto adj = model.Adjust(Part(frags, Interval(0, 100)), 100, dec);
+  const auto adj =
+      MleFragmentModel::Adjust(Part(frags, Interval(0, 100)), 100, dec);
   EXPECT_EQ(adj.total, 0.0);
   EXPECT_EQ(adj.hits[0], 0.0);
   EXPECT_EQ(adj.hits[1], 0.0);
 }
 
 TEST(MleModelTest, TotalMassPreservedApproximately) {
-  MleFragmentModel model;
   DecayFunction dec(DecayConfig{1e9, true});
   std::vector<FragmentStats> frags = {Frag(0, 25, 10), Frag(25, 50, 20),
                                       Frag(50, 75, 10), Frag(75, 100, 2)};
-  const auto adj = model.Adjust(Part(frags, Interval(0, 100)), 100, dec);
+  const auto adj =
+      MleFragmentModel::Adjust(Part(frags, Interval(0, 100)), 100, dec);
   double sum = 0.0;
   for (double h : adj.hits) sum += h;
   // The Normal has tails outside the domain; most mass stays inside.
@@ -58,18 +58,17 @@ TEST(MleModelTest, NeighborOfHotSpotBeatsDistantFragment) {
   // This is the paper's motivating example (Section 7.1): hits on
   // [0, 5], none on [6, 10] and [11, 15]. The neighbor [6, 10] must get
   // more adjusted hits than the distant [11, 15].
-  MleFragmentModel model;
   DecayFunction dec(DecayConfig{1e9, true});
   std::vector<FragmentStats> frags = {Frag(0, 5, 20), Frag(5, 10, 0),
                                       Frag(10, 15, 0)};
-  const auto adj = model.Adjust(Part(frags, Interval(0, 15)), 100, dec);
+  const auto adj =
+      MleFragmentModel::Adjust(Part(frags, Interval(0, 15)), 100, dec);
   EXPECT_GT(adj.hits[0], adj.hits[1]);
   EXPECT_GT(adj.hits[1], adj.hits[2]);
   EXPECT_GT(adj.hits[1], 0.0);
 }
 
 TEST(MleModelTest, FitRecoversHotSpotCenter) {
-  MleFragmentModel model;
   DecayFunction dec(DecayConfig{1e9, true});
   std::vector<FragmentStats> frags;
   for (int i = 0; i < 10; ++i) {
@@ -78,43 +77,47 @@ TEST(MleModelTest, FitRecoversHotSpotCenter) {
     const int hits = (lo >= 30 && hi <= 70) ? 20 : 1;
     frags.push_back(Frag(lo, hi, hits));
   }
-  const auto adj = model.Adjust(Part(frags, Interval(0, 100)), 100, dec);
+  const auto adj =
+      MleFragmentModel::Adjust(Part(frags, Interval(0, 100)), 100, dec);
   ASSERT_TRUE(adj.fit.valid);
   EXPECT_NEAR(adj.fit.mean, 50.0, 5.0);
   EXPECT_GT(adj.fit.stddev, 0.0);
 }
 
 TEST(MleModelTest, DecayReducesOldHitInfluence) {
-  MleFragmentModel model;
   DecayFunction dec(DecayConfig{1e9, true});
   // Old hits on the left, recent hits on the right.
   std::vector<FragmentStats> frags = {Frag(0, 50, 10, /*hit_time=*/10),
                                       Frag(50, 100, 10, /*hit_time=*/1000)};
-  const auto adj = model.Adjust(Part(frags, Interval(0, 100)), 1000, dec);
+  const auto adj =
+      MleFragmentModel::Adjust(Part(frags, Interval(0, 100)), 1000, dec);
   ASSERT_TRUE(adj.fit.valid);
   // Mean pulled toward the recent (right) side.
   EXPECT_GT(adj.fit.mean, 50.0);
 }
 
 TEST(MleModelTest, ChoosePartCountRespectsSmallFragments) {
-  MleFragmentModel model(MleConfig{/*target_parts=*/8, /*max_parts=*/1024});
+  // The model's grid: 32 target parts, at most 4,096.
+  static_assert(MleFragmentModel::kTargetParts == 32);
+  static_assert(MleFragmentModel::kMaxParts == 4096);
   std::vector<FragmentStats> frags = {Frag(0, 2, 1), Frag(2, 100, 1)};
   // Smallest fragment has width 2 over domain width 100 -> needs >= 50.
-  const int parts = model.ChoosePartCount(frags, Interval(0, 100));
+  const int parts = MleFragmentModel::ChoosePartCount(frags, Interval(0, 100));
   EXPECT_GE(parts, 50);
-  EXPECT_LE(parts, 1024);
+  EXPECT_LE(parts, 4096);
+  // Coarse fragments still get the 32-part target grid.
+  std::vector<FragmentStats> coarse = {Frag(0, 50, 1), Frag(50, 100, 1)};
+  EXPECT_EQ(MleFragmentModel::ChoosePartCount(coarse, Interval(0, 100)), 32);
 }
 
 TEST(MleModelTest, ChoosePartCountCapped) {
-  MleFragmentModel model(MleConfig{8, 64});
   std::vector<FragmentStats> frags = {Frag(0, 0.001, 1), Frag(0.001, 100, 1)};
-  EXPECT_EQ(model.ChoosePartCount(frags, Interval(0, 100)), 64);
+  // The width ratio asks for 100,000 parts; the cap is 4,096.
+  EXPECT_EQ(MleFragmentModel::ChoosePartCount(frags, Interval(0, 100)), 4096);
   // A sliver fragment: the width ratio (1e18) overflows int, and the
   // cap must still apply.
-  MleFragmentModel defaults;
   std::vector<FragmentStats> sliver = {Frag(0, 1e-12, 1), Frag(1e-12, 1e6, 1)};
-  EXPECT_EQ(defaults.ChoosePartCount(sliver, Interval(0, 1e6)),
-            MleConfig().max_parts);
+  EXPECT_EQ(MleFragmentModel::ChoosePartCount(sliver, Interval(0, 1e6)), 4096);
 }
 
 // --- in-window replay --------------------------------------------------
@@ -162,7 +165,6 @@ void ExpectSameAdjust(const MleFragmentModel::AdjustedHits& a,
 
 TEST(MleModelTest, AdvancedWindowsGiveBitIdenticalAdjust) {
   const DecayFunction dec(DecayConfig{/*t_max=*/25.0, true});
-  const MleFragmentModel model;
   Rng rng(77);
   const std::vector<FragmentStats> plain = HitFragments(&rng, 100.0);
   for (double t_now : {100.0, 106.0, 113.5}) {
@@ -173,9 +175,10 @@ TEST(MleModelTest, AdvancedWindowsGiveBitIdenticalAdjust) {
       skipped += f.LiveHitsBegin(t_now, dec);
     }
     ASSERT_GT(skipped, 0u) << "the windows must actually skip hits";
-    const auto full = model.Adjust(Part(plain, Interval(0, 100)), t_now, dec);
+    const auto full =
+        MleFragmentModel::Adjust(Part(plain, Interval(0, 100)), t_now, dec);
     const auto windowed =
-        model.Adjust(Part(advanced, Interval(0, 100)), t_now, dec);
+        MleFragmentModel::Adjust(Part(advanced, Interval(0, 100)), t_now, dec);
     ASSERT_TRUE(full.fit.valid);
     ExpectSameAdjust(windowed, full);
   }
@@ -186,7 +189,6 @@ TEST(MleModelTest, AdvancedBaseWindowsGiveBitIdenticalShadowAdjust) {
   // hits, their bases the history (see Adjust's `bases` argument). No
   // base partition is given, so the fit spreads every live hit.
   const DecayFunction dec(DecayConfig{/*t_max=*/25.0, true});
-  const MleFragmentModel model;
   Rng rng(78);
   const double t_now = 101.0;
   const std::vector<FragmentStats> plain_bases = HitFragments(&rng, 100.0);
@@ -221,9 +223,11 @@ TEST(MleModelTest, AdvancedBaseWindowsGiveBitIdenticalShadowAdjust) {
   ASSERT_GT(skipped, 0u);
   const PartitionState shadow = Part(shadows, Interval(0, 100));
   const auto full =
-      model.Adjust(shadow, t_now, dec, ShadowBases{nullptr, &plain_ptrs});
+      MleFragmentModel::Adjust(shadow, t_now, dec,
+                               ShadowBases{nullptr, &plain_ptrs});
   const auto windowed =
-      model.Adjust(shadow, t_now, dec, ShadowBases{nullptr, &advanced_ptrs});
+      MleFragmentModel::Adjust(shadow, t_now, dec,
+                               ShadowBases{nullptr, &advanced_ptrs});
   ASSERT_TRUE(full.fit.valid);
   ExpectSameAdjust(windowed, full);
 }
@@ -239,7 +243,6 @@ TEST(MleModelTest, AdvancedBaseWindowsGiveBitIdenticalShadowAdjust) {
 // must match it bit for bit.
 
 MleFragmentModel::AdjustedHits TwoPassAdjust(
-    const MleFragmentModel& model, const MleConfig& cfg,
     const std::vector<FragmentStats>& fragments, const Interval& domain,
     double t_now, const DecayFunction& dec,
     const std::vector<const FragmentStats*>* bases) {
@@ -268,7 +271,7 @@ MleFragmentModel::AdjustedHits TwoPassAdjust(
   }
   if (out.total <= 0.0) return out;
 
-  const int num_parts = model.ChoosePartCount(fragments, domain);
+  const int num_parts = MleFragmentModel::ChoosePartCount(fragments, domain);
   const double part_width = domain.Width() / num_parts;
   const bool time_weighted = dec.config().enabled && t_now > 0.0;
   std::vector<PartMass::Sum> part_sums(static_cast<size_t>(num_parts), 0);
@@ -327,7 +330,7 @@ MleFragmentModel::AdjustedHits TwoPassAdjust(
   }
   out.fit = FitNormalMle(part_mids, part_hits);
   if (!out.fit.valid ||
-      out.fit.stddev > cfg.max_stddev_fraction * domain.Width()) {
+      out.fit.stddev > MleFragmentModel::kMaxStddevFraction * domain.Width()) {
     out.hits = frag_hits;
     return out;
   }
@@ -445,8 +448,6 @@ RandomCase MakeRandomCase(Rng* rng, const Interval& domain, double t_now,
 
 TEST(MleModelTest, OnePassMatchesTwoPassReferenceOnRandomPartitions) {
   const Interval domain(0.0, 1000.0);
-  const MleConfig cfg;
-  const MleFragmentModel model(cfg);
   Rng rng(20161);
   int spread = 0;
   int fitted = 0;
@@ -456,14 +457,16 @@ TEST(MleModelTest, OnePassMatchesTwoPassReferenceOnRandomPartitions) {
     const double t_now = 200.0;
     const RandomCase c = MakeRandomCase(&rng, domain, t_now, dec);
 
-    const auto shadow = model.Adjust(Part(c.frags, domain), t_now, dec,
-                                     ShadowBases{nullptr, &c.bases});
+    const auto shadow =
+        MleFragmentModel::Adjust(Part(c.frags, domain), t_now, dec,
+                                 ShadowBases{nullptr, &c.bases});
     const auto shadow_ref =
-        TwoPassAdjust(model, cfg, c.frags, domain, t_now, dec, &c.bases);
+        TwoPassAdjust(c.frags, domain, t_now, dec, &c.bases);
     ExpectSameAdjust(shadow, shadow_ref);
-    const auto in_place = model.Adjust(Part(c.folded, domain), t_now, dec);
+    const auto in_place =
+        MleFragmentModel::Adjust(Part(c.folded, domain), t_now, dec);
     const auto in_place_ref =
-        TwoPassAdjust(model, cfg, c.folded, domain, t_now, dec, nullptr);
+        TwoPassAdjust(c.folded, domain, t_now, dec, nullptr);
     ExpectSameAdjust(in_place, in_place_ref);
     if (::testing::Test::HasFailure()) {
       FAIL() << "trial " << trial;
@@ -492,7 +495,6 @@ TEST(MleModelTest, OnePassMatchesTwoPassReferenceOnRandomPartitions) {
 // 1e-6 of the domain width.
 
 MleFragmentModel::AdjustedHits DoubleAdjust(
-    const MleFragmentModel& model, const MleConfig& cfg,
     const std::vector<FragmentStats>& fragments, const Interval& domain,
     double t_now, const DecayFunction& dec,
     const std::vector<const FragmentStats*>* bases) {
@@ -504,7 +506,7 @@ MleFragmentModel::AdjustedHits DoubleAdjust(
   // hits over the parts it covers (the paper splits hits evenly over
   // contained parts; we use overlap-proportional spreading, which
   // coincides when boundaries align with the part grid).
-  const int num_parts = model.ChoosePartCount(fragments, domain);
+  const int num_parts = MleFragmentModel::ChoosePartCount(fragments, domain);
   const double part_width = domain.Width() / num_parts;
   std::vector<double> part_hits(static_cast<size_t>(num_parts), 0.0);
 
@@ -586,9 +588,9 @@ MleFragmentModel::AdjustedHits DoubleAdjust(
   // MLE Normal fit over part midpoints weighted by part hits.
   out.fit = FitNormalMle(part_mids, part_hits);
   if (!out.fit.valid ||
-      out.fit.stddev > cfg.max_stddev_fraction * domain.Width()) {
+      out.fit.stddev > MleFragmentModel::kMaxStddevFraction * domain.Width()) {
     // Nothing to smooth, or the access pattern is too dispersed for a
-    // Normal (see MleConfig::max_stddev_fraction): use raw hits.
+    // Normal (see MleFragmentModel::kMaxStddevFraction): use raw hits.
     out.hits = frag_hits;
     return out;
   }
@@ -623,8 +625,6 @@ double MaxRelativeError(const MleFragmentModel::AdjustedHits& a,
 
 TEST(MleModelTest, FixedPointFitStaysWithinBoundOfDoublePrecisionFit) {
   const Interval domain(0.0, 1000.0);
-  const MleConfig cfg;
-  const MleFragmentModel model(cfg);
   Rng rng(30217);
   double worst = 0.0;
   int fitted = 0;
@@ -633,13 +633,15 @@ TEST(MleModelTest, FixedPointFitStaysWithinBoundOfDoublePrecisionFit) {
     const DecayFunction dec(DecayConfig{/*t_max=*/40.0, decay_on});
     const double t_now = trial % 2 == 0 ? 200.0 : 187.25;
     const RandomCase c = MakeRandomCase(&rng, domain, t_now, dec);
-    const auto shadow = model.Adjust(Part(c.frags, domain), t_now, dec,
-                                     ShadowBases{nullptr, &c.bases});
+    const auto shadow =
+        MleFragmentModel::Adjust(Part(c.frags, domain), t_now, dec,
+                                 ShadowBases{nullptr, &c.bases});
     const auto shadow_ref =
-        DoubleAdjust(model, cfg, c.frags, domain, t_now, dec, &c.bases);
-    const auto in_place = model.Adjust(Part(c.folded, domain), t_now, dec);
+        DoubleAdjust(c.frags, domain, t_now, dec, &c.bases);
+    const auto in_place =
+        MleFragmentModel::Adjust(Part(c.folded, domain), t_now, dec);
     const auto in_place_ref =
-        DoubleAdjust(model, cfg, c.folded, domain, t_now, dec, nullptr);
+        DoubleAdjust(c.folded, domain, t_now, dec, nullptr);
     for (const auto* pair : {&shadow, &in_place}) {
       const auto& ref = pair == &shadow ? shadow_ref : in_place_ref;
       ASSERT_EQ(pair->hits.size(), ref.hits.size());
@@ -724,7 +726,6 @@ PartitionState MakeShadowOf(Rng* rng, const PartitionState& base,
 
 TEST(MleModelTest, KeptPartMassFitEqualsFromScratchBitForBit) {
   const Interval domain(0.0, 1000.0);
-  const MleFragmentModel model;
   Rng rng(3021);
   int in_place_kept = 0;
   int shadow_kept = 0;
@@ -779,24 +780,27 @@ TEST(MleModelTest, KeptPartMassFitEqualsFromScratchBitForBit) {
         // t_max changes: the kept mass no longer matches, so the fit
         // falls back until the next refresh rebuilds it.
         dec = DecayFunction(DecayConfig{dec.config().t_max + 4.0, decay_on});
-        ExpectSameAdjust(model.Adjust(part, t, dec),
-                         model.AdjustFromScratch(part, t, dec));
+        ExpectSameAdjust(MleFragmentModel::Adjust(part, t, dec),
+                         MleFragmentModel::AdjustFromScratch(part, t, dec));
       }
       // The commit's maintenance: cursors, then the part mass.
       for (FragmentStats& f : part.fragments) f.AdvanceWindow(t, dec);
-      model.RefreshPartMass(&part, t, dec);
+      MleFragmentModel::RefreshPartMass(&part, t, dec);
       ASSERT_TRUE(part.mass.kept());
       PartMass rebuilt;
-      rebuilt.Rebuild(part.fragments, model.GridOf(part), dec, part.mass.t());
+      rebuilt.Rebuild(part.fragments, MleFragmentModel::GridOf(part), dec,
+                      part.mass.t());
       ASSERT_TRUE(part.mass == rebuilt)
           << "trial " << trial << " step " << step;
 
       for (double t_now : {t, t + 1.0, t + 12.5}) {
-        if (part.mass.Covers(part.fragments, model.GridOf(part), dec)) {
+        if (part.mass.Covers(part.fragments, MleFragmentModel::GridOf(part),
+                             dec)) {
           ++in_place_kept;
         }
-        const auto kept = model.Adjust(part, t_now, dec);
-        ExpectSameAdjust(kept, model.AdjustFromScratch(part, t_now, dec));
+        const auto kept = MleFragmentModel::Adjust(part, t_now, dec);
+        ExpectSameAdjust(
+            kept, MleFragmentModel::AdjustFromScratch(part, t_now, dec));
         if (kept.fit.valid) ++fitted;
       }
       std::vector<const FragmentStats*> bases;
@@ -805,12 +809,15 @@ TEST(MleModelTest, KeptPartMassFitEqualsFromScratchBitForBit) {
       const PartitionState shadow =
           MakeShadowOf(&rng, part, t_plan, &bases, &folded);
       const ShadowBases sb{&part, &bases};
-      if (part.mass.Covers(part.fragments, model.GridOf(shadow), dec)) {
+      if (part.mass.Covers(part.fragments, MleFragmentModel::GridOf(shadow),
+                           dec)) {
         ++shadow_kept;
       }
-      const auto kept = model.Adjust(shadow, t_plan, dec, sb);
-      ExpectSameAdjust(kept, model.AdjustFromScratch(shadow, t_plan, dec, sb));
-      ExpectSameAdjust(kept, model.AdjustFromScratch(folded, t_plan, dec));
+      const auto kept = MleFragmentModel::Adjust(shadow, t_plan, dec, sb);
+      ExpectSameAdjust(
+          kept, MleFragmentModel::AdjustFromScratch(shadow, t_plan, dec, sb));
+      ExpectSameAdjust(
+          kept, MleFragmentModel::AdjustFromScratch(folded, t_plan, dec));
       if (::testing::Test::HasFailure()) {
         FAIL() << "trial " << trial << " step " << step;
       }
@@ -824,18 +831,18 @@ TEST(MleModelTest, KeptPartMassFitEqualsFromScratchBitForBit) {
 }
 
 TEST(MleModelTest, SingleFragmentAllMass) {
-  MleFragmentModel model;
   DecayFunction dec(DecayConfig{1e9, true});
   std::vector<FragmentStats> frags = {Frag(0, 100, 5)};
-  const auto adj = model.Adjust(Part(frags, Interval(0, 100)), 100, dec);
+  const auto adj =
+      MleFragmentModel::Adjust(Part(frags, Interval(0, 100)), 100, dec);
   EXPECT_NEAR(adj.hits[0], adj.total, 0.25 * adj.total);
 }
 
 TEST(MleModelTest, EmptyDomainSafe) {
-  MleFragmentModel model;
   DecayFunction dec;
   std::vector<FragmentStats> frags = {Frag(5, 5, 3)};
-  const auto adj = model.Adjust(Part(frags, Interval(5, 5)), 100, dec);
+  const auto adj =
+      MleFragmentModel::Adjust(Part(frags, Interval(5, 5)), 100, dec);
   EXPECT_EQ(adj.hits.size(), 1u);
 }
 

@@ -22,7 +22,6 @@ namespace deepsea {
 
 inline ::testing::AssertionResult PartMassMatchesRebuild(
     const PoolManager& pool) {
-  const MleFragmentModel model(pool.options().mle);
   const DecayFunction dec(pool.options().decay);
   const double clock = static_cast<double>(pool.clock());
   for (const ViewInfo* v : pool.views().AllViews()) {
@@ -51,7 +50,7 @@ inline ::testing::AssertionResult PartMassMatchesRebuild(
                       << " on a pooled partition";
       }
       if (!keepable) continue;
-      const PartGrid grid = model.GridOf(part);
+      const PartGrid grid = MleFragmentModel::GridOf(part);
       PartMass rebuilt;
       rebuilt.Rebuild(part.fragments, grid, dec, part.mass.t());
       if (!(part.mass == rebuilt)) {

@@ -104,10 +104,8 @@ class PipelineStageTest : public ::testing::Test {
     Status gen = BigBenchDataset::Generate(DataOptions(), &catalog_);
     ASSERT_TRUE(gen.ok()) << gen.ToString();
     cluster_ = std::make_unique<ClusterModel>(options_.cluster);
-    estimator_ = std::make_unique<PlanCostEstimator>(cluster_.get(), &catalog_,
-                                                     options_.estimator);
+    estimator_ = std::make_unique<PlanCostEstimator>(cluster_.get(), &catalog_);
     decay_ = std::make_unique<DecayFunction>(options_.decay);
-    mle_ = std::make_unique<MleFragmentModel>(options_.mle);
     pool_ = std::make_unique<PoolManager>(&catalog_, &options_, cluster_.get(),
                                           estimator_.get());
     // Driving the stages directly (no engine): hold the pool's commit
@@ -121,7 +119,7 @@ class PipelineStageTest : public ::testing::Test {
         &catalog_, &options_, cluster_.get(), pool_->stat(commit_),
         pool_->rewrite_index(commit_), pool_.get());
     selector_ = std::make_unique<SelectionPlanner>(
-        &catalog_, &options_, cluster_.get(), decay_.get(), mle_.get(),
+        &catalog_, &options_, cluster_.get(), decay_.get(),
         pool_->stat(commit_));
     reservation_ =
         std::make_unique<ViewIdReservation>(pool_->placeholder_counter());
@@ -155,7 +153,6 @@ class PipelineStageTest : public ::testing::Test {
   std::unique_ptr<ClusterModel> cluster_;
   std::unique_ptr<PlanCostEstimator> estimator_;
   std::unique_ptr<DecayFunction> decay_;
-  std::unique_ptr<MleFragmentModel> mle_;
   std::unique_ptr<PoolManager> pool_;
   // Declared after pool_ so the guard releases before the pool dies.
   CommitGuard commit_;

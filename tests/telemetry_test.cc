@@ -89,7 +89,6 @@ Stream MergeSoakStream() {
   s.options.benefit_cost_threshold = 0.05;
   s.options.pool_limit_bytes = 6e9;
   s.options.merge.enabled = true;
-  s.options.fault.retry_backoff_seconds = 1.0;
   s.inject_faults = true;
   Rng rng(11);
   const auto names = BigBenchTemplates::Names();

@@ -1,6 +1,7 @@
 #include "core/view_stats.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <random>
 #include <utility>
@@ -8,10 +9,49 @@
 
 #include <gtest/gtest.h>
 
+#include "catalog/table.h"
+#include "core/planning_delta.h"
 #include "core/policy.h"
+#include "core/view_catalog.h"
 
 namespace deepsea {
 namespace {
+
+/// The planner's value model (PlanningDelta's Φ(V), Φ(I) and filter
+/// benefit) at `t_now`, over one view outside any pool whose statistics
+/// are `stats`. Fragments are read with their own hit lists (no shadow).
+class ValueModelAt {
+ public:
+  explicit ValueModelAt(double t_now, const ViewStats& stats = ViewStats())
+      : delta_(catalog_, &views_, t_now, &reservation_) {
+    view_.id = "v1";
+    view_.stats = stats;
+  }
+
+  double ViewValue(ValueModel model, const DecayFunction& dec) const {
+    return delta_.ViewValue(model, &view_, dec);
+  }
+  double ViewBenefitForFilter(ValueModel model,
+                              const DecayFunction& dec) const {
+    return delta_.ViewBenefitForFilter(model, &view_, dec);
+  }
+  double FragmentValue(ValueModel model, const FragmentStats& f,
+                       double view_size, double view_cost,
+                       const DecayFunction& dec,
+                       double adjusted_hits = -1.0) const {
+    return delta_.FragmentValue(model, &part_, &f, view_size, view_cost, dec,
+                                adjusted_hits);
+  }
+
+ private:
+  Catalog catalog_;
+  ViewCatalog views_;
+  std::atomic<int64_t> placeholders_{0};
+  ViewIdReservation reservation_{&placeholders_};
+  ViewInfo view_;
+  PartitionState part_;
+  PlanningDelta delta_;
+};
 
 TEST(DecayTest, PaperFormula) {
   DecayFunction dec(DecayConfig{/*t_max=*/100.0, /*enabled=*/true});
@@ -60,7 +100,8 @@ TEST(ViewStatsTest, ValueFormula) {
   stats.size_bytes = 1000;
   stats.RecordUse(100, 50);
   // Phi = COST * B / S = 200 * 50 / 1000 = 10 at t=100.
-  EXPECT_DOUBLE_EQ(stats.Value(100, dec), 10.0);
+  EXPECT_DOUBLE_EQ(
+      ValueModelAt(100, stats).ViewValue(ValueModel::kDeepSea, dec), 10.0);
 }
 
 TEST(ViewStatsTest, LastUse) {
@@ -88,18 +129,28 @@ TEST(FragmentStatsTest, BenefitProportionalToSizeFraction) {
   FragmentStats f;
   f.size_bytes = 100;
   f.RecordHit(100);
-  // B = hits * S(I)/S(V) * COST(V) = 1 * 0.1 * 500 = 50.
-  EXPECT_DOUBLE_EQ(f.Benefit(100, dec, 1000, 500), 50.0);
+  // B = hits * S(I)/S(V) * COST(V) = 1 * 0.1 * 500 = 50, so
   // Phi = COST * B / S = 500 * 50 / 100 = 250.
-  EXPECT_DOUBLE_EQ(f.Value(100, dec, 1000, 500), 250.0);
+  const ValueModelAt at(100);
+  EXPECT_DOUBLE_EQ(at.FragmentValue(ValueModel::kDeepSea, f, 1000, 500, dec),
+                   250.0);
+  // Doubling S(V) halves the size fraction, and with it B and Phi.
+  EXPECT_DOUBLE_EQ(at.FragmentValue(ValueModel::kDeepSea, f, 2000, 500, dec),
+                   125.0);
 }
 
 TEST(FragmentStatsTest, AdjustedHitsOverride) {
   DecayFunction dec(DecayConfig{1000.0, true});
   FragmentStats f;
   f.size_bytes = 100;
-  // No real hits, but MLE smoothing assigns 4 adjusted hits.
-  EXPECT_DOUBLE_EQ(f.Benefit(100, dec, 1000, 500, /*adjusted_hits=*/4.0), 200.0);
+  // No real hits, but MLE smoothing assigns 4 adjusted hits:
+  // B = 4 * 0.1 * 500 = 200, Phi = 500 * 200 / 100 = 1000.
+  const ValueModelAt at(100);
+  EXPECT_DOUBLE_EQ(at.FragmentValue(ValueModel::kDeepSea, f, 1000, 500, dec),
+                   0.0);
+  EXPECT_DOUBLE_EQ(at.FragmentValue(ValueModel::kDeepSea, f, 1000, 500, dec,
+                                    /*adjusted_hits=*/4.0),
+                   1000.0);
 }
 
 TEST(ViewStatsTest, LastUseIsRunningMaxAcrossUnorderedAppends) {
@@ -277,8 +328,10 @@ TEST(PolicyTest, DeepSeaViewValueUsesDecay) {
   stats.creation_cost = 100;
   stats.size_bytes = 100;
   stats.RecordUse(50, 10);
-  const double v_now = ViewValue(ValueModel::kDeepSea, stats, 100, dec);
-  const double v_later = ViewValue(ValueModel::kDeepSea, stats, 500, dec);
+  const double v_now =
+      ValueModelAt(100, stats).ViewValue(ValueModel::kDeepSea, dec);
+  const double v_later =
+      ValueModelAt(500, stats).ViewValue(ValueModel::kDeepSea, dec);
   EXPECT_GT(v_now, v_later);
 }
 
@@ -289,10 +342,12 @@ TEST(PolicyTest, NectarIgnoresAccumulatedBenefit) {
   poor.size_bytes = rich.size_bytes = 100;
   poor.RecordUse(50, 1);      // tiny saving
   rich.RecordUse(50, 10000);  // huge saving
-  EXPECT_DOUBLE_EQ(ViewValue(ValueModel::kNectar, poor, 100, dec),
-                   ViewValue(ValueModel::kNectar, rich, 100, dec));
-  EXPECT_LT(ViewValue(ValueModel::kNectarPlus, poor, 100, dec),
-            ViewValue(ValueModel::kNectarPlus, rich, 100, dec));
+  const ValueModelAt poor_at(100, poor);
+  const ValueModelAt rich_at(100, rich);
+  EXPECT_DOUBLE_EQ(poor_at.ViewValue(ValueModel::kNectar, dec),
+                   rich_at.ViewValue(ValueModel::kNectar, dec));
+  EXPECT_LT(poor_at.ViewValue(ValueModel::kNectarPlus, dec),
+            rich_at.ViewValue(ValueModel::kNectarPlus, dec));
 }
 
 TEST(PolicyTest, NectarValueDropsWithIdleTime) {
@@ -301,10 +356,12 @@ TEST(PolicyTest, NectarValueDropsWithIdleTime) {
   stats.creation_cost = 100;
   stats.size_bytes = 100;
   stats.RecordUse(10, 100);
-  EXPECT_GT(ViewValue(ValueModel::kNectar, stats, 11, dec),
-            ViewValue(ValueModel::kNectar, stats, 1000, dec));
-  EXPECT_GT(ViewValue(ValueModel::kNectarPlus, stats, 11, dec),
-            ViewValue(ValueModel::kNectarPlus, stats, 1000, dec));
+  const ValueModelAt soon(11, stats);
+  const ValueModelAt late(1000, stats);
+  EXPECT_GT(soon.ViewValue(ValueModel::kNectar, dec),
+            late.ViewValue(ValueModel::kNectar, dec));
+  EXPECT_GT(soon.ViewValue(ValueModel::kNectarPlus, dec),
+            late.ViewValue(ValueModel::kNectarPlus, dec));
 }
 
 TEST(PolicyTest, FilterBenefitModelSpecific) {
@@ -312,9 +369,9 @@ TEST(PolicyTest, FilterBenefitModelSpecific) {
   ViewStats stats;
   stats.RecordUse(5, 100);
   // Old event: decayed filter sees ~0, undecayed sees 100.
-  EXPECT_DOUBLE_EQ(ViewBenefitForFilter(ValueModel::kDeepSea, stats, 1000, dec),
-                   0.0);
-  EXPECT_DOUBLE_EQ(ViewBenefitForFilter(ValueModel::kNectarPlus, stats, 1000, dec),
+  const ValueModelAt at(1000, stats);
+  EXPECT_DOUBLE_EQ(at.ViewBenefitForFilter(ValueModel::kDeepSea, dec), 0.0);
+  EXPECT_DOUBLE_EQ(at.ViewBenefitForFilter(ValueModel::kNectarPlus, dec),
                    100.0);
 }
 
@@ -323,9 +380,11 @@ TEST(PolicyTest, FragmentValueModels) {
   FragmentStats f;
   f.size_bytes = 100;
   f.RecordHit(90);
-  const double ds = FragmentValue(ValueModel::kDeepSea, f, 1000, 500, 100, dec);
-  const double n = FragmentValue(ValueModel::kNectar, f, 1000, 500, 100, dec);
-  const double np = FragmentValue(ValueModel::kNectarPlus, f, 1000, 500, 100, dec);
+  const ValueModelAt at(100);
+  const double ds = at.FragmentValue(ValueModel::kDeepSea, f, 1000, 500, dec);
+  const double n = at.FragmentValue(ValueModel::kNectar, f, 1000, 500, dec);
+  const double np =
+      at.FragmentValue(ValueModel::kNectarPlus, f, 1000, 500, dec);
   EXPECT_GT(ds, 0.0);
   EXPECT_GT(n, 0.0);
   EXPECT_GT(np, 0.0);
