@@ -101,8 +101,8 @@ ScalingRow MeasureScaling(int history, int reps) {
   FragmentStats frag;
   frag.interval = Interval(0.0, 1000.0);
   for (int t = 1; t <= history; ++t) {
-    view.RecordUse(t, 1.0 + 0.25 * (t % 7), t % 3);
-    frag.RecordHit(t, Interval(10.0 * (t % 50), 10.0 * (t % 50) + 5.0), t % 3);
+    view.RecordUse(t, 1.0 + 0.25 * (t % 7));
+    frag.RecordHit(t, Interval(10.0 * (t % 50), 10.0 * (t % 50) + 5.0));
     view.AdvanceWindow(t, dec);
     frag.AdvanceWindow(t, dec);
   }

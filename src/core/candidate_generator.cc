@@ -63,7 +63,7 @@ void CandidateGenerator::RegisterViewCandidates(const PlanPtr& candidate_plan,
                                2.0 * cluster_->config().job_startup_seconds +
                                cluster_->ShuffleSeconds(read_bytes);
       const double saving = base_seconds - est_reuse;
-      if (saving > 0.0) delta->RecordUse(view, t_now, saving, ctx->tenant_ord());
+      if (saving > 0.0) delta->RecordUse(view, t_now, saving);
     }
   }
 }
@@ -141,7 +141,7 @@ void CandidateGenerator::RegisterPartitionCandidates(QueryContext* ctx) {
           FragmentStats* tracked =
               delta->TrackFragment(part, p, /*est_size_bytes=*/0.0);
           if (p.Overlaps(range)) {
-            tracked->RecordHit(t_now, range, ctx->tenant_ord());
+            tracked->RecordHit(t_now, range);
           }
         }
       }
@@ -161,7 +161,7 @@ void CandidateGenerator::RegisterPartitionCandidates(QueryContext* ctx) {
       FragmentStats* fstat = delta->TrackFragment(part, cand, est_bytes);
       if (fstat->materialized) continue;
       fstat->size_bytes = est_bytes;
-      if (cand.Overlaps(range)) fstat->RecordHit(t_now, range, ctx->tenant_ord());
+      if (cand.Overlaps(range)) fstat->RecordHit(t_now, range);
       // COST(I_cand): read the overlapping materialized fragments,
       // write the new fragment (Section 7.2; w_write >> w_read).
       std::vector<double> read_files;

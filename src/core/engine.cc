@@ -148,8 +148,7 @@ DeepSeaEngine::DeepSeaEngine(Catalog* catalog, SharedPool* pool,
       decay_(options_.decay),
       executor_(catalog),
       pool_(pool->pool()),
-      tenant_(std::move(tenant)),
-      tenant_ord_(pool_->InternTenant(tenant_)) {
+      tenant_(std::move(tenant)) {
   InitStages();
 }
 
@@ -232,7 +231,7 @@ Result<QueryReport> DeepSeaEngine::ProcessQuery(const PlanPtr& query) {
     auto shared = pool_->SharedLock();
     read_epoch = pool_->read_epoch();
     t_spec = pool_->clock() + 1;
-    ctx = std::make_unique<QueryContext>(query, t_spec, tenant_, tenant_ord_);
+    ctx = std::make_unique<QueryContext>(query, t_spec, tenant_);
     ctx->InitPlanning(*catalog_, stat_, reservation_.get());
     if (observer_ != nullptr) observer_->OnQueryStart(t_spec, query, tenant_);
     DEEPSEA_RETURN_IF_ERROR(RunPlanningStages(ctx.get(), &report, &decision));
@@ -273,14 +272,14 @@ Result<QueryReport> DeepSeaEngine::ProcessQuery(const PlanPtr& query) {
   bool sharded = false;
   if (!needs_exclusive) {
     commit = pool_->TryBeginShardedCommit(
-        observer_, tenant_, tenant_ord_, std::move(write_fp),
+        observer_, tenant_, std::move(write_fp),
         ctx->delta()->read_footprint(), read_epoch, &conflict_genuine,
         admitted_bytes);
     sharded = commit.held();
     replan = !sharded;
   }
   if (!commit.held()) {
-    commit = pool_->BeginCommit(observer_, tenant_, tenant_ord_);
+    commit = pool_->BeginCommit(observer_, tenant_);
     if (!replan) {
       // Structural path: same read-set + budget-headroom validation,
       // under the exclusive lock (no in-flight sharded commits can
@@ -299,7 +298,7 @@ Result<QueryReport> DeepSeaEngine::ProcessQuery(const PlanPtr& query) {
     report.replan_conflict = conflict_genuine;
     report.replan_spurious = !conflict_genuine;
     decision = SelectionDecision();
-    ctx = std::make_unique<QueryContext>(query, t, tenant_, tenant_ord_);
+    ctx = std::make_unique<QueryContext>(query, t, tenant_);
     ctx->InitPlanning(*catalog_, stat_, reservation_.get());
     DEEPSEA_RETURN_IF_ERROR(RunPlanningStages(ctx.get(), &report, &decision));
     decision_evicts = DecisionEvicts(decision);

@@ -75,8 +75,7 @@ namespace deepsea {
 /// Either way the resulting pool state is a function of the commit
 /// order alone: conflicting plans are rebuilt, and commuting (disjoint)
 /// plans produce the same state in any order. Statistics recorded
-/// during a query are stamped with the tenant's interned ordinal for
-/// per-tenant benefit attribution.
+/// during a query carry no tenant: Φ pools benefit across tenants.
 ///
 /// An EngineObserver can be attached to watch stage boundaries, each
 /// query's report and the pieces evicted from the pool (see
@@ -111,10 +110,8 @@ class DeepSeaEngine {
   const EngineTotals& totals() const { return totals_; }
   Catalog* catalog() { return catalog_; }
 
-  /// This engine's tenant id ("" for a single-tenant engine) and its
-  /// interned ordinal in the pool's tenant registry.
+  /// This engine's tenant id ("" for a single-tenant engine).
   const std::string& tenant() const { return tenant_; }
-  int32_t tenant_ord() const { return tenant_ord_; }
 
   /// The pool-state component (view catalog + simulated FS + the
   /// materialize/evict/merge primitives). Mutation goes through the
@@ -142,11 +139,12 @@ class DeepSeaEngine {
 
   /// Serializes the pool's adaptive state — every tracked view's
   /// defining plan, statistics, partitions, fragments (with hit
-  /// histories), pool membership, and the tenant registry — into a
-  /// text blob that LoadState restores. Enables warm-starting a fresh
-  /// engine (e.g. across process restarts) without replaying the
-  /// workload. The relational catalog (base tables) is NOT included;
-  /// LoadState must run against a catalog with the same base tables.
+  /// histories) and pool membership — into a text blob (format
+  /// version 3, core/engine_state.cc) that LoadState restores. Enables
+  /// warm-starting a fresh engine (e.g. across process restarts)
+  /// without replaying the workload. The relational catalog (base
+  /// tables) is NOT included; LoadState must run against a catalog
+  /// with the same base tables.
   /// Takes the pool's commit lock in shared mode: do not call from a
   /// thread that holds the commit (i.e. from observer callbacks).
   Result<std::string> SaveState() const;
@@ -154,12 +152,11 @@ class DeepSeaEngine {
   /// Restores state written by SaveState into this engine's pool:
   /// views are re-tracked (signatures recomputed from their
   /// deserialized plans), statistics and fragment pools re-attached,
-  /// simulated FS files recreated, and saved tenant attributions
-  /// re-interned (ordinals are remapped through the registry, so
-  /// loading into a pool with different tenants keeps attributions
-  /// correct). Views already tracked merge by signature. The commit
-  /// clock advances to the saved clock when the saved one is larger.
-  /// Runs as one exclusive commit.
+  /// and simulated FS files recreated. Views already tracked merge by
+  /// signature. The commit clock advances to the saved clock when the
+  /// saved one is larger. Runs as one exclusive commit. A blob of any
+  /// version other than 3, or one that fails to parse, is rejected with
+  /// an error and leaves the engine untouched.
   Status LoadState(const std::string& state);
 
  private:
@@ -206,7 +203,6 @@ class DeepSeaEngine {
   PoolManager* pool_ = nullptr;
 
   std::string tenant_;
-  int32_t tenant_ord_ = 0;
 
   // The stages that plan over the pool (constructed by InitStages once
   // the pool pointer is settled; they hold pointers into the pool).

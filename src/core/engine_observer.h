@@ -109,10 +109,10 @@ class EngineObserver {
   /// horizontal splits and merge passes — once per piece the query's
   /// report counts in evicted_fragments. Fired at the commit of the
   /// decision transaction, so a rolled-back attempt fires none. `tenant`
-  /// is the committing tenant (whose reconfiguration displaced the
-  /// content), not necessarily the tenant that earned the evicted
-  /// fragment its hits — use FragmentStats::DecayedHitsByTenant to see
-  /// who loses coverage.
+  /// is the committing tenant, whose reconfiguration displaced the
+  /// content. The evicted piece's hits and benefit are pooled across
+  /// tenants (Φ credits B(V, t) whoever earned it), so no single tenant
+  /// owns the lost coverage.
   virtual void OnEvict(const ViewInfo& view, const std::string& attr,
                        const Interval& interval, double bytes,
                        const std::string& tenant) {

@@ -1,28 +1,25 @@
 // SaveState / LoadState: persistence of the engine's adaptive state
 // (see the declarations in core/engine.h). The format is line-based:
 //
-//   DEEPSEA-STATE 2
+//   DEEPSEA-STATE 3
 //   CLOCK <t>
-//   TENANT <ord> <name>                       (0+; non-default tenants)
 //   VIEW
 //   PLAN <line-count>
 //   <serialized plan, see plan/plan_serde.h>
-//   STATS <size_bytes> <creation_cost> <size_actual> <cost_actual> <whole>
-//   EVENT <time> <saving> <tenant>            (0+ per view)
+//   STATS <size_bytes> <creation_cost> <whole>
+//   EVENT <time> <saving>                     (0+ per view)
 //   PARTITION <attr> <lo> <hi> <li> <hi_inc>  (0+ per view)
 //   PENDING <lo> <hi> <li> <hi_inc>           (0+ per partition)
 //   FRAGMENT <lo> <hi> <li> <hi_inc> <size> <materialized>
-//   HIT <time> <has_range> <lo> <hi> <li> <hi_inc> <tenant>  (0+ per fragment)
+//   HIT <time> <has_range> <lo> <hi> <li> <hi_inc>  (0+ per fragment)
 //   ENDVIEW
 //
-// Version 1 (no TENANT lines, no tenant field on EVENT/HIT) is still
-// accepted; missing tenant fields default to the 0 ordinal. Saved
-// tenant ordinals are remapped through the loading pool's registry, so
-// a blob saved by one pool restores correct attributions in another.
+// Benefit events and hits carry no tenant: Φ pools them across tenants,
+// so a blob saved by one pool restores into any other. Only version 3
+// is accepted; any other header is rejected like a corrupt blob.
 
 #include <cassert>
 #include <cstdlib>
-#include <map>
 #include <memory>
 #include <utility>
 
@@ -78,18 +75,11 @@ Result<Interval> ParseInterval(const std::vector<std::string>& parts, size_t at)
 //     fully parses and validates into these values before touching any
 //     engine state, so a malformed blob can never leave a partial load.
 
-struct ParsedHit {
-  double time = 0.0;
-  bool has_range = false;
-  Interval range;
-  int32_t tenant = 0;
-};
-
 struct ParsedFragment {
   Interval interval;
   double size_bytes = 0.0;
   bool materialized = false;
-  std::vector<ParsedHit> hits;
+  std::vector<FragmentHit> hits;
 };
 
 struct ParsedPartition {
@@ -99,27 +89,18 @@ struct ParsedPartition {
   std::vector<ParsedFragment> fragments;
 };
 
-struct ParsedEvent {
-  double time = 0.0;
-  double saving = 0.0;
-  int32_t tenant = 0;
-};
-
 struct ParsedView {
   PlanPtr plan;
   PlanSignature signature;
   double size_bytes = 0.0;
   double creation_cost = 0.0;
-  bool size_is_actual = false;
-  bool cost_is_actual = false;
   bool whole_materialized = false;
-  std::vector<ParsedEvent> events;
+  std::vector<BenefitEvent> events;
   std::vector<ParsedPartition> partitions;
 };
 
 struct ParsedState {
   int64_t clock = 0;
-  std::vector<std::pair<int32_t, std::string>> tenants;  // saved ord -> name
   std::vector<ParsedView> views;
 };
 
@@ -129,13 +110,8 @@ Result<std::string> DeepSeaEngine::SaveState() const {
   // Shared-mode lock: a consistent snapshot that doesn't block other
   // readers (and waits for any in-flight commit to finish).
   auto lock = pool_->SharedLock();
-  std::string out = "DEEPSEA-STATE 2\n";
+  std::string out = "DEEPSEA-STATE 3\n";
   out += StrFormat("CLOCK %lld\n", static_cast<long long>(pool_->clock()));
-  const std::vector<std::string> tenants = pool_->Tenants();
-  for (size_t ord = 1; ord < tenants.size(); ++ord) {
-    out += StrFormat("TENANT %d %s\n", static_cast<int>(ord),
-                     tenants[ord].c_str());
-  }
   for (const ViewInfo* view : pool_->views().AllViews()) {
     if (!view->plan) continue;
     out += "VIEW\n";
@@ -146,14 +122,11 @@ Result<std::string> DeepSeaEngine::SaveState() const {
     }
     out += StrFormat("PLAN %d\n", plan_lines);
     out += plan_text;
-    out += StrFormat("STATS %.17g %.17g %d %d %d\n", view->stats.size_bytes,
+    out += StrFormat("STATS %.17g %.17g %d\n", view->stats.size_bytes,
                      view->stats.creation_cost,
-                     view->stats.size_is_actual ? 1 : 0,
-                     view->stats.cost_is_actual ? 1 : 0,
                      view->whole_materialized ? 1 : 0);
     for (const BenefitEvent& e : view->stats.events()) {
-      out += StrFormat("EVENT %.17g %.17g %d\n", e.time, e.saving,
-                       static_cast<int>(e.tenant));
+      out += StrFormat("EVENT %.17g %.17g\n", e.time, e.saving);
     }
     for (const auto& [attr, part] : view->partitions) {
       out += "PARTITION " + attr + " " + FmtInterval(part.domain) + "\n";
@@ -165,8 +138,7 @@ Result<std::string> DeepSeaEngine::SaveState() const {
                StrFormat(" %.17g %d\n", f.size_bytes, f.materialized ? 1 : 0);
         for (const FragmentHit& h : f.hits()) {
           out += StrFormat("HIT %.17g %d ", h.time, h.has_range ? 1 : 0) +
-                 FmtInterval(h.range) +
-                 StrFormat(" %d\n", static_cast<int>(h.tenant));
+                 FmtInterval(h.range) + "\n";
         }
       }
     }
@@ -183,8 +155,7 @@ Status DeepSeaEngine::LoadState(const std::string& state) {
   const std::vector<std::string> lines = Split(state, '\n');
   size_t i = 0;
   auto next_parts = [&]() { return Split(lines[i], ' '); };
-  if (i >= lines.size() ||
-      (lines[i] != "DEEPSEA-STATE 1" && lines[i] != "DEEPSEA-STATE 2")) {
+  if (i >= lines.size() || lines[i] != "DEEPSEA-STATE 3") {
     return Status::InvalidArgument("bad or unsupported state header");
   }
   ++i;
@@ -192,13 +163,6 @@ Status DeepSeaEngine::LoadState(const std::string& state) {
   ParsedState parsed;
   if (i < lines.size() && lines[i].rfind("CLOCK ", 0) == 0) {
     DEEPSEA_ASSIGN_OR_RETURN(parsed.clock, ParseInt(lines[i].substr(6)));
-    ++i;
-  }
-  while (i < lines.size() && lines[i].rfind("TENANT ", 0) == 0) {
-    const auto parts = next_parts();
-    if (parts.size() != 3) return Status::InvalidArgument("bad TENANT line");
-    DEEPSEA_ASSIGN_OR_RETURN(int64_t saved_ord, ParseInt(parts[1]));
-    parsed.tenants.emplace_back(static_cast<int32_t>(saved_ord), parts[2]);
     ++i;
   }
 
@@ -235,12 +199,10 @@ Status DeepSeaEngine::LoadState(const std::string& state) {
     }
     {
       const auto parts = next_parts();
-      if (parts.size() != 6) return Status::InvalidArgument("bad STATS line");
+      if (parts.size() != 4) return Status::InvalidArgument("bad STATS line");
       DEEPSEA_ASSIGN_OR_RETURN(pv.size_bytes, ParseDouble(parts[1]));
       DEEPSEA_ASSIGN_OR_RETURN(pv.creation_cost, ParseDouble(parts[2]));
-      DEEPSEA_ASSIGN_OR_RETURN(pv.size_is_actual, ParseFlag(parts[3]));
-      DEEPSEA_ASSIGN_OR_RETURN(pv.cost_is_actual, ParseFlag(parts[4]));
-      DEEPSEA_ASSIGN_OR_RETURN(pv.whole_materialized, ParseFlag(parts[5]));
+      DEEPSEA_ASSIGN_OR_RETURN(pv.whole_materialized, ParseFlag(parts[3]));
       ++i;
     }
     // `part` / `frag` always point at the most recent element and are
@@ -249,14 +211,10 @@ Status DeepSeaEngine::LoadState(const std::string& state) {
     ParsedFragment* frag = nullptr;
     while (i < lines.size() && lines[i] != "ENDVIEW") {
       const auto parts = next_parts();
-      if (parts[0] == "EVENT" && (parts.size() == 3 || parts.size() == 4)) {
-        ParsedEvent e;
+      if (parts[0] == "EVENT" && parts.size() == 3) {
+        BenefitEvent e;
         DEEPSEA_ASSIGN_OR_RETURN(e.time, ParseDouble(parts[1]));
         DEEPSEA_ASSIGN_OR_RETURN(e.saving, ParseDouble(parts[2]));
-        if (parts.size() == 4) {
-          DEEPSEA_ASSIGN_OR_RETURN(int64_t ord, ParseInt(parts[3]));
-          e.tenant = static_cast<int32_t>(ord);
-        }
         pv.events.push_back(e);
       } else if (parts[0] == "PARTITION" && parts.size() == 6) {
         ParsedPartition p;
@@ -276,16 +234,11 @@ Status DeepSeaEngine::LoadState(const std::string& state) {
         DEEPSEA_ASSIGN_OR_RETURN(f.materialized, ParseFlag(parts[6]));
         part->fragments.push_back(std::move(f));
         frag = &part->fragments.back();
-      } else if (parts[0] == "HIT" && (parts.size() == 7 || parts.size() == 8) &&
-                 frag != nullptr) {
-        ParsedHit hit;
+      } else if (parts[0] == "HIT" && parts.size() == 7 && frag != nullptr) {
+        FragmentHit hit;
         DEEPSEA_ASSIGN_OR_RETURN(hit.time, ParseDouble(parts[1]));
         DEEPSEA_ASSIGN_OR_RETURN(hit.has_range, ParseFlag(parts[2]));
         DEEPSEA_ASSIGN_OR_RETURN(hit.range, ParseInterval(parts, 3));
-        if (parts.size() == 8) {
-          DEEPSEA_ASSIGN_OR_RETURN(int64_t ord, ParseInt(parts[7]));
-          hit.tenant = static_cast<int32_t>(ord);
-        }
         frag->hits.push_back(hit);
       } else {
         return Status::InvalidArgument("unexpected state line: " + lines[i]);
@@ -302,7 +255,7 @@ Status DeepSeaEngine::LoadState(const std::string& state) {
   // the engine unchanged), then apply the validated state. Every
   // operation in the apply half is infallible, so the load lands
   // completely or not at all.
-  CommitGuard commit = pool_->BeginCommit(observer_, tenant_, tenant_ord_);
+  CommitGuard commit = pool_->BeginCommit(observer_, tenant_);
   ViewCatalog* views = pool_->stat(commit);
   SimFs* fs = pool_->fs(commit);
   FilterTree* index = pool_->rewrite_index(commit);
@@ -354,16 +307,6 @@ Status DeepSeaEngine::LoadState(const std::string& state) {
   fs->set_fault_policy(nullptr);
 
   pool_->AdvanceClockTo(commit, parsed.clock);
-  // Remap saved tenant ordinals into this pool's registry (InternTenant
-  // takes its own mutex, never the commit lock — safe to call here).
-  std::map<int32_t, int32_t> tenant_remap;
-  for (const auto& [saved_ord, name] : parsed.tenants) {
-    tenant_remap[saved_ord] = pool_->InternTenant(name);
-  }
-  auto remap_tenant = [&](int32_t saved) {
-    auto it = tenant_remap.find(saved);
-    return it != tenant_remap.end() ? it->second : saved;
-  };
 
   for (ParsedView& pv : parsed.views) {
     const bool known =
@@ -375,8 +318,6 @@ Status DeepSeaEngine::LoadState(const std::string& state) {
     }
     view->stats.size_bytes = pv.size_bytes;
     view->stats.creation_cost = pv.creation_cost;
-    view->stats.size_is_actual = pv.size_is_actual;
-    view->stats.cost_is_actual = pv.cost_is_actual;
     view->whole_materialized = pv.whole_materialized;
     if (pv.whole_materialized) {
       Status st =
@@ -384,12 +325,12 @@ Status DeepSeaEngine::LoadState(const std::string& state) {
       assert(st.ok());  // no policy installed: Put cannot fail
       (void)st;
     }
-    for (const ParsedEvent& e : pv.events) {
+    for (const BenefitEvent& e : pv.events) {
       // AppendEvent, not RecordUse: loading a blob into a pool that
       // already tracks this view may interleave older timestamps, which
       // the RecordUse time-order assert would (rightly) reject. The
       // incremental caches stay exact regardless of order.
-      view->stats.AppendEvent({e.time, e.saving, remap_tenant(e.tenant)});
+      view->stats.AppendEvent(e);
     }
     for (ParsedPartition& pp : pv.partitions) {
       PartitionState* part = view->EnsurePartition(pp.attr, pp.domain);
@@ -401,24 +342,14 @@ Status DeepSeaEngine::LoadState(const std::string& state) {
         auto hist = DeriveViewHistogram(*catalog_, *view, pp.attr);
         if (hist.ok()) (*view_table)->SetHistogram(pp.attr, *hist);
       }
-      for (const ParsedFragment& pf : pp.fragments) {
+      for (ParsedFragment& pf : pp.fragments) {
         FragmentStats* frag = part->Track(pf.interval, pf.size_bytes);
         frag->size_bytes = pf.size_bytes;
         frag->materialized = pf.materialized;
-        std::vector<FragmentHit> restored;
-        restored.reserve(pf.hits.size());
-        for (const ParsedHit& h : pf.hits) {
-          FragmentHit hit;
-          hit.time = h.time;
-          hit.has_range = h.has_range;
-          hit.range = h.range;
-          hit.tenant = remap_tenant(h.tenant);
-          restored.push_back(hit);
-        }
         // AdoptHits rebuilds the running-max and resets the timed-out
         // prefix cursor, so the restored stats evaluate exactly as if
         // the hits had been recorded live.
-        frag->AdoptHits(std::move(restored));
+        frag->AdoptHits(std::move(pf.hits));
         if (pf.materialized) {
           Status st =
               fs->Put(FragmentPath(*view, part->attr, pf.interval),

@@ -21,8 +21,6 @@ struct Interval {
   Interval(double lo_in, double hi_in, bool lo_inc = true, bool hi_inc = true)
       : lo(lo_in), hi(hi_in), lo_inclusive(lo_inc), hi_inclusive(hi_inc) {}
 
-  /// Closed interval [lo, hi].
-  static Interval Closed(double lo, double hi) { return Interval(lo, hi); }
   /// Half-open [lo, hi).
   static Interval ClosedOpen(double lo, double hi) {
     return Interval(lo, hi, true, false);

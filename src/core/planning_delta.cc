@@ -96,10 +96,9 @@ void PlanningDelta::AttachHistogram(const ViewInfo& view,
 
 // --- benefit events ---------------------------------------------------
 
-void PlanningDelta::RecordUse(ViewInfo* v, double time, double saving,
-                              int32_t tenant) {
+void PlanningDelta::RecordUse(ViewInfo* v, double time, double saving) {
   if (OwnsView(v)) {
-    v->stats.RecordUse(time, saving, tenant);
+    v->stats.RecordUse(time, saving);
     return;
   }
   // The saving being recorded was computed from the view's current
@@ -108,11 +107,11 @@ void PlanningDelta::RecordUse(ViewInfo* v, double time, double saving,
   NoteViewRead(v);
   for (auto& [view, events] : view_patches_) {
     if (view == v) {
-      events.push_back({time, saving, tenant});
+      events.push_back({time, saving});
       return;
     }
   }
-  view_patches_.emplace_back(v, std::vector<BenefitEvent>{{time, saving, tenant}});
+  view_patches_.emplace_back(v, std::vector<BenefitEvent>{{time, saving}});
 }
 
 const std::vector<BenefitEvent>* PlanningDelta::PatchOf(
@@ -336,13 +335,6 @@ double PlanningDelta::LastHit(const PartitionState* part,
   const FragmentStats* base = BaseOf(part, f);
   if (base == nullptr) return f->LastHit();
   return std::max(base->LastHit(), f->LastHit());
-}
-
-bool PlanningDelta::HasHits(const PartitionState* part,
-                            const FragmentStats* f) const {
-  const FragmentStats* base = BaseOf(part, f);
-  if (base != nullptr && !base->hits().empty()) return true;
-  return !f->hits().empty();
 }
 
 std::vector<FragmentHit> PlanningDelta::EffectiveHits(

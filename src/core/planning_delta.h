@@ -172,7 +172,7 @@ class PlanningDelta {
 
   /// ViewStats::RecordUse, buffered for shared views (direct for
   /// delta-owned ones).
-  void RecordUse(ViewInfo* v, double time, double saving, int32_t tenant);
+  void RecordUse(ViewInfo* v, double time, double saving);
 
   // --- partitions -----------------------------------------------------
 
@@ -227,7 +227,6 @@ class PlanningDelta {
                      const DecayFunction& dec) const;
   double RawHits(const PartitionState* part, const FragmentStats* f) const;
   double LastHit(const PartitionState* part, const FragmentStats* f) const;
-  bool HasHits(const PartitionState* part, const FragmentStats* f) const;
 
   /// Full post-fold hit list [base..., local...] (fragment-inheritance
   /// paths copy whole hit vectors).

@@ -136,7 +136,6 @@ struct PoolManager::CommitCtx {
   int64_t entered_ns = 0;
   EngineObserver* observer = nullptr;
   std::string tenant;
-  int32_t tenant_ord = 0;
   bool txn_active = false;
   std::vector<TxnViewImage> txn_views;
   std::vector<TxnFileImage> txn_files;
@@ -157,7 +156,6 @@ void CommitGuard::Release() {
 CommitGuard PoolManager::EnterCommitLocked(bool exclusive,
                                            EngineObserver* observer,
                                            std::string tenant,
-                                           int32_t tenant_ord,
                                            CommitFootprint publish_fp) {
   CommitCtx& ctx = Ctx();
   assert(ctx.pool == nullptr);
@@ -168,25 +166,24 @@ CommitGuard PoolManager::EnterCommitLocked(bool exclusive,
   ctx.entered_ns = NowNs();
   ctx.observer = observer;
   ctx.tenant = std::move(tenant);
-  ctx.tenant_ord = tenant_ord;
   commits_entered_.fetch_add(1, std::memory_order_relaxed);
   return CommitGuard(this);
 }
 
 CommitGuard PoolManager::BeginCommit(EngineObserver* observer,
-                                     std::string tenant, int32_t tenant_ord) {
+                                     std::string tenant) {
   assert(!CommitHeldByThisThread() && "commit section is not re-entrant");
   lock_.LockExclusive();
   CommitFootprint everything;
   everything.all = true;
   return EnterCommitLocked(/*exclusive=*/true, observer, std::move(tenant),
-                           tenant_ord, std::move(everything));
+                           std::move(everything));
 }
 
 CommitGuard PoolManager::TryBeginShardedCommit(
-    EngineObserver* observer, std::string tenant, int32_t tenant_ord,
-    CommitFootprint write_fp, const CommitFootprint& read_fp,
-    uint64_t read_epoch, bool* conflict_genuine, double admitted_bytes) {
+    EngineObserver* observer, std::string tenant, CommitFootprint write_fp,
+    const CommitFootprint& read_fp, uint64_t read_epoch, bool* conflict_genuine,
+    double admitted_bytes) {
   assert(!CommitHeldByThisThread() && "commit section is not re-entrant");
   if (write_fp.all) {
     // A structural (`all`) footprint has no shard set: entering under
@@ -230,8 +227,7 @@ CommitGuard PoolManager::TryBeginShardedCommit(
   }
   if (conflict_genuine != nullptr) *conflict_genuine = false;
   CommitGuard guard = EnterCommitLocked(/*exclusive=*/false, observer,
-                                        std::move(tenant), tenant_ord,
-                                        std::move(write_fp));
+                                        std::move(tenant), std::move(write_fp));
   CommitCtx& ctx = Ctx();
   ctx.shards = std::move(shards);
   ctx.inflight_id = inflight_id;
@@ -426,26 +422,6 @@ void PoolManager::AdvanceClockTo(const CommitGuard& commit, int64_t t) {
   while (t > cur &&
          !clock_.compare_exchange_weak(cur, t, std::memory_order_relaxed)) {
   }
-}
-
-int32_t PoolManager::InternTenant(const std::string& name) {
-  std::lock_guard<std::mutex> lock(tenant_mu_);
-  for (size_t i = 0; i < tenants_.size(); ++i) {
-    if (tenants_[i] == name) return static_cast<int32_t>(i);
-  }
-  tenants_.push_back(name);
-  return static_cast<int32_t>(tenants_.size() - 1);
-}
-
-std::string PoolManager::TenantName(int32_t ord) const {
-  std::lock_guard<std::mutex> lock(tenant_mu_);
-  if (ord < 0 || static_cast<size_t>(ord) >= tenants_.size()) return "";
-  return tenants_[static_cast<size_t>(ord)];
-}
-
-std::vector<std::string> PoolManager::Tenants() const {
-  std::lock_guard<std::mutex> lock(tenant_mu_);
-  return tenants_;
 }
 
 void PoolManager::SetFaultPolicy(FaultPolicy* policy) {
@@ -698,9 +674,7 @@ void PoolManager::FinishViewCreation(ViewInfo* view,
   // of the instrumented query) plus the durable partitioned write.
   if (est.ok()) {
     view->stats.size_bytes = est->out_bytes * kViewStorageCompression;
-    view->stats.size_is_actual = true;
     view->stats.creation_cost = est->seconds + write_seconds;
-    view->stats.cost_is_actual = true;
   }
   // A successful materialization proves the storage path works again.
   view->fault_count = 0;

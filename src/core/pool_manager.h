@@ -199,16 +199,14 @@ class PoolManager {
   /// Enters the exclusive (X) commit section, blocking until every
   /// other commit, sharded commit, and shared-mode reader has drained.
   /// `observer` receives the OnEvict events of this commit (nullptr =
-  /// silent); `tenant` / `tenant_ord` stamp those events and
-  /// the recorded statistics. Unless narrowed via SetCommitFootprint,
-  /// the commit publishes an `all` write footprint (conservatively
-  /// invalidating every in-flight plan — correct for arbitrary direct
-  /// mutation through the guarded accessors). Re-entering from a thread
-  /// that already holds a commit is a programming error (asserts in
-  /// debug builds).
+  /// silent); `tenant` stamps those events. Unless narrowed via
+  /// SetCommitFootprint, the commit publishes an `all` write footprint
+  /// (conservatively invalidating every in-flight plan — correct for
+  /// arbitrary direct mutation through the guarded accessors).
+  /// Re-entering from a thread that already holds a commit is a
+  /// programming error (asserts in debug builds).
   CommitGuard BeginCommit(EngineObserver* observer = nullptr,
-                          std::string tenant = std::string(),
-                          int32_t tenant_ord = 0);
+                          std::string tenant = std::string());
 
   /// Attempts a sharded (IX) commit for a plan whose reads are
   /// `read_fp` (recorded under SharedLock at epoch `read_epoch`) and
@@ -234,7 +232,7 @@ class PoolManager {
   /// rejected outright (empty guard, genuine): such commits must take
   /// the BeginCommit path.
   CommitGuard TryBeginShardedCommit(EngineObserver* observer,
-                                    std::string tenant, int32_t tenant_ord,
+                                    std::string tenant,
                                     CommitFootprint write_fp,
                                     const CommitFootprint& read_fp,
                                     uint64_t read_epoch,
@@ -307,12 +305,6 @@ class PoolManager {
     return std::shared_lock<std::shared_mutex>(catalog_mu_);
   }
 
-  /// Number of commit sections entered so far (exclusive and sharded).
-  /// Monitoring only — plan validation uses read_epoch().
-  uint64_t commit_epoch() const {
-    return commits_entered_.load(std::memory_order_relaxed);
-  }
-
   /// Aggregate wall-clock time spent inside commit sections, and the
   /// number of commit sections entered. Sharded commits overlap, so
   /// held_seconds may exceed wall time at high tenancy; the per-shard
@@ -362,17 +354,6 @@ class PoolManager {
   /// Clock merge for state restore: advances to `t` when larger.
   void AdvanceClockTo(const CommitGuard& commit, int64_t t);
   int64_t clock() const { return clock_.load(std::memory_order_relaxed); }
-
-  // --- tenant registry ---
-
-  /// Interns `name` and returns its stable ordinal (BenefitEvent /
-  /// FragmentHit stamp). "" is the pre-interned default tenant, 0.
-  /// Thread-safe independently of the commit lock.
-  int32_t InternTenant(const std::string& name);
-  /// Name for an interned ordinal ("" for 0 or unknown ordinals).
-  std::string TenantName(int32_t ord) const;
-  /// All interned tenant names, indexed by ordinal.
-  std::vector<std::string> Tenants() const;
 
   // --- fault injection ---
 
@@ -481,7 +462,7 @@ class PoolManager {
   void ReleaseCommit();
   /// Common entry bookkeeping once the pool lock (X or IX) is held.
   CommitGuard EnterCommitLocked(bool exclusive, EngineObserver* observer,
-                                std::string tenant, int32_t tenant_ord,
+                                std::string tenant,
                                 CommitFootprint publish_fp);
   /// Read-set validation against the published ring and the in-flight
   /// registry. Caller holds epoch_mu_.
@@ -661,12 +642,6 @@ class PoolManager {
   };
   std::vector<InflightCommit> inflight_;
   uint64_t next_inflight_id_ = 1;
-
-  /// Guards the tenant registry alone — never held together with the
-  /// pool lock, so InternTenant is callable from any context (including
-  /// inside a commit, e.g. during LoadState).
-  mutable std::mutex tenant_mu_;
-  std::vector<std::string> tenants_{std::string()};
 };
 
 }  // namespace deepsea

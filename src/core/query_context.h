@@ -48,12 +48,8 @@ struct FragmentCandidate {
 /// DeepSeaEngine::ProcessQuery re-entrant by construction.
 class QueryContext {
  public:
-  QueryContext(PlanPtr query_in, int64_t clock, std::string tenant = "",
-               int32_t tenant_ord = 0)
-      : query(std::move(query_in)),
-        clock_(clock),
-        tenant_(std::move(tenant)),
-        tenant_ord_(tenant_ord) {}
+  QueryContext(PlanPtr query_in, int64_t clock, std::string tenant = "")
+      : query(std::move(query_in)), clock_(clock), tenant_(std::move(tenant)) {}
 
   /// The logical timestamp of this query. With a shared pool this is
   /// the pool's global commit clock (the position of this query in the
@@ -78,11 +74,8 @@ class QueryContext {
   }
   PlanningDelta* delta() const { return delta_.get(); }
 
-  /// The tenant issuing this query ("" for a single-tenant engine) and
-  /// its interned ordinal in the pool's tenant registry. Stage code
-  /// stamps recorded benefit events and fragment hits with the ordinal.
+  /// The tenant issuing this query ("" for a single-tenant engine).
   const std::string& tenant() const { return tenant_; }
-  int32_t tenant_ord() const { return tenant_ord_; }
 
   /// The fragment cover read by this query's chosen rewriting.
   /// Repartitioning is "a by-product of query answering" (Section 2):
@@ -132,7 +125,6 @@ class QueryContext {
 
   int64_t clock_ = 0;
   std::string tenant_;
-  int32_t tenant_ord_ = 0;
   std::unique_ptr<PlanningDelta> delta_;
   std::string cover_view_;
   std::string cover_attr_;

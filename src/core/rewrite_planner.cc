@@ -26,7 +26,7 @@ Status RewritePlanner::PlanBest(QueryContext* ctx, QueryReport* report) {
                            matcher_->ComputeRewritings(ctx->query, ctx->delta()));
   // 2. Statistics update (line 2), buffered in the planning delta.
   UpdateStatsFromRewritings(rewritings, report->base_seconds, ctx->t_now(),
-                            ctx->tenant_ord(), ctx->delta());
+                            ctx->delta());
   // 3. Q_best: cheapest executable rewriting, if it beats the base
   //    plan (line 3).
   ctx->ClearCover();
@@ -48,7 +48,7 @@ Status RewritePlanner::PlanBest(QueryContext* ctx, QueryReport* report) {
 
 void RewritePlanner::UpdateStatsFromRewritings(
     const std::vector<Rewriting>& rewritings, double base_seconds,
-    double t_now, int32_t tenant, PlanningDelta* delta) {
+    double t_now, PlanningDelta* delta) {
   assert(delta != nullptr);
   std::set<std::string> seen_views;
   std::set<std::string> seen_partitions;
@@ -59,7 +59,7 @@ void RewritePlanner::UpdateStatsFromRewritings(
     // (the list is sorted by cost, so the first occurrence is best).
     if (seen_views.insert(rw.view_id).second) {
       const double saving = base_seconds - rw.est_seconds;
-      if (saving > 0.0) delta->RecordUse(view, t_now, saving, tenant);
+      if (saving > 0.0) delta->RecordUse(view, t_now, saving);
     }
     // Fragment hits: every tracked fragment overlapping the query range
     // "was or could have been used" (Section 7.1). Hits land on the
@@ -72,7 +72,7 @@ void RewritePlanner::UpdateStatsFromRewritings(
         if (part != nullptr) {
           for (FragmentStats& f : part->fragments) {
             if (f.interval.Overlaps(rw.query_range)) {
-              f.RecordHit(t_now, rw.query_range, tenant);
+              f.RecordHit(t_now, rw.query_range);
             }
           }
         }

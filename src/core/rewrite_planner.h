@@ -40,14 +40,12 @@ class RewritePlanner {
  private:
   /// Algorithm 1 line 2: every rewriting is evidence. The best rewriting
   /// per view records a benefit event; every tracked fragment
-  /// overlapping the query range records a hit (Section 7.1). Both are
-  /// stamped with `tenant` (the querying tenant's interned ordinal) for
-  /// per-tenant benefit attribution under a shared pool. All writes go
-  /// into the query's PlanningDelta — planning runs under the shared
-  /// lock and must not touch shared statistics.
+  /// overlapping the query range records a hit (Section 7.1). All
+  /// writes go into the query's PlanningDelta — planning runs under the
+  /// shared lock and must not touch shared statistics.
   void UpdateStatsFromRewritings(const std::vector<Rewriting>& rewritings,
                                  double base_seconds, double t_now,
-                                 int32_t tenant, PlanningDelta* delta);
+                                 PlanningDelta* delta);
 
   Catalog* catalog_;
   const PlanCostEstimator* estimator_;

@@ -40,25 +40,6 @@ double ViewStats::AccumulatedBenefitNaive(double t_now,
   return acc;
 }
 
-double ViewStats::AccumulatedBenefitForTenant(double t_now,
-                                              const DecayFunction& dec,
-                                              int32_t tenant) const {
-  double acc = 0.0;
-  for (const BenefitEvent& e : events_) {
-    if (e.tenant == tenant) acc += e.saving * dec(t_now, e.time);
-  }
-  return acc;
-}
-
-std::map<int32_t, double> ViewStats::AccumulatedBenefitByTenant(
-    double t_now, const DecayFunction& dec) const {
-  std::map<int32_t, double> acc;
-  for (const BenefitEvent& e : events_) {
-    acc[e.tenant] += e.saving * dec(t_now, e.time);
-  }
-  return acc;
-}
-
 double ViewStats::UndecayedBenefitNaive() const {
   double acc = 0.0;
   for (const BenefitEvent& e : events_) acc += e.saving;
@@ -107,23 +88,6 @@ double FragmentStats::DecayedHitsNaive(double t_now,
                                        const DecayFunction& dec) const {
   double acc = 0.0;
   for (const FragmentHit& h : hits_) acc += dec(t_now, h.time);
-  return acc;
-}
-
-double FragmentStats::DecayedHitsForTenant(double t_now,
-                                           const DecayFunction& dec,
-                                           int32_t tenant) const {
-  double acc = 0.0;
-  for (const FragmentHit& h : hits_) {
-    if (h.tenant == tenant) acc += dec(t_now, h.time);
-  }
-  return acc;
-}
-
-std::map<int32_t, double> FragmentStats::DecayedHitsByTenant(
-    double t_now, const DecayFunction& dec) const {
-  std::map<int32_t, double> acc;
-  for (const FragmentHit& h : hits_) acc[h.tenant] += dec(t_now, h.time);
   return acc;
 }
 

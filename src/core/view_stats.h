@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -16,18 +14,15 @@ namespace deepsea {
 
 /// One "this view could have answered query Q at time t, saving s
 /// seconds" observation (an element of the paper's B / T lists).
-/// `tenant` attributes the observation to the workload that produced it
-/// (an ordinal interned by PoolManager; 0 is the default tenant), so a
-/// shared pool can report which tenant's queries earned a view its
-/// place — and who loses when it is evicted.
+/// Observations name no tenant: Φ(V) credits B(V, t) whichever
+/// tenant's queries earned it (Def. 5).
 struct BenefitEvent {
   double time = 0.0;    ///< logical timestamp (query index)
   double saving = 0.0;  ///< COST(Q) - COST(Q/V), in simulated seconds
-  int32_t tenant = 0;   ///< interned tenant ordinal (0 = default)
 };
 
 /// Statistics kept per view (candidate or materialized): the tuple
-/// (S, COST, T, B) of Definition 5 plus bookkeeping flags. The value
+/// (S, COST, T, B) of Definition 5. The value
 /// model over them is PlanningDelta::ViewValue.
 ///
 /// The event list is append-only through the mutators below, which
@@ -53,17 +48,15 @@ struct ViewStats {
   /// COST(V): creation cost in simulated seconds (estimate replaced by
   /// the actual cost after the first instrumented execution).
   double creation_cost = 0.0;
-  bool size_is_actual = false;
-  bool cost_is_actual = false;
 
   /// Timestamped potential savings (the paper's T and B lists).
   const std::vector<BenefitEvent>& events() const { return events_; }
 
   /// Appends one observation. Engine paths append in commit-clock
   /// order; the debug assert documents (and enforces) that invariant.
-  void RecordUse(double time, double saving, int32_t tenant = 0) {
+  void RecordUse(double time, double saving) {
     assert(time >= last_use_ && "benefit events must be appended in time order");
-    AppendEvent({time, saving, tenant});
+    AppendEvent({time, saving});
   }
 
   /// Appends one observation without the time-order assert. State
@@ -77,19 +70,7 @@ struct ViewStats {
   }
 
   /// Accumulated decayed benefit B(V, t_now) = sum of saving * DEC.
-  /// Phi(V) always credits the whole benefit regardless of which tenant
-  /// earned it — the pool optimizes aggregate workload cost.
   double AccumulatedBenefit(double t_now, const DecayFunction& dec) const;
-
-  /// B(V, t_now) restricted to one tenant's events.
-  double AccumulatedBenefitForTenant(double t_now, const DecayFunction& dec,
-                                     int32_t tenant) const;
-
-  /// Attribution breakdown of AccumulatedBenefit by tenant ordinal.
-  /// Values sum to AccumulatedBenefit (same summation order per tenant,
-  /// so the per-tenant parts are exact, not re-derived estimates).
-  std::map<int32_t, double> AccumulatedBenefitByTenant(
-      double t_now, const DecayFunction& dec) const;
 
   /// Undecayed accumulated benefit N(V) (used by Nectar+, Section 10.1).
   double UndecayedBenefit() const { return undecayed_sum_; }
@@ -131,7 +112,6 @@ struct FragmentHit {
   double time = 0.0;
   Interval range;
   bool has_range = false;
-  int32_t tenant = 0;  ///< interned tenant ordinal (0 = default)
 };
 
 /// Statistics kept per fragment interval of a tracked partition: the
@@ -154,13 +134,13 @@ struct FragmentStats {
   /// Hits T(I): the fragment was or could have been used.
   const std::vector<FragmentHit>& hits() const { return hits_; }
 
-  void RecordHit(double time, int32_t tenant = 0) {
+  void RecordHit(double time) {
     assert(time >= last_hit_ && "fragment hits must be appended in time order");
-    AppendHit({time, Interval(), false, tenant});
+    AppendHit({time, Interval(), false});
   }
-  void RecordHit(double time, const Interval& range, int32_t tenant = 0) {
+  void RecordHit(double time, const Interval& range) {
     assert(time >= last_hit_ && "fragment hits must be appended in time order");
-    AppendHit({time, range, true, tenant});
+    AppendHit({time, range, true});
   }
 
   /// Appends one hit without the time-order assert (state restore,
@@ -196,15 +176,6 @@ struct FragmentStats {
   /// DEC(t_now, t) == 0.0, so replays (DecayedHits, the MLE spread)
   /// may start here and stay bit-identical to a full replay.
   size_t LiveHitsBegin(double t_now, const DecayFunction& dec) const;
-
-  /// H(I) restricted to one tenant's hits.
-  double DecayedHitsForTenant(double t_now, const DecayFunction& dec,
-                              int32_t tenant) const;
-
-  /// Attribution breakdown of DecayedHits by tenant ordinal; values sum
-  /// to DecayedHits.
-  std::map<int32_t, double> DecayedHitsByTenant(double t_now,
-                                                const DecayFunction& dec) const;
 
   /// Undecayed hit count |T(I)|.
   double RawHits() const { return static_cast<double>(hits_.size()); }

@@ -37,10 +37,6 @@ class Executor {
   /// Marks a subplan (by node identity) whose intermediate result should
   /// be captured during the next Execute call.
   void CaptureSubplan(const PlanNode* node) { capture_.insert(node); }
-  void ClearCaptures() {
-    capture_.clear();
-    captured_.clear();
-  }
 
   /// Executes the plan, returning its full result. Captured subplan
   /// outputs are available from captured() afterwards.

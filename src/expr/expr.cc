@@ -1,7 +1,6 @@
 #include "expr/expr.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/str_util.h"
 
@@ -253,10 +252,6 @@ std::vector<ExprPtr> SplitConjuncts(const ExprPtr& pred) {
   }
   out.push_back(pred);
   return out;
-}
-
-bool ColumnRange::IsUnbounded() const {
-  return std::isinf(lo) && lo < 0 && std::isinf(hi) && hi > 0;
 }
 
 std::string ColumnRange::ToString() const {

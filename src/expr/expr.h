@@ -129,7 +129,6 @@ struct ColumnRange {
   bool lo_inclusive = true;
   bool hi_inclusive = true;
 
-  bool IsUnbounded() const;
   std::string ToString() const;
 };
 

@@ -57,11 +57,6 @@ double ClusterModel::TempWriteSeconds(double bytes) const {
   return bytes / (cfg_.temp_write_bytes_per_second * cfg_.num_workers);
 }
 
-double ClusterModel::ClusterReadSeconds(double bytes) const {
-  if (bytes <= 0.0) return 0.0;
-  return bytes / cfg_.cluster_read_bytes_per_second();
-}
-
 double ClusterModel::PartitionedWriteSeconds(double bytes,
                                              int64_t num_fragments) const {
   return WriteSeconds(bytes) +

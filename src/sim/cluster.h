@@ -93,10 +93,6 @@ class ClusterModel {
   /// `num_fragments` fragment files: HDFS write plus per-file overhead.
   double PartitionedWriteSeconds(double bytes, int64_t num_fragments) const;
 
-  /// Seconds to stream `bytes` at the saturated cluster read rate
-  /// (useful for bulk repartition reads).
-  double ClusterReadSeconds(double bytes) const;
-
  private:
   ClusterConfig cfg_;
 };

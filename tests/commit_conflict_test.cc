@@ -350,7 +350,7 @@ TEST_F(CommitValidationTest, ShardedCommitsPublishOnRelease) {
   bool genuine = true;
   {
     CommitGuard commit = pool()->TryBeginShardedCommit(
-        nullptr, "", 0, FragmentRead("v1", "item_sk", Interval(0, 10)),
+        nullptr, "", FragmentRead("v1", "item_sk", Interval(0, 10)),
         CommitFootprint{}, read_epoch, &genuine);
     ASSERT_TRUE(commit.held());
   }
@@ -376,7 +376,7 @@ TEST_F(CommitValidationTest, InFlightShardedCommitConflicts) {
   std::thread holder([&] {
     bool genuine = true;
     CommitGuard commit = pool()->TryBeginShardedCommit(
-        nullptr, "a", 0, ViewRead("v1"), CommitFootprint{},
+        nullptr, "a", ViewRead("v1"), CommitFootprint{},
         pool()->read_epoch(), &genuine);
     ASSERT_TRUE(commit.held());
     {
@@ -393,14 +393,14 @@ TEST_F(CommitValidationTest, InFlightShardedCommitConflicts) {
 
   bool genuine = false;
   CommitGuard attempt = pool()->TryBeginShardedCommit(
-      nullptr, "b", 0, ViewRead("v2"), ViewRead("v1"), pool()->read_epoch(),
+      nullptr, "b", ViewRead("v2"), ViewRead("v1"), pool()->read_epoch(),
       &genuine);
   EXPECT_FALSE(attempt.held());
   EXPECT_TRUE(genuine);
 
   // Disjoint read set: commits concurrently alongside the in-flight one.
   CommitGuard ok = pool()->TryBeginShardedCommit(
-      nullptr, "b", 0, ViewRead("v2"), ViewRead("v3"), pool()->read_epoch(),
+      nullptr, "b", ViewRead("v2"), ViewRead("v3"), pool()->read_epoch(),
       &genuine);
   EXPECT_TRUE(ok.held());
   ok.Release();
@@ -417,7 +417,7 @@ TEST_F(CommitValidationTest, ShardStatsCountAcquisitions) {
   bool genuine = true;
   {
     CommitGuard commit = pool()->TryBeginShardedCommit(
-        nullptr, "", 0, ViewRead("v1"), CommitFootprint{},
+        nullptr, "", ViewRead("v1"), CommitFootprint{},
         pool()->read_epoch(), &genuine);
     ASSERT_TRUE(commit.held());
   }
@@ -439,7 +439,7 @@ TEST_F(CommitValidationTest, StructuralAllFootprintEscalatesToExclusive) {
   all.all = true;
   bool genuine = false;
   CommitGuard guard = pool()->TryBeginShardedCommit(
-      nullptr, "", 0, all, CommitFootprint{}, pool()->read_epoch(), &genuine);
+      nullptr, "", all, CommitFootprint{}, pool()->read_epoch(), &genuine);
   EXPECT_FALSE(guard.held());
   EXPECT_TRUE(genuine);
   // The refusal left no lock state behind: the exclusive path enters.
@@ -464,7 +464,7 @@ TEST_F(CommitValidationTest, ConcurrentReservedCreatorsBothEnterSharded) {
     write_a.AddView("va");
     bool genuine = true;
     CommitGuard commit = pool()->TryBeginShardedCommit(
-        nullptr, "a", 0, std::move(write_a), ViewRead("sig-a-probe"),
+        nullptr, "a", std::move(write_a), ViewRead("sig-a-probe"),
         pool()->read_epoch(), &genuine);
     ASSERT_TRUE(commit.held());
     {
@@ -487,7 +487,7 @@ TEST_F(CommitValidationTest, ConcurrentReservedCreatorsBothEnterSharded) {
   read_b.AddCatalogSig("sig-b");
   bool genuine = false;
   CommitGuard second = pool()->TryBeginShardedCommit(
-      nullptr, "b", 0, std::move(write_b), std::move(read_b),
+      nullptr, "b", std::move(write_b), std::move(read_b),
       pool()->read_epoch(), &genuine);
   EXPECT_TRUE(second.held());
   second.Release();
@@ -498,7 +498,7 @@ TEST_F(CommitValidationTest, ConcurrentReservedCreatorsBothEnterSharded) {
   CommitFootprint knapsack_read;
   knapsack_read.catalog_counter = true;
   CommitGuard knapsack = pool()->TryBeginShardedCommit(
-      nullptr, "c", 0, ViewRead("vc"), std::move(knapsack_read),
+      nullptr, "c", ViewRead("vc"), std::move(knapsack_read),
       pool()->read_epoch(), &genuine);
   EXPECT_FALSE(knapsack.held());
   EXPECT_TRUE(genuine);
@@ -573,7 +573,7 @@ TEST_F(BudgetValidationTest, ConcurrentClaimsCannotOvershootBudget) {
   std::thread holder([&] {
     bool genuine = true;
     CommitGuard commit = pool()->TryBeginShardedCommit(
-        nullptr, "a", 0, ViewRead("v1"), CommitFootprint{},
+        nullptr, "a", ViewRead("v1"), CommitFootprint{},
         pool()->read_epoch(), &genuine, /*admitted_bytes=*/600.0);
     ASSERT_TRUE(commit.held());
     {
@@ -592,14 +592,14 @@ TEST_F(BudgetValidationTest, ConcurrentClaimsCannotOvershootBudget) {
   // even though the footprints are disjoint and nothing was published.
   bool genuine = false;
   CommitGuard over = pool()->TryBeginShardedCommit(
-      nullptr, "b", 0, ViewRead("v2"), CommitFootprint{},
+      nullptr, "b", ViewRead("v2"), CommitFootprint{},
       pool()->read_epoch(), &genuine, /*admitted_bytes=*/600.0);
   EXPECT_FALSE(over.held());
   EXPECT_TRUE(genuine);
 
   // 600 + 300 <= 1000: fits alongside the in-flight claim.
   CommitGuard fits = pool()->TryBeginShardedCommit(
-      nullptr, "b", 0, ViewRead("v2"), CommitFootprint{},
+      nullptr, "b", ViewRead("v2"), CommitFootprint{},
       pool()->read_epoch(), &genuine, /*admitted_bytes=*/300.0);
   EXPECT_TRUE(fits.held());
   fits.Release();
@@ -614,7 +614,7 @@ TEST_F(BudgetValidationTest, ConcurrentClaimsCannotOvershootBudget) {
   // With the claim retired (and nothing actually materialized) the
   // 600-byte claim fits again.
   CommitGuard after = pool()->TryBeginShardedCommit(
-      nullptr, "b", 0, ViewRead("v2"), CommitFootprint{},
+      nullptr, "b", ViewRead("v2"), CommitFootprint{},
       pool()->read_epoch(), &genuine, /*admitted_bytes=*/600.0);
   EXPECT_TRUE(after.held());
 }
@@ -751,7 +751,7 @@ TEST_F(CommitValidationTest, OpposingShardOrdersDoNotDeadlock) {
       for (const std::string& id : ids) write_fp.AddView(id);
       bool genuine = true;
       CommitGuard commit = pool()->TryBeginShardedCommit(
-          nullptr, "", 0, std::move(write_fp), CommitFootprint{},
+          nullptr, "", std::move(write_fp), CommitFootprint{},
           pool()->read_epoch(), &genuine);
       if (commit.held()) commits.fetch_add(1, std::memory_order_relaxed);
     }

@@ -430,7 +430,7 @@ std::vector<std::vector<PlanPtr>> TenantPlans() {
   return plans;
 }
 
-std::vector<std::string> TenantNames() {
+std::vector<std::string> TenantIds() {
   return {"astro", "geo", "retail"};
 }
 
@@ -441,7 +441,7 @@ std::vector<std::string> TenantNames() {
 /// its additions in the same order either way). TSan runs this test
 /// with real threads hammering the shared observer.
 TEST(MetricsMultiTenantTest, SharedObserverEqualsPerTenantSequentialRuns) {
-  const auto tenants = TenantNames();
+  const auto tenants = TenantIds();
   const auto plans = TenantPlans();
   const std::vector<int> schedule = mt::ShuffledSchedule(
       std::vector<int>(kTenants, kQueriesPerTenant), 42);
@@ -534,7 +534,7 @@ TEST(MetricsMultiTenantTest, SharedObserverEqualsPerTenantSequentialRuns) {
 /// add up — this is the TSan data-race probe for the per-tenant slot
 /// locks.
 TEST(MetricsMultiTenantTest, FreeRunningEnginesKeepCountersConsistent) {
-  const auto tenants = TenantNames();
+  const auto tenants = TenantIds();
   const auto plans = TenantPlans();
   EngineOptions options = BaseOptions();
   options.pool_limit_bytes = 8e9;

@@ -372,7 +372,7 @@ void AddRandomHits(Rng* rng, int n, double t_lo, double t_hi,
   for (double t : times) {
     const double roll = rng->NextDouble();
     if (roll < 0.3) {
-      f->AppendHit({t, Interval(), false, 0});
+      f->AppendHit({t, Interval(), false});
       continue;
     }
     Interval range;
@@ -390,7 +390,7 @@ void AddRandomHits(Rng* rng, int n, double t_lo, double t_hi,
       // the whole fragment.
       range = Interval(iv.hi + 1.0, iv.hi + 2.0);
     }
-    f->AppendHit({t, range, true, 0});
+    f->AppendHit({t, range, true});
   }
 }
 

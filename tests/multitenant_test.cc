@@ -305,65 +305,6 @@ TEST(MultiTenantParityTest, SoloTenantOverSharedPoolMatchesPrivateEngine) {
   }
 }
 
-// --- per-tenant benefit attribution ---
-
-TEST(MultiTenantAttributionTest, PerTenantBenefitsSumToAggregate) {
-  Catalog catalog;
-  ASSERT_TRUE(BigBenchDataset::Generate(DataOptions(), &catalog).ok());
-  const EngineOptions options = BaseOptions();
-  SharedPool shared(&catalog, options);
-  DeepSeaEngine alice(&catalog, &shared, "alice");
-  DeepSeaEngine bob(&catalog, &shared, "bob");
-  ASSERT_NE(alice.tenant_ord(), bob.tenant_ord());
-
-  // Overlapping SDSS workloads: the tenants draw from the same template
-  // pool, so they share views and both contribute benefit events.
-  const auto plans_a = mt::BuildPlans(mt::SdssTenantWorkload(60, 7));
-  const auto plans_b = mt::BuildPlans(mt::SdssTenantWorkload(60, 8));
-  for (size_t i = 0; i < plans_a.size(); ++i) {
-    ASSERT_TRUE(alice.ProcessQuery(plans_a[i]).ok());
-    ASSERT_TRUE(bob.ProcessQuery(plans_b[i]).ok());
-  }
-
-  const DecayFunction decay(options.decay);
-  const double t_now = static_cast<double>(shared.pool()->clock());
-  bool any_shared_view = false;
-  int views_with_events = 0;
-  for (const ViewInfo* v : shared.pool()->views().AllViews()) {
-    if (!v->stats.events().empty()) ++views_with_events;
-    const double total = v->stats.AccumulatedBenefit(t_now, decay);
-    const auto by_tenant = v->stats.AccumulatedBenefitByTenant(t_now, decay);
-    double sum = 0.0;
-    for (const auto& [ord, part] : by_tenant) {
-      EXPECT_NEAR(part,
-                  v->stats.AccumulatedBenefitForTenant(t_now, decay, ord),
-                  1e-9 * (1.0 + part))
-          << v->id;
-      sum += part;
-    }
-    EXPECT_NEAR(sum, total, 1e-6 * (1.0 + total)) << v->id;
-    if (by_tenant.count(alice.tenant_ord()) > 0 &&
-        by_tenant.count(bob.tenant_ord()) > 0) {
-      any_shared_view = true;
-    }
-    for (const auto& [attr, part] : v->partitions) {
-      (void)attr;
-      for (const FragmentStats& f : part.fragments) {
-        const double hits = f.DecayedHits(t_now, decay);
-        double hit_sum = 0.0;
-        for (const auto& [ord, h] : f.DecayedHitsByTenant(t_now, decay)) {
-          (void)ord;
-          hit_sum += h;
-        }
-        EXPECT_NEAR(hit_sum, hits, 1e-6 * (1.0 + hits)) << v->id;
-      }
-    }
-  }
-  EXPECT_GT(views_with_events, 0);
-  EXPECT_TRUE(any_shared_view)
-      << "no view accumulated benefit from both tenants";
-}
-
 // --- observer tenancy ---
 
 TEST(MultiTenantObserverTest, ObserversAreScopedToTheirEngine) {
@@ -448,7 +389,7 @@ TEST(EvictWholeViewTest, NotifiesEveryEvictedPiece) {
   // EvictWholeView runs outside any query here, so no OnQueryEnd (and
   // no report fold) follows: the hook count is checked on its own.
   EvictCounter obs("np", nullptr);
-  CommitGuard commit = pool->BeginCommit(&obs, "np", engine.tenant_ord());
+  CommitGuard commit = pool->BeginCommit(&obs, "np");
   ViewInfo* view = pool->stat(commit)->Get(whole_id);
   ASSERT_NE(view, nullptr);
 

@@ -7,6 +7,7 @@
 
 #include "common/rng.h"
 #include "core/engine.h"
+#include "core/shared_pool.h"
 #include "plan/signature.h"
 #include "part_mass.h"
 #include "pool_index.h"
@@ -208,16 +209,29 @@ TEST_F(EngineStateTest, BadStateRejected) {
   DeepSeaEngine engine(&catalog, EngineOptions{});
   EXPECT_FALSE(engine.LoadState("").ok());
   EXPECT_FALSE(engine.LoadState("garbage").ok());
-  EXPECT_FALSE(engine.LoadState("DEEPSEA-STATE 1\nVIEW\nnope").ok());
+  EXPECT_FALSE(engine.LoadState("DEEPSEA-STATE 3\nVIEW\nnope").ok());
 }
 
-TEST_F(EngineStateTest, CorruptedStateLeavesEngineUntouched) {
-  // Every rejected blob must leave the engine exactly as it was: no
-  // partially tracked views, no pool files, no clock advance.
+// A saved blob the corruption sweep mutates, with the pool its
+// unmutated load must restore.
+struct SourceBlob {
+  std::string label;
+  std::string state;
+  double pool_bytes = 0.0;
+  std::vector<std::string> pool_ids;  ///< pooled view ids, in index order
+};
+
+std::vector<std::string> PoolViewIds(const ViewCatalog& views) {
+  std::vector<std::string> ids;
+  for (const ViewInfo* v : views.PoolViews()) ids.push_back(v->id);
+  return ids;
+}
+
+// One tenant, eight overlapping Q30 range queries.
+void SaveSingleTenantBlob(const BigBenchDataset::Options& data,
+                          const EngineOptions& opts, SourceBlob* out) {
   Catalog catalog;
-  ASSERT_TRUE(BigBenchDataset::Generate(DataOptions(), &catalog).ok());
-  EngineOptions opts;
-  opts.benefit_cost_threshold = 0.05;
+  ASSERT_TRUE(BigBenchDataset::Generate(data, &catalog).ok());
   DeepSeaEngine warm(&catalog, opts);
   for (int i = 0; i < 8; ++i) {
     auto plan = BigBenchTemplates::Build("Q30", 100000 + i * 20, 180000 + i * 20);
@@ -227,44 +241,69 @@ TEST_F(EngineStateTest, CorruptedStateLeavesEngineUntouched) {
   auto state = warm.SaveState();
   ASSERT_TRUE(state.ok());
   ASSERT_GT(warm.PoolBytes(), 0.0);
+  *out = {"single-tenant", *state, warm.PoolBytes(), PoolViewIds(warm.views())};
+}
 
-  std::vector<std::string> corrupted;
-  // Truncated mid-blob.
-  corrupted.push_back(state->substr(0, state->size() / 2));
-  {
-    // Version skew: a future format version must be rejected, not
-    // half-understood.
-    std::string skew = *state;
-    const size_t pos = skew.find("DEEPSEA-STATE 2");
-    ASSERT_NE(pos, std::string::npos);
-    skew.replace(pos, 15, "DEEPSEA-STATE 3");
-    corrupted.push_back(skew);
+// Two tenants on one SharedPool. As in bench_ext_multiattr, alice's Q30D
+// queries select narrow item ranges and bob's narrow date windows, so
+// the shared join view is partitioned on both item_sk and sold_date.
+// A final Q12 query tracks a view whose item.price partition has
+// pending intervals but no materialized content.
+void SaveTwoTenantBlob(const BigBenchDataset::Options& data,
+                       const EngineOptions& opts, SourceBlob* out) {
+  Catalog catalog;
+  ASSERT_TRUE(BigBenchDataset::Generate(data, &catalog).ok());
+  SharedPool shared(&catalog, opts);
+  DeepSeaEngine alice(&catalog, &shared, "alice");
+  DeepSeaEngine bob(&catalog, &shared, "bob");
+  Rng rng(17);
+  for (int i = 0; i < 12; ++i) {
+    const double lo = 100000 + rng.Uniform(-2000, 2000);
+    const double d = 100 + rng.Uniform(-10, 10);
+    auto item = BigBenchTemplates::BuildQ30D(lo, lo + 30000, 0, 365);
+    auto date = BigBenchTemplates::BuildQ30D(0, 400000, d, d + 30);
+    ASSERT_TRUE(item.ok() && date.ok());
+    ASSERT_TRUE(alice.ProcessQuery(*item).ok());
+    ASSERT_TRUE(bob.ProcessQuery(*date).ok());
   }
-  {
-    // Field-mangled number: atof would quietly read this as 0.
-    std::string mangled = *state;
-    const size_t pos = mangled.find("STATS ");
-    ASSERT_NE(pos, std::string::npos);
-    mangled[pos + 6] = 'x';
-    corrupted.push_back(mangled);
-  }
-  {
-    // Field-mangled flag: only "0"/"1" are valid.
-    std::string badflag = *state;
-    const size_t pos = badflag.find("FRAGMENT ");
-    ASSERT_NE(pos, std::string::npos);
-    const size_t eol = badflag.find('\n', pos);
-    ASSERT_NE(eol, std::string::npos);
-    badflag[eol - 1] = '7';
-    corrupted.push_back(badflag);
-  }
-  // A structurally valid blob whose plan references an unknown table
-  // fails signature resolution (inside the commit section) — that exit
-  // path must be just as clean.
-  corrupted.push_back(
-      "DEEPSEA-STATE 2\nCLOCK 99\nVIEW\nPLAN 1\nSCAN no_such_table\n"
-      "STATS 1 1 0 0 1\nENDVIEW\n");
+  auto q12 = BigBenchTemplates::Build("Q12", 50000, 60000);
+  ASSERT_TRUE(q12.ok());
+  ASSERT_TRUE(bob.ProcessQuery(*q12).ok());
 
+  bool two_attrs = false;
+  bool unmaterialized_pending = false;
+  for (const ViewInfo* v : alice.views().AllViews()) {
+    two_attrs |= v->partitions.count("store_sales.item_sk") > 0 &&
+                 v->partitions.count("store_sales.sold_date") > 0;
+    for (const auto& [attr, part] : v->partitions) {
+      (void)attr;
+      unmaterialized_pending |= !v->whole_materialized &&
+                                !part.pending.empty() &&
+                                part.MaterializedIntervals().empty();
+    }
+  }
+  ASSERT_TRUE(two_attrs) << "no view partitioned on item_sk and sold_date";
+  ASSERT_TRUE(unmaterialized_pending) << "no unmaterialized pending intervals";
+  auto state = alice.SaveState();
+  ASSERT_TRUE(state.ok());
+  ASSERT_GT(alice.PoolBytes(), 0.0);
+  *out = {"two-tenant", *state, alice.PoolBytes(), PoolViewIds(alice.views())};
+}
+
+TEST_F(EngineStateTest, CorruptedStateLeavesEngineUntouched) {
+  // Every rejected blob must leave the engine exactly as it was: no
+  // partially tracked views, no pool files, no clock advance. Two
+  // source blobs are corrupted: a single-tenant one and a richer
+  // two-tenant one (multi-attribute partitions, pending intervals).
+  EngineOptions opts;
+  opts.benefit_cost_threshold = 0.05;
+  std::vector<SourceBlob> sources(2);
+  ASSERT_NO_FATAL_FAILURE(
+      SaveSingleTenantBlob(DataOptions(), opts, &sources[0]));
+  ASSERT_NO_FATAL_FAILURE(SaveTwoTenantBlob(DataOptions(), opts, &sources[1]));
+
+  Catalog pristine;
+  ASSERT_TRUE(BigBenchDataset::Generate(DataOptions(), &pristine).ok());
   auto expect_untouched = [](const DeepSeaEngine& cold, int64_t clock_before,
                              const std::string& label) {
     EXPECT_EQ(cold.PoolBytes(), 0.0) << label;
@@ -272,56 +311,112 @@ TEST_F(EngineStateTest, CorruptedStateLeavesEngineUntouched) {
     EXPECT_TRUE(cold.fs().List("pool/").empty()) << label;
     EXPECT_EQ(cold.now(), clock_before) << label;
   };
-  for (const std::string& blob : corrupted) {
-    Catalog catalog2;
-    ASSERT_TRUE(BigBenchDataset::Generate(DataOptions(), &catalog2).ok());
-    DeepSeaEngine cold(&catalog2, opts);
-    const int64_t clock_before = cold.now();
-    EXPECT_FALSE(cold.LoadState(blob).ok());
-    expect_untouched(cold, clock_before, blob.substr(0, 40));
-    // A good blob still loads afterwards (rejection is stateless).
-    EXPECT_TRUE(cold.LoadState(*state).ok());
-    EXPECT_NEAR(cold.PoolBytes(), warm.PoolBytes(), warm.PoolBytes() * 1e-9);
-  }
-
-  // Seeded mutation sweep: overwrite a byte, truncate, delete a short
-  // run, or swap a digit. A mutated blob may still be valid and load;
-  // otherwise it must be rejected with the engine untouched — and no
-  // blob may crash the engine.
-  Catalog pristine;
-  ASSERT_TRUE(BigBenchDataset::Generate(DataOptions(), &pristine).ok());
-  Rng rng(12345);
-  for (int m = 0; m < 200; ++m) {
-    std::string blob = *state;
-    const size_t pos = static_cast<size_t>(
-        rng.UniformInt(0, static_cast<int64_t>(blob.size()) - 1));
-    switch (rng.UniformInt(0, 3)) {
-      case 0:
-        blob[pos] = static_cast<char>(rng.UniformInt(0, 255));
-        break;
-      case 1:
-        blob.resize(pos);
-        break;
-      case 2:
-        blob.erase(pos, static_cast<size_t>(rng.UniformInt(1, 16)));
-        break;
-      default: {
-        const size_t d = blob.find_first_of("0123456789", pos);
-        if (d != std::string::npos) {
-          blob[d] = static_cast<char>(
-              '0' + (blob[d] - '0' + rng.UniformInt(1, 9)) % 10);
-        }
-        break;
-      }
+  for (const SourceBlob& source : sources) {
+    SCOPED_TRACE(source.label);
+    const std::string& state = source.state;
+    {
+      // The unmutated blob restores the saved pool: the same bytes and
+      // the same pooled views. Saving the restored pool reproduces the
+      // blob, so every partition, pending interval, event and hit came
+      // back too.
+      Catalog catalog2 = pristine;
+      DeepSeaEngine cold(&catalog2, opts);
+      ASSERT_TRUE(cold.LoadState(state).ok());
+      EXPECT_NEAR(cold.PoolBytes(), source.pool_bytes,
+                  source.pool_bytes * 1e-9);
+      EXPECT_FALSE(source.pool_ids.empty());
+      EXPECT_EQ(PoolViewIds(cold.views()), source.pool_ids);
+      EXPECT_TRUE(PoolIndexMatchesDefinition(cold.views()));
+      EXPECT_TRUE(PartMassMatchesRebuild(cold.pool()));
+      auto resaved = cold.SaveState();
+      ASSERT_TRUE(resaved.ok());
+      EXPECT_EQ(*resaved, state);
     }
-    Catalog catalog2 = pristine;
-    DeepSeaEngine cold(&catalog2, opts);
-    const int64_t clock_before = cold.now();
-    if (cold.LoadState(blob).ok()) continue;
-    expect_untouched(cold, clock_before, "mutation " + std::to_string(m));
+
+    std::vector<std::string> corrupted;
+    // Truncated mid-blob.
+    corrupted.push_back(state.substr(0, state.size() / 2));
+    // Version skew: the two earlier formats and a future one must be
+    // rejected, not half-understood.
+    const std::string header = "DEEPSEA-STATE 3";
+    ASSERT_EQ(state.rfind(header, 0), 0u);
+    for (const char* other : {"DEEPSEA-STATE 1", "DEEPSEA-STATE 2",
+                              "DEEPSEA-STATE 4"}) {
+      corrupted.push_back(other + state.substr(header.size()));
+    }
+    {
+      // Field-mangled number: atof would quietly read this as 0.
+      std::string mangled = state;
+      const size_t pos = mangled.find("STATS ");
+      ASSERT_NE(pos, std::string::npos);
+      mangled[pos + 6] = 'x';
+      corrupted.push_back(mangled);
+    }
+    {
+      // Field-mangled flag: only "0"/"1" are valid.
+      std::string badflag = state;
+      const size_t pos = badflag.find("FRAGMENT ");
+      ASSERT_NE(pos, std::string::npos);
+      const size_t eol = badflag.find('\n', pos);
+      ASSERT_NE(eol, std::string::npos);
+      badflag[eol - 1] = '7';
+      corrupted.push_back(badflag);
+    }
+    // A structurally valid blob whose plan references an unknown table
+    // fails signature resolution (inside the commit section) — that
+    // exit path must be just as clean.
+    corrupted.push_back(
+        "DEEPSEA-STATE 3\nCLOCK 99\nVIEW\nPLAN 1\nSCAN no_such_table\n"
+        "STATS 1 1 1\nENDVIEW\n");
+
+    for (const std::string& blob : corrupted) {
+      Catalog catalog2 = pristine;
+      DeepSeaEngine cold(&catalog2, opts);
+      const int64_t clock_before = cold.now();
+      EXPECT_FALSE(cold.LoadState(blob).ok());
+      expect_untouched(cold, clock_before, blob.substr(0, 40));
+      // A good blob still loads afterwards (rejection is stateless).
+      EXPECT_TRUE(cold.LoadState(state).ok());
+      EXPECT_NEAR(cold.PoolBytes(), source.pool_bytes,
+                  source.pool_bytes * 1e-9);
+    }
+
+    // Seeded mutation sweep: overwrite a byte, truncate, delete a short
+    // run, or swap a digit. A mutated blob may still be valid and load;
+    // otherwise it must be rejected with the engine untouched — and no
+    // blob may crash the engine.
+    Rng rng(12345);
+    for (int m = 0; m < 200; ++m) {
+      std::string blob = state;
+      const size_t pos = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(blob.size()) - 1));
+      switch (rng.UniformInt(0, 3)) {
+        case 0:
+          blob[pos] = static_cast<char>(rng.UniformInt(0, 255));
+          break;
+        case 1:
+          blob.resize(pos);
+          break;
+        case 2:
+          blob.erase(pos, static_cast<size_t>(rng.UniformInt(1, 16)));
+          break;
+        default: {
+          const size_t d = blob.find_first_of("0123456789", pos);
+          if (d != std::string::npos) {
+            blob[d] = static_cast<char>(
+                '0' + (blob[d] - '0' + rng.UniformInt(1, 9)) % 10);
+          }
+          break;
+        }
+      }
+      Catalog catalog2 = pristine;
+      DeepSeaEngine cold(&catalog2, opts);
+      const int64_t clock_before = cold.now();
+      if (cold.LoadState(blob).ok()) continue;
+      expect_untouched(cold, clock_before, "mutation " + std::to_string(m));
+    }
   }
 }
-
 
 TEST_F(PlanSerdeTest, SortLimitRoundTrip) {
   const PlanPtr plan = Limit(

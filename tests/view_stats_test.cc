@@ -111,7 +111,7 @@ TEST(ViewStatsTest, LastUse) {
   stats.RecordUse(9, 1);
   // Out-of-order appends go through the assert-free path (RecordUse
   // requires commit-clock order); LastUse stays the running max.
-  stats.AppendEvent({7, 1, 0});
+  stats.AppendEvent({7, 1});
   EXPECT_EQ(stats.LastUse(), 9.0);
 }
 
@@ -158,7 +158,7 @@ TEST(ViewStatsTest, LastUseIsRunningMaxAcrossUnorderedAppends) {
   // assert; the O(1) running max must still agree with a full scan.
   ViewStats stats;
   for (const double t : {5.0, 9.0, 2.0, 9.0, 7.5}) {
-    stats.AppendEvent({t, 1.0, 0});
+    stats.AppendEvent({t, 1.0});
     EXPECT_EQ(stats.LastUse(), stats.LastUseNaive());
   }
   EXPECT_EQ(stats.LastUse(), 9.0);
@@ -168,15 +168,15 @@ TEST(FragmentStatsTest, LastHitIsRunningMaxAcrossAdoptAndAppend) {
   FragmentStats f;
   EXPECT_EQ(f.LastHit(), 0.0);
   // AdoptHits rebuilds the cache from an unsorted replacement list.
-  f.AdoptHits({{8.0, Interval(), false, 0},
-               {3.0, Interval(), false, 1},
-               {6.0, Interval(), false, 0}});
+  f.AdoptHits({{8.0, Interval(), false},
+               {3.0, Interval(), false},
+               {6.0, Interval(), false}});
   EXPECT_EQ(f.LastHit(), 8.0);
   EXPECT_EQ(f.LastHit(), f.LastHitNaive());
   // AppendHit extends it, order-free.
-  f.AppendHit({5.0, Interval(), false, 0});
+  f.AppendHit({5.0, Interval(), false});
   EXPECT_EQ(f.LastHit(), 8.0);
-  f.AppendHit({11.0, Interval(), false, 2});
+  f.AppendHit({11.0, Interval(), false});
   EXPECT_EQ(f.LastHit(), 11.0);
   EXPECT_EQ(f.LastHit(), f.LastHitNaive());
   f.ResetHits();
@@ -205,7 +205,7 @@ TEST(ViewStatsIncrementalTest, RandomEventStreamsMatchNaiveBitIdentically) {
       double t = 0.0;
       for (int i = 0; i < 400; ++i) {
         t += step(rng);
-        stats.RecordUse(t, saving(rng), static_cast<int32_t>(i % 3));
+        stats.RecordUse(t, saving(rng));
         // Interleave cursor advancement with appends, as the pool does
         // (AdvanceWindowsAfterFold after each fold).
         if (i % 5 == 0) stats.AdvanceWindow(t, dec);
@@ -220,19 +220,6 @@ TEST(ViewStatsIncrementalTest, RandomEventStreamsMatchNaiveBitIdentically) {
       }
       EXPECT_EQ(stats.UndecayedBenefit(), stats.UndecayedBenefitNaive());
       EXPECT_EQ(stats.LastUse(), stats.LastUseNaive());
-      // Multi-tenant attribution stays exact: the per-tenant splits sum
-      // the same terms the aggregate evaluation sums, per tenant.
-      const double t_eval = t + 1.0;
-      auto by_tenant = stats.AccumulatedBenefitByTenant(t_eval, dec);
-      for (const int32_t tenant : {0, 1, 2}) {
-        double naive = 0.0;
-        for (const BenefitEvent& e : stats.events()) {
-          if (e.tenant == tenant) naive += e.saving * dec(t_eval, e.time);
-        }
-        EXPECT_EQ(stats.AccumulatedBenefitForTenant(t_eval, dec, tenant),
-                  naive);
-        EXPECT_EQ(by_tenant[tenant], naive);
-      }
     }
   }
 }
@@ -251,7 +238,7 @@ TEST(FragmentStatsIncrementalTest, RandomHitStreamsMatchNaiveBitIdentically) {
       for (int i = 0; i < 400; ++i) {
         t += step(rng);
         const double lo = pos(rng);
-        f.RecordHit(t, Interval(lo, lo + 1.0), static_cast<int32_t>(i % 3));
+        f.RecordHit(t, Interval(lo, lo + 1.0));
         if (i % 5 == 0) f.AdvanceWindow(t, dec);
         if (i % 61 == 0) {
           // Merge passes splice arbitrary (possibly unsorted) hit
@@ -268,16 +255,6 @@ TEST(FragmentStatsIncrementalTest, RandomHitStreamsMatchNaiveBitIdentically) {
         }
       }
       EXPECT_EQ(f.LastHit(), f.LastHitNaive());
-      const double t_eval = t + 1.0;
-      auto by_tenant = f.DecayedHitsByTenant(t_eval, dec);
-      for (const int32_t tenant : {0, 1, 2}) {
-        double naive = 0.0;
-        for (const FragmentHit& h : f.hits()) {
-          if (h.tenant == tenant) naive += dec(t_eval, h.time);
-        }
-        EXPECT_EQ(f.DecayedHitsForTenant(t_eval, dec, tenant), naive);
-        EXPECT_EQ(by_tenant[tenant], naive);
-      }
     }
   }
 }
