@@ -118,6 +118,14 @@ BENCHMARK_F(WorkloadFixture, BM_ComputeSignature)(benchmark::State& state) {
   }
 }
 
+BENCHMARK_F(WorkloadFixture, BM_SignatureToString)(benchmark::State& state) {
+  auto plan = BigBenchTemplates::Build("Q30", 10000, 14000);
+  const PlanSignature sig = *ComputeSignature(*plan, catalog_);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sig.ToString());
+  }
+}
+
 BENCHMARK_F(WorkloadFixture, BM_SignatureSubsumes)(benchmark::State& state) {
   auto view = BigBenchTemplates::Build("Q30", 0, 400000);
   auto query = BigBenchTemplates::Build("Q30", 10000, 14000);
@@ -134,7 +142,9 @@ BENCHMARK_F(WorkloadFixture, BM_FilterTreeLookup)(benchmark::State& state) {
   for (int i = 0; i < 512; ++i) {
     auto plan = BigBenchTemplates::Build("Q30", i * 100.0, i * 100.0 + 4000.0);
     auto sig = ComputeSignature(*plan, catalog_);
-    tree.Insert(*sig, "v" + std::to_string(i));
+    std::string id = "v";
+    id += std::to_string(i);
+    tree.Insert(*sig, id);
   }
   auto probe = ComputeSignature(*BigBenchTemplates::Build("Q30", 777, 4777),
                                 catalog_);

@@ -9,7 +9,6 @@
 #include "core/candidates.h"
 #include "core/partition_match.h"
 #include "core/view_sizing.h"
-#include "plan/signature.h"
 
 namespace deepsea {
 
@@ -20,20 +19,24 @@ void CandidateGenerator::RegisterViewCandidates(const PlanPtr& candidate_plan,
   PlanningDelta* delta = ctx->delta();
   assert(delta != nullptr);
   Catalog* pcat = delta->planning_catalog();
+  SignatureTable* signatures = ctx->signatures();
   const double t_now = ctx->t_now();
   const std::vector<SelectionContext> contexts =
       ExtractSelectionContexts(candidate_plan);
   for (const PlanPtr& sp : EnumerateViewCandidates(candidate_plan)) {
-    auto sig = ComputeSignature(sp, *pcat);
+    // Subplans shared with the submitted plan were derived by the
+    // matcher; a rewritten plan's new nodes are derived here, once.
+    const SignatureTable::Entry& sig = signatures->Get(sp);
     if (!sig.ok()) continue;
-    const bool known = delta->FindView(sig->ToString()) != nullptr;
-    ViewInfo* view = delta->TrackView(sp, *sig);
+    ViewInfo* view = delta->FindView(sig.key());
+    const bool known = view != nullptr;
     if (!known) {
+      view = delta->TrackView(sp, sig.keyed());
       if (TablePtr table = pool_->RegisterViewTable(view, pcat)) {
         delta->DeferCatalogPut(std::move(table));
       }
       if (!pcat->Contains(view->id)) continue;  // unsupported plan shape
-      delta->DeferIndexInsert(view->signature, view->id);
+      delta->DeferIndexInsert(sig.keyed(), view->id);
     }
     const SelectionContext* sel = nullptr;
     for (const SelectionContext& c : contexts) {
@@ -75,10 +78,11 @@ void CandidateGenerator::RegisterPartitionCandidates(QueryContext* ctx) {
   assert(delta != nullptr);
   Catalog* pcat = delta->planning_catalog();
   const double t_now = ctx->t_now();
+  SignatureTable* signatures = ctx->signatures();
   for (const SelectionContext& sel : ExtractSelectionContexts(ctx->query)) {
-    auto sig = ComputeSignature(sel.selected_input, *pcat);
+    const SignatureTable::Entry& sig = signatures->Get(sel.selected_input);
     if (!sig.ok()) continue;
-    ViewInfo* view = delta->FindView(sig->ToString());
+    ViewInfo* view = delta->FindView(sig.key());
     if (view == nullptr) continue;  // selections over non-candidate shapes
     auto domain = ColumnDomain(*pcat, sel.column);
     if (!domain.ok()) continue;

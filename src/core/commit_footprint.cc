@@ -65,14 +65,13 @@ void CommitFootprint::Normalize() {
   std::sort(catalog_sigs.begin(), catalog_sigs.end());
   catalog_sigs.erase(std::unique(catalog_sigs.begin(), catalog_sigs.end()),
                      catalog_sigs.end());
-  auto normalize_sigs = [](std::vector<SigEntry>* entries) {
+  using SigPtr = std::shared_ptr<const KeyedSignature>;
+  auto normalize_sigs = [](std::vector<SigPtr>* entries) {
     std::sort(entries->begin(), entries->end(),
-              [](const SigEntry& a, const SigEntry& b) {
-                return a.canonical < b.canonical;
-              });
+              [](const SigPtr& a, const SigPtr& b) { return a->key < b->key; });
     entries->erase(std::unique(entries->begin(), entries->end(),
-                               [](const SigEntry& a, const SigEntry& b) {
-                                 return a.canonical == b.canonical;
+                               [](const SigPtr& a, const SigPtr& b) {
+                                 return a->key == b->key;
                                }),
                    entries->end());
   };
@@ -114,13 +113,10 @@ bool FootprintsConflict(const CommitFootprint& read,
   // probing plan only when it could have answered one of the probed
   // subplans — exact signature match, or a strictly wider view whose
   // signature subsumes the probe.
-  for (const CommitFootprint::SigEntry& probe : read.index_probes) {
-    for (const CommitFootprint::SigEntry& insert : write.index_inserts) {
-      if (probe.canonical == insert.canonical) return true;
-      if (probe.sig != nullptr && insert.sig != nullptr &&
-          SignatureSubsumes(*insert.sig, *probe.sig).matches) {
-        return true;
-      }
+  for (const auto& probe : read.index_probes) {
+    for (const auto& insert : write.index_inserts) {
+      if (probe->key == insert->key) return true;
+      if (SignatureSubsumes(insert->sig, probe->sig)) return true;
     }
   }
   for (const std::string& v : read.views) {

@@ -70,23 +70,18 @@ struct CommitFootprint {
     Interval range;
   };
 
-  /// One rewrite-index entry: the canonical rendering (identity, used
-  /// for dedup and the exact-match fast path) plus the structured
-  /// signature behind it (shared, so footprint copies into the epoch
-  /// table and the in-flight registry stay cheap). The structured form
-  /// is what SignatureSubsumes evaluates during conflict checks.
-  struct SigEntry {
-    std::string canonical;
-    std::shared_ptr<const PlanSignature> sig;
-  };
-
   bool all = false;
   bool catalog_counter = false;
   std::vector<std::string> catalog_sigs;
   /// Read side: query-subplan signatures probed against the rewrite
-  /// index. Write side: view signatures inserted into it.
-  std::vector<SigEntry> index_probes;
-  std::vector<SigEntry> index_inserts;
+  /// index. Write side: view signatures inserted into it. Each entry is
+  /// the planning query's own SignatureTable object (shared, so footprint
+  /// copies into the epoch table and the in-flight registry stay cheap):
+  /// its key is the identity, used for dedup and the exact-match fast
+  /// path, and its structured form is what SignatureSubsumes evaluates
+  /// during conflict checks.
+  std::vector<std::shared_ptr<const KeyedSignature>> index_probes;
+  std::vector<std::shared_ptr<const KeyedSignature>> index_inserts;
   std::vector<std::string> views;
   /// (view, attr); attr "" = every partition of the view.
   std::vector<std::pair<std::string, std::string>> partitions;
@@ -109,11 +104,12 @@ struct CommitFootprint {
   void AddCatalogSig(const std::string& canonical) {
     catalog_sigs.push_back(canonical);
   }
-  void AddIndexProbe(std::shared_ptr<const PlanSignature> sig) {
-    index_probes.push_back(SigEntry{sig->ToString(), std::move(sig)});
+  /// Both take a non-null signature with its key rendered.
+  void AddIndexProbe(std::shared_ptr<const KeyedSignature> sig) {
+    index_probes.push_back(std::move(sig));
   }
-  void AddIndexInsert(std::shared_ptr<const PlanSignature> sig) {
-    index_inserts.push_back(SigEntry{sig->ToString(), std::move(sig)});
+  void AddIndexInsert(std::shared_ptr<const KeyedSignature> sig) {
+    index_inserts.push_back(std::move(sig));
   }
 
   /// Merge `other` into this footprint.

@@ -187,7 +187,10 @@ std::vector<Interval> Fragmentation::Sorted() const {
 std::string Fragmentation::ToString() const {
   std::vector<std::string> parts;
   for (const auto& iv : Sorted()) parts.push_back(iv.ToString());
-  return "{" + Join(parts, ", ") + "}";
+  std::string out = "{";
+  out += Join(parts, ", ");
+  out += "}";
+  return out;
 }
 
 }  // namespace deepsea

@@ -33,27 +33,27 @@ ViewInfo* PlanningDelta::FindView(const std::string& canonical) {
   // signature changes the answer, so the plan must be invalidated.
   read_target().AddCatalogSig(canonical);
   if (ViewInfo* v = shared_views_->FindBySignature(canonical)) return v;
-  for (const auto& [sig, v] : new_by_signature_) {
-    if (sig == canonical) return v;
+  for (size_t i = 0; i < new_views_.size(); ++i) {
+    if (new_signatures_[i]->key == canonical) return new_views_[i].get();
   }
   return nullptr;
 }
 
-ViewInfo* PlanningDelta::TrackView(const PlanPtr& plan,
-                                   const PlanSignature& signature) {
-  const std::string canonical = signature.ToString();
-  if (ViewInfo* existing = FindView(canonical)) return existing;
+ViewInfo* PlanningDelta::TrackView(
+    const PlanPtr& plan, std::shared_ptr<const KeyedSignature> signature) {
+  assert(!signature->key.empty());
+  assert(shared_views_->FindBySignature(signature->key) == nullptr);
   auto view = std::make_unique<ViewInfo>();
   // Placeholder id: two concurrent creators conflict only through the
-  // signature catalog (FindView recorded the probe above) and the
+  // signature catalog (the caller's FindView recorded the probe) and the
   // rewrite index, so creations with disjoint signatures commute and
   // commit sharded. Fold assigns the final "v<N>" id in commit order.
   view->id = reservation_->NextPlaceholder();
   view->plan = plan;
-  view->signature = signature;
+  view->signature = signature->sig;
   ViewInfo* raw = view.get();
   new_views_.push_back(std::move(view));
-  new_by_signature_.emplace_back(canonical, raw);
+  new_signatures_.push_back(std::move(signature));
   return raw;
 }
 
@@ -70,9 +70,9 @@ void PlanningDelta::DeferCatalogPut(TablePtr table) {
   deferred_puts_.push_back(std::move(table));
 }
 
-void PlanningDelta::DeferIndexInsert(const PlanSignature& sig,
+void PlanningDelta::DeferIndexInsert(std::shared_ptr<const KeyedSignature> sig,
                                      const std::string& view_id) {
-  deferred_index_.emplace_back(sig, view_id);
+  deferred_index_.emplace_back(std::move(sig), view_id);
 }
 
 void PlanningDelta::AttachHistogram(const ViewInfo& view,
@@ -457,8 +457,11 @@ void PlanningDelta::Fold(ViewCatalog* views, Catalog* catalog,
       }
     }
   }
-  for (auto& owned : new_views_) views->Adopt(std::move(owned));
+  for (size_t i = 0; i < new_views_.size(); ++i) {
+    views->Adopt(std::move(new_views_[i]), new_signatures_[i]->key);
+  }
   new_views_.clear();
+  new_signatures_.clear();
 
   // 2. New view tables (the same Table objects planning resolved, so
   //    histograms attached to them during planning come along).
@@ -473,7 +476,7 @@ void PlanningDelta::Fold(ViewCatalog* views, Catalog* catalog,
   attach_ops_.clear();
 
   // 4. Filter-tree registrations.
-  for (const auto& [sig, id] : deferred_index_) index->Insert(sig, id);
+  for (const auto& [sig, id] : deferred_index_) index->Insert(sig->sig, id);
   deferred_index_.clear();
 
   // 5. Shadow partitions, in creation order. Base-backed fragments are
@@ -541,10 +544,6 @@ void PlanningDelta::NotePartitionRead(const ViewInfo* v,
   read_target().AddPartition(v->id, attr);
 }
 
-void PlanningDelta::RecordIndexProbe(const PlanSignature& sig) {
-  read_target().AddIndexProbe(std::make_shared<PlanSignature>(sig));
-}
-
 void PlanningDelta::PromoteSoftReads() {
   reads_.Merge(soft_reads_);
   soft_reads_ = CommitFootprint{};
@@ -591,14 +590,14 @@ CommitFootprint PlanningDelta::CollectWriteFootprint() const {
     // RemapFoldedIds rewrites the published footprint to the final ids
     // after the fold.
     fp.catalog_counter = true;
-    for (const auto& owned : new_views_) {
-      fp.AddCatalogSig(owned->signature.ToString());
-      fp.AddView(owned->id);
-      fp.AddPartition(owned->id, "");
+    for (size_t i = 0; i < new_views_.size(); ++i) {
+      fp.AddCatalogSig(new_signatures_[i]->key);
+      fp.AddView(new_views_[i]->id);
+      fp.AddPartition(new_views_[i]->id, "");
     }
     for (const auto& [sig, id] : deferred_index_) {
       (void)id;
-      fp.AddIndexInsert(std::make_shared<PlanSignature>(sig));
+      fp.AddIndexInsert(sig);
     }
     for (const TablePtr& table : deferred_puts_) fp.AddView(table->name());
     for (const AttachOp& op : attach_ops_) {

@@ -141,10 +141,12 @@ class PlanningDelta {
   /// views (shared wins; ids never collide).
   ViewInfo* FindView(const std::string& canonical);
 
-  /// ViewCatalog::Track, buffered: returns the existing (shared or
-  /// delta) view for the signature, or allocates a delta-owned one
-  /// under a placeholder id (Fold assigns the catalog id).
-  ViewInfo* TrackView(const PlanPtr& plan, const PlanSignature& signature);
+  /// ViewCatalog::Track, buffered, for a signature FindView just
+  /// missed: allocates a delta-owned view under a placeholder id (Fold
+  /// assigns the catalog id). `signature` comes from the query's
+  /// SignatureTable, key rendered; the delta keeps it as the view's key.
+  ViewInfo* TrackView(const PlanPtr& plan,
+                      std::shared_ptr<const KeyedSignature> signature);
 
   /// True when `v` was created by this delta (not yet in the shared
   /// catalog).
@@ -158,8 +160,10 @@ class PlanningDelta {
   void DeferCatalogPut(TablePtr table);
 
   /// Defers FilterTree::Insert(sig, id) to fold time. Rewrites in later
-  /// queries see the new view; this query's rewrite already ran.
-  void DeferIndexInsert(const PlanSignature& sig, const std::string& view_id);
+  /// queries see the new view; this query's rewrite already ran. `sig`
+  /// is shared, key rendered, with the write footprint.
+  void DeferIndexInsert(std::shared_ptr<const KeyedSignature> sig,
+                        const std::string& view_id);
 
   /// Attaches `hist` to the view's table for planning, and (for shared
   /// tables) defers the attachment to the real table at fold. Shared
@@ -272,8 +276,11 @@ class PlanningDelta {
   /// subplan signature up in the FilterTree. A foreign commit inserting
   /// a view whose signature subsumes `sig` invalidates this plan (the
   /// rewriting choice could have differed); signature-disjoint inserts
-  /// commute. Honors the soft-read window.
-  void RecordIndexProbe(const PlanSignature& sig);
+  /// commute. `sig` is the query's SignatureTable object, key rendered,
+  /// shared rather than copied. Honors the soft-read window.
+  void RecordIndexProbe(std::shared_ptr<const KeyedSignature> sig) {
+    read_target().AddIndexProbe(std::move(sig));
+  }
 
   /// Records a dependency on the pool's view membership (the
   /// `catalog_counter` token): the knapsack's admit/reject outcome
@@ -417,8 +424,9 @@ class PlanningDelta {
 
   // Delta-owned views, in track order. unique_ptr keeps addresses
   // stable across fold (ownership moves to the ViewCatalog).
+  // new_signatures_ is parallel: each view's keyed signature.
   std::vector<std::unique_ptr<ViewInfo>> new_views_;
-  std::vector<std::pair<std::string, ViewInfo*>> new_by_signature_;
+  std::vector<std::shared_ptr<const KeyedSignature>> new_signatures_;
 
   // Buffered benefit events per shared view, in creation order (linear
   // find: a query touches a handful of views).
@@ -431,7 +439,8 @@ class PlanningDelta {
       shadow_by_key_;
 
   std::vector<TablePtr> deferred_puts_;
-  std::vector<std::pair<PlanSignature, std::string>> deferred_index_;
+  std::vector<std::pair<std::shared_ptr<const KeyedSignature>, std::string>>
+      deferred_index_;
   std::vector<AttachOp> attach_ops_;
 
   // Filled by Fold: shadow state -> real partition.

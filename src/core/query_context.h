@@ -12,6 +12,7 @@
 #include "core/planning_delta.h"
 #include "core/view_catalog.h"
 #include "plan/plan.h"
+#include "plan/signature.h"
 
 namespace deepsea {
 
@@ -71,8 +72,20 @@ class QueryContext {
                     ViewIdReservation* reservation) {
     delta_ = std::make_unique<PlanningDelta>(catalog, views, t_now(),
                                              reservation);
+    signatures_ =
+        std::make_unique<SignatureTable>(delta_->planning_catalog());
   }
   PlanningDelta* delta() const { return delta_.get(); }
+
+  /// This query's subplan signatures, each derived once (DESIGN.md §9,
+  /// "One signature per subplan per query"): the matcher, both candidate
+  /// passes and the index-probe footprint read this one table. It
+  /// resolves tables through the planning catalog, which agrees with
+  /// the shared catalog on every table the submitted plan reads (the
+  /// overlay only adds view tables and histogram clones), so it may be
+  /// read wherever the planning catalog may. A replan builds a new
+  /// context, and with it a new table.
+  SignatureTable* signatures() const { return signatures_.get(); }
 
   /// The tenant issuing this query ("" for a single-tenant engine).
   const std::string& tenant() const { return tenant_; }
@@ -126,6 +139,7 @@ class QueryContext {
   int64_t clock_ = 0;
   std::string tenant_;
   std::unique_ptr<PlanningDelta> delta_;
+  std::unique_ptr<SignatureTable> signatures_;
   std::string cover_view_;
   std::string cover_attr_;
   std::vector<Interval> cover_;

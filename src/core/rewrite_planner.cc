@@ -22,8 +22,9 @@ Status RewritePlanner::PlanBest(QueryContext* ctx, QueryReport* report) {
   // 1. Rewritings over all tracked views (Alg. 1 line 1). The delta
   //    records every filter-tree probe so foreign view creations that
   //    could have changed the rewriting choice invalidate this plan.
-  DEEPSEA_ASSIGN_OR_RETURN(std::vector<Rewriting> rewritings,
-                           matcher_->ComputeRewritings(ctx->query, ctx->delta()));
+  DEEPSEA_ASSIGN_OR_RETURN(
+      std::vector<Rewriting> rewritings,
+      matcher_->ComputeRewritings(ctx->query, ctx->signatures(), ctx->delta()));
   // 2. Statistics update (line 2), buffered in the planning delta.
   UpdateStatsFromRewritings(rewritings, report->base_seconds, ctx->t_now(),
                             ctx->delta());
@@ -38,8 +39,7 @@ Status RewritePlanner::PlanBest(QueryContext* ctx, QueryReport* report) {
       report->fragments_read = static_cast<int>(rw.fragments.size());
       ctx->executed_plan = rw.plan;
       ctx->SetCover(rw.view_id, rw.partition_attr, rw.fragments);
-      auto est = estimator_->Estimate(rw.plan);
-      if (est.ok()) report->map_tasks = est->map_tasks;
+      report->map_tasks = rw.map_tasks;
     }
     break;  // rewritings are sorted by estimated cost
   }

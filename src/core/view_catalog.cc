@@ -112,14 +112,15 @@ ViewInfo* ViewCatalog::Track(const PlanPtr& plan, const PlanSignature& signature
   return raw;
 }
 
-ViewInfo* ViewCatalog::Adopt(std::unique_ptr<ViewInfo> view) {
+ViewInfo* ViewCatalog::Adopt(std::unique_ptr<ViewInfo> view,
+                             const std::string& canonical) {
   assert(view->id == StrFormat("v%d", next_id_) &&
          "adopted view id must match the id Track() would assign");
   ++next_id_;
   view->track_index = views_.size();
   ViewInfo* raw = view.get();
   views_.push_back(std::move(view));
-  by_signature_.emplace(raw->signature.ToString(), raw);
+  by_signature_.emplace(canonical, raw);
   by_id_.emplace(raw->id, raw);
   return raw;
 }

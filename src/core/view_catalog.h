@@ -118,7 +118,8 @@ class ViewCatalog {
   /// assign next: PlanningDelta::Fold names it from peek_next_id()
   /// just before adopting. The ViewInfo's address is preserved, so
   /// pointers captured during planning remain valid after adoption.
-  ViewInfo* Adopt(std::unique_ptr<ViewInfo> view);
+  /// `canonical` is view->signature.ToString(), already rendered.
+  ViewInfo* Adopt(std::unique_ptr<ViewInfo> view, const std::string& canonical);
 
   /// Lookup by signature canonical string; nullptr when untracked.
   ViewInfo* FindBySignature(const std::string& canonical);

@@ -210,25 +210,46 @@ Result<Value> Expr::Eval(const Row& row, const Schema& schema) const {
 }
 
 std::string Expr::ToString() const {
+  std::string out;
+  AppendTo(&out);
+  return out;
+}
+
+void Expr::AppendTo(std::string* out) const {
+  // "(left op right)"
+  auto binary = [&](const char* op) {
+    out->push_back('(');
+    left_->AppendTo(out);
+    out->push_back(' ');
+    out->append(op);
+    out->push_back(' ');
+    right_->AppendTo(out);
+    out->push_back(')');
+  };
   switch (kind_) {
     case ExprKind::kColumnRef:
-      return column_name_;
+      out->append(column_name_);
+      return;
     case ExprKind::kLiteral:
-      return literal_.ToString();
+      out->append(literal_.ToString());
+      return;
     case ExprKind::kComparison:
-      return "(" + left_->ToString() + " " + CompareOpSymbol(compare_op_) + " " +
-             right_->ToString() + ")";
+      binary(CompareOpSymbol(compare_op_));
+      return;
     case ExprKind::kLogical:
       if (logical_op_ == LogicalOp::kNot) {
-        return "(NOT " + left_->ToString() + ")";
+        out->append("(NOT ");
+        left_->AppendTo(out);
+        out->push_back(')');
+        return;
       }
-      return "(" + left_->ToString() + " " + LogicalOpSymbol(logical_op_) + " " +
-             right_->ToString() + ")";
+      binary(LogicalOpSymbol(logical_op_));
+      return;
     case ExprKind::kArithmetic:
-      return "(" + left_->ToString() + " " + ArithOpSymbol(arith_op_) + " " +
-             right_->ToString() + ")";
+      binary(ArithOpSymbol(arith_op_));
+      return;
   }
-  return "?";
+  out->push_back('?');
 }
 
 void Expr::CollectColumns(std::vector<std::string>* out) const {

@@ -83,6 +83,9 @@ class Expr {
   friend ExprPtr Not(ExprPtr operand);
   friend ExprPtr Arith(ArithOp op, ExprPtr lhs, ExprPtr rhs);
 
+  /// ToString's body: appends the rendering to one buffer.
+  void AppendTo(std::string* out) const;
+
   ExprKind kind_ = ExprKind::kLiteral;
   std::string column_name_;
   Value literal_;

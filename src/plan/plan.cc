@@ -203,49 +203,70 @@ std::string PlanNode::ToString(int indent) const {
   std::string line = pad + PlanKindName(kind_);
   switch (kind_) {
     case PlanKind::kScan:
-      line += "(" + table_name_ + ")";
+      line += "(";
+      line += table_name_;
+      line += ")";
       break;
     case PlanKind::kViewRef: {
-      line += "(" + table_name_;
+      line += "(";
+      line += table_name_;
       if (!view_fragments_.empty()) {
         std::vector<std::string> frags;
         for (const auto& iv : view_fragments_) frags.push_back(iv.ToString());
-        line += " frags[" + view_partition_attr_ + "]=" + Join(frags, ",");
+        line += " frags[";
+        line += view_partition_attr_;
+        line += "]=";
+        line += Join(frags, ",");
       }
       line += ")";
       break;
     }
     case PlanKind::kSelect:
     case PlanKind::kJoin:
-      if (predicate_) line += "(" + predicate_->ToString() + ")";
+      if (predicate_) {
+        line += "(";
+        line += predicate_->ToString();
+        line += ")";
+      }
       break;
     case PlanKind::kProject: {
       std::vector<std::string> parts;
       for (size_t i = 0; i < project_exprs_.size(); ++i) {
         parts.push_back(project_exprs_[i]->ToString() + " AS " + project_names_[i]);
       }
-      line += "(" + Join(parts, ", ") + ")";
+      line += "(";
+      line += Join(parts, ", ");
+      line += ")";
       break;
     }
     case PlanKind::kAggregate: {
       std::vector<std::string> parts;
       for (const auto& a : aggregates_) parts.push_back(a.ToString());
-      line += "(by=[" + Join(group_by_, ",") + "] " + Join(parts, ", ") + ")";
+      line += "(by=[";
+      line += Join(group_by_, ",");
+      line += "] ";
+      line += Join(parts, ", ");
+      line += ")";
       break;
     }
     case PlanKind::kSort: {
       std::vector<std::string> parts;
       for (const auto& k : sort_keys_) parts.push_back(k.ToString());
-      line += "(" + Join(parts, ", ") + ")";
+      line += "(";
+      line += Join(parts, ", ");
+      line += ")";
       break;
     }
     case PlanKind::kLimit:
-      line += "(" + std::to_string(limit_) + ")";
+      line += "(";
+      line += std::to_string(limit_);
+      line += ")";
       break;
   }
   std::string out = line;
   for (const auto& c : children_) {
-    out += "\n" + c->ToString(indent + 1);
+    out += "\n";
+    out += c->ToString(indent + 1);
   }
   return out;
 }

@@ -1,6 +1,9 @@
 #include "plan/signature.h"
 
 #include <algorithm>
+#include <charconv>
+#include <string_view>
+#include <utility>
 
 #include "common/str_util.h"
 
@@ -62,52 +65,57 @@ void AbsorbPredicate(PlanSignature* sig, const ExprPtr& pred) {
   }
 }
 
-}  // namespace
-
-std::set<std::string> PlanSignature::ClassOf(const std::string& column) const {
-  for (const auto& cls : equiv_classes) {
-    if (cls.count(column)) return cls;
+// Appends [first, last) separated by ','.
+template <typename It>
+void AppendJoined(std::string* out, It first, It last) {
+  for (It it = first; it != last; ++it) {
+    if (it != first) out->push_back(',');
+    out->append(*it);
   }
-  return {column};
 }
 
-std::string PlanSignature::RelationKey() const { return Join(relations, ","); }
-
-std::string PlanSignature::ToString() const {
-  std::string out = "relations=[" + RelationKey() + "]";
-  out += " equiv={";
-  std::vector<std::string> cls_strs;
-  for (const auto& cls : equiv_classes) {
-    cls_strs.push_back("{" + Join({cls.begin(), cls.end()}, ",") + "}");
-  }
-  std::sort(cls_strs.begin(), cls_strs.end());
-  out += Join(cls_strs, ",") + "}";
-  out += " ranges={";
-  std::vector<std::string> range_strs;
-  for (const auto& [col, r] : ranges) {
-    range_strs.push_back(col + ":" + StrFormat("%s%.6g,%.6g%s",
-                                               r.lo_inclusive ? "[" : "(", r.lo,
-                                               r.hi, r.hi_inclusive ? "]" : ")"));
-  }
-  out += Join(range_strs, ",") + "}";
-  out += " residuals={" + Join({residuals.begin(), residuals.end()}, ",") + "}";
-  out += " outputs={" + Join({output_columns.begin(), output_columns.end()}, ",") + "}";
-  if (!computed_outputs.empty()) {
-    out += " computed={" +
-           Join({computed_outputs.begin(), computed_outputs.end()}, ",") + "}";
-  }
-  if (has_aggregate) {
-    out += " groupby=[" + Join(group_by, ",") + "]";
-    out += " aggs={" + Join({agg_specs.begin(), agg_specs.end()}, ",") + "}";
-  }
-  return out;
+// Appends `v` exactly as printf's "%.6g": std::to_chars in general format
+// with precision 6 is specified to produce the same characters.
+void AppendG6(std::string* out, double v) {
+  char buf[32];
+  const std::to_chars_result res =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 6);
+  out->append(buf, res.ptr);
 }
 
-bool PlanSignature::operator==(const PlanSignature& other) const {
-  return ToString() == other.ToString();
+// Appends each class as "{a,b}", the classes separated by ',' and in the
+// byte order of these renderings.
+void AppendClasses(std::string* out,
+                   const std::vector<std::set<std::string>>& classes) {
+  const size_t begin = out->size();
+  std::vector<std::pair<size_t, size_t>> spans;  // offset from begin, length
+  if (classes.size() > 1) spans.reserve(classes.size());
+  for (const auto& cls : classes) {
+    if (out->size() > begin) out->push_back(',');
+    const size_t start = out->size();
+    out->push_back('{');
+    AppendJoined(out, cls.begin(), cls.end());
+    out->push_back('}');
+    if (classes.size() > 1) spans.emplace_back(start - begin, out->size() - start);
+  }
+  if (spans.size() < 2) return;
+  const std::string rendered = out->substr(begin);
+  std::vector<std::string_view> parts;
+  parts.reserve(spans.size());
+  for (const auto& [offset, length] : spans) {
+    parts.emplace_back(rendered.data() + offset, length);
+  }
+  std::sort(parts.begin(), parts.end());
+  out->resize(begin);
+  AppendJoined(out, parts.begin(), parts.end());
 }
 
-Result<PlanSignature> ComputeSignature(const PlanPtr& plan, const Catalog& catalog) {
+// One node's signature from its children's (`left`, `right`; null where
+// the node has fewer). Sort and Limit are resolved by SignatureTable::Get.
+Result<PlanSignature> DeriveSignature(const PlanPtr& plan,
+                                      const PlanSignature* left,
+                                      const PlanSignature* right,
+                                      const Catalog& catalog) {
   PlanSignature sig;
   switch (plan->kind()) {
     case PlanKind::kScan:
@@ -118,14 +126,10 @@ Result<PlanSignature> ComputeSignature(const PlanPtr& plan, const Catalog& catal
       return sig;
     }
     case PlanKind::kSort:
-      // Sorting does not change content; signatures see through it.
-      return ComputeSignature(plan->child(0), catalog);
     case PlanKind::kLimit:
-      // LIMIT changes content non-semantically (row subset): such
-      // subplans are neither matched nor offered as view candidates.
-      return Status::NotImplemented("signatures for LIMIT are not supported");
+      break;
     case PlanKind::kSelect: {
-      DEEPSEA_ASSIGN_OR_RETURN(sig, ComputeSignature(plan->child(0), catalog));
+      sig = *left;
       if (sig.has_aggregate) {
         // Selections above an aggregate act on aggregate output; treat
         // them as residuals so matching stays sound (a view without the
@@ -139,8 +143,8 @@ Result<PlanSignature> ComputeSignature(const PlanPtr& plan, const Catalog& catal
       return sig;
     }
     case PlanKind::kJoin: {
-      DEEPSEA_ASSIGN_OR_RETURN(PlanSignature l, ComputeSignature(plan->child(0), catalog));
-      DEEPSEA_ASSIGN_OR_RETURN(PlanSignature r, ComputeSignature(plan->child(1), catalog));
+      const PlanSignature& l = *left;
+      const PlanSignature& r = *right;
       if (l.has_aggregate || r.has_aggregate) {
         return Status::NotImplemented(
             "signatures for joins over aggregates are not supported");
@@ -174,7 +178,7 @@ Result<PlanSignature> ComputeSignature(const PlanPtr& plan, const Catalog& catal
       return sig;
     }
     case PlanKind::kProject: {
-      DEEPSEA_ASSIGN_OR_RETURN(sig, ComputeSignature(plan->child(0), catalog));
+      sig = *left;
       std::set<std::string> new_outputs;
       for (size_t i = 0; i < plan->project_exprs().size(); ++i) {
         const ExprPtr& e = plan->project_exprs()[i];
@@ -190,7 +194,7 @@ Result<PlanSignature> ComputeSignature(const PlanPtr& plan, const Catalog& catal
       return sig;
     }
     case PlanKind::kAggregate: {
-      DEEPSEA_ASSIGN_OR_RETURN(sig, ComputeSignature(plan->child(0), catalog));
+      sig = *left;
       if (sig.has_aggregate) {
         return Status::NotImplemented("nested aggregates are not supported");
       }
@@ -208,14 +212,128 @@ Result<PlanSignature> ComputeSignature(const PlanPtr& plan, const Catalog& catal
   return Status::Internal("bad plan kind");
 }
 
-MatchResult SignatureSubsumes(const PlanSignature& view_sig,
-                              const PlanSignature& query_sig) {
-  MatchResult out;
-  // 1. Relation classes must be equal.
-  if (view_sig.relations != query_sig.relations) {
-    out.reason = "relation classes differ";
-    return out;
+}  // namespace
+
+std::set<std::string> PlanSignature::ClassOf(const std::string& column) const {
+  for (const auto& cls : equiv_classes) {
+    if (cls.count(column)) return cls;
   }
+  return {column};
+}
+
+std::string PlanSignature::RelationKey() const { return Join(relations, ","); }
+
+std::string PlanSignature::ToString() const {
+  // One buffer, sized up front: labels, separators and the strings, plus
+  // at most 13 characters per rendered double.
+  size_t size = 96;
+  auto add = [&size](const auto& strings) {
+    for (const std::string& str : strings) size += str.size() + 1;
+  };
+  add(relations);
+  for (const auto& cls : equiv_classes) {
+    add(cls);
+    size += 3;
+  }
+  for (const auto& [col, r] : ranges) size += col.size() + 32;
+  add(residuals);
+  add(output_columns);
+  add(computed_outputs);
+  add(group_by);
+  add(agg_specs);
+
+  std::string out;
+  out.reserve(size);
+  out += "relations=[";
+  AppendJoined(&out, relations.begin(), relations.end());
+  out += "] equiv={";
+  AppendClasses(&out, equiv_classes);
+  out += "} ranges={";
+  for (auto it = ranges.begin(); it != ranges.end(); ++it) {
+    if (it != ranges.begin()) out.push_back(',');
+    const ColumnRange& r = it->second;
+    out += it->first;
+    out.push_back(':');
+    out.push_back(r.lo_inclusive ? '[' : '(');
+    AppendG6(&out, r.lo);
+    out.push_back(',');
+    AppendG6(&out, r.hi);
+    out.push_back(r.hi_inclusive ? ']' : ')');
+  }
+  out += "} residuals={";
+  AppendJoined(&out, residuals.begin(), residuals.end());
+  out += "} outputs={";
+  AppendJoined(&out, output_columns.begin(), output_columns.end());
+  out.push_back('}');
+  if (!computed_outputs.empty()) {
+    out += " computed={";
+    AppendJoined(&out, computed_outputs.begin(), computed_outputs.end());
+    out.push_back('}');
+  }
+  if (has_aggregate) {
+    out += " groupby=[";
+    AppendJoined(&out, group_by.begin(), group_by.end());
+    out += "] aggs={";
+    AppendJoined(&out, agg_specs.begin(), agg_specs.end());
+    out.push_back('}');
+  }
+  return out;
+}
+
+bool PlanSignature::operator==(const PlanSignature& other) const {
+  return ToString() == other.ToString();
+}
+
+const std::string& SignatureTable::Entry::key() const {
+  if (keyed_->key.empty()) keyed_->key = keyed_->sig.ToString();
+  return keyed_->key;
+}
+
+const SignatureTable::Entry& SignatureTable::Get(const PlanPtr& plan) {
+  for (const Entry& e : entries_) {
+    if (e.plan_.get() == plan.get()) return e;
+  }
+  const Entry* left = plan->children().empty() ? nullptr : &Get(plan->child(0));
+  const Entry* right = plan->children().size() > 1 ? &Get(plan->child(1)) : nullptr;
+  Entry entry;
+  entry.plan_ = plan;
+  if (plan->kind() == PlanKind::kLimit) {
+    // LIMIT changes content non-semantically (row subset): such
+    // subplans are neither matched nor offered as view candidates.
+    entry.status_ = Status::NotImplemented("signatures for LIMIT are not supported");
+  } else if (left != nullptr && !left->ok()) {
+    entry.status_ = left->status_;
+  } else if (right != nullptr && !right->ok()) {
+    entry.status_ = right->status_;
+  } else if (plan->kind() == PlanKind::kSort) {
+    // Sorting does not change content; signatures see through it.
+    entry.keyed_ = left->keyed_;
+  } else {
+    Result<PlanSignature> sig =
+        DeriveSignature(plan, left != nullptr ? &left->sig() : nullptr,
+                        right != nullptr ? &right->sig() : nullptr, *catalog_);
+    if (sig.ok()) {
+      entry.keyed_ = std::make_shared<KeyedSignature>();
+      entry.keyed_->sig = std::move(*sig);
+    } else {
+      entry.status_ = sig.status();
+    }
+  }
+  entries_.push_back(std::move(entry));
+  return entries_.back();
+}
+
+Result<PlanSignature> ComputeSignature(const PlanPtr& plan, const Catalog& catalog) {
+  SignatureTable table(&catalog);
+  const SignatureTable::Entry& entry = table.Get(plan);
+  if (!entry.ok()) return entry.status();
+  return entry.sig();
+}
+
+bool SignatureSubsumes(const PlanSignature& view_sig,
+                       const PlanSignature& query_sig) {
+  // 1. Relation classes must be equal.
+  if (view_sig.relations != query_sig.relations) return false;
   // 2. Every view equivalence class must be contained in a query class:
   //    the view enforces no equality the query does not also enforce.
   for (const auto& vcls : view_sig.equiv_classes) {
@@ -226,48 +344,35 @@ MatchResult SignatureSubsumes(const PlanSignature& view_sig,
         break;
       }
     }
-    if (!contained) {
-      out.reason = "view equivalence class not implied by query";
-      return out;
-    }
+    if (!contained) return false;
   }
-  // 3. View ranges must contain query ranges (view at least as wide).
+  // 3. View ranges must contain query ranges (view at least as wide); a
+  //    view may constrain only columns the query constrains.
   for (const auto& [col, vrange] : view_sig.ranges) {
     const auto qit = query_sig.ranges.find(col);
-    if (qit == query_sig.ranges.end()) {
-      out.reason = "view constrains column the query does not: " + col;
-      return out;
-    }
+    if (qit == query_sig.ranges.end()) return false;
     const ColumnRange& qrange = qit->second;
     const Interval vi(vrange.lo, vrange.hi, vrange.lo_inclusive,
                       vrange.hi_inclusive);
     const Interval qi(qrange.lo, qrange.hi, qrange.lo_inclusive,
                       qrange.hi_inclusive);
-    if (!vi.Contains(qi)) {
-      out.reason = "view range on " + col + " does not contain query range";
-      return out;
-    }
+    if (!vi.Contains(qi)) return false;
   }
   // 4. View residuals must be a subset of query residuals.
   if (!std::includes(query_sig.residuals.begin(), query_sig.residuals.end(),
                      view_sig.residuals.begin(), view_sig.residuals.end())) {
-    out.reason = "view residual predicates not implied by query";
-    return out;
+    return false;
   }
-  // 5. Aggregation compatibility.
-  if (view_sig.has_aggregate != query_sig.has_aggregate) {
-    out.reason = "aggregate presence differs";
-    return out;
-  }
+  // 5. Aggregation compatibility: same presence and the same spec.
+  if (view_sig.has_aggregate != query_sig.has_aggregate) return false;
   if (view_sig.has_aggregate) {
     if (view_sig.group_by != query_sig.group_by ||
         view_sig.agg_specs != query_sig.agg_specs) {
-      out.reason = "aggregate spec differs";
-      return out;
+      return false;
     }
     // Compensating predicates (query constraints the view lacks) must be
     // expressible over the aggregate output, i.e. reference only
-    // group-by columns.
+    // group-by columns; compensating residuals are not supported.
     const std::set<std::string> gb(view_sig.group_by.begin(),
                                    view_sig.group_by.end());
     for (const auto& [col, qrange] : query_sig.ranges) {
@@ -277,46 +382,30 @@ MatchResult SignatureSubsumes(const PlanSignature& view_sig,
           vit->second.hi == qrange.hi &&
           vit->second.lo_inclusive == qrange.lo_inclusive &&
           vit->second.hi_inclusive == qrange.hi_inclusive;
-      if (!identical && !gb.count(col)) {
-        out.reason = "compensating range on non-group-by column " + col;
-        return out;
-      }
+      if (!identical && !gb.count(col)) return false;
     }
     for (const auto& res : query_sig.residuals) {
-      if (!view_sig.residuals.count(res)) {
-        out.reason = "compensating residual over aggregate not supported";
-        return out;
-      }
+      if (!view_sig.residuals.count(res)) return false;
     }
   }
   // 6. Output availability: the view must expose every column the query
   //    outputs and every column needed by compensating predicates.
   for (const auto& col : query_sig.output_columns) {
-    if (!view_sig.output_columns.count(col)) {
-      out.reason = "view missing output column " + col;
-      return out;
-    }
+    if (!view_sig.output_columns.count(col)) return false;
   }
   for (const auto& comp : query_sig.computed_outputs) {
-    if (!view_sig.computed_outputs.count(comp) ) {
-      // A computed output can be re-derived if the view still has the
-      // raw columns, but our compensation only selects/projects by name;
-      // be conservative.
-      out.reason = "view missing computed output " + comp;
-      return out;
-    }
+    // A computed output can be re-derived if the view still has the raw
+    // columns, but our compensation only selects/projects by name; be
+    // conservative.
+    if (!view_sig.computed_outputs.count(comp)) return false;
   }
   if (!view_sig.has_aggregate) {
     for (const auto& [col, qrange] : query_sig.ranges) {
       (void)qrange;
-      if (!view_sig.output_columns.count(col)) {
-        out.reason = "view missing column needed for compensation: " + col;
-        return out;
-      }
+      if (!view_sig.output_columns.count(col)) return false;
     }
   }
-  out.matches = true;
-  return out;
+  return true;
 }
 
 }  // namespace deepsea

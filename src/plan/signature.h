@@ -1,7 +1,9 @@
 #ifndef DEEPSEA_PLAN_SIGNATURE_H_
 #define DEEPSEA_PLAN_SIGNATURE_H_
 
+#include <deque>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -63,18 +65,69 @@ struct PlanSignature {
   bool operator==(const PlanSignature& other) const;
 };
 
-/// Computes the signature of an SPJG plan bottom-up. ViewRef nodes are
-/// treated as opaque relations named after the view (signatures are
-/// normally computed on pre-rewrite plans). Fails on malformed plans.
-Result<PlanSignature> ComputeSignature(const PlanPtr& plan, const Catalog& catalog);
-
-/// Outcome of testing the sufficient matching condition between a view
-/// signature and a query-subplan signature.
-struct MatchResult {
-  bool matches = false;
-  /// Human-readable reason when matches == false (for logs and tests).
-  std::string reason;
+/// A signature with its canonical key (PlanSignature::ToString()),
+/// shared read-only once built: the read footprint and the planning
+/// delta hold the SignatureTable's object instead of a copy, and never
+/// render the key again.
+struct KeyedSignature {
+  PlanSignature sig;
+  std::string key;
 };
+
+/// The signatures of one query's subplans, each derived once (DESIGN.md
+/// §9, "One signature per subplan per query"). Get derives a node's
+/// signature on its first request, after its children's, starting from
+/// theirs, and returns the same entry afterwards; the canonical key is
+/// rendered on its first request. A QueryContext owns one over its
+/// planning catalog: the matcher, both candidate passes and the
+/// index-probe footprint read it.
+///
+/// Nodes are identified by address. The table keeps a reference to every
+/// plan it saw, so no address is reused while it lives. Lookup scans the
+/// entries: plans have tens of nodes.
+class SignatureTable {
+ public:
+  class Entry {
+   public:
+    /// False when the subplan has no signature: a LIMIT and its
+    /// ancestors, joins over aggregates, nested aggregates, plans over
+    /// unknown tables. status() says why.
+    bool ok() const { return keyed_ != nullptr; }
+    const Status& status() const { return status_; }
+    const PlanSignature& sig() const { return keyed_->sig; }
+    /// The canonical key, rendered on the first call. Requires ok().
+    const std::string& key() const;
+    /// The signature with its key rendered, to share. Requires ok().
+    std::shared_ptr<const KeyedSignature> keyed() const {
+      key();
+      return keyed_;
+    }
+
+   private:
+    friend class SignatureTable;
+    PlanPtr plan_;
+    Status status_;
+    std::shared_ptr<KeyedSignature> keyed_;
+  };
+
+  /// Tables are resolved against `catalog`, which must outlive every Get.
+  explicit SignatureTable(const Catalog* catalog) : catalog_(catalog) {}
+  SignatureTable(const SignatureTable&) = delete;
+  SignatureTable& operator=(const SignatureTable&) = delete;
+
+  /// The entry of `plan`. References stay valid while the table lives.
+  const Entry& Get(const PlanPtr& plan);
+
+ private:
+  const Catalog* catalog_;
+  std::deque<Entry> entries_;  ///< post-order; deque: stable references
+};
+
+/// The signature of an SPJG plan: a lookup of the root in a fresh
+/// SignatureTable. ViewRef nodes are treated as opaque relations named
+/// after the view (signatures are normally computed on pre-rewrite
+/// plans). Fails on the shapes SignatureTable::Entry::ok() lists.
+Result<PlanSignature> ComputeSignature(const PlanPtr& plan, const Catalog& catalog);
 
 /// Sufficient condition (Section 8.1): the view's result is a superset
 /// of the subquery's and the difference is compensable by selections /
@@ -86,8 +139,8 @@ struct MatchResult {
 ///  5. aggregate parts equal when present (and compensating predicates
 ///     restricted to group-by columns),
 ///  6. view outputs ⊇ query outputs and compensation columns.
-MatchResult SignatureSubsumes(const PlanSignature& view_sig,
-                              const PlanSignature& query_sig);
+bool SignatureSubsumes(const PlanSignature& view_sig,
+                       const PlanSignature& query_sig);
 
 }  // namespace deepsea
 

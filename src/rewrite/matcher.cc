@@ -68,7 +68,7 @@ ExprPtr ViewMatcher::BuildCompensation(const PlanSignature& view_sig,
 }
 
 Result<std::vector<Rewriting>> ViewMatcher::ComputeRewritings(
-    const PlanPtr& query, PlanningDelta* delta) {
+    const PlanPtr& query, SignatureTable* signatures, PlanningDelta* delta) {
   std::vector<Rewriting> out;
   std::vector<PlanPtr> subplans;
   CollectSubplans(query, &subplans);
@@ -76,17 +76,16 @@ Result<std::vector<Rewriting>> ViewMatcher::ComputeRewritings(
     if (sp->kind() == PlanKind::kScan || sp->kind() == PlanKind::kViewRef) {
       continue;
     }
-    auto sig_result = ComputeSignature(sp, *catalog_);
-    if (!sig_result.ok()) continue;  // unsupported shapes are skipped
-    const PlanSignature& qsig = *sig_result;
+    const SignatureTable::Entry& entry = signatures->Get(sp);
+    if (!entry.ok()) continue;  // unsupported shapes are skipped
+    const PlanSignature& qsig = entry.sig();
     // The lookup itself is a read — recorded whether or not it hits:
     // an empty result is as much a fact the plan depends on as a hit.
-    if (delta != nullptr) delta->RecordIndexProbe(qsig);
+    if (delta != nullptr) delta->RecordIndexProbe(entry.keyed());
     for (const std::string& view_id : index_->Lookup(qsig)) {
       ViewInfo* view = views_->Get(view_id);
       if (view == nullptr) continue;
-      const MatchResult m = SignatureSubsumes(view->signature, qsig);
-      if (!m.matches) continue;
+      if (!SignatureSubsumes(view->signature, qsig)) continue;
       // The view table must be present in the relational catalog (the
       // engine registers every tracked view with estimated statistics).
       if (!catalog_->Contains(view->id)) continue;
@@ -158,6 +157,7 @@ Result<std::vector<Rewriting>> ViewMatcher::ComputeRewritings(
       auto est = estimator_->Estimate(rw.plan);
       if (!est.ok()) continue;
       rw.est_seconds = est->seconds;
+      rw.map_tasks = est->map_tasks;
       out.push_back(std::move(rw));
     }
   }

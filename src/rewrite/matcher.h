@@ -1,6 +1,7 @@
 #ifndef DEEPSEA_REWRITE_MATCHER_H_
 #define DEEPSEA_REWRITE_MATCHER_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,7 @@ struct Rewriting {
   /// pool (only such rewritings are eligible as Q_best).
   bool executable = false;
   double est_seconds = 0.0;
+  int64_t map_tasks = 0;             ///< of the same estimate
   /// Query's selection range on partition_attr, clamped to the domain.
   Interval query_range;
   bool has_query_range = false;
@@ -51,7 +53,9 @@ class ViewMatcher {
 
   /// All rewritings of `query`, sorted by estimated cost ascending.
   /// Views not in the pool yield non-executable rewritings, kept so the
-  /// engine can update "could have been used" statistics.
+  /// engine can update "could have been used" statistics. Subplan
+  /// signatures come from `signatures` (the query's table), which must
+  /// resolve the query's tables as the matcher's catalog does.
   ///
   /// When `delta` is non-null, every filter-tree lookup is recorded as
   /// an index-probe read on the delta (RecordIndexProbe): a foreign
@@ -59,7 +63,8 @@ class ViewMatcher {
   /// could have changed the rewriting choice, so the plan must be
   /// invalidated — while signature-disjoint inserts commute.
   Result<std::vector<Rewriting>> ComputeRewritings(
-      const PlanPtr& query, PlanningDelta* delta = nullptr);
+      const PlanPtr& query, SignatureTable* signatures,
+      PlanningDelta* delta = nullptr);
 
   /// Builds the compensation predicate a rewriting must apply on top of
   /// the view read so the result equals the replaced subplan: all range

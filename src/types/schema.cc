@@ -37,7 +37,10 @@ std::string Schema::ToString() const {
   for (const auto& c : columns_) {
     parts.push_back(c.name + ":" + DataTypeName(c.type));
   }
-  return "(" + Join(parts, ", ") + ")";
+  std::string out = "(";
+  out += Join(parts, ", ");
+  out += ")";
+  return out;
 }
 
 }  // namespace deepsea

@@ -158,8 +158,10 @@ PlanSignature RangeSig(const std::string& relation, double lo, double hi) {
   return sig;
 }
 
-std::shared_ptr<const PlanSignature> Shared(PlanSignature sig) {
-  return std::make_shared<const PlanSignature>(std::move(sig));
+std::shared_ptr<const KeyedSignature> Shared(PlanSignature sig) {
+  std::string key = sig.ToString();
+  return std::make_shared<const KeyedSignature>(
+      KeyedSignature{std::move(sig), std::move(key)});
 }
 
 TEST(FootprintsConflictTest, IndexInsertConflictsAtSubsumptionGranularity) {
@@ -735,7 +737,8 @@ TEST_F(CommitValidationTest, OpposingShardOrdersDoNotDeadlock) {
   std::vector<std::string> views;
   std::set<int> shards;
   for (int i = 0; shards.size() < 6; ++i) {
-    const std::string id = "w" + std::to_string(i);
+    std::string id = "w";
+    id += std::to_string(i);
     if (shards.insert(PoolManager::ShardOf(id)).second) views.push_back(id);
   }
   // Overlapping subsets: {0..3} and {2..5}, reversed for thread B.

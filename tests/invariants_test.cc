@@ -2,6 +2,7 @@
 // strategy and several seeds must preserve the system's structural
 // guarantees regardless of what the adaptive machinery decides.
 
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -106,6 +107,13 @@ struct SweepParam {
   bool overlapping;
   uint64_t seed;
 };
+
+// Without a printer gtest shows a parameter as its raw bytes, padding
+// included, so the listed test names would differ between builds.
+void PrintTo(const SweepParam& p, std::ostream* os) {
+  *os << StrategyName(p.strategy) << "/" << ValueModelName(p.model)
+      << (p.overlapping ? "/ovl" : "/hor") << "/s" << p.seed;
+}
 
 std::string ParamName(const ::testing::TestParamInfo<SweepParam>& info) {
   const SweepParam& p = info.param;

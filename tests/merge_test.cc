@@ -69,7 +69,9 @@ class MergeCandidatesTest : public ::testing::Test {
   ViewInfo* MakeView(std::vector<FragmentStats> frags) {
     PlanPtr plan = Scan("t");
     PlanSignature sig;
-    sig.relations = {"t" + std::to_string(counter_++)};
+    std::string relation = "t";
+    relation += std::to_string(counter_++);
+    sig.relations = {relation};
     ViewInfo* view = views_.Track(plan, sig);
     view->stats.size_bytes = 100e9;
     PartitionState* part = view->EnsurePartition("t.a", Interval(0, 100));

@@ -128,7 +128,8 @@ TEST_F(RewriteTest, MatcherFindsExecutableRewriting) {
   const PlanPtr query = Aggregate(
       Select(JoinPlan(), RangePredicate("fact.k", 100, 200)), {"dim.g"},
       {{AggFunc::kCount, "", "n"}});
-  auto rewritings = matcher.ComputeRewritings(query);
+  SignatureTable signatures(&catalog_);
+  auto rewritings = matcher.ComputeRewritings(query, &signatures);
   ASSERT_TRUE(rewritings.ok());
   ASSERT_FALSE(rewritings->empty());
   const Rewriting& best = (*rewritings)[0];
@@ -146,7 +147,8 @@ TEST_F(RewriteTest, MatcherSpansMultipleFragments) {
   ViewMatcher matcher(&views_, &index_, &catalog_, &estimator);
   const PlanPtr query =
       Select(JoinPlan(), RangePredicate("fact.k", 100, 600));
-  auto rewritings = matcher.ComputeRewritings(query);
+  SignatureTable signatures(&catalog_);
+  auto rewritings = matcher.ComputeRewritings(query, &signatures);
   ASSERT_TRUE(rewritings.ok());
   ASSERT_FALSE(rewritings->empty());
   // Among the rewritings (the bare-join subplan yields a whole-view
@@ -165,7 +167,8 @@ TEST_F(RewriteTest, UnmaterializedViewYieldsTrackedOnlyRewriting) {
   PlanCostEstimator estimator(&cluster_, &catalog_);
   ViewMatcher matcher(&views_, &index_, &catalog_, &estimator);
   const PlanPtr query = Select(JoinPlan(), RangePredicate("fact.k", 100, 200));
-  auto rewritings = matcher.ComputeRewritings(query);
+  SignatureTable signatures(&catalog_);
+  auto rewritings = matcher.ComputeRewritings(query, &signatures);
   ASSERT_TRUE(rewritings.ok());
   ASSERT_FALSE(rewritings->empty());
   EXPECT_FALSE((*rewritings)[0].executable);
@@ -177,7 +180,8 @@ TEST_F(RewriteTest, RewritingCheaperThanBase) {
   ViewMatcher matcher(&views_, &index_, &catalog_, &estimator);
   const PlanPtr query = Select(JoinPlan(), RangePredicate("fact.k", 100, 200));
   auto base = estimator.Estimate(query);
-  auto rewritings = matcher.ComputeRewritings(query);
+  SignatureTable signatures(&catalog_);
+  auto rewritings = matcher.ComputeRewritings(query, &signatures);
   ASSERT_TRUE(base.ok());
   ASSERT_TRUE(rewritings.ok());
   ASSERT_FALSE(rewritings->empty());
@@ -191,7 +195,8 @@ TEST_F(RewriteTest, NoMatchForDifferentJoin) {
   // A self-join of fact has different relation classes.
   const PlanPtr query = Join(Scan("fact"), Scan("fact"),
                              Cmp(CompareOp::kEq, Col("fact.k"), Col("fact.k")));
-  auto rewritings = matcher.ComputeRewritings(query);
+  SignatureTable signatures(&catalog_);
+  auto rewritings = matcher.ComputeRewritings(query, &signatures);
   ASSERT_TRUE(rewritings.ok());
   EXPECT_TRUE(rewritings->empty());
 }

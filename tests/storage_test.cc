@@ -209,7 +209,9 @@ TEST(ScheduledFaultPolicyTest, EveryNthAfterCountAndBudget) {
   fs.set_fault_policy(&policy);
   std::vector<bool> failed;
   for (int i = 0; i < 8; ++i) {
-    failed.push_back(!fs.Put("p" + std::to_string(i), 1).ok());
+    std::string path = "p";
+    path += std::to_string(i);
+    failed.push_back(!fs.Put(path, 1).ok());
   }
   // Matches 2,4 (the 2nd and 4th past the skipped first) fail; budget
   // then exhausted.
@@ -266,7 +268,9 @@ TEST(ScheduledFaultPolicyTest, ProbabilityIsSeedDeterministic) {
     fs.set_fault_policy(&policy);
     std::vector<bool> failed;
     for (int i = 0; i < 64; ++i) {
-      failed.push_back(!fs.Put("p" + std::to_string(i), 1).ok());
+      std::string path = "p";
+      path += std::to_string(i);
+      failed.push_back(!fs.Put(path, 1).ok());
     }
     return failed;
   };
