@@ -4,6 +4,7 @@
 // stale benefits keep them competitive and the pool adapts slowly.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/str_util.h"
@@ -30,6 +31,7 @@ int main() {
 
   TablePrinter table;
   table.Header({"variant", "total (s)", "evictions", "from views"});
+  std::vector<double> totals;  // decay on, decay off
   for (bool decay_enabled : {true, false}) {
     StrategySpec spec = bench::DeepSea();
     spec.label = decay_enabled ? "DS (decay on)" : "DS (decay off)";
@@ -45,9 +47,12 @@ int main() {
     table.Row({result->label, FmtSeconds(result->total_seconds),
                std::to_string(result->totals.fragments_evicted),
                std::to_string(result->totals.queries_answered_from_views)});
+    totals.push_back(result->total_seconds);
   }
   std::printf(
       "\nExpected: decay-on adapts to each regime shift and accumulates less"
       "\ntotal time than decay-off under the same pool limit.\n");
-  return 0;
+  bench::ShapeGate shapes;
+  shapes.Check("ablation decay on < decay off", totals[0] < totals[1]);
+  return shapes.ExitCode();
 }

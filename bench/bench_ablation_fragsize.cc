@@ -5,6 +5,7 @@
 // up. The phi bound splits oversized fragments at creation time.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/str_util.h"
@@ -34,6 +35,7 @@ int main() {
 
   TablePrinter table;
   table.Header({"phi", "total (s)", "phase2 (s)", "frags"});
+  std::vector<double> phase2s;  // unbounded, phi=0.25, phi=0.10
   for (double phi : {0.0, 0.25, 0.10}) {
     StrategySpec spec = bench::DeepSea();
     spec.label = phi <= 0.0 ? "unbounded" : StrFormat("phi=%.2f", phi);
@@ -48,9 +50,13 @@ int main() {
     table.Row({result->label, FmtSeconds(result->total_seconds),
                FmtSeconds(phase2),
                std::to_string(result->totals.fragments_created)});
+    phase2s.push_back(phase2);
   }
   std::printf(
       "\nExpected: bounding phi reduces phase-2 over-reads of the cold"
       "\nfragment at a modest extra creation cost.\n");
-  return 0;
+  bench::ShapeGate shapes;
+  shapes.Check("ablation bounded phi < unbounded in phase 2",
+               phase2s[1] < phase2s[0] && phase2s[2] < phase2s[0]);
+  return shapes.ExitCode();
 }

@@ -5,6 +5,7 @@
 // counts and per-file overheads for the rest of the workload.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/str_util.h"
@@ -30,6 +31,7 @@ int main() {
 
   TablePrinter table;
   table.Header({"variant", "total (s)", "map tasks", "merges", "frags"});
+  std::vector<EngineTotals> totals;  // without, with merging
   for (bool merging : {false, true}) {
     StrategySpec spec = bench::DeepSea();
     spec.label = merging ? "DS + merging" : "DS";
@@ -47,9 +49,14 @@ int main() {
                std::to_string(result->totals.map_tasks),
                std::to_string(result->totals.fragments_merged),
                std::to_string(result->totals.fragments_created)});
+    totals.push_back(result->totals);
   }
   std::printf(
       "\nExpected: merging consolidates the co-accessed pair; the merged"
       "\nlayout reads fewer files (fewer map tasks) for the same answers.\n");
-  return 0;
+  bench::ShapeGate shapes;
+  shapes.Check("extension merging merges and reads fewer map tasks",
+               totals[1].fragments_merged > 0 &&
+                   totals[1].map_tasks < totals[0].map_tasks);
+  return shapes.ExitCode();
 }

@@ -6,6 +6,7 @@
 // from small fragments.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/str_util.h"
@@ -24,6 +25,7 @@ int main() {
   };
   TablePrinter table;
   table.Header({"variant", "total (s)", "base (s)", "from views", "frags"});
+  std::vector<double> totals;  // Hive, DS
   for (const Variant& variant :
        {Variant{"Hive", StrategyKind::kHive},
         Variant{"DS multi-attr", StrategyKind::kDeepSea}}) {
@@ -58,10 +60,13 @@ int main() {
     table.Row({variant.label, FmtSeconds(total), FmtSeconds(base),
                std::to_string(engine.totals().queries_answered_from_views),
                std::to_string(engine.totals().fragments_created)});
+    totals.push_back(total);
   }
   std::printf(
       "\nExpected: with partitions on both item_sk and sold_date, both query"
       "\nshapes are answered from fragments and total time drops well below"
       "\nthe no-views baseline.\n");
-  return 0;
+  bench::ShapeGate shapes;
+  shapes.Check("extension multi-attribute DS < H", totals[1] < totals[0]);
+  return shapes.ExitCode();
 }

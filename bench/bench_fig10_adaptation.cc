@@ -11,7 +11,9 @@
 // workload; the DS/NR ratio exceeds 1 for roughly 30 queries after the
 // shift, then drops below 1.
 
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/str_util.h"
@@ -51,6 +53,7 @@ int main() {
   TablePrinter table;
   table.Header({"strategy", "cum 101..200 (s)", "total (s)", "frags"});
   RunResult nr_result, ds_result;
+  std::vector<double> totals;  // NP, E-5, NR, DS
   for (const StrategySpec& spec : specs) {
     auto result = runner.Run(spec, workload);
     if (!result.ok()) {
@@ -61,6 +64,7 @@ int main() {
     table.Row({result->label, FmtSeconds(tail),
                FmtSeconds(result->total_seconds),
                std::to_string(result->totals.fragments_created)});
+    totals.push_back(result->total_seconds);
     if (result->label == "NR") nr_result = *result;
     if (result->label == "DS") ds_result = *result;
   }
@@ -68,13 +72,23 @@ int main() {
   std::printf("\n[10b] cumulative-time ratio DS/NR from query 101\n");
   TablePrinter ratio_table(12);
   ratio_table.Header({"at query", "DS/NR"});
-  for (size_t q : {110, 120, 130, 140, 160, 180, 200}) {
+  auto ds_over_nr = [&](size_t q) {
     const double nr = nr_result.CumulativeAt(q) - nr_result.CumulativeAt(100);
     const double ds = ds_result.CumulativeAt(q) - ds_result.CumulativeAt(100);
-    ratio_table.Row({std::to_string(q), FmtRatio(ds / std::max(nr, 1.0))});
+    return ds / std::max(nr, 1.0);
+  };
+  for (size_t q : {110, 120, 130, 140, 160, 180, 200}) {
+    ratio_table.Row({std::to_string(q), FmtRatio(ds_over_nr(q))});
   }
   std::printf(
       "\nPaper: DS beats NR by ~7%% and E-5 by ~27%% overall; DS/NR > 1 for"
       "\n~30 queries after the shift (repartitioning cost), then < 1.\n");
-  return 0;
+  bench::ShapeGate shapes;
+  shapes.Check("fig10a DS lowest total",
+               totals[3] < *std::min_element(totals.begin(), totals.end() - 1));
+  shapes.Check("fig10a NP highest total",
+               totals[0] > *std::max_element(totals.begin() + 1, totals.end()));
+  shapes.Check("fig10b DS/NR > 1 at q110", ds_over_nr(110) > 1.0);
+  shapes.Check("fig10b DS/NR < 1 at q200", ds_over_nr(200) < 1.0);
+  return shapes.ExitCode();
 }

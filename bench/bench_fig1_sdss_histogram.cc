@@ -42,5 +42,8 @@ int main() {
   const double cold = hist.MassInRange(Interval(320, 400));
   std::printf("hot(220-280)=%.0f  secondary(90-120)=%.0f  cold(320-400)=%.0f\n",
               hot, secondary, cold);
-  return 0;
+  bench::ShapeGate shapes;
+  shapes.Check("fig1 hot band > secondary spot > cold tail",
+               hot > secondary && secondary > cold);
+  return shapes.ExitCode();
 }

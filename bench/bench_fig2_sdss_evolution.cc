@@ -35,11 +35,18 @@ int main() {
   for (const Interval& iv : trace) {
     if (iv.Width() > 350.0) ++full_domain;
   }
+  const double early = phase_mean(0, 3000);
+  const double late = phase_mean(3000, 10000);
   std::printf("\nmean midpoint queries 1-3000:    %.1f deg (paper: 200-300 band)\n",
-              phase_mean(0, 3000));
+              early);
   std::printf("mean midpoint queries 3001-10000: %.1f deg (paper: shift toward 100)\n",
-              phase_mean(3000, 10000));
+              late);
   std::printf("whole-domain selections: %d (paper: vertical line near query 1000)\n",
               full_domain);
-  return 0;
+  bench::ShapeGate shapes;
+  shapes.Check("fig2 queries 1-3000 centre in 200-300 deg",
+               early >= 200.0 && early <= 300.0);
+  shapes.Check("fig2 later queries shift toward 100 deg", late < early);
+  shapes.Check("fig2 whole-domain selections occur", full_domain > 0);
+  return shapes.ExitCode();
 }

@@ -6,6 +6,7 @@
 // Paper result: NP ~= 65.6% of H; DS ~= 64.2% of NP.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/str_util.h"
@@ -21,6 +22,7 @@ int main() {
   TablePrinter table;
   table.Header({"strategy", "elapsed (s)", "% of H", "views", "frags", "from views"});
   double hive_total = 0.0;
+  std::vector<double> totals;  // H, NP, DS
   for (const StrategySpec& spec :
        {bench::Hive(), bench::NoPartition(), bench::DeepSea()}) {
     auto result = runner.Run(spec, workload);
@@ -30,6 +32,7 @@ int main() {
       return 1;
     }
     if (spec.label == "H") hive_total = result->total_seconds;
+    totals.push_back(result->total_seconds);
     table.Row({result->label, FmtSeconds(result->total_seconds),
                StrFormat("%.1f%%", 100.0 * result->total_seconds /
                                         std::max(hive_total, 1.0)),
@@ -38,5 +41,7 @@ int main() {
                std::to_string(result->totals.queries_answered_from_views)});
   }
   std::printf("\nPaper: NP ~= 65.6%% of H, DS ~= 64.2%% of NP (~42%% of H).\n");
-  return 0;
+  bench::ShapeGate shapes;
+  shapes.Check("fig5a DS < NP < H", totals[2] < totals[1] && totals[1] < totals[0]);
+  return shapes.ExitCode();
 }

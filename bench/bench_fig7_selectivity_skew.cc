@@ -13,7 +13,11 @@
 // up to 30% better under Heavy skew; recoup happens within a handful of
 // queries, similar for DS and E except BH where DS wins.
 
+#include <algorithm>
 #include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/str_util.h"
@@ -31,6 +35,9 @@ int main() {
   const Selectivity sels[] = {Selectivity::kBig, Selectivity::kMedium,
                               Selectivity::kSmall};
   const Skew skews[] = {Skew::kUniform, Skew::kLight, Skew::kHeavy};
+  bool partitioned_beat_np = true;
+  int worst_recoup = 0;  // E and DS
+  std::vector<std::pair<std::string, bool>> heavy_ds_le_e;
   for (Selectivity sel : sels) {
     for (Skew skew : skews) {
       const std::string setting =
@@ -45,6 +52,7 @@ int main() {
           RuntimeEstimator::ProjectCumulative(hive->per_query_seconds, 100);
 
       std::vector<std::string> fractions, recoups;
+      std::vector<double> projected_h;  // NP, E, DS as a fraction of H
       for (StrategySpec spec :
            {bench::NoPartition(), bench::EquiDepth(6), bench::DeepSea()}) {
         spec.options.benefit_cost_threshold = 0.0;  // materialize on query 1
@@ -56,6 +64,7 @@ int main() {
         const double projected =
             RuntimeEstimator::ProjectCumulative(result->per_query_seconds, 100);
         fractions.push_back(StrFormat("%.2f", projected / hive100));
+        projected_h.push_back(projected / hive100);
         // Recoup: first i with cumulative(strategy) <= cumulative(Hive);
         // projected forward when not reached within the measured 10.
         int recoup = -1;
@@ -75,6 +84,15 @@ int main() {
                        : 999;
         }
         recoups.push_back(std::to_string(recoup));
+        if (spec.options.strategy != StrategyKind::kNoPartition) {
+          worst_recoup = std::max(worst_recoup, recoup);
+        }
+      }
+      partitioned_beat_np = partitioned_beat_np &&
+                            projected_h[1] < projected_h[0] &&
+                            projected_h[2] < projected_h[0];
+      if (skew == Skew::kHeavy) {
+        heavy_ds_le_e.emplace_back(setting, projected_h[2] <= projected_h[1]);
       }
       table.Row({setting, fractions[0], fractions[1], fractions[2], recoups[0],
                  recoups[1], recoups[2]});
@@ -84,5 +102,13 @@ int main() {
       "\nPaper (7a): E/DS save 50-60%% (B), 60-70%% (M), 70-80%% (S); NP only"
       "\n15-25%%; DS ~= E under U, up to 30%% better under H."
       "\nPaper (7b): recoup within a handful of queries; DS advantage at BH.\n");
-  return 0;
+  bench::ShapeGate shapes;
+  shapes.Check("fig7a E and DS save more than NP in every setting",
+               partitioned_beat_np);
+  for (const auto& [setting, holds] : heavy_ds_le_e) {
+    shapes.Check("fig7a DS <= E at " + setting, holds);
+  }
+  shapes.Check("fig7b E and DS recoup within the 10 measured queries",
+               worst_recoup <= 10);
+  return shapes.ExitCode();
 }

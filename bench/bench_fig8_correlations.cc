@@ -12,6 +12,8 @@
 // under Zipf.
 
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/math_util.h"
@@ -20,6 +22,11 @@
 using namespace deepsea;
 
 namespace {
+
+// 8b's "not worse": the 40-query Zipf sequence costs about 10,000 s,
+// and one materialization decision moves that by several percent, so
+// DS may exceed N by up to one such decision (EXPERIMENTS.md, Fig. 8).
+constexpr double kZipfTolerance = 0.10;
 
 StrategySpec DeepSeaNoMle() {
   StrategySpec s = deepsea::bench::DeepSea();
@@ -65,6 +72,7 @@ int main() {
   }
   TablePrinter table;
   table.Header({"strategy", "cumulative (s)", "evictions", "from views"});
+  std::vector<double> totals_a;  // N, DS-noMLE, DS
   for (StrategySpec spec : {bench::Nectar(), DeepSeaNoMle(), bench::DeepSea()}) {
     spec.options.pool_limit_bytes = 4e9;
     spec.options.benefit_cost_threshold = 0.0;
@@ -76,12 +84,14 @@ int main() {
     table.Row({result->label, FmtSeconds(result->total_seconds),
                std::to_string(result->totals.fragments_evicted),
                std::to_string(result->totals.queries_answered_from_views)});
+    totals_a.push_back(result->total_seconds);
   }
 
   // ---- 8b: Zipf-distributed selections, pool sweep ----
   std::printf("\n[8b] Zipf-distributed selection midpoints, N vs DS\n");
   TablePrinter tb;
   tb.Header({"pool (GB)", "N (s)", "DS (s)", "DS/N"});
+  std::vector<std::pair<double, double>> ratios_b;  // pool GB, DS/N
   for (double pool_gb : {4.0, 8.0, 25.0}) {
     ZipfRangeGenerator zipf(bench::ItemSkDomain(), 0.01, /*buckets=*/64,
                             /*exponent=*/1.3, /*seed=*/11);
@@ -100,9 +110,18 @@ int main() {
     }
     tb.Row({StrFormat("%.0f", pool_gb), FmtSeconds(totals[0]),
             FmtSeconds(totals[1]), FmtRatio(totals[1] / totals[0])});
+    ratios_b.emplace_back(pool_gb, totals[1] / totals[0]);
   }
   std::printf(
       "\nPaper: DS significantly beats N when hits are Normal-like (8a); DS"
       "\nis not worse than N under Zipf (8b).\n");
-  return 0;
+  bench::ShapeGate shapes;
+  shapes.Check("fig8a N > DS-noMLE > DS",
+               totals_a[0] > totals_a[1] && totals_a[1] > totals_a[2]);
+  for (const auto& [pool_gb, ratio] : ratios_b) {
+    shapes.Check(StrFormat("fig8b DS/N <= %.2f at %.0f GB pool",
+                           1.0 + kZipfTolerance, pool_gb),
+                 ratio <= 1.0 + kZipfTolerance);
+  }
+  return shapes.ExitCode();
 }

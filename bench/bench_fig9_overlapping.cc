@@ -9,6 +9,7 @@
 // current selection bound to the end of the (unqueried) domain.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/str_util.h"
@@ -50,6 +51,7 @@ int main() {
   table.Header({"strategy", "cum @Q10 (s)", "cum @Q20 (s)", "cum @Q30 (s)",
                 "frags", "bytes written"});
   std::vector<double> totals;
+  std::vector<double> after_first_shift;  // cumulative at Q20
   for (const StrategySpec& spec : {horizontal, overlapping}) {
     auto result = runner.Run(spec, workload);
     if (!result.ok()) {
@@ -57,6 +59,7 @@ int main() {
       return 1;
     }
     totals.push_back(result->total_seconds);
+    after_first_shift.push_back(result->CumulativeAt(20));
     table.Row({result->label, FmtSeconds(result->CumulativeAt(10)),
                FmtSeconds(result->CumulativeAt(20)),
                FmtSeconds(result->CumulativeAt(30)),
@@ -70,5 +73,9 @@ int main() {
   std::printf(
       "Paper: overlapping partitioning accumulates less time after the"
       " midpoint shifts at Q30_11 and Q30_21.\n");
-  return 0;
+  bench::ShapeGate shapes;
+  shapes.Check("fig9 Overlapping < Horizontal after each shift (Q20, Q30)",
+               after_first_shift[1] < after_first_shift[0] &&
+                   totals[1] < totals[0]);
+  return shapes.ExitCode();
 }

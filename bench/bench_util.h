@@ -133,6 +133,25 @@ inline void Banner(const char* figure, const char* description) {
   std::printf("==============================================================\n");
 }
 
+/// Paper-shape gate. A bench checks each shape of its figure that
+/// EXPERIMENTS.md marks reproduced, as an inequality over the numbers it
+/// prints, with the bound taken from the paper's claim. Check prints one
+/// "shape <name>: ok|FAIL" line; main returns ExitCode(), non-zero after
+/// any FAIL, so bench/run_figures.sh and CI fail with the bench.
+class ShapeGate {
+ public:
+  void Check(const std::string& name, bool holds) {
+    if (checks_++ == 0) std::printf("\n");
+    std::printf("shape %s: %s\n", name.c_str(), holds ? "ok" : "FAIL");
+    failed_ = failed_ || !holds;
+  }
+  int ExitCode() const { return failed_ ? 1 : 0; }
+
+ private:
+  int checks_ = 0;
+  bool failed_ = false;
+};
+
 }  // namespace bench
 }  // namespace deepsea
 

@@ -7,9 +7,12 @@
 #
 # The benches are deterministic (seeded workloads, simulated seconds),
 # so two builds that make the same decisions write identical files:
-# `diff -r OUT_A OUT_B` compares two revisions. Exits non-zero when a
-# bench is missing from BUILD_DIR or exits non-zero itself; the other
-# benches still run.
+# `diff -r OUT_A OUT_B` compares two revisions. Each bench ends with its
+# paper-shape gates, one `shape <name>: ok|FAIL` line per shape
+# EXPERIMENTS.md marks reproduced, and exits non-zero after a FAIL.
+# Exits non-zero when a bench is missing from BUILD_DIR or exits
+# non-zero itself, echoing its failed shapes; the other benches still
+# run.
 set -u
 
 if [ $# -ne 2 ]; then
@@ -39,6 +42,7 @@ for src in "$src_dir"/bench_fig*.cc "$src_dir"/bench_ablation_*.cc \
     printf 'ok   %-34s %6d ms\n' "$name" "$elapsed_ms"
   else
     echo "FAIL $name: exit $code" >&2
+    grep '^shape .*: FAIL$' "$out_dir/$name.txt" >&2
     status=1
   fi
 done

@@ -24,8 +24,8 @@ void CandidateGenerator::RegisterViewCandidates(const PlanPtr& candidate_plan,
   const std::vector<SelectionContext> contexts =
       ExtractSelectionContexts(candidate_plan);
   for (const PlanPtr& sp : EnumerateViewCandidates(candidate_plan)) {
-    // Subplans shared with the submitted plan were derived by the
-    // matcher; a rewritten plan's new nodes are derived here, once.
+    // Candidates read base tables only, so each is a node of the
+    // submitted plan, whose signature the matcher already derived.
     const SignatureTable::Entry& sig = signatures->Get(sp);
     if (!sig.ok()) continue;
     ViewInfo* view = delta->FindView(sig.key());

@@ -42,18 +42,18 @@ std::vector<Interval> GeneratePartitionCandidates(
 
 namespace {
 
-void Enumerate(const PlanPtr& plan, std::vector<PlanPtr>* out) {
-  if (!plan) return;
-  switch (plan->kind()) {
-    case PlanKind::kJoin:
-    case PlanKind::kAggregate:
-    case PlanKind::kProject:
-      out->push_back(plan);
-      break;
-    default:
-      break;
+// Appends the candidates of `plan` in pre-order and returns whether
+// `plan` reads a ViewRef; such a subplan is no candidate.
+bool Enumerate(const PlanPtr& plan, std::vector<PlanPtr>* out) {
+  const PlanKind kind = plan->kind();
+  const size_t at = out->size();
+  bool reads_view = kind == PlanKind::kViewRef;
+  for (const PlanPtr& c : plan->children()) reads_view |= Enumerate(c, out);
+  if (!reads_view && (kind == PlanKind::kJoin || kind == PlanKind::kAggregate ||
+                      kind == PlanKind::kProject)) {
+    out->insert(out->begin() + static_cast<std::ptrdiff_t>(at), plan);
   }
-  for (const PlanPtr& c : plan->children()) Enumerate(c, out);
+  return reads_view;
 }
 
 void ExtractSelections(const PlanPtr& plan, std::vector<SelectionContext>* out) {
@@ -76,7 +76,7 @@ void ExtractSelections(const PlanPtr& plan, std::vector<SelectionContext>* out) 
 
 std::vector<PlanPtr> EnumerateViewCandidates(const PlanPtr& query) {
   std::vector<PlanPtr> out;
-  Enumerate(query, &out);
+  if (query) Enumerate(query, &out);
   return out;
 }
 

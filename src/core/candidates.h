@@ -25,7 +25,11 @@ std::vector<Interval> GeneratePartitionCandidates(
 
 /// View candidate enumeration, paper Definition 6: all subqueries of
 /// `query` of the form gamma(Q1) (aggregate), Q1 join Q2, or pi(Q1)
-/// (projection). The caller filters out subqueries already tracked /
+/// (projection) that read base tables only. A subquery over a ViewRef
+/// (a rewritten plan's view read) is skipped: view matching looks up
+/// subplans of submitted queries, which never read a view, so no
+/// lookup could return a view defined over one (DESIGN.md §7,
+/// deviation 6). The caller filters out subqueries already tracked /
 /// materialized. Returned in pre-order (outermost first).
 std::vector<PlanPtr> EnumerateViewCandidates(const PlanPtr& query);
 

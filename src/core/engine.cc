@@ -184,9 +184,10 @@ Status DeepSeaEngine::RunPlanningStages(QueryContext* ctx, QueryReport* report,
   {
     StageScope stage(observer_, EngineStage::kCandidates, *ctx);
     // View candidates come from Q_best (Alg. 1 line 4): when the
-    // query is answered from a view, the rewritten plan's subplans
-    // are the candidates — so views that already serve the query are
-    // not repeatedly re-offered — while partition candidates always
+    // query is answered from a view, the rewritten plan's base-table
+    // subplans are the candidates — so views that already serve the
+    // query are not repeatedly re-offered, and no view is defined over
+    // another view's read — while partition candidates always
     // come from the query's selection contexts (they drive refinement
     // of the serving view).
     const PlanPtr candidate_plan =

@@ -5,7 +5,7 @@
 //   CLOCK <t>
 //   VIEW
 //   PLAN <line-count>
-//   <serialized plan, see plan/plan_serde.h>
+//   <serialized plan over base tables only, see plan/plan_serde.h>
 //   STATS <size_bytes> <creation_cost> <whole>
 //   EVENT <time> <saving>                     (0+ per view)
 //   PARTITION <attr> <lo> <hi> <li> <hi_inc>  (0+ per view)
@@ -15,12 +15,13 @@
 //   ENDVIEW
 //
 // Benefit events and hits carry no tenant: Φ pools them across tenants,
-// so a blob saved by one pool restores into any other. Only version 3
-// is accepted; any other header is rejected like a corrupt blob.
+// so a blob saved by one pool restores into any other. Views are defined
+// over base tables only, so a PLAN holds no VIEWREF line; the plan parser
+// rejects one, and with it the whole blob. Only version 3 is accepted;
+// any other header is rejected like a corrupt blob.
 
 #include <cassert>
 #include <cstdlib>
-#include <memory>
 #include <utility>
 
 #include "common/str_util.h"
@@ -189,10 +190,8 @@ Status DeepSeaEngine::LoadState(const std::string& state) {
       plan_text += lines[i++] + "\n";
     }
     DEEPSEA_ASSIGN_OR_RETURN(pv.plan, DeserializePlan(plan_text));
-    // Signatures are resolved after the structural parse (see below):
-    // a stored plan may reference an earlier view's table, so resolution
-    // must run in definition order against the registrations the apply
-    // phase will perform.
+    // Signatures are resolved in phase 2, against the catalog under the
+    // commit section.
 
     if (i >= lines.size() || lines[i].rfind("STATS ", 0) != 0) {
       return Status::InvalidArgument("expected STATS");
@@ -260,45 +259,8 @@ Status DeepSeaEngine::LoadState(const std::string& state) {
   SimFs* fs = pool_->fs(commit);
   FilterTree* index = pool_->rewrite_index(commit);
 
-  {
-    // Stored plans may reference earlier views' tables (a view defined
-    // over a rewritten plan), which the apply loop registers as it
-    // tracks each view. Resolution therefore runs in definition order
-    // against an overlay catalog that mirrors those registrations — the
-    // real catalog is never touched, so failure cannot leave a partial
-    // load.
-    Catalog overlay = *catalog_;
-    int next_id = views->peek_next_id();
-    // canonical signature -> id this load will assign (blobs hold each
-    // view once, but a linear scan keeps duplicates deterministic too).
-    std::vector<std::pair<std::string, std::string>> fresh_ids;
-    for (ParsedView& pv : parsed.views) {
-      DEEPSEA_ASSIGN_OR_RETURN(pv.signature,
-                               ComputeSignature(pv.plan, overlay));
-      const std::string canonical = pv.signature.ToString();
-      std::string id;
-      if (const ViewInfo* existing = views->FindBySignature(canonical)) {
-        id = existing->id;
-      } else {
-        for (const auto& [c, assigned] : fresh_ids) {
-          if (c == canonical) {
-            id = assigned;
-            break;
-          }
-        }
-        if (id.empty()) {
-          id = StrFormat("v%d", next_id++);
-          fresh_ids.emplace_back(canonical, id);
-        }
-      }
-      // Mirror RegisterViewTable: register the view's output schema
-      // under its (predicted) id; skip silently when the schema cannot
-      // be derived, exactly as the apply phase will.
-      if (!overlay.Contains(id)) {
-        auto schema = pv.plan->OutputSchema(overlay);
-        if (schema.ok()) overlay.Put(std::make_shared<Table>(id, *schema));
-      }
-    }
+  for (ParsedView& pv : parsed.views) {
+    DEEPSEA_ASSIGN_OR_RETURN(pv.signature, ComputeSignature(pv.plan, *catalog_));
   }
   // State restore is a recovery path: the fault-injection policy must
   // not fail it (and restored files are not fresh pool writes the

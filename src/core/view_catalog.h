@@ -133,7 +133,6 @@ class ViewCatalog {
   size_t size() const { return views_.size(); }
 
   /// The id Track() will assign to the next unseen signature ("v<N>").
-  /// Lets state loading predict ids while validating, before applying.
   int peek_next_id() const { return next_id_; }
 
   /// Re-reads `view`'s pool content after a pool primitive changed it

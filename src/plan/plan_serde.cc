@@ -1,5 +1,6 @@
 #include "plan/plan_serde.h"
 
+#include <cassert>
 #include <vector>
 
 #include "common/str_util.h"
@@ -15,20 +16,10 @@ void SerializeNode(const PlanPtr& plan, int depth, std::string* out) {
     case PlanKind::kScan:
       *out += "SCAN " + plan->table_name();
       break;
-    case PlanKind::kViewRef: {
-      *out += "VIEWREF " + plan->table_name();
-      if (!plan->view_partition_attr().empty()) {
-        *out += " attr=" + plan->view_partition_attr();
-        std::vector<std::string> frags;
-        for (const Interval& iv : plan->view_fragments()) {
-          frags.push_back(StrFormat("%.17g:%.17g:%d:%d", iv.lo, iv.hi,
-                                    iv.lo_inclusive ? 1 : 0,
-                                    iv.hi_inclusive ? 1 : 0));
-        }
-        *out += " frags=" + Join(frags, ";");
-      }
+    case PlanKind::kViewRef:
+      // Stored plans define views, and views read base tables only.
+      assert(false && "SerializePlan over a ViewRef");
       break;
-    }
     case PlanKind::kSelect:
       *out += "SELECT " + plan->predicate()->ToString();
       break;
@@ -142,28 +133,6 @@ Result<PlanPtr> BuildNode(const std::vector<Line>& lines, size_t* index,
   if (line.op == "SCAN") {
     if (line.rest.empty()) return Status::InvalidArgument("SCAN needs a table");
     return Scan(line.rest);
-  }
-  if (line.op == "VIEWREF") {
-    // "<name> [attr=<attr> frags=lo:hi:li:hi;...]"
-    const auto parts = Split(line.rest, ' ');
-    std::string name = parts.empty() ? "" : parts[0];
-    std::string attr;
-    std::vector<Interval> frags;
-    for (size_t i = 1; i < parts.size(); ++i) {
-      if (parts[i].rfind("attr=", 0) == 0) attr = parts[i].substr(5);
-      if (parts[i].rfind("frags=", 0) == 0) {
-        for (const std::string& f : Split(parts[i].substr(6), ';')) {
-          const auto nums = Split(f, ':');
-          if (nums.size() != 4) {
-            return Status::InvalidArgument("malformed fragment: " + f);
-          }
-          DEEPSEA_ASSIGN_OR_RETURN(double lo, ParseDouble(nums[0]));
-          DEEPSEA_ASSIGN_OR_RETURN(double hi, ParseDouble(nums[1]));
-          frags.push_back(Interval(lo, hi, nums[2] == "1", nums[3] == "1"));
-        }
-      }
-    }
-    return ViewRef(std::move(name), std::move(attr), std::move(frags));
   }
   if (line.op == "SELECT" || line.op == "JOIN") {
     DEEPSEA_ASSIGN_OR_RETURN(ExprPtr predicate, ParseSqlExpression(line.rest));

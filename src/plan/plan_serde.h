@@ -21,15 +21,17 @@ namespace deepsea {
 ///
 /// Used by the engine's state persistence (SaveState/LoadState): view
 /// definitions survive process restarts and signatures are recomputed
-/// from the deserialized plans.
+/// from the deserialized plans. View definitions read base tables only
+/// (DESIGN.md §7, deviation 6), so the format has no ViewRef node;
+/// `plan` must not contain one.
 ///
 /// Limitations: boolean and NULL literals inside expressions do not
-/// round-trip (the expression grammar has no such literals); ViewRef
-/// nodes serialize their name and fragment list.
+/// round-trip (the expression grammar has no such literals).
 std::string SerializePlan(const PlanPtr& plan);
 
 /// Inverse of SerializePlan. Fails with InvalidArgument on malformed
-/// input.
+/// input, including any operator SerializePlan does not write (such as
+/// a VIEWREF line).
 Result<PlanPtr> DeserializePlan(const std::string& text);
 
 }  // namespace deepsea

@@ -118,8 +118,9 @@ Result<PlanSignature> DeriveSignature(const PlanPtr& plan,
                                       const Catalog& catalog) {
   PlanSignature sig;
   switch (plan->kind()) {
-    case PlanKind::kScan:
-    case PlanKind::kViewRef: {
+    case PlanKind::kViewRef:
+      return Status::NotImplemented("signatures over view reads are not supported");
+    case PlanKind::kScan: {
       sig.relations.push_back(plan->table_name());
       DEEPSEA_ASSIGN_OR_RETURN(Schema schema, plan->OutputSchema(catalog));
       for (const auto& col : schema.columns()) sig.output_columns.insert(col.name);

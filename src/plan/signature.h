@@ -91,7 +91,7 @@ class SignatureTable {
    public:
     /// False when the subplan has no signature: a LIMIT and its
     /// ancestors, joins over aggregates, nested aggregates, plans over
-    /// unknown tables. status() says why.
+    /// a ViewRef or over unknown tables. status() says why.
     bool ok() const { return keyed_ != nullptr; }
     const Status& status() const { return status_; }
     const PlanSignature& sig() const { return keyed_->sig; }
@@ -123,10 +123,9 @@ class SignatureTable {
   std::deque<Entry> entries_;  ///< post-order; deque: stable references
 };
 
-/// The signature of an SPJG plan: a lookup of the root in a fresh
-/// SignatureTable. ViewRef nodes are treated as opaque relations named
-/// after the view (signatures are normally computed on pre-rewrite
-/// plans). Fails on the shapes SignatureTable::Entry::ok() lists.
+/// The signature of an SPJG plan over base tables: a lookup of the root
+/// in a fresh SignatureTable. Fails on the shapes
+/// SignatureTable::Entry::ok() lists.
 Result<PlanSignature> ComputeSignature(const PlanPtr& plan, const Catalog& catalog);
 
 /// Sufficient condition (Section 8.1): the view's result is a superset

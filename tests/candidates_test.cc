@@ -99,6 +99,22 @@ TEST(ViewCandidatesTest, SelectionsAndScansExcluded) {
   EXPECT_TRUE(EnumerateViewCandidates(plan).empty());
 }
 
+TEST(ViewCandidatesTest, SubplansOverAViewRefExcluded) {
+  // As in a rewritten plan: the join's left input is a view read. The
+  // join and the aggregate read it; the base-table projection does not.
+  auto right = Project(Join(Scan("b"), Scan("c"),
+                            Cmp(CompareOp::kEq, Col("b.y"), Col("c.y"))),
+                       {Col("b.x")}, {"b.x"});
+  auto join = Join(Select(ViewRef("v1", "a.x", {Interval(0, 1)}),
+                          RangePredicate("a.x", 0, 1)),
+                   right, Cmp(CompareOp::kEq, Col("a.x"), Col("b.x")));
+  auto agg = Aggregate(join, {"a.x"}, {{AggFunc::kCount, "", "n"}});
+  const auto cands = EnumerateViewCandidates(agg);
+  ASSERT_EQ(cands.size(), 2u);  // pre-order: project, then its join
+  EXPECT_EQ(cands[0].get(), right.get());
+  EXPECT_EQ(cands[1].get(), right->child(0).get());
+}
+
 TEST(SelectionContextsTest, ExtractsRangeAndChild) {
   auto join = Join(Scan("a"), Scan("b"), Cmp(CompareOp::kEq, Col("a.x"), Col("b.x")));
   auto sel = Select(join, RangePredicate("a.x", 10, 20));

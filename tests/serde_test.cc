@@ -67,28 +67,13 @@ TEST_F(PlanSerdeTest, Q30DRoundTrip) {
   CheckRoundTrip(*plan);
 }
 
-TEST_F(PlanSerdeTest, ViewRefRoundTrip) {
-  // ViewRef name/attr/fragments survive (signatures need the view table
-  // in the catalog, so compare the serialized text instead).
-  const PlanPtr plan = ViewRef(
-      "v1", "store_sales.item_sk",
-      {Interval::ClosedOpen(0, 100), Interval::OpenClosed(100, 250)});
-  const std::string text = SerializePlan(plan);
-  auto restored = DeserializePlan(text);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ((*restored)->table_name(), "v1");
-  EXPECT_EQ((*restored)->view_partition_attr(), "store_sales.item_sk");
-  ASSERT_EQ((*restored)->view_fragments().size(), 2u);
-  EXPECT_EQ((*restored)->view_fragments()[0], Interval::ClosedOpen(0, 100));
-  EXPECT_EQ((*restored)->view_fragments()[1], Interval::OpenClosed(100, 250));
-}
-
 TEST_F(PlanSerdeTest, MalformedInputsRejected) {
   EXPECT_FALSE(DeserializePlan("").ok());
   EXPECT_FALSE(DeserializePlan("BOGUS x\n").ok());
   EXPECT_FALSE(DeserializePlan("SELECT (t.a >= 1)\n").ok());  // missing child
   EXPECT_FALSE(DeserializePlan("SCAN a\nSCAN b\n").ok());     // trailing root
-  // Non-numeric fragment bounds: rejected, not thrown.
+  // Stored plans read base tables only: a view read is no operator of
+  // the format, whatever its fields.
   EXPECT_FALSE(
       DeserializePlan("VIEWREF v1 attr=item_sk frags=x:2:1:1\n").ok());
   EXPECT_FALSE(DeserializePlan("VIEWREF v1 attr=item_sk frags=:2:1:1\n").ok());
@@ -201,6 +186,38 @@ TEST_F(EngineStateTest, LoadMergesIntoExistingTracking) {
   // Only genuinely new views (the aggregates of a's queries) add
   // entries; the shared join/project views merged.
   EXPECT_LT(b.views().AllViews().size(), tracked_before + 4);
+}
+
+TEST_F(EngineStateTest, ViewsAnsweredFromViewsTrackNoViewOverAViewRef) {
+  // Seven of these eight Q30 queries are answered from a view. Their
+  // rewritten plans read a ViewRef, and no subplan over it may become a
+  // view: no lookup of a submitted query's subplan could return one.
+  Catalog catalog;
+  ASSERT_TRUE(BigBenchDataset::Generate(DataOptions(), &catalog).ok());
+  EngineOptions opts;
+  opts.benefit_cost_threshold = 0.05;
+  DeepSeaEngine engine(&catalog, opts);
+  int from_view = 0;
+  for (int i = 0; i < 8; ++i) {
+    auto plan = BigBenchTemplates::Build("Q30", 100000 + i * 20, 180000 + i * 20);
+    ASSERT_TRUE(plan.ok());
+    auto report = engine.ProcessQuery(*plan);
+    ASSERT_TRUE(report.ok());
+    if (!report->used_view.empty()) ++from_view;
+  }
+  EXPECT_EQ(from_view, 7);
+  for (const ViewInfo* v : engine.views().AllViews()) {
+    ASSERT_NE(v->plan, nullptr);
+    std::vector<PlanPtr> nodes;
+    CollectSubplans(v->plan, &nodes);
+    for (const PlanPtr& node : nodes) {
+      EXPECT_NE(node->kind(), PlanKind::kViewRef) << v->id << "\n"
+                                                  << v->plan->ToString();
+    }
+  }
+  auto state = engine.SaveState();
+  ASSERT_TRUE(state.ok());
+  EXPECT_EQ(state->find("VIEWREF"), std::string::npos);
 }
 
 TEST_F(EngineStateTest, BadStateRejected) {
@@ -368,6 +385,13 @@ TEST_F(EngineStateTest, CorruptedStateLeavesEngineUntouched) {
     corrupted.push_back(
         "DEEPSEA-STATE 3\nCLOCK 99\nVIEW\nPLAN 1\nSCAN no_such_table\n"
         "STATS 1 1 1\nENDVIEW\n");
+    // A view over another view's read, after the valid views: stored
+    // plans read base tables only, so the plan parser rejects the line
+    // and with it the whole blob.
+    corrupted.push_back(state +
+                        "VIEW\nPLAN 1\n"
+                        "VIEWREF v1 attr=store_sales.item_sk frags=0:100:1:1\n"
+                        "STATS 1 1 1\nENDVIEW\n");
 
     for (const std::string& blob : corrupted) {
       Catalog catalog2 = pristine;
