@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the DeepSea
 // core: interval algebra, histogram estimation, signature computation
-// and matching, filter-tree lookup, greedy partition matching, MLE
-// smoothing, and end-to-end ProcessQuery throughput of the simulator.
+// and matching, filter-tree lookup, fragment lookup, greedy partition
+// matching, MLE smoothing, and end-to-end ProcessQuery throughput of the
+// simulator.
 
 #include <benchmark/benchmark.h>
 
@@ -73,16 +74,13 @@ void BM_MleAdjust(benchmark::State& state) {
   PartitionState part;
   part.domain = Interval(0, 400000);
   for (const Interval& iv : part.domain.SplitEqual(n)) {
-    FragmentStats f;
-    f.interval = iv;
-    f.size_bytes = 1e9;
-    f.materialized = true;
+    FragmentStats* f = part.Track(iv, 1e9);
+    f->materialized = true;
     const Interval touched(iv.lo + 0.25 * iv.Width(), iv.hi);
     const int per_fragment = live_hits / n;
     for (int h = 0; h < per_fragment; ++h) {
-      f.RecordHit(100.0 + 100.0 * h / per_fragment, touched);
+      f->RecordHit(100.0 + 100.0 * h / per_fragment, touched);
     }
-    part.fragments.push_back(std::move(f));
   }
   const DecayFunction dec;
   if (kept) MleFragmentModel::RefreshPartMass(&part, 200, dec);
@@ -95,6 +93,22 @@ void BM_MleAdjust(benchmark::State& state) {
 BENCHMARK(BM_MleAdjust)
     ->ArgsProduct({{512, 4096, 32768}, {0, 1}})
     ->ArgNames({"live_hits", "kept"});
+
+// Find over a partition of 217 tracked fragments (about what a
+// sdss_10g partition tracks), cycling through the tracked intervals.
+void BM_PartitionFind(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  PartitionState part;
+  part.domain = Interval(0, 400000);
+  const std::vector<Interval> tracked = part.domain.SplitEqual(n);
+  for (const Interval& iv : tracked) part.Track(iv, 1e9);
+  size_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(part.Find(tracked[k]));
+    k = k + 1 == tracked.size() ? 0 : k + 1;
+  }
+}
+BENCHMARK(BM_PartitionFind)->Arg(217);
 
 class WorkloadFixture : public benchmark::Fixture {
  public:
@@ -136,11 +150,14 @@ BENCHMARK_F(WorkloadFixture, BM_SignatureSubsumes)(benchmark::State& state) {
   }
 }
 
-BENCHMARK_F(WorkloadFixture, BM_FilterTreeLookup)(benchmark::State& state) {
+// One (relation, aggregation) bucket of `range(0)` Q30 views that
+// differ only in their range constants, as a template's views do; the
+// probe's range lies inside 8 of them.
+BENCHMARK_DEFINE_F(WorkloadFixture, BM_FilterTreeLookup)
+(benchmark::State& state) {
   FilterTree tree;
-  // Populate with many aggregate signatures (distinct range constants).
-  for (int i = 0; i < 512; ++i) {
-    auto plan = BigBenchTemplates::Build("Q30", i * 100.0, i * 100.0 + 4000.0);
+  for (int i = 0; i < state.range(0); ++i) {
+    auto plan = BigBenchTemplates::Build("Q30", i * 100.0, i * 100.0 + 20000.0);
     auto sig = ComputeSignature(*plan, catalog_);
     std::string id = "v";
     id += std::to_string(i);
@@ -152,6 +169,7 @@ BENCHMARK_F(WorkloadFixture, BM_FilterTreeLookup)(benchmark::State& state) {
     benchmark::DoNotOptimize(tree.Lookup(*probe));
   }
 }
+BENCHMARK_REGISTER_F(WorkloadFixture, BM_FilterTreeLookup)->Arg(25)->Arg(250);
 
 BENCHMARK_F(WorkloadFixture, BM_ProcessQueryThroughput)(benchmark::State& state) {
   EngineOptions opts;

@@ -85,7 +85,7 @@ int main() {
     std::printf("  %s  (creation cost %.0f s)\n", view->id.c_str(),
                 view->stats.creation_cost);
     for (const auto& [attr, part] : view->partitions) {
-      for (const FragmentStats& f : part.fragments) {
+      for (const FragmentStats& f : part.fragments()) {
         if (!f.materialized) continue;
         std::printf("    %-28s %8.2f GB  %zu hits\n",
                     f.interval.ToString().c_str(), f.size_bytes / 1e9,

@@ -53,7 +53,7 @@ void PrintPool(const DeepSeaEngine& engine) {
       std::printf("    whole view, %.2f GB\n", view->stats.size_bytes / 1e9);
     }
     for (const auto& [attr, part] : view->partitions) {
-      for (const FragmentStats& f : part.fragments) {
+      for (const FragmentStats& f : part.fragments()) {
         if (!f.materialized) continue;
         std::printf("    %s %-26s %8.2f GB  %zu hits\n", attr.c_str(),
                     f.interval.ToString().c_str(), f.size_bytes / 1e9,

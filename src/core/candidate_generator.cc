@@ -128,8 +128,8 @@ void CandidateGenerator::RegisterPartitionCandidates(QueryContext* ctx) {
       // already materialized stay untouched.
       std::vector<Interval> next;
       for (const Interval& f : part->pending) {
-        const FragmentStats* fstat = part->Find(f);
-        const bool frozen = fstat != nullptr && fstat->materialized;
+        const bool frozen =
+            std::find(mats.begin(), mats.end(), f) != mats.end();
         const std::vector<Interval> pieces =
             frozen ? std::vector<Interval>{}
                    : GeneratePartitionCandidates({f}, gen_range);
@@ -169,7 +169,7 @@ void CandidateGenerator::RegisterPartitionCandidates(QueryContext* ctx) {
       // COST(I_cand): read the overlapping materialized fragments,
       // write the new fragment (Section 7.2; w_write >> w_read).
       std::vector<double> read_files;
-      for (const FragmentStats& f : part->fragments) {
+      for (const FragmentStats& f : part->fragments()) {
         if (f.materialized && f.interval.Overlaps(cand)) {
           read_files.push_back(f.size_bytes);
         }

@@ -82,9 +82,10 @@ void CommitFootprint::Normalize() {
   std::sort(partitions.begin(), partitions.end());
   partitions.erase(std::unique(partitions.begin(), partitions.end()),
                    partitions.end());
+  // By reference: a tuple of copies would copy two strings per compare.
   auto frag_key = [](const FragRange& f) {
-    return std::make_tuple(f.view, f.attr, f.range.lo, f.range.hi,
-                           f.range.lo_inclusive, f.range.hi_inclusive);
+    return std::tie(f.view, f.attr, f.range.lo, f.range.hi,
+                    f.range.lo_inclusive, f.range.hi_inclusive);
   };
   std::sort(fragments.begin(), fragments.end(),
             [&](const FragRange& a, const FragRange& b) {

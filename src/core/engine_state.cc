@@ -18,9 +18,11 @@
 // so a blob saved by one pool restores into any other. Views are defined
 // over base tables only, so a PLAN holds no VIEWREF line; the plan parser
 // rejects one, and with it the whole blob. Only version 3 is accepted;
-// any other header is rejected like a corrupt blob.
+// any other header is rejected like a corrupt blob, and so is a blob
+// with a non-finite number (nan, inf) in any line.
 
 #include <cassert>
+#include <cmath>
 #include <cstdlib>
 #include <utility>
 
@@ -39,7 +41,7 @@ std::string FmtInterval(const Interval& iv) {
                    iv.hi_inclusive ? 1 : 0);
 }
 
-// --- strict field parsers (plus ParseDouble, common/str_util.h).
+// --- strict field parsers (over ParseDouble, common/str_util.h).
 //     atof/atoi silently map garbage to 0, which turns a corrupted blob
 //     into a quietly wrong pool; every field of a state line must parse
 //     completely or the whole load is rejected.
@@ -54,6 +56,17 @@ Result<int64_t> ParseInt(const std::string& s) {
   return static_cast<int64_t>(v);
 }
 
+// A finite number. ParseDouble takes strtod's "nan" and "inf", which no
+// saved state holds: a NaN endpoint breaks the fragment index's
+// interval order, and a NaN time or size reaches integer conversions.
+Result<double> ParseFinite(const std::string& s) {
+  DEEPSEA_ASSIGN_OR_RETURN(double v, ParseDouble(s));
+  if (!std::isfinite(v)) {
+    return Status::InvalidArgument("non-finite number in state: " + s);
+  }
+  return v;
+}
+
 Result<bool> ParseFlag(const std::string& s) {
   if (s == "1") return true;
   if (s == "0") return false;
@@ -65,8 +78,8 @@ Result<Interval> ParseInterval(const std::vector<std::string>& parts, size_t at)
   if (parts.size() < at + 4) {
     return Status::InvalidArgument("truncated interval in state");
   }
-  DEEPSEA_ASSIGN_OR_RETURN(double lo, ParseDouble(parts[at]));
-  DEEPSEA_ASSIGN_OR_RETURN(double hi, ParseDouble(parts[at + 1]));
+  DEEPSEA_ASSIGN_OR_RETURN(double lo, ParseFinite(parts[at]));
+  DEEPSEA_ASSIGN_OR_RETURN(double hi, ParseFinite(parts[at + 1]));
   DEEPSEA_ASSIGN_OR_RETURN(bool lo_inc, ParseFlag(parts[at + 2]));
   DEEPSEA_ASSIGN_OR_RETURN(bool hi_inc, ParseFlag(parts[at + 3]));
   return Interval(lo, hi, lo_inc, hi_inc);
@@ -134,7 +147,7 @@ Result<std::string> DeepSeaEngine::SaveState() const {
       for (const Interval& iv : part.pending) {
         out += "PENDING " + FmtInterval(iv) + "\n";
       }
-      for (const FragmentStats& f : part.fragments) {
+      for (const FragmentStats& f : part.fragments()) {
         out += "FRAGMENT " + FmtInterval(f.interval) +
                StrFormat(" %.17g %d\n", f.size_bytes, f.materialized ? 1 : 0);
         for (const FragmentHit& h : f.hits()) {
@@ -199,8 +212,8 @@ Status DeepSeaEngine::LoadState(const std::string& state) {
     {
       const auto parts = next_parts();
       if (parts.size() != 4) return Status::InvalidArgument("bad STATS line");
-      DEEPSEA_ASSIGN_OR_RETURN(pv.size_bytes, ParseDouble(parts[1]));
-      DEEPSEA_ASSIGN_OR_RETURN(pv.creation_cost, ParseDouble(parts[2]));
+      DEEPSEA_ASSIGN_OR_RETURN(pv.size_bytes, ParseFinite(parts[1]));
+      DEEPSEA_ASSIGN_OR_RETURN(pv.creation_cost, ParseFinite(parts[2]));
       DEEPSEA_ASSIGN_OR_RETURN(pv.whole_materialized, ParseFlag(parts[3]));
       ++i;
     }
@@ -212,8 +225,8 @@ Status DeepSeaEngine::LoadState(const std::string& state) {
       const auto parts = next_parts();
       if (parts[0] == "EVENT" && parts.size() == 3) {
         BenefitEvent e;
-        DEEPSEA_ASSIGN_OR_RETURN(e.time, ParseDouble(parts[1]));
-        DEEPSEA_ASSIGN_OR_RETURN(e.saving, ParseDouble(parts[2]));
+        DEEPSEA_ASSIGN_OR_RETURN(e.time, ParseFinite(parts[1]));
+        DEEPSEA_ASSIGN_OR_RETURN(e.saving, ParseFinite(parts[2]));
         pv.events.push_back(e);
       } else if (parts[0] == "PARTITION" && parts.size() == 6) {
         ParsedPartition p;
@@ -229,13 +242,13 @@ Status DeepSeaEngine::LoadState(const std::string& state) {
                  part != nullptr) {
         ParsedFragment f;
         DEEPSEA_ASSIGN_OR_RETURN(f.interval, ParseInterval(parts, 1));
-        DEEPSEA_ASSIGN_OR_RETURN(f.size_bytes, ParseDouble(parts[5]));
+        DEEPSEA_ASSIGN_OR_RETURN(f.size_bytes, ParseFinite(parts[5]));
         DEEPSEA_ASSIGN_OR_RETURN(f.materialized, ParseFlag(parts[6]));
         part->fragments.push_back(std::move(f));
         frag = &part->fragments.back();
       } else if (parts[0] == "HIT" && parts.size() == 7 && frag != nullptr) {
         FragmentHit hit;
-        DEEPSEA_ASSIGN_OR_RETURN(hit.time, ParseDouble(parts[1]));
+        DEEPSEA_ASSIGN_OR_RETURN(hit.time, ParseFinite(parts[1]));
         DEEPSEA_ASSIGN_OR_RETURN(hit.has_range, ParseFlag(parts[2]));
         DEEPSEA_ASSIGN_OR_RETURN(hit.range, ParseInterval(parts, 3));
         frag->hits.push_back(hit);

@@ -49,17 +49,17 @@ std::vector<MergeCandidate> FindMergeCandidates(ViewCatalog* views,
     for (auto& [attr, part] : view->partitions) {
       (void)attr;
       // Collect indices of materialized fragments sorted by interval.
+      const std::vector<FragmentStats>& frags = part.fragments();
       std::vector<size_t> mats;
-      for (size_t i = 0; i < part.fragments.size(); ++i) {
-        if (part.fragments[i].materialized) mats.push_back(i);
+      for (size_t i = 0; i < frags.size(); ++i) {
+        if (frags[i].materialized) mats.push_back(i);
       }
       std::sort(mats.begin(), mats.end(), [&](size_t x, size_t y) {
-        return IntervalLess(part.fragments[x].interval,
-                            part.fragments[y].interval);
+        return IntervalLess(frags[x].interval, frags[y].interval);
       });
       for (size_t k = 0; k + 1 < mats.size(); ++k) {
-        FragmentStats& a = part.fragments[mats[k]];
-        FragmentStats& b = part.fragments[mats[k + 1]];
+        const FragmentStats& a = frags[mats[k]];
+        const FragmentStats& b = frags[mats[k + 1]];
         if (!AreAdjacent(a.interval, b.interval)) continue;
         if (static_cast<int>(a.hits().size()) < config.min_hits ||
             static_cast<int>(b.hits().size()) < config.min_hits) {

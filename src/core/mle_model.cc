@@ -29,7 +29,7 @@ int MleFragmentModel::ChoosePartCount(const std::vector<FragmentStats>& fragment
 }
 
 PartGrid MleFragmentModel::GridOf(const PartitionState& part) {
-  return PartGrid(part.domain, ChoosePartCount(part.fragments, part.domain));
+  return PartGrid(part.domain, ChoosePartCount(part.fragments(), part.domain));
 }
 
 void MleFragmentModel::RefreshPartMass(PartitionState* part, double t,
@@ -45,10 +45,11 @@ void MleFragmentModel::RefreshPartMass(PartitionState* part, double t,
     return;
   }
   const PartGrid grid = GridOf(*part);
-  if (part->mass.grid() == grid && part->mass.Update(part->fragments, dec, t)) {
+  if (part->mass.grid() == grid &&
+      part->mass.Update(part->fragments(), dec, t)) {
     return;
   }
-  part->mass.Rebuild(part->fragments, grid, dec, t);
+  part->mass.Rebuild(part->fragments(), grid, dec, t);
 }
 
 MleFragmentModel::AdjustedHits MleFragmentModel::Adjust(
@@ -66,7 +67,7 @@ MleFragmentModel::AdjustedHits MleFragmentModel::AdjustFromScratch(
 MleFragmentModel::AdjustedHits MleFragmentModel::Fit(
     const PartitionState& part, double t_now, const DecayFunction& dec,
     const ShadowBases& bases, bool use_kept_mass) {
-  const std::vector<FragmentStats>& fragments = part.fragments;
+  const std::vector<FragmentStats>& fragments = part.fragments();
   const Interval& domain = part.domain;
   AdjustedHits out;
   out.hits.assign(fragments.size(), 0.0);
@@ -118,15 +119,15 @@ MleFragmentModel::AdjustedHits MleFragmentModel::Fit(
   const PartitionState* owner =
       bases.fragments == nullptr ? &part : bases.partition;
   if (use_kept_mass && owner != nullptr && owner->mass.t() <= t_now &&
-      owner->mass.Covers(owner->fragments, grid, dec)) {
-    owner->mass.SumsAt(owner->fragments, dec, t_now, &sums);
+      owner->mass.Covers(owner->fragments(), grid, dec)) {
+    owner->mass.SumsAt(owner->fragments(), dec, t_now, &sums);
     if (owner != &part) {
       // The shadow's fragments start with one copy of each base fragment
       // (PlanningDelta::MakeShadow), so the base's mass holds exactly
       // their histories; every shadow hit is local.
-      assert(owner->fragments.empty() ||
-             (bases.fragments->size() >= owner->fragments.size() &&
-              (*bases.fragments)[0] == owner->fragments.data()));
+      assert(owner->fragments().empty() ||
+             (bases.fragments->size() >= owner->fragments().size() &&
+              (*bases.fragments)[0] == owner->fragments().data()));
       for (const FragmentStats& f : fragments) add_hits(f.interval, f);
     }
   } else {

@@ -138,7 +138,6 @@ PlanningDelta::ShadowPartition& PlanningDelta::MakeShadow(
   shadows_.emplace_back();
   ShadowPartition& sp = shadows_.back();
   sp.view = v;
-  sp.state.attr = attr;
   sp.base = base;
   // The shadow's part mass stays unkept: the MLE fit reads the base's
   // through BasesOf and adds the shadow's local hits to it.
@@ -152,30 +151,24 @@ PlanningDelta::ShadowPartition& PlanningDelta::MakeShadow(
   if (base != nullptr) {
     read_target().AddFragment(v->id, attr, base->domain);
     sp.base_exists = true;
-    sp.state.domain = base->domain;
-    sp.state.pending = base->pending;
+    // Copies everything except the hit histories (O(#fragments), never
+    // O(#hits)); readers go through the base pointers for history.
+    sp.state = base->CopyWithoutHits();
     // Snapshot the fields ShadowDirty/CollectWriteFootprint compare
     // against while the shared lock still keeps the base stable; those
     // checks run at commit time, possibly concurrent with foreign
     // sharded commits mutating (and reallocating) the base.
     sp.base_pending = base->pending;
-    sp.state.fragments.reserve(base->fragments.size());
-    sp.bases.reserve(base->fragments.size());
-    sp.base_snap.reserve(base->fragments.size());
-    for (const FragmentStats& f : base->fragments) {
-      // Copy everything except the hit history (O(#fragments), never
-      // O(#hits)); readers go through the base pointer for history.
-      FragmentStats copy;
-      copy.interval = f.interval;
-      copy.size_bytes = f.size_bytes;
-      copy.materialized = f.materialized;
-      sp.state.fragments.push_back(std::move(copy));
+    sp.bases.reserve(base->fragments().size());
+    sp.base_snap.reserve(base->fragments().size());
+    for (const FragmentStats& f : base->fragments()) {
       sp.bases.push_back(&f);
       sp.base_snap.push_back({f.size_bytes, f.materialized});
     }
   } else {
     sp.state.domain = domain;
   }
+  sp.state.attr = attr;
   shadow_by_key_[{v, attr}] = &sp;
   return sp;
 }
@@ -242,12 +235,13 @@ PartitionState* PlanningDelta::EnsurePartition(ViewInfo* v,
 FragmentStats* PlanningDelta::TrackFragment(PartitionState* part,
                                             const Interval& iv,
                                             double est_size_bytes) {
-  ShadowPartition* sp = ShadowFor(part);
-  if (sp == nullptr) return part->Track(iv, est_size_bytes);
-  if (FragmentStats* existing = part->Find(iv)) return existing;
-  FragmentStats* added = part->Track(iv, est_size_bytes);
-  sp->bases.push_back(nullptr);  // planner-added: no shared history
-  return added;
+  const size_t tracked = part->fragments().size();
+  FragmentStats* f = part->Track(iv, est_size_bytes);
+  if (part->fragments().size() != tracked) {
+    // Planner-added to a shadow: no shared history.
+    if (ShadowPartition* sp = ShadowFor(part)) sp->bases.push_back(nullptr);
+  }
+  return f;
 }
 
 ShadowBases PlanningDelta::BasesOf(const PartitionState* part) const {
@@ -260,7 +254,7 @@ const FragmentStats* PlanningDelta::BaseOf(const PartitionState* part,
                                            const FragmentStats* f) const {
   const ShadowPartition* sp = ShadowFor(part);
   if (sp == nullptr) return nullptr;
-  const size_t idx = static_cast<size_t>(f - part->fragments.data());
+  const size_t idx = static_cast<size_t>(f - part->fragments().data());
   assert(idx < sp->bases.size());
   return sp->bases[idx];
 }
@@ -498,10 +492,10 @@ void PlanningDelta::Fold(ViewCatalog* views, Catalog* catalog,
     }
     PartitionState* real = sp.view->EnsurePartition(sp.state.attr,
                                                     sp.state.domain);
-    for (size_t i = 0; i < sp.state.fragments.size(); ++i) {
-      const FragmentStats& sf = sp.state.fragments[i];
+    for (size_t i = 0; i < sp.state.fragments().size(); ++i) {
+      const FragmentStats& sf = sp.state.fragments()[i];
       if (sp.bases[i] != nullptr) {
-        FragmentStats& rf = real->fragments[i];
+        FragmentStats& rf = real->mutable_fragments()[i];
         assert(rf.interval == sf.interval &&
                "shared partition changed under a validated epoch");
         for (const FragmentHit& h : sf.hits()) rf.AppendHit(h);
@@ -557,9 +551,9 @@ bool PlanningDelta::ShadowDirty(const ShadowPartition& sp) {
   // change would overwrite it with this plan's stale copy).
   if (!sp.base_exists) return true;  // created here: a structure write
   if (sp.state.pending != sp.base_pending) return true;
-  if (sp.state.fragments.size() != sp.base_snap.size()) return true;
-  for (size_t i = 0; i < sp.state.fragments.size(); ++i) {
-    const FragmentStats& sf = sp.state.fragments[i];
+  if (sp.state.fragments().size() != sp.base_snap.size()) return true;
+  for (size_t i = 0; i < sp.state.fragments().size(); ++i) {
+    const FragmentStats& sf = sp.state.fragments()[i];
     if (sp.bases[i] == nullptr) return true;  // planner-added fragment
     if (!sf.hits().empty()) return true;
     if (sf.size_bytes != sp.base_snap[i].size_bytes) return true;
@@ -617,8 +611,8 @@ CommitFootprint PlanningDelta::CollectWriteFootprint() const {
     // Same snapshot comparisons as ShadowDirty (the two must agree:
     // every dirty shadow's view has to be in the write footprint, so
     // Fold only ever touches views whose commit shards are held).
-    for (size_t i = 0; i < sp.state.fragments.size(); ++i) {
-      const FragmentStats& sf = sp.state.fragments[i];
+    for (size_t i = 0; i < sp.state.fragments().size(); ++i) {
+      const FragmentStats& sf = sp.state.fragments()[i];
       if (sp.bases[i] == nullptr) {
         // Planner-tracked fragment: the fragment list changed and the
         // new range carries its own hits and size.

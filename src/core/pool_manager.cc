@@ -457,7 +457,9 @@ void PoolManager::AdvanceWindowsAfterFold(double t_now) {
     v->stats.AdvanceWindow(t_now, decay_);
     for (auto& [attr, part] : v->partitions) {
       (void)attr;
-      for (FragmentStats& f : part.fragments) f.AdvanceWindow(t_now, decay_);
+      for (FragmentStats& f : part.mutable_fragments()) {
+        f.AdvanceWindow(t_now, decay_);
+      }
     }
     RefreshPartMasses(v, t_now);
   };
@@ -699,7 +701,7 @@ Result<double> PoolManager::MaterializeFragment(ViewInfo* view,
   std::vector<double> parent_bytes_to_read;
   const bool cover_matches =
       view->id == ctx.cover_view() && attr == ctx.cover_attr();
-  for (const FragmentStats& f : part->fragments) {
+  for (const FragmentStats& f : part->fragments()) {
     if (f.materialized && f.interval.Overlaps(iv) && f.interval != iv) {
       parents.push_back(f.interval);
       // Parents the current query's cover already read are free to
@@ -713,7 +715,8 @@ Result<double> PoolManager::MaterializeFragment(ViewInfo* view,
   // extract the new fragment's rows.
   seconds += cluster_->MapPhaseSeconds(parent_bytes_to_read);
 
-  const double bytes = FragmentBytes(*catalog_, *view, attr, iv, part);
+  const FragmentSizer sizer(*catalog_, *view, attr, part);
+  const double bytes = sizer.Bytes(iv);
   FragmentStats* fstat = part->Track(iv, bytes);
   fstat->size_bytes = bytes;
   const std::string frag_path = FragmentPath(*view, attr, iv);
@@ -741,8 +744,7 @@ Result<double> PoolManager::MaterializeFragment(ViewInfo* view,
         pieces.push_back(right);
       }
       for (const Interval& piece : pieces) {
-        const double piece_bytes =
-            FragmentBytes(*catalog_, *view, attr, piece, part);
+        const double piece_bytes = sizer.Bytes(piece);
         FragmentStats* pstat = part->Track(piece, piece_bytes);
         pstat->size_bytes = piece_bytes;
         DEEPSEA_RETURN_IF_ERROR(
@@ -795,7 +797,7 @@ Result<int> PoolManager::EvictWholeView(ViewInfo* view, QueryReport* report) {
   // policy evictions use.
   for (auto& [attr, part] : view->partitions) {
     (void)attr;
-    for (FragmentStats& f : part.fragments) {
+    for (FragmentStats& f : part.mutable_fragments()) {
       if (!f.materialized) continue;
       DEEPSEA_RETURN_IF_ERROR(EvictFragment(view, &part, &f, report));
       ++evicted;
@@ -993,8 +995,8 @@ Result<double> PoolManager::MergeStaged(double t_now,
   auto candidates = FindMergeCandidates(&views_, options_->merge, t_now, decay);
   for (const MergeCandidate& cand : candidates) {
     if (merges >= kMaxMergesPerQuery) break;
-    FragmentStats& a = cand.part->fragments[cand.left_index];
-    FragmentStats& b = cand.part->fragments[cand.right_index];
+    FragmentStats& a = cand.part->mutable_fragments()[cand.left_index];
+    FragmentStats& b = cand.part->mutable_fragments()[cand.right_index];
     if (!a.materialized || !b.materialized) continue;  // stale candidate
     // Read both parents, write the merged fragment.
     seconds += cluster_->MapPhaseSeconds({a.size_bytes, b.size_bytes});

@@ -70,7 +70,7 @@ void RewritePlanner::UpdateStatsFromRewritings(
       if (seen_partitions.insert(pkey).second) {
         PartitionState* part = delta->Partition(view, rw.partition_attr);
         if (part != nullptr) {
-          for (FragmentStats& f : part->fragments) {
+          for (FragmentStats& f : part->mutable_fragments()) {
             if (f.interval.Overlaps(rw.query_range)) {
               f.RecordHit(t_now, rw.query_range);
             }

@@ -71,37 +71,41 @@ SelectionResolution SelectionPlanner::PlanSelection(const QueryContext& ctx,
       items.push_back(it);
       continue;
     }
+    // Planning never materializes, so pool membership holds for the
+    // whole loop.
+    const bool in_pool = v->InPool();
     for (const std::string& attr : delta->PartitionAttrs(v)) {
       PartitionState* part = delta->Partition(v, attr);
       if (part == nullptr) continue;
       const std::vector<Interval> mats = part->MaterializedIntervals();
-      const std::vector<Interval> planned = ApplyFragmentBounds(
-          *pcat, *options_, *v, attr, part,
-          InitialFragmentation(*pcat, *options_, *v, attr, *part));
-      for (const Interval& iv : planned) {
+      const FragmentSizer sizer(*pcat, *v, attr, part);
+      const std::vector<SizedInterval> planned = ApplyFragmentBounds(
+          *options_, sizer, InitialFragmentation(*options_, sizer, *part));
+      for (const SizedInterval& piece : planned) {
+        const Interval& iv = piece.interval;
         // Skip planned pieces whose extent the pool already covers
         // (exactly materialized, or covered by refinement fragments).
         if (!mats.empty() && PartitionMatch(mats, iv).ok()) continue;
-        // Inherit hit history from tracked pieces the (possibly merged
-        // or split) planned fragment covers, so hot planned fragments
-        // carry their evidence into the ranking. EffectiveHits resolves
-        // a shadow fragment's base history plus its local suffix.
-        std::vector<FragmentHit> inherited;
-        if (part->Find(iv) == nullptr) {
-          for (const FragmentStats& p : part->fragments) {
+        const size_t tracked = part->fragments().size();
+        FragmentStats* fstat = delta->TrackFragment(part, iv, piece.bytes);
+        if (part->fragments().size() != tracked) {
+          // A piece new to STAT inherits the hit history of the tracked
+          // pieces it covers (it may be a merged or split planned
+          // fragment), so hot planned fragments carry their evidence
+          // into the ranking. EffectiveHits resolves a shadow fragment's
+          // base history plus its local suffix.
+          std::vector<FragmentHit> inherited;
+          for (size_t i = 0; i < tracked; ++i) {
+            const FragmentStats& p = part->fragments()[i];
             if (iv.Contains(p.interval)) {
               const std::vector<FragmentHit> eh = delta->EffectiveHits(part, &p);
               inherited.insert(inherited.end(), eh.begin(), eh.end());
             }
           }
-        }
-        const double bytes = FragmentBytes(*pcat, *v, attr, iv, part);
-        FragmentStats* fstat = delta->TrackFragment(part, iv, bytes);
-        if (fstat->hits().empty() && !inherited.empty()) {
-          fstat->AdoptHits(std::move(inherited));
+          if (!inherited.empty()) fstat->AdoptHits(std::move(inherited));
         }
         if (fstat->materialized) continue;
-        fstat->size_bytes = bytes;
+        fstat->size_bytes = piece.bytes;
         // H(I) is computed once here and reused both by the top-up
         // filter and (through the adjusted-hits override) by the value
         // ranking below — FragmentValue would otherwise replay the same
@@ -113,7 +117,7 @@ SelectionResolution SelectionPlanner::PlanSelection(const QueryContext& ctx,
         // the view's creation cost). Only top up when the accumulated
         // hits on the range amortize that (mirrors the P_sel filter);
         // initial creation admits the planned set as a unit.
-        if (v->InPool()) {
+        if (in_pool) {
           const double read_cost =
               cluster_->MapPhaseSeconds({fstat->size_bytes}) +
               2.0 * cluster_->config().job_startup_seconds;
@@ -154,7 +158,7 @@ SelectionResolution SelectionPlanner::PlanSelection(const QueryContext& ctx,
     }
     // Nothing tracks fragments after V_sel, so the fit is aligned with
     // the fragment vector `frag` points into.
-    const size_t i = static_cast<size_t>(frag - part->fragments.data());
+    const size_t i = static_cast<size_t>(frag - part->fragments().data());
     assert(i < it->second.hits.size());
     return it->second.hits[i];
   };
@@ -228,7 +232,7 @@ SelectionResolution SelectionPlanner::PlanSelection(const QueryContext& ctx,
     for (auto& [attr, shared] : v->partitions) {
       (void)attr;
       PartitionState* part = delta->ReadPartition(v, &shared);
-      for (const FragmentStats& f : part->fragments) {
+      for (const FragmentStats& f : part->fragments()) {
         if (!f.materialized) continue;
         Item it;
         it.kind = Item::Kind::kPoolFragment;

@@ -2,38 +2,70 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <utility>
 
 #include "common/str_util.h"
 
 namespace deepsea {
 
-FragmentStats* PartitionState::Find(const Interval& iv) {
-  for (FragmentStats& f : fragments) {
-    if (f.interval == iv) return &f;
-  }
-  return nullptr;
+std::vector<uint32_t>::const_iterator PartitionState::LowerBound(
+    const Interval& iv) const {
+  return std::lower_bound(by_interval_.begin(), by_interval_.end(), iv,
+                          [this](uint32_t pos, const Interval& key) {
+                            return IntervalLess(fragments_[pos].interval, key);
+                          });
 }
 
 const FragmentStats* PartitionState::Find(const Interval& iv) const {
-  for (const FragmentStats& f : fragments) {
-    if (f.interval == iv) return &f;
+  // IntervalLess orders NaN-free intervals strictly, and two intervals
+  // are equivalent under it exactly when they compare ==.
+  const auto it = LowerBound(iv);
+  if (it == by_interval_.end() || fragments_[*it].interval != iv) {
+    return nullptr;
   }
-  return nullptr;
+  return &fragments_[*it];
+}
+
+FragmentStats* PartitionState::Find(const Interval& iv) {
+  return const_cast<FragmentStats*>(std::as_const(*this).Find(iv));
 }
 
 FragmentStats* PartitionState::Track(const Interval& iv, double est_size_bytes) {
-  FragmentStats* existing = Find(iv);
-  if (existing != nullptr) return existing;
+  assert(!std::isnan(iv.lo) && !std::isnan(iv.hi) &&
+         "NaN endpoints have no place in the interval order");
+  const auto it = LowerBound(iv);
+  if (it != by_interval_.end() && fragments_[*it].interval == iv) {
+    return &fragments_[*it];
+  }
+  by_interval_.insert(it, static_cast<uint32_t>(fragments_.size()));
   FragmentStats f;
   f.interval = iv;
   f.size_bytes = est_size_bytes;
-  fragments.push_back(std::move(f));
-  return &fragments.back();
+  fragments_.push_back(std::move(f));
+  return &fragments_.back();
+}
+
+PartitionState PartitionState::CopyWithoutHits() const {
+  PartitionState copy;
+  copy.attr = attr;
+  copy.domain = domain;
+  copy.pending = pending;
+  copy.fragments_.reserve(fragments_.size());
+  for (const FragmentStats& f : fragments_) {
+    FragmentStats stats;
+    stats.interval = f.interval;
+    stats.size_bytes = f.size_bytes;
+    stats.materialized = f.materialized;
+    copy.fragments_.push_back(std::move(stats));
+  }
+  copy.by_interval_ = by_interval_;
+  return copy;
 }
 
 std::vector<Interval> PartitionState::MaterializedIntervals() const {
   std::vector<Interval> out;
-  for (const FragmentStats& f : fragments) {
+  for (const FragmentStats& f : fragments_) {
     if (f.materialized) out.push_back(f.interval);
   }
   return out;
@@ -41,21 +73,21 @@ std::vector<Interval> PartitionState::MaterializedIntervals() const {
 
 std::vector<Interval> PartitionState::TrackedIntervals() const {
   std::vector<Interval> out;
-  out.reserve(fragments.size());
-  for (const FragmentStats& f : fragments) out.push_back(f.interval);
+  out.reserve(fragments_.size());
+  for (const FragmentStats& f : fragments_) out.push_back(f.interval);
   return out;
 }
 
 double PartitionState::MaterializedBytes() const {
   double total = 0.0;
-  for (const FragmentStats& f : fragments) {
+  for (const FragmentStats& f : fragments_) {
     if (f.materialized) total += f.size_bytes;
   }
   return total;
 }
 
 bool PartitionState::AnyMaterialized() const {
-  for (const FragmentStats& f : fragments) {
+  for (const FragmentStats& f : fragments_) {
     if (f.materialized) return true;
   }
   return false;

@@ -1,9 +1,11 @@
 #ifndef DEEPSEA_CORE_VIEW_CATALOG_H_
 #define DEEPSEA_CORE_VIEW_CATALOG_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,10 +22,16 @@ namespace deepsea {
 /// paper's PSTAT(V, A) (all tracked fragment intervals, with per-
 /// fragment statistics) where the `materialized` flags identify the
 /// subset P(V, A) currently in the pool.
+///
+/// The fragment list is append-only: Track (and CopyWithoutHits, which
+/// copies a whole list) is the only way in, and no fragment's interval
+/// changes once tracked. That keeps a position index sorted by
+/// interval beside the list, so Find is a binary search rather than a
+/// scan of every fragment STAT ever tracked. Endpoints must not be NaN
+/// (IntervalLess must be a strict weak order over them).
 struct PartitionState {
   std::string attr;
   Interval domain;
-  std::vector<FragmentStats> fragments;
 
   /// The planned (non-overlapping) fragmentation accumulated from
   /// selection endpoints *before* the partition is first materialized
@@ -39,18 +47,39 @@ struct PartitionState {
   /// (transaction images) carry it; planning shadows do not.
   PartMass mass;
 
+  /// The tracked fragments, in track order. Pointers and references
+  /// into the list are invalidated by Track.
+  const std::vector<FragmentStats>& fragments() const { return fragments_; }
+  /// The same list with writable statistics (sizes, flags, hits); the
+  /// list itself and the intervals stay fixed.
+  std::span<FragmentStats> mutable_fragments() { return fragments_; }
+
   /// Pointer to the tracked fragment with exactly this interval, or
-  /// nullptr. Pointers are invalidated by adding fragments.
+  /// nullptr. O(log #fragments).
   FragmentStats* Find(const Interval& iv);
   const FragmentStats* Find(const Interval& iv) const;
 
   /// Adds a fragment to tracking if absent; returns the tracked entry.
   FragmentStats* Track(const Interval& iv, double est_size_bytes);
 
+  /// A copy of the attribute, domain, pending list and fragment list
+  /// with each fragment's size and flag but no hit history, and no part
+  /// mass: the planning shadow of this partition. O(#fragments), never
+  /// O(#hits); the position index is copied, not rebuilt.
+  PartitionState CopyWithoutHits() const;
+
   std::vector<Interval> MaterializedIntervals() const;
   std::vector<Interval> TrackedIntervals() const;
   double MaterializedBytes() const;
   bool AnyMaterialized() const;
+
+ private:
+  /// First position in by_interval_ whose fragment is not less than `iv`.
+  std::vector<uint32_t>::const_iterator LowerBound(const Interval& iv) const;
+
+  std::vector<FragmentStats> fragments_;
+  /// Positions into fragments_, sorted by IntervalLess on the interval.
+  std::vector<uint32_t> by_interval_;
 };
 
 /// Everything DeepSea knows about one view (materialized or candidate):

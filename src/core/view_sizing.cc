@@ -65,27 +65,32 @@ Result<AttributeHistogram> DeriveViewHistogram(const Catalog& catalog,
   return out;
 }
 
-double FragmentBytes(const Catalog& catalog, const ViewInfo& view,
-                     const std::string& attr, const Interval& iv,
-                     const PartitionState* part) {
+FragmentSizer::FragmentSizer(const Catalog& catalog, const ViewInfo& view,
+                             const std::string& attr,
+                             const PartitionState* part)
+    : view_bytes_(view.stats.size_bytes), part_(part) {
   auto view_table = catalog.Get(view.id);
-  if (!view_table.ok()) return 0.0;
-  const AttributeHistogram* hist = (*view_table)->GetHistogram(attr);
-  const double total = view.stats.size_bytes;
-  if (hist != nullptr && !hist->empty()) {
-    return hist->FractionInRange(iv) * total;
+  if (!view_table.ok()) return;
+  table_ = *view_table;
+  hist_ = table_->GetHistogram(attr);
+}
+
+double FragmentSizer::Bytes(const Interval& iv) const {
+  if (table_ == nullptr) return 0.0;
+  if (hist_ != nullptr && !hist_->empty()) {
+    return hist_->FractionInRange(iv) * view_bytes_;
   }
-  if (part != nullptr && part->domain.Width() > 0.0) {
-    return iv.OverlapWidth(part->domain) / part->domain.Width() * total;
+  if (part_ != nullptr && part_->domain.Width() > 0.0) {
+    return iv.OverlapWidth(part_->domain) / part_->domain.Width() * view_bytes_;
   }
-  return total;
+  return view_bytes_;
 }
 
 double EstimateCandidateBytes(const PartitionState& part, const Interval& iv) {
   // Paper Section 7.2: assume uniformity within each overlapping
   // fragment and sum relative overlaps.
   double est = 0.0;
-  for (const FragmentStats& f : part.fragments) {
+  for (const FragmentStats& f : part.fragments()) {
     if (!f.materialized) continue;
     const double w = f.interval.Width();
     if (w <= 0.0) continue;
@@ -100,19 +105,14 @@ std::string FragmentPath(const ViewInfo& view, const std::string& attr,
                    iv.ToString().c_str());
 }
 
-std::vector<Interval> InitialFragmentation(const Catalog& catalog,
-                                           const EngineOptions& options,
-                                           const ViewInfo& view,
-                                           const std::string& attr,
+std::vector<Interval> InitialFragmentation(const EngineOptions& options,
+                                           const FragmentSizer& sizer,
                                            const PartitionState& part) {
   if (options.strategy == StrategyKind::kEquiDepth) {
-    auto view_table = catalog.Get(view.id);
     std::vector<double> bounds;
-    if (view_table.ok()) {
-      const AttributeHistogram* hist = (*view_table)->GetHistogram(attr);
-      if (hist != nullptr) {
-        bounds = hist->EquiDepthBoundaries(options.equi_depth_fragments);
-      }
+    if (sizer.histogram() != nullptr) {
+      bounds =
+          sizer.histogram()->EquiDepthBoundaries(options.equi_depth_fragments);
     }
     if (bounds.size() < 2) {
       const auto pieces = part.domain.SplitEqual(options.equi_depth_fragments);
@@ -136,44 +136,46 @@ std::vector<Interval> InitialFragmentation(const Catalog& catalog,
   return out;
 }
 
-std::vector<Interval> ApplyFragmentBounds(const Catalog& catalog,
-                                          const EngineOptions& options,
-                                          const ViewInfo& view,
-                                          const std::string& attr,
-                                          const PartitionState* part,
-                                          std::vector<Interval> frags) {
+std::vector<SizedInterval> ApplyFragmentBounds(const EngineOptions& options,
+                                               const FragmentSizer& sizer,
+                                               std::vector<Interval> frags) {
+  std::vector<SizedInterval> sized;
+  sized.reserve(frags.size());
   // Upper bound phi: split oversized fragments into equi-size pieces.
-  if (options.max_fragment_fraction > 0.0) {
-    const double limit = options.max_fragment_fraction * view.stats.size_bytes;
-    std::vector<Interval> split;
-    for (const Interval& f : frags) {
-      const double bytes = FragmentBytes(catalog, view, attr, f, part);
-      if (bytes > limit && limit > 0.0) {
-        const int pieces = static_cast<int>(std::ceil(bytes / limit));
-        for (const Interval& p : f.SplitEqual(pieces)) split.push_back(p);
-      } else {
-        split.push_back(f);
+  const double limit = options.max_fragment_fraction * sizer.view_bytes();
+  for (const Interval& f : frags) {
+    const double bytes = sizer.Bytes(f);
+    if (options.max_fragment_fraction > 0.0 && bytes > limit && limit > 0.0) {
+      const int pieces = static_cast<int>(std::ceil(bytes / limit));
+      for (const Interval& p : f.SplitEqual(pieces)) {
+        sized.push_back({p, sizer.Bytes(p)});
       }
+    } else {
+      sized.push_back({f, bytes});
     }
-    frags = std::move(split);
   }
-  // Lower bound: merge adjacent fragments smaller than a block.
-  if (options.enforce_block_lower_bound && frags.size() > 1) {
-    std::sort(frags.begin(), frags.end(), IntervalLess);
-    std::vector<Interval> merged;
-    for (const Interval& f : frags) {
+  // Lower bound: merge adjacent fragments smaller than a block; only a
+  // merged piece is sized again.
+  if (options.enforce_block_lower_bound && sized.size() > 1) {
+    std::sort(sized.begin(), sized.end(),
+              [](const SizedInterval& a, const SizedInterval& b) {
+                return IntervalLess(a.interval, b.interval);
+              });
+    std::vector<SizedInterval> merged;
+    for (const SizedInterval& f : sized) {
       if (!merged.empty() &&
-          FragmentBytes(catalog, view, attr, merged.back(), part) <
-              options.cluster.block_bytes) {
-        Interval& prev = merged.back();
-        prev = Interval(prev.lo, f.hi, prev.lo_inclusive, f.hi_inclusive);
+          merged.back().bytes < options.cluster.block_bytes) {
+        Interval& prev = merged.back().interval;
+        prev = Interval(prev.lo, f.interval.hi, prev.lo_inclusive,
+                        f.interval.hi_inclusive);
+        merged.back().bytes = sizer.Bytes(prev);
       } else {
         merged.push_back(f);
       }
     }
-    frags = std::move(merged);
+    sized = std::move(merged);
   }
-  return frags;
+  return sized;
 }
 
 }  // namespace deepsea

@@ -17,6 +17,7 @@ Result<RunResult> ExperimentRunner::Run(const StrategySpec& strategy,
   RunResult out;
   out.label = strategy.label;
   out.per_query_seconds.reserve(workload.size());
+  out.per_query_map_tasks.reserve(workload.size());
   out.cumulative_seconds.reserve(workload.size() + 1);
   out.cumulative_seconds.push_back(0.0);
   for (const WorkloadQuery& wq : workload) {
@@ -27,6 +28,7 @@ Result<RunResult> ExperimentRunner::Run(const StrategySpec& strategy,
     out.total_seconds += report.total_seconds;
     out.base_total_seconds += report.base_seconds;
     out.per_query_seconds.push_back(report.total_seconds);
+    out.per_query_map_tasks.push_back(report.map_tasks);
     out.cumulative_seconds.push_back(out.total_seconds);
   }
   out.totals = engine.totals();

@@ -31,6 +31,7 @@ struct RunResult {
   double total_seconds = 0.0;        ///< execution + materialization
   double base_total_seconds = 0.0;   ///< what vanilla Hive would cost
   std::vector<double> per_query_seconds;
+  std::vector<int64_t> per_query_map_tasks;  ///< of each executed plan
   std::vector<double> cumulative_seconds;
   EngineTotals totals;
   double final_pool_bytes = 0.0;

@@ -156,7 +156,7 @@ MetricsObserver::MetricsSnapshot MetricsObserver::TakeSnapshot() const {
       if (v->Quarantined(g.commit_clock)) ++g.views_quarantined;
       for (const auto& [attr, part] : v->partitions) {
         (void)attr;
-        for (const FragmentStats& f : part.fragments) {
+        for (const FragmentStats& f : part.fragments()) {
           ++g.fragments_tracked;
           if (f.materialized) ++g.fragments_materialized;
         }

@@ -1,8 +1,19 @@
 #include "rewrite/filter_tree.h"
 
+#include <algorithm>
+#include <optional>
+
 #include "common/str_util.h"
 
 namespace deepsea {
+
+namespace {
+
+Interval AsInterval(const ColumnRange& r) {
+  return Interval(r.lo, r.hi, r.lo_inclusive, r.hi_inclusive);
+}
+
+}  // namespace
 
 std::string FilterTree::AggKey(const PlanSignature& sig) {
   if (!sig.has_aggregate) return "";
@@ -11,17 +22,19 @@ std::string FilterTree::AggKey(const PlanSignature& sig) {
 }
 
 void FilterTree::Insert(const PlanSignature& sig, const std::string& view_id) {
-  index_[sig.RelationKey()][AggKey(sig)].insert(view_id);
-}
-
-void FilterTree::Remove(const PlanSignature& sig, const std::string& view_id) {
-  auto rel_it = index_.find(sig.RelationKey());
-  if (rel_it == index_.end()) return;
-  auto agg_it = rel_it->second.find(AggKey(sig));
-  if (agg_it == rel_it->second.end()) return;
-  agg_it->second.erase(view_id);
-  if (agg_it->second.empty()) rel_it->second.erase(agg_it);
-  if (rel_it->second.empty()) index_.erase(rel_it);
+  Leaf& leaf = index_[sig.RelationKey()][AggKey(sig)];
+  const auto at = std::lower_bound(
+      leaf.views.begin(), leaf.views.end(), view_id,
+      [](const Leaf::View& v, const std::string& id) { return v.id < id; });
+  if (at != leaf.views.end() && at->id == view_id) return;
+  Leaf::View view{view_id, {}};
+  for (const auto& [col, range] : sig.ranges) {
+    auto c = std::find(leaf.columns.begin(), leaf.columns.end(), col);
+    if (c == leaf.columns.end()) c = leaf.columns.insert(c, col);
+    view.ranges.push_back({static_cast<uint32_t>(c - leaf.columns.begin()),
+                           AsInterval(range)});
+  }
+  leaf.views.insert(at, std::move(view));
 }
 
 std::vector<std::string> FilterTree::Lookup(const PlanSignature& query_sig) const {
@@ -30,14 +43,29 @@ std::vector<std::string> FilterTree::Lookup(const PlanSignature& query_sig) cons
   if (rel_it == index_.end()) return out;
   auto agg_it = rel_it->second.find(AggKey(query_sig));
   if (agg_it == rel_it->second.end()) return out;
-  out.assign(agg_it->second.begin(), agg_it->second.end());
+  const Leaf& leaf = agg_it->second;
+  // The query's range on each leaf column, resolved once per lookup;
+  // nullopt where the query leaves the column unconstrained.
+  std::vector<std::optional<Interval>> query_ranges(leaf.columns.size());
+  for (size_t c = 0; c < leaf.columns.size(); ++c) {
+    const auto it = query_sig.ranges.find(leaf.columns[c]);
+    if (it != query_sig.ranges.end()) query_ranges[c] = AsInterval(it->second);
+  }
+  for (const Leaf::View& view : leaf.views) {
+    const bool contains = std::all_of(
+        view.ranges.begin(), view.ranges.end(), [&](const Leaf::Range& r) {
+          const std::optional<Interval>& q = query_ranges[r.column];
+          return q.has_value() && r.range.Contains(*q);
+        });
+    if (contains) out.push_back(view.id);
+  }
   return out;
 }
 
 size_t FilterTree::size() const {
   size_t n = 0;
   for (const auto& [_, aggs] : index_) {
-    for (const auto& [__, ids] : aggs) n += ids.size();
+    for (const auto& [__, leaf] : aggs) n += leaf.views.size();
   }
   return n;
 }

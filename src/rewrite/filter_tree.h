@@ -1,11 +1,12 @@
 #ifndef DEEPSEA_REWRITE_FILTER_TREE_H_
 #define DEEPSEA_REWRITE_FILTER_TREE_H_
 
+#include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "core/interval.h"
 #include "plan/signature.h"
 
 namespace deepsea {
@@ -16,28 +17,47 @@ namespace deepsea {
 /// full sufficient-condition check:
 ///   level 1 - relation classes (must be equal),
 ///   level 2 - aggregation key (group-by + aggregate list; must be
-///             equal, since our compensation cannot re-aggregate).
-/// Leaves hold view ids; partition boundaries and statistics live on
-/// the ViewCatalog entries the ids point to.
+///             equal, since our compensation cannot re-aggregate),
+///   level 3 - range constraints (condition 3 of SignatureSubsumes:
+///             every column the view constrains, the query constrains
+///             within the view's range).
+/// A template's views differ mostly in their range constants, so the
+/// third level keeps most of a leaf out of the full check. Leaves hold
+/// view ids with their ranges as doubles; partition boundaries and
+/// statistics live on the ViewCatalog entries the ids point to. Views
+/// are never removed: STAT keeps every view it tracked.
 class FilterTree {
  public:
   void Insert(const PlanSignature& sig, const std::string& view_id);
 
-  /// Removes a view id (no-op when absent).
-  void Remove(const PlanSignature& sig, const std::string& view_id);
-
-  /// View ids whose signatures could match a query subplan with
-  /// signature `query_sig` (candidates only; callers must still verify
-  /// with SignatureSubsumes).
+  /// In id order, the ids of the views whose signatures pass all three
+  /// levels for a query subplan with signature `query_sig` (candidates
+  /// only; callers must still verify with SignatureSubsumes).
   std::vector<std::string> Lookup(const PlanSignature& query_sig) const;
 
   size_t size() const;
 
  private:
+  /// Level 3: the views of one (relation key, aggregation key) bucket.
+  struct Leaf {
+    struct Range {
+      uint32_t column;  ///< index into `columns`
+      Interval range;
+    };
+    struct View {
+      std::string id;
+      std::vector<Range> ranges;
+    };
+    /// Every column some view of the leaf constrains, in first-seen order.
+    std::vector<std::string> columns;
+    /// Sorted by id.
+    std::vector<View> views;
+  };
+
   static std::string AggKey(const PlanSignature& sig);
 
-  // relation key -> aggregation key -> view ids.
-  std::map<std::string, std::map<std::string, std::set<std::string>>> index_;
+  // relation key -> aggregation key -> leaf.
+  std::map<std::string, std::map<std::string, Leaf>> index_;
 };
 
 }  // namespace deepsea

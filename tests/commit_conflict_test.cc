@@ -681,7 +681,7 @@ TEST(PlanningDeltaFoldTest, ReadOnlyShadowSurvivesForeignBaseGrowth) {
 
   // The read-only shadow was skipped: foreign growth and the foreign
   // resize survive the fold untouched.
-  EXPECT_EQ(part->fragments.size(), 66u);
+  EXPECT_EQ(part->fragments().size(), 66u);
   EXPECT_DOUBLE_EQ(part->Find(Interval(0, 50))->size_bytes, 777.0);
   // The remap still resolves the shadow to its real partition (without
   // walking the foreign view's partition map).
@@ -995,7 +995,7 @@ TEST_F(MembershipTokenTest, CandidateTrackingLeavesContendedPlanValid) {
   size_t fragments_before = 0;
   for (const ViewInfo* v : b_views_) {
     for (const auto& [attr, part] : v->partitions) {
-      fragments_before += part.fragments.size();
+      fragments_before += part.fragments().size();
     }
   }
   const size_t tracked = pool()->views().size();
@@ -1007,7 +1007,7 @@ TEST_F(MembershipTokenTest, CandidateTrackingLeavesContendedPlanValid) {
   for (const ViewInfo* v : b_views_) {
     EXPECT_FALSE(v->InPool()) << v->id;
     for (const auto& [attr, part] : v->partitions) {
-      fragments_after += part.fragments.size();
+      fragments_after += part.fragments().size();
     }
   }
   ASSERT_GT(fragments_after, fragments_before)

@@ -169,7 +169,7 @@ TEST_F(EngineTest, DeepSeaPartitionsFollowSelectionBoundaries) {
   for (const ViewInfo* v : engine.views().AllViews()) {
     for (const auto& [attr, part] : v->partitions) {
       (void)attr;
-      for (const FragmentStats& f : part.fragments) {
+      for (const FragmentStats& f : part.fragments()) {
         if (f.materialized && f.interval.lo == 100000.0 &&
             f.interval.hi == 200000.0) {
           found_exact = true;

@@ -59,6 +59,9 @@ class FaultInvariantProbe : public TraceObserver {
     // state it indexes.
     ASSERT_TRUE(PoolIndexMatchesDefinition(engine_->views()))
         << "at stage " << EngineStageName(stage);
+    // ...and every partition's interval index with its fragment list.
+    ASSERT_TRUE(FragmentIndexMatchesScan(engine_->views()))
+        << "at stage " << EngineStageName(stage);
     // ...and the part masses with the hit lists and fragments they sum.
     ASSERT_TRUE(PartMassMatchesRebuild(engine_->pool()))
         << "at stage " << EngineStageName(stage);
@@ -70,7 +73,7 @@ class FaultInvariantProbe : public TraceObserver {
             << v->id;
       }
       for (const auto& [attr, part] : v->partitions) {
-        for (const FragmentStats& f : part.fragments) {
+        for (const FragmentStats& f : part.fragments()) {
           if (!f.materialized) continue;
           ASSERT_TRUE(engine_->fs().Exists(FragmentPath(*v, attr, f.interval)))
               << v->id << " " << attr << " " << f.interval.ToString();
@@ -359,7 +362,7 @@ TEST(FaultRecoveryTest, RollbackRestoresThePartMass) {
   ASSERT_NE(part, nullptr);
   ASSERT_TRUE(part->mass.kept());
   Interval host;
-  for (const FragmentStats& f : part->fragments) {
+  for (const FragmentStats& f : part->fragments()) {
     if (f.materialized) host = f.interval;
   }
   const double w = host.Width();

@@ -64,6 +64,9 @@ class InvariantProbe : public EngineObserver {
     // and its byte sum is bit-identical to a fresh walk.
     EXPECT_TRUE(PoolIndexMatchesDefinition(engine_->views()))
         << "at stage " << EngineStageName(stage);
+    // Every partition's interval index agrees with a scan of its list.
+    EXPECT_TRUE(FragmentIndexMatchesScan(engine_->views()))
+        << "at stage " << EngineStageName(stage);
     // Every kept part mass equals its rebuild from the hit lists.
     EXPECT_TRUE(PartMassMatchesRebuild(engine_->pool()))
         << "at stage " << EngineStageName(stage);
@@ -230,7 +233,7 @@ TEST_P(EngineInvariantsTest, StructuralInvariantsHoldUnderRandomWorkload) {
   // lies inside its partition's domain.
   for (const ViewInfo* v : engine.views().AllViews()) {
     for (const auto& [attr, part] : v->partitions) {
-      for (const FragmentStats& f : part.fragments) {
+      for (const FragmentStats& f : part.fragments()) {
         if (!f.materialized) continue;
         EXPECT_FALSE(f.interval.IsEmpty());
         EXPECT_GE(f.interval.lo, part.domain.lo - 1e-6);

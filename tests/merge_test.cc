@@ -75,7 +75,10 @@ class MergeCandidatesTest : public ::testing::Test {
     ViewInfo* view = views_.Track(plan, sig);
     view->stats.size_bytes = 100e9;
     PartitionState* part = view->EnsurePartition("t.a", Interval(0, 100));
-    part->fragments = std::move(frags);
+    for (FragmentStats& f : frags) {
+      FragmentStats* tracked = part->Track(f.interval, f.size_bytes);
+      *tracked = std::move(f);
+    }
     return view;
   }
 

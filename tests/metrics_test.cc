@@ -152,7 +152,7 @@ TEST(MetricsObserverTest, CountersAndGaugesAgreeWithEngineTotals) {
     if (v->InPool()) ++views_mat;
     for (const auto& [attr, part] : v->partitions) {
       (void)attr;
-      for (const FragmentStats& f : part.fragments) {
+      for (const FragmentStats& f : part.fragments()) {
         ++frags;
         if (f.materialized) ++frags_mat;
       }

@@ -19,7 +19,10 @@ PartitionState Part(std::vector<FragmentStats> fragments,
   PartitionState part;
   part.attr = "x";
   part.domain = domain;
-  part.fragments = std::move(fragments);
+  for (FragmentStats& f : fragments) {
+    FragmentStats* tracked = part.Track(f.interval, f.size_bytes);
+    *tracked = std::move(f);
+  }
   return part;
 }
 
@@ -684,30 +687,23 @@ PartitionState MakeShadowOf(Rng* rng, const PartitionState& base,
                             double t_now,
                             std::vector<const FragmentStats*>* bases,
                             PartitionState* folded) {
-  PartitionState shadow = Part({}, base.domain);
-  for (const FragmentStats& f : base.fragments) {
-    FragmentStats copy;
-    copy.interval = f.interval;
-    copy.size_bytes = f.size_bytes;
-    copy.materialized = f.materialized;
-    shadow.fragments.push_back(std::move(copy));
-    bases->push_back(&f);
-  }
-  for (FragmentStats& f : shadow.fragments) {
+  PartitionState shadow = base.CopyWithoutHits();
+  for (const FragmentStats& f : base.fragments()) bases->push_back(&f);
+  for (FragmentStats& f : shadow.mutable_fragments()) {
     if (rng->NextDouble() < 0.3) AppendHitAt(rng, t_now, base.domain, &f);
   }
   *folded = base;
-  for (size_t i = 0; i < base.fragments.size(); ++i) {
-    for (const FragmentHit& h : shadow.fragments[i].hits()) {
-      folded->fragments[i].AppendHit(h);
+  for (size_t i = 0; i < base.fragments().size(); ++i) {
+    for (const FragmentHit& h : shadow.fragments()[i].hits()) {
+      folded->mutable_fragments()[i].AppendHit(h);
     }
   }
   const int added = static_cast<int>(rng->UniformInt(0, 2));
   for (int a = 0; a < added; ++a) {
     // Usually as wide as a tracked fragment (the grid stays), sometimes
     // narrower than all of them (the grid changes).
-    const FragmentStats& like = base.fragments[static_cast<size_t>(
-        rng->UniformInt(0, static_cast<int64_t>(base.fragments.size()) - 1))];
+    const FragmentStats& like = base.fragments()[static_cast<size_t>(
+        rng->UniformInt(0, static_cast<int64_t>(base.fragments().size()) - 1))];
     const double width =
         rng->NextDouble() < 0.8 ? like.interval.Width() : 0.5;
     const double lo = rng->Uniform(base.domain.lo, base.domain.hi - width);
@@ -755,20 +751,23 @@ TEST(MleModelTest, KeptPartMassFitEqualsFromScratchBitForBit) {
                                                rng.UniformInt(1, 8));
           const double time = rng.NextDouble() < 0.33 ? t - late : t;
           AppendHitAt(&rng, time, domain,
-                      &part.fragments[static_cast<size_t>(rng.UniformInt(
-                          0, static_cast<int64_t>(part.fragments.size()) -
-                                 1))]);
+                      &part.mutable_fragments()[static_cast<size_t>(
+                          rng.UniformInt(0, static_cast<int64_t>(
+                                                part.fragments().size()) -
+                                                1))]);
         }
       } else if (roll < 0.7) {
         // A merge-style splice: one fragment adopts two histories.
         const size_t a = static_cast<size_t>(
-            rng.UniformInt(0, static_cast<int64_t>(part.fragments.size()) - 1));
+            rng.UniformInt(0, static_cast<int64_t>(part.fragments().size()) -
+                                  1));
         const size_t b = static_cast<size_t>(
-            rng.UniformInt(0, static_cast<int64_t>(part.fragments.size()) - 1));
-        std::vector<FragmentHit> joined = part.fragments[a].hits();
-        const std::vector<FragmentHit>& more = part.fragments[b].hits();
+            rng.UniformInt(0, static_cast<int64_t>(part.fragments().size()) -
+                                  1));
+        std::vector<FragmentHit> joined = part.fragments()[a].hits();
+        const std::vector<FragmentHit>& more = part.fragments()[b].hits();
         joined.insert(joined.end(), more.begin(), more.end());
-        part.fragments[a].AdoptHits(std::move(joined));
+        part.mutable_fragments()[a].AdoptHits(std::move(joined));
       } else if (roll < 0.8) {
         // A narrow Track: ChoosePartCount grows.
         const double width = rng.Uniform(0.5, 20.0);
@@ -784,17 +783,17 @@ TEST(MleModelTest, KeptPartMassFitEqualsFromScratchBitForBit) {
                          MleFragmentModel::AdjustFromScratch(part, t, dec));
       }
       // The commit's maintenance: cursors, then the part mass.
-      for (FragmentStats& f : part.fragments) f.AdvanceWindow(t, dec);
+      for (FragmentStats& f : part.mutable_fragments()) f.AdvanceWindow(t, dec);
       MleFragmentModel::RefreshPartMass(&part, t, dec);
       ASSERT_TRUE(part.mass.kept());
       PartMass rebuilt;
-      rebuilt.Rebuild(part.fragments, MleFragmentModel::GridOf(part), dec,
+      rebuilt.Rebuild(part.fragments(), MleFragmentModel::GridOf(part), dec,
                       part.mass.t());
       ASSERT_TRUE(part.mass == rebuilt)
           << "trial " << trial << " step " << step;
 
       for (double t_now : {t, t + 1.0, t + 12.5}) {
-        if (part.mass.Covers(part.fragments, MleFragmentModel::GridOf(part),
+        if (part.mass.Covers(part.fragments(), MleFragmentModel::GridOf(part),
                              dec)) {
           ++in_place_kept;
         }
@@ -809,7 +808,7 @@ TEST(MleModelTest, KeptPartMassFitEqualsFromScratchBitForBit) {
       const PartitionState shadow =
           MakeShadowOf(&rng, part, t_plan, &bases, &folded);
       const ShadowBases sb{&part, &bases};
-      if (part.mass.Covers(part.fragments, MleFragmentModel::GridOf(shadow),
+      if (part.mass.Covers(part.fragments(), MleFragmentModel::GridOf(shadow),
                            dec)) {
         ++shadow_kept;
       }

@@ -185,7 +185,7 @@ inline std::string PoolFingerprint(const PoolManager& pool) {
                      v->stats.size_bytes, v->stats.creation_cost,
                      static_cast<long long>(v->stats.events().size()));
     for (const auto& [attr, part] : v->partitions) {
-      for (const FragmentStats& f : part.fragments) {
+      for (const FragmentStats& f : part.fragments()) {
         out += StrFormat(
             "  frag %s [%.17g,%.17g] mat=%d S=%.17g hits=%lld\n", attr.c_str(),
             f.interval.lo, f.interval.hi, f.materialized ? 1 : 0, f.size_bytes,

@@ -222,6 +222,7 @@ void RunFreeRunningStress(int num_tenants, int queries_each) {
   // Concurrent sharded commits kept the pool-content index equal to its
   // definition.
   EXPECT_TRUE(PoolIndexMatchesDefinition(shared.pool()->views()));
+  EXPECT_TRUE(FragmentIndexMatchesScan(shared.pool()->views()));
   // ...and every kept part mass equal to its rebuild, although sharded
   // commits appended hits out of time order.
   EXPECT_TRUE(PartMassMatchesRebuild(*shared.pool()));

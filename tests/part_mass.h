@@ -32,11 +32,11 @@ inline ::testing::AssertionResult PartMassMatchesRebuild(
       if (!part.AnyMaterialized()) {
         PartMass caught_up = part.mass;
         if (!caught_up.kept() ||
-            !caught_up.Update(part.fragments, dec, caught_up.t())) {
+            !caught_up.Update(part.fragments(), dec, caught_up.t())) {
           continue;  // no mass, or a replaced hit list: rebuilt on entry
         }
         PartMass rebuilt;
-        rebuilt.Rebuild(part.fragments, caught_up.grid(), dec, caught_up.t());
+        rebuilt.Rebuild(part.fragments(), caught_up.grid(), dec, caught_up.t());
         if (!(caught_up == rebuilt)) {
           return fail() << "dormant part mass at t=" << caught_up.t()
                         << " differs from its rebuild once updated";
@@ -52,7 +52,7 @@ inline ::testing::AssertionResult PartMassMatchesRebuild(
       if (!keepable) continue;
       const PartGrid grid = MleFragmentModel::GridOf(part);
       PartMass rebuilt;
-      rebuilt.Rebuild(part.fragments, grid, dec, part.mass.t());
+      rebuilt.Rebuild(part.fragments(), grid, dec, part.mass.t());
       if (!(part.mass == rebuilt)) {
         return fail() << "part mass at t=" << part.mass.t()
                       << " differs from its rebuild (grid "
@@ -64,9 +64,9 @@ inline ::testing::AssertionResult PartMassMatchesRebuild(
                       << " is ahead of the clock " << clock;
       }
       PartMass at_clock;
-      at_clock.Rebuild(part.fragments, grid, dec, clock);
+      at_clock.Rebuild(part.fragments(), grid, dec, clock);
       std::vector<PartMass::Sum> corrected;
-      part.mass.SumsAt(part.fragments, dec, clock, &corrected);
+      part.mass.SumsAt(part.fragments(), dec, clock, &corrected);
       if (corrected != at_clock.sums()) {
         return fail() << "part mass corrected from t=" << part.mass.t()
                       << " to the clock " << clock

@@ -7,9 +7,19 @@
 // (the sum over the index) must equal PoolBytesExact() (a fresh walk of
 // every view) bit for bit. Call it only where the pool is quiescent for
 // writes: inside an exclusive commit, or with no commit running.
+//
+// FragmentIndexMatchesScan: checks every partition's interval index
+// against a linear scan of its fragment list. For each tracked interval
+// and each of its neighbours (an endpoint one ulp outward, an
+// endpoint's openness flipped), Find must return the fragment the scan
+// finds first, or nullptr where the scan finds none. Same quiescence
+// rule.
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -47,6 +57,61 @@ inline ::testing::AssertionResult PoolIndexMatchesDefinition(
     return ::testing::AssertionFailure()
            << "PoolBytes() " << cached << " differs from PoolBytesExact() "
            << exact;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// The first fragment of `part` whose interval equals `iv`, by scan.
+inline const FragmentStats* ScanForFragment(const PartitionState& part,
+                                            const Interval& iv) {
+  for (const FragmentStats& f : part.fragments()) {
+    if (f.interval == iv) return &f;
+  }
+  return nullptr;
+}
+
+/// Find(probe) equals the scan for `probe`.
+inline ::testing::AssertionResult FindMatchesScan(const PartitionState& part,
+                                                  const Interval& probe) {
+  const FragmentStats* found = part.Find(probe);
+  const FragmentStats* scanned = ScanForFragment(part, probe);
+  if (found == scanned) return ::testing::AssertionSuccess();
+  auto position = [&](const FragmentStats* f) {
+    return f == nullptr ? std::string("none")
+                        : std::to_string(f - part.fragments().data());
+  };
+  return ::testing::AssertionFailure()
+         << "Find" << probe.ToString() << " returned fragment "
+         << position(found) << ", the scan fragment " << position(scanned)
+         << " of " << part.fragments().size();
+}
+
+inline ::testing::AssertionResult PartitionIndexMatchesScan(
+    const PartitionState& part) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const FragmentStats& f : part.fragments()) {
+    const Interval& iv = f.interval;
+    for (const Interval& probe :
+         {iv, Interval(std::nextafter(iv.lo, -inf), iv.hi, iv.lo_inclusive,
+                       iv.hi_inclusive),
+          Interval(iv.lo, std::nextafter(iv.hi, inf), iv.lo_inclusive,
+                   iv.hi_inclusive),
+          Interval(iv.lo, iv.hi, !iv.lo_inclusive, iv.hi_inclusive),
+          Interval(iv.lo, iv.hi, iv.lo_inclusive, !iv.hi_inclusive)}) {
+      ::testing::AssertionResult same = FindMatchesScan(part, probe);
+      if (!same) return same;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+inline ::testing::AssertionResult FragmentIndexMatchesScan(
+    const ViewCatalog& views) {
+  for (const ViewInfo* v : views.AllViews()) {
+    for (const auto& [attr, part] : v->partitions) {
+      ::testing::AssertionResult same = PartitionIndexMatchesScan(part);
+      if (!same) return same << " (view " << v->id << ", " << attr << ")";
+    }
   }
   return ::testing::AssertionSuccess();
 }

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <set>
+
+#include "common/rng.h"
 #include "core/view_catalog.h"
 #include "rewrite/filter_tree.h"
 #include "rewrite/matcher.h"
@@ -73,9 +79,8 @@ TEST_F(RewriteTest, FilterTreeExactLookup) {
   tree.Insert(*sig, "v1");
   EXPECT_EQ(tree.Lookup(*sig), (std::vector<std::string>{"v1"}));
   EXPECT_EQ(tree.size(), 1u);
-  tree.Remove(*sig, "v1");
-  EXPECT_TRUE(tree.Lookup(*sig).empty());
-  EXPECT_EQ(tree.size(), 0u);
+  tree.Insert(*sig, "v1");
+  EXPECT_EQ(tree.size(), 1u);
 }
 
 TEST_F(RewriteTest, FilterTreePrunesByRelations) {
@@ -98,6 +103,89 @@ TEST_F(RewriteTest, FilterTreeSeparatesAggregates) {
   tree.Insert(*agg_sig, "vagg");
   EXPECT_EQ(tree.Lookup(*join_sig), (std::vector<std::string>{"vjoin"}));
   EXPECT_EQ(tree.Lookup(*agg_sig), (std::vector<std::string>{"vagg"}));
+}
+
+// Level 3 against its oracle: the unfiltered (relation, aggregation)
+// bucket plus SignatureSubsumes. Signatures are drawn over three columns
+// with endpoints that tie, sit at -0.0/+0.0, are infinite, open or
+// closed, and columns left unconstrained; a few views carry a residual
+// the queries lack, so SignatureSubsumes also rejects on condition 4.
+TEST(FilterTreeRangeTest, LookupKeepsEverySubsumingViewInIdOrder) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> points = {-inf, -10.0, -0.0, 0.0, 5.0,
+                                      std::nextafter(5.0, inf), 10.0, inf};
+  const std::vector<std::string> columns = {"fact.a", "fact.b", "fact.c"};
+  Rng rng(2201);
+  auto random_signature = [&](bool aggregate, double constrain_p) {
+    PlanSignature sig;
+    sig.relations = {"fact"};
+    sig.output_columns = {columns.begin(), columns.end()};
+    if (aggregate) {
+      sig.has_aggregate = true;
+      sig.group_by = {"fact.a"};
+      sig.agg_specs = {"count(*) AS n"};
+    }
+    for (const std::string& col : columns) {
+      if (rng.NextDouble() >= constrain_p) continue;
+      ColumnRange r;
+      r.column = col;
+      double lo = points[rng.UniformInt(0, points.size() - 1)];
+      double hi = points[rng.UniformInt(0, points.size() - 1)];
+      if (lo > hi) std::swap(lo, hi);
+      r.lo = lo;
+      r.hi = hi;
+      r.lo_inclusive = rng.NextDouble() < 0.5;
+      r.hi_inclusive = rng.NextDouble() < 0.5;
+      sig.ranges[col] = r;
+    }
+    return sig;
+  };
+  // Each view in its bucket, under an id whose string order differs
+  // from its insertion order.
+  std::vector<std::pair<std::string, PlanSignature>> views;
+  FilterTree tree;
+  for (int i = 0; i < 300; ++i) {
+    PlanSignature sig = random_signature(/*aggregate=*/i % 5 == 0, 0.6);
+    if (rng.NextDouble() < 0.1) sig.residuals = {"f(fact.a)"};
+    std::string id = "v";
+    id += std::to_string(rng.UniformInt(1, 100000));
+    if (std::any_of(views.begin(), views.end(),
+                    [&](const auto& v) { return v.first == id; })) {
+      continue;
+    }
+    tree.Insert(sig, id);
+    views.emplace_back(id, std::move(sig));
+  }
+  EXPECT_EQ(tree.size(), views.size());
+  int accepted = 0;
+  int pruned = 0;
+  for (int q = 0; q < 400; ++q) {
+    const bool aggregate = q % 5 == 0;
+    PlanSignature query = random_signature(aggregate, 0.8);
+    query.output_columns = {"fact.a"};
+    const std::vector<std::string> found = tree.Lookup(query);
+    EXPECT_TRUE(std::is_sorted(found.begin(), found.end())) << "query " << q;
+    std::set<std::string> bucket;
+    std::set<std::string> subsuming;
+    for (const auto& [id, sig] : views) {
+      if (sig.has_aggregate != aggregate) continue;
+      bucket.insert(id);
+      if (SignatureSubsumes(sig, query)) subsuming.insert(id);
+    }
+    const std::set<std::string> found_set(found.begin(), found.end());
+    EXPECT_EQ(found_set.size(), found.size()) << "query " << q;
+    EXPECT_TRUE(std::includes(bucket.begin(), bucket.end(), found_set.begin(),
+                              found_set.end()))
+        << "query " << q;
+    EXPECT_TRUE(std::includes(found_set.begin(), found_set.end(),
+                              subsuming.begin(), subsuming.end()))
+        << "query " << q << " dropped a subsuming view";
+    accepted += static_cast<int>(subsuming.size());
+    pruned += static_cast<int>(bucket.size() - found_set.size());
+  }
+  // Both outcomes occur, or the draw proves nothing.
+  EXPECT_GT(accepted, 1000) << accepted;
+  EXPECT_GT(pruned, 10000) << pruned;
 }
 
 TEST_F(RewriteTest, CompensationRebuildsQueryRanges) {

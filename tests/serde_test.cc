@@ -120,6 +120,7 @@ TEST_F(EngineStateTest, SaveLoadRoundTripPreservesPool) {
   // and indexes the same views, in the same order, as the saved pool.
   EXPECT_TRUE(PoolIndexMatchesDefinition(warm.views()));
   EXPECT_TRUE(PoolIndexMatchesDefinition(cold.views()));
+  EXPECT_TRUE(FragmentIndexMatchesScan(cold.views()));
   // The load rebuilt the part masses of the restored pool content.
   EXPECT_TRUE(PartMassMatchesRebuild(warm.pool()));
   EXPECT_TRUE(PartMassMatchesRebuild(cold.pool()));
@@ -344,6 +345,7 @@ TEST_F(EngineStateTest, CorruptedStateLeavesEngineUntouched) {
       EXPECT_FALSE(source.pool_ids.empty());
       EXPECT_EQ(PoolViewIds(cold.views()), source.pool_ids);
       EXPECT_TRUE(PoolIndexMatchesDefinition(cold.views()));
+      EXPECT_TRUE(FragmentIndexMatchesScan(cold.views()));
       EXPECT_TRUE(PartMassMatchesRebuild(cold.pool()));
       auto resaved = cold.SaveState();
       ASSERT_TRUE(resaved.ok());
@@ -378,6 +380,37 @@ TEST_F(EngineStateTest, CorruptedStateLeavesEngineUntouched) {
       ASSERT_NE(eol, std::string::npos);
       badflag[eol - 1] = '7';
       corrupted.push_back(badflag);
+    }
+    {
+      // Non-finite numbers: strtod reads "nan" and "inf", and a saved
+      // state holds neither. Each replaces one number of the first line
+      // with `keyword`, where the blob has such a line.
+      struct NonFinite {
+        const char* keyword;
+        size_t field;  ///< space-separated field after the keyword
+        const char* value;
+      };
+      for (const NonFinite& nf : std::vector<NonFinite>{
+               {"CLOCK", 0, "nan"},
+               {"STATS", 0, "nan"},
+               {"STATS", 1, "inf"},
+               {"EVENT", 0, "nan"},
+               {"EVENT", 1, "-inf"},
+               {"PARTITION", 1, "nan"},
+               {"PENDING", 1, "inf"},
+               {"FRAGMENT", 0, "nan"},
+               {"FRAGMENT", 4, "nan"},
+               {"HIT", 0, "nan"},
+               {"HIT", 2, "nan"}}) {
+        const std::string prefix = std::string("\n") + nf.keyword + " ";
+        size_t pos = state.find(prefix);
+        if (pos == std::string::npos) continue;
+        pos += prefix.size();
+        for (size_t f = 0; f < nf.field; ++f) pos = state.find(' ', pos) + 1;
+        const size_t end = state.find_first_of(" \n", pos);
+        corrupted.push_back(state.substr(0, pos) + nf.value +
+                            state.substr(end));
+      }
     }
     // A structurally valid blob whose plan references an unknown table
     // fails signature resolution (inside the commit section) — that

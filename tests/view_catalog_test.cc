@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "core/planning_delta.h"
+#include "pool_index.h"
+
 namespace deepsea {
 namespace {
 
@@ -98,7 +107,7 @@ TEST(PartitionStateTest, TrackIsIdempotent) {
   EXPECT_EQ(first, second);
   EXPECT_EQ(second->hits().size(), 1u);
   EXPECT_DOUBLE_EQ(second->size_bytes, 10.0);  // original estimate kept
-  EXPECT_EQ(part.fragments.size(), 1u);
+  EXPECT_EQ(part.fragments().size(), 1u);
 }
 
 TEST(PartitionStateTest, FindDistinguishesOpenness) {
@@ -106,6 +115,66 @@ TEST(PartitionStateTest, FindDistinguishesOpenness) {
   part.Track(Interval::ClosedOpen(0, 50), 1.0);
   EXPECT_NE(part.Find(Interval::ClosedOpen(0, 50)), nullptr);
   EXPECT_EQ(part.Find(Interval(0, 50)), nullptr);  // different bounds
+}
+
+// Find against a linear scan, over random Track sequences whose
+// intervals tie, differ by one ulp or only in openness, or sit at -0.0
+// and +0.0; over copies that diverge from their original, hit-less
+// copies, and planning shadows with planner-added fragments.
+TEST(PartitionStateTest, FindEqualsLinearScan) {
+  const std::vector<double> points = {-0.0,
+                                      0.0,
+                                      1.0,
+                                      std::nextafter(1.0, 0.0),
+                                      std::nextafter(1.0, 2.0),
+                                      2.0,
+                                      1e9};
+  Rng rng(2203);
+  auto random_interval = [&] {
+    double lo = points[rng.UniformInt(0, points.size() - 1)];
+    double hi = points[rng.UniformInt(0, points.size() - 1)];
+    if (hi < lo) std::swap(lo, hi);
+    return Interval(lo, hi, rng.NextDouble() < 0.5, rng.NextDouble() < 0.5);
+  };
+  auto check = [&](const PartitionState& part, const std::string& what) {
+    EXPECT_TRUE(PartitionIndexMatchesScan(part)) << what;
+    for (int p = 0; p < 16; ++p) {
+      EXPECT_TRUE(FindMatchesScan(part, random_interval())) << what;
+    }
+  };
+  std::atomic<int64_t> placeholders{0};
+  ViewIdReservation reservation(&placeholders);
+  const Catalog catalog;
+  for (int trial = 0; trial < 40; ++trial) {
+    ViewCatalog views;
+    ViewInfo* v = views.Track(Scan("t"), SigNamed("t"));
+    PartitionState* part = v->EnsurePartition("t.a", Interval(-1.0, 1e9));
+    const int tracks = static_cast<int>(rng.UniformInt(1, 60));
+    for (int i = 0; i < tracks; ++i) {
+      part->Track(random_interval(), 1.0);
+      check(*part, "tracked");
+    }
+    PartitionState copy = *part;
+    PartitionState bare = part->CopyWithoutHits();
+    for (int i = 0; i < 8; ++i) {
+      copy.Track(random_interval(), 2.0);
+      bare.Track(random_interval(), 3.0);
+    }
+    check(copy, "copy");
+    check(bare, "copy without hits");
+    check(*part, "original after its copies grew");
+
+    PlanningDelta delta(catalog, &views, /*t_now=*/1.0, &reservation);
+    PartitionState* shadow = delta.Partition(v, "t.a");
+    ASSERT_NE(shadow, part);
+    for (int i = 0; i < 8; ++i) {
+      delta.TrackFragment(shadow, random_interval(), 0.0);
+    }
+    check(*shadow, "shadow with planner-added fragments");
+    for (const FragmentStats& f : part->fragments()) {
+      ASSERT_NE(shadow->Find(f.interval), nullptr) << f.interval.ToString();
+    }
+  }
 }
 
 TEST(PartitionStateTest, MaterializedViewsAndBytes) {
