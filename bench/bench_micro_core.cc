@@ -74,7 +74,7 @@ void BM_MleAdjust(benchmark::State& state) {
   PartitionState part;
   part.domain = Interval(0, 400000);
   for (const Interval& iv : part.domain.SplitEqual(n)) {
-    FragmentStats* f = part.Track(iv, 1e9);
+    FragmentStats* f = part.Track(iv, 1e9).first;
     f->materialized = true;
     const Interval touched(iv.lo + 0.25 * iv.Width(), iv.hi);
     const int per_fragment = live_hits / n;

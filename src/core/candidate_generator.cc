@@ -143,7 +143,7 @@ void CandidateGenerator::RegisterPartitionCandidates(QueryContext* ctx) {
         // range count the current query as a hit.
         for (const Interval& p : pieces) {
           FragmentStats* tracked =
-              delta->TrackFragment(part, p, /*est_size_bytes=*/0.0);
+              delta->TrackFragment(part, p, /*est_size_bytes=*/0.0).first;
           if (p.Overlaps(range)) {
             tracked->RecordHit(t_now, range);
           }
@@ -162,7 +162,7 @@ void CandidateGenerator::RegisterPartitionCandidates(QueryContext* ctx) {
           est_bytes < options_->cluster.block_bytes) {
         continue;  // fragments below one block are never created
       }
-      FragmentStats* fstat = delta->TrackFragment(part, cand, est_bytes);
+      FragmentStats* fstat = delta->TrackFragment(part, cand, est_bytes).first;
       if (fstat->materialized) continue;
       fstat->size_bytes = est_bytes;
       if (cand.Overlaps(range)) fstat->RecordHit(t_now, range);

@@ -318,7 +318,7 @@ Status DeepSeaEngine::LoadState(const std::string& state) {
         if (hist.ok()) (*view_table)->SetHistogram(pp.attr, *hist);
       }
       for (ParsedFragment& pf : pp.fragments) {
-        FragmentStats* frag = part->Track(pf.interval, pf.size_bytes);
+        FragmentStats* frag = part->Track(pf.interval, pf.size_bytes).first;
         frag->size_bytes = pf.size_bytes;
         frag->materialized = pf.materialized;
         // AdoptHits rebuilds the running-max and resets the timed-out

@@ -232,16 +232,14 @@ PartitionState* PlanningDelta::EnsurePartition(ViewInfo* v,
   return &MakeShadow(v, attr, nullptr, domain).state;
 }
 
-FragmentStats* PlanningDelta::TrackFragment(PartitionState* part,
-                                            const Interval& iv,
-                                            double est_size_bytes) {
-  const size_t tracked = part->fragments().size();
-  FragmentStats* f = part->Track(iv, est_size_bytes);
-  if (part->fragments().size() != tracked) {
+std::pair<FragmentStats*, bool> PlanningDelta::TrackFragment(
+    PartitionState* part, const Interval& iv, double est_size_bytes) {
+  const auto tracked = part->Track(iv, est_size_bytes);
+  if (tracked.second) {
     // Planner-added to a shadow: no shared history.
     if (ShadowPartition* sp = ShadowFor(part)) sp->bases.push_back(nullptr);
   }
-  return f;
+  return tracked;
 }
 
 ShadowBases PlanningDelta::BasesOf(const PartitionState* part) const {
@@ -501,7 +499,7 @@ void PlanningDelta::Fold(ViewCatalog* views, Catalog* catalog,
         for (const FragmentHit& h : sf.hits()) rf.AppendHit(h);
         rf.size_bytes = sf.size_bytes;
       } else {
-        FragmentStats* rf = real->Track(sf.interval, sf.size_bytes);
+        FragmentStats* rf = real->Track(sf.interval, sf.size_bytes).first;
         rf->size_bytes = sf.size_bytes;
         if (!sf.hits().empty()) rf->AdoptHits(sf.hits());
       }

@@ -207,11 +207,12 @@ class PlanningDelta {
   PartitionState* ReadPartition(ViewInfo* v, PartitionState* shared);
 
   /// PartitionState::Track on a delta partition. For shadows this also
-  /// records that the fragment has no base. Callers may mutate the
+  /// records that an added fragment has no base. Callers may mutate the
   /// returned FragmentStats directly (hits recorded here are the
   /// query-local suffix).
-  FragmentStats* TrackFragment(PartitionState* part, const Interval& iv,
-                               double est_size_bytes);
+  std::pair<FragmentStats*, bool> TrackFragment(PartitionState* part,
+                                                const Interval& iv,
+                                                double est_size_bytes);
 
   /// For a shadow partition: the shared partition it shadows (nullptr
   /// when EnsurePartition created it here) and per-fragment base

@@ -717,7 +717,7 @@ Result<double> PoolManager::MaterializeFragment(ViewInfo* view,
 
   const FragmentSizer sizer(*catalog_, *view, attr, part);
   const double bytes = sizer.Bytes(iv);
-  FragmentStats* fstat = part->Track(iv, bytes);
+  FragmentStats* fstat = part->Track(iv, bytes).first;
   fstat->size_bytes = bytes;
   const std::string frag_path = FragmentPath(*view, attr, iv);
   assert(!fs_.Exists(frag_path) && "double materialization of fragment");
@@ -745,7 +745,7 @@ Result<double> PoolManager::MaterializeFragment(ViewInfo* view,
       }
       for (const Interval& piece : pieces) {
         const double piece_bytes = sizer.Bytes(piece);
-        FragmentStats* pstat = part->Track(piece, piece_bytes);
+        FragmentStats* pstat = part->Track(piece, piece_bytes).first;
         pstat->size_bytes = piece_bytes;
         DEEPSEA_RETURN_IF_ERROR(
             TxnPut(FragmentPath(*view, attr, piece), piece_bytes, report));
@@ -1007,7 +1007,8 @@ Result<double> PoolManager::MergeStaged(double t_now,
     hits.insert(hits.end(), b.hits().begin(), b.hits().end());
     DEEPSEA_RETURN_IF_ERROR(EvictFragment(cand.view, cand.part, &a, report));
     DEEPSEA_RETURN_IF_ERROR(EvictFragment(cand.view, cand.part, &b, report));
-    FragmentStats* merged = cand.part->Track(cand.merged, merged_bytes);
+    FragmentStats* merged =
+        cand.part->Track(cand.merged, merged_bytes).first;
     merged->size_bytes = merged_bytes;
     DEEPSEA_RETURN_IF_ERROR(
         TxnPut(FragmentPath(*cand.view, cand.part->attr, cand.merged),

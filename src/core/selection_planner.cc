@@ -86,15 +86,16 @@ SelectionResolution SelectionPlanner::PlanSelection(const QueryContext& ctx,
         // Skip planned pieces whose extent the pool already covers
         // (exactly materialized, or covered by refinement fragments).
         if (!mats.empty() && PartitionMatch(mats, iv).ok()) continue;
-        const size_t tracked = part->fragments().size();
-        FragmentStats* fstat = delta->TrackFragment(part, iv, piece.bytes);
-        if (part->fragments().size() != tracked) {
+        const auto [fstat, added] =
+            delta->TrackFragment(part, iv, piece.bytes);
+        if (added) {
           // A piece new to STAT inherits the hit history of the tracked
           // pieces it covers (it may be a merged or split planned
           // fragment), so hot planned fragments carry their evidence
           // into the ranking. EffectiveHits resolves a shadow fragment's
           // base history plus its local suffix.
           std::vector<FragmentHit> inherited;
+          const size_t tracked = part->fragments().size() - 1;  // before it
           for (size_t i = 0; i < tracked; ++i) {
             const FragmentStats& p = part->fragments()[i];
             if (iv.Contains(p.interval)) {

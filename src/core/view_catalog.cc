@@ -31,19 +31,20 @@ FragmentStats* PartitionState::Find(const Interval& iv) {
   return const_cast<FragmentStats*>(std::as_const(*this).Find(iv));
 }
 
-FragmentStats* PartitionState::Track(const Interval& iv, double est_size_bytes) {
+std::pair<FragmentStats*, bool> PartitionState::Track(const Interval& iv,
+                                                      double est_size_bytes) {
   assert(!std::isnan(iv.lo) && !std::isnan(iv.hi) &&
          "NaN endpoints have no place in the interval order");
   const auto it = LowerBound(iv);
   if (it != by_interval_.end() && fragments_[*it].interval == iv) {
-    return &fragments_[*it];
+    return {&fragments_[*it], false};
   }
   by_interval_.insert(it, static_cast<uint32_t>(fragments_.size()));
   FragmentStats f;
   f.interval = iv;
   f.size_bytes = est_size_bytes;
   fragments_.push_back(std::move(f));
-  return &fragments_.back();
+  return {&fragments_.back(), true};
 }
 
 PartitionState PartitionState::CopyWithoutHits() const {

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -59,8 +60,10 @@ struct PartitionState {
   FragmentStats* Find(const Interval& iv);
   const FragmentStats* Find(const Interval& iv) const;
 
-  /// Adds a fragment to tracking if absent; returns the tracked entry.
-  FragmentStats* Track(const Interval& iv, double est_size_bytes);
+  /// Adds a fragment to tracking if absent. Returns the tracked entry
+  /// and whether this call added it (as std::map::try_emplace does).
+  std::pair<FragmentStats*, bool> Track(const Interval& iv,
+                                        double est_size_bytes);
 
   /// A copy of the attribute, domain, pending list and fragment list
   /// with each fragment's size and flag but no hit history, and no part

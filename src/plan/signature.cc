@@ -331,6 +331,14 @@ Result<PlanSignature> ComputeSignature(const PlanPtr& plan, const Catalog& catal
   return entry.sig();
 }
 
+Interval RangeInterval(const ColumnRange& range) {
+  return Interval(range.lo, range.hi, range.lo_inclusive, range.hi_inclusive);
+}
+
+bool RangeAdmits(const Interval& view, const std::optional<Interval>& query) {
+  return query.has_value() && view.Contains(*query);
+}
+
 bool SignatureSubsumes(const PlanSignature& view_sig,
                        const PlanSignature& query_sig) {
   // 1. Relation classes must be equal.
@@ -351,13 +359,9 @@ bool SignatureSubsumes(const PlanSignature& view_sig,
   //    view may constrain only columns the query constrains.
   for (const auto& [col, vrange] : view_sig.ranges) {
     const auto qit = query_sig.ranges.find(col);
-    if (qit == query_sig.ranges.end()) return false;
-    const ColumnRange& qrange = qit->second;
-    const Interval vi(vrange.lo, vrange.hi, vrange.lo_inclusive,
-                      vrange.hi_inclusive);
-    const Interval qi(qrange.lo, qrange.hi, qrange.lo_inclusive,
-                      qrange.hi_inclusive);
-    if (!vi.Contains(qi)) return false;
+    std::optional<Interval> qi;
+    if (qit != query_sig.ranges.end()) qi = RangeInterval(qit->second);
+    if (!RangeAdmits(RangeInterval(vrange), qi)) return false;
   }
   // 4. View residuals must be a subset of query residuals.
   if (!std::includes(query_sig.residuals.begin(), query_sig.residuals.end(),

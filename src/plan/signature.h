@@ -4,6 +4,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -127,6 +128,15 @@ class SignatureTable {
 /// in a fresh SignatureTable. Fails on the shapes
 /// SignatureTable::Entry::ok() lists.
 Result<PlanSignature> ComputeSignature(const PlanPtr& plan, const Catalog& catalog);
+
+/// The interval a single-column range constraint admits.
+Interval RangeInterval(const ColumnRange& range);
+
+/// Condition 3 of SignatureSubsumes on one column the view constrains to
+/// `view`: the query constrains the column too (`query`; nullopt where
+/// it does not), within `view`. FilterTree's range level applies this
+/// same test before the full check.
+bool RangeAdmits(const Interval& view, const std::optional<Interval>& query);
 
 /// Sufficient condition (Section 8.1): the view's result is a superset
 /// of the subquery's and the difference is compensable by selections /

@@ -7,34 +7,44 @@
 
 namespace deepsea {
 
-namespace {
-
-Interval AsInterval(const ColumnRange& r) {
-  return Interval(r.lo, r.hi, r.lo_inclusive, r.hi_inclusive);
-}
-
-}  // namespace
-
 std::string FilterTree::AggKey(const PlanSignature& sig) {
   if (!sig.has_aggregate) return "";
   return "by=" + Join(sig.group_by, ",") + ";aggs=" +
          Join({sig.agg_specs.begin(), sig.agg_specs.end()}, ",");
 }
 
+std::vector<FilterTree::Leaf::View>::iterator FilterTree::Leaf::LowerBound(
+    const std::string& id) {
+  return std::lower_bound(
+      views.begin(), views.end(), id,
+      [](const View& v, const std::string& key) { return v.id < key; });
+}
+
 void FilterTree::Insert(const PlanSignature& sig, const std::string& view_id) {
   Leaf& leaf = index_[sig.RelationKey()][AggKey(sig)];
-  const auto at = std::lower_bound(
-      leaf.views.begin(), leaf.views.end(), view_id,
-      [](const Leaf::View& v, const std::string& id) { return v.id < id; });
+  const auto at = leaf.LowerBound(view_id);
   if (at != leaf.views.end() && at->id == view_id) return;
   Leaf::View view{view_id, {}};
   for (const auto& [col, range] : sig.ranges) {
     auto c = std::find(leaf.columns.begin(), leaf.columns.end(), col);
     if (c == leaf.columns.end()) c = leaf.columns.insert(c, col);
     view.ranges.push_back({static_cast<uint32_t>(c - leaf.columns.begin()),
-                           AsInterval(range)});
+                           RangeInterval(range)});
   }
   leaf.views.insert(at, std::move(view));
+}
+
+void FilterTree::Remove(const PlanSignature& sig, const std::string& view_id) {
+  auto rel_it = index_.find(sig.RelationKey());
+  if (rel_it == index_.end()) return;
+  auto agg_it = rel_it->second.find(AggKey(sig));
+  if (agg_it == rel_it->second.end()) return;
+  Leaf& leaf = agg_it->second;
+  const auto at = leaf.LowerBound(view_id);
+  if (at == leaf.views.end() || at->id != view_id) return;
+  leaf.views.erase(at);
+  if (leaf.views.empty()) rel_it->second.erase(agg_it);
+  if (rel_it->second.empty()) index_.erase(rel_it);
 }
 
 std::vector<std::string> FilterTree::Lookup(const PlanSignature& query_sig) const {
@@ -49,15 +59,16 @@ std::vector<std::string> FilterTree::Lookup(const PlanSignature& query_sig) cons
   std::vector<std::optional<Interval>> query_ranges(leaf.columns.size());
   for (size_t c = 0; c < leaf.columns.size(); ++c) {
     const auto it = query_sig.ranges.find(leaf.columns[c]);
-    if (it != query_sig.ranges.end()) query_ranges[c] = AsInterval(it->second);
+    if (it != query_sig.ranges.end()) {
+      query_ranges[c] = RangeInterval(it->second);
+    }
   }
   for (const Leaf::View& view : leaf.views) {
-    const bool contains = std::all_of(
+    const bool admits = std::all_of(
         view.ranges.begin(), view.ranges.end(), [&](const Leaf::Range& r) {
-          const std::optional<Interval>& q = query_ranges[r.column];
-          return q.has_value() && r.range.Contains(*q);
+          return RangeAdmits(r.range, query_ranges[r.column]);
         });
-    if (contains) out.push_back(view.id);
+    if (admits) out.push_back(view.id);
   }
   return out;
 }

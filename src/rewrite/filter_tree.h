@@ -18,17 +18,19 @@ namespace deepsea {
 ///   level 1 - relation classes (must be equal),
 ///   level 2 - aggregation key (group-by + aggregate list; must be
 ///             equal, since our compensation cannot re-aggregate),
-///   level 3 - range constraints (condition 3 of SignatureSubsumes:
-///             every column the view constrains, the query constrains
-///             within the view's range).
+///   level 3 - range constraints (condition 3 of SignatureSubsumes,
+///             RangeAdmits on every column the view constrains).
 /// A template's views differ mostly in their range constants, so the
 /// third level keeps most of a leaf out of the full check. Leaves hold
 /// view ids with their ranges as doubles; partition boundaries and
-/// statistics live on the ViewCatalog entries the ids point to. Views
-/// are never removed: STAT keeps every view it tracked.
+/// statistics live on the ViewCatalog entries the ids point to.
 class FilterTree {
  public:
+  /// Adds a view id (no-op when present).
   void Insert(const PlanSignature& sig, const std::string& view_id);
+
+  /// Removes a view id (no-op when absent).
+  void Remove(const PlanSignature& sig, const std::string& view_id);
 
   /// In id order, the ids of the views whose signatures pass all three
   /// levels for a query subplan with signature `query_sig` (candidates
@@ -52,6 +54,9 @@ class FilterTree {
     std::vector<std::string> columns;
     /// Sorted by id.
     std::vector<View> views;
+
+    /// First view whose id is not less than `id`.
+    std::vector<View>::iterator LowerBound(const std::string& id);
   };
 
   static std::string AggKey(const PlanSignature& sig);

@@ -66,7 +66,7 @@ TEST(CoAccessTest, DecayedOutHitsIgnored) {
 
 class MergeCandidatesTest : public ::testing::Test {
  protected:
-  ViewInfo* MakeView(std::vector<FragmentStats> frags) {
+  ViewInfo* MakeView(const std::vector<FragmentStats>& frags) {
     PlanPtr plan = Scan("t");
     PlanSignature sig;
     std::string relation = "t";
@@ -75,9 +75,11 @@ class MergeCandidatesTest : public ::testing::Test {
     ViewInfo* view = views_.Track(plan, sig);
     view->stats.size_bytes = 100e9;
     PartitionState* part = view->EnsurePartition("t.a", Interval(0, 100));
-    for (FragmentStats& f : frags) {
-      FragmentStats* tracked = part->Track(f.interval, f.size_bytes);
-      *tracked = std::move(f);
+    for (const FragmentStats& f : frags) {
+      const auto [tracked, added] = part->Track(f.interval, f.size_bytes);
+      EXPECT_TRUE(added) << "duplicate interval " << f.interval.ToString();
+      tracked->materialized = f.materialized;
+      tracked->AdoptHits(f.hits());
     }
     return view;
   }

@@ -14,14 +14,16 @@ namespace deepsea {
 namespace {
 
 /// A partition over `domain` holding `fragments`.
-PartitionState Part(std::vector<FragmentStats> fragments,
+PartitionState Part(const std::vector<FragmentStats>& fragments,
                     const Interval& domain) {
   PartitionState part;
   part.attr = "x";
   part.domain = domain;
-  for (FragmentStats& f : fragments) {
-    FragmentStats* tracked = part.Track(f.interval, f.size_bytes);
-    *tracked = std::move(f);
+  for (const FragmentStats& f : fragments) {
+    const auto [tracked, added] = part.Track(f.interval, f.size_bytes);
+    EXPECT_TRUE(added) << "duplicate interval " << f.interval.ToString();
+    tracked->materialized = f.materialized;
+    tracked->AdoptHits(f.hits());
   }
   return part;
 }
@@ -171,17 +173,16 @@ TEST(MleModelTest, AdvancedWindowsGiveBitIdenticalAdjust) {
   Rng rng(77);
   const std::vector<FragmentStats> plain = HitFragments(&rng, 100.0);
   for (double t_now : {100.0, 106.0, 113.5}) {
-    std::vector<FragmentStats> advanced = plain;
+    PartitionState advanced = Part(plain, Interval(0, 100));
     size_t skipped = 0;
-    for (FragmentStats& f : advanced) {
+    for (FragmentStats& f : advanced.mutable_fragments()) {
       f.AdvanceWindow(100.0, dec);
       skipped += f.LiveHitsBegin(t_now, dec);
     }
     ASSERT_GT(skipped, 0u) << "the windows must actually skip hits";
     const auto full =
         MleFragmentModel::Adjust(Part(plain, Interval(0, 100)), t_now, dec);
-    const auto windowed =
-        MleFragmentModel::Adjust(Part(advanced, Interval(0, 100)), t_now, dec);
+    const auto windowed = MleFragmentModel::Adjust(advanced, t_now, dec);
     ASSERT_TRUE(full.fit.valid);
     ExpectSameAdjust(windowed, full);
   }
@@ -711,11 +712,11 @@ PartitionState MakeShadowOf(Rng* rng, const PartitionState& base,
     if (shadow.Find(iv) != nullptr) continue;
     // Inherited history (as the selection planner gives a planned
     // fragment) plus a local hit.
-    FragmentStats* f = shadow.Track(iv, 1.0);
+    FragmentStats* f = shadow.Track(iv, 1.0).first;
     f->AdoptHits(like.hits());
     AppendHitAt(rng, t_now, base.domain, f);
     bases->push_back(nullptr);
-    folded->Track(iv, 1.0)->AdoptHits(f->hits());
+    folded->Track(iv, 1.0).first->AdoptHits(f->hits());
   }
   return shadow;
 }
@@ -734,7 +735,7 @@ TEST(MleModelTest, KeptPartMassFitEqualsFromScratchBitForBit) {
     PartitionState part = Part({}, domain);
     const int n = 2 + static_cast<int>(rng.UniformInt(0, 6));
     for (int i = 0; i < n; ++i) {
-      FragmentStats* f = part.Track(RandomPiece(&rng, domain), 1.0);
+      FragmentStats* f = part.Track(RandomPiece(&rng, domain), 1.0).first;
       f->materialized = i == 0 || rng.NextDouble() < 0.5;
     }
     double t = 1.0;
@@ -772,7 +773,7 @@ TEST(MleModelTest, KeptPartMassFitEqualsFromScratchBitForBit) {
         // A narrow Track: ChoosePartCount grows.
         const double width = rng.Uniform(0.5, 20.0);
         const double lo = rng.Uniform(domain.lo, domain.hi - width);
-        FragmentStats* f = part.Track(Interval(lo, lo + width), 1.0);
+        FragmentStats* f = part.Track(Interval(lo, lo + width), 1.0).first;
         f->materialized = rng.NextDouble() < 0.5;
         AppendHitAt(&rng, t, domain, f);
       } else if (roll < 0.85) {

@@ -399,7 +399,7 @@ TEST(EvictWholeViewTest, NotifiesEveryEvictedPiece) {
   const Interval iv(0.0, 1000.0);
   PartitionState* part =
       view->EnsurePartition("item_sk", Interval(0.0, 400000.0));
-  FragmentStats* frag = part->Track(iv, 5e6);
+  FragmentStats* frag = part->Track(iv, 5e6).first;
   frag->size_bytes = 5e6;
   frag->materialized = true;
   const std::string frag_path = FragmentPath(*view, "item_sk", iv);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <set>
 
@@ -60,7 +61,7 @@ class RewriteTest : public ::testing::Test {
     for (const Interval& iv :
          {Interval::ClosedOpen(0, 250), Interval::ClosedOpen(250, 500),
           Interval::ClosedOpen(500, 750), Interval(750, 1000)}) {
-      FragmentStats* f = part->Track(iv, view->stats.size_bytes / 4);
+      FragmentStats* f = part->Track(iv, view->stats.size_bytes / 4).first;
       f->materialized = materialize;
     }
     return view;
@@ -81,6 +82,9 @@ TEST_F(RewriteTest, FilterTreeExactLookup) {
   EXPECT_EQ(tree.size(), 1u);
   tree.Insert(*sig, "v1");
   EXPECT_EQ(tree.size(), 1u);
+  tree.Remove(*sig, "v1");
+  EXPECT_TRUE(tree.Lookup(*sig).empty());
+  EXPECT_EQ(tree.size(), 0u);
 }
 
 TEST_F(RewriteTest, FilterTreePrunesByRelations) {
@@ -110,6 +114,7 @@ TEST_F(RewriteTest, FilterTreeSeparatesAggregates) {
 // with endpoints that tie, sit at -0.0/+0.0, are infinite, open or
 // closed, and columns left unconstrained; a few views carry a residual
 // the queries lack, so SignatureSubsumes also rejects on condition 4.
+// Every seventh view is removed again before the queries run.
 TEST(FilterTreeRangeTest, LookupKeepsEverySubsumingViewInIdOrder) {
   const double inf = std::numeric_limits<double>::infinity();
   const std::vector<double> points = {-inf, -10.0, -0.0, 0.0, 5.0,
@@ -155,6 +160,11 @@ TEST(FilterTreeRangeTest, LookupKeepsEverySubsumingViewInIdOrder) {
     }
     tree.Insert(sig, id);
     views.emplace_back(id, std::move(sig));
+  }
+  EXPECT_EQ(tree.size(), views.size());
+  for (size_t i = 0; i < views.size(); i += 6) {
+    tree.Remove(views[i].second, views[i].first);
+    views.erase(views.begin() + static_cast<std::ptrdiff_t>(i));
   }
   EXPECT_EQ(tree.size(), views.size());
   int accepted = 0;

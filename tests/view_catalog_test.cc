@@ -53,7 +53,7 @@ TEST(ViewCatalogTest, PoolBytesSumsAcrossViews) {
   a->whole_materialized = true;
   ViewInfo* b = views.Track(Scan("b"), SigNamed("b"));
   PartitionState* part = b->EnsurePartition("b.x", Interval(0, 10));
-  FragmentStats* f1 = part->Track(Interval(0, 5), 40.0);
+  FragmentStats* f1 = part->Track(Interval(0, 5), 40.0).first;
   f1->materialized = true;
   part->Track(Interval(5, 10), 60.0);  // tracked but not materialized
   // PoolBytes sums the pool-content index (the pool primitives refresh
@@ -72,7 +72,7 @@ TEST(ViewCatalogTest, PoolViewsFollowMembershipInTrackOrder) {
   ViewInfo* b = views.Track(Scan("b"), SigNamed("b"));
   ViewInfo* c = views.Track(Scan("c"), SigNamed("c"));
   PartitionState* part = b->EnsurePartition("b.x", Interval(0, 10));
-  FragmentStats* f = part->Track(Interval(0, 5), 40.0);
+  FragmentStats* f = part->Track(Interval(0, 5), 40.0).first;
 
   // Refreshing a view without content leaves it out of the index.
   views.RefreshPoolContent(b);
@@ -101,9 +101,11 @@ TEST(PartitionStateTest, TrackIsIdempotent) {
   PartitionState part;
   part.attr = "t.a";
   part.domain = Interval(0, 100);
-  FragmentStats* first = part.Track(Interval(0, 50), 10.0);
+  const auto [first, added] = part.Track(Interval(0, 50), 10.0);
+  EXPECT_TRUE(added);
   first->RecordHit(1.0);
-  FragmentStats* second = part.Track(Interval(0, 50), 99.0);
+  const auto [second, added_again] = part.Track(Interval(0, 50), 99.0);
+  EXPECT_FALSE(added_again);
   EXPECT_EQ(first, second);
   EXPECT_EQ(second->hits().size(), 1u);
   EXPECT_DOUBLE_EQ(second->size_bytes, 10.0);  // original estimate kept
@@ -151,7 +153,9 @@ TEST(PartitionStateTest, FindEqualsLinearScan) {
     PartitionState* part = v->EnsurePartition("t.a", Interval(-1.0, 1e9));
     const int tracks = static_cast<int>(rng.UniformInt(1, 60));
     for (int i = 0; i < tracks; ++i) {
-      part->Track(random_interval(), 1.0);
+      const Interval iv = random_interval();
+      const bool absent = ScanForFragment(*part, iv) == nullptr;
+      EXPECT_EQ(part->Track(iv, 1.0).second, absent) << iv.ToString();
       check(*part, "tracked");
     }
     PartitionState copy = *part;
@@ -168,7 +172,10 @@ TEST(PartitionStateTest, FindEqualsLinearScan) {
     PartitionState* shadow = delta.Partition(v, "t.a");
     ASSERT_NE(shadow, part);
     for (int i = 0; i < 8; ++i) {
-      delta.TrackFragment(shadow, random_interval(), 0.0);
+      const Interval iv = random_interval();
+      const bool absent = ScanForFragment(*shadow, iv) == nullptr;
+      EXPECT_EQ(delta.TrackFragment(shadow, iv, 0.0).second, absent)
+          << iv.ToString();
     }
     check(*shadow, "shadow with planner-added fragments");
     for (const FragmentStats& f : part->fragments()) {
@@ -201,7 +208,7 @@ TEST(ViewInfoTest, InPoolViaWholeOrFragment) {
   view.whole_materialized = false;
   PartitionState* part = view.EnsurePartition("t.a", Interval(0, 1));
   EXPECT_FALSE(view.InPool());
-  part->Track(Interval(0, 1), 5.0)->materialized = true;
+  part->Track(Interval(0, 1), 5.0).first->materialized = true;
   EXPECT_TRUE(view.InPool());
 }
 
