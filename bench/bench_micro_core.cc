@@ -64,6 +64,19 @@ void BM_PartitionMatchGreedy(benchmark::State& state) {
 }
 BENCHMARK(BM_PartitionMatchGreedy)->Range(8, 512)->Complexity();
 
+// V_sel's common case: a partition with two materialized intervals and a
+// planned piece they do not cover. The greedy takes the first interval,
+// then meets the gap.
+void BM_PartitionMatchMiss(benchmark::State& state) {
+  const std::vector<Interval> mats = {Interval::ClosedOpen(100000, 150000),
+                                      Interval::ClosedOpen(220000, 260000)};
+  const Interval piece = Interval::ClosedOpen(120000, 180000);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(PartitionMatch(mats, piece));
+  }
+}
+BENCHMARK(BM_PartitionMatchMiss);
+
 // The Section 7.1 fit over 32 pooled fragments as the live hits grow:
 // spreading every live hit again (kept=0) against reading the kept part
 // mass (kept=1). Both replay H(I); only the first spreads.

@@ -61,11 +61,9 @@ void AttributeHistogram::AddRange(const Interval& iv, double weight) {
 }
 
 Interval AttributeHistogram::bin_interval(int i) const {
-  const int n = num_bins();
-  const double step = domain_.Width() / n;
-  const double a = domain_.lo + step * i;
-  const double b = (i == n - 1) ? domain_.hi : domain_.lo + step * (i + 1);
-  return Interval(a, b, /*lo_inc=*/true, /*hi_inc=*/i == n - 1);
+  const double step = BinStep();
+  return Interval(BinLo(i, step), BinHi(i, step), /*lo_inc=*/true,
+                  /*hi_inc=*/i == num_bins() - 1);
 }
 
 double AttributeHistogram::FractionInRange(const Interval& iv) const {
@@ -73,13 +71,23 @@ double AttributeHistogram::FractionInRange(const Interval& iv) const {
   const auto inter = iv.Intersect(domain_);
   if (!inter.has_value()) return 0.0;
   double mass = 0.0;
+  const double step = BinStep();
   const auto [first, last] = BinSpan(*inter);
   for (int i = first; i <= last; ++i) {
-    const Interval bi = bin_interval(i);
-    const double bw = bi.Width();
-    if (bw <= 0.0) continue;
-    const double ow = bi.OverlapWidth(*inter);
-    if (ow > 0.0) mass += counts_[static_cast<size_t>(i)] * (ow / bw);
+    const double a = BinLo(i, step);
+    const double b = BinHi(i, step);
+    // Width zero (a point or empty bin): nothing to interpolate.
+    if (!(a < b)) continue;
+    const double count = counts_[static_cast<size_t>(i)];
+    // A bin inside `iv` overlaps it by its whole width, and
+    // (b - a) / (b - a) is exactly 1, so its count adds unscaled. Only
+    // the edge bins interpolate.
+    if (a >= inter->lo && b <= inter->hi) {
+      mass += count;
+      continue;
+    }
+    const double ow = bin_interval(i).OverlapWidth(*inter);
+    if (ow > 0.0) mass += count * (ow / (b - a));
   }
   return mass / total_;
 }

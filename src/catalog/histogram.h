@@ -46,7 +46,8 @@ class AttributeHistogram {
   /// Fraction of total mass falling inside `iv` (linear interpolation
   /// within partially covered bins). Returns 0 when the histogram is
   /// empty. Visits only the bins `iv` can overlap (see BinSpan), so it
-  /// costs O(bins overlapped), not O(num_bins).
+  /// costs O(bins overlapped), not O(num_bins); a bin inside `iv` costs
+  /// one addition, and only the two edge bins interpolate.
   double FractionInRange(const Interval& iv) const;
 
   /// Estimated absolute mass inside `iv`.
@@ -64,6 +65,14 @@ class AttributeHistogram {
 
  private:
   int BinIndex(double x) const;
+
+  /// The width of one bin, and bin i's bounds given that width: the one
+  /// definition of a bin's extent, for bin_interval and FractionInRange.
+  double BinStep() const { return domain_.Width() / num_bins(); }
+  double BinLo(int i, double step) const { return domain_.lo + step * i; }
+  double BinHi(int i, double step) const {
+    return i == num_bins() - 1 ? domain_.hi : domain_.lo + step * (i + 1);
+  }
 
   /// The bins [first, last] that `iv` can overlap: the bins of its
   /// (clamped) endpoints, widened by one on each side to absorb

@@ -63,10 +63,24 @@ NormalFit FitNormalMle(const std::vector<double>& xs,
                        const std::vector<double>& ws) {
   assert(xs.size() == ws.size());
   NormalFit fit;
-  for (double w : ws) fit.total_weight += w;
+  // W and the weighted mean in one pass, the squared deviations in a
+  // second: the sums WeightedMean and WeightedSampleVariance form, each
+  // once and in the same order, so the fit has their bits.
+  double weighted_sum = 0.0;
+  for (size_t i = 0; i < xs.size(); ++i) {
+    fit.total_weight += ws[i];
+    weighted_sum += ws[i] * xs[i];
+  }
   if (fit.total_weight <= 0.0) return fit;
-  fit.mean = WeightedMean(xs, ws);
-  const double var = WeightedSampleVariance(xs, ws);
+  fit.mean = weighted_sum / fit.total_weight;
+  double var = 0.0;
+  if (fit.total_weight > 1.0) {
+    double acc = 0.0;
+    for (size_t i = 0; i < xs.size(); ++i) {
+      acc += ws[i] * (xs[i] - fit.mean) * (xs[i] - fit.mean);
+    }
+    var = acc / (fit.total_weight - 1.0);
+  }
   fit.stddev = var > 0.0 ? std::sqrt(var) : 0.0;
   // Count distinct observation points carrying weight.
   int distinct_weighted = 0;

@@ -46,7 +46,9 @@ struct NormalFit {
 
 /// Fits N(mu, sigma) by MLE to observations `xs` with weights `ws`
 /// (weights are the per-part hit counts). Uses the adjusted (unbiased)
-/// variance as in the paper.
+/// variance as in the paper: mean and stddev equal WeightedMean and the
+/// root of WeightedSampleVariance bit for bit, in three passes over the
+/// observations instead of their five.
 NormalFit FitNormalMle(const std::vector<double>& xs,
                        const std::vector<double>& ws);
 

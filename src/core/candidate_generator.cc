@@ -118,7 +118,7 @@ void CandidateGenerator::RegisterPartitionCandidates(QueryContext* ctx) {
     // tight pool may leave gaps even after the view entered the pool).
     const std::vector<Interval> mats = part->MaterializedIntervals();
     const bool covered =
-        !mats.empty() && PartitionMatch(mats, gen_range).ok();
+        !mats.empty() && PartitionMatch(mats, gen_range).has_value();
     if (!covered) {
       // EquiDepth partitions by histogram at creation time; selection
       // endpoints are irrelevant to it.
@@ -155,8 +155,7 @@ void CandidateGenerator::RegisterPartitionCandidates(QueryContext* ctx) {
     // Post-creation refinement candidates (Definition 7 cases over
     // P(V, A)): only strategies that repartition generate them.
     if (options_->strategy != StrategyKind::kDeepSea) continue;
-    const std::vector<Interval> existing = part->MaterializedIntervals();
-    for (const Interval& cand : GeneratePartitionCandidates(existing, gen_range)) {
+    for (const Interval& cand : GeneratePartitionCandidates(mats, gen_range)) {
       const double est_bytes = EstimateCandidateBytes(*part, cand);
       if (options_->enforce_block_lower_bound &&
           est_bytes < options_->cluster.block_bytes) {
@@ -184,8 +183,8 @@ void CandidateGenerator::RegisterPartitionCandidates(QueryContext* ctx) {
       // Marginal read saving: current cover of the candidate's interval
       // vs reading the candidate alone.
       double cover_seconds;
-      auto cover = PartitionMatchIntervals(existing, cand);
-      if (cover.ok()) {
+      const auto cover = PartitionMatchIntervals(mats, cand);
+      if (cover.has_value()) {
         std::vector<double> cover_bytes;
         for (const Interval& c : *cover) {
           const FragmentStats* cf = part->Find(c);

@@ -52,6 +52,13 @@ void MleFragmentModel::RefreshPartMass(PartitionState* part, double t,
   part->mass.Rebuild(part->fragments(), grid, dec, t);
 }
 
+double MleFragmentModel::AdjustedHits::Of(size_t i, const Interval& iv) const {
+  if (!smoothed) return raw[i];
+  const double p_hi = NormalCdf(iv.hi, fit.mean, fit.stddev);
+  const double p_lo = NormalCdf(iv.lo, fit.mean, fit.stddev);
+  return total * std::max(0.0, p_hi - p_lo);
+}
+
 MleFragmentModel::AdjustedHits MleFragmentModel::Adjust(
     const PartitionState& part, double t_now, const DecayFunction& dec,
     const ShadowBases& bases) {
@@ -70,7 +77,7 @@ MleFragmentModel::AdjustedHits MleFragmentModel::Fit(
   const std::vector<FragmentStats>& fragments = part.fragments();
   const Interval& domain = part.domain;
   AdjustedHits out;
-  out.hits.assign(fragments.size(), 0.0);
+  out.raw.assign(fragments.size(), 0.0);
   if (fragments.empty() || domain.Width() <= 0.0) return out;
 
   auto base_of = [&bases](size_t i) -> const FragmentStats* {
@@ -81,22 +88,21 @@ MleFragmentModel::AdjustedHits MleFragmentModel::Fit(
 
   // H(I) per fragment and H_total: the replay DecayedHits performs, base
   // first, then the local hits, as the folded fragment stores them.
-  std::vector<double> frag_hits(fragments.size(), 0.0);
   for (size_t i = 0; i < fragments.size(); ++i) {
     const FragmentStats* base = base_of(i);
     if (base == nullptr) {
-      frag_hits[i] = fragments[i].DecayedHits(t_now, dec);
+      out.raw[i] = fragments[i].DecayedHits(t_now, dec);
     } else if (!dec.config().enabled) {
-      frag_hits[i] = static_cast<double>(base->hits().size() +
-                                         fragments[i].hits().size());
+      out.raw[i] = static_cast<double>(base->hits().size() +
+                                       fragments[i].hits().size());
     } else {
       double acc = base->DecayedHits(t_now, dec);
       for (const FragmentHit& h : fragments[i].hits()) {
         acc += dec(t_now, h.time);
       }
-      frag_hits[i] = acc;
+      out.raw[i] = acc;
     }
-    out.total += frag_hits[i];
+    out.total += out.raw[i];
   }
   if (out.total <= 0.0) return out;
 
@@ -150,21 +156,10 @@ MleFragmentModel::AdjustedHits MleFragmentModel::Fit(
     part_hits[pi] = PartMass::Weight(sums[pi], time_weighted, t_now);
   }
   out.fit = FitNormalMle(part_mids, part_hits);
-  if (!out.fit.valid ||
-      out.fit.stddev > kMaxStddevFraction * domain.Width()) {
-    // Nothing to smooth, or the access pattern is too dispersed for a
-    // Normal (see kMaxStddevFraction): use raw hits.
-    out.hits = frag_hits;
-    return out;
-  }
-
-  // Adjusted hits per fragment through the fitted CDF.
-  for (size_t i = 0; i < fragments.size(); ++i) {
-    const Interval& iv = fragments[i].interval;
-    const double p_hi = NormalCdf(iv.hi, out.fit.mean, out.fit.stddev);
-    const double p_lo = NormalCdf(iv.lo, out.fit.mean, out.fit.stddev);
-    out.hits[i] = out.total * std::max(0.0, p_hi - p_lo);
-  }
+  // Nothing to smooth, or the access pattern is too dispersed for a
+  // Normal (see kMaxStddevFraction): Of reads the raw hits.
+  out.smoothed = out.fit.valid &&
+                 !(out.fit.stddev > kMaxStddevFraction * domain.Width());
   return out;
 }
 

@@ -54,18 +54,30 @@ class MleFragmentModel {
   /// degrade to Nectar-style counting instead of mispredicting.
   static constexpr double kMaxStddevFraction = 0.15;
 
-  /// Result of one smoothing pass over a partition's fragments.
+  /// Result of one fit over a partition's fragments: the fitted Normal,
+  /// H_total and each fragment's raw H(I). A fragment's H_A is computed
+  /// when it is read (Of): the planner reads a few fragments per fit
+  /// (the materialized ones and P_sel's candidates), not all of them.
   struct AdjustedHits {
-    /// Adjusted hit count per input fragment, aligned with the input.
-    std::vector<double> hits;
+    /// Decayed hits H(I) per input fragment, aligned with the input; all
+    /// zero when the domain has no width.
+    std::vector<double> raw;
     /// Total decayed hits across the partition (H_total).
     double total = 0.0;
-    /// The fitted distribution (valid=false when there were no hits, in
-    /// which case `hits` are all zero).
+    /// The fitted distribution (valid=false when there were no hits).
     NormalFit fit;
+    /// True when H_A comes from the fit. False when there is nothing to
+    /// smooth, or the fit is too dispersed (kMaxStddevFraction): H_A is
+    /// then the raw H(I).
+    bool smoothed = false;
+
+    /// H_A of input fragment i, whose interval is `iv`:
+    ///   H_total * max(0, P(x <= hi) - P(x <= lo))
+    /// under the fit, or raw[i] when not smoothed.
+    double Of(size_t i, const Interval& iv) const;
   };
 
-  /// Computes H_A for every fragment of `part` over its domain. `t_now`
+  /// Fits the access distribution of `part` over its domain. `t_now`
   /// and `dec` define the decayed hit counts H(I).
   ///
   /// `bases` describes the PlanningDelta shadow-partition shape: a

@@ -2,8 +2,8 @@
 
 namespace deepsea {
 
-Result<std::vector<size_t>> PartitionMatch(const std::vector<Interval>& fragments,
-                                           const Interval& range) {
+std::optional<std::vector<size_t>> PartitionMatch(
+    const std::vector<Interval>& fragments, const Interval& range) {
   std::vector<size_t> cover;
   if (range.IsEmpty()) return cover;
   // Frontier semantics: `u_covered` is the highest point covered so far
@@ -55,10 +55,7 @@ Result<std::vector<size_t>> PartitionMatch(const std::vector<Interval>& fragment
         }
       }
     }
-    if (best < 0) {
-      return Status::NotFound("fragments do not cover query range " +
-                              range.ToString());
-    }
+    if (best < 0) return std::nullopt;
     const Interval& chosen = fragments[static_cast<size_t>(best)];
     u_covered = chosen.hi;
     frontier_inclusive = chosen.hi_inclusive;
@@ -67,13 +64,13 @@ Result<std::vector<size_t>> PartitionMatch(const std::vector<Interval>& fragment
   return cover;
 }
 
-Result<std::vector<Interval>> PartitionMatchIntervals(
+std::optional<std::vector<Interval>> PartitionMatchIntervals(
     const std::vector<Interval>& fragments, const Interval& range) {
-  DEEPSEA_ASSIGN_OR_RETURN(std::vector<size_t> idx,
-                           PartitionMatch(fragments, range));
+  const std::optional<std::vector<size_t>> idx = PartitionMatch(fragments, range);
+  if (!idx.has_value()) return std::nullopt;
   std::vector<Interval> out;
-  out.reserve(idx.size());
-  for (size_t i : idx) out.push_back(fragments[i]);
+  out.reserve(idx->size());
+  for (size_t i : *idx) out.push_back(fragments[i]);
   return out;
 }
 

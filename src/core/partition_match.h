@@ -1,9 +1,9 @@
 #ifndef DEEPSEA_CORE_PARTITION_MATCH_H_
 #define DEEPSEA_CORE_PARTITION_MATCH_H_
 
+#include <optional>
 #include <vector>
 
-#include "common/result.h"
 #include "core/interval.h"
 
 namespace deepsea {
@@ -17,13 +17,15 @@ namespace deepsea {
 /// exists.
 ///
 /// Returns the indices (into `fragments`) of the chosen cover in
-/// left-to-right order, or NotFound when a gap prevents covering
-/// `range`. An empty `range` yields an empty cover.
-Result<std::vector<size_t>> PartitionMatch(const std::vector<Interval>& fragments,
-                                           const Interval& range);
+/// left-to-right order, or nullopt when a gap prevents covering
+/// `range`. A gap is an answer, not an error: V_sel asks once per
+/// planned piece, and most pieces are uncovered. An empty `range` yields
+/// an empty cover.
+std::optional<std::vector<size_t>> PartitionMatch(
+    const std::vector<Interval>& fragments, const Interval& range);
 
 /// Convenience: returns the chosen intervals instead of indices.
-Result<std::vector<Interval>> PartitionMatchIntervals(
+std::optional<std::vector<Interval>> PartitionMatchIntervals(
     const std::vector<Interval>& fragments, const Interval& range);
 
 }  // namespace deepsea

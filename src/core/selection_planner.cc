@@ -85,7 +85,7 @@ SelectionResolution SelectionPlanner::PlanSelection(const QueryContext& ctx,
         const Interval& iv = piece.interval;
         // Skip planned pieces whose extent the pool already covers
         // (exactly materialized, or covered by refinement fragments).
-        if (!mats.empty() && PartitionMatch(mats, iv).ok()) continue;
+        if (!mats.empty() && PartitionMatch(mats, iv).has_value()) continue;
         const auto [fstat, added] =
             delta->TrackFragment(part, iv, piece.bytes);
         if (added) {
@@ -160,8 +160,8 @@ SelectionResolution SelectionPlanner::PlanSelection(const QueryContext& ctx,
     // Nothing tracks fragments after V_sel, so the fit is aligned with
     // the fragment vector `frag` points into.
     const size_t i = static_cast<size_t>(frag - part->fragments().data());
-    assert(i < it->second.hits.size());
-    return it->second.hits[i];
+    assert(i < it->second.raw.size());
+    return it->second.Of(i, frag->interval);
   };
 
   // --- P_sel: filter refinement candidates by benefit >= cost.

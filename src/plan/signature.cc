@@ -222,8 +222,6 @@ std::set<std::string> PlanSignature::ClassOf(const std::string& column) const {
   return {column};
 }
 
-std::string PlanSignature::RelationKey() const { return Join(relations, ","); }
-
 std::string PlanSignature::ToString() const {
   // One buffer, sized up front: labels, separators and the strings, plus
   // at most 13 characters per rendered double.

@@ -57,9 +57,6 @@ struct PlanSignature {
   /// The equivalence class containing `column`, or a singleton.
   std::set<std::string> ClassOf(const std::string& column) const;
 
-  /// Canonical key of the relation classes (filter-tree level 1).
-  std::string RelationKey() const;
-
   /// Full canonical rendering; equal signatures compare equal strings.
   std::string ToString() const;
 

@@ -3,15 +3,7 @@
 #include <algorithm>
 #include <optional>
 
-#include "common/str_util.h"
-
 namespace deepsea {
-
-std::string FilterTree::AggKey(const PlanSignature& sig) {
-  if (!sig.has_aggregate) return "";
-  return "by=" + Join(sig.group_by, ",") + ";aggs=" +
-         Join({sig.agg_specs.begin(), sig.agg_specs.end()}, ",");
-}
 
 std::vector<FilterTree::Leaf::View>::iterator FilterTree::Leaf::LowerBound(
     const std::string& id) {
@@ -21,7 +13,10 @@ std::vector<FilterTree::Leaf::View>::iterator FilterTree::Leaf::LowerBound(
 }
 
 void FilterTree::Insert(const PlanSignature& sig, const std::string& view_id) {
-  Leaf& leaf = index_[sig.RelationKey()][AggKey(sig)];
+  Leaf& leaf =
+      index_[sig.relations][sig.has_aggregate
+                                ? AggKey{true, sig.group_by, sig.agg_specs}
+                                : AggKey{}];
   const auto at = leaf.LowerBound(view_id);
   if (at != leaf.views.end() && at->id == view_id) return;
   Leaf::View view{view_id, {}};
@@ -35,9 +30,9 @@ void FilterTree::Insert(const PlanSignature& sig, const std::string& view_id) {
 }
 
 void FilterTree::Remove(const PlanSignature& sig, const std::string& view_id) {
-  auto rel_it = index_.find(sig.RelationKey());
+  auto rel_it = index_.find(sig.relations);
   if (rel_it == index_.end()) return;
-  auto agg_it = rel_it->second.find(AggKey(sig));
+  auto agg_it = rel_it->second.find(sig);
   if (agg_it == rel_it->second.end()) return;
   Leaf& leaf = agg_it->second;
   const auto at = leaf.LowerBound(view_id);
@@ -49,9 +44,11 @@ void FilterTree::Remove(const PlanSignature& sig, const std::string& view_id) {
 
 std::vector<std::string> FilterTree::Lookup(const PlanSignature& query_sig) const {
   std::vector<std::string> out;
-  auto rel_it = index_.find(query_sig.RelationKey());
+  // Both upper levels compare the signature's own containers: nothing
+  // is rendered or allocated before the leaf.
+  auto rel_it = index_.find(query_sig.relations);
   if (rel_it == index_.end()) return out;
-  auto agg_it = rel_it->second.find(AggKey(query_sig));
+  auto agg_it = rel_it->second.find(query_sig);
   if (agg_it == rel_it->second.end()) return out;
   const Leaf& leaf = agg_it->second;
   // The query's range on each leaf column, resolved once per lookup;

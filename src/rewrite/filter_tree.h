@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/interval.h"
@@ -16,7 +18,7 @@ namespace deepsea {
 /// signature part; only views surviving every level are handed to the
 /// full sufficient-condition check:
 ///   level 1 - relation classes (must be equal),
-///   level 2 - aggregation key (group-by + aggregate list; must be
+///   level 2 - aggregation part (group-by + aggregate list; must be
 ///             equal, since our compensation cannot re-aggregate),
 ///   level 3 - range constraints (condition 3 of SignatureSubsumes,
 ///             RangeAdmits on every column the view constrains).
@@ -59,10 +61,29 @@ class FilterTree {
     std::vector<View>::iterator LowerBound(const std::string& id);
   };
 
-  static std::string AggKey(const PlanSignature& sig);
+  /// Level 2 key: a signature's aggregation part, kept as the
+  /// signature's own containers. Empty for a signature without
+  /// aggregation.
+  struct AggKey {
+    bool has_aggregate = false;
+    std::vector<std::string> group_by;
+    std::set<std::string> agg_specs;
+  };
+  /// Orders aggregation parts; transparent, so Lookup finds a leaf by
+  /// the query's PlanSignature itself, without building a key.
+  struct AggLess {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      if (a.has_aggregate != b.has_aggregate) return b.has_aggregate;
+      if (!a.has_aggregate) return false;
+      return std::tie(a.group_by, a.agg_specs) <
+             std::tie(b.group_by, b.agg_specs);
+    }
+  };
 
-  // relation key -> aggregation key -> leaf.
-  std::map<std::string, std::map<std::string, Leaf>> index_;
+  // relations -> aggregation part -> leaf.
+  std::map<std::vector<std::string>, std::map<AggKey, Leaf, AggLess>> index_;
 };
 
 }  // namespace deepsea

@@ -113,7 +113,7 @@ Result<std::vector<Rewriting>> ViewMatcher::ComputeRewritings(
         range = *clamped;
         // Try to cover from materialized fragments (executable read).
         auto cover = PartitionMatchIntervals(part.MaterializedIntervals(), range);
-        if (cover.ok()) {
+        if (cover.has_value()) {
           chosen = &part;
           chosen_range = range;
           chosen_cover = std::move(*cover);
@@ -126,7 +126,7 @@ Result<std::vector<Rewriting>> ViewMatcher::ComputeRewritings(
               PartitionMatchIntervals(part.TrackedIntervals(), range);
           chosen = &part;
           chosen_range = range;
-          if (tracked_cover.ok()) chosen_cover = std::move(*tracked_cover);
+          if (tracked_cover.has_value()) chosen_cover = std::move(*tracked_cover);
           chosen_executable = false;
         }
       }

@@ -175,6 +175,50 @@ TEST(MathTest, FitNormalMleRecoversCenter) {
   EXPECT_DOUBLE_EQ(fit.total_weight, 20.0);
 }
 
+TEST(MathTest, FitNormalMleEqualsFivePassReference) {
+  // The fit forms W and the weighted mean once; the reference is the
+  // five passes it replaced: W, then WeightedMean, then
+  // WeightedSampleVariance (W and the mean again, then the deviations).
+  auto expect_reference = [](const std::vector<double>& xs,
+                             const std::vector<double>& ws) {
+    const NormalFit fit = FitNormalMle(xs, ws);
+    EXPECT_EQ(fit.mean, WeightedMean(xs, ws));
+    const double var = WeightedSampleVariance(xs, ws);
+    EXPECT_EQ(fit.stddev, var > 0.0 ? std::sqrt(var) : 0.0);
+  };
+  // W exactly 1, where the variance's W - 1 is zero, and exactly 2.
+  expect_reference({1, 3}, {0.5, 0.5});
+  expect_reference({1, 3, 7}, {0.25, 0.25, 0.5});
+  expect_reference({1, 3}, {1, 1});
+  Rng rng(1871);
+  int fitted = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t n = static_cast<size_t>(rng.UniformInt(1, 64));
+    std::vector<double> xs(n), ws(n);
+    for (size_t i = 0; i < n; ++i) {
+      xs[i] = rng.Uniform(-1e3, 1e6);
+      // Every tenth trial weighs less than 1 in all (no variance); the
+      // others mix zero, small and large weights.
+      const double roll = rng.NextDouble();
+      ws[i] = trial % 10 == 0 ? rng.Uniform(0, 1.0 / 64)
+              : roll < 0.2    ? 0.0
+              : roll < 0.4    ? rng.Uniform(0, 0.1)
+                              : rng.Uniform(0, 1e4);
+    }
+    double total = 0.0;
+    for (double w : ws) total += w;
+    const NormalFit fit = FitNormalMle(xs, ws);
+    ASSERT_EQ(fit.total_weight, total) << "trial " << trial;
+    if (total <= 0.0) continue;
+    ++fitted;
+    ASSERT_EQ(fit.mean, WeightedMean(xs, ws)) << "trial " << trial;
+    const double var = WeightedSampleVariance(xs, ws);
+    ASSERT_EQ(fit.stddev, var > 0.0 ? std::sqrt(var) : 0.0)
+        << "trial " << trial;
+  }
+  EXPECT_GT(fitted, 1500);
+}
+
 TEST(MathTest, FitNormalMleEmptyInvalid) {
   const NormalFit fit = FitNormalMle({1, 2}, {0, 0});
   EXPECT_FALSE(fit.valid);

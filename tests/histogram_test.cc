@@ -149,6 +149,9 @@ TEST(HistogramTest, BinSpanLoopsMatchFullScan) {
   Rng rng(20240917);
   for (const Shape& shape : shapes) {
     AttributeHistogram h(shape.domain, shape.bins);
+    // The last bin ends at the domain's end, not at lo + step * bins
+    // (one ulp past it for 430 bins over [0, 1.8e6]).
+    EXPECT_EQ(h.bin_interval(shape.bins - 1).hi, shape.domain.hi);
     for (int i = 0; i < 200; ++i) {
       h.Add(rng.Uniform(shape.domain.lo, shape.domain.hi), rng.Uniform(0, 5));
     }

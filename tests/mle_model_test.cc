@@ -36,14 +36,25 @@ FragmentStats Frag(double lo, double hi, int hits, double hit_time = 100) {
   return f;
 }
 
+/// Every fragment's H_A, read one by one as the planner reads it.
+/// `fragments` are the fit's input, in partition order.
+std::vector<double> ReadOut(const MleFragmentModel::AdjustedHits& adj,
+                            const std::vector<FragmentStats>& fragments) {
+  std::vector<double> hits;
+  for (size_t i = 0; i < fragments.size(); ++i) {
+    hits.push_back(adj.Of(i, fragments[i].interval));
+  }
+  return hits;
+}
+
 TEST(MleModelTest, NoHitsYieldsZeroAdjusted) {
   DecayFunction dec;
   std::vector<FragmentStats> frags = {Frag(0, 50, 0), Frag(50, 100, 0)};
   const auto adj =
       MleFragmentModel::Adjust(Part(frags, Interval(0, 100)), 100, dec);
   EXPECT_EQ(adj.total, 0.0);
-  EXPECT_EQ(adj.hits[0], 0.0);
-  EXPECT_EQ(adj.hits[1], 0.0);
+  EXPECT_FALSE(adj.smoothed);
+  EXPECT_EQ(ReadOut(adj, frags), (std::vector<double>{0.0, 0.0}));
 }
 
 TEST(MleModelTest, TotalMassPreservedApproximately) {
@@ -53,7 +64,7 @@ TEST(MleModelTest, TotalMassPreservedApproximately) {
   const auto adj =
       MleFragmentModel::Adjust(Part(frags, Interval(0, 100)), 100, dec);
   double sum = 0.0;
-  for (double h : adj.hits) sum += h;
+  for (double h : ReadOut(adj, frags)) sum += h;
   // The Normal has tails outside the domain; most mass stays inside.
   EXPECT_GT(sum, 0.8 * adj.total);
   EXPECT_LE(sum, adj.total + 1e-9);
@@ -68,9 +79,10 @@ TEST(MleModelTest, NeighborOfHotSpotBeatsDistantFragment) {
                                       Frag(10, 15, 0)};
   const auto adj =
       MleFragmentModel::Adjust(Part(frags, Interval(0, 15)), 100, dec);
-  EXPECT_GT(adj.hits[0], adj.hits[1]);
-  EXPECT_GT(adj.hits[1], adj.hits[2]);
-  EXPECT_GT(adj.hits[1], 0.0);
+  const std::vector<double> hits = ReadOut(adj, frags);
+  EXPECT_GT(hits[0], hits[1]);
+  EXPECT_GT(hits[1], hits[2]);
+  EXPECT_GT(hits[1], 0.0);
 }
 
 TEST(MleModelTest, FitRecoversHotSpotCenter) {
@@ -156,16 +168,41 @@ std::vector<FragmentStats> HitFragments(Rng* rng, double t_last) {
   return frags;
 }
 
+/// Two fits are the same when their raw H(I), H_total, fit and
+/// smoothing verdict are: every H_A is read from those.
 void ExpectSameAdjust(const MleFragmentModel::AdjustedHits& a,
                       const MleFragmentModel::AdjustedHits& b) {
-  ASSERT_EQ(a.hits.size(), b.hits.size());
-  for (size_t i = 0; i < a.hits.size(); ++i) {
-    EXPECT_EQ(a.hits[i], b.hits[i]) << "fragment " << i;
+  ASSERT_EQ(a.raw.size(), b.raw.size());
+  for (size_t i = 0; i < a.raw.size(); ++i) {
+    EXPECT_EQ(a.raw[i], b.raw[i]) << "fragment " << i;
   }
   EXPECT_EQ(a.total, b.total);
   EXPECT_EQ(a.fit.valid, b.fit.valid);
   EXPECT_EQ(a.fit.mean, b.fit.mean);
   EXPECT_EQ(a.fit.stddev, b.fit.stddev);
+  EXPECT_EQ(a.smoothed, b.smoothed);
+}
+
+/// A reference fit, each fragment's H_A computed eagerly.
+struct EagerFit {
+  std::vector<double> hits;
+  double total = 0.0;
+  NormalFit fit;
+};
+
+/// `adj` read out over `fragments` equals the reference bit for bit.
+void ExpectMatchesReference(const MleFragmentModel::AdjustedHits& adj,
+                            const std::vector<FragmentStats>& fragments,
+                            const EagerFit& ref) {
+  const std::vector<double> hits = ReadOut(adj, fragments);
+  ASSERT_EQ(hits.size(), ref.hits.size());
+  for (size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i], ref.hits[i]) << "fragment " << i;
+  }
+  EXPECT_EQ(adj.total, ref.total);
+  EXPECT_EQ(adj.fit.valid, ref.fit.valid);
+  EXPECT_EQ(adj.fit.mean, ref.fit.mean);
+  EXPECT_EQ(adj.fit.stddev, ref.fit.stddev);
 }
 
 TEST(MleModelTest, AdvancedWindowsGiveBitIdenticalAdjust) {
@@ -246,11 +283,11 @@ TEST(MleModelTest, AdvancedBaseWindowsGiveBitIdenticalShadowAdjust) {
 // (overlap / width with decay off) with PartMass::Quantize. Every output
 // must match it bit for bit.
 
-MleFragmentModel::AdjustedHits TwoPassAdjust(
-    const std::vector<FragmentStats>& fragments, const Interval& domain,
-    double t_now, const DecayFunction& dec,
-    const std::vector<const FragmentStats*>* bases) {
-  MleFragmentModel::AdjustedHits out;
+EagerFit TwoPassAdjust(const std::vector<FragmentStats>& fragments,
+                       const Interval& domain, double t_now,
+                       const DecayFunction& dec,
+                       const std::vector<const FragmentStats*>* bases) {
+  EagerFit out;
   out.hits.assign(fragments.size(), 0.0);
   if (fragments.empty() || domain.Width() <= 0.0) return out;
 
@@ -464,14 +501,12 @@ TEST(MleModelTest, OnePassMatchesTwoPassReferenceOnRandomPartitions) {
     const auto shadow =
         MleFragmentModel::Adjust(Part(c.frags, domain), t_now, dec,
                                  ShadowBases{nullptr, &c.bases});
-    const auto shadow_ref =
-        TwoPassAdjust(c.frags, domain, t_now, dec, &c.bases);
-    ExpectSameAdjust(shadow, shadow_ref);
+    ExpectMatchesReference(shadow, c.frags,
+                           TwoPassAdjust(c.frags, domain, t_now, dec, &c.bases));
     const auto in_place =
         MleFragmentModel::Adjust(Part(c.folded, domain), t_now, dec);
-    const auto in_place_ref =
-        TwoPassAdjust(c.folded, domain, t_now, dec, nullptr);
-    ExpectSameAdjust(in_place, in_place_ref);
+    ExpectMatchesReference(in_place, c.folded,
+                           TwoPassAdjust(c.folded, domain, t_now, dec, nullptr));
     if (::testing::Test::HasFailure()) {
       FAIL() << "trial " << trial;
     }
@@ -481,6 +516,96 @@ TEST(MleModelTest, OnePassMatchesTwoPassReferenceOnRandomPartitions) {
   // The trials reached the spread and the fit, not only the early exits.
   EXPECT_GT(spread, 200);
   EXPECT_GT(fitted, 100);
+}
+
+// --- H_A on demand vs the eager loop ------------------------------------
+//
+// Adjust used to compute every fragment's H_A; AdjustedHits::Of computes
+// one when it is read. EagerHits is the loop Adjust ran, kept as the
+// oracle: each read-out must equal it bit for bit, for partitions read
+// in place and as a shadow, with a fit that smooths, with the fallback
+// to raw hits when sigma is too wide, and with no hits at all.
+
+std::vector<double> EagerHits(const MleFragmentModel::AdjustedHits& adj,
+                              const std::vector<FragmentStats>& fragments,
+                              const Interval& domain) {
+  if (!adj.fit.valid ||
+      adj.fit.stddev > MleFragmentModel::kMaxStddevFraction * domain.Width()) {
+    return adj.raw;
+  }
+  std::vector<double> hits(fragments.size(), 0.0);
+  for (size_t i = 0; i < fragments.size(); ++i) {
+    const Interval& iv = fragments[i].interval;
+    const double p_hi = NormalCdf(iv.hi, adj.fit.mean, adj.fit.stddev);
+    const double p_lo = NormalCdf(iv.lo, adj.fit.mean, adj.fit.stddev);
+    hits[i] = adj.total * std::max(0.0, p_hi - p_lo);
+  }
+  return hits;
+}
+
+TEST(MleModelTest, OnDemandReadOutEqualsEagerLoop) {
+  Rng rng(4231);
+  int smoothed = 0;
+  int too_wide = 0;
+  int no_hits = 0;
+  auto check = [&](const std::vector<FragmentStats>& frags,
+                   const Interval& domain, double t_now,
+                   const DecayFunction& dec,
+                   const std::vector<const FragmentStats*>* bases) {
+    const auto adj = MleFragmentModel::Adjust(Part(frags, domain), t_now, dec,
+                                              ShadowBases{nullptr, bases});
+    EXPECT_EQ(ReadOut(adj, frags), EagerHits(adj, frags, domain));
+    if (adj.smoothed) {
+      ++smoothed;
+    } else if (adj.fit.valid) {
+      ++too_wide;
+    } else if (adj.total == 0.0) {
+      ++no_hits;
+    }
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    const DecayFunction dec(DecayConfig{/*t_max=*/40.0, trial % 2 == 0});
+    const double t_now = 200.0;
+    // Random pieces over a wide domain: mostly too dispersed to smooth.
+    const Interval wide(0.0, 1000.0);
+    const RandomCase c = MakeRandomCase(&rng, wide, t_now, dec);
+    check(c.frags, wide, t_now, dec, &c.bases);
+    check(c.folded, wide, t_now, dec, nullptr);
+    // The same pieces without hits, in place and over hit-less bases.
+    std::vector<FragmentStats> bare;
+    for (const FragmentStats& f : c.frags) {
+      FragmentStats b;
+      b.interval = f.interval;
+      bare.push_back(std::move(b));
+    }
+    std::vector<const FragmentStats*> bare_bases;
+    for (const FragmentStats& b : bare) bare_bases.push_back(&b);
+    check(bare, wide, t_now, dec, nullptr);
+    check(bare, wide, t_now, dec, &bare_bases);
+    // A hot spot the fit smooths, in place and as a shadow whose bases
+    // hold the history.
+    const Interval hot_domain(0.0, 100.0);
+    const std::vector<FragmentStats> hot = HitFragments(&rng, t_now - 1.0);
+    check(hot, hot_domain, t_now, dec, nullptr);
+    std::vector<FragmentStats> local;
+    std::vector<const FragmentStats*> hot_bases;
+    for (const FragmentStats& b : hot) {
+      FragmentStats s;
+      s.interval = b.interval;
+      if (rng.NextDouble() < 0.3) s.RecordHit(t_now);
+      local.push_back(std::move(s));
+      hot_bases.push_back(&b);
+    }
+    check(local, hot_domain, t_now, dec, &hot_bases);
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "trial " << trial;
+    }
+  }
+  // Every case was reached: 111 smoothed, 688 too wide and 401 without
+  // hits of the 1,200 fits.
+  EXPECT_GT(smoothed, 50);
+  EXPECT_GT(too_wide, 300);
+  EXPECT_GE(no_hits, 400);
 }
 
 // --- fixed-point part mass vs the double-precision fit -----------------
@@ -498,11 +623,11 @@ TEST(MleModelTest, OnePassMatchesTwoPassReferenceOnRandomPartitions) {
 // nonzero sigma and the fixed-point one 0), so it is taken relative to
 // 1e-6 of the domain width.
 
-MleFragmentModel::AdjustedHits DoubleAdjust(
-    const std::vector<FragmentStats>& fragments, const Interval& domain,
-    double t_now, const DecayFunction& dec,
-    const std::vector<const FragmentStats*>* bases) {
-  MleFragmentModel::AdjustedHits out;
+EagerFit DoubleAdjust(const std::vector<FragmentStats>& fragments,
+                      const Interval& domain, double t_now,
+                      const DecayFunction& dec,
+                      const std::vector<const FragmentStats*>* bases) {
+  EagerFit out;
   out.hits.assign(fragments.size(), 0.0);
   if (fragments.empty() || domain.Width() <= 0.0) return out;
 
@@ -613,16 +738,17 @@ MleFragmentModel::AdjustedHits DoubleAdjust(
 /// sigma and every H_A. Sigma is taken relative to at least 1e-6 of the
 /// domain width, an H_A relative to at least 1e-6 of H_total.
 double MaxRelativeError(const MleFragmentModel::AdjustedHits& a,
-                        const MleFragmentModel::AdjustedHits& b,
-                        const Interval& domain) {
+                        const std::vector<FragmentStats>& fragments,
+                        const EagerFit& b, const Interval& domain) {
   auto rel = [](double x, double y, double floor) {
     return x == y ? 0.0 : std::fabs(x - y) / std::max(std::fabs(y), floor);
   };
   double worst =
       std::max(rel(a.fit.mean, b.fit.mean, 0.0),
                rel(a.fit.stddev, b.fit.stddev, 1e-6 * domain.Width()));
-  for (size_t i = 0; i < a.hits.size(); ++i) {
-    worst = std::max(worst, rel(a.hits[i], b.hits[i], 1e-6 * b.total));
+  const std::vector<double> hits = ReadOut(a, fragments);
+  for (size_t i = 0; i < hits.size(); ++i) {
+    worst = std::max(worst, rel(hits[i], b.hits[i], 1e-6 * b.total));
   }
   return worst;
 }
@@ -648,10 +774,11 @@ TEST(MleModelTest, FixedPointFitStaysWithinBoundOfDoublePrecisionFit) {
         DoubleAdjust(c.folded, domain, t_now, dec, nullptr);
     for (const auto* pair : {&shadow, &in_place}) {
       const auto& ref = pair == &shadow ? shadow_ref : in_place_ref;
-      ASSERT_EQ(pair->hits.size(), ref.hits.size());
+      const auto& frags = pair == &shadow ? c.frags : c.folded;
+      ASSERT_EQ(pair->raw.size(), ref.hits.size());
       EXPECT_EQ(pair->total, ref.total) << "trial " << trial;
       EXPECT_EQ(pair->fit.valid, ref.fit.valid) << "trial " << trial;
-      const double err = MaxRelativeError(*pair, ref, domain);
+      const double err = MaxRelativeError(*pair, frags, ref, domain);
       EXPECT_LE(err, 1e-8) << "trial " << trial;
       worst = std::max(worst, err);
       if (ref.fit.valid) ++fitted;
@@ -835,7 +962,7 @@ TEST(MleModelTest, SingleFragmentAllMass) {
   std::vector<FragmentStats> frags = {Frag(0, 100, 5)};
   const auto adj =
       MleFragmentModel::Adjust(Part(frags, Interval(0, 100)), 100, dec);
-  EXPECT_NEAR(adj.hits[0], adj.total, 0.25 * adj.total);
+  EXPECT_NEAR(adj.Of(0, frags[0].interval), adj.total, 0.25 * adj.total);
 }
 
 TEST(MleModelTest, EmptyDomainSafe) {
@@ -843,7 +970,8 @@ TEST(MleModelTest, EmptyDomainSafe) {
   std::vector<FragmentStats> frags = {Frag(5, 5, 3)};
   const auto adj =
       MleFragmentModel::Adjust(Part(frags, Interval(5, 5)), 100, dec);
-  EXPECT_EQ(adj.hits.size(), 1u);
+  EXPECT_EQ(adj.raw.size(), 1u);
+  EXPECT_EQ(adj.Of(0, frags[0].interval), 0.0);
 }
 
 }  // namespace

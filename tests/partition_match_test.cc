@@ -9,7 +9,7 @@ namespace {
 
 TEST(PartitionMatchTest, ExactSingleFragment) {
   auto cover = PartitionMatchIntervals({Interval(0, 10)}, Interval(0, 10));
-  ASSERT_TRUE(cover.ok());
+  ASSERT_TRUE(cover.has_value());
   ASSERT_EQ(cover->size(), 1u);
 }
 
@@ -18,7 +18,7 @@ TEST(PartitionMatchTest, DisjointPartitionCover) {
                                        Interval::ClosedOpen(10, 20),
                                        Interval(20, 30)};
   auto cover = PartitionMatchIntervals(frags, Interval(5, 25));
-  ASSERT_TRUE(cover.ok());
+  ASSERT_TRUE(cover.has_value());
   EXPECT_EQ(cover->size(), 3u);
 }
 
@@ -27,7 +27,7 @@ TEST(PartitionMatchTest, SubrangeUsesOnlyNeededFragments) {
                                        Interval::ClosedOpen(10, 20),
                                        Interval(20, 30)};
   auto cover = PartitionMatchIntervals(frags, Interval(12, 18));
-  ASSERT_TRUE(cover.ok());
+  ASSERT_TRUE(cover.has_value());
   ASSERT_EQ(cover->size(), 1u);
   EXPECT_EQ((*cover)[0], Interval::ClosedOpen(10, 20));
 }
@@ -37,7 +37,7 @@ TEST(PartitionMatchTest, GreedyPrefersLargestLowerBound) {
   // [10,25] greedy must pick the tighter one.
   const std::vector<Interval> frags = {Interval(0, 30), Interval(8, 30)};
   auto cover = PartitionMatchIntervals(frags, Interval(10, 25));
-  ASSERT_TRUE(cover.ok());
+  ASSERT_TRUE(cover.has_value());
   ASSERT_EQ(cover->size(), 1u);
   EXPECT_EQ((*cover)[0], Interval(8, 30));
 }
@@ -53,47 +53,46 @@ TEST(PartitionMatchTest, OverlappingChain) {
   };
   // Query inside (20, 25]: small fragment suffices.
   auto small_cover = PartitionMatchIntervals(frags, Interval(21, 24));
-  ASSERT_TRUE(small_cover.ok());
+  ASSERT_TRUE(small_cover.has_value());
   ASSERT_EQ(small_cover->size(), 1u);
   EXPECT_EQ((*small_cover)[0], Interval::OpenClosed(20, 25));
   // Query reaching past 25 needs the big fragment.
   auto big_cover = PartitionMatchIntervals(frags, Interval(21, 35));
-  ASSERT_TRUE(big_cover.ok());
+  ASSERT_TRUE(big_cover.has_value());
   ASSERT_EQ(big_cover->size(), 1u);
   EXPECT_EQ((*big_cover)[0], Interval::OpenClosed(20, 40));
 }
 
 TEST(PartitionMatchTest, GapFails) {
   const std::vector<Interval> frags = {Interval(0, 10), Interval(20, 30)};
-  auto cover = PartitionMatch(frags, Interval(5, 25));
-  EXPECT_FALSE(cover.ok());
-  EXPECT_EQ(cover.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(PartitionMatch(frags, Interval(5, 25)), std::nullopt);
+  EXPECT_EQ(PartitionMatchIntervals(frags, Interval(5, 25)), std::nullopt);
 }
 
 TEST(PartitionMatchTest, PointGapAtOpenBoundsFails) {
   const std::vector<Interval> frags = {Interval::ClosedOpen(0, 10),
                                        Interval::OpenClosed(10, 20)};
   // The point 10 is uncovered.
-  EXPECT_FALSE(PartitionMatch(frags, Interval(5, 15)).ok());
+  EXPECT_FALSE(PartitionMatch(frags, Interval(5, 15)).has_value());
   // A query that avoids the missing point succeeds.
-  EXPECT_TRUE(PartitionMatch(frags, Interval(5, 9)).ok());
+  EXPECT_TRUE(PartitionMatch(frags, Interval(5, 9)).has_value());
 }
 
 TEST(PartitionMatchTest, EmptyRangeEmptyCover) {
   auto cover = PartitionMatch({Interval(0, 10)}, Interval(5, 3));
-  ASSERT_TRUE(cover.ok());
+  ASSERT_TRUE(cover.has_value());
   EXPECT_TRUE(cover->empty());
 }
 
 TEST(PartitionMatchTest, NoFragmentsFails) {
-  EXPECT_FALSE(PartitionMatch({}, Interval(0, 1)).ok());
+  EXPECT_FALSE(PartitionMatch({}, Interval(0, 1)).has_value());
 }
 
 TEST(PartitionMatchTest, CoverIsLeftToRight) {
   const std::vector<Interval> frags = {Interval(20, 30), Interval::ClosedOpen(0, 10),
                                        Interval::ClosedOpen(10, 20)};
   auto cover = PartitionMatchIntervals(frags, Interval(0, 30));
-  ASSERT_TRUE(cover.ok());
+  ASSERT_TRUE(cover.has_value());
   ASSERT_EQ(cover->size(), 3u);
   EXPECT_LT((*cover)[0].lo, (*cover)[1].lo);
   EXPECT_LT((*cover)[1].lo, (*cover)[2].lo);
@@ -123,7 +122,7 @@ TEST_P(PartitionMatchPropertyTest, CoverAlwaysFoundAndValid) {
     const double qlo = rng.Uniform(0, 90);
     const Interval query(qlo, std::min(100.0, qlo + rng.Uniform(0.5, 50)));
     auto cover = PartitionMatchIntervals(frags, query);
-    ASSERT_TRUE(cover.ok()) << "query " << query.ToString();
+    ASSERT_TRUE(cover.has_value()) << "query " << query.ToString();
     Fragmentation cf(*cover);
     EXPECT_TRUE(cf.Covers(query)) << "cover misses part of " << query.ToString();
     // No chosen fragment is redundant at its choice point: covers are
@@ -134,6 +133,44 @@ TEST_P(PartitionMatchPropertyTest, CoverAlwaysFoundAndValid) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PartitionMatchPropertyTest,
                          ::testing::Values(11, 22, 33, 44));
+
+// Oracle sweep: a cover exists exactly when Fragmentation::Covers, an
+// independent sweep over the sorted fragments, says the fragments cover
+// the query. Endpoints on a small integer grid make ties common (equal
+// lower bounds, shared endpoints, an open end touching a closed one),
+// with random inclusive flags and some empty or reversed fragments and
+// queries. Where a cover exists it must cover the query.
+TEST(PartitionMatchTest, CoverExistsExactlyWhenFragmentsCover) {
+  Rng rng(2017);
+  auto random_interval = [&rng] {
+    const double lo = static_cast<double>(rng.UniformInt(0, 8));
+    const double hi = rng.NextDouble() < 0.1
+                          ? lo - static_cast<double>(rng.UniformInt(1, 3))
+                          : lo + static_cast<double>(rng.UniformInt(0, 4));
+    return Interval(lo, hi, rng.NextDouble() < 0.5, rng.NextDouble() < 0.5);
+  };
+  int covered = 0;
+  int gaps = 0;
+  for (int iter = 0; iter < 50000; ++iter) {
+    std::vector<Interval> frags(static_cast<size_t>(rng.UniformInt(0, 6)));
+    for (Interval& f : frags) f = random_interval();
+    const Interval query = random_interval();
+    const Fragmentation all(frags);
+    const auto cover = PartitionMatchIntervals(frags, query);
+    ASSERT_EQ(cover.has_value(), all.Covers(query))
+        << "query " << query.ToString() << " fragments " << all.ToString();
+    if (!cover.has_value()) {
+      ++gaps;
+      continue;
+    }
+    ++covered;
+    ASSERT_TRUE(Fragmentation(*cover).Covers(query))
+        << "query " << query.ToString() << " fragments " << all.ToString();
+    ASSERT_LE(cover->size(), frags.size());
+  }
+  EXPECT_GT(covered, 5000);
+  EXPECT_GT(gaps, 5000);
+}
 
 }  // namespace
 }  // namespace deepsea

@@ -101,12 +101,27 @@ TEST_F(RewriteTest, FilterTreeSeparatesAggregates) {
   auto join_sig = ComputeSignature(JoinPlan(), catalog_);
   auto agg_sig = ComputeSignature(
       Aggregate(JoinPlan(), {"dim.g"}, {{AggFunc::kCount, "", "n"}}), catalog_);
+  // The same group-by with another aggregate, and the same aggregate
+  // with another group-by: each is a bucket of its own.
+  auto sum_sig = ComputeSignature(
+      Aggregate(JoinPlan(), {"dim.g"}, {{AggFunc::kSum, "fact.v", "n"}}),
+      catalog_);
+  auto by_k_sig = ComputeSignature(
+      Aggregate(JoinPlan(), {"fact.k"}, {{AggFunc::kCount, "", "n"}}),
+      catalog_);
   ASSERT_TRUE(agg_sig.ok());
+  ASSERT_TRUE(sum_sig.ok());
+  ASSERT_TRUE(by_k_sig.ok());
   FilterTree tree;
   tree.Insert(*join_sig, "vjoin");
   tree.Insert(*agg_sig, "vagg");
+  tree.Insert(*sum_sig, "vsum");
+  tree.Insert(*by_k_sig, "vbyk");
   EXPECT_EQ(tree.Lookup(*join_sig), (std::vector<std::string>{"vjoin"}));
   EXPECT_EQ(tree.Lookup(*agg_sig), (std::vector<std::string>{"vagg"}));
+  EXPECT_EQ(tree.Lookup(*sum_sig), (std::vector<std::string>{"vsum"}));
+  EXPECT_EQ(tree.Lookup(*by_k_sig), (std::vector<std::string>{"vbyk"}));
+  EXPECT_EQ(tree.size(), 4u);
 }
 
 // Level 3 against its oracle: the unfiltered (relation, aggregation)

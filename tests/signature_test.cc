@@ -189,7 +189,7 @@ TEST_F(SignatureTest, ClassOfFallsBackToSingleton) {
 // StrFormat "%.6g" per range bound, one string per class, sorted.
 std::string PrintfRendering(const PlanSignature& s) {
   std::string out = "relations=[";
-  out += s.RelationKey();
+  out += Join(s.relations, ",");
   out += "] equiv={";
   std::vector<std::string> cls_strs;
   for (const auto& cls : s.equiv_classes) {
