@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the DeepSea
 // core: interval algebra, histogram estimation, signature computation
-// and matching, filter-tree lookup, fragment lookup, greedy partition
-// matching, MLE smoothing, and end-to-end ProcessQuery throughput of the
-// simulator.
+// and matching, filter-tree lookup, rewriting enumeration, fragment
+// lookup, greedy partition matching, MLE smoothing, and end-to-end
+// ProcessQuery throughput of the simulator.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +13,7 @@
 #include "exp/trace.h"
 #include "plan/signature.h"
 #include "rewrite/filter_tree.h"
+#include "rewrite/matcher.h"
 #include "workload/bigbench.h"
 #include "workload/range_generator.h"
 
@@ -183,6 +184,63 @@ BENCHMARK_DEFINE_F(WorkloadFixture, BM_FilterTreeLookup)
   }
 }
 BENCHMARK_REGISTER_F(WorkloadFixture, BM_FilterTreeLookup)->Arg(25)->Arg(250);
+
+// Algorithm 1's rewriting enumeration (matching, fragment cover and
+// pricing) for one Q30 query against five tracked Q30-family views: the
+// projected join, the bare join, the root aggregate, and two ranged
+// selections over the projected join, partitioned on the query's range
+// column. The wide one is materialized in 8 fragments; the narrow one's
+// 4 fragments are tracked only. The query's signatures are derived
+// before the loop, so the row measures the matcher alone.
+BENCHMARK_F(WorkloadFixture, BM_ComputeRewritings)(benchmark::State& state) {
+  const PlanPtr wide = *BigBenchTemplates::Build("Q30", 0, 400000);
+  const PlanPtr narrow = *BigBenchTemplates::Build("Q30", 0, 100000);
+  const PlanPtr query = *BigBenchTemplates::Build("Q30", 10000, 14000);
+  const PlanPtr& projected_join = wide->child(0)->child(0);
+  const std::string attr =
+      ComputeSignature(query, catalog_)->ranges.begin()->first;
+  Catalog catalog(&catalog_);  // holds the view tables
+  ClusterModel cluster;
+  PlanCostEstimator estimator(&cluster, &catalog);
+  ViewCatalog views;
+  FilterTree index;
+  const std::vector<std::pair<PlanPtr, int>> view_plans = {
+      {projected_join, 0},
+      {projected_join->child(0), 0},
+      {wide, 0},
+      {wide->child(0), 8},
+      {narrow->child(0), 4}};
+  for (const auto& [plan, fragments] : view_plans) {
+    const PlanSignature sig = *ComputeSignature(plan, catalog);
+    ViewInfo* view = views.Track(plan, sig);
+    index.Insert(view->signature, view->id);
+    const PlanCost cost = *estimator.Estimate(plan);
+    auto table = std::make_shared<Table>(view->id, *plan->OutputSchema(catalog));
+    table->set_logical_row_count(static_cast<uint64_t>(cost.out_rows));
+    table->set_avg_row_bytes(cost.avg_row_bytes);
+    if (fragments > 0) {
+      const Interval domain = RangeInterval(sig.ranges.at(attr));
+      AttributeHistogram hist(domain, 64);
+      hist.AddRange(domain, cost.out_rows);
+      table->SetHistogram(attr, hist);
+      PartitionState* part = view->EnsurePartition(attr, domain);
+      for (const Interval& iv : domain.SplitEqual(fragments)) {
+        part->Track(iv, cost.out_bytes / fragments).first->materialized =
+            fragments == 8;
+      }
+    }
+    catalog.Put(table);
+  }
+  ViewMatcher matcher(&views, &index, &estimator);
+  SignatureTable signatures(&catalog);
+  size_t rewritings = 0;
+  for (auto _ : state) {
+    auto out = matcher.ComputeRewritings(query, &signatures);
+    rewritings = out->size();
+    benchmark::DoNotOptimize(out);
+  }
+  state.counters["rewritings"] = static_cast<double>(rewritings);
+}
 
 BENCHMARK_F(WorkloadFixture, BM_ProcessQueryThroughput)(benchmark::State& state) {
   EngineOptions opts;

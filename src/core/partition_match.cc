@@ -15,11 +15,11 @@ std::optional<std::vector<size_t>> PartitionMatch(
   while (u_covered < range.hi ||
          (u_covered == range.hi && range.hi_inclusive && !frontier_inclusive)) {
     // Candidates: fragments that cover the frontier point (or extend
-    // coverage past it when the frontier is already inclusive).
+    // coverage past it when the frontier is already inclusive). An
+    // empty or reversed fragment can pass only one of the two tests.
     int best = -1;
     for (size_t i = 0; i < fragments.size(); ++i) {
       const Interval& f = fragments[i];
-      if (f.IsEmpty()) continue;
       const bool starts_ok =
           f.lo < u_covered ||
           (f.lo == u_covered && (f.lo_inclusive || frontier_inclusive));

@@ -1,8 +1,7 @@
 #include "core/rewrite_planner.h"
 
+#include <algorithm>
 #include <cassert>
-#include <set>
-#include <string>
 
 #include "plan/pushdown.h"
 
@@ -35,10 +34,12 @@ Status RewritePlanner::PlanBest(QueryContext* ctx, QueryReport* report) {
     if (!rw.executable) continue;
     if (rw.est_seconds < report->best_seconds) {
       report->best_seconds = rw.est_seconds;
-      report->used_view = rw.view_id;
+      report->used_view = rw.view->id;
       report->fragments_read = static_cast<int>(rw.fragments.size());
-      ctx->executed_plan = rw.plan;
-      ctx->SetCover(rw.view_id, rw.partition_attr, rw.fragments);
+      ctx->executed_plan = rw.BuildPlan(ctx->query);
+      ctx->SetCover(rw.view->id,
+                    rw.partition != nullptr ? rw.partition->attr : "",
+                    rw.fragments);
       report->map_tasks = rw.map_tasks;
     }
     break;  // rewritings are sorted by estimated cost
@@ -50,14 +51,16 @@ void RewritePlanner::UpdateStatsFromRewritings(
     const std::vector<Rewriting>& rewritings, double base_seconds,
     double t_now, PlanningDelta* delta) {
   assert(delta != nullptr);
-  std::set<std::string> seen_views;
-  std::set<std::string> seen_partitions;
+  // A query has a handful of rewritings: linear scans dedup them.
+  std::vector<const ViewInfo*> seen_views;
+  std::vector<const PartitionState*> seen_partitions;
   for (const Rewriting& rw : rewritings) {
-    ViewInfo* view = views_->Get(rw.view_id);
-    if (view == nullptr) continue;
+    ViewInfo* view = rw.view;
     // View benefit: once per view per query, using its best rewriting
     // (the list is sorted by cost, so the first occurrence is best).
-    if (seen_views.insert(rw.view_id).second) {
+    if (std::find(seen_views.begin(), seen_views.end(), view) ==
+        seen_views.end()) {
+      seen_views.push_back(view);
       const double saving = base_seconds - rw.est_seconds;
       if (saving > 0.0) delta->RecordUse(view, t_now, saving);
     }
@@ -65,15 +68,15 @@ void RewritePlanner::UpdateStatsFromRewritings(
     // "was or could have been used" (Section 7.1). Hits land on the
     // delta's shadow partition; the shadow fragment mirrors the shared
     // fragment list, so the overlap scan sees the same intervals.
-    if (rw.has_query_range && !rw.partition_attr.empty()) {
-      const std::string pkey = rw.view_id + "/" + rw.partition_attr;
-      if (seen_partitions.insert(pkey).second) {
-        PartitionState* part = delta->Partition(view, rw.partition_attr);
-        if (part != nullptr) {
-          for (FragmentStats& f : part->mutable_fragments()) {
-            if (f.interval.Overlaps(rw.query_range)) {
-              f.RecordHit(t_now, rw.query_range);
-            }
+    if (rw.partition != nullptr &&
+        std::find(seen_partitions.begin(), seen_partitions.end(),
+                  rw.partition) == seen_partitions.end()) {
+      seen_partitions.push_back(rw.partition);
+      PartitionState* part = delta->Partition(view, rw.partition->attr);
+      if (part != nullptr) {
+        for (FragmentStats& f : part->mutable_fragments()) {
+          if (f.interval.Overlaps(rw.query_range)) {
+            f.RecordHit(t_now, rw.query_range);
           }
         }
       }

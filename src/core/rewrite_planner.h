@@ -25,8 +25,8 @@ class RewritePlanner {
  public:
   RewritePlanner(Catalog* catalog, const PlanCostEstimator* estimator,
                  ViewCatalog* views, FilterTree* index)
-      : catalog_(catalog), estimator_(estimator), views_(views) {
-    matcher_ = std::make_unique<ViewMatcher>(views, index, catalog, estimator);
+      : catalog_(catalog), estimator_(estimator) {
+    matcher_ = std::make_unique<ViewMatcher>(views, index, estimator);
   }
 
   /// Selection pushdown + cost of the conventional plan. Runs for every
@@ -35,6 +35,7 @@ class RewritePlanner {
   Status PlanBase(QueryContext* ctx, QueryReport* report);
 
   /// Rewriting enumeration, statistics update, and the Q_best choice.
+  /// Only the chosen rewriting's plan is built.
   Status PlanBest(QueryContext* ctx, QueryReport* report);
 
  private:
@@ -49,7 +50,6 @@ class RewritePlanner {
 
   Catalog* catalog_;
   const PlanCostEstimator* estimator_;
-  ViewCatalog* views_;
   std::unique_ptr<ViewMatcher> matcher_;
 };
 

@@ -322,6 +322,8 @@ bool MatchColumnLiteralCompare(const ExprPtr& e, std::string* column,
   return false;
 }
 
+}  // namespace
+
 void TightenRange(ColumnRange* range, CompareOp op, double bound) {
   switch (op) {
     case CompareOp::kEq:
@@ -362,8 +364,6 @@ void TightenRange(ColumnRange* range, CompareOp op, double bound) {
       break;  // not a range constraint; caller treats as residual
   }
 }
-
-}  // namespace
 
 RangeExtraction ExtractRanges(const ExprPtr& pred) {
   RangeExtraction out;

@@ -146,6 +146,11 @@ struct RangeExtraction {
   std::vector<std::pair<std::string, std::string>> column_equalities;
 };
 
+/// Intersects `range` with the constraint `column OP bound`, as
+/// ExtractRanges applies each conjunct on the range's column. kNe is no
+/// range constraint and leaves `range` as it is.
+void TightenRange(ColumnRange* range, CompareOp op, double bound);
+
 /// Analyzes the top-level conjuncts of `pred` and extracts single-column
 /// numeric range constraints, column-equality pairs, and residuals.
 /// Multiple constraints on the same column are intersected.

@@ -9,10 +9,19 @@
 
 namespace deepsea {
 
+PlanPtr Rewriting::BuildPlan(const PlanPtr& query) const {
+  const PlanPtr read = fragments.empty()
+                           ? ViewRef(view->id, "", {})
+                           : ViewRef(view->id, partition->attr, fragments);
+  const ExprPtr comp = ViewMatcher::BuildCompensation(view->signature,
+                                                      *replaced_sig);
+  return ReplacePlanNode(query, replaced, comp ? Select(read, comp) : read);
+}
+
 std::string Rewriting::ToString() const {
-  std::string out = "rewriting(view=" + view_id;
-  if (!partition_attr.empty()) {
-    out += ", attr=" + partition_attr + ", frags=" +
+  std::string out = "rewriting(view=" + view->id;
+  if (partition != nullptr) {
+    out += ", attr=" + partition->attr + ", frags=" +
            std::to_string(fragments.size());
   }
   out += executable ? ", executable" : ", tracked-only";
@@ -20,12 +29,13 @@ std::string Rewriting::ToString() const {
   return out;
 }
 
-ExprPtr ViewMatcher::BuildCompensation(const PlanSignature& view_sig,
-                                       const PlanSignature& query_sig) {
-  std::vector<ExprPtr> conjuncts;
+RangeExtraction ViewMatcher::CompensationOf(const PlanSignature& view_sig,
+                                            const PlanSignature& query_sig) {
+  RangeExtraction out;
   // Range constraints: re-apply every query range the view does not
   // already enforce identically (re-applying all would also be correct;
-  // we skip exact duplicates to keep plans readable).
+  // we skip exact duplicates to keep plans readable). A bound that is
+  // not finite is not rendered, so it constrains nothing here either.
   for (const auto& [col, q] : query_sig.ranges) {
     const auto vit = view_sig.ranges.find(col);
     const bool identical = vit != view_sig.ranges.end() &&
@@ -33,18 +43,21 @@ ExprPtr ViewMatcher::BuildCompensation(const PlanSignature& view_sig,
                            vit->second.lo_inclusive == q.lo_inclusive &&
                            vit->second.hi_inclusive == q.hi_inclusive;
     if (identical) continue;
-    if (std::isfinite(q.lo)) {
-      conjuncts.push_back(Cmp(q.lo_inclusive ? CompareOp::kGe : CompareOp::kGt,
-                              Col(col), LitD(q.lo)));
+    const bool has_lo = std::isfinite(q.lo);
+    const bool has_hi = std::isfinite(q.hi);
+    if (!has_lo && !has_hi) continue;
+    ColumnRange r{col};
+    if (has_lo) {
+      TightenRange(&r, q.lo_inclusive ? CompareOp::kGe : CompareOp::kGt, q.lo);
     }
-    if (std::isfinite(q.hi)) {
-      conjuncts.push_back(Cmp(q.hi_inclusive ? CompareOp::kLe : CompareOp::kLt,
-                              Col(col), LitD(q.hi)));
+    if (has_hi) {
+      TightenRange(&r, q.hi_inclusive ? CompareOp::kLe : CompareOp::kLt, q.hi);
     }
+    out.ranges.push_back(std::move(r));
   }
   // Residual conjuncts the view lacks.
   for (const ExprPtr& res : query_sig.residual_exprs) {
-    if (!view_sig.residuals.count(res->ToString())) conjuncts.push_back(res);
+    if (!view_sig.residuals.count(res->ToString())) out.residuals.push_back(res);
   }
   // Equality constraints from query equivalence classes not enforced by
   // the view: for each class pick a representative and equate members.
@@ -59,10 +72,30 @@ ExprPtr ViewMatcher::BuildCompensation(const PlanSignature& view_sig,
           break;
         }
       }
-      if (!enforced) {
-        conjuncts.push_back(Cmp(CompareOp::kEq, Col(rep), Col(*it)));
-      }
+      if (!enforced) out.column_equalities.emplace_back(rep, *it);
     }
+  }
+  return out;
+}
+
+ExprPtr ViewMatcher::BuildCompensation(const PlanSignature& view_sig,
+                                       const PlanSignature& query_sig) {
+  const RangeExtraction comp = CompensationOf(view_sig, query_sig);
+  std::vector<ExprPtr> conjuncts;
+  for (const ColumnRange& r : comp.ranges) {
+    if (std::isfinite(r.lo)) {
+      conjuncts.push_back(Cmp(r.lo_inclusive ? CompareOp::kGe : CompareOp::kGt,
+                              Col(r.column), LitD(r.lo)));
+    }
+    if (std::isfinite(r.hi)) {
+      conjuncts.push_back(Cmp(r.hi_inclusive ? CompareOp::kLe : CompareOp::kLt,
+                              Col(r.column), LitD(r.hi)));
+    }
+  }
+  conjuncts.insert(conjuncts.end(), comp.residuals.begin(),
+                   comp.residuals.end());
+  for (const auto& [a, b] : comp.column_equalities) {
+    conjuncts.push_back(Cmp(CompareOp::kEq, Col(a), Col(b)));
   }
   return AndAll(conjuncts);
 }
@@ -86,13 +119,11 @@ Result<std::vector<Rewriting>> ViewMatcher::ComputeRewritings(
       ViewInfo* view = views_->Get(view_id);
       if (view == nullptr) continue;
       if (!SignatureSubsumes(view->signature, qsig)) continue;
-      // The view table must be present in the relational catalog (the
-      // engine registers every tracked view with estimated statistics).
-      if (!catalog_->Contains(view->id)) continue;
 
       Rewriting rw;
-      rw.view_id = view->id;
+      rw.view = view;
       rw.replaced = sp.get();
+      rw.replaced_sig = &qsig;
 
       // Pick the partition to read: an attribute of the view that the
       // query constrains with a finite range. Prefer one with
@@ -130,31 +161,32 @@ Result<std::vector<Rewriting>> ViewMatcher::ComputeRewritings(
           chosen_executable = false;
         }
       }
-
-      PlanPtr view_read;
-      if (chosen != nullptr && !chosen_cover.empty()) {
-        rw.partition_attr = chosen->attr;
-        rw.fragments = chosen_cover;
+      if (chosen != nullptr) {
+        rw.partition = chosen;
         rw.query_range = chosen_range;
-        rw.has_query_range = true;
-        rw.executable = chosen_executable;
-        view_read = ViewRef(view->id, chosen->attr, chosen_cover);
-      } else {
-        // Whole-view read (unpartitioned, or no usable range).
-        if (chosen != nullptr) {
-          rw.query_range = chosen_range;
-          rw.has_query_range = true;
-          rw.partition_attr = chosen->attr;
-        }
-        rw.executable = view->whole_materialized;
-        view_read = ViewRef(view->id, "", {});
       }
+      // A fragment read, or a whole-view read (unpartitioned, or no
+      // usable cover).
+      rw.fragments = std::move(chosen_cover);
+      rw.executable =
+          rw.fragments.empty() ? view->whole_materialized : chosen_executable;
 
-      const ExprPtr comp = BuildCompensation(view->signature, qsig);
-      PlanPtr replacement = comp ? Select(view_read, comp) : view_read;
-      rw.plan = ReplacePlanNode(query, sp.get(), replacement);
-
-      auto est = estimator_->Estimate(rw.plan);
+      // Price the plan with `sp` replaced by the view read under its
+      // compensation, without building it. The read's catalog lookup
+      // also skips views whose table the catalog lacks.
+      auto read = rw.fragments.empty()
+                      ? estimator_->EstimateViewRead(view->id, "", {})
+                      : estimator_->EstimateViewRead(
+                            view->id, chosen->attr, rw.fragments);
+      if (!read.ok()) continue;
+      PlanCostEstimator::Replacement replacement{sp.get(), *read};
+      const RangeExtraction comp = CompensationOf(view->signature, qsig);
+      if (!comp.ranges.empty() || !comp.residuals.empty() ||
+          !comp.column_equalities.empty()) {
+        PlanCostEstimator::ApplySelection(estimator_->SelectivityOf(comp),
+                                          &replacement.cost);
+      }
+      auto est = estimator_->EstimateNode(query, &replacement);
       if (!est.ok()) continue;
       rw.est_seconds = est->seconds;
       rw.map_tasks = est->map_tasks;

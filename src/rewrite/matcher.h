@@ -20,42 +20,54 @@ class PlanningDelta;
 
 /// One possible rewriting of a query using a (tracked) view: the
 /// subplan `replaced` is substituted by a compensated read of the view,
-/// restricted to `fragments` of the partition on `partition_attr` when
-/// a matching partition exists.
+/// restricted to `fragments` of `partition` when a matching partition
+/// covers the query range. A rewriting is priced without being built;
+/// BuildPlan builds the one the planner picks.
 struct Rewriting {
-  PlanPtr plan;                      ///< full rewritten query plan
-  std::string view_id;
+  ViewInfo* view = nullptr;
   const PlanNode* replaced = nullptr;
-  std::string partition_attr;        ///< empty = whole-view read
-  std::vector<Interval> fragments;   ///< greedy cover of the query range
+  /// Signature of `replaced`, owned by the query's SignatureTable.
+  const PlanSignature* replaced_sig = nullptr;
+  /// The view's partition on an attribute the query constrains with a
+  /// range; null when there is none.
+  const PartitionState* partition = nullptr;
+  /// Greedy cover of `query_range` from `partition`; empty = whole-view
+  /// read.
+  std::vector<Interval> fragments;
   /// True when every byte the rewriting reads is materialized in the
   /// pool (only such rewritings are eligible as Q_best).
   bool executable = false;
   double est_seconds = 0.0;
   int64_t map_tasks = 0;             ///< of the same estimate
-  /// Query's selection range on partition_attr, clamped to the domain.
+  /// Query's selection range on the partition attribute, clamped to the
+  /// domain. Set when `partition` is.
   Interval query_range;
-  bool has_query_range = false;
+
+  /// The rewritten plan of `query`, the plan the rewriting was computed
+  /// for: `replaced` becomes the view read under its compensation.
+  PlanPtr BuildPlan(const PlanPtr& query) const;
 
   std::string ToString() const;
 };
 
 /// Computes the set Rewr(Q) of Algorithm 1: for every subplan of the
 /// query and every tracked view surviving the filter-tree lookup, tests
-/// the sufficient matching condition and, on success, constructs the
-/// compensated rewriting and selects fragments with the greedy
-/// partition matcher (Algorithm 2).
+/// the sufficient matching condition and, on success, selects fragments
+/// with the greedy partition matcher (Algorithm 2) and prices the
+/// compensated rewriting.
 class ViewMatcher {
  public:
-  ViewMatcher(ViewCatalog* views, FilterTree* index, const Catalog* catalog,
+  /// View tables are resolved in the estimator's catalog.
+  ViewMatcher(ViewCatalog* views, FilterTree* index,
               const PlanCostEstimator* estimator)
-      : views_(views), index_(index), catalog_(catalog), estimator_(estimator) {}
+      : views_(views), index_(index), estimator_(estimator) {}
 
   /// All rewritings of `query`, sorted by estimated cost ascending.
   /// Views not in the pool yield non-executable rewritings, kept so the
   /// engine can update "could have been used" statistics. Subplan
   /// signatures come from `signatures` (the query's table), which must
-  /// resolve the query's tables as the matcher's catalog does.
+  /// resolve the query's tables as the estimator's catalog does, and
+  /// must outlive the rewritings.
   ///
   /// When `delta` is non-null, every filter-tree lookup is recorded as
   /// an index-probe read on the delta (RecordIndexProbe): a foreign
@@ -66,18 +78,25 @@ class ViewMatcher {
       const PlanPtr& query, SignatureTable* signatures,
       PlanningDelta* delta = nullptr);
 
-  /// Builds the compensation predicate a rewriting must apply on top of
-  /// the view read so the result equals the replaced subplan: all range
-  /// constraints, residual conjuncts the view lacks, and equality
-  /// constraints not enforced by the view. Returns nullptr when no
-  /// compensation is needed. Exposed for testing.
+  /// The compensation a rewriting must apply on top of the view read so
+  /// the result equals the replaced subplan, as ExtractRanges reads the
+  /// predicate BuildCompensation renders: every query range the view
+  /// does not enforce identically (in `query_sig.ranges` order, bounds
+  /// that are not finite dropped), the residual conjuncts the view
+  /// lacks, and the equalities of the query's equivalence classes the
+  /// view does not enforce.
+  static RangeExtraction CompensationOf(const PlanSignature& view_sig,
+                                        const PlanSignature& query_sig);
+
+  /// CompensationOf rendered as a conjunction: per range its lower then
+  /// its upper bound, then the residuals, then the equalities. nullptr
+  /// when no compensation is needed.
   static ExprPtr BuildCompensation(const PlanSignature& view_sig,
                                    const PlanSignature& query_sig);
 
  private:
   ViewCatalog* views_;
   FilterTree* index_;
-  const Catalog* catalog_;
   const PlanCostEstimator* estimator_;
 };
 

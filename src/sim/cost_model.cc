@@ -60,28 +60,75 @@ double PlanCostEstimator::ColumnNdv(const std::string& column,
   return std::pow(std::max(fallback_rows, 1.0), kDefaultGroupExponent);
 }
 
-Result<double> PlanCostEstimator::EstimateSelectivity(
-    const ExprPtr& predicate) const {
-  if (!predicate) return 1.0;
-  const RangeExtraction ex = ExtractRanges(predicate);
+double PlanCostEstimator::SelectivityOf(const RangeExtraction& conjuncts) const {
   double sel = 1.0;
-  for (const ColumnRange& r : ex.ranges) {
+  for (const ColumnRange& r : conjuncts.ranges) {
     const Interval iv(r.lo, r.hi, r.lo_inclusive, r.hi_inclusive);
     sel *= RangeFraction(r.column, iv);
   }
-  for (size_t i = 0; i < ex.residuals.size(); ++i) sel *= kResidualSelectivity;
+  for (size_t i = 0; i < conjuncts.residuals.size(); ++i) {
+    sel *= kResidualSelectivity;
+  }
   // Column equalities in a filter context behave like residuals.
-  for (size_t i = 0; i < ex.column_equalities.size(); ++i) {
+  for (size_t i = 0; i < conjuncts.column_equalities.size(); ++i) {
     sel *= kResidualSelectivity;
   }
   return Clamp(sel, 0.0, 1.0);
+}
+
+void PlanCostEstimator::ApplySelection(double sel, PlanCost* cost) {
+  cost->out_rows *= sel;
+  cost->out_bytes = cost->out_rows * cost->avg_row_bytes;
 }
 
 Result<PlanCost> PlanCostEstimator::Estimate(const PlanPtr& plan) const {
   return EstimateNode(plan);
 }
 
-Result<PlanCost> PlanCostEstimator::EstimateNode(const PlanPtr& plan) const {
+Result<PlanCost> PlanCostEstimator::EstimateViewRead(
+    const std::string& view_name, const std::string& partition_attr,
+    const std::vector<Interval>& fragments) const {
+  DEEPSEA_ASSIGN_OR_RETURN(TablePtr view, catalog_->Get(view_name));
+  PlanCost cost;
+  cost.avg_row_bytes = view->avg_row_bytes();
+  const double view_bytes = view->logical_bytes();
+  const double view_rows = static_cast<double>(view->logical_row_count());
+  std::vector<double> file_bytes;
+  if (fragments.empty()) {
+    file_bytes.push_back(view_bytes);
+    cost.out_rows = view_rows;
+  } else {
+    const AttributeHistogram* hist = view->GetHistogram(partition_attr);
+    double total_fraction = 0.0;
+    for (const Interval& iv : fragments) {
+      double fraction;
+      if (hist != nullptr && !hist->empty()) {
+        fraction = hist->FractionInRange(iv);
+      } else {
+        auto domain = view->SampleMinMax(partition_attr);
+        fraction = (domain.ok() && domain->Width() > 0.0)
+                       ? Clamp(iv.OverlapWidth(*domain) / domain->Width(),
+                               0.0, 1.0)
+                       : 1.0 / static_cast<double>(fragments.size());
+      }
+      file_bytes.push_back(fraction * view_bytes);
+      total_fraction += fraction;
+    }
+    cost.out_rows = Clamp(total_fraction, 0.0, 1.0) * view_rows;
+  }
+  for (double b : file_bytes) cost.bytes_read += b;
+  cost.out_bytes = cost.out_rows * cost.avg_row_bytes;
+  cost.map_tasks = cluster_->MapTasksForFiles(file_bytes);
+  cost.seconds = cluster_->MapPhaseSeconds(file_bytes);
+  cost.out_columns = view->schema().num_columns();
+  return cost;
+}
+
+Result<PlanCost> PlanCostEstimator::EstimateNode(
+    const PlanPtr& plan, const Replacement* replacement) const {
+  if (replacement != nullptr && plan.get() == replacement->target) {
+    return replacement->cost;
+  }
   switch (plan->kind()) {
     case PlanKind::kScan: {
       DEEPSEA_ASSIGN_OR_RETURN(TablePtr table, catalog_->Get(plan->table_name()));
@@ -92,67 +139,34 @@ Result<PlanCost> PlanCostEstimator::EstimateNode(const PlanPtr& plan) const {
       cost.bytes_read = cost.out_bytes;
       cost.map_tasks = cluster_->MapTasksForFiles({cost.out_bytes});
       cost.seconds = cluster_->MapPhaseSeconds({cost.out_bytes});
+      cost.out_columns = table->schema().num_columns();
       return cost;
     }
-    case PlanKind::kViewRef: {
-      DEEPSEA_ASSIGN_OR_RETURN(TablePtr view, catalog_->Get(plan->table_name()));
-      PlanCost cost;
-      cost.avg_row_bytes = view->avg_row_bytes();
-      const double view_bytes = view->logical_bytes();
-      const double view_rows = static_cast<double>(view->logical_row_count());
-      std::vector<double> file_bytes;
-      if (plan->view_fragments().empty()) {
-        file_bytes.push_back(view_bytes);
-        cost.out_rows = view_rows;
-      } else {
-        const AttributeHistogram* hist =
-            view->GetHistogram(plan->view_partition_attr());
-        double total_fraction = 0.0;
-        for (const Interval& iv : plan->view_fragments()) {
-          double fraction;
-          if (hist != nullptr && !hist->empty()) {
-            fraction = hist->FractionInRange(iv);
-          } else {
-            auto domain = view->SampleMinMax(plan->view_partition_attr());
-            fraction = (domain.ok() && domain->Width() > 0.0)
-                           ? Clamp(iv.OverlapWidth(*domain) / domain->Width(),
-                                   0.0, 1.0)
-                           : 1.0 / static_cast<double>(plan->view_fragments().size());
-          }
-          file_bytes.push_back(fraction * view_bytes);
-          total_fraction += fraction;
-        }
-        cost.out_rows = Clamp(total_fraction, 0.0, 1.0) * view_rows;
-      }
-      for (double b : file_bytes) cost.bytes_read += b;
-      cost.out_bytes = cost.out_rows * cost.avg_row_bytes;
-      cost.map_tasks = cluster_->MapTasksForFiles(file_bytes);
-      cost.seconds = cluster_->MapPhaseSeconds(file_bytes);
-      return cost;
-    }
+    case PlanKind::kViewRef:
+      return EstimateViewRead(plan->table_name(), plan->view_partition_attr(),
+                              plan->view_fragments());
     case PlanKind::kSelect: {
-      DEEPSEA_ASSIGN_OR_RETURN(PlanCost cost, EstimateNode(plan->child(0)));
-      DEEPSEA_ASSIGN_OR_RETURN(double sel, EstimateSelectivity(plan->predicate()));
-      cost.out_rows *= sel;
-      cost.out_bytes = cost.out_rows * cost.avg_row_bytes;
-      // Selection is fused into the producing map/reduce phase: no extra
-      // time beyond the child.
+      DEEPSEA_ASSIGN_OR_RETURN(PlanCost cost,
+                               EstimateNode(plan->child(0), replacement));
+      ApplySelection(SelectivityOf(ExtractRanges(plan->predicate())), &cost);
       return cost;
     }
     case PlanKind::kProject: {
-      DEEPSEA_ASSIGN_OR_RETURN(PlanCost cost, EstimateNode(plan->child(0)));
-      DEEPSEA_ASSIGN_OR_RETURN(Schema in_schema,
-                               plan->child(0)->OutputSchema(*catalog_));
-      const double in_cols = std::max<size_t>(in_schema.num_columns(), 1);
+      DEEPSEA_ASSIGN_OR_RETURN(PlanCost cost,
+                               EstimateNode(plan->child(0), replacement));
+      const double in_cols = std::max<size_t>(cost.out_columns, 1);
       const double out_cols = std::max<size_t>(plan->project_exprs().size(), 1);
       const double ratio = std::min(1.0, out_cols / in_cols);
       cost.avg_row_bytes *= ratio;
       cost.out_bytes = cost.out_rows * cost.avg_row_bytes;
+      cost.out_columns = plan->project_exprs().size();
       return cost;
     }
     case PlanKind::kJoin: {
-      DEEPSEA_ASSIGN_OR_RETURN(PlanCost l, EstimateNode(plan->child(0)));
-      DEEPSEA_ASSIGN_OR_RETURN(PlanCost r, EstimateNode(plan->child(1)));
+      DEEPSEA_ASSIGN_OR_RETURN(PlanCost l,
+                               EstimateNode(plan->child(0), replacement));
+      DEEPSEA_ASSIGN_OR_RETURN(PlanCost r,
+                               EstimateNode(plan->child(1), replacement));
       PlanCost cost;
       cost.seconds = l.seconds + r.seconds;
       cost.map_tasks = l.map_tasks + r.map_tasks;
@@ -181,11 +195,13 @@ Result<PlanCost> PlanCostEstimator::EstimateNode(const PlanPtr& plan) const {
       cost.seconds += cluster_->config().job_startup_seconds +
                       cluster_->ShuffleSeconds(shuffle_bytes) +
                       cluster_->TempWriteSeconds(cost.out_bytes);
+      cost.out_columns = l.out_columns + r.out_columns;
       return cost;
     }
     case PlanKind::kSort: {
       // A sort is an MR job: shuffle the input by key range.
-      DEEPSEA_ASSIGN_OR_RETURN(PlanCost cost, EstimateNode(plan->child(0)));
+      DEEPSEA_ASSIGN_OR_RETURN(PlanCost cost,
+                               EstimateNode(plan->child(0), replacement));
       cost.num_jobs += 1;
       cost.bytes_shuffled += cost.out_bytes;
       cost.seconds += cluster_->config().job_startup_seconds +
@@ -193,14 +209,16 @@ Result<PlanCost> PlanCostEstimator::EstimateNode(const PlanPtr& plan) const {
       return cost;
     }
     case PlanKind::kLimit: {
-      DEEPSEA_ASSIGN_OR_RETURN(PlanCost cost, EstimateNode(plan->child(0)));
+      DEEPSEA_ASSIGN_OR_RETURN(PlanCost cost,
+                               EstimateNode(plan->child(0), replacement));
       cost.out_rows = std::min(cost.out_rows,
                                static_cast<double>(plan->limit()));
       cost.out_bytes = cost.out_rows * cost.avg_row_bytes;
       return cost;
     }
     case PlanKind::kAggregate: {
-      DEEPSEA_ASSIGN_OR_RETURN(PlanCost in, EstimateNode(plan->child(0)));
+      DEEPSEA_ASSIGN_OR_RETURN(PlanCost in,
+                               EstimateNode(plan->child(0), replacement));
       PlanCost cost = in;
       cost.num_jobs += 1;
       double groups = 1.0;
@@ -216,6 +234,7 @@ Result<PlanCost> PlanCostEstimator::EstimateNode(const PlanPtr& plan) const {
       cost.seconds += cluster_->config().job_startup_seconds +
                       cluster_->ShuffleSeconds(in.out_bytes) +
                       cluster_->TempWriteSeconds(cost.out_bytes);
+      cost.out_columns = plan->group_by().size() + plan->aggregates().size();
       return cost;
     }
   }

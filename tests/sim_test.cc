@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
+#include "plan/pushdown.h"
 #include "sim/cluster.h"
 #include "sim/cost_model.h"
 #include "sim/runtime_estimator.h"
+#include "workload/bigbench.h"
 
 namespace deepsea {
 namespace {
@@ -132,9 +138,9 @@ TEST_F(CostModelTest, ScanCostScalesWithBytes) {
 
 TEST_F(CostModelTest, SelectivityFromHistogram) {
   PlanCostEstimator est(&cluster_, &catalog_);
-  auto sel = est.EstimateSelectivity(RangePredicate("fact.k", 0, 100));
-  ASSERT_TRUE(sel.ok());
-  EXPECT_NEAR(*sel, 0.1, 1e-6);
+  const double sel =
+      est.SelectivityOf(ExtractRanges(RangePredicate("fact.k", 0, 100)));
+  EXPECT_NEAR(sel, 0.1, 1e-6);
 }
 
 TEST_F(CostModelTest, SelectReducesRowsNotScanCost) {
@@ -197,6 +203,45 @@ TEST_F(CostModelTest, ViewRefFragmentBytesFromHistogram) {
   ASSERT_TRUE(whole.ok());
   EXPECT_NEAR(frag->bytes_read, 0.1 * whole->bytes_read, 1e-3 * whole->bytes_read);
   EXPECT_LT(frag->seconds, whole->seconds + 1e-9);
+}
+
+// The fold counts each node's output columns as OutputSchema does, on
+// every node of every template plan and of its pushed-down plan.
+TEST(EstimateNodeTest, ColumnCountsMatchOutputSchema) {
+  BigBenchDataset::Options data;
+  data.total_bytes = 100e9;
+  data.sample_rows_per_fact = 64;
+  data.sample_rows_per_dim = 16;
+  data.seed = 7;
+  Catalog catalog;
+  ASSERT_TRUE(BigBenchDataset::Generate(data, &catalog).ok());
+  ClusterModel cluster;
+  PlanCostEstimator est(&cluster, &catalog);
+  std::set<PlanKind> kinds;
+  int nodes = 0;
+  for (const std::string& name : BigBenchTemplates::Names()) {
+    auto plan = BigBenchTemplates::Build(name, 1000.0, 150000.0);
+    ASSERT_TRUE(plan.ok()) << name;
+    for (const PlanPtr& root : {*plan, PushDownSelections(*plan, catalog)}) {
+      std::vector<PlanPtr> subplans;
+      CollectSubplans(root, &subplans);
+      for (const PlanPtr& node : subplans) {
+        auto schema = node->OutputSchema(catalog);
+        auto node_est = est.EstimateNode(node);
+        ASSERT_TRUE(schema.ok()) << name;
+        ASSERT_TRUE(node_est.ok()) << name;
+        EXPECT_EQ(node_est->out_columns, schema->num_columns())
+            << name << "\n" << node->ToString();
+        kinds.insert(node->kind());
+        ++nodes;
+      }
+    }
+  }
+  for (PlanKind k : {PlanKind::kScan, PlanKind::kSelect, PlanKind::kProject,
+                     PlanKind::kJoin, PlanKind::kAggregate}) {
+    EXPECT_TRUE(kinds.count(k)) << PlanKindName(k);
+  }
+  EXPECT_GT(nodes, 100) << nodes;
 }
 
 TEST(RuntimeEstimatorTest, ProjectsLinearTrend) {
