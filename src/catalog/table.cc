@@ -99,14 +99,22 @@ Result<TablePtr> Catalog::Get(const std::string& name) const {
   return Status::NotFound("no such table: " + name);
 }
 
+const Table* Catalog::Find(std::string_view name) const {
+  for (const Catalog* c = this; c != nullptr; c = c->parent_) {
+    auto it = c->tables_.find(name);
+    if (it != c->tables_.end()) return it->second.get();
+  }
+  return nullptr;
+}
+
 Status Catalog::Drop(const std::string& name) {
   if (tables_.erase(name) == 0) return Status::NotFound("no such table: " + name);
   return Status::OK();
 }
 
-std::map<std::string, TablePtr> Catalog::VisibleTables() const {
+Catalog::TableMap Catalog::VisibleTables() const {
   if (parent_ == nullptr) return tables_;
-  std::map<std::string, TablePtr> out = parent_->VisibleTables();
+  TableMap out = parent_->VisibleTables();
   for (const auto& [name, t] : tables_) out.insert_or_assign(name, t);
   return out;
 }

@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "catalog/histogram.h"
@@ -124,6 +125,13 @@ class Catalog {
   /// Fails with NotFound when absent (locally and in the parent).
   Result<TablePtr> Get(const std::string& name) const;
 
+  /// The table named `name`, or nullptr when absent (locally and in the
+  /// parent): Get without allocating or sharing ownership, for hot
+  /// readers (the cost estimator's per-column statistics). The pointer
+  /// is valid while the table stays registered, under the same locking
+  /// rule as Get.
+  const Table* Find(std::string_view name) const;
+
   bool Contains(const std::string& name) const {
     return tables_.count(name) > 0 ||
            (parent_ != nullptr && parent_->Contains(name));
@@ -141,11 +149,14 @@ class Catalog {
   double TotalLogicalBytes() const;
 
  private:
+  /// Transparent, so Find looks a std::string_view up without a copy.
+  using TableMap = std::map<std::string, TablePtr, std::less<>>;
+
   /// Every visible table by name, local entries shadowing the parent's.
-  std::map<std::string, TablePtr> VisibleTables() const;
+  TableMap VisibleTables() const;
 
   const Catalog* parent_ = nullptr;
-  std::map<std::string, TablePtr> tables_;
+  TableMap tables_;
 };
 
 }  // namespace deepsea

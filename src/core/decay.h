@@ -1,6 +1,10 @@
 #ifndef DEEPSEA_CORE_DECAY_H_
 #define DEEPSEA_CORE_DECAY_H_
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
 namespace deepsea {
 
 /// Configuration of the benefit decay function DEC(t_now, t) from
@@ -36,6 +40,49 @@ class DecayFunction {
 
  private:
   DecayConfig cfg_;
+};
+
+/// The fixed point in which sums of the decay's time weights are kept.
+/// Inside the window DEC(t_now, t_k) = t_k / t_now, so a decayed sum
+/// over hits is (Σ_k t_k) / t_now: FragmentStats keeps Σ_k t_k for
+/// H(I), and PartMass keeps Σ_k t_k · spread_kp per part for the MLE
+/// fit. Each term is rounded once to a fixed-point integer and the sums
+/// are 128-bit integers, so they are exact and independent of the order
+/// of their terms; reading one is a single conversion and a single
+/// division.
+struct FixedPoint {
+  using Sum = __int128;
+  /// Fraction bits of one term (a resolution of about 1.4e-17).
+  static constexpr int kFractionBits = 56;
+  /// The fixed-point value of 1.
+  static constexpr double kOne =
+      static_cast<double>(int64_t{1} << kFractionBits);
+
+  /// One term in fixed point, rounded toward zero. Terms are
+  /// non-negative; they are capped at 2^62 so that sums of many of them
+  /// stay inside 128 bits. The scaling by a power of two is exact. Below
+  /// 2^63 the scaled term converts as an int64_t; above, it is an
+  /// integer, so its significand shifted by its exponent is exact (the
+  /// same bits as the library's double-to-__int128 conversion, without
+  /// the call).
+  static Sum Quantize(double x) {
+    const double y = std::min(x, 0x1p62) * kOne;
+    if (y < 0x1p63) return static_cast<int64_t>(y);
+    const uint64_t bits = std::bit_cast<uint64_t>(y);
+    const uint64_t significand =
+        (bits & ((uint64_t{1} << 52) - 1)) | (uint64_t{1} << 52);
+    return static_cast<Sum>(significand)
+           << (static_cast<int>(bits >> 52) - 1075);
+  }
+
+  /// A sum as the weight it stands for: converted to double (the one
+  /// rounding), scaled exactly, and divided by t_now when the terms are
+  /// time-weighted (with decay off, or at t_now <= 0, every weight is 1).
+  static double Weight(Sum sum, bool time_weighted, double t_now) {
+    if (sum == 0) return 0.0;
+    const double mass = static_cast<double>(sum) / kOne;  // exact scaling
+    return time_weighted ? mass / t_now : mass;
+  }
 };
 
 }  // namespace deepsea

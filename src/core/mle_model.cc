@@ -86,22 +86,12 @@ MleFragmentModel::AdjustedHits MleFragmentModel::Fit(
                : nullptr;
   };
 
-  // H(I) per fragment and H_total: the replay DecayedHits performs, base
-  // first, then the local hits, as the folded fragment stores them.
+  // H(I) per fragment, a shadow's from its base's and its local time
+  // sums divided once, as the folded fragment's; H_total is the sum of
+  // the raw values in fragment order.
   for (size_t i = 0; i < fragments.size(); ++i) {
-    const FragmentStats* base = base_of(i);
-    if (base == nullptr) {
-      out.raw[i] = fragments[i].DecayedHits(t_now, dec);
-    } else if (!dec.config().enabled) {
-      out.raw[i] = static_cast<double>(base->hits().size() +
-                                       fragments[i].hits().size());
-    } else {
-      double acc = base->DecayedHits(t_now, dec);
-      for (const FragmentHit& h : fragments[i].hits()) {
-        acc += dec(t_now, h.time);
-      }
-      out.raw[i] = acc;
-    }
+    out.raw[i] =
+        FragmentStats::DecayedHitsOf(base_of(i), fragments[i], t_now, dec);
     out.total += out.raw[i];
   }
   if (out.total <= 0.0) return out;
@@ -112,7 +102,7 @@ MleFragmentModel::AdjustedHits MleFragmentModel::Fit(
   // read in place reads its own.
   const PartGrid grid = GridOf(part);
   const bool time_weighted = dec.config().enabled && t_now > 0.0;
-  std::vector<PartMass::Sum> sums;
+  std::vector<FixedPoint::Sum> sums;
   auto add_hits = [&](const Interval& iv, const FragmentStats& f) {
     const std::vector<FragmentHit>& hits = f.hits();
     for (size_t k = f.LiveHitsBegin(t_now, dec); k < hits.size(); ++k) {
@@ -153,7 +143,7 @@ MleFragmentModel::AdjustedHits MleFragmentModel::Fit(
   for (int p = 0; p < grid.num_parts; ++p) {
     const size_t pi = static_cast<size_t>(p);
     part_mids[pi] = domain.lo + grid.part_width * (p + 0.5);
-    part_hits[pi] = PartMass::Weight(sums[pi], time_weighted, t_now);
+    part_hits[pi] = FixedPoint::Weight(sums[pi], time_weighted, t_now);
   }
   out.fit = FitNormalMle(part_mids, part_hits);
   // Nothing to smooth, or the access pattern is too dispersed for a

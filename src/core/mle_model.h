@@ -83,16 +83,18 @@ class MleFragmentModel {
   /// `bases` describes the PlanningDelta shadow-partition shape: a
   /// shadow fragment holds only the query-local hit suffix, and its base
   /// fragment in `bases.partition` holds the history. The fit equals the
-  /// one run after the fold: H(I) replays base first, local second, the
-  /// order a folded fragment stores them, and the part mass is an exact
-  /// integer sum, so its order does not matter.
+  /// one run after the fold: H(I) and the part mass are exact integer
+  /// sums (FixedPoint), so the order of base and local hits does not
+  /// matter.
   ///
-  /// The part mass comes from the partition's kept PartMass (the base
-  /// partition's, for a shadow) when that mass covers the hit lists, the
-  /// grid and `dec`, and t_now >= its time: it costs O(parts + fragments
-  /// + hits expired since the mass's time + local hits). Otherwise every
-  /// live hit is spread again (AdjustFromScratch). Both give the same
-  /// bits. H(I) is always replayed from FragmentStats::LiveHitsBegin.
+  /// H(I) is read from each fragment's running time sum
+  /// (FragmentStats::DecayedHitsOf): O(hits expired since the fragment's
+  /// cursor last moved + local hits). The part mass comes from the
+  /// partition's kept PartMass (the base partition's, for a shadow) when
+  /// that mass covers the hit lists, the grid and `dec`, and t_now >= its
+  /// time: it costs O(parts + fragments + hits expired since the mass's
+  /// time + local hits). Otherwise every live hit is spread again
+  /// (AdjustFromScratch). Both give the same bits.
   static AdjustedHits Adjust(const PartitionState& part, double t_now,
                              const DecayFunction& dec,
                              const ShadowBases& bases = ShadowBases());

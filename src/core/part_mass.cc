@@ -27,7 +27,7 @@ void PartMass::Spread(const PartGrid& grid, const Interval& iv,
   }
   const int last_part = grid.num_parts - 1;
   auto add = [sums, sign](int p, double x) {
-    const Sum q = Quantize(x);
+    const Sum q = FixedPoint::Quantize(x);
     sums[static_cast<size_t>(p)] += sign > 0 ? q : -q;
   };
   if (width <= 0.0) {
@@ -46,12 +46,6 @@ void PartMass::Spread(const PartGrid& grid, const Interval& iv,
     const double overlap = std::min(part_hi, hi) - std::max(part_lo, lo);
     if (overlap > 0.0) add(p, scale * overlap / width);
   }
-}
-
-double PartMass::Weight(Sum sum, bool time_weighted, double t_now) {
-  if (sum == 0) return 0.0;
-  const double mass = static_cast<double>(sum) / kOne;  // exact scaling
-  return time_weighted ? mass / t_now : mass;
 }
 
 void PartMass::AddSpread(const std::vector<FragmentStats>& fragments,

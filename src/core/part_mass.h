@@ -35,7 +35,7 @@ struct PartGrid {
 /// (Section 7.1), so a part's decayed mass at t_now is this sum divided
 /// by t_now. With decay off every weight is 1 and the sum is Σ spread_kp.
 ///
-/// Each term is rounded once to a fixed-point integer and the sums are
+/// Each term is rounded once to a FixedPoint integer and the sums are
 /// kept in 128-bit integers, so appends, expiries, rebuilds and
 /// rollbacks give the same bits in any order: a maintained sum equals a
 /// rebuild from the hit lists exactly (tests/part_mass.h). A hit is in
@@ -47,20 +47,7 @@ struct PartGrid {
 /// read it under the shared lock (MleFragmentModel::Adjust).
 class PartMass {
  public:
-  using Sum = __int128;
-  /// Fixed-point fraction bits of one term (a resolution of about
-  /// 1.4e-17).
-  static constexpr int kFractionBits = 56;
-  /// The fixed-point value of 1.
-  static constexpr double kOne =
-      static_cast<double>(int64_t{1} << kFractionBits);
-
-  /// One term in fixed point, rounded toward zero. Terms are
-  /// non-negative; they are capped at 2^62 so that sums of many of them
-  /// stay inside 128 bits. The scaling by a power of two is exact.
-  static Sum Quantize(double x) {
-    return static_cast<Sum>(std::min(x, 0x1p62) * kOne);
-  }
+  using Sum = FixedPoint::Sum;
 
   /// Adds `sign` (+1 or -1) times the fixed-point terms of `hit`,
   /// recorded on a fragment spanning `iv` and weighted by `scale` (the
@@ -73,10 +60,6 @@ class PartMass {
   static void Spread(const PartGrid& grid, const Interval& iv,
                      const FragmentHit& hit, double scale, int sign,
                      Sum* sums);
-
-  /// A part's sum as the weight the fit reads: the fixed-point sum
-  /// converted to double, divided by t_now when time-weighted.
-  static double Weight(Sum sum, bool time_weighted, double t_now);
 
   /// True when a mass is kept (a rebuild happened since the last Clear).
   bool kept() const { return grid_.num_parts > 0; }

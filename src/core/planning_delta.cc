@@ -305,14 +305,7 @@ double PlanningDelta::LastUse(const ViewInfo* v) const {
 double PlanningDelta::DecayedHits(const PartitionState* part,
                                   const FragmentStats* f,
                                   const DecayFunction& dec) const {
-  const FragmentStats* base = BaseOf(part, f);
-  if (base == nullptr) return f->DecayedHits(t_now_, dec);
-  if (!dec.config().enabled) {
-    return static_cast<double>(base->hits().size() + f->hits().size());
-  }
-  double acc = base->DecayedHits(t_now_, dec);
-  for (const FragmentHit& h : f->hits()) acc += dec(t_now_, h.time);
-  return acc;
+  return FragmentStats::DecayedHitsOf(BaseOf(part, f), *f, t_now_, dec);
 }
 
 double PlanningDelta::RawHits(const PartitionState* part,
@@ -403,7 +396,7 @@ double PlanningDelta::FragmentValue(ValueModel model,
 // --- fold ---------------------------------------------------------------
 
 void PlanningDelta::Fold(ViewCatalog* views, Catalog* catalog,
-                         FilterTree* index) {
+                         FilterTree* index, std::vector<ViewInfo*>* written) {
   if (folded_) return;
   folded_ = true;
 
@@ -450,6 +443,7 @@ void PlanningDelta::Fold(ViewCatalog* views, Catalog* catalog,
     }
   }
   for (size_t i = 0; i < new_views_.size(); ++i) {
+    if (written != nullptr) written->push_back(new_views_[i].get());
     views->Adopt(std::move(new_views_[i]), new_signatures_[i]->key);
   }
   new_views_.clear();
@@ -488,6 +482,7 @@ void PlanningDelta::Fold(ViewCatalog* views, Catalog* catalog,
       fold_remap_.emplace_back(&sp.state, const_cast<PartitionState*>(sp.base));
       continue;
     }
+    if (written != nullptr) written->push_back(sp.view);
     PartitionState* real = sp.view->EnsurePartition(sp.state.attr,
                                                     sp.state.domain);
     for (size_t i = 0; i < sp.state.fragments().size(); ++i) {
@@ -510,6 +505,7 @@ void PlanningDelta::Fold(ViewCatalog* views, Catalog* catalog,
 
   // 6. Buffered benefit events, per view in buffer order.
   for (auto& [view, events] : view_patches_) {
+    if (written != nullptr) written->push_back(view);
     for (const BenefitEvent& e : events) view->stats.AppendEvent(e);
   }
   view_patches_.clear();

@@ -95,10 +95,13 @@ class ViewIdReservation {
 ///
 ///  * Effective readers. AccumulatedBenefit / DecayedHits / LastUse /
 ///    ... compute the value the shared stats *would* have after the
-///    fold, by starting from the base's incremental evaluation and
-///    accumulating the buffered terms one at a time onto it — the exact
-///    additions, in the exact order, the folded evaluation performs.
-///    (Never base_sum + local_sum: FP addition is not associative.)
+///    fold. AccumulatedBenefit starts from the base's incremental
+///    evaluation and accumulates the buffered terms one at a time onto
+///    it — the exact additions, in the exact order, the folded
+///    evaluation performs (never base_sum + local_sum: FP addition is
+///    not associative). DecayedHits adds the base's and the local hits'
+///    exact fixed-point time sums and divides once, which is how the
+///    folded fragment computes H(I), so the two agree by construction.
 ///
 ///  * A planning catalog: a read-through overlay of the real Catalog
 ///    (O(1) to build, whatever the catalog's size). New view tables are
@@ -334,15 +337,17 @@ class PlanningDelta {
   /// shadow partitions in creation order, benefit patches). Idempotent.
   /// Must be called inside a commit section, with the pool's catalog
   /// structure lock held exclusively when the commit is sharded
-  /// (PoolManager::FoldPlanningDelta handles this).
+  /// (PoolManager::FoldDeltaAndRemap handles this).
   ///
   /// Delta-owned views enter with placeholder ids; Fold assigns each
   /// its final "v<N>" id (in track order, which equals fold/commit
   /// order) immediately before adopting it, and renames the deferred
   /// view tables and index inserts to match. The placeholder -> final
   /// map is exposed through RemapFoldedIds for the commit's published
-  /// footprint.
-  void Fold(ViewCatalog* views, Catalog* catalog, FilterTree* index);
+  /// footprint. Appends to `written`, when given, every view whose
+  /// statistics or partitions the fold wrote (a view may repeat).
+  void Fold(ViewCatalog* views, Catalog* catalog, FilterTree* index,
+            std::vector<ViewInfo*>* written = nullptr);
 
   /// Rewrites placeholder view ids in `fp` to the final ids Fold
   /// assigned. No-op before Fold or when no view was created. The

@@ -450,9 +450,9 @@ TablePtr PoolManager::RegisterViewTable(ViewInfo* view,
   return table;
 }
 
-void PoolManager::AdvanceWindowsAfterFold(double t_now) {
+void PoolManager::AdvanceWindowsAfterFold(double t_now,
+                                          std::vector<ViewInfo*> written) {
   assert(CommitHeldByThisThread());
-  CommitCtx& ctx = Ctx();
   auto advance = [this, t_now](ViewInfo* v) {
     v->stats.AdvanceWindow(t_now, decay_);
     for (auto& [attr, part] : v->partitions) {
@@ -463,31 +463,13 @@ void PoolManager::AdvanceWindowsAfterFold(double t_now) {
     }
     RefreshPartMasses(v, t_now);
   };
-  if (ctx.exclusive) {
+  if (Ctx().publish_fp.all) {
     for (ViewInfo* v : views_.AllViews()) advance(v);
     return;
   }
-  // A sharded commit may only touch the views whose shards it holds:
-  // advance exactly the write footprint. Foreign views' cursors advance
-  // when their own commits fold — the cursor is an evaluation cache,
-  // never part of the pool fingerprint, so partial advancement is
-  // sound.
-  const CommitFootprint& fp = ctx.publish_fp;
-  std::vector<std::string> ids = fp.views;
-  for (const auto& [v, attr] : fp.partitions) {
-    (void)attr;
-    ids.push_back(v);
-  }
-  for (const CommitFootprint::FragRange& f : fp.fragments) ids.push_back(f.view);
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  // Shared hold on the structure lock: the id lookups walk ViewCatalog
-  // maps a concurrent foreign fold may be growing.
-  std::shared_lock<std::shared_mutex> catalog_lock(catalog_mu_);
-  for (const std::string& id : ids) {
-    ViewInfo* v = views_.Get(id);
-    if (v != nullptr) advance(v);
-  }
+  std::sort(written.begin(), written.end());
+  written.erase(std::unique(written.begin(), written.end()), written.end());
+  for (ViewInfo* v : written) advance(v);
 }
 
 void PoolManager::RefreshPartMasses(ViewInfo* view, double t) {
@@ -917,14 +899,17 @@ Status PoolManager::ApplyStaged(const SelectionDecision& decision,
   return Status::OK();
 }
 
-void PoolManager::FoldDeltaAndRemap(PlanningDelta* delta, double t_now) {
+void PoolManager::FoldDeltaAndRemap(PlanningDelta* delta,
+                                    const SelectionDecision& decision,
+                                    double t_now) {
+  std::vector<ViewInfo*> written;
   {
     // Exclusive on the structure lock: the fold adopts views, puts
     // catalog tables, and inserts rewrite-index entries — all visible
     // to concurrent foreign sharded commits. Released before the shared
     // sections below (std::shared_mutex is non-reentrant).
     std::unique_lock<std::shared_mutex> catalog_lock(catalog_mu_);
-    delta->Fold(&views_, catalog_, &rewrite_index_);
+    delta->Fold(&views_, catalog_, &rewrite_index_, &written);
   }
   // Reserved views were registered (shard set, in-flight entry, pending
   // publish footprint) under placeholder ids; rewrite the publish
@@ -933,7 +918,10 @@ void PoolManager::FoldDeltaAndRemap(PlanningDelta* delta, double t_now) {
   // any commit, so placeholders are unobservable, and the final id did
   // not exist in the catalog before this fold.
   delta->RemapFoldedIds(&Ctx().publish_fp);
-  AdvanceWindowsAfterFold(t_now);
+  for (const SelectionAction& a : decision.actions) {
+    if (a.view != nullptr) written.push_back(a.view);
+  }
+  AdvanceWindowsAfterFold(t_now, std::move(written));
 }
 
 Status PoolManager::Apply(const SelectionDecision& decision,
@@ -948,7 +936,7 @@ Status PoolManager::Apply(const SelectionDecision& decision,
   SelectionDecision remapped;
   const SelectionDecision* to_apply = &decision;
   if (delta != nullptr) {
-    if (!delta->folded()) FoldDeltaAndRemap(delta, ctx.t_now());
+    if (!delta->folded()) FoldDeltaAndRemap(delta, decision, ctx.t_now());
     // Planning captured shadow PartitionState pointers; execute against
     // the real ones they folded into.
     remapped = decision;

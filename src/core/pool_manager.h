@@ -477,20 +477,23 @@ class PoolManager {
 
   /// Folds `delta` into the pool under the catalog-structure lock
   /// (exclusive), remaps the pending publish footprint from placeholder
-  /// to final view ids, and advances the decay windows. Apply runs it
-  /// before the decision transaction.
-  void FoldDeltaAndRemap(PlanningDelta* delta, double t_now);
+  /// to final view ids, and advances the decay windows of the views the
+  /// fold and `decision` write. Apply runs it before the decision
+  /// transaction.
+  void FoldDeltaAndRemap(PlanningDelta* delta,
+                         const SelectionDecision& decision, double t_now);
 
-  /// Advances timed-out-prefix cursors after a delta fold so
-  /// evaluations under the shared lock stay O(in-window suffix) even
-  /// for cold entries, and brings the part masses to `t_now`: the fold's
-  /// hit appends enter the sums, expired hits leave them. The exclusive
-  /// path advances every view; a sharded commit only advances the views
-  /// of its write footprint (the ones its shards own, and the only ones
-  /// its fold appended to). Cursors and masses are evaluation caches,
-  /// never part of the pool fingerprint, and a mass is exact at its own
-  /// time, so partial advancement is sound.
-  void AdvanceWindowsAfterFold(double t_now);
+  /// Advances the timed-out-prefix cursors of the `written` views after
+  /// a delta fold, and brings their part masses to `t_now`: the fold's
+  /// hit appends enter the sums, expired hits leave them. One rule for
+  /// every lock mode: a commit advances what it wrote (its shards own
+  /// those views), and only an `all` footprint (the merge pass, which
+  /// may touch any view) advances every view. Cursors and masses are
+  /// evaluation caches, never part of the pool fingerprint: a read is
+  /// exact whatever the cursor's position (FragmentStats::LiveTimeSum,
+  /// ViewStats::AccumulatedBenefit), and a mass answers exactly for
+  /// any t_now >= its time (PartMass::SumsAt).
+  void AdvanceWindowsAfterFold(double t_now, std::vector<ViewInfo*> written);
 
   /// Refreshes the part mass of each of `view`'s partitions at `t`.
   void RefreshPartMasses(ViewInfo* view, double t);
@@ -592,13 +595,13 @@ class PoolManager {
   /// Catalog-*structure* lock. Sharded commits now fold structural
   /// deltas (ViewCatalog::Adopt, Catalog::Put, FilterTree::Insert) —
   /// and IX admits IX, so two folds, or a fold and a foreign commit
-  /// reading catalog structure (estimators resolving tables,
-  /// AdvanceWindowsAfterFold id lookups), can overlap. Folds hold
-  /// this exclusively (short: metadata only); mid-commit readers hold
-  /// it shared. Per-view statistics and fragment state are NOT under
-  /// it — the commit shards own those. Leaf-ish: may be acquired while
-  /// holding epoch_mu_ or shard locks, never the other way around;
-  /// non-reentrant (release exclusive before any shared section).
+  /// reading catalog structure (estimators resolving tables), can
+  /// overlap. Folds hold this exclusively (short: metadata only);
+  /// mid-commit readers hold it shared. Per-view statistics and
+  /// fragment state are NOT under it — the commit shards own those.
+  /// Leaf-ish: may be acquired while holding epoch_mu_ or shard locks,
+  /// never the other way around; non-reentrant (release exclusive
+  /// before any shared section).
   mutable std::shared_mutex catalog_mu_;
 
   /// Placeholder-id source for ViewIdReservation block leases.

@@ -68,15 +68,72 @@ void ViewStats::AdvanceWindow(double t_now, const DecayFunction& dec) {
   win_t_ = t_now;
 }
 
+void FragmentStats::AdoptHits(std::vector<FragmentHit> hits) {
+  hits_ = std::move(hits);
+  ++hits_generation_;
+  last_hit_ = 0.0;
+  live_sum_ = 0;
+  sorted_from_ = 0;
+  for (size_t k = 0; k < hits_.size(); ++k) {
+    const double t = hits_[k].time;
+    if (t > last_hit_) last_hit_ = t;
+    if (t >= 0.0) live_sum_ += FixedPoint::Quantize(t);
+    if (k > 0 && t < hits_[k - 1].time) sorted_from_ = static_cast<uint32_t>(k);
+  }
+  win_begin_ = 0;
+  win_t_ = 0.0;
+  win_tmax_ = -1.0;
+}
+
 double FragmentStats::DecayedHits(double t_now, const DecayFunction& dec) const {
-  // Decay off: every hit weighs exactly 1.0 and the naive accumulator
-  // counts up by exact integers, so the cardinality is bit-identical.
+  // Decay off: every hit weighs exactly 1.0.
   if (!dec.config().enabled) return static_cast<double>(hits_.size());
+  if (t_now > 0.0) {
+    return FixedPoint::Weight(LiveTimeSum(t_now, dec), true, t_now);
+  }
+  // t_now <= 0: DEC is 1 inside the window, and a count of exact 1.0s
+  // is exact in any order.
   double acc = 0.0;
   for (size_t i = LiveHitsBegin(t_now, dec); i < hits_.size(); ++i) {
     acc += dec(t_now, hits_[i].time);
   }
   return acc;
+}
+
+double FragmentStats::DecayedHitsOf(const FragmentStats* base,
+                                    const FragmentStats& local, double t_now,
+                                    const DecayFunction& dec) {
+  if (base == nullptr) return local.DecayedHits(t_now, dec);
+  if (!dec.config().enabled || t_now <= 0.0) {
+    // Counts: exact, so the two halves add up to the whole.
+    return base->DecayedHits(t_now, dec) + local.DecayedHits(t_now, dec);
+  }
+  return FixedPoint::Weight(
+      base->LiveTimeSum(t_now, dec) + local.LiveTimeSum(t_now, dec), true,
+      t_now);
+}
+
+FixedPoint::Sum FragmentStats::LiveTimeSum(double t_now,
+                                           const DecayFunction& dec) const {
+  const double t_max = dec.config().t_max;
+  size_t k = LiveHitsBegin(t_now, dec);
+  if (k == win_begin_ && sorted_from_ <= win_begin_) {
+    // The running sum covers [win_begin_, end), which is in time order:
+    // the hits expired at t_now are a prefix of it.
+    FixedPoint::Sum sum = live_sum_;
+    for (; k < hits_.size() && t_now - hits_[k].time > t_max; ++k) {
+      if (hits_[k].time >= 0.0) sum -= FixedPoint::Quantize(hits_[k].time);
+    }
+    return sum;
+  }
+  // An invalid cursor, or hits out of time order past it: replay.
+  FixedPoint::Sum sum = 0;
+  for (; k < hits_.size(); ++k) {
+    if (dec(t_now, hits_[k].time) > 0.0) {
+      sum += FixedPoint::Quantize(hits_[k].time);
+    }
+  }
+  return sum;
 }
 
 size_t FragmentStats::LiveHitsBegin(double t_now,
@@ -86,9 +143,16 @@ size_t FragmentStats::LiveHitsBegin(double t_now,
 
 double FragmentStats::DecayedHitsNaive(double t_now,
                                        const DecayFunction& dec) const {
-  double acc = 0.0;
-  for (const FragmentHit& h : hits_) acc += dec(t_now, h.time);
-  return acc;
+  if (!dec.config().enabled || t_now <= 0.0) {
+    double acc = 0.0;
+    for (const FragmentHit& h : hits_) acc += dec(t_now, h.time);
+    return acc;
+  }
+  FixedPoint::Sum sum = 0;
+  for (const FragmentHit& h : hits_) {
+    if (dec(t_now, h.time) > 0.0) sum += FixedPoint::Quantize(h.time);
+  }
+  return FixedPoint::Weight(sum, true, t_now);
 }
 
 double FragmentStats::LastHitNaive() const {
@@ -101,6 +165,12 @@ void FragmentStats::AdvanceWindow(double t_now, const DecayFunction& dec) {
   const DecayConfig& cfg = dec.config();
   if (!cfg.enabled) return;
   if (cfg.t_max != win_tmax_) {
+    // The running sum covers [win_begin_, end): take the prefix back.
+    for (size_t k = 0; k < win_begin_; ++k) {
+      if (hits_[k].time >= 0.0) {
+        live_sum_ += FixedPoint::Quantize(hits_[k].time);
+      }
+    }
     win_begin_ = 0;
     win_tmax_ = cfg.t_max;
     win_t_ = 0.0;
@@ -108,6 +178,9 @@ void FragmentStats::AdvanceWindow(double t_now, const DecayFunction& dec) {
   if (t_now < win_t_) return;
   while (win_begin_ < hits_.size() &&
          t_now - hits_[win_begin_].time > cfg.t_max) {
+    if (hits_[win_begin_].time >= 0.0) {
+      live_sum_ -= FixedPoint::Quantize(hits_[win_begin_].time);
+    }
     ++win_begin_;
   }
   win_t_ = t_now;

@@ -119,12 +119,26 @@ struct FragmentHit {
 /// owning view's stats (Section 7.1, "Fragment Statistics";
 /// PlanningDelta::FragmentValue).
 ///
-/// Hits carry the same incremental caches as ViewStats events: a
-/// running last-hit max, and a timed-out-prefix cursor so H(I) sums
-/// only the in-window suffix (bit-identical to naive replay — skipped
-/// terms are exact zeros). Merge passes and state restore splice
-/// arbitrary hit vectors via AdoptHits/AppendHit, which rebuild or
-/// extend the caches without assuming time order.
+/// H(I) is one division of an exact sum (DESIGN.md §9, "Incremental
+/// decayed statistics"): inside the window DEC(t_now, t_k) = t_k /
+/// t_now, so H(I) = (Σ_k Q(t_k)) / t_now over the hits k with
+/// DEC(t_now, t_k) > 0, where Q is FixedPoint::Quantize. The caches:
+///  * a running last-hit max;
+///  * the timed-out-prefix cursor {win_begin_, win_t_, win_tmax_}, as
+///    for ViewStats events: hits [0, win_begin_) are expired for every
+///    t_now >= win_t_ under t_max == win_tmax_;
+///  * `live_sum_`, the exact sum of Q(t_k) over hits [win_begin_, end)
+///    with t_k >= 0 (DEC is 0 for negative times when t_now > 0). A
+///    read subtracts the hits that expired since the cursor's time,
+///    which, when [win_begin_, end) is in time order, are a prefix of
+///    it: O(hits expired since the cursor last moved);
+///  * `sorted_from_`, the last out-of-order position: hits
+///    [sorted_from_, end) are in time order. Sharded commits append at
+///    their planned times and merges splice histories (AdoptHits), so a
+///    hit list need not be time-ordered; while sorted_from_ lies past
+///    the cursor, a read replays [cursor, end) in the same arithmetic.
+/// Every read equals DecayedHitsNaive bit for bit, whatever the order
+/// of the hits and the position of the cursor.
 struct FragmentStats {
   Interval interval;
   /// S(I) in bytes; estimated for candidates, actual once materialized.
@@ -146,35 +160,43 @@ struct FragmentStats {
   /// Appends one hit without the time-order assert (state restore,
   /// planning-delta folds).
   void AppendHit(const FragmentHit& h) {
+    if (!hits_.empty() && h.time < hits_.back().time) {
+      sorted_from_ = static_cast<uint32_t>(hits_.size());
+    }
     hits_.push_back(h);
+    if (h.time >= 0.0) live_sum_ += FixedPoint::Quantize(h.time);
     if (h.time > last_hit_) last_hit_ = h.time;
   }
 
   /// Replaces the whole hit list (merge passes concatenate the merged
   /// children's hits; new-view fragments inherit their parents' hits)
   /// and rebuilds the caches. The replacement need not be time-ordered.
-  void AdoptHits(std::vector<FragmentHit> hits) {
-    hits_ = std::move(hits);
-    ++hits_generation_;
-    last_hit_ = 0.0;
-    for (const FragmentHit& h : hits_) {
-      if (h.time > last_hit_) last_hit_ = h.time;
-    }
-    win_begin_ = 0;
-    win_t_ = 0.0;
-    win_tmax_ = -1.0;
-  }
+  void AdoptHits(std::vector<FragmentHit> hits);
 
   void ResetHits() { AdoptHits({}); }
 
-  /// Decayed hit count H(I) = sum over hits of DEC(t_now, t).
+  /// Decayed hit count H(I) = Σ over hits of DEC(t_now, t): |T(I)| with
+  /// decay off, the count of unexpired hits at t_now <= 0 (DEC is 1),
+  /// else LiveTimeSum(t_now, dec) divided once by t_now.
   double DecayedHits(double t_now, const DecayFunction& dec) const;
+
+  /// H(I) of the fragment whose hit list is `base`'s followed by
+  /// `local`'s (a planning shadow over its base; `base` may be null),
+  /// equal bit for bit to DecayedHits on that concatenation: the two
+  /// time sums are added, then divided once.
+  static double DecayedHitsOf(const FragmentStats* base,
+                              const FragmentStats& local, double t_now,
+                              const DecayFunction& dec);
+
+  /// H(I)'s numerator at t_now > 0 with decay on: the exact sum of
+  /// Q(t_k) over the hits with DEC(t_now, t_k) > 0.
+  FixedPoint::Sum LiveTimeSum(double t_now, const DecayFunction& dec) const;
 
   /// Index of the first hit an evaluation at (t_now, dec) must visit:
   /// the end of the certified timed-out prefix when the cursor is valid
   /// for that evaluation, else 0. Every hit before it weighs exactly
-  /// DEC(t_now, t) == 0.0, so replays (DecayedHits, the MLE spread)
-  /// may start here and stay bit-identical to a full replay.
+  /// DEC(t_now, t) == 0.0, so replays (the MLE spread) may start here
+  /// and stay bit-identical to a full replay.
   size_t LiveHitsBegin(double t_now, const DecayFunction& dec) const;
 
   /// Undecayed hit count |T(I)|.
@@ -193,13 +215,18 @@ struct FragmentStats {
   void AdvanceWindow(double t_now, const DecayFunction& dec);
 
   // --- naive-replay reference implementations (test oracle) ---------
+  /// H(I) by its definition: every hit replayed, no cursor and no
+  /// running sum.
   double DecayedHitsNaive(double t_now, const DecayFunction& dec) const;
   double LastHitNaive() const;
 
  private:
   std::vector<FragmentHit> hits_;
+  /// Σ Q(t_k) over hits [win_begin_, end) with t_k >= 0.
+  FixedPoint::Sum live_sum_ = 0;
   double last_hit_ = 0.0;
   uint32_t hits_generation_ = 0;
+  uint32_t sorted_from_ = 0;  ///< hits [sorted_from_, end) are time-ordered
   size_t win_begin_ = 0;
   double win_t_ = 0.0;
   double win_tmax_ = -1.0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
 
 #include "common/math_util.h"
 
@@ -20,25 +21,25 @@ constexpr double kAggOutputRowBytes = 64.0;
 constexpr double kDefaultGroupExponent = 0.5;
 
 // "table.column" -> "table"; empty when unqualified.
-std::string TableOfColumn(const std::string& column) {
+std::string_view TableOfColumn(std::string_view column) {
   const size_t pos = column.rfind('.');
-  return pos == std::string::npos ? std::string() : column.substr(0, pos);
+  return pos == std::string_view::npos ? std::string_view()
+                                       : column.substr(0, pos);
 }
 
 }  // namespace
 
 double PlanCostEstimator::RangeFraction(const std::string& column,
                                         const Interval& iv) const {
-  const std::string table_name = TableOfColumn(column);
+  const std::string_view table_name = TableOfColumn(column);
   if (!table_name.empty()) {
-    auto table = catalog_->Get(table_name);
-    if (table.ok()) {
-      const AttributeHistogram* hist = (*table)->GetHistogram(column);
+    if (const Table* table = catalog_->Find(table_name)) {
+      const AttributeHistogram* hist = table->GetHistogram(column);
       if (hist != nullptr && !hist->empty()) {
         return hist->FractionInRange(iv);
       }
       // Fall back to width ratio over the sample min/max domain.
-      auto domain = (*table)->SampleMinMax(column);
+      auto domain = table->SampleMinMax(column);
       if (domain.ok() && domain->Width() > 0.0) {
         return Clamp(iv.OverlapWidth(*domain) / domain->Width(), 0.0, 1.0);
       }
@@ -49,11 +50,10 @@ double PlanCostEstimator::RangeFraction(const std::string& column,
 
 double PlanCostEstimator::ColumnNdv(const std::string& column,
                                     double fallback_rows) const {
-  const std::string table_name = TableOfColumn(column);
+  const std::string_view table_name = TableOfColumn(column);
   if (!table_name.empty()) {
-    auto table = catalog_->Get(table_name);
-    if (table.ok()) {
-      const double v = (*table)->ndv(column);
+    if (const Table* table = catalog_->Find(table_name)) {
+      const double v = table->ndv(column);
       if (v > 0.0) return v;
     }
   }

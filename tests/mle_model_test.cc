@@ -275,13 +275,25 @@ TEST(MleModelTest, AdvancedBaseWindowsGiveBitIdenticalShadowAdjust) {
 
 // --- one-pass fit vs the two-pass reference ---------------------------
 //
-// Adjust visits each live hit once for H(I) and spreads it into exact
-// fixed-point part sums, with the part overlap computed inline. The
-// reference below takes two passes, one for H(I) and a second replay for
-// the spread, with overlaps through Interval::Intersect and
-// Interval::OverlapWidth, and rounds each term t_k · overlap / width
-// (overlap / width with decay off) with PartMass::Quantize. Every output
-// must match it bit for bit.
+// Adjust reads H(I) from the fragments' running time sums and spreads
+// each live hit into exact fixed-point part sums, with the part overlap
+// computed inline. The reference below takes H(I) by its definition
+// (DefinitionHits) and spreads in a second replay, with overlaps through
+// Interval::Intersect and Interval::OverlapWidth, and rounds each term
+// t_k · overlap / width (overlap / width with decay off) with
+// FixedPoint::Quantize. Every output must match it bit for bit.
+
+/// H(I) by its definition (FragmentStats::DecayedHitsNaive) over the
+/// hit list the fold gives: `base`'s hits (when given), then `f`'s.
+double DefinitionHits(const FragmentStats* base, const FragmentStats& f,
+                      double t_now, const DecayFunction& dec) {
+  std::vector<FragmentHit> hits;
+  if (base != nullptr) hits = base->hits();
+  hits.insert(hits.end(), f.hits().begin(), f.hits().end());
+  FragmentStats folded;
+  folded.AdoptHits(std::move(hits));
+  return folded.DecayedHitsNaive(t_now, dec);
+}
 
 EagerFit TwoPassAdjust(const std::vector<FragmentStats>& fragments,
                        const Interval& domain, double t_now,
@@ -297,17 +309,7 @@ EagerFit TwoPassAdjust(const std::vector<FragmentStats>& fragments,
 
   std::vector<double> frag_hits(fragments.size(), 0.0);
   for (size_t i = 0; i < fragments.size(); ++i) {
-    const FragmentStats* base = base_of(i);
-    if (base == nullptr) {
-      frag_hits[i] = fragments[i].DecayedHits(t_now, dec);
-    } else if (!dec.config().enabled) {
-      frag_hits[i] = static_cast<double>(base->hits().size() +
-                                         fragments[i].hits().size());
-    } else {
-      double acc = base->DecayedHits(t_now, dec);
-      for (const FragmentHit& h : fragments[i].hits()) acc += dec(t_now, h.time);
-      frag_hits[i] = acc;
-    }
+    frag_hits[i] = DefinitionHits(base_of(i), fragments[i], t_now, dec);
     out.total += frag_hits[i];
   }
   if (out.total <= 0.0) return out;
@@ -315,7 +317,7 @@ EagerFit TwoPassAdjust(const std::vector<FragmentStats>& fragments,
   const int num_parts = MleFragmentModel::ChoosePartCount(fragments, domain);
   const double part_width = domain.Width() / num_parts;
   const bool time_weighted = dec.config().enabled && t_now > 0.0;
-  std::vector<PartMass::Sum> part_sums(static_cast<size_t>(num_parts), 0);
+  std::vector<FixedPoint::Sum> part_sums(static_cast<size_t>(num_parts), 0);
   std::vector<double> part_mids(static_cast<size_t>(num_parts), 0.0);
   for (int p = 0; p < num_parts; ++p) {
     part_mids[static_cast<size_t>(p)] = domain.lo + part_width * (p + 0.5);
@@ -333,7 +335,7 @@ EagerFit TwoPassAdjust(const std::vector<FragmentStats>& fragments,
     if (region_width <= 0.0) {
       int p = static_cast<int>((region.lo - domain.lo) / part_width);
       p = std::clamp(p, 0, num_parts - 1);
-      part_sums[static_cast<size_t>(p)] += PartMass::Quantize(scale);
+      part_sums[static_cast<size_t>(p)] += FixedPoint::Quantize(scale);
       return;
     }
     int first = static_cast<int>((region.lo - domain.lo) / part_width);
@@ -346,7 +348,7 @@ EagerFit TwoPassAdjust(const std::vector<FragmentStats>& fragments,
       const double ow = part.OverlapWidth(region);
       if (ow > 0.0) {
         part_sums[static_cast<size_t>(p)] +=
-            PartMass::Quantize(scale * ow / region_width);
+            FixedPoint::Quantize(scale * ow / region_width);
       }
     }
   };
@@ -366,7 +368,7 @@ EagerFit TwoPassAdjust(const std::vector<FragmentStats>& fragments,
   std::vector<double> part_hits(static_cast<size_t>(num_parts), 0.0);
   for (size_t p = 0; p < part_sums.size(); ++p) {
     const double mass = std::ldexp(static_cast<double>(part_sums[p]),
-                                   -PartMass::kFractionBits);
+                                   -FixedPoint::kFractionBits);
     part_hits[p] = time_weighted ? mass / t_now : mass;
   }
   out.fit = FitNormalMle(part_mids, part_hits);
@@ -612,16 +614,17 @@ TEST(MleModelTest, OnDemandReadOutEqualsEagerLoop) {
 //
 // The fit used to accumulate each part's decayed mass in double, adding
 // DEC(t_now, t_k) · overlap / width hit by hit. The reference below is
-// that Adjust, kept verbatim. The fixed-point sums round each term once
-// and sum exactly, so the two fits may differ only by rounding: H_total
-// is the same replay, and mu, sigma and every H_A stay within 1e-8
-// relative of the double fit. Two outputs are exact in either arithmetic
-// only to a floor: a sliver fragment's H_A is a difference of two nearly
-// equal CDF values, good to about 1e-16 of H_total, so its error is taken
-// relative to 1e-6 of H_total; and when all mass sits on one part sigma
-// is the rounding noise of mu (about 1e-15 where the double fit gets a
-// nonzero sigma and the fixed-point one 0), so it is taken relative to
-// 1e-6 of the domain width.
+// that Adjust's part mass, kept verbatim, with H(I) taken by its
+// definition. The fixed-point sums round each term once and sum
+// exactly, so the two fits may differ only by rounding: H_total is the
+// same, and mu, sigma and every H_A stay within 1e-8 relative of the
+// double fit. Two outputs are exact in either arithmetic only to a
+// floor: a sliver fragment's H_A is a difference of two nearly equal CDF
+// values, good to about 1e-16 of H_total, so its error is taken relative
+// to 1e-6 of H_total; and when all mass sits on one part sigma is the
+// rounding noise of mu (about 1e-15 where the double fit gets a nonzero
+// sigma and the fixed-point one 0), so it is taken relative to 1e-6 of
+// the domain width.
 
 EagerFit DoubleAdjust(const std::vector<FragmentStats>& fragments,
                       const Interval& domain, double t_now,
@@ -639,17 +642,13 @@ EagerFit DoubleAdjust(const std::vector<FragmentStats>& fragments,
   const double part_width = domain.Width() / num_parts;
   std::vector<double> part_hits(static_cast<size_t>(num_parts), 0.0);
 
-  // One visit per live hit: add its weight to the fragment's H(I), then
-  // spread it. Hits before LiveHitsBegin weigh exactly 0.0, so skipping
-  // them adds nothing to H(I) and spreads nothing — bit-identical to a
-  // full replay.
-  auto visit_live_hits = [&](const Interval& iv, const FragmentStats& f,
-                             double* h) {
+  // One visit per live hit: spread its weight. Hits before
+  // LiveHitsBegin weigh exactly 0.0, so skipping them spreads nothing.
+  auto visit_live_hits = [&](const Interval& iv, const FragmentStats& f) {
     const std::vector<FragmentHit>& hits = f.hits();
     for (size_t k = f.LiveHitsBegin(t_now, dec); k < hits.size(); ++k) {
       const FragmentHit& hit = hits[k];
       const double w = dec(t_now, hit.time);
-      *h += w;
       if (w <= 0.0) continue;
       // Spread the hit over the region the query actually touched
       // (hit.range, clamped to the fragment) when recorded; otherwise
@@ -694,18 +693,17 @@ EagerFit DoubleAdjust(const std::vector<FragmentStats>& fragments,
     }
   };
 
-  // H(I) per fragment and H_total. With a base, visit base-then-local
-  // exactly as the folded fragment's own hit list is ordered.
+  // H(I) per fragment (by its definition, over base then local hits)
+  // and H_total; the spread visits base and local hits alike.
   std::vector<double> frag_hits(fragments.size(), 0.0);
   for (size_t i = 0; i < fragments.size(); ++i) {
     const Interval& iv = fragments[i].interval;
-    double h = 0.0;
-    if (bases != nullptr && i < bases->size() && (*bases)[i] != nullptr) {
-      visit_live_hits(iv, *(*bases)[i], &h);
-    }
-    visit_live_hits(iv, fragments[i], &h);
-    frag_hits[i] = h;
-    out.total += h;
+    const FragmentStats* base =
+        bases != nullptr && i < bases->size() ? (*bases)[i] : nullptr;
+    if (base != nullptr) visit_live_hits(iv, *base);
+    visit_live_hits(iv, fragments[i]);
+    frag_hits[i] = DefinitionHits(base, fragments[i], t_now, dec);
+    out.total += frag_hits[i];
   }
   if (out.total <= 0.0) return out;
 

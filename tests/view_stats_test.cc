@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "core/planning_delta.h"
 #include "core/policy.h"
 #include "core/view_catalog.h"
+#include "rewrite/filter_tree.h"
 
 namespace deepsea {
 namespace {
@@ -189,9 +192,12 @@ TEST(FragmentStatsTest, LastHitIsRunningMaxAcrossAdoptAndAppend) {
 // The hot-path readers (AccumulatedBenefit, UndecayedBenefit, LastUse,
 // DecayedHits, LastHit) are incremental: running sums/maxima plus a
 // timed-out-prefix cursor advanced by AdvanceWindow. The *Naive
-// replays retained in view_stats.cc are the pre-incremental
-// implementations; every comparison below is EXPECT_EQ on doubles —
-// bit-identity, not tolerance — because golden traces depend on it.
+// replays in view_stats.cc are the oracles: the pre-incremental
+// implementations for the view readers, and for H(I) its definition
+// (every hit replayed, each live one adding FixedPoint::Quantize(t_k)
+// to an exact sum that is divided once by t_now). Every comparison
+// below is EXPECT_EQ on doubles — bit-identity, not tolerance —
+// because golden traces depend on it.
 
 TEST(ViewStatsIncrementalTest, RandomEventStreamsMatchNaiveBitIdentically) {
   int config = 0;
@@ -289,6 +295,312 @@ TEST(FragmentStatsIncrementalTest, AdoptAfterAdvanceResetsTheCursor) {
   f.AdoptHits(std::move(replacement));
   EXPECT_EQ(f.DecayedHits(25.0, dec), f.DecayedHitsNaive(25.0, dec));
   EXPECT_EQ(f.LastHit(), f.LastHitNaive());
+}
+
+TEST(FixedPointTest, QuantizeEqualsTheLibraryConversion) {
+  // Quantize converts the scaled term inline: as an int64_t below 2^63,
+  // else by shifting its significand. Both must give the bits of the
+  // plain double-to-__int128 conversion, up to the cap at 2^62.
+  std::mt19937_64 rng(4000);
+  std::uniform_real_distribution<double> exponent(-60.0, 70.0);
+  std::vector<double> xs = {0.0,    0.5,    1.0,    127.0,  127.99, 128.0,
+                            129.5,  0x1p53, 0x1p62, 0x1p63, 1e300};
+  for (int i = 0; i < 100000; ++i) xs.push_back(std::exp2(exponent(rng)));
+  for (const double x : xs) {
+    const auto expected =
+        static_cast<FixedPoint::Sum>(std::min(x, 0x1p62) * FixedPoint::kOne);
+    ASSERT_TRUE(FixedPoint::Quantize(x) == expected) << "x=" << x;
+  }
+}
+
+// --- H(I) as one division of a running time sum ---------------------
+//
+// FragmentStats keeps Σ Q(t_k) over the hits from its cursor on and
+// subtracts, at a read, the hits that expired since the cursor moved;
+// it replays from the cursor when hits past it are out of time order,
+// and from the start when the cursor does not hold at the read's t_now
+// or t_max. Whatever the path, a read must equal the definition.
+
+/// Reads H(I) around `t` (behind the cursor, at it, inside the window,
+/// at and past its edge, and at t_now <= 0) against the definition.
+void ExpectMatchesDefinition(const FragmentStats& f, const DecayFunction& dec,
+                             double t) {
+  const double t_max = dec.config().t_max;
+  for (const double t_eval : {t - 3.0, t, t + 0.5 * t_max, t + t_max,
+                              t + 2.0 * t_max, 0.0, -1.0}) {
+    EXPECT_EQ(f.DecayedHits(t_eval, dec), f.DecayedHitsNaive(t_eval, dec))
+        << "t_now=" << t_eval << " hits=" << f.hits().size();
+  }
+}
+
+TEST(FragmentStatsIncrementalTest, OutOfOrderAppendsAndSplicesMatchDefinition) {
+  int config = 0;
+  for (const double t_max : {25.0, 500.0}) {
+    for (const bool integral : {true, false}) {
+      const DecayFunction dec(DecayConfig{t_max, true});
+      std::mt19937 rng(3000u + static_cast<uint32_t>(config++));
+      std::uniform_real_distribution<double> unit(0.0, 1.0);
+      FragmentStats f;
+      double t = 0.0;
+      for (int i = 0; i < 600; ++i) {
+        t += integral ? 1.0 : 4.0 * unit(rng);
+        double time = t;
+        const double roll = unit(rng);
+        if (roll < 0.25) {
+          // A sharded commit folds a hit at its planned, earlier time.
+          const double late = 12.0 * unit(rng);
+          time = t - (integral ? std::floor(late) : late);
+        } else if (roll < 0.28) {
+          time = -1.0 - std::floor(5.0 * unit(rng));  // never in the sum
+        }
+        f.AppendHit({time, Interval(), false});
+        if (i % 7 == 0) f.AdvanceWindow(t, dec);
+        if (i % 97 == 0) {
+          // A merge splices two histories: an unsorted replacement.
+          std::vector<FragmentHit> spliced = f.hits();
+          std::shuffle(spliced.begin(), spliced.end(), rng);
+          f.AdoptHits(std::move(spliced));
+        }
+        ExpectMatchesDefinition(f, dec, t);
+        if (::testing::Test::HasFailure()) {
+          FAIL() << "t_max=" << t_max << " integral=" << integral
+                 << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(FragmentStatsIncrementalTest, TmaxChangesAndRewoundReadsMatchDefinition) {
+  // The cursor is certified under one t_max and from one time on: a
+  // read under another t_max, or before the cursor's time, replays.
+  const DecayFunction dec_short(DecayConfig{10.0, true});
+  const DecayFunction dec_long(DecayConfig{1000.0, true});
+  FragmentStats f;
+  for (int i = 1; i <= 200; ++i) {
+    f.RecordHit(i);
+    if (i % 10 == 0) f.AdvanceWindow(i, i % 20 == 0 ? dec_short : dec_long);
+    for (const DecayFunction* dec : {&dec_short, &dec_long}) {
+      for (const double t_eval : {i - 15.0, i - 1.0, i + 0.0, i + 5.0,
+                                  i + 50.0}) {
+        EXPECT_EQ(f.DecayedHits(t_eval, *dec), f.DecayedHitsNaive(t_eval, *dec))
+            << "i=" << i << " t_max=" << dec->config().t_max
+            << " t_now=" << t_eval;
+      }
+    }
+  }
+}
+
+TEST(FragmentStatsIncrementalTest, DecayOffNonPositiveNowAndExtremeTimes) {
+  // Negative times, zero, 2^53 (the last integer step of 1) and times at
+  // and above Quantize's cap of 2^62.
+  const std::vector<double> times = {-3.0, -0.5, 0.0,        1.0,
+                                     7.5,  0x1p53, 0x1p53 + 2.0, 0x1p62,
+                                     0x1.8p62, 0x1p70};
+  FragmentStats f;
+  for (const double t : times) f.AppendHit({t, Interval(), false});
+  const double n = static_cast<double>(times.size());
+  // Decay off: H(I) = |T(I)|.
+  const DecayFunction off(DecayConfig{10.0, false});
+  EXPECT_EQ(f.DecayedHits(5.0, off), n);
+  EXPECT_EQ(f.DecayedHits(5.0, off), f.DecayedHitsNaive(5.0, off));
+  // At t_now <= 0 DEC is 1 inside the window: H(I) counts the hits it
+  // holds. With t_max 0.25 at t_now = -0.5, every hit but the one at -3.
+  const DecayFunction narrow(DecayConfig{0.25, true});
+  EXPECT_EQ(f.DecayedHits(-0.5, narrow), n - 1.0);
+  EXPECT_EQ(f.DecayedHits(-0.5, narrow), f.DecayedHitsNaive(-0.5, narrow));
+  const DecayFunction wide(DecayConfig{0x1p80, true});
+  for (const bool advanced : {false, true}) {
+    if (advanced) f.AdvanceWindow(0x1p71, wide);
+    for (const double t_now : {-10.0, 0.0, 1.0, 8.0, 0x1p53, 0x1p63, 0x1p71,
+                               0x1p72}) {
+      EXPECT_EQ(f.DecayedHits(t_now, wide), f.DecayedHitsNaive(t_now, wide))
+          << "t_now=" << t_now << " advanced=" << advanced;
+      EXPECT_EQ(f.DecayedHits(t_now, narrow), f.DecayedHitsNaive(t_now, narrow))
+          << "t_now=" << t_now << " advanced=" << advanced;
+    }
+  }
+  // A negative time never counts at t_now > 0.
+  FragmentStats negative;
+  negative.AppendHit({-2.0, Interval(), false});
+  EXPECT_EQ(negative.DecayedHits(1.0, narrow), 0.0);
+}
+
+TEST(FragmentStatsIncrementalTest, ShuffledHitListsGiveTheSameBits) {
+  std::mt19937 rng(4100);
+  std::uniform_real_distribution<double> when(1.0, 300.0);
+  std::vector<FragmentHit> hits;
+  for (int i = 0; i < 400; ++i) hits.push_back({when(rng), Interval(), false});
+  FragmentStats sorted;
+  std::vector<FragmentHit> in_order = hits;
+  std::sort(in_order.begin(), in_order.end(),
+            [](const FragmentHit& a, const FragmentHit& b) {
+              return a.time < b.time;
+            });
+  sorted.AdoptHits(std::move(in_order));
+  const DecayFunction dec(DecayConfig{60.0, true});
+  for (int trial = 0; trial < 20; ++trial) {
+    std::shuffle(hits.begin(), hits.end(), rng);
+    FragmentStats shuffled;
+    shuffled.AdoptHits(hits);
+    if (trial % 2 == 1) {
+      shuffled.AdvanceWindow(200.0, dec);
+      sorted.AdvanceWindow(200.0, dec);
+    }
+    for (const double t_now : {150.0, 200.5, 280.0, 310.25, 400.0}) {
+      EXPECT_EQ(shuffled.DecayedHits(t_now, dec),
+                sorted.DecayedHits(t_now, dec))
+          << "trial " << trial << " t_now=" << t_now;
+    }
+  }
+}
+
+TEST(FragmentStatsIncrementalTest, IntegralTimesEqualTheInt64SumDividedOnce) {
+  // With the engine's integral query-index times every term is exact,
+  // so H(I) is the correctly rounded quotient of the integer sum.
+  std::mt19937 rng(4200);
+  std::uniform_int_distribution<int64_t> when(0, 5000);
+  const DecayFunction dec(DecayConfig{500.0, true});
+  for (int trial = 0; trial < 200; ++trial) {
+    FragmentStats f;
+    const int hits = 1 + static_cast<int>(rng() % 300);
+    for (int i = 0; i < hits; ++i) {
+      f.AppendHit({static_cast<double>(when(rng)), Interval(), false});
+    }
+    const int64_t now = 4500 + static_cast<int64_t>(rng() % 1000);
+    if (trial % 2 == 1) f.AdvanceWindow(static_cast<double>(now - 100), dec);
+    int64_t sum = 0;
+    for (const FragmentHit& h : f.hits()) {
+      const auto t = static_cast<int64_t>(h.time);
+      if (now - t <= 500) sum += t;
+    }
+    const double t_now = static_cast<double>(now);
+    EXPECT_EQ(f.DecayedHits(t_now, dec), static_cast<double>(sum) / t_now)
+        << "trial " << trial;
+  }
+}
+
+/// H(I) as it was computed before it became one division: one
+/// DEC(t_now, t_k) per hit, added in hit order.
+double PerHitLoop(const FragmentStats& f, double t_now,
+                  const DecayFunction& dec) {
+  double acc = 0.0;
+  for (const FragmentHit& h : f.hits()) acc += dec(t_now, h.time);
+  return acc;
+}
+
+TEST(FragmentStatsIncrementalTest, StaysWithinBoundOfThePerHitLoop) {
+  // Each per-hit term and each addition of the old loop rounds; the new
+  // value rounds once or twice. They stay within n · 2^-52 relative,
+  // for n live hits.
+  std::mt19937 rng(4300);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const DecayFunction dec(DecayConfig{500.0, true});
+  double worst = 0.0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const bool integral = trial % 2 == 0;
+    FragmentStats f;
+    const int hits = 1 + static_cast<int>(rng() % 400);
+    for (int i = 0; i < hits; ++i) {
+      const double t = 1.0 + 4000.0 * unit(rng);
+      f.AppendHit({integral ? std::floor(t) : t, Interval(), false});
+    }
+    const double t_now = 3000.0 + 1000.0 * unit(rng);
+    double live = 0.0;
+    for (const FragmentHit& h : f.hits()) {
+      if (dec(t_now, h.time) > 0.0) live += 1.0;
+    }
+    const double old_value = PerHitLoop(f, t_now, dec);
+    const double value = f.DecayedHits(t_now, dec);
+    const double rel = old_value == 0.0
+                           ? std::fabs(value)
+                           : std::fabs(value - old_value) / old_value;
+    EXPECT_LE(rel, std::max(live, 1.0) * 0x1p-52) << "trial " << trial;
+    worst = std::max(worst, rel / std::max(live, 1.0));
+  }
+  RecordProperty("worst_relative_error_per_hit", std::to_string(worst));
+}
+
+TEST(FragmentStatsIncrementalTest, ShadowReadsEqualTheFoldedFragmentBitForBit) {
+  // A planning shadow reads H(I) as base history plus local hits, and
+  // the MLE fit over it; after the fold, the real fragment and
+  // partition must give the same bits.
+  std::mt19937 rng(4400);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::atomic<int64_t> placeholders{0};
+  ViewIdReservation reservation(&placeholders);
+  int fitted = 0;
+  for (int trial = 0; trial < 120; ++trial) {
+    const bool decay_on = trial % 4 != 3;
+    const DecayFunction dec(
+        DecayConfig{trial % 2 == 0 ? 40.0 : 30.5, decay_on});
+    const double t_now = trial % 3 == 0 ? 200.0 : 187.25;
+    ViewCatalog views;
+    Catalog catalog;
+    FilterTree index;
+    PlanSignature sig;
+    sig.relations = {"t"};
+    ViewInfo* v = views.Track(Scan("t"), sig);
+    PartitionState* part = v->EnsurePartition("t.a", Interval(0, 1000));
+    const int n = 2 + static_cast<int>(rng() % 8);
+    for (int i = 0; i < n; ++i) {
+      FragmentStats* f =
+          part->Track(Interval(100.0 * i, 100.0 * (i + 1)), 1.0).first;
+      f->materialized = unit(rng) < 0.6;
+      double t = 1.0;
+      const int hits = static_cast<int>(rng() % 40);
+      for (int h = 0; h < hits; ++h) {
+        t += 5.0 * unit(rng);
+        const double time = unit(rng) < 0.2 ? t - 8.0 * unit(rng) : t;
+        const double lo = 100.0 * i + 90.0 * unit(rng);
+        f->AppendHit(
+            {std::min(time, t_now - 1.0), Interval(lo, lo + 10.0), true});
+        if (unit(rng) < 0.1) f->AdvanceWindow(std::min(t, t_now - 1.0), dec);
+      }
+    }
+    if (unit(rng) < 0.5) {
+      MleFragmentModel::RefreshPartMass(part, t_now - 1.0, dec);
+    }
+    PlanningDelta delta(catalog, &views, t_now, &reservation);
+    PartitionState* shadow = delta.Partition(v, "t.a");
+    ASSERT_NE(shadow, part);
+    for (FragmentStats& f : shadow->mutable_fragments()) {
+      if (unit(rng) < 0.4) {
+        f.RecordHit(t_now, Interval(f.interval.lo, f.interval.lo + 5.0));
+      }
+    }
+    if (unit(rng) < 0.5) {
+      // A planner-added fragment inherits a history, then is hit.
+      FragmentStats* added =
+          delta.TrackFragment(shadow, Interval(150.0, 250.0), 1.0).first;
+      std::vector<FragmentHit> inherited = part->fragments()[1].hits();
+      inherited.insert(inherited.end(), part->fragments()[2 % n].hits().begin(),
+                       part->fragments()[2 % n].hits().end());
+      added->AdoptHits(std::move(inherited));
+      added->RecordHit(t_now);
+    }
+    std::vector<double> shadow_hits;
+    for (const FragmentStats& f : shadow->fragments()) {
+      shadow_hits.push_back(delta.DecayedHits(shadow, &f, dec));
+    }
+    const auto shadow_fit =
+        MleFragmentModel::Adjust(*shadow, t_now, dec, delta.BasesOf(shadow));
+    delta.Fold(&views, &catalog, &index);
+    ASSERT_EQ(part->fragments().size(), shadow_hits.size());
+    for (size_t i = 0; i < shadow_hits.size(); ++i) {
+      EXPECT_EQ(shadow_hits[i], part->fragments()[i].DecayedHits(t_now, dec))
+          << "trial " << trial << " fragment " << i;
+    }
+    const auto folded_fit = MleFragmentModel::Adjust(*part, t_now, dec);
+    EXPECT_EQ(shadow_fit.raw, folded_fit.raw) << "trial " << trial;
+    EXPECT_EQ(shadow_fit.total, folded_fit.total) << "trial " << trial;
+    EXPECT_EQ(shadow_fit.fit.valid, folded_fit.fit.valid) << "trial " << trial;
+    EXPECT_EQ(shadow_fit.fit.mean, folded_fit.fit.mean) << "trial " << trial;
+    EXPECT_EQ(shadow_fit.fit.stddev, folded_fit.fit.stddev)
+        << "trial " << trial;
+    if (folded_fit.fit.valid) ++fitted;
+  }
+  EXPECT_GT(fitted, 40);
 }
 
 TEST(PolicyTest, StrategyNames) {
