@@ -41,6 +41,7 @@ int main() {
                 "DS/H"});
   const double fractions[] = {0.05, 0.10, 0.25, 0.50, 1.00};
   std::vector<std::vector<double>> rows;  // N, N+, DS per pool
+  std::vector<EngineTotals> ds_totals;    // DS's ledger per pool
   for (double fraction : fractions) {
     std::vector<double> row_totals;
     for (StrategySpec spec :
@@ -53,6 +54,9 @@ int main() {
         return 1;
       }
       row_totals.push_back(result->total_seconds);
+      if (spec.label == bench::DeepSea().label) {
+        ds_totals.push_back(result->totals);
+      }
     }
     table.Row({StrFormat("%.0f%%", fraction * 100.0), FmtSeconds(row_totals[0]),
                FmtSeconds(row_totals[1]), FmtSeconds(row_totals[2]),
@@ -66,6 +70,28 @@ int main() {
       " at 10%% pool.\n"
       "Paper: DS ~= 0.7x H at 10%% pool; every strategy loses to H only at"
       " 5%%.\n");
+
+  // DS's realized-return ledger (DESIGN.md §7 deviation 11): views
+  // created and the premium their queries paid over the Hive plan, by
+  // creation kind; repeat creations the gate withheld; and the queries
+  // answered from a view that created none, with what they saved.
+  std::printf("\nDS creation ledger per pool (premium in s):\n");
+  TablePrinter ledger(11);
+  ledger.Header({"pool size", "first", "premium", "recreation", "premium",
+                 "topup", "premium", "withheld", "reads", "saved"});
+  for (size_t i = 0; i < ds_totals.size(); ++i) {
+    const EngineTotals& t = ds_totals[i];
+    std::vector<std::string> cells = {
+        StrFormat("%.0f%%", fractions[i] * 100.0)};
+    for (size_t k = 0; k < kCreationKindCount; ++k) {
+      cells.push_back(std::to_string(t.views_created_by_kind[k]));
+      cells.push_back(FmtSeconds(t.creation_premium_by_kind[k]));
+    }
+    cells.push_back(std::to_string(t.creations_withheld));
+    cells.push_back(std::to_string(t.view_reads_credited));
+    cells.push_back(FmtSeconds(t.view_read_savings));
+    ledger.Row(cells);
+  }
   // DS vs H is not reproduced on bounded pools (EXPERIMENTS.md), so it
   // is not gated.
   bench::ShapeGate shapes;

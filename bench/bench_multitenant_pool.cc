@@ -10,7 +10,8 @@
 //   bench_multitenant_pool [--smoke] [--csv=PATH]
 // --smoke runs a CI-sized workload (same shape, 10x fewer queries);
 // --csv writes the per-query telemetry rows (QueryTrace schema) to
-// PATH instead of stdout.
+// PATH instead of stdout. Both modes check `shape multitenant shared <
+// split` and exit 1 when it fails.
 
 #include <cstdio>
 #include <cstring>
@@ -192,7 +193,11 @@ int main(int argc, char** argv) {
   std::printf(
       "\nExpected: the workload-aware shared pool tracks the skew (the hot"
       "\ntenant gets most of S_max), beating the static S_max/k slices on"
-      "\naggregate cost.\n\n");
+      "\naggregate cost.\n");
+  // The claim DESIGN.md cites for one shared S_max.
+  bench::ShapeGate shapes;
+  shapes.Check("multitenant shared < split", shared_total < split_total);
+  std::printf("\n");
 
   if (csv_path.empty()) {
     std::printf("%s", trace.ToCsv().c_str());
@@ -205,5 +210,5 @@ int main(int argc, char** argv) {
     std::printf("wrote %zu telemetry rows to %s\n", trace.size(),
                 csv_path.c_str());
   }
-  return 0;
+  return shapes.ExitCode();
 }

@@ -205,6 +205,7 @@ Status DeepSeaEngine::RunPlanningStages(QueryContext* ctx, QueryReport* report,
     report->selection_ran = true;
     report->selection_benefit = res.objective_value;
     report->selection_candidates = res.items_considered;
+    report->creations_withheld = res.creations_withheld;
     stage.Finish(0.0);
   }
   return Status::OK();
@@ -395,6 +396,7 @@ Result<QueryReport> DeepSeaEngine::ProcessQuery(const PlanPtr& query) {
 
   report.total_seconds = report.best_seconds + report.materialize_seconds;
   report.pool_bytes_after = pool_->PoolBytes();
+  pool_->SettleLedgers(commit, &report);
 
   if (options_.physical_execution) {
     StageScope stage(observer_, EngineStage::kPhysical, *ctx);

@@ -138,9 +138,10 @@ class DeepSeaEngine {
   int64_t now() const { return pool_->clock(); }
 
   /// Serializes the pool's adaptive state — every tracked view's
-  /// defining plan, statistics, partitions, fragments (with hit
-  /// histories) and pool membership — into a text blob (format
-  /// version 3, core/engine_state.cc) that LoadState restores. Enables
+  /// defining plan, statistics, realized-return ledger, partitions,
+  /// fragments (with hit histories) and pool membership — into a text
+  /// blob (format version 4, core/engine_state.cc) that LoadState
+  /// restores. Enables
   /// warm-starting a fresh engine (e.g. across process restarts)
   /// without replaying the workload. The relational catalog (base
   /// tables) is NOT included; LoadState must run against a catalog
@@ -154,9 +155,10 @@ class DeepSeaEngine {
   /// deserialized plans), statistics and fragment pools re-attached,
   /// and simulated FS files recreated. Views already tracked merge by
   /// signature. The commit clock advances to the saved clock when the
-  /// saved one is larger. Runs as one exclusive commit. A blob of any
-  /// version other than 3, or one that fails to parse, is rejected with
-  /// an error and leaves the engine untouched.
+  /// saved one is larger. Runs as one exclusive commit. A version 3
+  /// blob (no ledgers) still loads; a blob of any other version than 3
+  /// or 4, or one that fails to parse, is rejected with an error and
+  /// leaves the engine untouched.
   Status LoadState(const std::string& state);
 
  private:

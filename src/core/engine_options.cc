@@ -25,6 +25,22 @@ void EngineTotals::Add(const QueryReport& report) {
   map_tasks += report.map_tasks;
   queries += 1;
   views_created += static_cast<int64_t>(report.created_views.size());
+  // The premium is split evenly over the query's created views, as each
+  // view's ledger is debited (PoolManager::SettleLedgers).
+  const double premium_share =
+      report.created_kinds.empty()
+          ? 0.0
+          : report.creation_premium_seconds /
+                static_cast<double>(report.created_kinds.size());
+  for (CreationKind kind : report.created_kinds) {
+    views_created_by_kind[static_cast<size_t>(kind)] += 1;
+    creation_premium_by_kind[static_cast<size_t>(kind)] += premium_share;
+  }
+  creations_withheld += report.creations_withheld;
+  if (report.created_views.empty() && !report.used_view.empty()) {
+    view_reads_credited += 1;
+    view_read_savings += report.base_seconds - report.total_seconds;
+  }
   fragments_created += report.created_fragments;
   fragments_evicted += report.evicted_fragments;
   fragments_merged += report.merged_fragments;
@@ -59,6 +75,13 @@ EngineTotals& EngineTotals::operator+=(const EngineTotals& other) {
   map_tasks += other.map_tasks;
   queries += other.queries;
   views_created += other.views_created;
+  for (size_t k = 0; k < kCreationKindCount; ++k) {
+    views_created_by_kind[k] += other.views_created_by_kind[k];
+    creation_premium_by_kind[k] += other.creation_premium_by_kind[k];
+  }
+  creations_withheld += other.creations_withheld;
+  view_reads_credited += other.view_reads_credited;
+  view_read_savings += other.view_read_savings;
   fragments_created += other.fragments_created;
   fragments_evicted += other.fragments_evicted;
   fragments_merged += other.fragments_merged;

@@ -98,6 +98,17 @@ inline constexpr const char* kExclusiveReasonNames[kExclusiveReasonCount] = {
     "merge",        "eviction", "physical", "new_view", "catalog_put",
     "index_insert", "attach",   "replan",   "other"};
 
+/// What a view creation bought (DESIGN.md §7 deviation 11): the view's
+/// first creation, a re-creation of a view created before whose pool
+/// content had all left, or a top-up of a view that still held pool
+/// content when the decision began. kCreationKindNames spells each one
+/// as the metrics' `kind` label.
+enum class CreationKind { kFirst, kRecreation, kTopUp };
+inline constexpr size_t kCreationKindCount =
+    static_cast<size_t>(CreationKind::kTopUp) + 1;
+inline constexpr const char* kCreationKindNames[kCreationKindCount] = {
+    "first", "recreation", "topup"};
+
 /// Per-query outcome of ProcessQuery: the only record of what a query
 /// did. Every counter in EngineTotals, MetricsObserver and
 /// TraceObserver is folded from these reports (EngineTotals::Add).
@@ -141,6 +152,17 @@ struct QueryReport {
   int fragments_read = 0;
   int64_t map_tasks = 0;             ///< map tasks of the executed plan
   std::vector<std::string> created_views;
+  /// Parallel to created_views: what each creation bought.
+  std::vector<CreationKind> created_kinds;
+  /// total_seconds - base_seconds of a query that created views (0 when
+  /// it created none): what the creations made it pay over its
+  /// conventional plan, split evenly over created_views in each view's
+  /// realized-return ledger (ViewLedger).
+  double creation_premium_seconds = 0.0;
+  /// View candidates that passed V_sel's benefit filter but whose repeat
+  /// creation the realized-return gate withheld this query
+  /// (SelectionPlanner::PlanSelection).
+  int creations_withheld = 0;
   int created_fragments = 0;
   /// Pieces (fragments or whole views) that left the pool: policy
   /// evictions, parents split by horizontal refinement, and parents
@@ -199,6 +221,15 @@ struct EngineTotals {
   int64_t map_tasks = 0;
   int64_t queries = 0;
   int64_t views_created = 0;
+  /// Views created and the creation premium charged to them, by kind
+  /// (index into kCreationKindNames).
+  std::array<int64_t, kCreationKindCount> views_created_by_kind{};
+  std::array<double, kCreationKindCount> creation_premium_by_kind{};
+  int64_t creations_withheld = 0;  ///< repeat creations the gate withheld
+  /// Queries answered from a view that created none, and what they saved
+  /// over their conventional plans: the credit side of the ledgers.
+  int64_t view_reads_credited = 0;
+  double view_read_savings = 0.0;
   int64_t fragments_created = 0;
   int64_t fragments_evicted = 0;  ///< pieces that left the pool
   int64_t fragments_merged = 0;

@@ -1,12 +1,13 @@
 // SaveState / LoadState: persistence of the engine's adaptive state
 // (see the declarations in core/engine.h). The format is line-based:
 //
-//   DEEPSEA-STATE 3
+//   DEEPSEA-STATE 4
 //   CLOCK <t>
 //   VIEW
 //   PLAN <line-count>
 //   <serialized plan over base tables only, see plan/plan_serde.h>
 //   STATS <size_bytes> <creation_cost> <whole>
+//   LEDGER <paid> <earned> <n0> <created>     (0-1 per view)
 //   EVENT <time> <saving>                     (0+ per view)
 //   PARTITION <attr> <lo> <hi> <li> <hi_inc>  (0+ per view)
 //   PENDING <lo> <hi> <li> <hi_inc>           (0+ per partition)
@@ -17,9 +18,12 @@
 // Benefit events and hits carry no tenant: Φ pools them across tenants,
 // so a blob saved by one pool restores into any other. Views are defined
 // over base tables only, so a PLAN holds no VIEWREF line; the plan parser
-// rejects one, and with it the whole blob. Only version 3 is accepted;
-// any other header is rejected like a corrupt blob, and so is a blob
-// with a non-finite number (nan, inf) in any line.
+// rejects one, and with it the whole blob. LEDGER is the view's
+// realized-return ledger (ViewLedger), new in version 4. A version 3
+// blob, which has no LEDGER line, still loads and leaves the ledgers as
+// they were (empty in a fresh engine); any other header is rejected
+// like a corrupt blob, and so is a blob with a non-finite number (nan,
+// inf) in any line.
 
 #include <cassert>
 #include <cmath>
@@ -109,6 +113,8 @@ struct ParsedView {
   double size_bytes = 0.0;
   double creation_cost = 0.0;
   bool whole_materialized = false;
+  bool has_ledger = false;
+  ViewLedger ledger;
   std::vector<BenefitEvent> events;
   std::vector<ParsedPartition> partitions;
 };
@@ -124,7 +130,7 @@ Result<std::string> DeepSeaEngine::SaveState() const {
   // Shared-mode lock: a consistent snapshot that doesn't block other
   // readers (and waits for any in-flight commit to finish).
   auto lock = pool_->SharedLock();
-  std::string out = "DEEPSEA-STATE 3\n";
+  std::string out = "DEEPSEA-STATE 4\n";
   out += StrFormat("CLOCK %lld\n", static_cast<long long>(pool_->clock()));
   for (const ViewInfo* view : pool_->views().AllViews()) {
     if (!view->plan) continue;
@@ -139,6 +145,9 @@ Result<std::string> DeepSeaEngine::SaveState() const {
     out += StrFormat("STATS %.17g %.17g %d\n", view->stats.size_bytes,
                      view->stats.creation_cost,
                      view->whole_materialized ? 1 : 0);
+    out += StrFormat("LEDGER %.17g %.17g %.17g %d\n", view->ledger.paid,
+                     view->ledger.earned, view->ledger.n0,
+                     view->ledger.created ? 1 : 0);
     for (const BenefitEvent& e : view->stats.events()) {
       out += StrFormat("EVENT %.17g %.17g\n", e.time, e.saving);
     }
@@ -169,9 +178,11 @@ Status DeepSeaEngine::LoadState(const std::string& state) {
   const std::vector<std::string> lines = Split(state, '\n');
   size_t i = 0;
   auto next_parts = [&]() { return Split(lines[i], ' '); };
-  if (i >= lines.size() || lines[i] != "DEEPSEA-STATE 3") {
+  if (i >= lines.size() ||
+      (lines[i] != "DEEPSEA-STATE 3" && lines[i] != "DEEPSEA-STATE 4")) {
     return Status::InvalidArgument("bad or unsupported state header");
   }
+  const bool ledgers = lines[i] == "DEEPSEA-STATE 4";
   ++i;
 
   ParsedState parsed;
@@ -223,7 +234,14 @@ Status DeepSeaEngine::LoadState(const std::string& state) {
     ParsedFragment* frag = nullptr;
     while (i < lines.size() && lines[i] != "ENDVIEW") {
       const auto parts = next_parts();
-      if (parts[0] == "EVENT" && parts.size() == 3) {
+      if (parts[0] == "LEDGER" && parts.size() == 5 && ledgers &&
+          !pv.has_ledger) {
+        DEEPSEA_ASSIGN_OR_RETURN(pv.ledger.paid, ParseFinite(parts[1]));
+        DEEPSEA_ASSIGN_OR_RETURN(pv.ledger.earned, ParseFinite(parts[2]));
+        DEEPSEA_ASSIGN_OR_RETURN(pv.ledger.n0, ParseFinite(parts[3]));
+        DEEPSEA_ASSIGN_OR_RETURN(pv.ledger.created, ParseFlag(parts[4]));
+        pv.has_ledger = true;
+      } else if (parts[0] == "EVENT" && parts.size() == 3) {
         BenefitEvent e;
         DEEPSEA_ASSIGN_OR_RETURN(e.time, ParseFinite(parts[1]));
         DEEPSEA_ASSIGN_OR_RETURN(e.saving, ParseFinite(parts[2]));
@@ -294,6 +312,7 @@ Status DeepSeaEngine::LoadState(const std::string& state) {
     view->stats.size_bytes = pv.size_bytes;
     view->stats.creation_cost = pv.creation_cost;
     view->whole_materialized = pv.whole_materialized;
+    if (pv.has_ledger) view->ledger = pv.ledger;
     if (pv.whole_materialized) {
       Status st =
           fs->Put(StrFormat("pool/%s/full", view->id.c_str()), pv.size_bytes);

@@ -291,6 +291,13 @@ double PlanningDelta::UndecayedBenefit(const ViewInfo* v) const {
   return acc;
 }
 
+bool PlanningDelta::RepeatCreationWithheld(const ViewInfo* v) const {
+  NoteViewRead(v);
+  const ViewLedger& ledger = v->ledger;
+  if (!ledger.created || ledger.earned >= ledger.paid) return false;
+  return UndecayedBenefit(v) - ledger.n0 < ledger.paid - ledger.earned;
+}
+
 double PlanningDelta::LastUse(const ViewInfo* v) const {
   NoteViewRead(v);
   double last = v->stats.LastUse();

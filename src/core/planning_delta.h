@@ -241,6 +241,13 @@ class PlanningDelta {
   std::vector<FragmentHit> EffectiveHits(const PartitionState* part,
                                          const FragmentStats* f) const;
 
+  /// V_sel's realized-return gate (DESIGN.md §7 deviation 11): true
+  /// when `v` was created before, its ledger is in debt (earned < paid),
+  /// and the undecayed benefit it accrued since its last creation,
+  /// N(V) - N0 with this query's benefit patch included, does not cover
+  /// the debt. Notes a read of `v`, as AccumulatedBenefit does. O(1).
+  bool RepeatCreationWithheld(const ViewInfo* v) const;
+
   // --- the value model (Section 7.1, Section 10.1) -------------------
   //
   // The only copy of Φ(V), Φ(I) and the admission filter's benefit,

@@ -626,9 +626,22 @@ void PoolManager::RecordEviction(const ViewInfo* view, const std::string& attr,
 
 // --- creation / eviction primitives ---
 
+namespace {
+
+/// What creating `view` buys, given whether it held pool content when
+/// the decision began.
+CreationKind KindOfCreation(const ViewInfo& view, bool pooled_before) {
+  if (pooled_before) return CreationKind::kTopUp;
+  return view.ledger.created ? CreationKind::kRecreation
+                             : CreationKind::kFirst;
+}
+
+}  // namespace
+
 Result<double> PoolManager::MaterializeView(ViewInfo* view,
                                             QueryReport* report) {
   assert(CommitHeldByThisThread());
+  const CreationKind kind = KindOfCreation(*view, view->InPool());
   // The planner emits kMaterializeView only for views without a
   // partition or under NoPartition; a view that gained a partition
   // since it was planned made the plan's wildcard partition read
@@ -646,13 +659,13 @@ Result<double> PoolManager::MaterializeView(ViewInfo* view,
   DEEPSEA_RETURN_IF_ERROR(TxnPut(path, view_bytes, report));
   view->whole_materialized = true;
   const double seconds = cluster_->PartitionedWriteSeconds(view_bytes, 1);
-  FinishViewCreation(view, est, seconds, report);
+  FinishViewCreation(view, est, seconds, kind, report);
   return seconds;
 }
 
 void PoolManager::FinishViewCreation(ViewInfo* view,
                                      const Result<PlanCost>& est,
-                                     double write_seconds,
+                                     double write_seconds, CreationKind kind,
                                      QueryReport* report) {
   // Actual S(V) and COST(V): computing the defining plan (done as part
   // of the instrumented query) plus the durable partitioned write.
@@ -665,6 +678,7 @@ void PoolManager::FinishViewCreation(ViewInfo* view,
   view->quarantined_until = 0;
   RefreshView(view);
   report->created_views.push_back(view->id);
+  report->created_kinds.push_back(kind);
 }
 
 Result<double> PoolManager::MaterializeFragment(ViewInfo* view,
@@ -841,6 +855,19 @@ Status PoolManager::ApplyStaged(const SelectionDecision& decision,
     new_view_work.emplace_back(view, NewViewWork{});
     return new_view_work.back().second;
   };
+  // A creation tops a view up when the view held pool content before
+  // the decision; the evictions run first and may empty it.
+  std::vector<const ViewInfo*> pooled_before;
+  for (const SelectionAction& a : decision.actions) {
+    if (a.kind == SelectionAction::Kind::kMaterializeViewFragment &&
+        a.view->InPool()) {
+      pooled_before.push_back(a.view);
+    }
+  }
+  auto was_pooled = [&pooled_before](const ViewInfo* view) {
+    return std::find(pooled_before.begin(), pooled_before.end(), view) !=
+           pooled_before.end();
+  };
 
   for (const SelectionAction& a : decision.actions) {
     *fault_view = a.view != nullptr ? a.view->id : "";
@@ -894,9 +921,39 @@ Status PoolManager::ApplyStaged(const SelectionDecision& decision,
     const double extra =
         cluster_->PartitionedWriteSeconds(work.bytes, work.count);
     report->materialize_seconds += extra;
-    FinishViewCreation(view, estimator_->Estimate(view->plan), extra, report);
+    FinishViewCreation(view, estimator_->Estimate(view->plan), extra,
+                       KindOfCreation(*view, was_pooled(view)), report);
   }
   return Status::OK();
+}
+
+void PoolManager::SettleLedgers(const CommitGuard& commit,
+                                QueryReport* report) {
+  assert(commit.held() && CommitHeldByThisThread());
+  (void)commit;
+  const bool created = !report->created_views.empty();
+  if (!created && report->used_view.empty()) return;
+  // The id lookups read ViewCatalog structure a concurrent foreign fold
+  // may be growing; the ledgers are shard-protected.
+  std::shared_lock<std::shared_mutex> catalog_lock(catalog_mu_);
+  if (!created) {
+    ViewInfo* view = views_.Get(report->used_view);
+    if (view != nullptr) {
+      view->ledger.earned += report->base_seconds - report->total_seconds;
+    }
+    return;
+  }
+  report->creation_premium_seconds =
+      report->total_seconds - report->base_seconds;
+  const double share = report->creation_premium_seconds /
+                       static_cast<double>(report->created_views.size());
+  for (const std::string& id : report->created_views) {
+    ViewInfo* view = views_.Get(id);
+    if (view == nullptr) continue;
+    view->ledger.paid += share;
+    view->ledger.n0 = view->stats.UndecayedBenefit();
+    view->ledger.created = true;
+  }
 }
 
 void PoolManager::FoldDeltaAndRemap(PlanningDelta* delta,

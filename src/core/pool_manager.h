@@ -390,6 +390,18 @@ class PoolManager {
   Status Apply(const SelectionDecision& decision, const QueryContext& ctx,
                QueryReport* report);
 
+  /// Writes the query's realized returns into the ledgers of the views
+  /// it touched (ViewLedger; DESIGN.md §7 deviation 11), once its
+  /// report is final: a query that created views charges its premium,
+  /// total - base seconds, to them in equal shares (and records it as
+  /// report->creation_premium_seconds) and marks each created at N(V);
+  /// a query that created none but was answered from a view credits
+  /// that view its saving, base - total seconds. A degraded decision
+  /// lists no created view, so it charges nothing. Every view written
+  /// is in the commit's write footprint: created views through the
+  /// decision's actions, the answering view through its benefit event.
+  void SettleLedgers(const CommitGuard& commit, QueryReport* report);
+
   /// Fragment-merging maintenance pass (Section 11 extension); returns
   /// the simulated seconds charged. Transactional like Apply: a fault
   /// rolls back the whole pass (and `report`) and returns its status.
@@ -543,9 +555,10 @@ class PoolManager {
   /// fragment-by-fragment creations): S(V) and COST(V) become actual
   /// from `est` and the write's `write_seconds`, the view's fault
   /// record clears, the pool content is re-read, and `report` lists the
-  /// view as created.
+  /// view as created, with `kind`.
   void FinishViewCreation(ViewInfo* view, const Result<PlanCost>& est,
-                          double write_seconds, QueryReport* report);
+                          double write_seconds, CreationKind kind,
+                          QueryReport* report);
 
   /// Pre-image of one view's mutable pool state. Rollback restores the
   /// partitions *in place* (per-attr assignment into the existing map

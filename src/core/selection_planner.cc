@@ -37,6 +37,7 @@ SelectionResolution SelectionPlanner::PlanSelection(const QueryContext& ctx,
 
   using Item = SelectionCandidate;
   std::vector<Item> items;
+  int withheld = 0;
 
   // --- V_sel: filter view candidates by benefit >= cost (Section 7.2).
   //     Partially materialized views stay eligible: their still-
@@ -52,6 +53,15 @@ SelectionResolution SelectionPlanner::PlanSelection(const QueryContext& ctx,
     // threshold is relaxed to force eager materialization.
     if (benefit <= 0.0 ||
         benefit < options_->benefit_cost_threshold * v->stats.creation_cost) {
+      continue;
+    }
+    // Realized-return gate (DESIGN.md §7 deviation 11), DeepSea's value
+    // model only: a view whose creations have not paid back offers none
+    // of its new pieces, and plans none, until the benefit it accrued
+    // since its last creation covers the debt.
+    if (options_->value_model == ValueModel::kDeepSea &&
+        delta->RepeatCreationWithheld(v)) {
+      ++withheld;
       continue;
     }
     // With a partition, the view enters the selection as individual
@@ -256,6 +266,7 @@ SelectionResolution SelectionPlanner::PlanSelection(const QueryContext& ctx,
   input.items = std::move(items);
   input.budget_bytes = options_->pool_limit_bytes;
   SelectionResolution res = ResolveGreedy(input);
+  res.creations_withheld = withheld;
 
   // Contended knapsack: the pool sweep's values shaped the outcome, so
   // its reads become part of the plan's validated footprint.

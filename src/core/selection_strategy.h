@@ -86,6 +86,9 @@ struct SelectionResolution {
   double objective_value = 0.0;
   /// Items the scan ranked.
   int items_considered = 0;
+  /// View candidates the planner's realized-return gate withheld (set
+  /// by SelectionPlanner, not by the knapsack).
+  int creations_withheld = 0;
 };
 
 /// The paper's §7.3 greedy knapsack as a pure, deterministic function:

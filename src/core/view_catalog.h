@@ -85,6 +85,27 @@ struct PartitionState {
   std::vector<uint32_t> by_interval_;
 };
 
+/// A view's realized return (DESIGN.md §7 deviation 11): what its
+/// creations made their queries pay and what the queries answered from
+/// it saved, in simulated seconds. Written once per committed query by
+/// PoolManager::SettleLedgers; read by V_sel's repeat-creation gate
+/// (PlanningDelta::RepeatCreationWithheld).
+struct ViewLedger {
+  /// Creation premiums: each committed query that created this view's
+  /// content adds its total - base seconds, split evenly over the views
+  /// it created.
+  double paid = 0.0;
+  /// Savings: each query answered from this view that created no view
+  /// adds its base - total seconds.
+  double earned = 0.0;
+  /// N(V), the undecayed benefit, at the view's last creation.
+  double n0 = 0.0;
+  /// True once the view was created (its first creation committed).
+  bool created = false;
+
+  bool operator==(const ViewLedger& other) const = default;
+};
+
 /// Everything DeepSea knows about one view (materialized or candidate):
 /// its defining plan, signature, statistics, and tracked partitions.
 struct ViewInfo {
@@ -92,6 +113,7 @@ struct ViewInfo {
   PlanPtr plan;         ///< defining subquery (no partition selection)
   PlanSignature signature;
   ViewStats stats;
+  ViewLedger ledger;
   /// True when the full, unpartitioned view is materialized (the NP
   /// baseline materializes views this way).
   bool whole_materialized = false;

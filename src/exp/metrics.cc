@@ -1,6 +1,7 @@
 #include "exp/metrics.h"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <chrono>
 #include <cmath>
@@ -233,6 +234,22 @@ const std::vector<MetricInfo>& MetricsObserver::Registry() {
        "View materializations committed (whole-view or initial "
        "partitioned creation).",
        "tenant", false, false},
+      {"deepsea_view_creations_total", "counter",
+       "View creations committed, by kind: first (the view's first "
+       "creation), recreation (a view created before whose pool content "
+       "had all left), topup (pieces added to a view still holding pool "
+       "content).",
+       "kind,tenant", false, false},
+      {"deepsea_view_creation_premium_seconds_total", "counter",
+       "Simulated seconds the creating queries paid over their "
+       "conventional plans (total - base), split evenly over the views "
+       "each created, by creation kind.",
+       "kind,tenant", false, false},
+      {"deepsea_view_creations_withheld_total", "counter",
+       "Repeat creations withheld by the realized-return gate: view "
+       "candidates that passed the benefit filter but were created before "
+       "and have not paid back, counted once per query.",
+       "tenant", false, false},
       {"deepsea_fragments_materialized_total", "counter",
        "Fragments that entered the pool (initial fragments and "
        "refinements).",
@@ -409,6 +426,26 @@ std::string MetricsObserver::RenderPrometheusText(
   tenant_counter("deepsea_fragments_read_total", &EngineTotals::fragments_read);
   tenant_counter("deepsea_views_materialized_total",
                  &EngineTotals::views_created);
+  // One series per creation kind and tenant, every kind exported.
+  auto kind_counter = [&]<typename T>(
+      const char* name,
+      std::array<T, kCreationKindCount> EngineTotals::*field) {
+    if (header(name) == nullptr) return;
+    for (const auto& [tenant, t] : snap.tenants) {
+      for (size_t k = 0; k < kCreationKindCount; ++k) {
+        out += StrFormat(
+            "%s{kind=\"%s\",tenant=\"%s\"} %s\n", name,
+            kCreationKindNames[k], EscapeLabelValue(tenant).c_str(),
+            FormatValue(static_cast<double>((t.counts.*field)[k])).c_str());
+      }
+    }
+  };
+  kind_counter("deepsea_view_creations_total",
+               &EngineTotals::views_created_by_kind);
+  kind_counter("deepsea_view_creation_premium_seconds_total",
+               &EngineTotals::creation_premium_by_kind);
+  tenant_counter("deepsea_view_creations_withheld_total",
+                 &EngineTotals::creations_withheld);
   tenant_counter("deepsea_fragments_materialized_total",
                  &EngineTotals::fragments_created);
   tenant_counter("deepsea_evictions_total", &EngineTotals::fragments_evicted);

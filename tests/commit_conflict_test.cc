@@ -839,14 +839,22 @@ class MembershipTokenTest : public ::testing::Test {
     shared_ = std::make_unique<SharedPool>(&catalog_, TestOptions());
     a_ = std::make_unique<DeepSeaEngine>(&catalog_, shared_.get(), "a");
     b_ = std::make_unique<DeepSeaEngine>(&catalog_, shared_.get(), "b");
-    // Tenant b tracks its views; whatever its first query materialized
-    // is evicted again.
-    ASSERT_TRUE(b_->ProcessQuery(ClickSelect(150000, 160000)).ok());
+    reservation_ =
+        std::make_unique<ViewIdReservation>(pool()->placeholder_counter());
+    // Tenant b tracks its views without ever creating them: its first
+    // query is planned and committed with its decision dropped, so the
+    // statistics fold and nothing is materialized. A view created and
+    // then evicted would make b's next creation a repeat creation, which
+    // the realized-return gate may withhold.
     {
+      std::unique_ptr<QueryContext> ctx;
+      Plan(ClickSelect(150000, 160000), shared_->options(), &ctx);
       CommitGuard commit = pool()->BeginCommit();
+      pool()->Tick(commit);
       QueryReport scratch;
+      ASSERT_TRUE(pool()->Apply(SelectionDecision(), *ctx, &scratch).ok());
       for (ViewInfo* v : pool()->stat(commit)->AllViews()) {
-        ASSERT_TRUE(pool()->EvictWholeView(v, &scratch).ok());
+        ASSERT_FALSE(v->ledger.created) << v->id;
         b_views_.push_back(v);
       }
     }
@@ -886,6 +894,19 @@ class MembershipTokenTest : public ::testing::Test {
   ContendedPlan PlanWithZeroBudget(const PlanPtr& query) {
     EngineOptions options = shared_->options();
     options.pool_limit_bytes = 0.0;
+    ContendedPlan plan;
+    std::unique_ptr<QueryContext> ctx;
+    plan.contended = Plan(query, options, &ctx, &plan.read_epoch).contended;
+    plan.reads = ctx->delta()->read_footprint();
+    return plan;
+  }
+
+  /// Runs the planning stages of DeepSeaEngine::ProcessQuery on `query`
+  /// under `options` and the shared lock, at the next clock value, and
+  /// leaves the planned context in `*ctx`. Commits nothing.
+  SelectionResolution Plan(const PlanPtr& query, const EngineOptions& options,
+                           std::unique_ptr<QueryContext>* ctx,
+                           uint64_t* read_epoch = nullptr) {
     ClusterModel cluster(options.cluster);
     PlanCostEstimator estimator(&cluster, &catalog_);
     DecayFunction decay(options.decay);
@@ -901,25 +922,20 @@ class MembershipTokenTest : public ::testing::Test {
     CandidateGenerator generator(&catalog_, &options, &cluster, stat, index,
                                  pool());
     SelectionPlanner selector(&catalog_, &options, &cluster, &decay, stat);
-    ViewIdReservation reservation(pool()->placeholder_counter());
 
     auto shared_lock = pool()->SharedLock();
-    ContendedPlan plan;
-    plan.read_epoch = pool()->read_epoch();
-    QueryContext ctx(query, pool()->clock() + 1);
-    ctx.InitPlanning(catalog_, stat, &reservation);
+    if (read_epoch != nullptr) *read_epoch = pool()->read_epoch();
+    *ctx = std::make_unique<QueryContext>(query, pool()->clock() + 1);
+    (*ctx)->InitPlanning(catalog_, stat, reservation_.get());
     QueryReport report;
-    EXPECT_TRUE(rewriter.PlanBase(&ctx, &report).ok());
-    EXPECT_TRUE(rewriter.PlanBest(&ctx, &report).ok());
+    EXPECT_TRUE(rewriter.PlanBase(ctx->get(), &report).ok());
+    EXPECT_TRUE(rewriter.PlanBest(ctx->get(), &report).ok());
     const PlanPtr candidate_plan =
-        report.used_view.empty() ? ctx.query : ctx.executed_plan;
+        report.used_view.empty() ? (*ctx)->query : (*ctx)->executed_plan;
     generator.RegisterViewCandidates(candidate_plan, report.base_seconds,
-                                     &ctx);
-    generator.RegisterPartitionCandidates(&ctx);
-    plan.contended =
-        selector.PlanSelection(ctx, report.base_seconds).contended;
-    plan.reads = ctx.delta()->read_footprint();
-    return plan;
+                                     ctx->get());
+    generator.RegisterPartitionCandidates(ctx->get());
+    return selector.PlanSelection(**ctx, report.base_seconds);
   }
 
   /// True when `fp` names view `id` at any granularity.
@@ -949,7 +965,8 @@ class MembershipTokenTest : public ::testing::Test {
   std::unique_ptr<SharedPool> shared_;
   std::unique_ptr<DeepSeaEngine> a_;
   std::unique_ptr<DeepSeaEngine> b_;
-  std::vector<ViewInfo*> b_views_;  ///< tracked, holding no content
+  std::unique_ptr<ViewIdReservation> reservation_;  ///< for Plan
+  std::vector<ViewInfo*> b_views_;  ///< tracked, never created
 };
 
 TEST_F(MembershipTokenTest, FirstMaterializationInvalidatesContendedPlan) {
@@ -1015,6 +1032,59 @@ TEST_F(MembershipTokenTest, CandidateTrackingLeavesContendedPlanValid) {
 
   bool genuine = true;
   EXPECT_TRUE(Validates(plan, &genuine));
+}
+
+/// A ledger write is a write of its view: the commit of a query answered
+/// from a view credits the view's ledger and publishes the view, so a
+/// plan that weighed the view's realized-return gate replans.
+using LedgerConflictTest = MembershipTokenTest;
+
+TEST_F(LedgerConflictTest, ForeignReadFromAViewInvalidatesAPlanThatWeighedItsGate) {
+  // Tenant a's Q30 view keeps its content under the hot range and loses
+  // the pieces over a cold one; its ledger is put in debt by hand, so
+  // the gate withholds a top-up for the cold range.
+  const Interval cold(300000, 320000);
+  ViewInfo* v = nullptr;
+  {
+    CommitGuard commit = pool()->BeginCommit();
+    for (ViewInfo* w : pool()->stat(commit)->PoolViews()) {
+      if (!w->partitions.empty()) v = w;
+    }
+    ASSERT_NE(v, nullptr);
+    QueryReport scratch;
+    for (auto& [attr, part] : v->partitions) {
+      for (FragmentStats& f : part.mutable_fragments()) {
+        if (f.materialized && f.interval.Overlaps(cold)) {
+          ASSERT_TRUE(pool()->EvictFragment(v, &part, &f, &scratch).ok());
+        }
+      }
+    }
+    ASSERT_TRUE(v->InPool());
+    v->ledger = {/*paid=*/1e12, /*earned=*/0.0,
+                 /*n0=*/v->stats.UndecayedBenefit(), /*created=*/true};
+  }
+  std::unique_ptr<QueryContext> ctx;
+  uint64_t read_epoch = 0;
+  const SelectionResolution res =
+      Plan(StoreQ30(cold.lo, cold.hi), shared_->options(), &ctx, &read_epoch);
+  ASSERT_EQ(res.creations_withheld, 1);
+  ContendedPlan plan;
+  plan.read_epoch = read_epoch;
+  plan.reads = ctx->delta()->read_footprint();
+  ASSERT_TRUE(Mentions(plan.reads, v->id));
+
+  // A foreign query answered from the view credits its ledger.
+  const ViewLedger before = v->ledger;
+  auto report = b_->ProcessQuery(StoreQ30(120000, 170000));
+  ASSERT_TRUE(report.ok());
+  ASSERT_EQ(report->used_view, v->id);
+  ASSERT_TRUE(report->created_views.empty());
+  EXPECT_EQ(v->ledger.earned,
+            before.earned + report->base_seconds - report->total_seconds);
+
+  bool genuine = false;
+  EXPECT_FALSE(Validates(plan, &genuine));
+  EXPECT_TRUE(genuine);
 }
 
 // --- schedule fuzz: every query a creator ----------------------------

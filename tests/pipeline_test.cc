@@ -452,26 +452,24 @@ std::string ReportLine(const QueryReport& r) {
   for (size_t i = 0; i < r.created_views.size(); ++i) {
     if (i > 0) created += ";";
     created += r.created_views[i];
+    created += kCreationKindNames[static_cast<size_t>(r.created_kinds[i])];
   }
-  return StrFormat("%lld,%.17g,%.17g,%.17g,%.17g,%s,%d,%s,%d,%d,%.17g",
-                   static_cast<long long>(r.query_index), r.base_seconds,
-                   r.best_seconds, r.materialize_seconds, r.total_seconds,
-                   r.used_view.c_str(), r.fragments_read, created.c_str(),
-                   r.created_fragments, r.evicted_fragments,
-                   r.pool_bytes_after);
+  return StrFormat(
+      "%lld,%.17g,%.17g,%.17g,%.17g,%s,%d,%s,%d,%d,%.17g,%.17g,%d",
+      static_cast<long long>(r.query_index), r.base_seconds, r.best_seconds,
+      r.materialize_seconds, r.total_seconds, r.used_view.c_str(),
+      r.fragments_read, created.c_str(), r.created_fragments,
+      r.evicted_fragments, r.pool_bytes_after, r.creation_premium_seconds,
+      r.creations_withheld);
 }
 
-TEST(SaveLoadContinuationTest, MidWorkloadRoundTripMatchesUninterruptedRun) {
-  constexpr int kQueries = 120;
-  constexpr int kCut = 60;
-  constexpr uint64_t kSeed = 2017;
-
-  // SDSS-patterned workload (same construction as the golden trace).
-  SdssTraceModel sdss(SdssTraceModel::Config{}, kSeed);
-  const auto ranges = sdss.GenerateTrace(kQueries);
+/// SDSS-patterned workload (same construction as the golden trace).
+std::vector<PlanPtr> SdssWorkload(int n, uint64_t seed) {
+  SdssTraceModel sdss(SdssTraceModel::Config{}, seed);
+  const auto ranges = sdss.GenerateTrace(n);
   const Interval ra(-20.0, 400.0);
   const Interval item_sk(0.0, 400000.0);
-  Rng rng(kSeed + 1);
+  Rng rng(seed + 1);
   const auto names = BigBenchTemplates::Names();
   std::vector<PlanPtr> workload;
   for (const Interval& r : ranges) {
@@ -480,6 +478,13 @@ TEST(SaveLoadContinuationTest, MidWorkloadRoundTripMatchesUninterruptedRun) {
     const Interval mapped = SdssTraceModel::MapRange(r, ra, item_sk);
     workload.push_back(MakeQuery(name, mapped.lo, mapped.hi));
   }
+  return workload;
+}
+
+TEST(SaveLoadContinuationTest, MidWorkloadRoundTripMatchesUninterruptedRun) {
+  constexpr int kQueries = 120;
+  constexpr int kCut = 60;
+  const std::vector<PlanPtr> workload = SdssWorkload(kQueries, 2017);
 
   // Uninterrupted run.
   Catalog catalog_a;
@@ -526,6 +531,71 @@ TEST(SaveLoadContinuationTest, MidWorkloadRoundTripMatchesUninterruptedRun) {
   // second half too.
   EXPECT_EQ(engine_c.totals().queries, kQueries - kCut);
   EXPECT_EQ(engine_c.PoolBytes(), engine_a.PoolBytes());
+}
+
+// The same continuation on a bounded pool, cut just before the first
+// query whose repeat creation the realized-return gate withholds: the
+// withheld view's ledger must survive the blob, or the resumed engine
+// re-creates the view the uninterrupted one withholds.
+TEST(SaveLoadContinuationTest, BoundedPoolCutBeforeAWithheldCreation) {
+  constexpr int kQueries = 300;
+  const std::vector<PlanPtr> workload = SdssWorkload(kQueries, 2017);
+  EngineOptions options = BaseOptions();
+  options.pool_limit_bytes = 10e9;
+
+  Catalog catalog_a;
+  ASSERT_TRUE(BigBenchDataset::Generate(DataOptions(), &catalog_a).ok());
+  DeepSeaEngine engine_a(&catalog_a, options);
+  std::vector<std::string> lines_a;
+  int cut = -1;
+  for (int i = 0; i < kQueries; ++i) {
+    auto report = engine_a.ProcessQuery(workload[i]);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    lines_a.push_back(ReportLine(*report));
+    if (cut < 0 && report->creations_withheld > 0) cut = i;
+  }
+  ASSERT_GT(cut, 0) << "no repeat creation withheld";
+
+  // Run the prefix, save, and resume in a fresh engine; once more from
+  // the same blob with its ledgers stripped (a version 3 blob).
+  Catalog catalog_b;
+  ASSERT_TRUE(BigBenchDataset::Generate(DataOptions(), &catalog_b).ok());
+  DeepSeaEngine engine_b(&catalog_b, options);
+  for (int i = 0; i < cut; ++i) {
+    ASSERT_TRUE(engine_b.ProcessQuery(workload[i]).ok());
+  }
+  auto state = engine_b.SaveState();
+  ASSERT_TRUE(state.ok()) << state.status().ToString();
+  std::string v3 = "DEEPSEA-STATE 3";
+  const std::vector<std::string> lines = Split(*state, '\n');
+  for (size_t i = 1; i < lines.size(); ++i) {
+    if (lines[i].rfind("LEDGER ", 0) != 0) v3 += "\n" + lines[i];
+  }
+  auto resume = [&](const std::string& blob) {
+    Catalog catalog;
+    EXPECT_TRUE(BigBenchDataset::Generate(DataOptions(), &catalog).ok());
+    DeepSeaEngine engine(&catalog, options);
+    EXPECT_TRUE(engine.LoadState(blob).ok());
+    std::vector<std::string> tail;
+    for (int i = cut; i < kQueries; ++i) {
+      auto report = engine.ProcessQuery(workload[i]);
+      EXPECT_TRUE(report.ok()) << report.status().ToString();
+      if (!report.ok()) break;
+      tail.push_back(ReportLine(*report));
+    }
+    return tail;
+  };
+
+  const std::vector<std::string> tail_c = resume(*state);
+  ASSERT_EQ(tail_c.size(), static_cast<size_t>(kQueries - cut));
+  for (size_t i = 0; i < tail_c.size(); ++i) {
+    EXPECT_EQ(tail_c[i], lines_a[cut + i])
+        << "continuation diverges at query " << (cut + i + 1);
+  }
+  // Without the ledgers the withheld creation is not withheld.
+  const std::vector<std::string> tail_v3 = resume(v3);
+  ASSERT_FALSE(tail_v3.empty());
+  EXPECT_NE(tail_v3[0], lines_a[cut]);
 }
 
 }  // namespace

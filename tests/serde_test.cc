@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/str_util.h"
 #include "core/engine.h"
 #include "core/shared_pool.h"
 #include "plan/signature.h"
@@ -355,13 +356,28 @@ TEST_F(EngineStateTest, CorruptedStateLeavesEngineUntouched) {
     std::vector<std::string> corrupted;
     // Truncated mid-blob.
     corrupted.push_back(state.substr(0, state.size() / 2));
-    // Version skew: the two earlier formats and a future one must be
-    // rejected, not half-understood.
-    const std::string header = "DEEPSEA-STATE 3";
+    // Version skew: the two formats before version 3 and a future one
+    // must be rejected, not half-understood. (Version 3 still loads; see
+    // Version3BlobLoadsWithEmptyLedgers.)
+    const std::string header = "DEEPSEA-STATE 4";
     ASSERT_EQ(state.rfind(header, 0), 0u);
     for (const char* other : {"DEEPSEA-STATE 1", "DEEPSEA-STATE 2",
-                              "DEEPSEA-STATE 4"}) {
+                              "DEEPSEA-STATE 5"}) {
       corrupted.push_back(other + state.substr(header.size()));
+    }
+    {
+      // Ledger lines: version 3 has none, a view has at most one, and
+      // each has four fields, the last a flag.
+      const size_t pos = state.find("\nLEDGER ");
+      ASSERT_NE(pos, std::string::npos);
+      const size_t eol = state.find('\n', pos + 1);
+      const std::string line = state.substr(pos + 1, eol - pos);
+      corrupted.push_back("DEEPSEA-STATE 3" + state.substr(header.size()));
+      corrupted.push_back(state.substr(0, eol + 1) + line +
+                          state.substr(eol + 1));
+      corrupted.push_back(state.substr(0, eol - 1) + "7" + state.substr(eol));
+      corrupted.push_back(state.substr(0, state.rfind(' ', eol)) +
+                          state.substr(eol));
     }
     {
       // Field-mangled number: atof would quietly read this as 0.
@@ -394,6 +410,9 @@ TEST_F(EngineStateTest, CorruptedStateLeavesEngineUntouched) {
                {"CLOCK", 0, "nan"},
                {"STATS", 0, "nan"},
                {"STATS", 1, "inf"},
+               {"LEDGER", 0, "nan"},
+               {"LEDGER", 1, "inf"},
+               {"LEDGER", 2, "-inf"},
                {"EVENT", 0, "nan"},
                {"EVENT", 1, "-inf"},
                {"PARTITION", 1, "nan"},
@@ -473,6 +492,43 @@ TEST_F(EngineStateTest, CorruptedStateLeavesEngineUntouched) {
       expect_untouched(cold, clock_before, "mutation " + std::to_string(m));
     }
   }
+}
+
+TEST_F(EngineStateTest, Version3BlobLoadsWithEmptyLedgers) {
+  EngineOptions opts;
+  opts.benefit_cost_threshold = 0.05;
+  SourceBlob source;
+  ASSERT_NO_FATAL_FAILURE(SaveSingleTenantBlob(DataOptions(), opts, &source));
+  // The source pool created views, so some ledger is not empty.
+  const std::vector<std::string> lines = Split(source.state, '\n');
+  std::string v3 = "DEEPSEA-STATE 3";
+  std::string emptied = "DEEPSEA-STATE 4";
+  bool created = false;
+  for (size_t i = 1; i < lines.size(); ++i) {
+    if (lines[i].rfind("LEDGER ", 0) == 0) {
+      created |= lines[i].back() == '1';
+      emptied += "\nLEDGER 0 0 0 0";
+      continue;
+    }
+    v3 += "\n" + lines[i];
+    emptied += "\n" + lines[i];
+  }
+  ASSERT_TRUE(created);
+
+  // A version 3 blob (the same pool, no ledgers) loads the same pool
+  // with every ledger empty, and saves as version 4.
+  Catalog catalog;
+  ASSERT_TRUE(BigBenchDataset::Generate(DataOptions(), &catalog).ok());
+  DeepSeaEngine cold(&catalog, opts);
+  ASSERT_TRUE(cold.LoadState(v3).ok());
+  EXPECT_NEAR(cold.PoolBytes(), source.pool_bytes, source.pool_bytes * 1e-9);
+  EXPECT_EQ(PoolViewIds(cold.views()), source.pool_ids);
+  for (const ViewInfo* v : cold.views().AllViews()) {
+    EXPECT_EQ(v->ledger, ViewLedger()) << v->id;
+  }
+  auto resaved = cold.SaveState();
+  ASSERT_TRUE(resaved.ok());
+  EXPECT_EQ(*resaved, emptied);
 }
 
 TEST_F(PlanSerdeTest, SortLimitRoundTrip) {
