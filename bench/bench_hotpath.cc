@@ -1,13 +1,11 @@
-// Statistics hot-path bench: pins the two perf claims of the "make the
-// stats hot path O(1) and plan under a shared lock" change (DESIGN.md,
-// "Statistics hot path and locking discipline").
+// Statistics hot-path bench: the multi-engine rows of the "plan under a
+// shared lock, commit sharded" change (DESIGN.md, "Statistics hot path
+// and locking discipline").
 //
-//   1. stats_scaling — per-evaluation cost of AccumulatedBenefit /
-//      DecayedHits as the event/hit history grows. The incremental
-//      readers (running sums + timed-out-prefix cursor) flatten once
-//      the history exceeds the decay window t_max; the retained *Naive
-//      replays grow linearly. Evaluations are checksummed against each
-//      other, so the bench doubles as a coarse bit-identity check.
+//   Section 1 (stats_scaling) is retired: bench_micro_core's
+//   BM_DecayedHits and BM_AccumulatedBenefit rows time H(I) and B(V,t)
+//   over growing histories, and ViewStatsIncrementalTest and
+//   FragmentStatsIncrementalTest check them against their definitions.
 //
 //   2. throughput — 1..32 engines free-running on one SharedPool (no
 //      turnstile), under three workload shapes: "shared" (every engine
@@ -57,7 +55,6 @@
 
 #include "bench_util.h"
 #include "core/shared_pool.h"
-#include "core/view_stats.h"
 #include "exp/metrics.h"
 #include "exp/trace.h"
 
@@ -69,74 +66,6 @@ double NowSeconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-// --- section 1: stats evaluation scaling ----------------------------
-
-struct ScalingRow {
-  int history = 0;
-  double view_incremental_ns = 0.0;
-  double view_naive_ns = 0.0;
-  double frag_incremental_ns = 0.0;
-  double frag_naive_ns = 0.0;
-};
-
-/// Average ns per call of `fn` over `reps` calls; the accumulated
-/// checksum is returned through `sink` so the calls cannot be elided.
-template <typename Fn>
-double TimeNs(int reps, double* sink, Fn fn) {
-  const double t0 = NowSeconds();
-  double acc = 0.0;
-  for (int i = 0; i < reps; ++i) acc += fn();
-  const double t1 = NowSeconds();
-  *sink += acc;
-  return (t1 - t0) * 1e9 / static_cast<double>(reps);
-}
-
-ScalingRow MeasureScaling(int history, int reps) {
-  const DecayFunction dec(DecayConfig{});  // the engine default (t_max 500)
-  // Build the histories the way the pool does: appends in commit-clock
-  // order with the cursor advanced after each commit's fold.
-  ViewStats view;
-  FragmentStats frag;
-  frag.interval = Interval(0.0, 1000.0);
-  for (int t = 1; t <= history; ++t) {
-    view.RecordUse(t, 1.0 + 0.25 * (t % 7));
-    frag.RecordHit(t, Interval(10.0 * (t % 50), 10.0 * (t % 50) + 5.0));
-    view.AdvanceWindow(t, dec);
-    frag.AdvanceWindow(t, dec);
-  }
-  const double t_now = static_cast<double>(history);
-
-  ScalingRow row;
-  row.history = history;
-  double inc_sum = 0.0, naive_sum = 0.0;
-  row.view_incremental_ns = TimeNs(reps, &inc_sum, [&] {
-    return view.AccumulatedBenefit(t_now, dec);
-  });
-  row.view_naive_ns = TimeNs(reps, &naive_sum, [&] {
-    return view.AccumulatedBenefitNaive(t_now, dec);
-  });
-  if (inc_sum != naive_sum) {
-    std::fprintf(stderr,
-                 "BIT-IDENTITY VIOLATION: view benefit %.17g != naive %.17g "
-                 "at history %d\n",
-                 inc_sum, naive_sum, history);
-    std::exit(1);
-  }
-  inc_sum = naive_sum = 0.0;
-  row.frag_incremental_ns =
-      TimeNs(reps, &inc_sum, [&] { return frag.DecayedHits(t_now, dec); });
-  row.frag_naive_ns =
-      TimeNs(reps, &naive_sum, [&] { return frag.DecayedHitsNaive(t_now, dec); });
-  if (inc_sum != naive_sum) {
-    std::fprintf(stderr,
-                 "BIT-IDENTITY VIOLATION: fragment hits %.17g != naive %.17g "
-                 "at history %d\n",
-                 inc_sum, naive_sum, history);
-    std::exit(1);
-  }
-  return row;
 }
 
 // --- section 2: multi-engine shared-pool throughput -----------------
@@ -412,8 +341,7 @@ OverheadRow MeasureOverhead(ObserverMode mode, int engines, int total_queries,
 
 // --- output ---------------------------------------------------------
 
-std::string ToJson(bool smoke, const std::vector<ScalingRow>& scaling,
-                   const std::vector<ThroughputRow>& throughput,
+std::string ToJson(bool smoke, const std::vector<ThroughputRow>& throughput,
                    const std::vector<OverheadRow>& overhead) {
   std::string out;
   char buf[512];
@@ -421,19 +349,7 @@ std::string ToJson(bool smoke, const std::vector<ScalingRow>& scaling,
   std::snprintf(buf, sizeof(buf), "  \"smoke\": %s,\n",
                 smoke ? "true" : "false");
   out += buf;
-  out += "  \"stats_scaling\": [\n";
-  for (size_t i = 0; i < scaling.size(); ++i) {
-    const ScalingRow& r = scaling[i];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"history\": %d, \"view_incremental_ns\": %.1f, "
-                  "\"view_naive_ns\": %.1f, \"frag_incremental_ns\": %.1f, "
-                  "\"frag_naive_ns\": %.1f}%s\n",
-                  r.history, r.view_incremental_ns, r.view_naive_ns,
-                  r.frag_incremental_ns, r.frag_naive_ns,
-                  i + 1 < scaling.size() ? "," : "");
-    out += buf;
-  }
-  out += "  ],\n  \"throughput\": [\n";
+  out += "  \"throughput\": [\n";
   for (size_t i = 0; i < throughput.size(); ++i) {
     const ThroughputRow& r = throughput[i];
     std::snprintf(
@@ -471,19 +387,10 @@ std::string ToJson(bool smoke, const std::vector<ScalingRow>& scaling,
   return out;
 }
 
-std::string ToCsv(const std::vector<ScalingRow>& scaling,
-                  const std::vector<ThroughputRow>& throughput,
+std::string ToCsv(const std::vector<ThroughputRow>& throughput,
                   const std::vector<OverheadRow>& overhead) {
   std::string out;
   char buf[256];
-  out += "section,history,view_incremental_ns,view_naive_ns,"
-         "frag_incremental_ns,frag_naive_ns\n";
-  for (const ScalingRow& r : scaling) {
-    std::snprintf(buf, sizeof(buf), "stats_scaling,%d,%.1f,%.1f,%.1f,%.1f\n",
-                  r.history, r.view_incremental_ns, r.view_naive_ns,
-                  r.frag_incremental_ns, r.frag_naive_ns);
-    out += buf;
-  }
   out += "section,workload,engines,queries,replans,replans_conflict,"
          "replans_spurious,wall_seconds,queries_per_second,commits,"
          "commits_sharded,commits_exclusive,commit_held_seconds,"
@@ -535,26 +442,8 @@ int main(int argc, char** argv) {
   }
 
   bench::Banner("Statistics hot path",
-                smoke ? "incremental stats + shared-lock planning (smoke)"
-                      : "incremental stats + shared-lock planning");
-
-  // Section 1. Histories straddle t_max (500): the incremental columns
-  // stop growing there, the naive columns keep growing.
-  const std::vector<int> histories =
-      smoke ? std::vector<int>{125, 500, 1000}
-            : std::vector<int>{125, 250, 500, 1000, 2000, 4000};
-  const int reps = smoke ? 2000 : 20000;
-  std::vector<ScalingRow> scaling;
-  std::printf("\nstats_scaling (ns/evaluation, t_max=500):\n");
-  std::printf("%8s %16s %12s %16s %12s\n", "history", "view_incremental",
-              "view_naive", "frag_incremental", "frag_naive");
-  for (int h : histories) {
-    scaling.push_back(MeasureScaling(h, reps));
-    const ScalingRow& r = scaling.back();
-    std::printf("%8d %16.1f %12.1f %16.1f %12.1f\n", r.history,
-                r.view_incremental_ns, r.view_naive_ns, r.frag_incremental_ns,
-                r.frag_naive_ns);
-  }
+                smoke ? "shared-lock planning + sharded commits (smoke)"
+                      : "shared-lock planning + sharded commits");
 
   // Section 2. Fixed total work split across growing engine counts,
   // under both workload shapes. The disjoint rows double as a runtime
@@ -676,8 +565,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "\nExpected: incremental ns flat beyond history=500 while naive grows"
-      "\nlinearly; queries/second improves with engines (planning and think"
+      "\nExpected: queries/second improves with engines (planning and think"
       "\ntime overlap; disjoint-footprint commits overlap too) with zero"
       "\nspurious replans on the disjoint workload and no single commit"
       "\nshard dominating (maxshard well under the old exclusive-lock"
@@ -688,14 +576,14 @@ int main(int argc, char** argv) {
       "\nmajority-sharded (view-id reservation keeps creators off the X"
       "\npath).\n\n");
 
-  const std::string json = ToJson(smoke, scaling, throughput, overhead);
+  const std::string json = ToJson(smoke, throughput, overhead);
   if (!WriteFile(json_path, json)) {
     std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
     return 1;
   }
   std::printf("wrote %s\n", json_path.c_str());
   if (!csv_path.empty()) {
-    if (!WriteFile(csv_path, ToCsv(scaling, throughput, overhead))) {
+    if (!WriteFile(csv_path, ToCsv(throughput, overhead))) {
       std::fprintf(stderr, "failed to write %s\n", csv_path.c_str());
       return 1;
     }

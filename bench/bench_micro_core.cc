@@ -1,8 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the DeepSea
 // core: interval algebra, histogram estimation, signature computation
 // and matching, filter-tree lookup, rewriting enumeration, fragment
-// lookup, greedy partition matching, MLE smoothing, and end-to-end
-// ProcessQuery throughput of the simulator.
+// lookup, greedy partition matching, MLE smoothing, the decayed
+// statistics H(I) and B(V,t), and end-to-end ProcessQuery throughput of
+// the simulator.
+
+#include <utility>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -107,6 +111,58 @@ void BM_MleAdjust(benchmark::State& state) {
 BENCHMARK(BM_MleAdjust)
     ->ArgsProduct({{512, 4096, 32768}, {0, 1}})
     ->ArgNames({"live_hits", "kept"});
+
+// H(I) of one fragment whose `history` hits came one per query (t = 1..
+// history, the default t_max of 500), read at the next query's time
+// after the last commit advanced the window, as the planner reads it.
+// spliced=0 appends the hits in time order; spliced=1 adopts the same
+// times as two fragments' histories concatenated (V_sel inheritance, a
+// merge splice), which are out of time order as given.
+void BM_DecayedHits(benchmark::State& state) {
+  const int history = static_cast<int>(state.range(0));
+  const bool spliced = state.range(1) != 0;
+  const DecayFunction dec;
+  FragmentStats f;
+  if (spliced) {
+    std::vector<FragmentHit> hits;
+    for (const int parity : {1, 0}) {
+      for (int t = 1; t <= history; ++t) {
+        if (t % 2 == parity) hits.push_back({static_cast<double>(t), {}, false});
+      }
+    }
+    f.AdoptHits(std::move(hits));
+  } else {
+    for (int t = 1; t <= history; ++t) {
+      f.RecordHit(t);
+      f.AdvanceWindow(t, dec);
+    }
+  }
+  f.AdvanceWindow(history, dec);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(f.DecayedHits(history + 1, dec));
+  }
+}
+BENCHMARK(BM_DecayedHits)
+    ->ArgsProduct({{125, 500, 1000, 8000}, {0, 1}})
+    ->ArgNames({"history", "spliced"});
+
+// B(V, t) of one view whose `history` benefit events came one per query,
+// read at the next query's time: a double sum over the in-window events.
+void BM_AccumulatedBenefit(benchmark::State& state) {
+  const int history = static_cast<int>(state.range(0));
+  const DecayFunction dec;
+  ViewStats v;
+  for (int t = 1; t <= history; ++t) {
+    v.RecordUse(t, 1.0 + 0.25 * (t % 7));
+    v.AdvanceWindow(t, dec);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(v.AccumulatedBenefit(history + 1, dec));
+  }
+}
+BENCHMARK(BM_AccumulatedBenefit)
+    ->Arg(125)->Arg(500)->Arg(1000)->Arg(8000)
+    ->ArgName("history");
 
 // Find over a partition of 217 tracked fragments (about what a
 // sdss_10g partition tracks), cycling through the tracked intervals.

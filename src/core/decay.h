@@ -38,6 +38,14 @@ class DecayFunction {
     return t / t_now;
   }
 
+  /// DEC(t_now, t) > 0, decided without the division: t is inside the
+  /// window, and positive unless t_now <= 0. Monotone in t, so the
+  /// times a time-ordered list weighs at t_now are a suffix of it.
+  bool Weighs(double t_now, double t) const {
+    if (!cfg_.enabled) return true;
+    return !(t_now - t > cfg_.t_max) && (t_now <= 0.0 || t > 0.0);
+  }
+
  private:
   DecayConfig cfg_;
 };

@@ -340,9 +340,9 @@ Status DeepSeaEngine::LoadState(const std::string& state) {
         FragmentStats* frag = part->Track(pf.interval, pf.size_bytes).first;
         frag->size_bytes = pf.size_bytes;
         frag->materialized = pf.materialized;
-        // AdoptHits rebuilds the running-max and resets the timed-out
-        // prefix cursor, so the restored stats evaluate exactly as if
-        // the hits had been recorded live.
+        // AdoptHits sorts the hits by time (a blob may list them in any
+        // order) and rebuilds the running sum, so the restored stats
+        // evaluate exactly as if the hits had been recorded live.
         frag->AdoptHits(std::move(pf.hits));
         if (pf.materialized) {
           Status st =

@@ -88,8 +88,8 @@ class MleFragmentModel {
   /// matter.
   ///
   /// H(I) is read from each fragment's running time sum
-  /// (FragmentStats::DecayedHitsOf): O(hits expired since the fragment's
-  /// cursor last moved + local hits). The part mass comes from the
+  /// (FragmentStats::DecayedHitsOf): O(hits whose liveness changed since
+  /// the fragment's position last moved + local hits). The part mass comes from the
   /// partition's kept PartMass (the base partition's, for a shadow) when
   /// that mass covers the hit lists, the grid and `dec`, and t_now >= its
   /// time: it costs O(parts + fragments + hits expired since the mass's

@@ -86,7 +86,7 @@ void PartMass::Rebuild(const std::vector<FragmentStats>& fragments,
   generation_.resize(fragments.size());
   for (size_t i = 0; i < fragments.size(); ++i) {
     const FragmentStats& f = fragments[i];
-    // Hits before LiveHitsBegin are certified expired at t.
+    // Hits before LiveHitsBegin weigh exactly 0.0 at t.
     for (size_t k = f.LiveHitsBegin(t, dec); k < f.hits().size(); ++k) {
       AddHit(fragments, i, k, dec, /*sorted_insert=*/false);
     }
@@ -128,8 +128,10 @@ bool PartMass::Update(const std::vector<FragmentStats>& fragments,
   for (size_t i = 0; i < fragments.size(); ++i) {
     const FragmentStats& f = fragments[i];
     if (i >= old_size) generation_[i] = f.hits_generation();
-    for (size_t k = std::max<size_t>(covered_[i], f.LiveHitsBegin(t_, dec));
-         k < f.hits().size(); ++k) {
+    // Only a fragment with new hits is walked to its first live one.
+    size_t k = covered_[i];
+    if (k < f.hits().size()) k = std::max(k, f.LiveHitsBegin(t_, dec));
+    for (; k < f.hits().size(); ++k) {
       AddHit(fragments, i, k, dec, /*sorted_insert=*/true);
     }
     covered_[i] = static_cast<uint32_t>(f.hits().size());

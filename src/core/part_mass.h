@@ -40,8 +40,8 @@ struct PartGrid {
 /// rollbacks give the same bits in any order: a maintained sum equals a
 /// rebuild from the hit lists exactly (tests/part_mass.h). A hit is in
 /// the sum exactly when DEC(t(), t_k) > 0. The ledger lists those hits
-/// by time, so expiry pops a prefix even when hits were appended out of
-/// time order (sharded commits keep their planned timestamps).
+/// by time, so expiry pops a prefix even when a fragment enters with
+/// old hits (a V_sel piece inherits the pieces it covers' histories).
 ///
 /// Only PoolManager mutates a kept mass, inside commit sections; planners
 /// read it under the shared lock (MleFragmentModel::Adjust).

@@ -259,12 +259,14 @@ const FragmentStats* PlanningDelta::BaseOf(const PartitionState* part,
 
 // --- effective stats readers ------------------------------------------
 //
-// Each reader reproduces, addition for addition, the evaluation the
-// incremental ViewStats/FragmentStats code performs after the fold:
-// start from the base's own evaluation (which skips its certified
-// timed-out prefix — exact zeros) and accumulate the buffered local
-// terms one at a time onto that accumulator. base_sum + local_sum would
-// NOT be bit-identical (FP addition is not associative).
+// Each view reader reproduces, addition for addition, the evaluation
+// the incremental ViewStats code performs after the fold: start from
+// the base's own evaluation (which skips its certified timed-out prefix
+// — exact zeros) and accumulate the buffered local terms one at a time
+// onto that accumulator. base_sum + local_sum would NOT be bit-identical
+// (FP addition is not associative). The fragment readers add exact
+// fixed-point sums or counts (FragmentStats::DecayedHitsOf), so their
+// halves add up to the folded fragment's value.
 
 double PlanningDelta::AccumulatedBenefit(const ViewInfo* v,
                                          const DecayFunction& dec) const {

@@ -495,14 +495,14 @@ class PoolManager {
   void FoldDeltaAndRemap(PlanningDelta* delta,
                          const SelectionDecision& decision, double t_now);
 
-  /// Advances the timed-out-prefix cursors of the `written` views after
-  /// a delta fold, and brings their part masses to `t_now`: the fold's
-  /// hit appends enter the sums, expired hits leave them. One rule for
+  /// Advances the decay windows of the `written` views after a delta
+  /// fold, and brings their part masses to `t_now`: the fold's hit
+  /// appends enter the sums, expired hits leave them. One rule for
   /// every lock mode: a commit advances what it wrote (its shards own
   /// those views), and only an `all` footprint (the merge pass, which
-  /// may touch any view) advances every view. Cursors and masses are
+  /// may touch any view) advances every view. Windows and masses are
   /// evaluation caches, never part of the pool fingerprint: a read is
-  /// exact whatever the cursor's position (FragmentStats::LiveTimeSum,
+  /// exact wherever a window stands (FragmentStats::LiveTimeSum,
   /// ViewStats::AccumulatedBenefit), and a mass answers exactly for
   /// any t_now >= its time (PartMass::SumsAt).
   void AdvanceWindowsAfterFold(double t_now, std::vector<ViewInfo*> written);

@@ -68,21 +68,40 @@ void ViewStats::AdvanceWindow(double t_now, const DecayFunction& dec) {
   win_t_ = t_now;
 }
 
+size_t FragmentStats::WalkToLive(double t_now, const DecayFunction& dec,
+                                 FixedPoint::Sum* sum) const {
+  auto term = [](double t) {
+    return t >= 0.0 ? FixedPoint::Quantize(t) : FixedPoint::Sum{0};
+  };
+  size_t k = win_begin_;
+  if (k > 0 && dec.Weighs(t_now, expired_t_)) {
+    // Hits before the position are live again (an earlier t_now or a
+    // longer t_max than the last advance's): walk back.
+    do {
+      *sum += term(hits_[--k].time);
+    } while (k > 0 && dec.Weighs(t_now, hits_[k - 1].time));
+    return k;
+  }
+  for (; k < hits_.size() && !dec.Weighs(t_now, hits_[k].time); ++k) {
+    *sum -= term(hits_[k].time);
+  }
+  return k;
+}
+
 void FragmentStats::AdoptHits(std::vector<FragmentHit> hits) {
+  auto earlier = [](const FragmentHit& a, const FragmentHit& b) {
+    return a.time < b.time;
+  };
+  if (!std::is_sorted(hits.begin(), hits.end(), earlier)) {
+    std::stable_sort(hits.begin(), hits.end(), earlier);
+  }
   hits_ = std::move(hits);
   ++hits_generation_;
-  last_hit_ = 0.0;
   live_sum_ = 0;
-  sorted_from_ = 0;
-  for (size_t k = 0; k < hits_.size(); ++k) {
-    const double t = hits_[k].time;
-    if (t > last_hit_) last_hit_ = t;
-    if (t >= 0.0) live_sum_ += FixedPoint::Quantize(t);
-    if (k > 0 && t < hits_[k - 1].time) sorted_from_ = static_cast<uint32_t>(k);
+  for (const FragmentHit& h : hits_) {
+    if (h.time >= 0.0) live_sum_ += FixedPoint::Quantize(h.time);
   }
   win_begin_ = 0;
-  win_t_ = 0.0;
-  win_tmax_ = -1.0;
 }
 
 double FragmentStats::DecayedHits(double t_now, const DecayFunction& dec) const {
@@ -91,13 +110,8 @@ double FragmentStats::DecayedHits(double t_now, const DecayFunction& dec) const 
   if (t_now > 0.0) {
     return FixedPoint::Weight(LiveTimeSum(t_now, dec), true, t_now);
   }
-  // t_now <= 0: DEC is 1 inside the window, and a count of exact 1.0s
-  // is exact in any order.
-  double acc = 0.0;
-  for (size_t i = LiveHitsBegin(t_now, dec); i < hits_.size(); ++i) {
-    acc += dec(t_now, hits_[i].time);
-  }
-  return acc;
+  // t_now <= 0: DEC is 1 inside the window, so H(I) counts the suffix.
+  return static_cast<double>(hits_.size() - LiveHitsBegin(t_now, dec));
 }
 
 double FragmentStats::DecayedHitsOf(const FragmentStats* base,
@@ -115,30 +129,16 @@ double FragmentStats::DecayedHitsOf(const FragmentStats* base,
 
 FixedPoint::Sum FragmentStats::LiveTimeSum(double t_now,
                                            const DecayFunction& dec) const {
-  const double t_max = dec.config().t_max;
-  size_t k = LiveHitsBegin(t_now, dec);
-  if (k == win_begin_ && sorted_from_ <= win_begin_) {
-    // The running sum covers [win_begin_, end), which is in time order:
-    // the hits expired at t_now are a prefix of it.
-    FixedPoint::Sum sum = live_sum_;
-    for (; k < hits_.size() && t_now - hits_[k].time > t_max; ++k) {
-      if (hits_[k].time >= 0.0) sum -= FixedPoint::Quantize(hits_[k].time);
-    }
-    return sum;
-  }
-  // An invalid cursor, or hits out of time order past it: replay.
-  FixedPoint::Sum sum = 0;
-  for (; k < hits_.size(); ++k) {
-    if (dec(t_now, hits_[k].time) > 0.0) {
-      sum += FixedPoint::Quantize(hits_[k].time);
-    }
-  }
+  FixedPoint::Sum sum = live_sum_;
+  WalkToLive(t_now, dec, &sum);
   return sum;
 }
 
 size_t FragmentStats::LiveHitsBegin(double t_now,
                                     const DecayFunction& dec) const {
-  return CursorValid(dec, t_now, win_t_, win_tmax_) ? win_begin_ : 0;
+  if (!dec.config().enabled) return 0;
+  FixedPoint::Sum sum = live_sum_;
+  return WalkToLive(t_now, dec, &sum);
 }
 
 double FragmentStats::DecayedHitsNaive(double t_now,
@@ -162,28 +162,9 @@ double FragmentStats::LastHitNaive() const {
 }
 
 void FragmentStats::AdvanceWindow(double t_now, const DecayFunction& dec) {
-  const DecayConfig& cfg = dec.config();
-  if (!cfg.enabled) return;
-  if (cfg.t_max != win_tmax_) {
-    // The running sum covers [win_begin_, end): take the prefix back.
-    for (size_t k = 0; k < win_begin_; ++k) {
-      if (hits_[k].time >= 0.0) {
-        live_sum_ += FixedPoint::Quantize(hits_[k].time);
-      }
-    }
-    win_begin_ = 0;
-    win_tmax_ = cfg.t_max;
-    win_t_ = 0.0;
-  }
-  if (t_now < win_t_) return;
-  while (win_begin_ < hits_.size() &&
-         t_now - hits_[win_begin_].time > cfg.t_max) {
-    if (hits_[win_begin_].time >= 0.0) {
-      live_sum_ -= FixedPoint::Quantize(hits_[win_begin_].time);
-    }
-    ++win_begin_;
-  }
-  win_t_ = t_now;
+  if (!dec.config().enabled) return;
+  win_begin_ = static_cast<uint32_t>(WalkToLive(t_now, dec, &live_sum_));
+  if (win_begin_ > 0) expired_t_ = hits_[win_begin_ - 1].time;
 }
 
 }  // namespace deepsea

@@ -1,6 +1,7 @@
 #ifndef DEEPSEA_CORE_VIEW_STATS_H_
 #define DEEPSEA_CORE_VIEW_STATS_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -119,58 +120,57 @@ struct FragmentHit {
 /// owning view's stats (Section 7.1, "Fragment Statistics";
 /// PlanningDelta::FragmentValue).
 ///
-/// H(I) is one division of an exact sum (DESIGN.md §9, "Incremental
-/// decayed statistics"): inside the window DEC(t_now, t_k) = t_k /
-/// t_now, so H(I) = (Σ_k Q(t_k)) / t_now over the hits k with
-/// DEC(t_now, t_k) > 0, where Q is FixedPoint::Quantize. The caches:
-///  * a running last-hit max;
-///  * the timed-out-prefix cursor {win_begin_, win_t_, win_tmax_}, as
-///    for ViewStats events: hits [0, win_begin_) are expired for every
-///    t_now >= win_t_ under t_max == win_tmax_;
-///  * `live_sum_`, the exact sum of Q(t_k) over hits [win_begin_, end)
-///    with t_k >= 0 (DEC is 0 for negative times when t_now > 0). A
-///    read subtracts the hits that expired since the cursor's time,
-///    which, when [win_begin_, end) is in time order, are a prefix of
-///    it: O(hits expired since the cursor last moved);
-///  * `sorted_from_`, the last out-of-order position: hits
-///    [sorted_from_, end) are in time order. Sharded commits append at
-///    their planned times and merges splice histories (AdoptHits), so a
-///    hit list need not be time-ordered; while sorted_from_ lies past
-///    the cursor, a read replays [cursor, end) in the same arithmetic.
-/// Every read equals DecayedHitsNaive bit for bit, whatever the order
-/// of the hits and the position of the cursor.
+/// The hit list is kept in time order at every write (a late hit, or an
+/// adopted history, goes through AdoptHits' stable sort). DEC(t_now, t)
+/// > 0 is monotone in t, so the hits a read at t_now weighs are a
+/// suffix of the list, whatever t_now and t_max are. H(I) is one
+/// division of an exact sum (DESIGN.md §9, "Incremental decayed
+/// statistics"): inside the window DEC(t_now, t_k) = t_k / t_now, so
+/// H(I) = (Σ_k Q(t_k)) / t_now over that suffix, where Q is
+/// FixedPoint::Quantize. The fragment keeps one position, `win_begin_`
+/// (moved by AdvanceWindow to the first hit live at the commit's time),
+/// and `live_sum_`, the exact sum of Q(t_k) over hits [win_begin_, end)
+/// with t_k >= 0. A read walks from win_begin_ to its own first live
+/// hit, forward or back, subtracting or adding the hits it passes:
+/// O(hits whose liveness changed since the position last moved). Every
+/// read equals DecayedHitsNaive bit for bit.
 struct FragmentStats {
   Interval interval;
   /// S(I) in bytes; estimated for candidates, actual once materialized.
   double size_bytes = 0.0;
   bool materialized = false;
 
-  /// Hits T(I): the fragment was or could have been used.
+  /// Hits T(I), in time order: the fragment was or could have been used.
   const std::vector<FragmentHit>& hits() const { return hits_; }
 
   void RecordHit(double time) {
-    assert(time >= last_hit_ && "fragment hits must be appended in time order");
+    assert(time >= LastHit() && "fragment hits must be appended in time order");
     AppendHit({time, Interval(), false});
   }
   void RecordHit(double time, const Interval& range) {
-    assert(time >= last_hit_ && "fragment hits must be appended in time order");
+    assert(time >= LastHit() && "fragment hits must be appended in time order");
     AppendHit({time, range, true});
   }
 
   /// Appends one hit without the time-order assert (state restore,
-  /// planning-delta folds).
+  /// planning-delta folds). A hit earlier than the last one is sorted
+  /// into place by AdoptHits; no engine path appends one, because a
+  /// plan that appends to a fragment has also read its partition.
   void AppendHit(const FragmentHit& h) {
     if (!hits_.empty() && h.time < hits_.back().time) {
-      sorted_from_ = static_cast<uint32_t>(hits_.size());
+      std::vector<FragmentHit> hits = std::move(hits_);
+      hits.push_back(h);
+      AdoptHits(std::move(hits));
+      return;
     }
     hits_.push_back(h);
     if (h.time >= 0.0) live_sum_ += FixedPoint::Quantize(h.time);
-    if (h.time > last_hit_) last_hit_ = h.time;
   }
 
   /// Replaces the whole hit list (merge passes concatenate the merged
   /// children's hits; new-view fragments inherit their parents' hits)
-  /// and rebuilds the caches. The replacement need not be time-ordered.
+  /// and rebuilds the caches. An unsorted replacement is sorted by time,
+  /// stably (hits of equal time keep their order).
   void AdoptHits(std::vector<FragmentHit> hits);
 
   void ResetHits() { AdoptHits({}); }
@@ -192,44 +192,49 @@ struct FragmentStats {
   /// Q(t_k) over the hits with DEC(t_now, t_k) > 0.
   FixedPoint::Sum LiveTimeSum(double t_now, const DecayFunction& dec) const;
 
-  /// Index of the first hit an evaluation at (t_now, dec) must visit:
-  /// the end of the certified timed-out prefix when the cursor is valid
-  /// for that evaluation, else 0. Every hit before it weighs exactly
-  /// DEC(t_now, t) == 0.0, so replays (the MLE spread) may start here
-  /// and stay bit-identical to a full replay.
+  /// Index of the first hit with DEC(t_now, t) > 0 (0 with decay off):
+  /// the hits from it on are those an evaluation at (t_now, dec) weighs,
+  /// and every hit before it weighs exactly 0.0.
   size_t LiveHitsBegin(double t_now, const DecayFunction& dec) const;
 
   /// Undecayed hit count |T(I)|.
   double RawHits() const { return static_cast<double>(hits_.size()); }
 
-  /// Timestamp of the most recent hit, or 0 when never hit. O(1):
-  /// maintained as a running max by the mutators.
-  double LastHit() const { return last_hit_; }
+  /// Timestamp of the most recent hit, or 0 when never hit (or when
+  /// every hit is at a negative time). O(1): the list is in time order.
+  double LastHit() const {
+    return hits_.empty() ? 0.0 : std::max(0.0, hits_.back().time);
+  }
 
   /// Counts AdoptHits calls: a cache over the hit list (PartMass) tells
   /// appends from a wholesale replacement by comparing it.
   uint32_t hits_generation() const { return hits_generation_; }
 
-  /// Advances the timed-out-prefix cursor to `t_now`. Exclusive commit
-  /// section only (see ViewStats::AdvanceWindow).
+  /// Moves `win_begin_` to the first hit live at `t_now`. Exclusive
+  /// commit section only (see ViewStats::AdvanceWindow).
   void AdvanceWindow(double t_now, const DecayFunction& dec);
 
   // --- naive-replay reference implementations (test oracle) ---------
-  /// H(I) by its definition: every hit replayed, no cursor and no
+  /// H(I) by its definition: every hit replayed, no position and no
   /// running sum.
   double DecayedHitsNaive(double t_now, const DecayFunction& dec) const;
   double LastHitNaive() const;
 
  private:
+  /// The first hit live at t_now under `dec` (decay on), found by
+  /// walking from win_begin_; turns `*sum`, Σ Q(t_k) over [win_begin_,
+  /// end), into the sum over [result, end).
+  size_t WalkToLive(double t_now, const DecayFunction& dec,
+                    FixedPoint::Sum* sum) const;
+
   std::vector<FragmentHit> hits_;
   /// Σ Q(t_k) over hits [win_begin_, end) with t_k >= 0.
   FixedPoint::Sum live_sum_ = 0;
-  double last_hit_ = 0.0;
   uint32_t hits_generation_ = 0;
-  uint32_t sorted_from_ = 0;  ///< hits [sorted_from_, end) are time-ordered
-  size_t win_begin_ = 0;
-  double win_t_ = 0.0;
-  double win_tmax_ = -1.0;
+  uint32_t win_begin_ = 0;
+  /// Time of hit win_begin_ - 1 (unread while win_begin_ is 0): a read
+  /// decides from it alone whether it must walk back.
+  double expired_t_ = 0.0;
 };
 
 }  // namespace deepsea

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -21,7 +22,9 @@
 #include "common/str_util.h"
 #include "core/engine.h"
 #include "core/view_sizing.h"
+#include "exec/executor.h"
 #include "exp/trace.h"
+#include "plan/pushdown.h"
 #include "storage/fault_policy.h"
 #include "multitenant_harness.h"
 #include "part_mass.h"
@@ -64,6 +67,9 @@ class FaultInvariantProbe : public TraceObserver {
         << "at stage " << EngineStageName(stage);
     // ...and the part masses with the hit lists and fragments they sum.
     ASSERT_TRUE(PartMassMatchesRebuild(engine_->pool()))
+        << "at stage " << EngineStageName(stage);
+    // ...and every hit list in time order, merge splices included.
+    ASSERT_TRUE(HitListsInTimeOrder(engine_->pool()))
         << "at stage " << EngineStageName(stage);
     // Every materialized piece must be backed by its FS file.
     for (const ViewInfo* v : engine_->views().AllViews()) {
@@ -129,6 +135,30 @@ std::vector<PlanPtr> RandomWorkload(int n, uint64_t seed) {
   return out;
 }
 
+/// The soak's fault mix: transient faults on 4% and permanent ones on 3%
+/// of guarded storage operations.
+void AddSoakFaultRules(ScheduledFaultPolicy* policy) {
+  FaultRule transient;
+  transient.probability = 0.04;
+  transient.transient = true;
+  policy->AddRule(transient);
+  FaultRule permanent;
+  permanent.probability = 0.03;
+  permanent.permanent_code = StatusCode::kResourceExhausted;
+  policy->AddRule(permanent);
+}
+
+/// Rows rendered one string each, as a multiset: result order is free.
+std::multiset<std::string> RowSet(const std::vector<Row>& rows) {
+  std::multiset<std::string> out;
+  for (const Row& row : rows) {
+    std::string line;
+    for (const Value& v : row) line += v.ToString() + "|";
+    out.insert(line);
+  }
+  return out;
+}
+
 /// Number of `event` rows (fault|retry|degrade) in a FaultEventsCsv():
 /// the observer appends one per OnFault / OnRetry / OnDegrade call.
 int64_t CountFaultEvents(const std::string& csv, const std::string& event) {
@@ -150,14 +180,7 @@ TEST(FaultSoakTest, SeededSoakSurvivesWithInvariantsIntact) {
   DeepSeaEngine engine(&catalog, opts);
 
   ScheduledFaultPolicy policy(/*seed=*/2024);
-  FaultRule transient;
-  transient.probability = 0.04;
-  transient.transient = true;
-  policy.AddRule(transient);
-  FaultRule permanent;
-  permanent.probability = 0.03;
-  permanent.permanent_code = StatusCode::kResourceExhausted;
-  policy.AddRule(permanent);
+  AddSoakFaultRules(&policy);
   engine.mutable_pool()->SetFaultPolicy(&policy);
 
   FaultInvariantProbe probe(&engine, opts.pool_limit_bytes);
@@ -204,6 +227,41 @@ TEST(FaultSoakTest, SeededSoakSurvivesWithInvariantsIntact) {
     std::fwrite(csv.data(), 1, csv.size(), f);
     std::fclose(f);
   }
+}
+
+// ---------------------------------------------------------------------
+// A fault may degrade a decision but never an answer: the soak's queries
+// and fault mix with physical execution on, every answer compared with
+// the executor's ground truth on the base tables.
+TEST(FaultSoakTest, AnswersUnderFaultsEqualGroundTruth) {
+  Catalog catalog = MakeCatalog();
+  EngineOptions opts = SoakOptions();
+  opts.physical_execution = true;
+  DeepSeaEngine engine(&catalog, opts);
+  ScheduledFaultPolicy policy(/*seed=*/2024);
+  AddSoakFaultRules(&policy);
+  engine.mutable_pool()->SetFaultPolicy(&policy);
+  Executor reference(&catalog);
+
+  const auto plans = RandomWorkload(500, /*seed=*/11);
+  for (size_t q = 0; q < plans.size(); ++q) {
+    auto report = engine.ProcessQuery(plans[q]);
+    ASSERT_TRUE(report.ok()) << "query " << q << ": "
+                             << report.status().ToString();
+    auto truth = reference.Execute(PushDownSelections(plans[q], catalog));
+    ASSERT_TRUE(truth.ok()) << "query " << q;
+    EXPECT_EQ(RowSet(report->physical.rows), RowSet(truth->rows))
+        << "answer differs from ground truth at query " << q;
+  }
+  // The faults must have fired, degraded decisions, and left answers
+  // that were read from views to compare.
+  EXPECT_GT(engine.totals().faults, 0);
+  EXPECT_GT(engine.totals().queries_degraded, 0);
+  EXPECT_GT(engine.totals().queries_answered_from_views, 0);
+  RecordProperty("faults", std::to_string(engine.totals().faults));
+  RecordProperty("degraded", std::to_string(engine.totals().queries_degraded));
+  RecordProperty("from_views",
+                 std::to_string(engine.totals().queries_answered_from_views));
 }
 
 // ---------------------------------------------------------------------

@@ -70,6 +70,9 @@ class InvariantProbe : public EngineObserver {
     // Every kept part mass equals its rebuild from the hit lists.
     EXPECT_TRUE(PartMassMatchesRebuild(engine_->pool()))
         << "at stage " << EngineStageName(stage);
+    // Every hit list is in time order (V_sel inheritance included).
+    EXPECT_TRUE(HitListsInTimeOrder(engine_->pool()))
+        << "at stage " << EngineStageName(stage);
     // Evicted pieces must actually have left the FS (bytes released).
     for (const std::string& path : evicted_paths_) {
       EXPECT_FALSE(engine_->fs().Exists(path)) << path << " survived eviction";

@@ -139,9 +139,10 @@ TEST(MleModelTest, ChoosePartCountCapped) {
 
 // --- in-window replay --------------------------------------------------
 //
-// Adjust replays each hit list from FragmentStats::LiveHitsBegin. With
-// advanced windows that skips the timed-out prefix; without, it
-// replays everything. Both must give bit-identical fits.
+// Adjust replays each hit list from FragmentStats::LiveHitsBegin, the
+// first live hit, which a fragment finds by walking from its position:
+// a short walk with advanced windows, one over the whole timed-out
+// prefix without. Both must give bit-identical fits.
 
 /// Fragments tiling [0, 100) with hits at times 1..t_last, some with an
 /// accessed sub-range; a hot spot around 40 keeps the Normal fit valid.

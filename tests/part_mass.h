@@ -10,7 +10,13 @@
 // brought up to date at its own time, it must equal a rebuild too. Call
 // it only where the pool is quiescent for writes: inside a commit's stage
 // hooks with no other commit running, or with no commit running.
+//
+// HitsInTimeOrder / HitListsInTimeOrder: every fragment's hit list is
+// sorted by time, as FragmentStats keeps it at every write (appends,
+// V_sel inheritance, merge splices, state load); H(I)'s suffix reads
+// rely on it.
 
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +25,32 @@
 #include "core/pool_manager.h"
 
 namespace deepsea {
+
+inline ::testing::AssertionResult HitsInTimeOrder(const FragmentStats& f) {
+  const std::vector<FragmentHit>& hits = f.hits();
+  const auto late = std::is_sorted_until(
+      hits.begin(), hits.end(),
+      [](const FragmentHit& a, const FragmentHit& b) { return a.time < b.time; });
+  if (late == hits.end()) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "hit " << (late - hits.begin()) << " of " << hits.size()
+         << " at t=" << late->time << " follows one at t=" << (late - 1)->time;
+}
+
+inline ::testing::AssertionResult HitListsInTimeOrder(const PoolManager& pool) {
+  for (const ViewInfo* v : pool.views().AllViews()) {
+    for (const auto& [attr, part] : v->partitions) {
+      for (const FragmentStats& f : part.fragments()) {
+        if (::testing::AssertionResult ordered = HitsInTimeOrder(f); !ordered) {
+          return ::testing::AssertionFailure()
+                 << v->id << "/" << attr << " " << f.interval.ToString()
+                 << ": " << ordered.message();
+        }
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
 
 inline ::testing::AssertionResult PartMassMatchesRebuild(
     const PoolManager& pool) {

@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "common/str_util.h"
 #include "core/engine.h"
+#include "core/mle_model.h"
 #include "core/shared_pool.h"
 #include "plan/signature.h"
 #include "part_mass.h"
@@ -529,6 +530,111 @@ TEST_F(EngineStateTest, Version3BlobLoadsWithEmptyLedgers) {
   auto resaved = cold.SaveState();
   ASSERT_TRUE(resaved.ok());
   EXPECT_EQ(*resaved, emptied);
+}
+
+/// `state` with each fragment's HIT lines in another order: the runs of
+/// equal time in reverse, each run's own lines kept in order, so a
+/// stable sort by time gives back `state`'s order. Counts the fragments
+/// whose order changed in `*moved`.
+std::string WithShuffledHits(const std::string& state, int* moved) {
+  const std::vector<std::string> lines = Split(state, '\n');
+  auto time_of = [](const std::string& hit) {
+    return std::stod(Split(hit, ' ')[1]);
+  };
+  std::string out;
+  *moved = 0;
+  for (size_t i = 0; i < lines.size();) {
+    if (lines[i].rfind("HIT ", 0) != 0) {
+      out += lines[i] + (i + 1 < lines.size() ? "\n" : "");
+      ++i;
+      continue;
+    }
+    std::vector<std::vector<std::string>> runs;
+    for (; i < lines.size() && lines[i].rfind("HIT ", 0) == 0; ++i) {
+      if (runs.empty() || time_of(runs.back().front()) != time_of(lines[i])) {
+        runs.emplace_back();
+      }
+      runs.back().push_back(lines[i]);
+    }
+    if (runs.size() > 1) ++*moved;
+    for (auto run = runs.rbegin(); run != runs.rend(); ++run) {
+      for (const std::string& hit : *run) out += hit + "\n";
+    }
+  }
+  return out;
+}
+
+/// `state` at version 3: the header rewritten and every LEDGER line
+/// dropped.
+std::string AsVersion3(const std::string& state) {
+  const std::vector<std::string> lines = Split(state, '\n');
+  std::string out = "DEEPSEA-STATE 3";
+  for (size_t i = 1; i < lines.size(); ++i) {
+    if (lines[i].rfind("LEDGER ", 0) != 0) out += "\n" + lines[i];
+  }
+  return out;
+}
+
+TEST_F(EngineStateTest, ShuffledHitLinesLoadAsTheirSortedTwin) {
+  // SaveState writes each fragment's hits in time order; a blob that
+  // lists them in another order (hand-edited, or saved by an older
+  // build) loads to the same statistics and saves sorted. The state
+  // format stays 4, and version 3 blobs load the same way.
+  EngineOptions opts;
+  opts.benefit_cost_threshold = 0.05;
+  SourceBlob source;
+  ASSERT_NO_FATAL_FAILURE(SaveSingleTenantBlob(DataOptions(), opts, &source));
+  ASSERT_EQ(source.state.rfind("DEEPSEA-STATE 4\n", 0), 0u);
+  int moved = 0;
+  const std::string shuffled = WithShuffledHits(source.state, &moved);
+  ASSERT_GT(moved, 0) << "no fragment has hits at two times";
+  const DecayFunction dec(opts.decay);
+  for (const bool v3 : {false, true}) {
+    const std::string sorted_blob = v3 ? AsVersion3(source.state) : source.state;
+    const std::string shuffled_blob = v3 ? AsVersion3(shuffled) : shuffled;
+    ASSERT_NE(sorted_blob, shuffled_blob);
+    Catalog catalog;
+    ASSERT_TRUE(BigBenchDataset::Generate(DataOptions(), &catalog).ok());
+    DeepSeaEngine sorted(&catalog, opts);
+    DeepSeaEngine unsorted(&catalog, opts);
+    ASSERT_TRUE(sorted.LoadState(sorted_blob).ok());
+    ASSERT_TRUE(unsorted.LoadState(shuffled_blob).ok());
+    EXPECT_TRUE(HitListsInTimeOrder(unsorted.pool())) << "v3=" << v3;
+    EXPECT_TRUE(PartMassMatchesRebuild(unsorted.pool())) << "v3=" << v3;
+    const auto a = sorted.views().AllViews();
+    const auto b = unsorted.views().AllViews();
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t v = 0; v < a.size(); ++v) {
+      ASSERT_EQ(a[v]->id, b[v]->id);
+      for (const auto& [attr, part] : a[v]->partitions) {
+        const PartitionState& twin = b[v]->partitions.at(attr);
+        ASSERT_EQ(part.fragments().size(), twin.fragments().size());
+        for (const double t_now : {static_cast<double>(sorted.now()),
+                                   sorted.now() + 3.5, sorted.now() + 600.0}) {
+          for (size_t i = 0; i < part.fragments().size(); ++i) {
+            EXPECT_EQ(part.fragments()[i].DecayedHits(t_now, dec),
+                      twin.fragments()[i].DecayedHits(t_now, dec))
+                << a[v]->id << "/" << attr << " fragment " << i;
+          }
+          const auto fit = MleFragmentModel::Adjust(part, t_now, dec);
+          const auto twin_fit = MleFragmentModel::Adjust(twin, t_now, dec);
+          EXPECT_EQ(fit.raw, twin_fit.raw) << a[v]->id << "/" << attr;
+          EXPECT_EQ(fit.total, twin_fit.total) << a[v]->id << "/" << attr;
+          EXPECT_EQ(fit.fit.valid, twin_fit.fit.valid);
+          EXPECT_EQ(fit.fit.mean, twin_fit.fit.mean);
+          EXPECT_EQ(fit.fit.stddev, twin_fit.fit.stddev);
+        }
+      }
+    }
+    // Both save as version 4 with the hits in time order.
+    auto resaved = unsorted.SaveState();
+    auto twin_resaved = sorted.SaveState();
+    ASSERT_TRUE(resaved.ok() && twin_resaved.ok());
+    EXPECT_EQ(*resaved, *twin_resaved) << "v3=" << v3;
+    if (!v3) {
+      EXPECT_EQ(*resaved, source.state);
+    }
+  }
 }
 
 TEST_F(PlanSerdeTest, SortLimitRoundTrip) {

@@ -15,6 +15,7 @@
 #include "core/planning_delta.h"
 #include "core/policy.h"
 #include "core/view_catalog.h"
+#include "part_mass.h"
 #include "rewrite/filter_tree.h"
 
 namespace deepsea {
@@ -170,13 +171,13 @@ TEST(ViewStatsTest, LastUseIsRunningMaxAcrossUnorderedAppends) {
 TEST(FragmentStatsTest, LastHitIsRunningMaxAcrossAdoptAndAppend) {
   FragmentStats f;
   EXPECT_EQ(f.LastHit(), 0.0);
-  // AdoptHits rebuilds the cache from an unsorted replacement list.
+  // AdoptHits sorts an unsorted replacement list; the last hit is the max.
   f.AdoptHits({{8.0, Interval(), false},
                {3.0, Interval(), false},
                {6.0, Interval(), false}});
   EXPECT_EQ(f.LastHit(), 8.0);
   EXPECT_EQ(f.LastHit(), f.LastHitNaive());
-  // AppendHit extends it, order-free.
+  // AppendHit extends it; a late hit is sorted into place.
   f.AppendHit({5.0, Interval(), false});
   EXPECT_EQ(f.LastHit(), 8.0);
   f.AppendHit({11.0, Interval(), false});
@@ -191,7 +192,9 @@ TEST(FragmentStatsTest, LastHitIsRunningMaxAcrossAdoptAndAppend) {
 //
 // The hot-path readers (AccumulatedBenefit, UndecayedBenefit, LastUse,
 // DecayedHits, LastHit) are incremental: running sums/maxima plus a
-// timed-out-prefix cursor advanced by AdvanceWindow. The *Naive
+// position (a timed-out-prefix cursor for the view's events, the first
+// live hit for a fragment's time-ordered hits) moved by AdvanceWindow.
+// Every FragmentStats write must leave its hits in time order. The *Naive
 // replays in view_stats.cc are the oracles: the pre-incremental
 // implementations for the view readers, and for H(I) its definition
 // (every hit replayed, each live one adding FixedPoint::Quantize(t_k)
@@ -245,13 +248,18 @@ TEST(FragmentStatsIncrementalTest, RandomHitStreamsMatchNaiveBitIdentically) {
         t += step(rng);
         const double lo = pos(rng);
         f.RecordHit(t, Interval(lo, lo + 1.0));
-        if (i % 5 == 0) f.AdvanceWindow(t, dec);
+        ASSERT_TRUE(HitsInTimeOrder(f)) << "after RecordHit, i=" << i;
+        if (i % 5 == 0) {
+          f.AdvanceWindow(t, dec);
+          ASSERT_TRUE(HitsInTimeOrder(f)) << "after AdvanceWindow, i=" << i;
+        }
         if (i % 61 == 0) {
           // Merge passes splice arbitrary (possibly unsorted) hit
           // vectors through AdoptHits; the caches must rebuild exactly.
           std::vector<FragmentHit> spliced = f.hits();
           if (spliced.size() > 1) std::swap(spliced.front(), spliced.back());
           f.AdoptHits(std::move(spliced));
+          ASSERT_TRUE(HitsInTimeOrder(f)) << "after AdoptHits, i=" << i;
         }
         for (const double t_eval :
              {t - 3.0, t, t + 0.5 * t_max, t + 2.0 * t_max}) {
@@ -315,13 +323,13 @@ TEST(FixedPointTest, QuantizeEqualsTheLibraryConversion) {
 
 // --- H(I) as one division of a running time sum ---------------------
 //
-// FragmentStats keeps Σ Q(t_k) over the hits from its cursor on and
-// subtracts, at a read, the hits that expired since the cursor moved;
-// it replays from the cursor when hits past it are out of time order,
-// and from the start when the cursor does not hold at the read's t_now
-// or t_max. Whatever the path, a read must equal the definition.
+// FragmentStats keeps its hits in time order and Σ Q(t_k) over the hits
+// from its position on. A read walks from the position to its own first
+// live hit, forward (an expiry since the last advance) or back (an
+// earlier t_now or a longer t_max), subtracting or adding the hits it
+// passes. Whichever way, a read must equal the definition.
 
-/// Reads H(I) around `t` (behind the cursor, at it, inside the window,
+/// Reads H(I) around `t` (behind the position, at it, inside the window,
 /// at and past its edge, and at t_now <= 0) against the definition.
 void ExpectMatchesDefinition(const FragmentStats& f, const DecayFunction& dec,
                              double t) {
@@ -354,12 +362,22 @@ TEST(FragmentStatsIncrementalTest, OutOfOrderAppendsAndSplicesMatchDefinition) {
           time = -1.0 - std::floor(5.0 * unit(rng));  // never in the sum
         }
         f.AppendHit({time, Interval(), false});
-        if (i % 7 == 0) f.AdvanceWindow(t, dec);
+        ASSERT_TRUE(HitsInTimeOrder(f)) << "after AppendHit, i=" << i;
+        if (i % 7 == 0) {
+          f.AdvanceWindow(t, dec);
+          ASSERT_TRUE(HitsInTimeOrder(f)) << "after AdvanceWindow, i=" << i;
+        }
         if (i % 97 == 0) {
           // A merge splices two histories: an unsorted replacement.
           std::vector<FragmentHit> spliced = f.hits();
           std::shuffle(spliced.begin(), spliced.end(), rng);
           f.AdoptHits(std::move(spliced));
+          ASSERT_TRUE(HitsInTimeOrder(f)) << "after AdoptHits, i=" << i;
+        }
+        if (i % 250 == 249) {
+          // ResetHits empties the list, its sum and its position.
+          f.ResetHits();
+          ASSERT_TRUE(f.hits().empty());
         }
         ExpectMatchesDefinition(f, dec, t);
         if (::testing::Test::HasFailure()) {
@@ -372,8 +390,8 @@ TEST(FragmentStatsIncrementalTest, OutOfOrderAppendsAndSplicesMatchDefinition) {
 }
 
 TEST(FragmentStatsIncrementalTest, TmaxChangesAndRewoundReadsMatchDefinition) {
-  // The cursor is certified under one t_max and from one time on: a
-  // read under another t_max, or before the cursor's time, replays.
+  // The position is advanced under one t_max and at one time: a read
+  // under a longer t_max, or before that time, walks back from it.
   const DecayFunction dec_short(DecayConfig{10.0, true});
   const DecayFunction dec_long(DecayConfig{1000.0, true});
   FragmentStats f;
@@ -443,6 +461,7 @@ TEST(FragmentStatsIncrementalTest, ShuffledHitListsGiveTheSameBits) {
     std::shuffle(hits.begin(), hits.end(), rng);
     FragmentStats shuffled;
     shuffled.AdoptHits(hits);
+    ASSERT_TRUE(HitsInTimeOrder(shuffled)) << "trial " << trial;
     if (trial % 2 == 1) {
       shuffled.AdvanceWindow(200.0, dec);
       sorted.AdvanceWindow(200.0, dec);

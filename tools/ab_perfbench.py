@@ -1,0 +1,182 @@
+#!/usr/bin/env python3
+"""A/B runner for the repo benchmark: two revisions, alternating pairs.
+
+Usage (from anywhere inside the repository):
+  python3 tools/ab_perfbench.py PARENT_REV CHANGE_REV \\
+      [--workloads sdss_10g,q30_hot] [--pairs 5] [--seconds 55] \\
+      [--seed 1] [--aligned] [--workdir DIR]
+
+Each revision is extracted with `git archive` into its own directory
+under --workdir (default: a new temporary directory), which must lie
+outside the repository, and its perfbench/ is built there as
+perfbench/run.py builds it (CMake, RelWithDebInfo). --aligned adds
+-falign-functions=64 -Wa,-mbranches-within-32B-boundaries to both
+builds, so that a change in code placement alone moves host times less.
+A tree already extracted under the work directory is reused and rebuilt
+incrementally.
+
+For every workload it runs --pairs untraced pairs (--trace 0); pair i
+uses seed --seed + i on both sides and alternates which side runs first.
+It then prints, for every end-to-end metric BENCHMARK.json lists (the
+change's copy): each pair's change/parent ratio, the pairs the change
+won, both medians, the parent's interquartile range, and whether the
+change's median stays within the metric's bound of the parent's. It
+also prints the share of failed operations per side and each side's
+`host:` line. Nothing under perfbench/ is modified.
+
+Python standard library only.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ALIGN_FLAGS = "-falign-functions=64 -Wa,-mbranches-within-32B-boundaries"
+RUN_TIMEOUT_S = 170  # as perfbench/run.py
+
+
+def git(repo, *args):
+    return subprocess.run(["git", "-C", repo] + list(args), check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def extract(repo, rev, dest):
+    """Extracts `rev` into `dest` with git archive (once)."""
+    if os.path.exists(os.path.join(dest, "perfbench", "CMakeLists.txt")):
+        return
+    os.makedirs(dest, exist_ok=True)
+    archive = subprocess.Popen(["git", "-C", repo, "archive", rev],
+                               stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout, check=True)
+    if archive.wait():
+        sys.exit("git archive %s failed" % rev)
+
+
+def build(tree, aligned):
+    """Configures (once) and builds perfbench as run.py does; returns the
+    program's path."""
+    build_dir = os.path.join(tree, ".bench_build", "perfbench")
+    jobs = str(max(1, min(4, os.cpu_count() or 1)))
+    steps = []
+    if not os.path.exists(os.path.join(build_dir, "CMakeCache.txt")):
+        configure = ["cmake", "-S", os.path.join(tree, "perfbench"), "-B",
+                     build_dir, "-DCMAKE_BUILD_TYPE=RelWithDebInfo"]
+        if aligned:
+            configure.append("-DCMAKE_CXX_FLAGS=" + ALIGN_FLAGS)
+        steps.append(configure)
+    steps.append(["cmake", "--build", build_dir, "-j", jobs])
+    for cmd in steps:
+        if subprocess.run(cmd, stdout=sys.stderr, stderr=sys.stderr).returncode:
+            sys.exit("build failed in " + tree)
+    return os.path.join(build_dir, "deepsea_perfbench")
+
+
+def run_once(binary, workload, seed, seconds):
+    """One untraced run: (host line, result JSON)."""
+    cmd = [binary, "--workload", workload, "--seed", str(seed), "--seconds",
+           str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, capture_output=True, text=True,
+                         timeout=RUN_TIMEOUT_S)
+    lines = out.stdout.strip().splitlines()
+    if not lines:
+        sys.exit("no output from %s (exit %d)" % (" ".join(cmd),
+                                                   out.returncode))
+    host = next((l for l in lines if l.startswith("host:")), "host: ?")
+    return host, json.loads(lines[-1])
+
+
+def quartiles(xs):
+    if len(xs) < 2:
+        return xs[0], xs[0]
+    q = statistics.quantiles(xs, n=4, method="inclusive")
+    return q[0], q[2]
+
+
+def report(workload, metrics, runs):
+    """Prints one workload's table. `runs` maps side -> list of results,
+    aligned by pair."""
+    print("\n== %s: %d pairs ==" % (workload, len(runs["parent"])))
+    for side in ("parent", "change"):
+        attempted = sum(r["attempted"] for r in runs[side])
+        failed = sum(r["failed"] for r in runs[side])
+        print("  %-6s failed_fraction %.6f (%d of %d)%s" % (
+            side, failed / attempted if attempted else 0.0, failed, attempted,
+            "" if all(r["correct"] for r in runs[side]) else
+            ", a correctness check FAILED"))
+    print("  %-18s %-34s %5s %12s %12s %11s %s" % (
+        "metric", "change/parent per pair", "won", "parent_med",
+        "change_med", "parent_iqr", "within bound"))
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        a = [r["metrics"][name]["value"] for r in runs["parent"]]
+        b = [r["metrics"][name]["value"] for r in runs["change"]]
+        ratios = [y / x if x else float("nan") for x, y in zip(a, b)]
+        won = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
+        ma, mb = statistics.median(a), statistics.median(b)
+        q1, q3 = quartiles(a)
+        limit = ma * (1 + m["bound"]) if lower else ma * (1 - m["bound"])
+        ok = mb <= limit if lower else mb >= limit
+        print("  %-18s %-34s %2d/%-2d %12.6g %12.6g %11.4g %s (bound %g)" % (
+            name, " ".join("%.3f" % r for r in ratios), won, len(a), ma, mb,
+            q3 - q1, "yes" if ok else "NO", m["bound"]))
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--workloads", default="sdss_10g,q30_hot")
+    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--seconds", type=int, default=55)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--aligned", action="store_true")
+    parser.add_argument("--workdir")
+    args = parser.parse_args()
+
+    repo = git(os.getcwd(), "rev-parse", "--show-toplevel")
+    workdir = os.path.realpath(args.workdir or
+                               tempfile.mkdtemp(prefix="ab_perfbench_"))
+    if os.path.commonpath([workdir, os.path.realpath(repo)]) == \
+            os.path.realpath(repo):
+        sys.exit("--workdir must lie outside the repository")
+    suffix = "-aligned" if args.aligned else ""
+    binaries, trees = {}, {}
+    for side, rev in (("parent", args.parent), ("change", args.change)):
+        sha = git(repo, "rev-parse", "--short=12", rev + "^{commit}")
+        trees[side] = os.path.join(workdir, "%s-%s%s" % (side, sha, suffix))
+        extract(repo, sha, trees[side])
+        binaries[side] = build(trees[side], args.aligned)
+        print("%s: %s %s" % (side, rev, sha))
+    with open(os.path.join(trees["change"], "BENCHMARK.json")) as f:
+        metrics = json.load(f)["end_to_end"]
+    print("build: RelWithDebInfo%s" % (" + " + ALIGN_FLAGS if args.aligned
+                                         else ""))
+
+    hosts = {}
+    for workload in args.workloads.split(","):
+        runs = {"parent": [], "change": []}
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                host, result = run_once(binaries[side], workload,
+                                        args.seed + i, args.seconds)
+                hosts.setdefault(side, host)
+                runs[side].append(result)
+            print("pair %d (seed %d, %s first): cpu_us_per_query %.1f / %.1f"
+                  % (i, args.seed + i, order[0],
+                     runs["parent"][-1]["metrics"]["cpu_us_per_query"]["value"],
+                     runs["change"][-1]["metrics"]["cpu_us_per_query"]["value"]),
+                  flush=True)
+        report(workload, metrics, runs)
+    print("\nhost block:")
+    for side, host in hosts.items():
+        print("  %-6s %s" % (side, host))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
