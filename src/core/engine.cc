@@ -205,7 +205,7 @@ Status DeepSeaEngine::RunPlanningStages(QueryContext* ctx, QueryReport* report,
     report->selection_ran = true;
     report->selection_benefit = res.objective_value;
     report->selection_candidates = res.items_considered;
-    report->creations_withheld = res.creations_withheld;
+    report->creations_withheld_by_kind = res.creations_withheld_by_kind;
     stage.Finish(0.0);
   }
   return Status::OK();

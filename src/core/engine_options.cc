@@ -36,7 +36,9 @@ void EngineTotals::Add(const QueryReport& report) {
     views_created_by_kind[static_cast<size_t>(kind)] += 1;
     creation_premium_by_kind[static_cast<size_t>(kind)] += premium_share;
   }
-  creations_withheld += report.creations_withheld;
+  for (size_t k = 0; k < kCreationKindCount; ++k) {
+    creations_withheld_by_kind[k] += report.creations_withheld_by_kind[k];
+  }
   if (report.created_views.empty() && !report.used_view.empty()) {
     view_reads_credited += 1;
     view_read_savings += report.base_seconds - report.total_seconds;
@@ -78,8 +80,8 @@ EngineTotals& EngineTotals::operator+=(const EngineTotals& other) {
   for (size_t k = 0; k < kCreationKindCount; ++k) {
     views_created_by_kind[k] += other.views_created_by_kind[k];
     creation_premium_by_kind[k] += other.creation_premium_by_kind[k];
+    creations_withheld_by_kind[k] += other.creations_withheld_by_kind[k];
   }
-  creations_withheld += other.creations_withheld;
   view_reads_credited += other.view_reads_credited;
   view_read_savings += other.view_read_savings;
   fragments_created += other.fragments_created;

@@ -161,8 +161,10 @@ struct QueryReport {
   double creation_premium_seconds = 0.0;
   /// View candidates that passed V_sel's benefit filter but whose repeat
   /// creation the realized-return gate withheld this query
-  /// (SelectionPlanner::PlanSelection).
-  int creations_withheld = 0;
+  /// (SelectionPlanner::PlanSelection), by the kind of creation each
+  /// would have been: recreation or topup (a first creation is never
+  /// withheld).
+  std::array<int, kCreationKindCount> creations_withheld_by_kind{};
   int created_fragments = 0;
   /// Pieces (fragments or whole views) that left the pool: policy
   /// evictions, parents split by horizontal refinement, and parents
@@ -225,7 +227,8 @@ struct EngineTotals {
   /// (index into kCreationKindNames).
   std::array<int64_t, kCreationKindCount> views_created_by_kind{};
   std::array<double, kCreationKindCount> creation_premium_by_kind{};
-  int64_t creations_withheld = 0;  ///< repeat creations the gate withheld
+  /// Repeat creations the gate withheld, by kind.
+  std::array<int64_t, kCreationKindCount> creations_withheld_by_kind{};
   /// Queries answered from a view that created none, and what they saved
   /// over their conventional plans: the credit side of the ledgers.
   int64_t view_reads_credited = 0;

@@ -293,11 +293,18 @@ double PlanningDelta::UndecayedBenefit(const ViewInfo* v) const {
   return acc;
 }
 
-bool PlanningDelta::RepeatCreationWithheld(const ViewInfo* v) const {
+std::optional<CreationKind> PlanningDelta::RepeatCreationWithheld(
+    const ViewInfo* v) const {
   NoteViewRead(v);
   const ViewLedger& ledger = v->ledger;
-  if (!ledger.created || ledger.earned >= ledger.paid) return false;
-  return UndecayedBenefit(v) - ledger.n0 < ledger.paid - ledger.earned;
+  if (!ledger.created || ledger.earned >= ledger.paid) return std::nullopt;
+  // An evicted view realizes none of the benefit it keeps accruing, so
+  // only what it earns can clear its debt.
+  if (!v->InPool()) return CreationKind::kRecreation;
+  if (UndecayedBenefit(v) - ledger.n0 < ledger.paid - ledger.earned) {
+    return CreationKind::kTopUp;
+  }
+  return std::nullopt;
 }
 
 double PlanningDelta::LastUse(const ViewInfo* v) const {

@@ -6,6 +6,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "catalog/table.h"
 #include "core/commit_footprint.h"
 #include "core/decay.h"
+#include "core/engine_options.h"
 #include "core/mle_model.h"
 #include "core/policy.h"
 #include "core/view_catalog.h"
@@ -241,12 +243,16 @@ class PlanningDelta {
   std::vector<FragmentHit> EffectiveHits(const PartitionState* part,
                                          const FragmentStats* f) const;
 
-  /// V_sel's realized-return gate (DESIGN.md §7 deviation 11): true
-  /// when `v` was created before, its ledger is in debt (earned < paid),
-  /// and the undecayed benefit it accrued since its last creation,
-  /// N(V) - N0 with this query's benefit patch included, does not cover
-  /// the debt. Notes a read of `v`, as AccumulatedBenefit does. O(1).
-  bool RepeatCreationWithheld(const ViewInfo* v) const;
+  /// V_sel's realized-return gate (DESIGN.md §7 deviation 11): the kind
+  /// of repeat creation withheld, or nullopt when `v` may be created.
+  /// Only a view created before whose ledger is in debt (earned < paid)
+  /// is withheld: a re-creation (`v` holds no pool content) always, a
+  /// top-up (`v` still holds some) while the undecayed benefit it
+  /// accrued since its last creation, N(V) - N0 with this query's
+  /// benefit patch included, does not cover the debt. Notes a read of
+  /// `v`, as AccumulatedBenefit does, so a foreign commit that changes
+  /// its ledger or its pool content invalidates the plan.
+  std::optional<CreationKind> RepeatCreationWithheld(const ViewInfo* v) const;
 
   // --- the value model (Section 7.1, Section 10.1) -------------------
   //

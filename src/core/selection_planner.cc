@@ -1,6 +1,7 @@
 #include "core/selection_planner.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <map>
 
@@ -37,7 +38,7 @@ SelectionResolution SelectionPlanner::PlanSelection(const QueryContext& ctx,
 
   using Item = SelectionCandidate;
   std::vector<Item> items;
-  int withheld = 0;
+  std::array<int, kCreationKindCount> withheld{};
 
   // --- V_sel: filter view candidates by benefit >= cost (Section 7.2).
   //     Partially materialized views stay eligible: their still-
@@ -57,12 +58,14 @@ SelectionResolution SelectionPlanner::PlanSelection(const QueryContext& ctx,
     }
     // Realized-return gate (DESIGN.md §7 deviation 11), DeepSea's value
     // model only: a view whose creations have not paid back offers none
-    // of its new pieces, and plans none, until the benefit it accrued
-    // since its last creation covers the debt.
-    if (options_->value_model == ValueModel::kDeepSea &&
-        delta->RepeatCreationWithheld(v)) {
-      ++withheld;
-      continue;
+    // of its new pieces, and plans none. Evicted, it stays out while in
+    // debt; pooled, it is topped up once the benefit it accrued since
+    // its last creation covers the debt.
+    if (options_->value_model == ValueModel::kDeepSea) {
+      if (const auto kind = delta->RepeatCreationWithheld(v)) {
+        ++withheld[static_cast<size_t>(*kind)];
+        continue;
+      }
     }
     // With a partition, the view enters the selection as individual
     // fragments (the paper's "finer granularity of control", Section
@@ -266,7 +269,7 @@ SelectionResolution SelectionPlanner::PlanSelection(const QueryContext& ctx,
   input.items = std::move(items);
   input.budget_bytes = options_->pool_limit_bytes;
   SelectionResolution res = ResolveGreedy(input);
-  res.creations_withheld = withheld;
+  res.creations_withheld_by_kind = withheld;
 
   // Contended knapsack: the pool sweep's values shaped the outcome, so
   // its reads become part of the plan's validated footprint.

@@ -1,8 +1,10 @@
 #ifndef DEEPSEA_CORE_SELECTION_STRATEGY_H_
 #define DEEPSEA_CORE_SELECTION_STRATEGY_H_
 
+#include <array>
 #include <vector>
 
+#include "core/engine_options.h"
 #include "core/interval.h"
 
 namespace deepsea {
@@ -86,9 +88,10 @@ struct SelectionResolution {
   double objective_value = 0.0;
   /// Items the scan ranked.
   int items_considered = 0;
-  /// View candidates the planner's realized-return gate withheld (set
-  /// by SelectionPlanner, not by the knapsack).
-  int creations_withheld = 0;
+  /// View candidates the planner's realized-return gate withheld, by
+  /// the kind of repeat creation each would have been (set by
+  /// SelectionPlanner, not by the knapsack; `first` stays 0).
+  std::array<int, kCreationKindCount> creations_withheld_by_kind{};
 };
 
 /// The paper's §7.3 greedy knapsack as a pure, deterministic function:

@@ -248,8 +248,11 @@ const std::vector<MetricInfo>& MetricsObserver::Registry() {
       {"deepsea_view_creations_withheld_total", "counter",
        "Repeat creations withheld by the realized-return gate: view "
        "candidates that passed the benefit filter but were created before "
-       "and have not paid back, counted once per query.",
-       "tenant", false, false},
+       "and have not paid back, counted once per query, by the kind of "
+       "creation withheld: recreation (the view holds no pool content: "
+       "always withheld) or topup (withheld until the benefit accrued "
+       "since its last creation covers the debt); first is always 0.",
+       "kind,tenant", false, false},
       {"deepsea_fragments_materialized_total", "counter",
        "Fragments that entered the pool (initial fragments and "
        "refinements).",
@@ -444,8 +447,8 @@ std::string MetricsObserver::RenderPrometheusText(
                &EngineTotals::views_created_by_kind);
   kind_counter("deepsea_view_creation_premium_seconds_total",
                &EngineTotals::creation_premium_by_kind);
-  tenant_counter("deepsea_view_creations_withheld_total",
-                 &EngineTotals::creations_withheld);
+  kind_counter("deepsea_view_creations_withheld_total",
+               &EngineTotals::creations_withheld_by_kind);
   tenant_counter("deepsea_fragments_materialized_total",
                  &EngineTotals::fragments_created);
   tenant_counter("deepsea_evictions_total", &EngineTotals::fragments_evicted);

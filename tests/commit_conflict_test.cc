@@ -11,8 +11,11 @@
 //    multi-tenant runs never replan (determinism contract), and the
 //    pool-membership token: a contended plan replans when a foreign
 //    commit first puts content into a view, not when it only tracks
-//    candidates.
+//    candidates; and a plan that weighed a view's realized-return gate
+//    replans when a foreign commit credits the view's ledger or evicts
+//    its last piece.
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -834,9 +837,12 @@ TEST(EngineReplanTest, SequentialInterleavingNeverReplans) {
 
 class MembershipTokenTest : public ::testing::Test {
  protected:
+  /// The options of the shared pool both tenants run on.
+  virtual EngineOptions PoolOptions() const { return TestOptions(); }
+
   void SetUp() override {
     ASSERT_TRUE(BigBenchDataset::Generate(SmallData(), &catalog_).ok());
-    shared_ = std::make_unique<SharedPool>(&catalog_, TestOptions());
+    shared_ = std::make_unique<SharedPool>(&catalog_, PoolOptions());
     a_ = std::make_unique<DeepSeaEngine>(&catalog_, shared_.get(), "a");
     b_ = std::make_unique<DeepSeaEngine>(&catalog_, shared_.get(), "b");
     reservation_ =
@@ -1067,7 +1073,9 @@ TEST_F(LedgerConflictTest, ForeignReadFromAViewInvalidatesAPlanThatWeighedItsGat
   uint64_t read_epoch = 0;
   const SelectionResolution res =
       Plan(StoreQ30(cold.lo, cold.hi), shared_->options(), &ctx, &read_epoch);
-  ASSERT_EQ(res.creations_withheld, 1);
+  ASSERT_EQ(res.creations_withheld_by_kind[static_cast<size_t>(
+                CreationKind::kTopUp)],
+            1);
   ContendedPlan plan;
   plan.read_epoch = read_epoch;
   plan.reads = ctx->delta()->read_footprint();
@@ -1085,6 +1093,80 @@ TEST_F(LedgerConflictTest, ForeignReadFromAViewInvalidatesAPlanThatWeighedItsGat
   bool genuine = false;
   EXPECT_FALSE(Validates(plan, &genuine));
   EXPECT_TRUE(genuine);
+}
+
+/// The gate's pool-membership read is a read of its view. The 12 GB pool
+/// holds just one of tenant b's views, and hits expire after the query
+/// that made them, so b's first creation displaces all of tenant a's
+/// view (new pieces rank ahead of pool pieces of equal value).
+class EvictionConflictTest : public MembershipTokenTest {
+ protected:
+  EngineOptions PoolOptions() const override {
+    EngineOptions o = TestOptions();
+    o.pool_limit_bytes = 12e9;
+    o.decay.t_max = 0.5;
+    return o;
+  }
+};
+
+TEST_F(EvictionConflictTest, ForeignEvictionOfTheLastPieceInvalidatesATopUpPlan) {
+  // Tenant a's Q30 view is in debt, but the benefit it accrued since its
+  // last creation covers the debt: while it holds pool content, the gate
+  // lets a query over a range it does not hold top it up.
+  const Interval cold(300000, 320000);
+  ViewInfo* v = nullptr;
+  {
+    CommitGuard commit = pool()->BeginCommit();
+    for (ViewInfo* w : pool()->stat(commit)->PoolViews()) {
+      if (!w->partitions.empty()) v = w;
+    }
+    ASSERT_NE(v, nullptr);
+    QueryReport scratch;
+    for (auto& [attr, part] : v->partitions) {
+      for (FragmentStats& f : part.mutable_fragments()) {
+        if (f.materialized && f.interval.Overlaps(cold)) {
+          ASSERT_TRUE(pool()->EvictFragment(v, &part, &f, &scratch).ok());
+        }
+      }
+    }
+    ASSERT_TRUE(v->InPool());
+    v->ledger = {/*paid=*/1.0, /*earned=*/0.0,
+                 /*n0=*/v->stats.UndecayedBenefit() - 1.0, /*created=*/true};
+  }
+  std::unique_ptr<QueryContext> ctx;
+  uint64_t read_epoch = 0;
+  SelectionResolution res =
+      Plan(StoreQ30(cold.lo, cold.hi), shared_->options(), &ctx, &read_epoch);
+  ASSERT_EQ(res.creations_withheld_by_kind,
+            (std::array<int, kCreationKindCount>{}));
+  ContendedPlan plan;
+  plan.read_epoch = read_epoch;
+  plan.reads = ctx->delta()->read_footprint();
+  ASSERT_TRUE(Mentions(plan.reads, v->id));
+
+  // Tenant b's first creation evicts the view's last piece.
+  auto report = b_->ProcessQuery(ClickSelect(150000, 160000));
+  ASSERT_TRUE(report.ok());
+  ASSERT_EQ(report->created_views.size(), 1u);
+  ASSERT_GT(report->evicted_fragments, 0);
+  ASSERT_FALSE(v->InPool());
+
+  // The commit's evictions wrote the view, so the plan replans. The
+  // gate's read alone, of the view's id, already conflicts: every action
+  // of a decision adds its view to the commit's write footprint.
+  bool genuine = false;
+  EXPECT_FALSE(Validates(plan, &genuine));
+  EXPECT_TRUE(genuine);
+  ContendedPlan gate_read;
+  gate_read.read_epoch = read_epoch;
+  gate_read.reads = ViewRead(v->id);
+  genuine = false;
+  EXPECT_FALSE(Validates(gate_read, &genuine));
+  EXPECT_TRUE(genuine);
+  // The replan withholds what is now a re-creation of a view in debt.
+  res = Plan(StoreQ30(cold.lo, cold.hi), shared_->options(), &ctx);
+  EXPECT_EQ(res.creations_withheld_by_kind,
+            (std::array<int, kCreationKindCount>{0, 1, 0}));
 }
 
 // --- schedule fuzz: every query a creator ----------------------------

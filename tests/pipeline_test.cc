@@ -5,6 +5,7 @@
 // QueryContext cover lookup, the EngineObserver seam, and mid-workload
 // SaveState/LoadState continuation across the new stage boundaries.
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -455,12 +456,13 @@ std::string ReportLine(const QueryReport& r) {
     created += kCreationKindNames[static_cast<size_t>(r.created_kinds[i])];
   }
   return StrFormat(
-      "%lld,%.17g,%.17g,%.17g,%.17g,%s,%d,%s,%d,%d,%.17g,%.17g,%d",
+      "%lld,%.17g,%.17g,%.17g,%.17g,%s,%d,%s,%d,%d,%.17g,%.17g,%d,%d",
       static_cast<long long>(r.query_index), r.base_seconds, r.best_seconds,
       r.materialize_seconds, r.total_seconds, r.used_view.c_str(),
       r.fragments_read, created.c_str(), r.created_fragments,
       r.evicted_fragments, r.pool_bytes_after, r.creation_premium_seconds,
-      r.creations_withheld);
+      r.creations_withheld_by_kind[static_cast<size_t>(CreationKind::kRecreation)],
+      r.creations_withheld_by_kind[static_cast<size_t>(CreationKind::kTopUp)]);
 }
 
 /// SDSS-patterned workload (same construction as the golden trace).
@@ -552,7 +554,10 @@ TEST(SaveLoadContinuationTest, BoundedPoolCutBeforeAWithheldCreation) {
     auto report = engine_a.ProcessQuery(workload[i]);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     lines_a.push_back(ReportLine(*report));
-    if (cut < 0 && report->creations_withheld > 0) cut = i;
+    if (cut < 0 && report->creations_withheld_by_kind !=
+                       std::array<int, kCreationKindCount>{}) {
+      cut = i;
+    }
   }
   ASSERT_GT(cut, 0) << "no repeat creation withheld";
 

@@ -233,6 +233,43 @@ TEST(ViewStatsIncrementalTest, RandomEventStreamsMatchNaiveBitIdentically) {
   }
 }
 
+TEST(ViewStatsIncrementalTest, IntegralTimesOnTheWindowEdgeMatchNaiveBitIdentically) {
+  // The engine's clock is integral, so an event recorded at t sits
+  // exactly on the decay window's edge at t_now = t + t_max, where DEC is
+  // still t / t_now > 0: the window must keep it. Continuous times never
+  // land there. The clock ticks one query at a time; each tick records
+  // up to two events, advances the window at most ticks (as the commits
+  // that write the view do) and evaluates at the tick, behind it and
+  // t_max past it.
+  int config = 0;
+  for (const double t_max : {1.0, 2.0, 7.0, 25.0, 500.0}) {
+    DecayFunction dec(DecayConfig{t_max, true});
+    std::mt19937 rng(3000u + static_cast<uint32_t>(config++));
+    std::uniform_int_distribution<int> events(0, 2);
+    std::bernoulli_distribution advance(0.7);
+    std::uniform_real_distribution<double> saving(0.0, 50.0);
+    ViewStats stats;
+    int edges = 0;  // advances with an event exactly t_max back
+    for (int tick = 1; tick <= 1000; ++tick) {
+      const double t_now = tick;
+      for (int e = events(rng); e > 0; --e) stats.RecordUse(t_now, saving(rng));
+      if (advance(rng)) {
+        stats.AdvanceWindow(t_now, dec);
+        edges += std::any_of(stats.events().begin(), stats.events().end(),
+                             [&](const BenefitEvent& e) {
+                               return t_now - e.time == t_max;
+                             });
+      }
+      for (const double t_eval : {t_now, t_now - 1.0, t_now + t_max}) {
+        EXPECT_EQ(stats.AccumulatedBenefit(t_eval, dec),
+                  stats.AccumulatedBenefitNaive(t_eval, dec))
+            << "t_max=" << t_max << " tick=" << tick << " t_eval=" << t_eval;
+      }
+    }
+    EXPECT_GT(edges, 200) << "t_max=" << t_max;
+  }
+}
+
 TEST(FragmentStatsIncrementalTest, RandomHitStreamsMatchNaiveBitIdentically) {
   int config = 0;
   for (const double t_max : {25.0, 500.0, 5000.0}) {
