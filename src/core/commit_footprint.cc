@@ -1,16 +1,13 @@
 #include "core/commit_footprint.h"
 
 #include <algorithm>
-#include <tuple>
 
 namespace deepsea {
 
 namespace {
 
-bool Contains(const std::vector<std::string>& sorted_or_not,
-              const std::string& key) {
-  return std::find(sorted_or_not.begin(), sorted_or_not.end(), key) !=
-         sorted_or_not.end();
+bool Contains(const std::vector<std::string>& keys, const std::string& key) {
+  return std::find(keys.begin(), keys.end(), key) != keys.end();
 }
 
 /// Write touches partition (view, attr)? Honors the "" whole-view
@@ -59,43 +56,6 @@ void CommitFootprint::RemapViewIds(
     rename(&v);
   }
   for (FragRange& f : fragments) rename(&f.view);
-}
-
-void CommitFootprint::Normalize() {
-  std::sort(catalog_sigs.begin(), catalog_sigs.end());
-  catalog_sigs.erase(std::unique(catalog_sigs.begin(), catalog_sigs.end()),
-                     catalog_sigs.end());
-  using SigPtr = std::shared_ptr<const KeyedSignature>;
-  auto normalize_sigs = [](std::vector<SigPtr>* entries) {
-    std::sort(entries->begin(), entries->end(),
-              [](const SigPtr& a, const SigPtr& b) { return a->key < b->key; });
-    entries->erase(std::unique(entries->begin(), entries->end(),
-                               [](const SigPtr& a, const SigPtr& b) {
-                                 return a->key == b->key;
-                               }),
-                   entries->end());
-  };
-  normalize_sigs(&index_probes);
-  normalize_sigs(&index_inserts);
-  std::sort(views.begin(), views.end());
-  views.erase(std::unique(views.begin(), views.end()), views.end());
-  std::sort(partitions.begin(), partitions.end());
-  partitions.erase(std::unique(partitions.begin(), partitions.end()),
-                   partitions.end());
-  // By reference: a tuple of copies would copy two strings per compare.
-  auto frag_key = [](const FragRange& f) {
-    return std::tie(f.view, f.attr, f.range.lo, f.range.hi,
-                    f.range.lo_inclusive, f.range.hi_inclusive);
-  };
-  std::sort(fragments.begin(), fragments.end(),
-            [&](const FragRange& a, const FragRange& b) {
-              return frag_key(a) < frag_key(b);
-            });
-  fragments.erase(std::unique(fragments.begin(), fragments.end(),
-                              [&](const FragRange& a, const FragRange& b) {
-                                return frag_key(a) == frag_key(b);
-                              }),
-                  fragments.end());
 }
 
 bool FootprintsConflict(const CommitFootprint& read,

@@ -77,9 +77,9 @@ struct CommitFootprint {
   /// index. Write side: view signatures inserted into it. Each entry is
   /// the planning query's own SignatureTable object (shared, so footprint
   /// copies into the epoch table and the in-flight registry stay cheap):
-  /// its key is the identity, used for dedup and the exact-match fast
-  /// path, and its structured form is what SignatureSubsumes evaluates
-  /// during conflict checks.
+  /// its key is the identity, used for the exact-match fast path, and
+  /// its structured form is what SignatureSubsumes evaluates during
+  /// conflict checks. Entry lists may repeat a key: every reader scans.
   std::vector<std::shared_ptr<const KeyedSignature>> index_probes;
   std::vector<std::shared_ptr<const KeyedSignature>> index_inserts;
   std::vector<std::string> views;
@@ -122,11 +122,6 @@ struct CommitFootprint {
   /// published to the commit-epoch table.
   void RemapViewIds(
       const std::vector<std::pair<std::string, std::string>>& remap);
-
-  /// Sort + dedup every entry list (conflict checks are scans, but a
-  /// plan can record the same key many times over; normalizing keeps
-  /// the epoch table and the in-flight registry small).
-  void Normalize();
 };
 
 /// True when the write footprint intersects the read footprint — the

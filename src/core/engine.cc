@@ -247,7 +247,6 @@ Result<QueryReport> DeepSeaEngine::ProcessQuery(const PlanPtr& query) {
     // so its footprint and budget claim cover both.
     MergeDecisionWrites(decision, &write_fp);
     admitted_bytes = AdmittedDecisionBytes(decision);
-    write_fp.Normalize();
   }
 
   // Phase 2 — commit. Only work whose effects cannot be expressed as a
@@ -274,14 +273,13 @@ Result<QueryReport> DeepSeaEngine::ProcessQuery(const PlanPtr& query) {
   bool sharded = false;
   if (!needs_exclusive) {
     commit = pool_->TryBeginShardedCommit(
-        observer_, tenant_, std::move(write_fp),
-        ctx->delta()->read_footprint(), read_epoch, &conflict_genuine,
-        admitted_bytes);
+        std::move(write_fp), ctx->delta()->read_footprint(), read_epoch,
+        &conflict_genuine, admitted_bytes);
     sharded = commit.held();
     replan = !sharded;
   }
   if (!commit.held()) {
-    commit = pool_->BeginCommit(observer_, tenant_);
+    commit = pool_->BeginCommit();
     if (!replan) {
       // Structural path: same read-set + budget-headroom validation,
       // under the exclusive lock (no in-flight sharded commits can
@@ -334,11 +332,14 @@ Result<QueryReport> DeepSeaEngine::ProcessQuery(const PlanPtr& query) {
     // The exclusive commit publishes `all` by default; a validated (or
     // replanned) plan knows its precise writes — publish those instead
     // so disjoint in-flight plans of other tenants survive this commit.
-    // (With the merge pass enabled the commit may touch any view, so
-    // `all` stands. Collect before Apply folds the delta.)
-    CommitFootprint write_fp = ctx->delta()->CollectWriteFootprint();
-    MergeDecisionWrites(decision, &write_fp);
-    write_fp.Normalize();
+    // A validated plan publishes the footprint phase 1 collected; only a
+    // replan has a new delta and decision to collect from, before Apply
+    // folds the delta. (With the merge pass enabled the commit may touch
+    // any view, so `all` stands.)
+    if (replan) {
+      write_fp = ctx->delta()->CollectWriteFootprint();
+      MergeDecisionWrites(decision, &write_fp);
+    }
     pool_->SetCommitFootprint(commit, std::move(write_fp));
   }
 

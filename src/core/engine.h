@@ -122,8 +122,7 @@ class DeepSeaEngine {
 
   /// Attaches an observer to the pipeline (nullptr detaches). The
   /// observer must outlive the engine or be detached before it dies.
-  /// OnEvict events reach the observer only for commits made by THIS
-  /// engine (each commit carries its tenant's observer), so two tenants
+  /// Every hook fires from this engine's ProcessQuery, so two tenants
   /// with separate observers do not see each other's events.
   void set_observer(EngineObserver* observer) { observer_ = observer; }
   EngineObserver* observer() const { return observer_; }

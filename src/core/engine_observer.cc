@@ -37,14 +37,6 @@ void MulticastObserver::OnStageEnd(EngineStage stage, const QueryContext& ctx,
   }
 }
 
-void MulticastObserver::OnEvict(const ViewInfo& view, const std::string& attr,
-                                const Interval& interval, double bytes,
-                                const std::string& tenant) {
-  for (EngineObserver* s : sinks_) {
-    s->OnEvict(view, attr, interval, bytes, tenant);
-  }
-}
-
 void MulticastObserver::OnFault(EngineStage stage, const std::string& view_id,
                                 const Status& status, int attempt,
                                 const std::string& tenant) {

@@ -6,8 +6,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/interval.h"
-#include "core/view_catalog.h"
 #include "plan/plan.h"
 
 namespace deepsea {
@@ -27,26 +25,24 @@ enum class EngineStage {
 
 const char* EngineStageName(EngineStage stage);
 
-/// Observation seam of the query pipeline: eight hooks. The engine
-/// invokes them at query and stage boundaries (OnQueryStart,
+/// Observation seam of the query pipeline: seven hooks, all fired by
+/// DeepSeaEngine — at query and stage boundaries (OnQueryStart,
 /// OnStageStart, OnStageEnd, OnQueryEnd) and on fault handling
-/// (OnFault, OnRetry, OnDegrade); its PoolManager invokes OnEvict for
-/// every piece that leaves the pool. Implementations must not mutate
-/// engine state; all arguments are only valid for the duration of the
-/// call.
+/// (OnFault, OnRetry, OnDegrade). The pool calls no observer.
+/// Implementations must not mutate engine state; all arguments are only
+/// valid for the duration of the call.
 ///
 /// Counters come from OnQueryEnd's report: the QueryReport is the only
 /// record of what a query did (pieces and bytes materialized and
 /// evicted, merges, faults, retries, degrades, commit path), and
 /// EngineTotals::Add is the one fold that turns it into counters. The
-/// other hooks carry what a report does not: stage timings, the
-/// evicted paths, and the fault-event sequence. A query whose
-/// ProcessQuery returns an error has no report: OnQueryEnd does not
-/// fire and nothing is folded. The one such error raised after the
-/// commit has changed the pool is a failed physical execution
-/// (EngineOptions::physical_execution): the pieces Apply and the merge
-/// pass committed stay in or out of the pool and their OnEvict calls
-/// have fired, but no counter sees them.
+/// other hooks carry what a report does not: stage timings and the
+/// fault-event sequence. A query whose ProcessQuery returns an error
+/// has no report: OnQueryEnd does not fire and nothing is folded. The
+/// one such error raised after the commit has changed the pool is a
+/// failed physical execution (EngineOptions::physical_execution): the
+/// pieces Apply and the merge pass committed stay in or out of the
+/// pool, but no counter sees them.
 ///
 /// Tenancy: every hook identifies the tenant whose query triggered it —
 /// either explicitly (`tenant` parameter, "" for a single-tenant
@@ -57,7 +53,7 @@ const char* EngineStageName(EngineStage stage);
 ///    that call.
 ///  * OnQueryStart and the planning stage hooks (kRewrite/kCandidates/
 ///    kSelection) fire while planning holds the pool lock in shared
-///    mode. OnEvict, the fault hooks (OnFault/OnRetry/OnDegrade), the
+///    mode. The fault hooks (OnFault/OnRetry/OnDegrade), the
 ///    kApply/kMerge/kPhysical stage hooks and OnQueryEnd fire inside
 ///    that query's commit — which may be a sharded commit, running
 ///    concurrently with other tenants' commits on disjoint shards. No
@@ -102,25 +98,6 @@ class EngineObserver {
     (void)ctx;
     (void)sim_seconds;
     (void)wall_seconds;
-  }
-
-  /// A fragment left the pool. `attr` is empty for whole-view eviction.
-  /// Fired for policy evictions and also for parents removed by
-  /// horizontal splits and merge passes — once per piece the query's
-  /// report counts in evicted_fragments. Fired at the commit of the
-  /// decision transaction, so a rolled-back attempt fires none. `tenant`
-  /// is the committing tenant, whose reconfiguration displaced the
-  /// content. The evicted piece's hits and benefit are pooled across
-  /// tenants (Φ credits B(V, t) whoever earned it), so no single tenant
-  /// owns the lost coverage.
-  virtual void OnEvict(const ViewInfo& view, const std::string& attr,
-                       const Interval& interval, double bytes,
-                       const std::string& tenant) {
-    (void)view;
-    (void)attr;
-    (void)interval;
-    (void)bytes;
-    (void)tenant;
   }
 
   // --- fault handling (see DESIGN.md, "Failure model and recovery") ---
@@ -187,9 +164,6 @@ class MulticastObserver : public EngineObserver {
   void OnStageStart(EngineStage stage, const QueryContext& ctx) override;
   void OnStageEnd(EngineStage stage, const QueryContext& ctx,
                   double sim_seconds, double wall_seconds) override;
-  void OnEvict(const ViewInfo& view, const std::string& attr,
-               const Interval& interval, double bytes,
-               const std::string& tenant) override;
   void OnFault(EngineStage stage, const std::string& view_id,
                const Status& status, int attempt,
                const std::string& tenant) override;

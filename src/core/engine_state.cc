@@ -285,7 +285,7 @@ Status DeepSeaEngine::LoadState(const std::string& state) {
   // the engine unchanged), then apply the validated state. Every
   // operation in the apply half is infallible, so the load lands
   // completely or not at all.
-  CommitGuard commit = pool_->BeginCommit(observer_, tenant_);
+  CommitGuard commit = pool_->BeginCommit();
   ViewCatalog* views = pool_->stat(commit);
   SimFs* fs = pool_->fs(commit);
   FilterTree* index = pool_->rewrite_index(commit);

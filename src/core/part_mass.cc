@@ -48,30 +48,32 @@ void PartMass::Spread(const PartGrid& grid, const Interval& iv,
   }
 }
 
-void PartMass::AddSpread(const std::vector<FragmentStats>& fragments,
-                         const Entry& e, int sign, Sum* sums) const {
-  const FragmentStats& f = fragments[e.frag];
-  Spread(grid_, f.interval, f.hits()[e.hit], decay_.enabled ? e.time : 1.0,
-         sign, sums);
+void PartMass::AddHits(const std::vector<FragmentStats>& fragments, size_t i,
+                       size_t k, const DecayFunction& dec) {
+  const FragmentStats& f = fragments[i];
+  const std::vector<FragmentHit>& hits = f.hits();
+  // The hits out of the window at t_ are a prefix of the time-ordered
+  // list; every hit after them is in it.
+  while (k < hits.size() && !(dec(t_, hits[k].time) > 0.0)) ++k;
+  // A fragment with no hit in the sum starts its suffix here; one with
+  // in-sum hits keeps its start (the new hits are no older).
+  if (first_[i] == covered_[i]) first_[i] = static_cast<uint32_t>(k);
+  if (k < hits.size()) oldest_ = std::min(oldest_, hits[k].time);
+  for (; k < hits.size(); ++k) {
+    Spread(grid_, f.interval, hits[k], decay_.enabled ? hits[k].time : 1.0,
+           +1, sums_.data());
+  }
+  covered_[i] = static_cast<uint32_t>(hits.size());
 }
 
-void PartMass::AddHit(const std::vector<FragmentStats>& fragments, size_t i,
-                      size_t k, const DecayFunction& dec, bool sorted_insert) {
-  const FragmentHit& h = fragments[i].hits()[k];
-  if (!(dec(t_, h.time) > 0.0)) return;
-  Spread(grid_, fragments[i].interval, h, decay_.enabled ? h.time : 1.0, +1,
-         sums_.data());
-  // With decay off nothing expires, so no ledger is kept.
-  if (!decay_.enabled) return;
-  const Entry e{h.time, static_cast<uint32_t>(i), static_cast<uint32_t>(k)};
-  if (!sorted_insert) {
-    ledger_.push_back(e);
-    return;
+size_t PartMass::Expire(const std::vector<FragmentStats>& fragments, size_t i,
+                        const DecayFunction& dec, double t, Sum* sums) const {
+  const FragmentStats& f = fragments[i];
+  size_t k = first_[i];
+  for (; k < covered_[i] && !(dec(t, f.hits()[k].time) > 0.0); ++k) {
+    Spread(grid_, f.interval, f.hits()[k], f.hits()[k].time, -1, sums);
   }
-  // Hits arrive nearly in time order: the slot is at or near the back.
-  ledger_.insert(std::upper_bound(ledger_.begin() + static_cast<long>(head_),
-                                  ledger_.end(), e),
-                 e);
+  return k;
 }
 
 void PartMass::Rebuild(const std::vector<FragmentStats>& fragments,
@@ -82,18 +84,14 @@ void PartMass::Rebuild(const std::vector<FragmentStats>& fragments,
   decay_ = dec.config();
   t_ = t;
   sums_.assign(static_cast<size_t>(grid.num_parts), 0);
-  covered_.resize(fragments.size());
+  first_.assign(fragments.size(), 0);
+  covered_.assign(fragments.size(), 0);
   generation_.resize(fragments.size());
   for (size_t i = 0; i < fragments.size(); ++i) {
-    const FragmentStats& f = fragments[i];
     // Hits before LiveHitsBegin weigh exactly 0.0 at t.
-    for (size_t k = f.LiveHitsBegin(t, dec); k < f.hits().size(); ++k) {
-      AddHit(fragments, i, k, dec, /*sorted_insert=*/false);
-    }
-    covered_[i] = static_cast<uint32_t>(f.hits().size());
-    generation_[i] = f.hits_generation();
+    AddHits(fragments, i, fragments[i].LiveHitsBegin(t, dec), dec);
+    generation_[i] = fragments[i].hits_generation();
   }
-  std::sort(ledger_.begin(), ledger_.end());
 }
 
 bool PartMass::Update(const std::vector<FragmentStats>& fragments,
@@ -108,33 +106,32 @@ bool PartMass::Update(const std::vector<FragmentStats>& fragments,
       return false;
     }
   }
-  // Expire first, so appended hits are judged at the new time. The
-  // expired hits are a prefix of the time-ordered ledger.
+  // Expire first, so appended hits are judged at the new time.
   if (t > t_) {
     t_ = t;
-    while (head_ < ledger_.size() && !(dec(t_, ledger_[head_].time) > 0.0)) {
-      AddSpread(fragments, ledger_[head_], -1, sums_.data());
-      ++head_;
-    }
-    if (head_ > 0 && 2 * head_ >= ledger_.size()) {
-      ledger_.erase(ledger_.begin(),
-                    ledger_.begin() + static_cast<long>(head_));
-      head_ = 0;
+    if (!(dec(t_, oldest_) > 0.0)) {
+      oldest_ = std::numeric_limits<double>::infinity();
+      for (size_t i = 0; i < covered_.size(); ++i) {
+        first_[i] =
+            static_cast<uint32_t>(Expire(fragments, i, dec, t_, sums_.data()));
+        if (first_[i] < covered_[i]) {
+          oldest_ = std::min(oldest_, fragments[i].hits()[first_[i]].time);
+        }
+      }
     }
   }
   const size_t old_size = covered_.size();
+  first_.resize(fragments.size(), 0);
   covered_.resize(fragments.size(), 0);
   generation_.resize(fragments.size());
   for (size_t i = 0; i < fragments.size(); ++i) {
     const FragmentStats& f = fragments[i];
     if (i >= old_size) generation_[i] = f.hits_generation();
     // Only a fragment with new hits is walked to its first live one.
-    size_t k = covered_[i];
-    if (k < f.hits().size()) k = std::max(k, f.LiveHitsBegin(t_, dec));
-    for (; k < f.hits().size(); ++k) {
-      AddHit(fragments, i, k, dec, /*sorted_insert=*/true);
+    const size_t k = covered_[i];
+    if (k < f.hits().size()) {
+      AddHits(fragments, i, std::max(k, f.LiveHitsBegin(t_, dec)), dec);
     }
-    covered_[i] = static_cast<uint32_t>(f.hits().size());
   }
   return true;
 }
@@ -158,20 +155,17 @@ void PartMass::SumsAt(const std::vector<FragmentStats>& fragments,
                       const DecayFunction& dec, double t_now,
                       std::vector<Sum>* out) const {
   *out = sums_;
-  for (size_t j = head_;
-       j < ledger_.size() && !(dec(t_now, ledger_[j].time) > 0.0); ++j) {
-    AddSpread(fragments, ledger_[j], -1, out->data());
+  if (dec(t_now, oldest_) > 0.0) return;
+  for (size_t i = 0; i < covered_.size(); ++i) {
+    Expire(fragments, i, dec, t_now, out->data());
   }
 }
 
 bool PartMass::operator==(const PartMass& other) const {
   return grid_ == other.grid_ && SameDecay(decay_, other.decay_) &&
-         t_ == other.t_ &&
-         sums_ == other.sums_ && covered_ == other.covered_ &&
-         generation_ == other.generation_ &&
-         std::equal(ledger_.begin() + static_cast<long>(head_), ledger_.end(),
-                    other.ledger_.begin() + static_cast<long>(other.head_),
-                    other.ledger_.end());
+         t_ == other.t_ && sums_ == other.sums_ && first_ == other.first_ &&
+         covered_ == other.covered_ && generation_ == other.generation_ &&
+         oldest_ == other.oldest_;
 }
 
 }  // namespace deepsea

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/decay.h"
@@ -39,9 +40,14 @@ struct PartGrid {
 /// kept in 128-bit integers, so appends, expiries, rebuilds and
 /// rollbacks give the same bits in any order: a maintained sum equals a
 /// rebuild from the hit lists exactly (tests/part_mass.h). A hit is in
-/// the sum exactly when DEC(t(), t_k) > 0. The ledger lists those hits
-/// by time, so expiry pops a prefix even when a fragment enters with
-/// old hits (a V_sel piece inherits the pieces it covers' histories).
+/// the sum exactly when DEC(t(), t_k) > 0. Each fragment's hit list is
+/// in time order and DEC(t, t_k) > 0 is monotone in t_k, so a
+/// fragment's in-sum hits are the covered suffix from one index on
+/// (`first_`), and expiry walks each fragment's list from there. A
+/// fragment that enters with old hits (a V_sel piece inherits the
+/// pieces it covers' histories) starts its suffix at its first live
+/// one. While the oldest in-sum hit (`oldest_`) is in the window, every
+/// in-sum hit is, so expiry walks the fragments only once it leaves.
 ///
 /// Only PoolManager mutates a kept mass, inside commit sections; planners
 /// read it under the shared lock (MleFragmentModel::Adjust).
@@ -90,53 +96,44 @@ class PartMass {
               const PartGrid& grid, const DecayFunction& dec) const;
 
   /// The sums at t_now >= t(): sums() minus the hits that expired in
-  /// between. `fragments` is the list the mass covers.
+  /// between. `fragments` is the list the mass covers. O(parts) when no
+  /// hit expired, else O(parts + fragments + hits expired).
   void SumsAt(const std::vector<FragmentStats>& fragments,
               const DecayFunction& dec, double t_now,
               std::vector<Sum>* out) const;
 
-  /// Same sums, window, grid, ledger and covered hit counts.
+  /// Same sums, window, grid, in-sum hits, oldest in-sum time and
+  /// covered hit counts.
   bool operator==(const PartMass& other) const;
 
  private:
-  /// One in-sum hit: fragments[frag].hits()[hit], recorded at `time`.
-  struct Entry {
-    double time;
-    uint32_t frag;
-    uint32_t hit;
-    bool operator<(const Entry& o) const {
-      if (time != o.time) return time < o.time;
-      if (frag != o.frag) return frag < o.frag;
-      return hit < o.hit;
-    }
-    bool operator==(const Entry& o) const {
-      return time == o.time && frag == o.frag && hit == o.hit;
-    }
-  };
-
   /// Same decay as far as the sums go (t_max matters only with decay on).
   static bool SameDecay(const DecayConfig& a, const DecayConfig& b) {
     return a.enabled == b.enabled && (!a.enabled || a.t_max == b.t_max);
   }
-  /// Adds hit k of fragment i to the sums (and the ledger) when it is in
-  /// the window at t_. Rebuild sorts the ledger once; updates insert in
-  /// place (`sorted_insert`).
-  void AddHit(const std::vector<FragmentStats>& fragments, size_t i, size_t k,
-              const DecayFunction& dec, bool sorted_insert);
-  void AddSpread(const std::vector<FragmentStats>& fragments, const Entry& e,
-                 int sign, Sum* sums) const;
+  /// Adds fragment i's hits from index k on that are in the window at
+  /// t_ to the sums, and covers its whole list.
+  void AddHits(const std::vector<FragmentStats>& fragments, size_t i,
+               size_t k, const DecayFunction& dec);
+  /// Subtracts from `sums` fragment i's in-sum hits that are out of the
+  /// window at `t`; returns the index of its first hit left in. With
+  /// decay off DEC is 1 and nothing leaves, so every term subtracted is
+  /// time-weighted.
+  size_t Expire(const std::vector<FragmentStats>& fragments, size_t i,
+                const DecayFunction& dec, double t, Sum* sums) const;
 
   PartGrid grid_;
   DecayConfig decay_;
   double t_ = 0.0;
   std::vector<Sum> sums_;
-  /// In-sum hits in (time, frag, hit) order from head_ on; entries
-  /// before head_ have expired. Empty with decay off (nothing expires).
-  std::vector<Entry> ledger_;
-  size_t head_ = 0;
-  /// Per fragment: hits covered, and the hit list's generation then.
+  /// Per fragment: its in-sum hits are [first_, covered_) of its list;
+  /// the hit list's generation when covered.
+  std::vector<uint32_t> first_;
   std::vector<uint32_t> covered_;
   std::vector<uint32_t> generation_;
+  /// The time of the oldest in-sum hit (+inf when none): while it is in
+  /// the window, every in-sum hit is, and expiry need not walk.
+  double oldest_ = std::numeric_limits<double>::infinity();
 };
 
 }  // namespace deepsea

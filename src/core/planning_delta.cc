@@ -635,7 +635,6 @@ CommitFootprint PlanningDelta::CollectWriteFootprint() const {
       }
     }
   }
-  fp.Normalize();
   return fp;
 }
 

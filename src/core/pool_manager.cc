@@ -134,12 +134,9 @@ struct PoolManager::CommitCtx {
   CommitFootprint publish_fp;   ///< published to the epoch table on release
   uint64_t inflight_id = 0;     ///< in-flight registry key (sharded only)
   int64_t entered_ns = 0;
-  EngineObserver* observer = nullptr;
-  std::string tenant;
   bool txn_active = false;
   std::vector<TxnViewImage> txn_views;
   std::vector<TxnFileImage> txn_files;
-  std::vector<TxnEvent> txn_events;
 };
 
 PoolManager::CommitCtx& PoolManager::Ctx() {
@@ -154,8 +151,6 @@ void CommitGuard::Release() {
 }
 
 CommitGuard PoolManager::EnterCommitLocked(bool exclusive,
-                                           EngineObserver* observer,
-                                           std::string tenant,
                                            CommitFootprint publish_fp) {
   CommitCtx& ctx = Ctx();
   assert(ctx.pool == nullptr);
@@ -164,26 +159,21 @@ CommitGuard PoolManager::EnterCommitLocked(bool exclusive,
   ctx.publish_fp = std::move(publish_fp);
   ctx.inflight_id = 0;
   ctx.entered_ns = NowNs();
-  ctx.observer = observer;
-  ctx.tenant = std::move(tenant);
   commits_entered_.fetch_add(1, std::memory_order_relaxed);
   return CommitGuard(this);
 }
 
-CommitGuard PoolManager::BeginCommit(EngineObserver* observer,
-                                     std::string tenant) {
+CommitGuard PoolManager::BeginCommit() {
   assert(!CommitHeldByThisThread() && "commit section is not re-entrant");
   lock_.LockExclusive();
   CommitFootprint everything;
   everything.all = true;
-  return EnterCommitLocked(/*exclusive=*/true, observer, std::move(tenant),
-                           std::move(everything));
+  return EnterCommitLocked(/*exclusive=*/true, std::move(everything));
 }
 
 CommitGuard PoolManager::TryBeginShardedCommit(
-    EngineObserver* observer, std::string tenant, CommitFootprint write_fp,
-    const CommitFootprint& read_fp, uint64_t read_epoch, bool* conflict_genuine,
-    double admitted_bytes) {
+    CommitFootprint write_fp, const CommitFootprint& read_fp,
+    uint64_t read_epoch, bool* conflict_genuine, double admitted_bytes) {
   assert(!CommitHeldByThisThread() && "commit section is not re-entrant");
   if (write_fp.all) {
     // A structural (`all`) footprint has no shard set: entering under
@@ -226,8 +216,8 @@ CommitGuard PoolManager::TryBeginShardedCommit(
     inflight_.push_back(InflightCommit{inflight_id, write_fp, admitted_bytes});
   }
   if (conflict_genuine != nullptr) *conflict_genuine = false;
-  CommitGuard guard = EnterCommitLocked(/*exclusive=*/false, observer,
-                                        std::move(tenant), std::move(write_fp));
+  CommitGuard guard =
+      EnterCommitLocked(/*exclusive=*/false, std::move(write_fp));
   CommitCtx& ctx = Ctx();
   ctx.shards = std::move(shards);
   ctx.inflight_id = inflight_id;
@@ -498,12 +488,6 @@ void PoolManager::TxnCommit() {
   CommitCtx& ctx = Ctx();
   assert(ctx.txn_active);
   ctx.txn_active = false;
-  if (ctx.observer != nullptr) {
-    for (const TxnEvent& e : ctx.txn_events) {
-      ctx.observer->OnEvict(*e.view, e.attr, e.interval, e.bytes, ctx.tenant);
-    }
-  }
-  ctx.txn_events.clear();
   ctx.txn_views.clear();
   ctx.txn_files.clear();
 }
@@ -539,7 +523,6 @@ void PoolManager::TxnRollback() {
   for (auto it = ctx.txn_files.rbegin(); it != ctx.txn_files.rend(); ++it) {
     fs_.RestoreForRollback(it->path, it->existed, it->bytes);
   }
-  ctx.txn_events.clear();
   ctx.txn_views.clear();
   ctx.txn_files.clear();
 }
@@ -608,20 +591,6 @@ Status PoolManager::TxnDelete(const std::string& path) {
   DEEPSEA_RETURN_IF_ERROR(fs_.Delete(path));
   if (!have) ctx.txn_files.push_back(std::move(img));
   return Status::OK();
-}
-
-void PoolManager::RecordEviction(const ViewInfo* view, const std::string& attr,
-                                 const Interval& interval, double bytes,
-                                 QueryReport* report) {
-  ++report->evicted_fragments;
-  report->evicted_bytes += bytes;
-  CommitCtx& ctx = Ctx();
-  if (ctx.observer == nullptr) return;
-  if (ctx.txn_active) {
-    ctx.txn_events.push_back(TxnEvent{view, attr, interval, bytes});
-    return;
-  }
-  ctx.observer->OnEvict(*view, attr, interval, bytes, ctx.tenant);
 }
 
 // --- creation / eviction primitives ---
@@ -781,7 +750,8 @@ Status PoolManager::EvictFragment(ViewInfo* view, PartitionState* part,
   DEEPSEA_RETURN_IF_ERROR(st);
   frag->materialized = false;
   RefreshView(view);
-  RecordEviction(view, part->attr, frag->interval, frag->size_bytes, report);
+  ++report->evicted_fragments;
+  report->evicted_bytes += frag->size_bytes;
   return Status::OK();
 }
 
@@ -810,7 +780,8 @@ Result<int> PoolManager::EvictWholeView(ViewInfo* view, QueryReport* report) {
     view->whole_materialized = false;
     ++evicted;
     RefreshView(view);
-    RecordEviction(view, "", Interval(), view->stats.size_bytes, report);
+    ++report->evicted_fragments;
+    report->evicted_bytes += view->stats.size_bytes;
   }
   return evicted;
 }

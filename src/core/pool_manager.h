@@ -18,7 +18,6 @@
 #include "catalog/table.h"
 #include "core/commit_footprint.h"
 #include "core/decay.h"
-#include "core/engine_observer.h"
 #include "core/engine_options.h"
 #include "core/query_context.h"
 #include "core/selection_planner.h"
@@ -173,9 +172,8 @@ class CommitGuard {
 ///    catalog readers by catalog_mu_. Publishes `all` by default;
 ///    engines narrow it via SetCommitFootprint.
 ///
-/// The commit section carries the committing tenant's observer in
-/// thread-local commit context: OnEvict events are routed to it,
-/// stamped with the tenant id.
+/// The pool calls no observer: what a commit did is recorded in the
+/// query's QueryReport, which the engine hands to its observer.
 ///
 /// Read access: the `*Snapshot()` methods take the pool lock in S mode
 /// and are safe from any thread (monitoring). The plain const accessors
@@ -198,15 +196,13 @@ class PoolManager {
 
   /// Enters the exclusive (X) commit section, blocking until every
   /// other commit, sharded commit, and shared-mode reader has drained.
-  /// `observer` receives the OnEvict events of this commit (nullptr =
-  /// silent); `tenant` stamps those events. Unless narrowed via
-  /// SetCommitFootprint, the commit publishes an `all` write footprint
-  /// (conservatively invalidating every in-flight plan — correct for
-  /// arbitrary direct mutation through the guarded accessors).
+  /// Unless narrowed via SetCommitFootprint, the commit publishes an
+  /// `all` write footprint (conservatively invalidating every in-flight
+  /// plan — correct for arbitrary direct mutation through the guarded
+  /// accessors).
   /// Re-entering from a thread that already holds a commit is a
   /// programming error (asserts in debug builds).
-  CommitGuard BeginCommit(EngineObserver* observer = nullptr,
-                          std::string tenant = std::string());
+  CommitGuard BeginCommit();
 
   /// Attempts a sharded (IX) commit for a plan whose reads are
   /// `read_fp` (recorded under SharedLock at epoch `read_epoch`) and
@@ -231,9 +227,7 @@ class PoolManager {
   /// A structural (`all`) write footprint has no shard set and is
   /// rejected outright (empty guard, genuine): such commits must take
   /// the BeginCommit path.
-  CommitGuard TryBeginShardedCommit(EngineObserver* observer,
-                                    std::string tenant,
-                                    CommitFootprint write_fp,
+  CommitGuard TryBeginShardedCommit(CommitFootprint write_fp,
                                     const CommitFootprint& read_fp,
                                     uint64_t read_epoch,
                                     bool* conflict_genuine,
@@ -384,9 +378,8 @@ class PoolManager {
   /// and `report` are rolled back to their pre-Apply images; then
   /// report->fault_view / fault_message identify the failed action and
   /// the fault's status is returned, so the caller can retry the whole
-  /// decision (transient) or abandon it (permanent). OnEvict
-  /// notifications are deferred to the transaction commit: a rolled-back
-  /// attempt emits none, and its counts vanish with the report image.
+  /// decision (transient) or abandon it (permanent). A rolled-back
+  /// attempt's counts vanish with the report image.
   Status Apply(const SelectionDecision& decision, const QueryContext& ctx,
                QueryReport* report);
 
@@ -432,10 +425,10 @@ class PoolManager {
                                      const Interval& iv,
                                      const QueryContext& ctx,
                                      QueryReport* report);
-  /// Evicts a fragment from the pool: one OnEvict and one
-  /// report->evicted_fragments per call. An eviction whose backing file
-  /// is missing is a pool-accounting bug: it asserts in debug builds and
-  /// returns Internal in release.
+  /// Evicts a fragment from the pool: one report->evicted_fragments per
+  /// call. An eviction whose backing file is missing is a pool-
+  /// accounting bug: it asserts in debug builds and returns Internal in
+  /// release.
   Status EvictFragment(ViewInfo* view, PartitionState* part,
                        FragmentStats* frag, QueryReport* report);
   /// Evicts a whole view: its full materialization AND every
@@ -465,17 +458,15 @@ class PoolManager {
   friend class CommitGuard;
 
   /// Per-thread commit context: who holds a commit on which pool, in
-  /// which mode, with which shards, observer, tenant stamp, publish
-  /// footprint, and transaction journal. Thread-local because sharded
-  /// commits run concurrently — one commit per thread.
+  /// which mode, with which shards, publish footprint, and transaction
+  /// journal. Thread-local because sharded commits run concurrently —
+  /// one commit per thread.
   struct CommitCtx;
   static CommitCtx& Ctx();
 
   void ReleaseCommit();
   /// Common entry bookkeeping once the pool lock (X or IX) is held.
-  CommitGuard EnterCommitLocked(bool exclusive, EngineObserver* observer,
-                                std::string tenant,
-                                CommitFootprint publish_fp);
+  CommitGuard EnterCommitLocked(bool exclusive, CommitFootprint publish_fp);
   /// Read-set validation against the published ring and the in-flight
   /// registry. Caller holds epoch_mu_.
   bool ValidateReadSetLocked(const CommitFootprint& read_fp,
@@ -515,13 +506,12 @@ class PoolManager {
   // TxnBegin arms the journal (kept in the thread-local commit
   // context, so concurrent sharded commits journal independently);
   // every fs mutation goes through TxnPut / TxnDelete (which record
-  // first-touch file preimages), every metadata mutation is covered by
-  // TxnSnapshotView (full pre-image of the view's mutable state), and
-  // OnEvict notifications queue in the context. TxnCommit flushes the
-  // events and drops the journal; TxnRollback restores every
-  // snapshot/preimage and discards the events. With no transaction
-  // armed the helpers degrade to the plain operations (direct primitive
-  // calls from tests / state restore).
+  // first-touch file preimages), and every metadata mutation is covered
+  // by TxnSnapshotView (full pre-image of the view's mutable state).
+  // TxnCommit drops the journal; TxnRollback restores every
+  // snapshot/preimage. With no transaction armed the helpers degrade to
+  // the plain operations (direct primitive calls from tests / state
+  // restore).
   void TxnBegin();
   void TxnCommit();
   void TxnRollback();
@@ -530,11 +520,6 @@ class PoolManager {
   /// report->materialized_bytes.
   Status TxnPut(const std::string& path, double bytes, QueryReport* report);
   Status TxnDelete(const std::string& path);
-  /// Records one piece that left the pool: counts it (and its bytes)
-  /// in `report`, and fires or queues OnEvict.
-  void RecordEviction(const ViewInfo* view, const std::string& attr,
-                      const Interval& interval, double bytes,
-                      QueryReport* report);
 
   /// Runs `staged` inside a decision transaction (Apply, RunMergePass):
   /// commits what it did when it succeeds; otherwise rolls the pool and
@@ -576,14 +561,6 @@ class PoolManager {
   struct TxnFileImage {
     std::string path;
     bool existed = false;
-    double bytes = 0.0;
-  };
-  /// One deferred OnEvict; arguments are captured at queue time so
-  /// deferred firing is argument-identical to inline firing.
-  struct TxnEvent {
-    const ViewInfo* view = nullptr;
-    std::string attr;
-    Interval interval;
     double bytes = 0.0;
   };
 

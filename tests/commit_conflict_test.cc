@@ -355,8 +355,8 @@ TEST_F(CommitValidationTest, ShardedCommitsPublishOnRelease) {
   bool genuine = true;
   {
     CommitGuard commit = pool()->TryBeginShardedCommit(
-        nullptr, "", FragmentRead("v1", "item_sk", Interval(0, 10)),
-        CommitFootprint{}, read_epoch, &genuine);
+        FragmentRead("v1", "item_sk", Interval(0, 10)), CommitFootprint{},
+        read_epoch, &genuine);
     ASSERT_TRUE(commit.held());
   }
   EXPECT_GT(pool()->read_epoch(), read_epoch);
@@ -381,8 +381,7 @@ TEST_F(CommitValidationTest, InFlightShardedCommitConflicts) {
   std::thread holder([&] {
     bool genuine = true;
     CommitGuard commit = pool()->TryBeginShardedCommit(
-        nullptr, "a", ViewRead("v1"), CommitFootprint{},
-        pool()->read_epoch(), &genuine);
+        ViewRead("v1"), CommitFootprint{}, pool()->read_epoch(), &genuine);
     ASSERT_TRUE(commit.held());
     {
       std::unique_lock<std::mutex> lock(mu);
@@ -398,15 +397,13 @@ TEST_F(CommitValidationTest, InFlightShardedCommitConflicts) {
 
   bool genuine = false;
   CommitGuard attempt = pool()->TryBeginShardedCommit(
-      nullptr, "b", ViewRead("v2"), ViewRead("v1"), pool()->read_epoch(),
-      &genuine);
+      ViewRead("v2"), ViewRead("v1"), pool()->read_epoch(), &genuine);
   EXPECT_FALSE(attempt.held());
   EXPECT_TRUE(genuine);
 
   // Disjoint read set: commits concurrently alongside the in-flight one.
   CommitGuard ok = pool()->TryBeginShardedCommit(
-      nullptr, "b", ViewRead("v2"), ViewRead("v3"), pool()->read_epoch(),
-      &genuine);
+      ViewRead("v2"), ViewRead("v3"), pool()->read_epoch(), &genuine);
   EXPECT_TRUE(ok.held());
   ok.Release();
 
@@ -422,8 +419,7 @@ TEST_F(CommitValidationTest, ShardStatsCountAcquisitions) {
   bool genuine = true;
   {
     CommitGuard commit = pool()->TryBeginShardedCommit(
-        nullptr, "", ViewRead("v1"), CommitFootprint{},
-        pool()->read_epoch(), &genuine);
+        ViewRead("v1"), CommitFootprint{}, pool()->read_epoch(), &genuine);
     ASSERT_TRUE(commit.held());
   }
   const auto stats = pool()->commit_shard_stats();
@@ -444,7 +440,7 @@ TEST_F(CommitValidationTest, StructuralAllFootprintEscalatesToExclusive) {
   all.all = true;
   bool genuine = false;
   CommitGuard guard = pool()->TryBeginShardedCommit(
-      nullptr, "", all, CommitFootprint{}, pool()->read_epoch(), &genuine);
+      all, CommitFootprint{}, pool()->read_epoch(), &genuine);
   EXPECT_FALSE(guard.held());
   EXPECT_TRUE(genuine);
   // The refusal left no lock state behind: the exclusive path enters.
@@ -469,8 +465,8 @@ TEST_F(CommitValidationTest, ConcurrentReservedCreatorsBothEnterSharded) {
     write_a.AddView("va");
     bool genuine = true;
     CommitGuard commit = pool()->TryBeginShardedCommit(
-        nullptr, "a", std::move(write_a), ViewRead("sig-a-probe"),
-        pool()->read_epoch(), &genuine);
+        std::move(write_a), ViewRead("sig-a-probe"), pool()->read_epoch(),
+        &genuine);
     ASSERT_TRUE(commit.held());
     {
       std::unique_lock<std::mutex> lock(mu);
@@ -492,8 +488,7 @@ TEST_F(CommitValidationTest, ConcurrentReservedCreatorsBothEnterSharded) {
   read_b.AddCatalogSig("sig-b");
   bool genuine = false;
   CommitGuard second = pool()->TryBeginShardedCommit(
-      nullptr, "b", std::move(write_b), std::move(read_b),
-      pool()->read_epoch(), &genuine);
+      std::move(write_b), std::move(read_b), pool()->read_epoch(), &genuine);
   EXPECT_TRUE(second.held());
   second.Release();
 
@@ -503,8 +498,7 @@ TEST_F(CommitValidationTest, ConcurrentReservedCreatorsBothEnterSharded) {
   CommitFootprint knapsack_read;
   knapsack_read.catalog_counter = true;
   CommitGuard knapsack = pool()->TryBeginShardedCommit(
-      nullptr, "c", ViewRead("vc"), std::move(knapsack_read),
-      pool()->read_epoch(), &genuine);
+      ViewRead("vc"), std::move(knapsack_read), pool()->read_epoch(), &genuine);
   EXPECT_FALSE(knapsack.held());
   EXPECT_TRUE(genuine);
 
@@ -578,8 +572,8 @@ TEST_F(BudgetValidationTest, ConcurrentClaimsCannotOvershootBudget) {
   std::thread holder([&] {
     bool genuine = true;
     CommitGuard commit = pool()->TryBeginShardedCommit(
-        nullptr, "a", ViewRead("v1"), CommitFootprint{},
-        pool()->read_epoch(), &genuine, /*admitted_bytes=*/600.0);
+        ViewRead("v1"), CommitFootprint{}, pool()->read_epoch(), &genuine,
+        /*admitted_bytes=*/600.0);
     ASSERT_TRUE(commit.held());
     {
       std::unique_lock<std::mutex> lock(mu);
@@ -597,15 +591,15 @@ TEST_F(BudgetValidationTest, ConcurrentClaimsCannotOvershootBudget) {
   // even though the footprints are disjoint and nothing was published.
   bool genuine = false;
   CommitGuard over = pool()->TryBeginShardedCommit(
-      nullptr, "b", ViewRead("v2"), CommitFootprint{},
-      pool()->read_epoch(), &genuine, /*admitted_bytes=*/600.0);
+      ViewRead("v2"), CommitFootprint{}, pool()->read_epoch(), &genuine,
+      /*admitted_bytes=*/600.0);
   EXPECT_FALSE(over.held());
   EXPECT_TRUE(genuine);
 
   // 600 + 300 <= 1000: fits alongside the in-flight claim.
   CommitGuard fits = pool()->TryBeginShardedCommit(
-      nullptr, "b", ViewRead("v2"), CommitFootprint{},
-      pool()->read_epoch(), &genuine, /*admitted_bytes=*/300.0);
+      ViewRead("v2"), CommitFootprint{}, pool()->read_epoch(), &genuine,
+      /*admitted_bytes=*/300.0);
   EXPECT_TRUE(fits.held());
   fits.Release();
 
@@ -619,8 +613,8 @@ TEST_F(BudgetValidationTest, ConcurrentClaimsCannotOvershootBudget) {
   // With the claim retired (and nothing actually materialized) the
   // 600-byte claim fits again.
   CommitGuard after = pool()->TryBeginShardedCommit(
-      nullptr, "b", ViewRead("v2"), CommitFootprint{},
-      pool()->read_epoch(), &genuine, /*admitted_bytes=*/600.0);
+      ViewRead("v2"), CommitFootprint{}, pool()->read_epoch(), &genuine,
+      /*admitted_bytes=*/600.0);
   EXPECT_TRUE(after.held());
 }
 
@@ -757,8 +751,8 @@ TEST_F(CommitValidationTest, OpposingShardOrdersDoNotDeadlock) {
       for (const std::string& id : ids) write_fp.AddView(id);
       bool genuine = true;
       CommitGuard commit = pool()->TryBeginShardedCommit(
-          nullptr, "", std::move(write_fp), CommitFootprint{},
-          pool()->read_epoch(), &genuine);
+          std::move(write_fp), CommitFootprint{}, pool()->read_epoch(),
+          &genuine);
       if (commit.held()) commits.fetch_add(1, std::memory_order_relaxed);
     }
   };

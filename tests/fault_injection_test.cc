@@ -19,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "common/str_util.h"
 #include "core/engine.h"
 #include "core/view_sizing.h"
 #include "exec/executor.h"
@@ -71,21 +70,10 @@ class FaultInvariantProbe : public TraceObserver {
     // ...and every hit list in time order, merge splices included.
     ASSERT_TRUE(HitListsInTimeOrder(engine_->pool()))
         << "at stage " << EngineStageName(stage);
-    // Every materialized piece must be backed by its FS file.
-    for (const ViewInfo* v : engine_->views().AllViews()) {
-      if (v->whole_materialized) {
-        ASSERT_TRUE(engine_->fs().Exists(
-            StrFormat("pool/%s/full", v->id.c_str())))
-            << v->id;
-      }
-      for (const auto& [attr, part] : v->partitions) {
-        for (const FragmentStats& f : part.fragments()) {
-          if (!f.materialized) continue;
-          ASSERT_TRUE(engine_->fs().Exists(FragmentPath(*v, attr, f.interval)))
-              << v->id << " " << attr << " " << f.interval.ToString();
-        }
-      }
-    }
+    // The pool files are exactly the materialized pieces': every piece
+    // has its file, and no file outlives its piece.
+    ASSERT_TRUE(PoolFilesMatchPieces(engine_->views(), engine_->fs()))
+        << "at stage " << EngineStageName(stage);
   }
 
   int64_t checks() const { return checks_; }

@@ -9,9 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "common/str_util.h"
 #include "core/engine.h"
-#include "core/view_sizing.h"
 #include "exec/executor.h"
 #include "plan/pushdown.h"
 #include "part_mass.h"
@@ -27,22 +25,12 @@ namespace {
 /// after every PoolManager::Apply, before the engine even returns the
 /// query. The per-query checks in the test body only see the state
 /// after the merge pass; this probe pins the invariants at the exact
-/// stage boundaries, and additionally verifies that every eviction
-/// released its bytes from the simulated FS (the file is gone).
+/// stage boundaries, and additionally verifies that the pool files are
+/// exactly the pieces' (an evicted piece released its file).
 class InvariantProbe : public EngineObserver {
  public:
   InvariantProbe(const DeepSeaEngine* engine, double s_max, bool overlapping)
       : engine_(engine), s_max_(s_max), overlapping_(overlapping) {}
-
-  void OnEvict(const ViewInfo& view, const std::string& attr,
-               const Interval& interval, double bytes,
-               const std::string& tenant) override {
-    (void)bytes;
-    (void)tenant;
-    evicted_paths_.push_back(
-        attr.empty() ? StrFormat("pool/%s/full", view.id.c_str())
-                     : FragmentPath(view, attr, interval));
-  }
 
   void OnStageEnd(EngineStage stage, const QueryContext& ctx,
                   double sim_seconds, double wall_seconds) override {
@@ -73,11 +61,10 @@ class InvariantProbe : public EngineObserver {
     // Every hit list is in time order (V_sel inheritance included).
     EXPECT_TRUE(HitListsInTimeOrder(engine_->pool()))
         << "at stage " << EngineStageName(stage);
-    // Evicted pieces must actually have left the FS (bytes released).
-    for (const std::string& path : evicted_paths_) {
-      EXPECT_FALSE(engine_->fs().Exists(path)) << path << " survived eviction";
-    }
-    evicted_paths_.clear();
+    // Evicted pieces must actually have left the FS, and every pooled
+    // piece has its file.
+    EXPECT_TRUE(PoolFilesMatchPieces(engine_->views(), engine_->fs()))
+        << "at stage " << EngineStageName(stage);
     // INVARIANT 3: horizontal mode keeps materialized fragments of each
     // partition pairwise disjoint at every stage boundary.
     if (!overlapping_) {
@@ -103,7 +90,6 @@ class InvariantProbe : public EngineObserver {
   const DeepSeaEngine* engine_;
   double s_max_;
   bool overlapping_;
-  std::vector<std::string> evicted_paths_;
   int64_t checks_ = 0;
 };
 

