@@ -29,8 +29,8 @@
 //      has run and the result files are written.
 //
 //   3. observer_overhead — the 4-engine fixed-total-work throughput
-//      config re-run with no observer, per-engine TraceObservers, and
-//      one shared MetricsObserver, so the cost of always-on telemetry
+//      config re-run with no observer and with one shared
+//      MetricsObserver, so the cost of always-on telemetry
 //      is pinned as a fraction of no-observer throughput (EXPERIMENTS
 //      budget: MetricsObserver <= 5%). Each mode is measured
 //      repeat-and-median (5 runs, 3 in smoke) and the reported
@@ -56,7 +56,6 @@
 #include "bench_util.h"
 #include "core/shared_pool.h"
 #include "exp/metrics.h"
-#include "exp/trace.h"
 
 using namespace deepsea;
 
@@ -119,18 +118,15 @@ const char* WorkloadName(WorkloadKind workload) {
 constexpr const char* kDisjointTemplates[8] = {"Q1",  "Q7",  "Q9",  "Q5",
                                                "Q12", "Q16", "Q26", "Q29"};
 
-/// Telemetry attached during a throughput run (section 3). Each mode
-/// honors the observer contracts: TraceObserver is not thread-safe, so
-/// it is attached per engine; one MetricsObserver is shared by every
-/// engine (its hot path takes one per-tenant lock per hook).
-enum class ObserverMode { kNone, kTrace, kMetrics };
+/// Telemetry attached during a throughput run (section 3): none, or one
+/// MetricsObserver shared by every engine, as the observer contract
+/// allows (its hot path takes one per-tenant lock per hook).
+enum class ObserverMode { kNone, kMetrics };
 
 const char* ObserverModeName(ObserverMode mode) {
   switch (mode) {
     case ObserverMode::kNone:
       return "none";
-    case ObserverMode::kTrace:
-      return "trace";
     case ObserverMode::kMetrics:
       return "metrics";
   }
@@ -225,15 +221,8 @@ ThroughputRow RunThroughput(int engines, int total_queries,
     }
   }
 
-  std::vector<std::unique_ptr<TraceObserver>> traces;
   MetricsObserver metrics;
-  if (mode == ObserverMode::kTrace) {
-    for (int e = 0; e < engines; ++e) {
-      traces.push_back(std::make_unique<TraceObserver>(
-          "tenant" + std::to_string(e), nullptr));
-      fleet[static_cast<size_t>(e)]->set_observer(traces.back().get());
-    }
-  } else if (mode == ObserverMode::kMetrics) {
+  if (mode == ObserverMode::kMetrics) {
     metrics.set_pool(pool.pool());
     for (auto& engine : fleet) engine->set_observer(&metrics);
   }
@@ -550,8 +539,7 @@ int main(int argc, char** argv) {
               overhead_engines, total_queries, overhead_repeats);
   std::printf("%10s %8s %8s %8s %10s\n", "observer", "queries", "wall(s)",
               "q/s", "overhead");
-  for (ObserverMode mode :
-       {ObserverMode::kNone, ObserverMode::kTrace, ObserverMode::kMetrics}) {
+  for (ObserverMode mode : {ObserverMode::kNone, ObserverMode::kMetrics}) {
     OverheadRow r =
         MeasureOverhead(mode, overhead_engines, total_queries, overhead_repeats);
     const double base_qps =

@@ -14,7 +14,7 @@
 #include "core/engine.h"
 #include "core/mle_model.h"
 #include "core/partition_match.h"
-#include "exp/trace.h"
+#include "exp/metrics.h"
 #include "plan/signature.h"
 #include "rewrite/filter_tree.h"
 #include "rewrite/matcher.h"
@@ -152,10 +152,7 @@ void BM_AccumulatedBenefit(benchmark::State& state) {
   const int history = static_cast<int>(state.range(0));
   const DecayFunction dec;
   ViewStats v;
-  for (int t = 1; t <= history; ++t) {
-    v.RecordUse(t, 1.0 + 0.25 * (t % 7));
-    v.AdvanceWindow(t, dec);
-  }
+  for (int t = 1; t <= history; ++t) v.RecordUse(t, 1.0 + 0.25 * (t % 7));
   for (auto _ : state) {
     benchmark::DoNotOptimize(v.AccumulatedBenefit(history + 1, dec));
   }
@@ -310,14 +307,15 @@ BENCHMARK_F(WorkloadFixture, BM_ProcessQueryThroughput)(benchmark::State& state)
   }
 }
 
-// Same pipeline with a TraceObserver attached: the delta vs
+// Same pipeline with a MetricsObserver attached: the delta vs
 // BM_ProcessQueryThroughput is the cost of the observer seam (stage
-// wall-clock timing + event dispatch), which should stay in the noise.
+// wall-clock timing, hook dispatch and the report fold), which should
+// stay in the noise.
 BENCHMARK_F(WorkloadFixture, BM_ProcessQueryThroughputObserved)(benchmark::State& state) {
   EngineOptions opts;
   opts.benefit_cost_threshold = 0.02;
   DeepSeaEngine engine(&catalog_, opts);
-  TraceObserver observer("bench", nullptr);
+  MetricsObserver observer;
   engine.set_observer(&observer);
   RangeGenerator gen(Interval(0, 400000), Selectivity::kSmall, Skew::kHeavy, 3);
   for (auto _ : state) {

@@ -89,7 +89,6 @@ std::vector<TenantOutcome> RunVariant(
   std::vector<std::unique_ptr<Catalog>> catalogs;
   std::unique_ptr<SharedPool> pool;
   std::vector<std::unique_ptr<DeepSeaEngine>> engines;
-  std::vector<std::unique_ptr<TraceObserver>> observers;
   const auto data = bench::Dataset(100.0, /*sdss_distribution=*/true);
   if (shared) {
     catalogs.push_back(std::make_unique<Catalog>());
@@ -108,9 +107,6 @@ std::vector<TenantOutcome> RunVariant(
       engines.push_back(
           std::make_unique<DeepSeaEngine>(catalogs.back().get(), options));
     }
-    observers.push_back(
-        std::make_unique<TraceObserver>(variant + "/" + t.name, trace));
-    engines.back()->set_observer(observers.back().get());
   }
 
   std::vector<TenantOutcome> out(tenants.size());
@@ -127,6 +123,7 @@ std::vector<TenantOutcome> RunVariant(
                    report.status().ToString().c_str());
       continue;
     }
+    trace->Record(variant + "/" + tenants[t].name, *report);
     ++out[t].queries;
     out[t].total_seconds += report->total_seconds;
     out[t].base_seconds += report->base_seconds;

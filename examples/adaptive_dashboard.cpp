@@ -16,7 +16,6 @@
 
 #include "core/engine.h"
 #include "exp/metrics.h"
-#include "exp/trace.h"
 #include "workload/bigbench.h"
 #include "workload/range_generator.h"
 
@@ -68,18 +67,12 @@ int main() {
   ds_options.candidate_snap_fraction = 0.0125;
   DeepSeaEngine deepsea_engine(&ds_catalog, ds_options);
 
-  // Watch the pipeline through both telemetry sinks at once: the
-  // TraceObserver aggregates per-stage time for the offline-style
-  // breakdown below, the MetricsObserver maintains the live Prometheus
-  // series, and a MulticastObserver fans the single observer slot out
-  // to both (each hook reaches the sinks in attachment order).
-  TraceObserver observer("dashboard", nullptr);
+  // Watch the pipeline through one telemetry sink: the MetricsObserver
+  // maintains the live Prometheus series, and its per-stage histograms
+  // (count = calls, sum = seconds) give the breakdown below.
   MetricsObserver metrics;
   metrics.set_pool(&deepsea_engine.pool());
-  MulticastObserver multicast;
-  multicast.Add(&observer);
-  multicast.Add(&metrics);
-  deepsea_engine.set_observer(&multicast);
+  deepsea_engine.set_observer(&metrics);
 
   EngineOptions hive_options;
   hive_options.strategy = StrategyKind::kHive;
@@ -126,11 +119,12 @@ int main() {
               deepsea_engine.totals().fragments_created,
               deepsea_engine.totals().fragments_evicted);
   std::printf("\npipeline stage breakdown (simulated seconds / host ms):\n");
+  const auto stages = metrics.TakeSnapshot().Totals();
   for (EngineStage s : {EngineStage::kRewrite, EngineStage::kCandidates,
                         EngineStage::kSelection, EngineStage::kApply}) {
-    const auto& st = observer.stage(s);
+    const size_t i = static_cast<size_t>(s);
     std::printf("  %-10s %10.0f s %10.2f ms\n", EngineStageName(s),
-                st.sim_seconds, st.wall_seconds * 1e3);
+                stages.stage_sim[i].sum, stages.stage_wall[i].sum * 1e3);
   }
   // The same season, as the Prometheus scrape an operator would watch
   // live (a subset; OBSERVABILITY.md documents every series).

@@ -1,5 +1,6 @@
 #include "core/engine.h"
 
+#include <cassert>
 #include <chrono>
 #include <utility>
 
@@ -154,8 +155,11 @@ DeepSeaEngine::DeepSeaEngine(Catalog* catalog, SharedPool* pool,
 
 void DeepSeaEngine::InitStages() {
   // The planners hold pointers into the pool's catalog / index; a brief
-  // commit section proves exclusive access while we take them.
+  // commit section proves exclusive access while we take them. It
+  // writes nothing, so it publishes nothing: an engine joining a running
+  // pool invalidates no other tenant's in-flight plan.
   CommitGuard commit = pool_->BeginCommit();
+  pool_->SetCommitFootprint(commit, {});
   ViewCatalog* stat = pool_->stat(commit);
   FilterTree* index = pool_->rewrite_index(commit);
   stat_ = stat;
@@ -311,19 +315,14 @@ Result<QueryReport> DeepSeaEngine::ProcessQuery(const PlanPtr& query) {
 
   if (!sharded) {
     // Attribute the exclusive commit (see QueryReport::exclusive_reason)
-    // while the delta is still unfolded — Fold clears the structural
-    // buffers the has_* probes read.
-    const PlanningDelta& d = *ctx->delta();
+    // to the path decision that took it there: an X commit that did not
+    // replan had merge, physical execution or an evicting decision.
+    assert(needs_exclusive || report.replanned);
     const ExclusiveReason reason =
         options_.merge.enabled        ? ExclusiveReason::kMerge
         : decision_evicts             ? ExclusiveReason::kEviction
         : options_.physical_execution ? ExclusiveReason::kPhysical
-        : d.has_new_views()           ? ExclusiveReason::kNewView
-        : d.has_deferred_puts()       ? ExclusiveReason::kCatalogPut
-        : d.has_deferred_index()      ? ExclusiveReason::kIndexInsert
-        : d.has_attach_ops()          ? ExclusiveReason::kAttach
-        : report.replanned            ? ExclusiveReason::kReplan
-                                      : ExclusiveReason::kOther;
+                                      : ExclusiveReason::kReplan;
     report.exclusive_reason =
         kExclusiveReasonNames[static_cast<size_t>(reason)];
   }
@@ -426,27 +425,22 @@ void DeepSeaEngine::ExecuteWithRetries(
       report->retry_count = retries;
       return;
     }
-    // Merge-pass faults are not attributable to a view.
-    const std::string view =
-        stage == EngineStage::kApply ? report->fault_view : std::string();
     ++faults;
-    if (observer_ != nullptr) {
-      observer_->OnFault(stage, view, st, n, tenant_);
-    }
     if (st.IsTransient() && n < kMaxRetries) {
       ++retries;
-      if (observer_ != nullptr) observer_->OnRetry(stage, n + 1, tenant_);
       continue;
     }
     // Permanent fault, or transient retries exhausted: abandon the
     // decision. The pool is already rolled back; the query is answered
-    // from whatever is materialized.
+    // from whatever is materialized. Merge-pass faults are not
+    // attributable to a view.
     report->fault_count = faults;
     report->retry_count = retries;
     report->degraded = true;
     ++report->degrade_count;
-    if (!view.empty()) pool_->RecordViewFault(view, t_now);
-    if (observer_ != nullptr) observer_->OnDegrade(stage, view, st, tenant_);
+    if (stage == EngineStage::kApply && !report->fault_view.empty()) {
+      pool_->RecordViewFault(report->fault_view, t_now);
+    }
     return;
   }
 }

@@ -77,11 +77,11 @@ namespace deepsea {
 /// plans produce the same state in any order. Statistics recorded
 /// during a query carry no tenant: Φ pools benefit across tenants.
 ///
-/// An EngineObserver can be attached to watch stage boundaries, each
-/// query's report and the pieces evicted from the pool (see
-/// core/engine_observer.h); with no observer attached the pipeline pays
-/// no timing overhead. totals() is the fold of every report returned
-/// (EngineTotals::Add).
+/// An EngineObserver can be attached to watch stage boundaries and each
+/// query's report, which records the pieces that left the pool and the
+/// faults the query met (see core/engine_observer.h); with no observer
+/// attached the pipeline pays no timing overhead. totals() is the fold
+/// of every report returned (EngineTotals::Add).
 class DeepSeaEngine {
  public:
   /// Single-tenant engine owning a private pool. `catalog` must outlive
@@ -162,7 +162,8 @@ class DeepSeaEngine {
 
  private:
   /// Wires the three planning stages to the pool's catalog / index
-  /// (briefly entering the commit section to obtain them).
+  /// (briefly entering the commit section to obtain them; the section
+  /// publishes an empty footprint).
   void InitStages();
   /// Runs stages 1-3 (rewrite, candidates, selection) against `ctx`'s
   /// PlanningDelta. Called once under the shared lock (speculative) and
@@ -179,9 +180,9 @@ class DeepSeaEngine {
   /// abandons the work and marks the query degraded. The query is
   /// answered either way. An Apply fault is attributed to
   /// report->fault_view, and abandoning it counts toward that view's
-  /// quarantine; merge faults are unattributed. Fires OnFault, OnRetry
-  /// and OnDegrade. Runs inside the commit section; `t_now` is the
-  /// commit clock.
+  /// quarantine; merge faults are unattributed. The report is the only
+  /// record of the faults, retries and degrade. Runs inside the commit
+  /// section; `t_now` is the commit clock.
   void ExecuteWithRetries(EngineStage stage,
                           const std::function<Status()>& attempt,
                           QueryReport* report, int64_t t_now);

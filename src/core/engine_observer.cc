@@ -37,25 +37,6 @@ void MulticastObserver::OnStageEnd(EngineStage stage, const QueryContext& ctx,
   }
 }
 
-void MulticastObserver::OnFault(EngineStage stage, const std::string& view_id,
-                                const Status& status, int attempt,
-                                const std::string& tenant) {
-  for (EngineObserver* s : sinks_) {
-    s->OnFault(stage, view_id, status, attempt, tenant);
-  }
-}
-
-void MulticastObserver::OnRetry(EngineStage stage, int next_attempt,
-                                const std::string& tenant) {
-  for (EngineObserver* s : sinks_) s->OnRetry(stage, next_attempt, tenant);
-}
-
-void MulticastObserver::OnDegrade(EngineStage stage, const std::string& view_id,
-                                  const Status& status,
-                                  const std::string& tenant) {
-  for (EngineObserver* s : sinks_) s->OnDegrade(stage, view_id, status, tenant);
-}
-
 void MulticastObserver::OnQueryEnd(const QueryReport& report) {
   for (EngineObserver* s : sinks_) s->OnQueryEnd(report);
 }

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "plan/plan.h"
 
 namespace deepsea {
@@ -25,19 +24,18 @@ enum class EngineStage {
 
 const char* EngineStageName(EngineStage stage);
 
-/// Observation seam of the query pipeline: seven hooks, all fired by
-/// DeepSeaEngine — at query and stage boundaries (OnQueryStart,
-/// OnStageStart, OnStageEnd, OnQueryEnd) and on fault handling
-/// (OnFault, OnRetry, OnDegrade). The pool calls no observer.
+/// Observation seam of the query pipeline: four hooks, all fired by
+/// DeepSeaEngine at query and stage boundaries (OnQueryStart,
+/// OnStageStart, OnStageEnd, OnQueryEnd). The pool calls no observer.
 /// Implementations must not mutate engine state; all arguments are only
 /// valid for the duration of the call.
 ///
 /// Counters come from OnQueryEnd's report: the QueryReport is the only
 /// record of what a query did (pieces and bytes materialized and
-/// evicted, merges, faults, retries, degrades, commit path), and
-/// EngineTotals::Add is the one fold that turns it into counters. The
-/// other hooks carry what a report does not: stage timings and the
-/// fault-event sequence. A query whose ProcessQuery returns an error
+/// evicted, merges, faults, retries, degrades and the last fault's view
+/// and status, commit path), and EngineTotals::Add is the one fold that
+/// turns it into counters. The stage hooks carry what a report does
+/// not: stage timings. A query whose ProcessQuery returns an error
 /// has no report: OnQueryEnd does not fire and nothing is folded. The
 /// one such error raised after the commit has changed the pool is a
 /// failed physical execution (EngineOptions::physical_execution): the
@@ -53,11 +51,10 @@ const char* EngineStageName(EngineStage stage);
 ///    that call.
 ///  * OnQueryStart and the planning stage hooks (kRewrite/kCandidates/
 ///    kSelection) fire while planning holds the pool lock in shared
-///    mode. The fault hooks (OnFault/OnRetry/OnDegrade), the
-///    kApply/kMerge/kPhysical stage hooks and OnQueryEnd fire inside
-///    that query's commit — which may be a sharded commit, running
-///    concurrently with other tenants' commits on disjoint shards. No
-///    hook is serialized across engines.
+///    mode. The kApply/kMerge/kPhysical stage hooks and OnQueryEnd
+///    fire inside that query's commit — which may be a sharded commit,
+///    running concurrently with other tenants' commits on disjoint
+///    shards. No hook is serialized across engines.
 ///  * So an observer shared across engines must make every hook
 ///    thread-safe, as MetricsObserver does (one mutex per tenant slot).
 ///    One observer per engine, or an external turnstile as in
@@ -76,8 +73,8 @@ const char* EngineStageName(EngineStage stage);
 ///    observers pay no timing overhead).
 ///
 /// The default implementations are all no-ops, so subclasses override
-/// only what they consume. See exp/trace.h for TraceObserver, which
-/// feeds the CSV telemetry used by the experiment harnesses.
+/// only what they consume. See exp/metrics.h for MetricsObserver, which
+/// folds the reports and histograms the stage timings.
 class EngineObserver {
  public:
   virtual ~EngineObserver() = default;
@@ -100,48 +97,13 @@ class EngineObserver {
     (void)wall_seconds;
   }
 
-  // --- fault handling (see DESIGN.md, "Failure model and recovery") ---
-
-  /// A decision-execution attempt failed and was rolled back. `stage`
-  /// is kApply or kMerge; `view_id` is the view whose action failed
-  /// ("" when unattributed, e.g. a merge-pass write); `attempt` counts
-  /// from 0. Fired once per failed attempt, before any OnRetry /
-  /// OnDegrade that follows from it.
-  virtual void OnFault(EngineStage stage, const std::string& view_id,
-                       const Status& status, int attempt,
-                       const std::string& tenant) {
-    (void)stage;
-    (void)view_id;
-    (void)status;
-    (void)attempt;
-    (void)tenant;
-  }
-  /// The engine is about to re-execute a decision that failed with a
-  /// transient fault; `next_attempt` is the attempt number about to run.
-  virtual void OnRetry(EngineStage stage, int next_attempt,
-                       const std::string& tenant) {
-    (void)stage;
-    (void)next_attempt;
-    (void)tenant;
-  }
-  /// The engine abandoned the decision (permanent fault, or transient
-  /// retries exhausted) and degraded: the query is answered from
-  /// already-materialized state, the pool keeps its pre-Apply contents.
-  virtual void OnDegrade(EngineStage stage, const std::string& view_id,
-                         const Status& status, const std::string& tenant) {
-    (void)stage;
-    (void)view_id;
-    (void)status;
-    (void)tenant;
-  }
-
   virtual void OnQueryEnd(const QueryReport& report) { (void)report; }
 };
 
 /// Fan-out observer: forwards every hook to each attached sink in
-/// attachment order, so independent sinks (say a TraceObserver for the
-/// offline CSV and a MetricsObserver for the live scrape) can watch one
-/// engine through its single observer slot. The multicast adds no
+/// attachment order, so independent sinks (say a MetricsObserver for the
+/// live scrape and a span recorder for a profile) can watch one engine
+/// through its single observer slot. The multicast adds no
 /// synchronization of its own — each hook inherits exactly the locking
 /// context documented above, and each sink must individually satisfy
 /// the concurrency contract for the hooks it consumes. The sink list is
@@ -164,13 +126,6 @@ class MulticastObserver : public EngineObserver {
   void OnStageStart(EngineStage stage, const QueryContext& ctx) override;
   void OnStageEnd(EngineStage stage, const QueryContext& ctx,
                   double sim_seconds, double wall_seconds) override;
-  void OnFault(EngineStage stage, const std::string& view_id,
-               const Status& status, int attempt,
-               const std::string& tenant) override;
-  void OnRetry(EngineStage stage, int next_attempt,
-               const std::string& tenant) override;
-  void OnDegrade(EngineStage stage, const std::string& view_id,
-                 const Status& status, const std::string& tenant) override;
   void OnQueryEnd(const QueryReport& report) override;
 
  private:

@@ -13,7 +13,7 @@ size_t ExclusiveReasonIndex(const std::string& reason) {
     if (reason == kExclusiveReasonNames[r]) return r;
   }
   assert(false && "exclusive reason outside kExclusiveReasonNames");
-  return static_cast<size_t>(ExclusiveReason::kOther);
+  return static_cast<size_t>(ExclusiveReason::kReplan);
 }
 
 }  // namespace

@@ -74,29 +74,23 @@ struct EngineOptions {
   double candidate_snap_fraction = 0.005;
 };
 
-/// Why a commit took the exclusive (X) path, in the engine's order of
-/// precedence: merge (merge pass enabled), eviction (decision evicts
-/// inline), physical (physical execution mutates the relational
-/// catalog), new_view / catalog_put / index_insert / attach (a replanned
-/// commit carrying that structural content), replan (replanned, no
-/// structural content), other. kExclusiveReasonNames spells each one
-/// as QueryReport::exclusive_reason and the metrics labels carry it.
+/// The path decision that took a commit to the exclusive (X) path, in
+/// the engine's order of precedence: merge (merge pass enabled),
+/// eviction (decision evicts inline), physical (physical execution
+/// mutates the relational catalog), replan (the plan failed read-set
+/// validation). Every X commit has one of them. kExclusiveReasonNames
+/// spells each one as QueryReport::exclusive_reason and the metrics
+/// labels carry it.
 enum class ExclusiveReason {
   kMerge,
   kEviction,
   kPhysical,
-  kNewView,
-  kCatalogPut,
-  kIndexInsert,
-  kAttach,
   kReplan,
-  kOther,
 };
 inline constexpr size_t kExclusiveReasonCount =
-    static_cast<size_t>(ExclusiveReason::kOther) + 1;
+    static_cast<size_t>(ExclusiveReason::kReplan) + 1;
 inline constexpr const char* kExclusiveReasonNames[kExclusiveReasonCount] = {
-    "merge",        "eviction", "physical", "new_view", "catalog_put",
-    "index_insert", "attach",   "replan",   "other"};
+    "merge", "eviction", "physical", "replan"};
 
 /// What a view creation bought (DESIGN.md §7 deviation 11): the view's
 /// first creation, a re-creation of a view created before whose pool
@@ -110,8 +104,8 @@ inline constexpr const char* kCreationKindNames[kCreationKindCount] = {
     "first", "recreation", "topup"};
 
 /// Per-query outcome of ProcessQuery: the only record of what a query
-/// did. Every counter in EngineTotals, MetricsObserver and
-/// TraceObserver is folded from these reports (EngineTotals::Add).
+/// did. Every counter in EngineTotals and MetricsObserver is folded from
+/// these reports (EngineTotals::Add).
 struct QueryReport {
   /// Position of this query in the pool's total commit order (equals
   /// the engine-local query count for a single-tenant engine).
@@ -142,10 +136,7 @@ struct QueryReport {
   /// Exactly one of the two is set when `replanned` is.
   bool replan_spurious = false;
   /// Why this commit took the exclusive (X) path ("" = it committed
-  /// sharded): one of kExclusiveReasonNames. Since structural planning
-  /// writes commit sharded by default, the structural reasons identify
-  /// replan-forced exclusive commits that also create views — they
-  /// should stay near zero on a healthy workload.
+  /// sharded): one of kExclusiveReasonNames.
   std::string exclusive_reason;
 
   std::string used_view;             ///< view answering the query ("" = none)
@@ -213,9 +204,9 @@ struct QueryReport {
 };
 
 /// Aggregate counters across a workload run: the fold of QueryReports.
-/// Add is the only code that turns a report into counters; the engine,
-/// MetricsObserver (per tenant) and TraceObserver (per tenant) all apply
-/// it, so their totals over the same reports compare equal.
+/// Add is the only code that turns a report into counters; the engine
+/// and MetricsObserver (per tenant) both apply it, so their totals over
+/// the same reports compare equal.
 struct EngineTotals {
   double total_seconds = 0.0;
   double base_seconds = 0.0;

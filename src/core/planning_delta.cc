@@ -572,17 +572,14 @@ bool PlanningDelta::ShadowDirty(const ShadowPartition& sp) {
   return false;
 }
 
-bool PlanningDelta::RequiresStructuralCommit() const {
-  return !new_views_.empty() || !deferred_puts_.empty() ||
-         !deferred_index_.empty() || !attach_ops_.empty();
-}
-
 CommitFootprint PlanningDelta::CollectWriteFootprint() const {
   assert(!folded_ && "write footprint must be collected before Fold");
   CommitFootprint fp;
-  if (RequiresStructuralCommit()) {
-    // Structural writes, decomposed precisely (never `all`): the view-id
-    // counter advances (contended knapsacks read it as the pool-
+  if (!new_views_.empty() || !deferred_puts_.empty() ||
+      !deferred_index_.empty() || !attach_ops_.empty()) {
+    // Structural writes (new views, catalog puts, histogram attaches,
+    // rewrite-index inserts), decomposed precisely (never `all`): the
+    // view-id counter advances (contended knapsacks read it as the pool-
     // membership token), the signature catalog gains the new canonicals
     // (FindView records every probe, so a plan that looked one of them
     // up conflicts), the rewrite index gains entries at

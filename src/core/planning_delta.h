@@ -328,19 +328,6 @@ class PlanningDelta {
   /// Decision actions are merged in by the engine. Pre-fold only.
   CommitFootprint CollectWriteFootprint() const;
 
-  /// True when folding this delta mutates pool-structural state (new
-  /// views, catalog puts, histogram attaches, rewrite-index inserts).
-  /// Such commits now take the *sharded* path like any other — their
-  /// write footprints are precise — but the flag still drives the
-  /// exclusive-reason attribution and a few structural-only asserts.
-  bool RequiresStructuralCommit() const;
-
-  // Per-category structural probes (exclusive-commit reason metric).
-  bool has_new_views() const { return !new_views_.empty(); }
-  bool has_deferred_puts() const { return !deferred_puts_.empty(); }
-  bool has_deferred_index() const { return !deferred_index_.empty(); }
-  bool has_attach_ops() const { return !attach_ops_.empty(); }
-
   // --- fold -----------------------------------------------------------
 
   bool folded() const { return folded_; }

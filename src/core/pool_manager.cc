@@ -415,7 +415,10 @@ void PoolManager::AdvanceClockTo(const CommitGuard& commit, int64_t t) {
 }
 
 void PoolManager::SetFaultPolicy(FaultPolicy* policy) {
+  // Exclusive access only: the swap writes no pool state, so the commit
+  // publishes nothing and invalidates no in-flight plan.
   CommitGuard commit = BeginCommit();
+  SetCommitFootprint(commit, {});
   fs_.set_fault_policy(policy);
 }
 
@@ -444,7 +447,6 @@ void PoolManager::AdvanceWindowsAfterFold(double t_now,
                                           std::vector<ViewInfo*> written) {
   assert(CommitHeldByThisThread());
   auto advance = [this, t_now](ViewInfo* v) {
-    v->stats.AdvanceWindow(t_now, decay_);
     for (auto& [attr, part] : v->partitions) {
       (void)attr;
       for (FragmentStats& f : part.mutable_fragments()) {

@@ -353,6 +353,7 @@ class PoolManager {
 
   /// Installs (or clears, with nullptr) the simulated FS's fault policy.
   /// Takes the commit lock itself; call from outside the commit section.
+  /// Publishes an empty footprint: no in-flight plan is invalidated.
   void SetFaultPolicy(FaultPolicy* policy);
 
   // --- mutation API (requires a commit section; asserts in debug) ---
@@ -486,16 +487,15 @@ class PoolManager {
   void FoldDeltaAndRemap(PlanningDelta* delta,
                          const SelectionDecision& decision, double t_now);
 
-  /// Advances the decay windows of the `written` views after a delta
-  /// fold, and brings their part masses to `t_now`: the fold's hit
-  /// appends enter the sums, expired hits leave them. One rule for
+  /// Advances the fragments' decay windows of the `written` views after
+  /// a delta fold, and brings their part masses to `t_now`: the fold's
+  /// hit appends enter the sums, expired hits leave them. One rule for
   /// every lock mode: a commit advances what it wrote (its shards own
   /// those views), and only an `all` footprint (the merge pass, which
   /// may touch any view) advances every view. Windows and masses are
   /// evaluation caches, never part of the pool fingerprint: a read is
-  /// exact wherever a window stands (FragmentStats::LiveTimeSum,
-  /// ViewStats::AccumulatedBenefit), and a mass answers exactly for
-  /// any t_now >= its time (PartMass::SumsAt).
+  /// exact wherever a window stands (FragmentStats::LiveTimeSum), and a
+  /// mass answers exactly for any t_now >= its time (PartMass::SumsAt).
   void AdvanceWindowsAfterFold(double t_now, std::vector<ViewInfo*> written);
 
   /// Refreshes the part mass of each of `view`'s partitions at `t`.

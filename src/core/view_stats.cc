@@ -3,32 +3,29 @@
 #include <algorithm>
 
 namespace deepsea {
-namespace {
 
-/// True when the timed-out-prefix cursor computed at (win_t, win_tmax)
-/// may be used for an evaluation at t_now: decay must be on, the
-/// cutoff unchanged, and time not rewound. Expiry is monotone in t_now
-/// (t_now - t > t_max stays true as t_now grows), so any t_now >=
-/// win_t keeps the certified prefix expired — each skipped term is an
-/// exact 0.0 under DEC's cutoff branch, making the skip bit-identical
-/// to naive replay.
-inline bool CursorValid(const DecayFunction& dec, double t_now, double win_t,
-                        double win_tmax) {
-  const DecayConfig& cfg = dec.config();
-  return cfg.enabled && cfg.t_max == win_tmax && t_now >= win_t;
+void ViewStats::InsertLateEvent(const BenefitEvent& e) {
+  const auto at = std::upper_bound(
+      events_.begin(), events_.end(), e.time,
+      [](double t, const BenefitEvent& x) { return t < x.time; });
+  events_.insert(at, e);
+  undecayed_sum_ = 0.0;
+  for (const BenefitEvent& x : events_) undecayed_sum_ += x.saving;
 }
-
-}  // namespace
 
 double ViewStats::AccumulatedBenefit(double t_now, const DecayFunction& dec) const {
   // Decay off: DEC == 1.0 for every event, so the running undecayed sum
   // (same additions in the same order) is the answer.
-  if (!dec.config().enabled) return undecayed_sum_;
-  const size_t begin =
-      CursorValid(dec, t_now, win_t_, win_tmax_) ? win_begin_ : 0;
+  const DecayConfig& cfg = dec.config();
+  if (!cfg.enabled) return undecayed_sum_;
+  // DEC's cutoff branch: the events it weighs exactly 0.0 at t_now are
+  // the prefix of the time-ordered list that has expired.
+  const auto live = std::partition_point(
+      events_.begin(), events_.end(),
+      [&](const BenefitEvent& e) { return t_now - e.time > cfg.t_max; });
   double acc = 0.0;
-  for (size_t i = begin; i < events_.size(); ++i) {
-    acc += events_[i].saving * dec(t_now, events_[i].time);
+  for (auto it = live; it != events_.end(); ++it) {
+    acc += it->saving * dec(t_now, it->time);
   }
   return acc;
 }
@@ -50,22 +47,6 @@ double ViewStats::LastUseNaive() const {
   double last = 0.0;
   for (const BenefitEvent& e : events_) last = std::max(last, e.time);
   return last;
-}
-
-void ViewStats::AdvanceWindow(double t_now, const DecayFunction& dec) {
-  const DecayConfig& cfg = dec.config();
-  if (!cfg.enabled) return;
-  if (cfg.t_max != win_tmax_) {
-    win_begin_ = 0;
-    win_tmax_ = cfg.t_max;
-    win_t_ = 0.0;
-  }
-  if (t_now < win_t_) return;
-  while (win_begin_ < events_.size() &&
-         t_now - events_[win_begin_].time > cfg.t_max) {
-    ++win_begin_;
-  }
-  win_t_ = t_now;
 }
 
 size_t FragmentStats::WalkToLive(double t_now, const DecayFunction& dec,

@@ -26,23 +26,18 @@ struct BenefitEvent {
 /// (S, COST, T, B) of Definition 5. The value
 /// model over them is PlanningDelta::ViewValue.
 ///
-/// The event list is append-only through the mutators below, which
-/// maintain three incremental caches so the Φ hot path need not replay
-/// history (see DESIGN.md, "Statistics hot path and locking
-/// discipline"):
-///  * `undecayed_sum_` — running sum of savings in append order, so the
+/// The event list is kept in time order at every write, as a
+/// fragment's hits are (DESIGN.md §9, "Incremental decayed
+/// statistics"), so the Φ hot path need not replay history:
+///  * `undecayed_sum_` is the sum of savings in list order, so the
 ///    decay-off evaluation is O(1) and bit-identical to the naive loop
 ///    (same additions, same order);
-///  * `last_use_` — running max of event times (O(1) LastUse);
-///  * a timed-out-prefix cursor {win_begin_, win_t_, win_tmax_}:
-///    entries [0, win_begin_) are known to satisfy
-///    t_now - time > t_max for every t_now >= win_t_ under t_max ==
-///    win_tmax_, so evaluations may start summing at win_begin_.
-///    Skipping the prefix is bit-identical to naive replay: each
-///    skipped term contributes saving * 0.0 == +0.0 to a +0.0
-///    accumulator. The cursor only advances inside the pool's
-///    exclusive commit section (AdvanceWindow); evaluation under the
-///    shared lock is strictly const.
+///  * the events DEC weighs 0.0 at t_now (t_now - time > t_max) are a
+///    prefix of the list, so AccumulatedBenefit binary-searches the
+///    first live event and sums from there. Skipping the prefix is
+///    bit-identical to naive replay: each skipped term contributes
+///    saving * 0.0 == +0.0 to a +0.0 accumulator.
+/// Readers keep no position, so every read is strictly const.
 struct ViewStats {
   /// S(V): storage size in bytes. Estimated until first materialization.
   double size_bytes = 0.0;
@@ -56,18 +51,23 @@ struct ViewStats {
   /// Appends one observation. Engine paths append in commit-clock
   /// order; the debug assert documents (and enforces) that invariant.
   void RecordUse(double time, double saving) {
-    assert(time >= last_use_ && "benefit events must be appended in time order");
+    assert(time >= LastUse() &&
+           "benefit events must be appended in time order");
     AppendEvent({time, saving});
   }
 
-  /// Appends one observation without the time-order assert. State
-  /// restore may merge a snapshot into a view that already has newer
-  /// events; the caches stay exact either way (running max / running
-  /// sum do not require order).
+  /// Appends one observation without the time-order assert (state
+  /// restore, planning-delta folds). An event earlier than the last one
+  /// is inserted after every event of its time or earlier, and the
+  /// undecayed sum is rebuilt in the new order; only a LoadState merge
+  /// into a view that already has newer events appends one.
   void AppendEvent(const BenefitEvent& e) {
+    if (!events_.empty() && e.time < events_.back().time) {
+      InsertLateEvent(e);
+      return;
+    }
     events_.push_back(e);
     undecayed_sum_ += e.saving;
-    if (e.time > last_use_) last_use_ = e.time;
   }
 
   /// Accumulated decayed benefit B(V, t_now) = sum of saving * DEC.
@@ -76,14 +76,11 @@ struct ViewStats {
   /// Undecayed accumulated benefit N(V) (used by Nectar+, Section 10.1).
   double UndecayedBenefit() const { return undecayed_sum_; }
 
-  /// Timestamp of the most recent use, or 0 when never used. O(1):
-  /// maintained as a running max by the mutators.
-  double LastUse() const { return last_use_; }
-
-  /// Advances the timed-out-prefix cursor to `t_now`. Must only be
-  /// called while holding the pool's exclusive commit lock (the cursor
-  /// is read concurrently by planners under the shared lock).
-  void AdvanceWindow(double t_now, const DecayFunction& dec);
+  /// Timestamp of the most recent use, or 0 when never used (or when
+  /// every use is at a negative time). O(1): the list is in time order.
+  double LastUse() const {
+    return events_.empty() ? 0.0 : std::max(0.0, events_.back().time);
+  }
 
   // --- naive-replay reference implementations -----------------------
   // Retained verbatim from the pre-incremental code as the oracle for
@@ -94,12 +91,10 @@ struct ViewStats {
   double LastUseNaive() const;
 
  private:
+  void InsertLateEvent(const BenefitEvent& e);
+
   std::vector<BenefitEvent> events_;
   double undecayed_sum_ = 0.0;
-  double last_use_ = 0.0;
-  size_t win_begin_ = 0;    ///< entries [0, win_begin_) expired at win_t_
-  double win_t_ = 0.0;      ///< time the cursor was last advanced to
-  double win_tmax_ = -1.0;  ///< t_max the cursor was computed under
 };
 
 /// One recorded access to a fragment: the timestamp (an element of the
@@ -210,8 +205,9 @@ struct FragmentStats {
   /// appends from a wholesale replacement by comparing it.
   uint32_t hits_generation() const { return hits_generation_; }
 
-  /// Moves `win_begin_` to the first hit live at `t_now`. Exclusive
-  /// commit section only (see ViewStats::AdvanceWindow).
+  /// Moves `win_begin_` to the first hit live at `t_now`. Must only be
+  /// called while holding the pool's exclusive commit lock (the position
+  /// is read concurrently by planners under the shared lock).
   void AdvanceWindow(double t_now, const DecayFunction& dec);
 
   // --- naive-replay reference implementations (test oracle) ---------

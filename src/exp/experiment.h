@@ -52,8 +52,8 @@ class ExperimentRunner {
 
   /// Runs `workload` under `strategy` on a fresh catalog. When
   /// `observer` is non-null it is attached to the engine for the run
-  /// (e.g. a TraceObserver collecting per-query telemetry and
-  /// per-stage timing; see exp/trace.h).
+  /// (e.g. a MetricsObserver folding the reports and stage timings;
+  /// see exp/metrics.h).
   Result<RunResult> Run(const StrategySpec& strategy,
                         const std::vector<WorkloadQuery>& workload,
                         EngineObserver* observer = nullptr) const;

@@ -214,12 +214,11 @@ const std::vector<MetricInfo>& MetricsObserver::Registry() {
        "locks) path after read-set validation.",
        "tenant", false, false},
       {"deepsea_commits_exclusive_reason_total", "counter",
-       "Queries that committed on the exclusive (X) path, by reason: "
-       "merge (merge pass enabled), eviction (decision evicts inline), "
-       "physical (physical execution), new_view / catalog_put / "
-       "index_insert / attach (replanned commit carrying that "
-       "structural content), replan (replanned, no structural "
-       "content), other. Only nonzero cells are exported.",
+       "Queries that committed on the exclusive (X) path, by the path "
+       "decision that took them there: merge (merge pass enabled), "
+       "eviction (decision evicts inline), physical (physical "
+       "execution), replan (the plan failed read-set validation). Only "
+       "nonzero cells are exported.",
        "reason,tenant", false, false},
       {"deepsea_queries_from_views_total", "counter",
        "Queries answered from a materialized view.", "tenant", false, false},

@@ -35,13 +35,14 @@ struct MetricInfo {
 
 /// Production metrics sink for the EngineObserver seam: a thread-safe,
 /// allocation-light aggregator exporting Prometheus text exposition
-/// format. Where TraceObserver collects per-query CSV rows for offline
+/// format. Where QueryTrace collects per-query CSV rows for offline
 /// experiment plots, MetricsObserver maintains the fixed-cardinality
 /// series an operator scrapes while the engine serves live traffic:
 ///
 ///  * log-scale histogram sketches of per-stage simulated and wall-clock
-///    latency (one series per EngineStage, labeled by tenant) plus a
-///    per-query simulated-cost histogram;
+///    latency (one series per EngineStage, labeled by tenant; a stage's
+///    count and sum are its calls and summed seconds) plus a per-query
+///    simulated-cost histogram;
 ///  * monotonic counters for queries, replans, degradations, pool
 ///    mutations (views/fragments materialized, evictions, merges),
 ///    faults/retries, and bytes into / out of the pool — each one field
@@ -52,8 +53,8 @@ struct MetricInfo {
 ///    quarantine, and commit-lock hold time, sourced from an attached
 ///    PoolManager at scrape time (`set_pool`).
 ///
-/// Concurrency: unlike TraceObserver, one MetricsObserver may be shared
-/// by free-running engines. The hot path honors the locking contract in
+/// Concurrency: one MetricsObserver may be shared by free-running
+/// engines. The hot path honors the locking contract in
 /// engine_observer.h — planning-stage hooks fire concurrently from
 /// multiple engine threads under the pool's shared lock — by keeping
 /// one slot per tenant, each guarded by its own mutex (only hooks of

@@ -65,70 +65,4 @@ double QueryTrace::CumulativeSeconds(const std::string& label) const {
   return 0.0;
 }
 
-void TraceObserver::OnStageEnd(EngineStage stage, const QueryContext& ctx,
-                               double sim_seconds, double wall_seconds) {
-  (void)ctx;
-  StageStats& s = stages_[static_cast<size_t>(stage)];
-  ++s.calls;
-  s.sim_seconds += sim_seconds;
-  s.wall_seconds += wall_seconds;
-}
-
-void TraceObserver::OnFault(EngineStage stage, const std::string& view_id,
-                            const Status& status, int attempt,
-                            const std::string& tenant) {
-  fault_events_.push_back({"fault", stage, view_id,
-                           StatusCodeName(status.code()), attempt, tenant});
-}
-
-void TraceObserver::OnRetry(EngineStage stage, int next_attempt,
-                            const std::string& tenant) {
-  fault_events_.push_back({"retry", stage, "", "", next_attempt, tenant});
-}
-
-void TraceObserver::OnDegrade(EngineStage stage, const std::string& view_id,
-                              const Status& status,
-                              const std::string& tenant) {
-  fault_events_.push_back(
-      {"degrade", stage, view_id, StatusCodeName(status.code()), 0, tenant});
-}
-
-void TraceObserver::OnQueryEnd(const QueryReport& report) {
-  tenants_[report.tenant_id].Add(report);
-  if (trace_ != nullptr) trace_->Record(label_, report);
-}
-
-EngineTotals TraceObserver::totals() const {
-  EngineTotals sum;
-  for (const auto& [tenant, t] : tenants_) {
-    (void)tenant;
-    sum += t;
-  }
-  return sum;
-}
-
-std::string TraceObserver::FaultEventsCsv() const {
-  std::string out = "label,event,stage,view,code,attempt,tenant\n";
-  for (const FaultEvent& e : fault_events_) {
-    out += StrFormat("%s,%s,%s,%s,%s,%d,%s\n", label_.c_str(),
-                     e.event.c_str(), EngineStageName(e.stage),
-                     e.view.c_str(), e.code.c_str(), e.attempt,
-                     e.tenant.c_str());
-  }
-  return out;
-}
-
-std::string TraceObserver::StageSummaryCsv() const {
-  std::string out = "label,stage,calls,sim_s,wall_s\n";
-  for (size_t i = 0; i < kStageCount; ++i) {
-    const StageStats& s = stages_[i];
-    if (s.calls == 0) continue;
-    out += StrFormat("%s,%s,%lld,%.3f,%.6f\n", label_.c_str(),
-                     EngineStageName(static_cast<EngineStage>(i)),
-                     static_cast<long long>(s.calls), s.sim_seconds,
-                     s.wall_seconds);
-  }
-  return out;
-}
-
 }  // namespace deepsea

@@ -38,6 +38,7 @@
 #include "core/pool_manager.h"
 #include "core/shared_pool.h"
 #include "rewrite/filter_tree.h"
+#include "storage/fault_policy.h"
 #include "workload/bigbench.h"
 
 namespace deepsea {
@@ -330,6 +331,27 @@ TEST_F(CommitValidationTest, OverlappingForeignCommitIsAGenuineConflict) {
   EXPECT_TRUE(pool()->ValidateReadSet(
       commit, FragmentRead("vA", "item_sk", Interval(50, 60)),
       pool()->read_epoch(), &genuine2));
+  pool()->SetCommitFootprint(commit, CommitFootprint{});
+}
+
+// A commit that writes nothing publishes nothing. An engine joining the
+// running pool (its constructor enters X only to prove exclusive access)
+// and a fault-policy swap leave the epoch where it was, so a plan whose
+// read epoch predates them still validates; publishing `all` would have
+// counted both as genuine conflicts.
+TEST_F(CommitValidationTest, EngineJoinAndFaultPolicySwapPublishNothing) {
+  const uint64_t read_epoch = pool()->read_epoch();
+  DeepSeaEngine late(&catalog_, &shared_, "late");
+  ScheduledFaultPolicy silent(/*seed=*/1);
+  pool()->SetFaultPolicy(&silent);
+  pool()->SetFaultPolicy(nullptr);
+  EXPECT_EQ(pool()->read_epoch(), read_epoch);
+
+  CommitGuard commit = pool()->BeginCommit();
+  bool genuine = true;
+  EXPECT_TRUE(
+      pool()->ValidateReadSet(commit, ViewRead("v1"), read_epoch, &genuine));
+  EXPECT_FALSE(genuine);
   pool()->SetCommitFootprint(commit, CommitFootprint{});
 }
 

@@ -22,7 +22,6 @@
 #include "core/engine.h"
 #include "core/view_sizing.h"
 #include "exec/executor.h"
-#include "exp/trace.h"
 #include "plan/pushdown.h"
 #include "storage/fault_policy.h"
 #include "multitenant_harness.h"
@@ -37,17 +36,17 @@ namespace {
 /// the end of every Apply and Merge stage — i.e. immediately after a
 /// commit or a rollback. A fault that left the pool half-applied
 /// (metadata without its file, or vice versa) is caught here, at the
-/// exact boundary, not smeared over later queries. Extends
-/// TraceObserver so the soak also records the fault-event telemetry
-/// (exported as a CSV artifact by the CI fault-soak step).
-class FaultInvariantProbe : public TraceObserver {
+/// exact boundary, not smeared over later queries.
+class FaultInvariantProbe : public EngineObserver {
  public:
   FaultInvariantProbe(const DeepSeaEngine* engine, double s_max)
-      : TraceObserver("fault_soak", nullptr), engine_(engine), s_max_(s_max) {}
+      : engine_(engine), s_max_(s_max) {}
 
   void OnStageEnd(EngineStage stage, const QueryContext& ctx,
                   double sim_seconds, double wall_seconds) override {
-    TraceObserver::OnStageEnd(stage, ctx, sim_seconds, wall_seconds);
+    (void)ctx;
+    (void)sim_seconds;
+    (void)wall_seconds;
     if (stage != EngineStage::kApply && stage != EngineStage::kMerge) return;
     ++checks_;
     ASSERT_LE(engine_->PoolBytes(), s_max_ * 1.0001)
@@ -147,15 +146,27 @@ std::multiset<std::string> RowSet(const std::vector<Row>& rows) {
   return out;
 }
 
-/// Number of `event` rows (fault|retry|degrade) in a FaultEventsCsv():
-/// the observer appends one per OnFault / OnRetry / OnDegrade call.
-int64_t CountFaultEvents(const std::string& csv, const std::string& event) {
-  int64_t n = 0;
-  for (const std::string& row : Split(csv, '\n')) {
-    const std::vector<std::string> cells = Split(row, ',');
-    if (cells.size() > 1 && cells[1] == event) ++n;
+/// The status code a report's fault_message names (Status::ToString
+/// spells the code first), or "" for a fault-free report.
+std::string FaultCode(const QueryReport& report) {
+  return report.fault_message.substr(0, report.fault_message.find(':'));
+}
+
+/// The report is the only record of a query's faults. Only a transient
+/// fault is retried, so each of the query's stages (Apply, then the merge
+/// pass) ran a sequence of fault-then-retry pairs ending either in
+/// success or in one more fault and a degrade: the counts alone
+/// reproduce the sequence.
+void ExpectFaultCountsFormASequence(const QueryReport& report, size_t q) {
+  EXPECT_EQ(report.fault_count, report.retry_count + report.degrade_count)
+      << "query " << q;
+  EXPECT_LE(report.degrade_count, 2) << "query " << q;  // Apply + merge
+  EXPECT_EQ(report.degraded, report.degrade_count > 0) << "query " << q;
+  EXPECT_EQ(report.fault_message.empty(), report.fault_count == 0)
+      << "query " << q;
+  if (report.fault_count == 0) {
+    EXPECT_TRUE(report.fault_view.empty()) << "query " << q;
   }
-  return n;
 }
 
 // ---------------------------------------------------------------------
@@ -174,14 +185,21 @@ TEST(FaultSoakTest, SeededSoakSurvivesWithInvariantsIntact) {
   FaultInvariantProbe probe(&engine, opts.pool_limit_bytes);
   engine.set_observer(&probe);
 
+  // CI's fault-soak step sets DEEPSEA_FAULT_CSV to archive one row per
+  // faulted query, read from its report.
+  std::string csv = "query,faults,retries,degrades,degraded,view,code\n";
   const auto plans = RandomWorkload(500, /*seed=*/11);
   for (size_t q = 0; q < plans.size(); ++q) {
     auto report = engine.ProcessQuery(plans[q]);
     ASSERT_TRUE(report.ok()) << "query " << q << ": "
                              << report.status().ToString();
-    if (report->degraded) {
-      EXPECT_GE(report->fault_count, 1) << "query " << q;
-      EXPECT_FALSE(report->fault_message.empty()) << "query " << q;
+    ExpectFaultCountsFormASequence(*report, q);
+    if (report->fault_count > 0) {
+      csv += StrFormat("%lld,%d,%d,%d,%d,%s,%s\n",
+                       static_cast<long long>(report->query_index),
+                       report->fault_count, report->retry_count,
+                       report->degrade_count, report->degraded ? 1 : 0,
+                       report->fault_view.c_str(), FaultCode(*report).c_str());
     }
     ASSERT_FALSE(::testing::Test::HasFatalFailure()) << "query " << q;
   }
@@ -199,16 +217,10 @@ TEST(FaultSoakTest, SeededSoakSurvivesWithInvariantsIntact) {
   // Despite the fault rate the pool still adapted.
   EXPECT_GT(engine.PoolBytes(), 0.0);
   EXPECT_GT(engine.totals().queries_answered_from_views, 0);
-  // The fault hooks fired exactly once per fault, retry and degrade
-  // the reports counted.
-  const std::string csv = probe.FaultEventsCsv();
-  EXPECT_EQ(CountFaultEvents(csv, "fault"), engine.totals().faults);
-  EXPECT_EQ(CountFaultEvents(csv, "retry"), engine.totals().retries);
-  EXPECT_EQ(CountFaultEvents(csv, "degrade"), engine.totals().degrades);
-  EXPECT_EQ(probe.totals(), engine.totals());
+  // Every injected fault failed one attempt, and the reports count
+  // every failed attempt.
+  EXPECT_EQ(engine.totals().faults, policy.faults_injected());
 
-  // CI's fault-soak step sets DEEPSEA_FAULT_CSV to archive the
-  // injected-fault schedule as a build artifact.
   if (const char* csv_path = std::getenv("DEEPSEA_FAULT_CSV")) {
     std::FILE* f = std::fopen(csv_path, "w");
     ASSERT_NE(f, nullptr) << csv_path;
@@ -300,29 +312,29 @@ TEST(FaultRecoveryTest, TransientFaultRetriesAndSucceeds) {
   policy.AddRule(rule);
   engine.mutable_pool()->SetFaultPolicy(&policy);
 
-  TraceObserver obs("fault", nullptr);
-  engine.set_observer(&obs);
-
   auto plan = BigBenchTemplates::Build("Q30", 100000, 180000);
   ASSERT_TRUE(plan.ok());
   auto report = engine.ProcessQuery(*plan);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 
+  // One fault, one retry, no degrade: the sequence fault, retry, success.
   EXPECT_EQ(report->fault_count, 1);
   EXPECT_EQ(report->retry_count, 1);
+  EXPECT_EQ(report->degrade_count, 0);
   EXPECT_FALSE(report->degraded);
   EXPECT_FALSE(report->created_views.empty());
   EXPECT_GT(engine.PoolBytes(), 0.0);
-  const std::string csv = obs.FaultEventsCsv();
-  EXPECT_EQ(CountFaultEvents(csv, "fault"), 1);
-  EXPECT_EQ(CountFaultEvents(csv, "retry"), 1);
-  EXPECT_EQ(CountFaultEvents(csv, "degrade"), 0);
-  EXPECT_EQ(obs.totals(), engine.totals());
+  EXPECT_EQ(engine.totals().faults, 1);
+  EXPECT_EQ(engine.totals().retries, 1);
+  EXPECT_EQ(engine.totals().degrades, 0);
 
-  // The fault-event CSV names the failing stage and the injected code.
-  EXPECT_NE(csv.find("fault,apply"), std::string::npos) << csv;
-  EXPECT_NE(csv.find("Unavailable"), std::string::npos) << csv;
-  EXPECT_NE(csv.find("retry,apply"), std::string::npos) << csv;
+  // The report alone names the failing Apply action's view, which the
+  // retry then created, and the injected code.
+  EXPECT_EQ(FaultCode(*report), "Unavailable") << report->fault_message;
+  EXPECT_NE(std::find(report->created_views.begin(),
+                      report->created_views.end(), report->fault_view),
+            report->created_views.end())
+      << "fault_view '" << report->fault_view << "'";
 }
 
 // ---------------------------------------------------------------------
@@ -345,19 +357,19 @@ TEST(FaultRecoveryTest, PermanentFaultRollsBackAndDegrades) {
   policy.AddRule(rule);
   engine.mutable_pool()->SetFaultPolicy(&policy);
 
-  TraceObserver obs("fault", nullptr);
-  engine.set_observer(&obs);
-
   auto plan = BigBenchTemplates::Build("Q30", 100000, 180000);
   ASSERT_TRUE(plan.ok());
   auto report = engine.ProcessQuery(*plan);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 
+  // The sequence fault, degrade: a permanent fault is not retried.
   EXPECT_TRUE(report->degraded);
-  EXPECT_EQ(report->fault_count, 1);   // permanent: no retries
+  EXPECT_EQ(report->fault_count, 1);
   EXPECT_EQ(report->retry_count, 0);
+  EXPECT_EQ(report->degrade_count, 1);
   EXPECT_TRUE(report->created_views.empty());
-  EXPECT_FALSE(report->fault_message.empty());
+  EXPECT_EQ(FaultCode(*report), "ResourceExhausted") << report->fault_message;
+  EXPECT_FALSE(report->fault_view.empty());
   EXPECT_GT(report->base_seconds, 0.0);  // the query was still answered
 
   // The decision's earlier writes were rolled back: nothing in the pool,
@@ -366,9 +378,76 @@ TEST(FaultRecoveryTest, PermanentFaultRollsBackAndDegrades) {
   EXPECT_TRUE(engine.fs().List("pool/").empty());
   EXPECT_GE(engine.fs().ledger().rollback_restores, 2);
   EXPECT_GE(engine.fs().ledger().failed_puts, 1);
-  EXPECT_EQ(CountFaultEvents(obs.FaultEventsCsv(), "degrade"), 1);
-  EXPECT_EQ(obs.totals(), engine.totals());
+  EXPECT_EQ(engine.totals().degrades, 1);
   EXPECT_EQ(engine.totals().queries_degraded, 1);
+}
+
+// ---------------------------------------------------------------------
+// A merge-pass fault is attributed to no view: the report names its
+// code and leaves fault_view empty. The faulted query is the first one
+// of a fault-free run whose merge pass merged; a second run replays up
+// to it and fails every pool write after the ones its Apply makes.
+TEST(FaultRecoveryTest, MergePassFaultLeavesFaultViewEmpty) {
+  EngineOptions opts;
+  opts.benefit_cost_threshold = 0.02;
+  opts.enforce_block_lower_bound = false;
+  opts.merge.enabled = true;
+  // Both ranges hit the left fragment, the wide one the right too:
+  // co-access 0.5 (as tests/merge_test.cc's engine merge test).
+  opts.merge.min_co_access = 0.45;
+  opts.merge.max_merged_fraction = 0.5;
+  opts.merge.min_hits = 2;
+  std::vector<PlanPtr> plans;
+  for (int i = 0; i < 12; ++i) {
+    for (double hi : {180000.0, 220000.0}) {
+      auto plan = BigBenchTemplates::Build("Q30", 100000, hi);
+      ASSERT_TRUE(plan.ok());
+      plans.push_back(*plan);
+    }
+  }
+  size_t target = plans.size();
+  int apply_puts = 0;  // the target's Apply writes one file per fragment
+  {
+    Catalog catalog = MakeCatalog();
+    DeepSeaEngine engine(&catalog, opts);
+    for (size_t q = 0; q < plans.size() && target == plans.size(); ++q) {
+      auto report = engine.ProcessQuery(plans[q]);
+      ASSERT_TRUE(report.ok());
+      if (report->merged_fragments > 0 && report->created_views.empty()) {
+        target = q;
+        apply_puts = report->created_fragments;
+      }
+    }
+  }
+  ASSERT_LT(target, plans.size()) << "no query merged";
+
+  Catalog catalog = MakeCatalog();
+  DeepSeaEngine engine(&catalog, opts);
+  for (size_t q = 0; q < target; ++q) {
+    ASSERT_TRUE(engine.ProcessQuery(plans[q]).ok());
+  }
+  ScheduledFaultPolicy policy(/*seed=*/9);
+  FaultRule rule;
+  rule.ops = {FsOp::kPut};
+  rule.path_substring = "pool/";
+  rule.every_nth = 1;
+  rule.after_count = apply_puts;
+  rule.permanent_code = StatusCode::kInternal;
+  policy.AddRule(rule);
+  engine.mutable_pool()->SetFaultPolicy(&policy);
+  auto report = engine.ProcessQuery(plans[target]);
+  engine.mutable_pool()->SetFaultPolicy(nullptr);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  EXPECT_EQ(policy.faults_injected(), 1);
+  EXPECT_EQ(report->fault_count, 1);
+  EXPECT_EQ(report->retry_count, 0);
+  EXPECT_EQ(report->degrade_count, 1);
+  EXPECT_TRUE(report->degraded);
+  EXPECT_EQ(report->created_fragments, apply_puts);  // Apply committed
+  EXPECT_EQ(report->merged_fragments, 0);  // the merge rolled back
+  EXPECT_EQ(FaultCode(*report), "Internal") << report->fault_message;
+  EXPECT_TRUE(report->fault_view.empty()) << report->fault_view;
 }
 
 // ---------------------------------------------------------------------
@@ -483,6 +562,7 @@ TEST(FaultRecoveryTest, QuarantineThenCooldownReadmission) {
     ASSERT_TRUE(report.ok());
     EXPECT_TRUE(report->degraded) << "query " << q;
     EXPECT_EQ(report->fault_view, "v2") << "query " << q;
+    EXPECT_EQ(FaultCode(*report), "Internal") << "query " << q;
   }
   const ViewInfo* quarantined = engine.views().Get("v2");
   ASSERT_NE(quarantined, nullptr);

@@ -26,7 +26,7 @@
 #include "core/engine.h"
 #include "core/shared_pool.h"
 #include "core/view_sizing.h"
-#include "exp/trace.h"
+#include "exp/metrics.h"
 #include "workload/bigbench.h"
 
 namespace deepsea {
@@ -183,12 +183,11 @@ void RunFreeRunningStress(int num_tenants, int queries_each) {
 
   SharedPool shared(&catalog, options);
   std::vector<std::unique_ptr<DeepSeaEngine>> engines;
-  std::vector<std::unique_ptr<TraceObserver>> observers;
+  std::vector<std::unique_ptr<MetricsObserver>> observers;
   for (int t = 0; t < num_tenants; ++t) {
     engines.push_back(
         std::make_unique<DeepSeaEngine>(&catalog, &shared, tenants[t]));
-    observers.push_back(
-        std::make_unique<TraceObserver>(tenants[t], /*trace=*/nullptr));
+    observers.push_back(std::make_unique<MetricsObserver>());
     engines[t]->set_observer(observers[t].get());
   }
 
@@ -230,13 +229,13 @@ void RunFreeRunningStress(int num_tenants, int queries_each) {
   // tenant's queries, nothing from the neighbours.
   int64_t evictions = 0;
   for (int t = 0; t < num_tenants; ++t) {
-    EXPECT_EQ(observers[t]->totals().queries, queries_each) << tenants[t];
-    for (const auto& [tenant, stats] : observers[t]->tenants()) {
-      (void)stats;
-      EXPECT_EQ(tenant, tenants[t]);
-    }
+    const auto snap = observers[t]->TakeSnapshot();
+    ASSERT_EQ(snap.tenants.size(), 1u) << tenants[t];
+    EXPECT_EQ(snap.tenants.begin()->first, tenants[t]);
+    const EngineTotals& seen = snap.tenants.begin()->second.counts;
+    EXPECT_EQ(seen.queries, queries_each) << tenants[t];
     const EngineTotals& totals = engines[t]->totals();
-    EXPECT_EQ(observers[t]->totals(), totals) << tenants[t];
+    EXPECT_EQ(seen, totals) << tenants[t];
     evictions += totals.fragments_evicted;
     // Every replan has exactly one recorded cause.
     EXPECT_EQ(totals.replans,
@@ -310,8 +309,8 @@ TEST(MultiTenantObserverTest, ObserversAreScopedToTheirEngine) {
   SharedPool shared(&catalog, options);
   DeepSeaEngine alice(&catalog, &shared, "alice");
   DeepSeaEngine bob(&catalog, &shared, "bob");
-  TraceObserver obs_a("alice", nullptr);
-  TraceObserver obs_b("bob", nullptr);
+  MetricsObserver obs_a;
+  MetricsObserver obs_b;
   alice.set_observer(&obs_a);
   bob.set_observer(&obs_b);
 
@@ -327,25 +326,24 @@ TEST(MultiTenantObserverTest, ObserversAreScopedToTheirEngine) {
   }
 
   // Each observer saw only its own engine's commits...
-  EXPECT_EQ(obs_a.totals().queries, 40);
-  EXPECT_EQ(obs_b.totals().queries, 40);
-  for (const auto& [tenant, stats] : obs_a.tenants()) {
-    (void)stats;
-    EXPECT_EQ(tenant, "alice");
-  }
-  for (const auto& [tenant, stats] : obs_b.tenants()) {
-    (void)stats;
-    EXPECT_EQ(tenant, "bob");
-  }
+  const auto snap_a = obs_a.TakeSnapshot();
+  const auto snap_b = obs_b.TakeSnapshot();
+  ASSERT_EQ(snap_a.tenants.size(), 1u);
+  ASSERT_EQ(snap_b.tenants.size(), 1u);
+  ASSERT_EQ(snap_a.tenants.count("alice"), 1u);
+  ASSERT_EQ(snap_b.tenants.count("bob"), 1u);
+  const EngineTotals& seen_a = snap_a.tenants.at("alice").counts;
+  const EngineTotals& seen_b = snap_b.tenants.at("bob").counts;
+  EXPECT_EQ(seen_a.queries, 40);
+  EXPECT_EQ(seen_b.queries, 40);
   // ...so each folds exactly its own engine's reports, evictions
   // included.
-  EXPECT_EQ(obs_a.totals(), alice.totals());
-  EXPECT_EQ(obs_b.totals(), bob.totals());
+  EXPECT_EQ(seen_a, alice.totals());
+  EXPECT_EQ(seen_b, bob.totals());
   EXPECT_GT(alice.totals().fragments_evicted + bob.totals().fragments_evicted,
             0);
   // ...and together they account for every materialized view.
-  EXPECT_EQ(obs_a.totals().views_created + obs_b.totals().views_created,
-            created_views);
+  EXPECT_EQ(seen_a.views_created + seen_b.views_created, created_views);
 }
 
 // --- EvictWholeView records every piece exactly as the per-fragment

@@ -313,10 +313,10 @@ TEST(EngineObserverTest, StagesAndPoolEventsReachTheObserver) {
   options.pool_limit_bytes = 2e9;  // tight: force evictions too
   DeepSeaEngine engine(&catalog, options);
 
-  QueryTrace trace;
-  TraceObserver observer("DS", &trace);
+  MetricsObserver observer;
   engine.set_observer(&observer);
 
+  QueryTrace trace;
   const auto names = BigBenchTemplates::Names();
   Rng rng(11);
   const int kQueries = 40;
@@ -326,65 +326,77 @@ TEST(EngineObserverTest, StagesAndPoolEventsReachTheObserver) {
     const double lo = rng.Uniform(0.0, 200000.0);
     auto plan = BigBenchTemplates::Build(name, lo, lo + 50000.0);
     ASSERT_TRUE(plan.ok());
-    ASSERT_TRUE(engine.ProcessQuery(*plan).ok());
+    auto report = engine.ProcessQuery(*plan);
+    ASSERT_TRUE(report.ok());
+    trace.Record("DS", *report);
   }
 
-  // Every query passed through every always-on stage exactly once.
-  EXPECT_EQ(observer.totals().queries, kQueries);
+  // Every query passed through every always-on stage exactly once: a
+  // stage histogram's count is its calls, its sum the stage's seconds.
+  const auto snap = observer.TakeSnapshot();
+  ASSERT_EQ(snap.tenants.size(), 1u);
+  const auto& tenant = snap.tenants.at("");
+  auto stage = [&](EngineStage s) -> const auto& {
+    return tenant.stage_sim[static_cast<size_t>(s)];
+  };
+  auto wall = [&](EngineStage s) -> const auto& {
+    return tenant.stage_wall[static_cast<size_t>(s)];
+  };
+  EXPECT_EQ(tenant.counts.queries, kQueries);
   EXPECT_EQ(trace.size(), static_cast<size_t>(kQueries));
   for (EngineStage s : {EngineStage::kRewrite, EngineStage::kCandidates,
                         EngineStage::kSelection, EngineStage::kApply}) {
-    EXPECT_EQ(observer.stage(s).calls, kQueries) << EngineStageName(s);
-    EXPECT_GE(observer.stage(s).wall_seconds, 0.0);
+    EXPECT_EQ(stage(s).count, kQueries) << EngineStageName(s);
+    EXPECT_EQ(wall(s).count, kQueries) << EngineStageName(s);
+    EXPECT_GE(wall(s).sum, 0.0);
   }
   // Merge is disabled, physical execution off.
-  EXPECT_EQ(observer.stage(EngineStage::kMerge).calls, 0);
-  EXPECT_EQ(observer.stage(EngineStage::kPhysical).calls, 0);
+  EXPECT_EQ(stage(EngineStage::kMerge).count, 0);
+  EXPECT_EQ(stage(EngineStage::kPhysical).count, 0);
   // The rewrite stage reports the plan cost chosen at Q_best time (the
   // later "unpushed" re-estimate can still revise best_seconds, so this
   // is a lower bound of the executed total, not an exact match).
-  EXPECT_GT(observer.stage(EngineStage::kRewrite).sim_seconds, 0.0);
-  EXPECT_LE(observer.stage(EngineStage::kRewrite).sim_seconds,
+  EXPECT_GT(stage(EngineStage::kRewrite).sum, 0.0);
+  EXPECT_LE(stage(EngineStage::kRewrite).sum,
             engine.totals().total_seconds -
                 engine.totals().materialize_seconds + 1e-9);
   // Apply's simulated charge is the materialization total (no merge).
-  EXPECT_NEAR(observer.stage(EngineStage::kApply).sim_seconds,
+  EXPECT_NEAR(stage(EngineStage::kApply).sum,
               engine.totals().materialize_seconds,
               1e-9 * std::max(1.0, engine.totals().materialize_seconds));
 
   // The observer folds the same reports the engine does, so every
   // counter agrees (overlapping fragments: no splits; merge off: every
   // eviction is a policy evict).
-  EXPECT_EQ(observer.totals(), engine.totals());
-  EXPECT_GT(observer.totals().fragments_evicted, 0);
-  EXPECT_EQ(observer.totals().fragments_merged, 0);
-
-  const std::string csv = observer.StageSummaryCsv();
-  EXPECT_NE(csv.find("DS,rewrite,"), std::string::npos);
-  EXPECT_NE(csv.find("DS,apply,"), std::string::npos);
+  EXPECT_EQ(tenant.counts, engine.totals());
+  EXPECT_GT(tenant.counts.fragments_evicted, 0);
+  EXPECT_EQ(tenant.counts.fragments_merged, 0);
+  EXPECT_DOUBLE_EQ(trace.CumulativeSeconds("DS"),
+                   engine.totals().total_seconds);
 }
 
 TEST(EngineObserverTest, DetachingTheObserverSilencesIt) {
   Catalog catalog;
   ASSERT_TRUE(BigBenchDataset::Generate(DataOptions(), &catalog).ok());
   DeepSeaEngine engine(&catalog, BaseOptions());
-  TraceObserver observer("DS", nullptr);
+  MetricsObserver observer;
   engine.set_observer(&observer);
   auto plan = BigBenchTemplates::Build(BigBenchTemplates::Names()[0], 0.0,
                                        100000.0);
   ASSERT_TRUE(plan.ok());
   ASSERT_TRUE(engine.ProcessQuery(*plan).ok());
-  EXPECT_EQ(observer.totals().queries, 1);
+  EXPECT_EQ(observer.TakeSnapshot().Totals().counts.queries, 1);
   engine.set_observer(nullptr);
   ASSERT_TRUE(engine.ProcessQuery(*plan).ok());
-  EXPECT_EQ(observer.totals().queries, 1);  // unchanged after detach
+  // Unchanged after detach.
+  EXPECT_EQ(observer.TakeSnapshot().Totals().counts.queries, 1);
 }
 
 // StageScope's contract (engine.cc): wall-clock is measured only while
 // an observer is attached, and observers never influence the simulated
 // results. Three engines over identically seeded catalogs — bare,
-// TraceObserver, multicast(Trace + Metrics) — must produce identical
-// QueryReport sim-time fields for the same workload.
+// MetricsObserver, multicast(Metrics + Metrics) — must produce
+// identical QueryReport sim-time fields for the same workload.
 TEST(EngineObserverTest, AttachingObserversDoesNotChangeSimTime) {
   const auto names = BigBenchTemplates::Names();
   Rng rng(23);
@@ -424,17 +436,16 @@ TEST(EngineObserverTest, AttachingObserversDoesNotChangeSimTime) {
   };
 
   const std::vector<std::string> bare = run(nullptr);
-  TraceObserver trace("DS", nullptr);
-  const std::vector<std::string> traced = run(&trace);
   MetricsObserver metrics;
-  TraceObserver trace2("DS", nullptr);
-  MulticastObserver multicast({&trace2, &metrics});
+  const std::vector<std::string> observed = run(&metrics);
+  MetricsObserver metrics_a, metrics_b;
+  MulticastObserver multicast({&metrics_a, &metrics_b});
   const std::vector<std::string> multicasted = run(&multicast);
 
-  ASSERT_EQ(bare.size(), traced.size());
+  ASSERT_EQ(bare.size(), observed.size());
   ASSERT_EQ(bare.size(), multicasted.size());
   for (size_t i = 0; i < bare.size(); ++i) {
-    EXPECT_EQ(traced[i], bare[i]) << "TraceObserver perturbed query " << i;
+    EXPECT_EQ(observed[i], bare[i]) << "MetricsObserver perturbed query " << i;
     EXPECT_EQ(multicasted[i], bare[i]) << "multicast perturbed query " << i;
   }
 }

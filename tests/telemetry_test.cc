@@ -1,12 +1,12 @@
 // Telemetry has one source of truth: the QueryReport records what a
 // query did, and every counter is the EngineTotals fold of the reports.
-// Each stream below runs once with three sinks behind a multicast:
+// Each stream below runs once with two sinks behind a multicast:
 //
 //  * an eviction check — per query, report.evicted_fragments is
 //    non-negative (written against QueryReport and EngineObserver
 //    alone);
-//  * a TraceObserver and a MetricsObserver — both fold to exactly
-//    engine.totals(), compared as whole structs.
+//  * a MetricsObserver — its fold equals engine.totals(), compared as
+//    whole structs.
 //
 // The streams: the Fig. 9 "Horizontal" stream (refinements split and
 // evict their parents), the fault soak with the merge pass on (merges
@@ -25,7 +25,6 @@
 #include "common/rng.h"
 #include "core/engine.h"
 #include "exp/metrics.h"
-#include "exp/trace.h"
 #include "storage/fault_policy.h"
 #include "workload/bigbench.h"
 #include "workload/range_generator.h"
@@ -176,23 +175,21 @@ class EvictionCheck : public EngineObserver {
 };
 
 // ---------------------------------------------------------------------------
-// One fold: engine, MetricsObserver and TraceObserver agree exactly
+// One fold: engine and MetricsObserver agree exactly
 
-/// Runs `stream` with the three sinks attached, checks the per-query
-/// eviction counts and that both observers fold to exactly the engine's
-/// totals.
+/// Runs `stream` with both sinks attached, checks the per-query
+/// eviction counts and that the MetricsObserver folds to exactly the
+/// engine's totals.
 StreamRun ExpectOneFold(const Stream& stream) {
   EvictionCheck evictions;
-  TraceObserver trace("fold", nullptr);
   MetricsObserver metrics;
-  MulticastObserver all({&evictions, &trace, &metrics});
+  MulticastObserver all({&evictions, &metrics});
   const StreamRun run = RunStream(stream, &all);
   const auto snap = metrics.TakeSnapshot();
   EXPECT_EQ(snap.tenants.size(), 1u);  // single-tenant engine: tenant ""
   if (snap.tenants.count("") == 1) {
     EXPECT_EQ(snap.tenants.at("").counts, run.totals);
   }
-  EXPECT_EQ(trace.totals(), run.totals);
   EXPECT_EQ(run.totals.queries, static_cast<int64_t>(stream.plans.size()));
   EXPECT_EQ(run.totals.commits_sharded + run.totals.commits_exclusive,
             run.totals.queries);

@@ -191,10 +191,11 @@ TEST(FragmentStatsTest, LastHitIsRunningMaxAcrossAdoptAndAppend) {
 // Incremental caches vs naive replay (bit-identity oracle tests).
 //
 // The hot-path readers (AccumulatedBenefit, UndecayedBenefit, LastUse,
-// DecayedHits, LastHit) are incremental: running sums/maxima plus a
-// position (a timed-out-prefix cursor for the view's events, the first
-// live hit for a fragment's time-ordered hits) moved by AdvanceWindow.
-// Every FragmentStats write must leave its hits in time order. The *Naive
+// DecayedHits, LastHit) are incremental: running sums over time-ordered
+// lists, a binary search for the view's first live event, and for a
+// fragment a position (its first live hit) moved by AdvanceWindow.
+// Every ViewStats and FragmentStats write must leave its list in time
+// order. The *Naive
 // replays in view_stats.cc are the oracles: the pre-incremental
 // implementations for the view readers, and for H(I) its definition
 // (every hit replayed, each live one adding FixedPoint::Quantize(t_k)
@@ -215,11 +216,8 @@ TEST(ViewStatsIncrementalTest, RandomEventStreamsMatchNaiveBitIdentically) {
       for (int i = 0; i < 400; ++i) {
         t += step(rng);
         stats.RecordUse(t, saving(rng));
-        // Interleave cursor advancement with appends, as the pool does
-        // (AdvanceWindowsAfterFold after each fold).
-        if (i % 5 == 0) stats.AdvanceWindow(t, dec);
-        // Evaluate behind the cursor (fallback to full replay), at it,
-        // inside the window, and far past expiry.
+        // Evaluate behind the last event, at it, inside the window, and
+        // far past expiry.
         for (const double t_eval :
              {t - 3.0, t, t + 0.5 * t_max, t + 2.0 * t_max}) {
           EXPECT_EQ(stats.AccumulatedBenefit(t_eval, dec),
@@ -236,30 +234,25 @@ TEST(ViewStatsIncrementalTest, RandomEventStreamsMatchNaiveBitIdentically) {
 TEST(ViewStatsIncrementalTest, IntegralTimesOnTheWindowEdgeMatchNaiveBitIdentically) {
   // The engine's clock is integral, so an event recorded at t sits
   // exactly on the decay window's edge at t_now = t + t_max, where DEC is
-  // still t / t_now > 0: the window must keep it. Continuous times never
-  // land there. The clock ticks one query at a time; each tick records
-  // up to two events, advances the window at most ticks (as the commits
-  // that write the view do) and evaluates at the tick, behind it and
-  // t_max past it.
+  // still t / t_now > 0: the search for the first live event must keep
+  // it. Continuous times never land there. The clock ticks one query at a
+  // time; each tick records up to two events and evaluates at the tick,
+  // behind it and t_max past it.
   int config = 0;
   for (const double t_max : {1.0, 2.0, 7.0, 25.0, 500.0}) {
     DecayFunction dec(DecayConfig{t_max, true});
     std::mt19937 rng(3000u + static_cast<uint32_t>(config++));
     std::uniform_int_distribution<int> events(0, 2);
-    std::bernoulli_distribution advance(0.7);
     std::uniform_real_distribution<double> saving(0.0, 50.0);
     ViewStats stats;
-    int edges = 0;  // advances with an event exactly t_max back
+    int edges = 0;  // ticks with an event exactly t_max back
     for (int tick = 1; tick <= 1000; ++tick) {
       const double t_now = tick;
       for (int e = events(rng); e > 0; --e) stats.RecordUse(t_now, saving(rng));
-      if (advance(rng)) {
-        stats.AdvanceWindow(t_now, dec);
-        edges += std::any_of(stats.events().begin(), stats.events().end(),
-                             [&](const BenefitEvent& e) {
-                               return t_now - e.time == t_max;
-                             });
-      }
+      edges += std::any_of(stats.events().begin(), stats.events().end(),
+                           [&](const BenefitEvent& e) {
+                             return t_now - e.time == t_max;
+                           });
       for (const double t_eval : {t_now, t_now - 1.0, t_now + t_max}) {
         EXPECT_EQ(stats.AccumulatedBenefit(t_eval, dec),
                   stats.AccumulatedBenefitNaive(t_eval, dec))
@@ -311,21 +304,58 @@ TEST(FragmentStatsIncrementalTest, RandomHitStreamsMatchNaiveBitIdentically) {
 }
 
 TEST(ViewStatsIncrementalTest, ChangingTmaxInvalidatesTheCursor) {
-  // The cursor is computed under one t_max; evaluating under another
-  // must fall back to full replay (CursorValid checks the cutoff).
+  // Reads under two cutoffs of one list: each finds its own first live
+  // event (entries < 30 expired at 40 under t_max 10, none under 1000),
+  // in either order.
   ViewStats stats;
   DecayFunction dec_short(DecayConfig{10.0, true});
   DecayFunction dec_long(DecayConfig{1000.0, true});
   for (int i = 1; i <= 50; ++i) stats.RecordUse(i, 1.0);
-  stats.AdvanceWindow(40.0, dec_short);  // entries < 30 expired under 10
+  EXPECT_EQ(stats.AccumulatedBenefit(40.0, dec_short),
+            stats.AccumulatedBenefitNaive(40.0, dec_short));
   EXPECT_EQ(stats.AccumulatedBenefit(40.0, dec_long),
             stats.AccumulatedBenefitNaive(40.0, dec_long));
   EXPECT_EQ(stats.AccumulatedBenefit(40.0, dec_short),
             stats.AccumulatedBenefitNaive(40.0, dec_short));
-  // Re-advancing under the new cutoff rebuilds the cursor from scratch.
-  stats.AdvanceWindow(40.0, dec_long);
-  EXPECT_EQ(stats.AccumulatedBenefit(40.0, dec_long),
-            stats.AccumulatedBenefitNaive(40.0, dec_long));
+}
+
+TEST(ViewStatsIncrementalTest, LateAppendIsInsertedInTimeOrder) {
+  // State restore may merge older events into a view (AppendEvent): each
+  // late one lands after every event of its time or earlier, so the list
+  // equals the same events recorded in time order (ties keep their
+  // append order), and every reader matches that list bit for bit.
+  const std::vector<BenefitEvent> appends = {
+      {10, 1.5}, {20, 2.25}, {30, 0.1}, {15, 7.0}, {20, 3.5},
+      {5, 0.3},  {30, 1.0},  {25, 4.0}, {-2, 9.0}, {40, 0.7}};
+  ViewStats late;
+  for (const BenefitEvent& e : appends) late.AppendEvent(e);
+  std::vector<BenefitEvent> sorted = appends;
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const BenefitEvent& a, const BenefitEvent& b) {
+                     return a.time < b.time;
+                   });
+  ViewStats ordered;
+  for (const BenefitEvent& e : sorted) ordered.AppendEvent(e);
+  ASSERT_EQ(late.events().size(), sorted.size());
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    EXPECT_EQ(late.events()[i].time, sorted[i].time) << i;
+    EXPECT_EQ(late.events()[i].saving, sorted[i].saving) << i;
+  }
+  EXPECT_EQ(late.UndecayedBenefit(), late.UndecayedBenefitNaive());
+  EXPECT_EQ(late.UndecayedBenefit(), ordered.UndecayedBenefit());
+  EXPECT_EQ(late.LastUse(), 40.0);
+  for (const double t_max : {5.0, 10.0, 25.0}) {
+    for (const bool enabled : {true, false}) {
+      DecayFunction dec(DecayConfig{t_max, enabled});
+      for (const double t_eval : {0.0, 20.0, 35.0, 40.0, 45.0, 60.0}) {
+        EXPECT_EQ(late.AccumulatedBenefit(t_eval, dec),
+                  late.AccumulatedBenefitNaive(t_eval, dec))
+            << "t_max=" << t_max << " t_eval=" << t_eval;
+        EXPECT_EQ(late.AccumulatedBenefit(t_eval, dec),
+                  ordered.AccumulatedBenefit(t_eval, dec));
+      }
+    }
+  }
 }
 
 TEST(FragmentStatsIncrementalTest, AdoptAfterAdvanceResetsTheCursor) {

@@ -4,7 +4,7 @@
 Usage (from anywhere inside the repository):
   python3 tools/ab_perfbench.py PARENT_REV CHANGE_REV \\
       [--workloads sdss_10g,q30_hot] [--pairs 5] [--seconds 55] \\
-      [--seed 1] [--aligned] [--digests] [--workdir DIR]
+      [--seed 1] [--aligned] [--digests | --trace] [--workdir DIR]
 
 Each revision is extracted with `git archive` into its own directory
 under --workdir (default: a new temporary directory), which must lie
@@ -23,6 +23,12 @@ won, both medians, the parent's interquartile range, and whether the
 change's median stays within the metric's bound of the parent's. It
 also prints the share of failed operations per side and each side's
 `host:` line. Nothing under perfbench/ is modified.
+
+--trace runs traced pairs instead (--trace 1, same seeds and
+alternation) and prints the same columns, bound aside, for every
+per-layer metric BENCHMARK.json lists: one traced run per side cannot
+resolve a layer moving by a few microseconds, the spread of its
+repeats can. A ratio or win is left out ("-") where the parent reads 0.
 
 --digests checks that the change decides exactly as the parent does
 instead of timing it: for seeds --seed ... --seed + 4 of every workload
@@ -86,10 +92,10 @@ def build(tree, aligned):
     return os.path.join(build_dir, "deepsea_perfbench")
 
 
-def run_once(binary, workload, seed, seconds):
-    """One untraced run: (output lines, result JSON)."""
+def run_once(binary, workload, seed, seconds, trace=False):
+    """One run: (output lines, result JSON)."""
     cmd = [binary, "--workload", workload, "--seed", str(seed), "--seconds",
-           str(seconds), "--trace", "0"]
+           str(seconds), "--trace", "1" if trace else "0"]
     out = subprocess.run(cmd, capture_output=True, text=True,
                          timeout=RUN_TIMEOUT_S)
     lines = out.stdout.strip().splitlines()
@@ -136,10 +142,11 @@ def quartiles(xs):
     return q[0], q[2]
 
 
-def report(workload, metrics, runs):
+def report(workload, metrics, runs, traced):
     """Prints one workload's table. `runs` maps side -> list of results,
-    aligned by pair."""
-    print("\n== %s: %d pairs ==" % (workload, len(runs["parent"])))
+    aligned by pair; traced tables have no bound column."""
+    print("\n== %s: %d %spairs ==" % (workload, len(runs["parent"]),
+                                      "traced " if traced else ""))
     for side in ("parent", "change"):
         attempted = sum(r["attempted"] for r in runs[side])
         failed = sum(r["failed"] for r in runs[side])
@@ -147,22 +154,25 @@ def report(workload, metrics, runs):
             side, failed / attempted if attempted else 0.0, failed, attempted,
             "" if all(r["correct"] for r in runs[side]) else
             ", a correctness check FAILED"))
-    print("  %-18s %-34s %5s %12s %12s %11s %s" % (
-        "metric", "change/parent per pair", "won", "parent_med",
-        "change_med", "parent_iqr", "within bound"))
+    width = max(len(m["name"]) for m in metrics)
+    print("  %-*s %-34s %5s %12s %12s %11s%s" % (
+        width, "metric", "change/parent per pair", "won", "parent_med",
+        "change_med", "parent_iqr", "" if traced else " within bound"))
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         a = [r["metrics"][name]["value"] for r in runs["parent"]]
         b = [r["metrics"][name]["value"] for r in runs["change"]]
-        ratios = [y / x if x else float("nan") for x, y in zip(a, b)]
-        won = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
+        ratios = " ".join("%.3f" % (y / x) if x else "-" for x, y in zip(a, b))
+        won = sum(((y < x) if lower else (y > x)) for x, y in zip(a, b) if x)
         ma, mb = statistics.median(a), statistics.median(b)
         q1, q3 = quartiles(a)
-        limit = ma * (1 + m["bound"]) if lower else ma * (1 - m["bound"])
-        ok = mb <= limit if lower else mb >= limit
-        print("  %-18s %-34s %2d/%-2d %12.6g %12.6g %11.4g %s (bound %g)" % (
-            name, " ".join("%.3f" % r for r in ratios), won, len(a), ma, mb,
-            q3 - q1, "yes" if ok else "NO", m["bound"]))
+        line = "  %-*s %-34s %2d/%-2d %12.6g %12.6g %11.4g" % (
+            width, name, ratios, won, sum(1 for x in a if x), ma, mb, q3 - q1)
+        if not traced:
+            limit = ma * (1 + m["bound"]) if lower else ma * (1 - m["bound"])
+            ok = mb <= limit if lower else mb >= limit
+            line += " %s (bound %g)" % ("yes" if ok else "NO", m["bound"])
+        print(line)
 
 
 def main():
@@ -174,7 +184,9 @@ def main():
     parser.add_argument("--seconds", type=int, default=55)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--aligned", action="store_true")
-    parser.add_argument("--digests", action="store_true")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--digests", action="store_true")
+    mode.add_argument("--trace", action="store_true")
     parser.add_argument("--workdir")
     args = parser.parse_args()
 
@@ -193,29 +205,31 @@ def main():
         binaries[side] = build(trees[side], args.aligned)
         print("%s: %s %s" % (side, rev, sha))
     with open(os.path.join(trees["change"], "BENCHMARK.json")) as f:
-        metrics = json.load(f)["end_to_end"]
+        metrics = json.load(f)["per_layer" if args.trace else "end_to_end"]
     print("build: RelWithDebInfo%s" % (" + " + ALIGN_FLAGS if args.aligned
                                          else ""))
     if args.digests:
         return compare_digests(binaries, args.workloads.split(","), args.seed)
 
     hosts = {}
+    progress = "rewrite.us" if args.trace else "cpu_us_per_query"
     for workload in args.workloads.split(","):
         runs = {"parent": [], "change": []}
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 lines, result = run_once(binaries[side], workload,
-                                         args.seed + i, args.seconds)
+                                         args.seed + i, args.seconds,
+                                         args.trace)
                 hosts.setdefault(side, next(
                     (l for l in lines if l.startswith("host:")), "host: ?"))
                 runs[side].append(result)
-            print("pair %d (seed %d, %s first): cpu_us_per_query %.1f / %.1f"
-                  % (i, args.seed + i, order[0],
-                     runs["parent"][-1]["metrics"]["cpu_us_per_query"]["value"],
-                     runs["change"][-1]["metrics"]["cpu_us_per_query"]["value"]),
+            print("pair %d (seed %d, %s first): %s %.1f / %.1f"
+                  % (i, args.seed + i, order[0], progress,
+                     runs["parent"][-1]["metrics"][progress]["value"],
+                     runs["change"][-1]["metrics"][progress]["value"]),
                   flush=True)
-        report(workload, metrics, runs)
+        report(workload, metrics, runs, args.trace)
     print("\nhost block:")
     for side, host in hosts.items():
         print("  %-6s %s" % (side, host))
